@@ -12,7 +12,7 @@
 //! |------|-------|-----------|
 //! | `atomic-ordering` | `crates/queues/src` | every `Ordering::<X>` literal carries a justification at the call site: `// relaxed-ok: <why>` for `Relaxed`, `// ordering-ok: <why>` for any ordering — the queues' publish/consume edges are exactly what the model checker proves, so an unexplained ordering choice is a red flag |
 //! | `atomic-facade` | `crates/queues/src` (except `sync.rs`) | every `Atomic*` type must be a `queues::sync` facade export (so the mini-loom model shadows it), and `std::sync::atomic::Atomic*` may not be named directly — only through the facade |
-//! | `no-panic` | `crates/core/src`, `crates/nvmf/src` | no `panic!` / `unreachable!` / `todo!` / `unimplemented!` / `.unwrap()` / `.expect(` in non-test code: malformed wire input must become a counted protocol error, not a crash (internal invariants may waive) |
+//! | `no-panic` | `crates/core/src`, `crates/nvmf/src`, `crates/workload/src` | no `panic!` / `unreachable!` / `todo!` / `unimplemented!` / `.unwrap()` / `.expect(` in non-test code: malformed wire input must become a counted protocol error, and a malformed scenario, spec or trace a typed error, not a crash (internal invariants may waive) |
 //! | `no-threading` | all crates except `simkit`, `analysis`, and the bench `shims` | no `static mut`, `thread_local!`, or `thread::spawn` outside the sanctioned homes: the deterministic kernel owns all parallelism, and ad-hoc threads/globals are exactly the bugs the model checker cannot see (scoped `std::thread::scope` spawns in experiment drivers stay legal) |
 //! | `wall-clock` | all crates except `simkit` and the bench `shims` | no `Instant` / `SystemTime`: simulations must be deterministic; real time enters only through `simkit` (e.g. its `Stopwatch`) |
 //! | `hashmap-iter` | all crates | no iteration over `HashMap`s declared in the same file: iteration order is randomized per process and leaks nondeterminism into metrics, snapshots, and reports — use `BTreeMap`, sort first, or waive with a reason |
@@ -345,9 +345,13 @@ fn rule_atomic_facade(ctx: &Ctx, out: &mut Vec<Finding>, facade: Option<&BTreeSe
     }
 }
 
-/// `no-panic`: protocol code must return typed errors, not crash.
+/// `no-panic`: protocol code and the scenario driver must return typed
+/// errors, not crash.
 fn rule_no_panic(ctx: &Ctx, out: &mut Vec<Finding>) {
-    if !ctx.rel_str.contains("crates/core/src") && !ctx.rel_str.contains("crates/nvmf/src") {
+    let in_scope = ["crates/core/src", "crates/nvmf/src", "crates/workload/src"]
+        .iter()
+        .any(|s| ctx.rel_str.contains(s));
+    if !in_scope {
         return;
     }
     for ci in 0..ctx.code.len() {
@@ -373,8 +377,9 @@ fn rule_no_panic(ctx: &Ctx, out: &mut Vec<Finding>) {
             "no-panic",
             line,
             format!(
-                "{what} in protocol code — malformed input must be a counted \
-                 protocol error, not a crash (waive for internal invariants)"
+                "{what} in protocol/driver code — malformed input must be a counted \
+                 protocol error or a typed error, not a crash (waive for internal \
+                 invariants)"
             ),
             waived,
         );
@@ -847,8 +852,9 @@ mod tests {
             assert_eq!(f.len(), 1, "{bad}: {f:?}");
             assert_eq!(f[0].rule, "no-panic");
         }
-        // Out of scope crate.
-        assert!(lint("crates/workload/src/x.rs", src).is_empty());
+        // The scenario driver is in scope; crates above it are not.
+        assert_eq!(lint("crates/workload/src/x.rs", src).len(), 1);
+        assert!(lint("crates/experiments/src/x.rs", src).is_empty());
     }
 
     #[test]

@@ -241,6 +241,12 @@ impl OpfInitiator {
         self.qpair.has_capacity()
     }
 
+    /// Drop the callbacks of commands still in flight (teardown; see
+    /// [`QPair::abort_all`]).
+    pub fn abort_pending(&mut self) {
+        self.qpair.abort_all();
+    }
+
     /// The window size currently in force.
     pub fn current_window(&self) -> u32 {
         self.window

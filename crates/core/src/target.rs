@@ -495,6 +495,14 @@ impl OpfTarget {
         self.conns.insert(initiator, Conn { ep, rx });
     }
 
+    /// Drop every initiator connection and the delivery closure it
+    /// holds (teardown: each closure captures its initiator, which
+    /// holds this target's receive path — an `Rc` cycle that would
+    /// outlive the simulation).
+    pub fn disconnect_all(&mut self) {
+        self.conns.clear();
+    }
+
     /// Register `initiator`'s connection as throughput-critical: any
     /// LS flag it carries is forged by definition and — while
     /// `enforce_identity` holds — is demoted to plain TC instead of

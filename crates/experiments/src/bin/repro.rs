@@ -72,6 +72,13 @@ fn main() {
     .with_shards(shards)
     .with_parallel(parallel);
 
+    if targets > 1 {
+        if let Err(e) = cluster::validate(d, quick, targets) {
+            eprintln!("repro: --targets {targets}: {e}");
+            std::process::exit(2);
+        }
+    }
+
     let start = simkit::Stopwatch::start();
     for artifact in &artifacts {
         match artifact.as_str() {

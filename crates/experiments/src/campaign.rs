@@ -73,6 +73,13 @@ pub enum CampaignError {
     DuplicateSeed(u64),
     /// The expanded grid is empty (no seeds or no scenarios).
     EmptyGrid,
+    /// A grid point describes a scenario the runner cannot build.
+    Scenario {
+        /// The campaign scenario's name.
+        name: String,
+        /// Why.
+        error: workload::ScenarioError,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -97,6 +104,9 @@ impl fmt::Display for CampaignError {
                     f,
                     "campaign spec: empty grid (needs >= 1 seed and >= 1 scenario)"
                 )
+            }
+            CampaignError::Scenario { name, error } => {
+                write!(f, "campaign spec: scenario \"{name}\": {error}")
             }
         }
     }
@@ -499,7 +509,7 @@ impl CampaignSpec {
             expectations.push(Expectation { scenario, check });
         }
 
-        Ok(CampaignSpec {
+        let spec = CampaignSpec {
             name,
             seeds,
             warmup_s,
@@ -511,7 +521,16 @@ impl CampaignSpec {
             threads,
             scenarios,
             expectations,
-        })
+        };
+        for cs in &spec.scenarios {
+            build_scenario(&spec, cs, spec.seeds[0])
+                .validate()
+                .map_err(|error| CampaignError::Scenario {
+                    name: cs.name.clone(),
+                    error,
+                })?;
+        }
+        Ok(spec)
     }
 }
 
@@ -983,6 +1002,20 @@ mod tests {
                 Err(CampaignError::EmptyGrid),
                 "{src}"
             );
+        }
+    }
+
+    #[test]
+    fn unbuildable_scenario_is_a_typed_error() {
+        match CampaignSpec::from_json_str(&minimal(r#", "tc": 300"#)) {
+            Err(CampaignError::Scenario { error, .. }) => assert_eq!(
+                error,
+                workload::ScenarioError::TooManyTenants {
+                    tenants: 301,
+                    max: 64
+                }
+            ),
+            other => panic!("expected a scenario error, got {other:?}"),
         }
     }
 

@@ -90,6 +90,15 @@ pub fn scenarios(d: Durations, quick: bool, max_targets: usize) -> Vec<Scenario>
     v
 }
 
+/// Check every scenario `repro --targets N` would run, so a flag the
+/// cluster plane cannot honour is a typed error before anything runs.
+pub fn validate(d: Durations, quick: bool, targets: usize) -> Result<(), workload::ScenarioError> {
+    scenarios(d, quick, targets)
+        .iter()
+        .chain(&adversary_scenarios(d, targets))
+        .try_for_each(Scenario::validate)
+}
+
 /// Per-tenant completion counts across the whole cluster.
 fn per_tenant_completed(r: &RunResult, tenants: usize) -> Vec<u64> {
     (0..tenants)

@@ -14,8 +14,9 @@
 //!   golden pins the attack counters and re-drive volume.
 //!
 //! The single-target goldens (`scale.csv` et al.) are locked by
-//! `shard_differential` and `zero_copy_differential`; cluster runs are
-//! a separate golden space and must never perturb them.
+//! `shard_differential` and `zero_copy_differential`, and
+//! `snapshot_golden` pins one full snapshot of each kind: every shape
+//! runs through the one scenario pipeline, so none may perturb another.
 
 use experiments::sweep::run_all;
 use experiments::{cluster, Durations};

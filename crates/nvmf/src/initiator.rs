@@ -146,6 +146,12 @@ impl SpdkInitiator {
         self.qpair.has_capacity()
     }
 
+    /// Drop the callbacks of commands still in flight (teardown; see
+    /// [`QPair::abort_all`]).
+    pub fn abort_pending(&mut self) {
+        self.qpair.abort_all();
+    }
+
     /// Submit one I/O. Returns the allocated CID, or `None` when the
     /// queue pair is at depth (callers run closed loops and must respect
     /// this).

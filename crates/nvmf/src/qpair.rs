@@ -136,6 +136,17 @@ impl QPair {
         }
         Some(ctx)
     }
+
+    /// Release every outstanding CID without completing it, dropping
+    /// the contexts and the completion callbacks they own. Teardown
+    /// only: a callback usually captures the driver that owns this
+    /// queue pair's initiator, and that `Rc` cycle outlives the
+    /// simulation unless the callbacks go first.
+    pub fn abort_all(&mut self) {
+        for cid in 0..self.depth as u16 {
+            self.finish(cid);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -172,6 +172,14 @@ impl SpdkTarget {
         self.conns.insert(initiator, Conn { ep, rx });
     }
 
+    /// Drop every initiator connection and the delivery closure it
+    /// holds (teardown: each closure captures its initiator, which
+    /// holds this target's receive path — an `Rc` cycle that would
+    /// outlive the simulation).
+    pub fn disconnect_all(&mut self) {
+        self.conns.clear();
+    }
+
     /// Reactor utilization snapshot.
     pub fn reactor_utilization(&self, now: simkit::SimTime) -> f64 {
         self.reactor.utilization(now)

@@ -568,25 +568,47 @@ impl SweepSpec {
         if !(spec.measure_s > 0.0 && spec.measure_s.is_finite()) {
             return Err("measure_s must be a finite positive number".to_string());
         }
-        if spec.targets > 1 || !spec.migrations.is_empty() {
-            // Cluster mode is NVMe-oPF only; fail the spec up front
-            // rather than panicking mid-sweep.
-            if spec.runtimes.contains(&RuntimeKind::Spdk) {
-                return Err(
-                    "cluster specs (targets > 1 or migration moves) require runtimes: [\"opf\"]"
-                        .to_string(),
-                );
-            }
-            for m in &spec.migrations {
-                if m.to_target >= spec.targets {
-                    return Err(format!(
-                        "migration to_target {} out of range (targets = {})",
-                        m.to_target, spec.targets
-                    ));
-                }
+        // Fail a scenario the runner cannot build (cluster on the
+        // baseline, too many tenants per node, a migration out of range)
+        // up front with its typed error, never mid-sweep. Validity does
+        // not depend on the speed, mix or seed axes.
+        for &runtime in &spec.runtimes {
+            for &(ls, tc) in &spec.ratios {
+                spec.scenario(
+                    runtime,
+                    spec.speeds[0],
+                    spec.mixes[0],
+                    ls,
+                    tc,
+                    spec.seeds[0],
+                )
+                .validate()
+                .map_err(|e| format!("{} {ls}:{tc}: {e}", runtime.label()))?;
             }
         }
         Ok(spec)
+    }
+
+    /// The scenario at one grid point.
+    fn scenario(
+        &self,
+        runtime: RuntimeKind,
+        speed: Gbps,
+        mix: Mix,
+        ls: usize,
+        tc: usize,
+        seed: u64,
+    ) -> Scenario {
+        let mut sc = Scenario::ratio(runtime, speed, mix, ls, tc);
+        sc.warmup_s = self.warmup_s;
+        sc.measure_s = self.measure_s;
+        sc.seed = seed;
+        sc.faults = self.faults.clone();
+        sc.targets = self.targets;
+        sc.placement = self.placement.clone();
+        sc.migrations = self.migrations.clone();
+        sc.parallel = self.parallel;
+        sc
     }
 
     /// Expand the cross product in its canonical order: runtime (outer)
@@ -599,15 +621,7 @@ impl SweepSpec {
                 for &mix in &self.mixes {
                     for &(ls, tc) in &self.ratios {
                         for &seed in &self.seeds {
-                            let mut sc = Scenario::ratio(runtime, speed, mix, ls, tc);
-                            sc.warmup_s = self.warmup_s;
-                            sc.measure_s = self.measure_s;
-                            sc.seed = seed;
-                            sc.faults = self.faults.clone();
-                            sc.targets = self.targets;
-                            sc.placement = self.placement.clone();
-                            sc.migrations = self.migrations.clone();
-                            sc.parallel = self.parallel;
+                            let sc = self.scenario(runtime, speed, mix, ls, tc, seed);
                             let point = Point {
                                 runtime,
                                 speed_gbps: match Speed::from(speed) {
@@ -969,6 +983,25 @@ mod tests {
                 r#"{"name":"x","runtimes":["opf"],"targets":2,
                     "migration":{"moves":[{"tenant":1,"at_s":-0.1,"to_target":0}]}}"#,
                 "negative at_s",
+            ),
+            (
+                r#"{"name":"x","runtimes":["opf"],"targets":2,
+                    "migration":{"moves":[{"tenant":2,"at_s":0.05,"to_target":0}]}}"#,
+                "migration tenant out of range (default ratio is 1:1)",
+            ),
+            // The three specs that used to abort or silently corrupt:
+            // id 255 is reserved, cluster ids stop at 62, ids wrap past u8.
+            (
+                r#"{"name":"x","runtimes":["opf"],"ratios":[[0,256]]}"#,
+                "oPF tenant ids past the CID-queue owner field",
+            ),
+            (
+                r#"{"name":"x","runtimes":["opf"],"ratios":[[0,64]],"targets":2}"#,
+                "64 tenants per node in a cluster",
+            ),
+            (
+                r#"{"name":"x","runtimes":["spdk"],"ratios":[[0,300]]}"#,
+                "tenant ids wrapping u8",
             ),
         ] {
             assert!(

@@ -1,11 +1,15 @@
-//! Scenario runner: builds the simulated cluster and drives closed-loop
-//! perf-style generators against it.
+//! Scenario runner: one staged pipeline builds every simulated stack
+//! (DESIGN.md §16) — *environment* → *targets* → *tenants* → *cluster
+//! extras* → *drive* → *collect* — and drives closed- or open-loop
+//! generators against it. A single target is a cluster of one:
+//! [`run`] walks `pairs` groups of `targets` targets each, and
+//! [`build_pair`] is the target and tenant stages on their own.
 
 use crate::hist::Histogram;
 use crate::scenario::{Pattern, RuntimeKind, Scenario, Speed, Transport};
 use crate::traffic::TenantTraffic;
 use bytes::Bytes;
-use fabric::{FabricConfig, Gbps, Network};
+use fabric::{Endpoint, FabricConfig, Gbps, Network};
 use nvme::{FlashProfile, NvmeDevice, Opcode, BLOCK_SIZE};
 use nvmf::initiator::TargetRx;
 use nvmf::qpair::IoCallback;
@@ -66,14 +70,31 @@ pub struct RunResult {
     pub metrics: Metrics,
 }
 
+/// Evaluate the same expression on whichever stack an `Any*` holds.
+macro_rules! either {
+    ($any:expr, $Any:ident, $x:ident => $body:expr) => {
+        match $any {
+            $Any::Spdk($x) => $body,
+            $Any::Opf($x) => $body,
+        }
+    };
+}
+
+#[derive(Clone)]
 enum AnyInitiator {
     Spdk(Shared<SpdkInitiator>),
     Opf(Shared<OpfInitiator>),
 }
 
-impl AnyInitiator {
+/// A tenant's initiator handle: runtime-agnostic submit, for the
+/// runner's own generators and for [`Pair`] callers alike.
+#[derive(Clone)]
+pub struct TenantHandle(AnyInitiator);
+
+impl TenantHandle {
+    /// Submit one I/O. Returns false when the qpair is at depth.
     #[allow(clippy::too_many_arguments)]
-    fn submit(
+    pub fn submit(
         &self,
         k: &mut Kernel,
         class: ReqClass,
@@ -82,8 +103,8 @@ impl AnyInitiator {
         blocks: u16,
         payload: Option<Bytes>,
         cb: IoCallback,
-    ) -> Option<u16> {
-        match self {
+    ) -> bool {
+        let cid = match &self.0 {
             AnyInitiator::Spdk(i) => {
                 let priority = match class {
                     ReqClass::LatencySensitive => nvmf::Priority::LatencySensitive,
@@ -96,33 +117,41 @@ impl AnyInitiator {
             AnyInitiator::Opf(i) => {
                 OpfInitiator::submit(i, k, class, opcode, slba, blocks, payload, cb)
             }
-        }
+        };
+        cid.is_some()
     }
 
     /// True when another command can be issued.
-    fn has_capacity(&self) -> bool {
-        match self {
-            AnyInitiator::Spdk(i) => i.borrow().has_capacity(),
-            AnyInitiator::Opf(i) => i.borrow().has_capacity(),
-        }
+    pub fn has_capacity(&self) -> bool {
+        either!(&self.0, AnyInitiator, i => i.borrow().has_capacity())
     }
 
-    /// A second handle to the same initiator (both variants are `Rc`s).
-    fn clone_handle(&self) -> AnyInitiator {
-        match self {
-            AnyInitiator::Spdk(i) => AnyInitiator::Spdk(i.clone()),
-            AnyInitiator::Opf(i) => AnyInitiator::Opf(i.clone()),
+    /// Drain a partially filled NVMe-oPF window (no-op for SPDK or when
+    /// nothing is pending).
+    pub fn flush(&self, k: &mut Kernel) {
+        if let Some(i) = self.as_opf() {
+            OpfInitiator::flush(i, k, Box::new(|_, _| {}));
         }
     }
 
     fn metrics(&self, now: SimTime) -> Metrics {
-        match self {
-            AnyInitiator::Spdk(i) => i.borrow().metrics(now),
-            AnyInitiator::Opf(i) => i.borrow().metrics(now),
+        either!(&self.0, AnyInitiator, i => i.borrow().metrics(now))
+    }
+
+    /// Drop the callbacks of commands still in flight at the horizon.
+    fn abort_pending(&self) {
+        either!(&self.0, AnyInitiator, i => i.borrow_mut().abort_pending())
+    }
+
+    fn as_opf(&self) -> Option<&Shared<OpfInitiator>> {
+        match &self.0 {
+            AnyInitiator::Opf(i) => Some(i),
+            AnyInitiator::Spdk(_) => None,
         }
     }
 }
 
+#[derive(Clone)]
 enum AnyTarget {
     Spdk(Shared<SpdkTarget>),
     Opf(Shared<OpfTarget>),
@@ -130,42 +159,72 @@ enum AnyTarget {
 
 impl AnyTarget {
     fn resps_tx(&self) -> u64 {
-        match self {
-            AnyTarget::Spdk(t) => t.borrow().stats.resps_tx,
-            AnyTarget::Opf(t) => t.borrow().stats.resps_tx,
-        }
+        either!(self, AnyTarget, t => t.borrow().stats.resps_tx)
     }
 
     fn reactor_utilization(&self, now: SimTime) -> f64 {
-        match self {
-            AnyTarget::Spdk(t) => t.borrow().reactor_utilization(now),
-            AnyTarget::Opf(t) => t.borrow().reactor_utilization(now),
-        }
+        either!(self, AnyTarget, t => t.borrow().reactor_utilization(now))
     }
 
     fn metrics(&self, now: SimTime) -> Metrics {
+        either!(self, AnyTarget, t => t.borrow().metrics(now))
+    }
+
+    /// Drop every connection (and the initiator handle it captures).
+    fn disconnect_all(&self) {
+        either!(self, AnyTarget, t => t.borrow_mut().disconnect_all())
+    }
+
+    fn as_opf(&self) -> Option<&Shared<OpfTarget>> {
         match self {
-            AnyTarget::Spdk(t) => t.borrow().metrics(now),
-            AnyTarget::Opf(t) => t.borrow().metrics(now),
+            AnyTarget::Opf(t) => Some(t),
+            AnyTarget::Spdk(_) => None,
         }
     }
 }
 
-struct Driver {
-    ini: AnyInitiator,
-    class: ReqClass,
-    mix: crate::Mix,
-    io_blocks: u16,
+/// What the closed- and open-loop generators share: the tenant's
+/// initiator, its LBA region and addressing stream, and the
+/// measure-window latency record.
+struct TenantIo {
+    ini: TenantHandle,
     pattern: Pattern,
     rng: Pcg32,
+    /// Requests addressed so far (the sequential cursor).
     n: u64,
     lba_base: u64,
     lba_span: u64,
+    /// Prebuilt max-size write payload.
     payload: Bytes,
+    /// The tenant's class histogram; its sample count is the class's
+    /// in-window completion count.
     hist: Rc<RefCell<Histogram>>,
     win_start: SimTime,
     win_end: SimTime,
-    completed_in_win: Rc<Cell<u64>>,
+}
+
+impl TenantIo {
+    /// Starting LBA of the next request of `blocks` blocks.
+    fn next_slba(&mut self, blocks: u16) -> u64 {
+        let slots = (self.lba_span / u64::from(blocks)).max(1);
+        let slot = match self.pattern {
+            Pattern::Sequential => self.n % slots,
+            Pattern::Random => self.rng.gen_range(0, slots),
+        };
+        self.n += 1;
+        self.lba_base + slot * u64::from(blocks)
+    }
+
+    fn in_window(&self, now: SimTime) -> bool {
+        now >= self.win_start && now < self.win_end
+    }
+}
+
+struct Driver {
+    io: TenantIo,
+    class: ReqClass,
+    mix: crate::Mix,
+    io_blocks: u16,
 }
 
 /// Issue the driver's next request; each completion re-issues (closed
@@ -173,46 +232,32 @@ struct Driver {
 fn issue(d: Rc<RefCell<Driver>>, k: &mut Kernel) {
     let (class, opcode, slba, blocks, payload) = {
         let mut dr = d.borrow_mut();
-        let n = dr.n;
-        dr.n += 1;
-        let opcode = if dr.mix.is_read(n) {
+        let opcode = if dr.mix.is_read(dr.io.n) {
             Opcode::Read
         } else {
             Opcode::Write
         };
         let blocks = dr.io_blocks;
-        let slots = dr.lba_span / u64::from(blocks).max(1);
-        let slot = match dr.pattern {
-            Pattern::Sequential => n % slots,
-            Pattern::Random => dr.rng.gen_range(0, slots),
-        };
-        let slba = dr.lba_base + slot * u64::from(blocks);
-        let payload = if opcode == Opcode::Write {
-            Some(dr.payload.clone())
-        } else {
-            None
-        };
+        let slba = dr.io.next_slba(blocks);
+        let payload = (opcode == Opcode::Write).then(|| dr.io.payload.clone());
         (dr.class, opcode, slba, blocks, payload)
     };
     let d2 = d.clone();
     let cb: IoCallback = Box::new(move |k, out| {
-        {
-            let dr = d2.borrow();
-            let now = k.now();
-            if now >= dr.win_start && now < dr.win_end {
-                dr.hist.borrow_mut().record(out.latency.as_nanos());
-                dr.completed_in_win.set(dr.completed_in_win.get() + 1);
+        let win_end = {
+            let io = &d2.borrow().io;
+            if io.in_window(k.now()) {
+                io.hist.borrow_mut().record(out.latency.as_nanos());
             }
-        }
-        if k.now() < d2.borrow().win_end {
-            issue(d2.clone(), k);
+            io.win_end
+        };
+        if k.now() < win_end {
+            issue(d2, k);
         }
     });
-    let ok = {
-        let dr = d.borrow();
-        dr.ini.submit(k, class, opcode, slba, blocks, payload, cb)
-    };
-    debug_assert!(ok.is_some(), "closed loop must respect queue depth");
+    let io = &d.borrow().io;
+    let ok = io.ini.submit(k, class, opcode, slba, blocks, payload, cb);
+    debug_assert!(ok, "closed loop must respect queue depth");
 }
 
 /// One open-loop TC tenant (PR 10 traffic models): arrivals come from a
@@ -221,23 +266,11 @@ fn issue(d: Rc<RefCell<Driver>>, k: &mut Kernel) {
 /// queue and its latency counts from *arrival* (queueing included),
 /// exactly like `trace::replay`.
 struct OpenTenant {
-    ini: AnyInitiator,
+    io: TenantIo,
     gen: TenantTraffic,
     pending: VecDeque<OpenReq>,
-    /// Prebuilt max-size payload; writes slice it to the request size.
-    payload: Bytes,
     default_blocks: u16,
     base_mix: crate::Mix,
-    rng: Pcg32,
-    pattern: Pattern,
-    /// Submission counter (addresses, like `Driver::n`).
-    n_addr: u64,
-    lba_base: u64,
-    lba_span: u64,
-    hist: Rc<RefCell<Histogram>>,
-    win_start: SimTime,
-    win_end: SimTime,
-    completed_in_win: Rc<Cell<u64>>,
     offered_total: u64,
     done_total: u64,
     offered_win: u64,
@@ -261,7 +294,7 @@ fn open_arrival(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
         let (default_blocks, base_mix) = (s.default_blocks, s.base_mix);
         let (write, blocks) = s.gen.draw(now.as_nanos(), default_blocks, base_mix);
         s.offered_total += 1;
-        if now >= s.win_start && now < s.win_end {
+        if s.io.in_window(now) {
             s.offered_win += 1;
         }
         let gap = s.gen.next_gap_ns(now.as_nanos());
@@ -272,10 +305,10 @@ fn open_arrival(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
                 arrived: now,
             },
             gap,
-            s.win_end,
+            s.io.win_end,
         )
     };
-    if t.borrow().ini.has_capacity() {
+    if t.borrow().io.ini.has_capacity() {
         open_submit(&t, k, req);
     } else {
         t.borrow_mut().pending.push_back(req);
@@ -290,23 +323,17 @@ fn open_arrival(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
 /// arrival (if any) straight into the freed slot.
 fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
     let (opcode, slba, blocks, payload) = {
-        let mut s = t.borrow_mut();
+        let io = &mut t.borrow_mut().io;
         let opcode = if req.write {
             Opcode::Write
         } else {
             Opcode::Read
         };
         let blocks = req.blocks.max(1);
-        let slots = (s.lba_span / u64::from(blocks)).max(1);
-        let n = s.n_addr;
-        s.n_addr += 1;
-        let slot = match s.pattern {
-            Pattern::Sequential => n % slots,
-            Pattern::Random => s.rng.gen_range(0, slots),
-        };
-        let slba = s.lba_base + slot * u64::from(blocks);
-        let payload =
-            (opcode == Opcode::Write).then(|| s.payload.slice(0..BLOCK_SIZE * blocks as usize));
+        let slba = io.next_slba(blocks);
+        let payload = req
+            .write
+            .then(|| io.payload.slice(0..BLOCK_SIZE * blocks as usize));
         (opcode, slba, blocks, payload)
     };
     let t2 = t.clone();
@@ -316,12 +343,11 @@ fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
             let mut s = t2.borrow_mut();
             s.done_total += 1;
             let now = k.now();
-            if now >= s.win_start && now < s.win_end {
+            if s.io.in_window(now) {
                 s.done_win += 1;
-                s.completed_in_win.set(s.completed_in_win.get() + 1);
                 // End-to-end latency counts from arrival: app-side
                 // queueing is part of what an open-loop client sees.
-                s.hist.borrow_mut().record(now.since(arrived).as_nanos());
+                s.io.hist.borrow_mut().record(now.since(arrived).as_nanos());
             }
         }
         let next = t2.borrow_mut().pending.pop_front();
@@ -329,19 +355,9 @@ fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
             open_submit(&t2, k, r);
         }
     });
-    let ok = {
-        let s = t.borrow();
-        s.ini.submit(
-            k,
-            ReqClass::ThroughputCritical,
-            opcode,
-            slba,
-            blocks,
-            payload,
-            cb,
-        )
-    };
-    debug_assert!(ok.is_some(), "open-loop submit must respect capacity");
+    let (class, io) = (ReqClass::ThroughputCritical, &t.borrow().io);
+    let ok = io.ini.submit(k, class, opcode, slba, blocks, payload, cb);
+    debug_assert!(ok, "open-loop submit must respect capacity");
 }
 
 /// Periodic 1 ms queue re-fill: an NVMe-oPF drain-timer flush occupies a
@@ -350,7 +366,7 @@ fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
 /// `trace::replay`'s drainer). The chain dies at the kernel horizon.
 fn open_drain(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
     loop {
-        if !t.borrow().ini.has_capacity() {
+        if !t.borrow().io.ini.has_capacity() {
             break;
         }
         let next = t.borrow_mut().pending.pop_front();
@@ -361,46 +377,6 @@ fn open_drain(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
     }
     let t2 = t.clone();
     k.schedule_in(SimDuration::from_micros(1000), move |k| open_drain(t2, k));
-}
-
-/// A tenant's initiator handle in a [`Pair`]: runtime-agnostic submit.
-pub struct TenantHandle {
-    inner: AnyInitiator,
-}
-
-impl TenantHandle {
-    /// Submit one I/O. Returns false when the qpair is at depth.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit(
-        &self,
-        k: &mut Kernel,
-        class: ReqClass,
-        opcode: Opcode,
-        slba: u64,
-        blocks: u16,
-        payload: Option<Bytes>,
-        cb: IoCallback,
-    ) -> bool {
-        self.inner
-            .submit(k, class, opcode, slba, blocks, payload, cb)
-            .is_some()
-    }
-
-    /// True when another command can be issued.
-    pub fn has_capacity(&self) -> bool {
-        match &self.inner {
-            AnyInitiator::Spdk(i) => i.borrow().has_capacity(),
-            AnyInitiator::Opf(i) => i.borrow().has_capacity(),
-        }
-    }
-
-    /// Drain a partially filled NVMe-oPF window (no-op for SPDK or when
-    /// nothing is pending).
-    pub fn flush(&self, k: &mut Kernel) {
-        if let AnyInitiator::Opf(i) = &self.inner {
-            OpfInitiator::flush(i, k, Box::new(|_, _| {}));
-        }
-    }
 }
 
 /// One initiator-node/target-node pair with uniform-queue-depth tenants,
@@ -424,9 +400,188 @@ impl Pair {
         let mut m = Metrics::at(now);
         m.merge("tgt.", &self.target.metrics(now));
         for (i, h) in self.initiators.iter().enumerate() {
-            m.merge(&format!("ini{i}."), &h.inner.metrics(now));
+            m.merge(&format!("ini{i}."), &h.metrics(now));
         }
         m
+    }
+}
+
+/// Stage 1 — *environment*: what every target and tenant is built
+/// against.
+struct Env {
+    net: Network,
+    costs: CpuCosts,
+    flash: FlashProfile,
+    /// Fault plane. With `None` no interposing closure is installed and
+    /// the event sequence is bit-identical to a build without faults.
+    plane: Option<Shared<faults::FaultPlane>>,
+    /// Targets tolerate retransmissions (duplicate-command suppression,
+    /// R2T re-grants).
+    recovery: bool,
+    target_cfg: OpfTargetConfig,
+    /// The baseline reads only `retry`.
+    tenant_cfg: OpfInitiatorConfig,
+}
+
+impl Env {
+    fn new(speed: Gbps, transport: Transport) -> Env {
+        // Table I: the 10/25 Gbps testbed (Chameleon Cloud) has slower
+        // CPUs and a larger SSD than the 100 Gbps one (CloudLab).
+        let (costs, flash) = match speed {
+            Gbps::G10 | Gbps::G25 => (CpuCosts::cc(), FlashProfile::cc_ssd()),
+            Gbps::G100 => (CpuCosts::cl(), FlashProfile::cl_ssd()),
+        };
+        Env {
+            net: Network::new(FabricConfig::preset(speed)),
+            costs: match transport {
+                Transport::Tcp => costs,
+                Transport::Rdma => costs.to_rdma(),
+            },
+            flash,
+            plane: None,
+            recovery: false,
+            target_cfg: OpfTargetConfig::default(),
+            tenant_cfg: OpfInitiatorConfig::default(),
+        }
+    }
+
+    /// Interpose the fault plane on the initiator→target direction of
+    /// fabric link `link` (flaps, crashes and the adversary address a
+    /// tenant's path by this index).
+    fn wrap_tx(&self, link: usize, rx: TargetRx) -> TargetRx {
+        match &self.plane {
+            Some(p) => faults::wrap_target_rx(p, link, rx),
+            None => rx,
+        }
+    }
+
+    /// Same for the target→initiator direction.
+    fn wrap_rx(&self, link: usize, rx: PduRx) -> PduRx {
+        match &self.plane {
+            Some(p) => faults::wrap_pdu_rx(p, link, rx),
+            None => rx,
+        }
+    }
+}
+
+/// Stage 2 — *targets*: one target with its fabric endpoint, its SSD
+/// and the path initiators deliver PDUs to it on.
+struct TargetNode {
+    target: AnyTarget,
+    rx: TargetRx,
+    ep: Shared<Endpoint>,
+    device: Shared<NvmeDevice>,
+}
+
+fn build_target(
+    env: &Env,
+    runtime: RuntimeKind,
+    id: u32,
+    device_seed: u64,
+    timing_only: bool,
+    tracer: Tracer,
+) -> TargetNode {
+    let ep = env.net.add_endpoint(format!("tgt{id}"));
+    let device = shared(NvmeDevice::new(env.flash.clone(), 1 << 30, device_seed));
+    device.borrow_mut().set_store_data(!timing_only);
+    let (net, costs) = (env.net.clone(), env.costs.clone());
+    let (target, rx): (AnyTarget, TargetRx) = match runtime {
+        RuntimeKind::Spdk => {
+            let t = shared(SpdkTarget::new(
+                id,
+                net,
+                ep.clone(),
+                device.clone(),
+                costs,
+                tracer,
+            ));
+            t.borrow_mut().set_recovery(env.recovery);
+            let t2 = t.clone();
+            let rx: TargetRx = Rc::new(move |k, from, pdu| SpdkTarget::on_pdu(&t2, k, from, pdu));
+            (AnyTarget::Spdk(t), rx)
+        }
+        RuntimeKind::Opf => {
+            let t = shared(OpfTarget::new(
+                id,
+                net,
+                ep.clone(),
+                device.clone(),
+                costs,
+                env.target_cfg.clone(),
+                tracer,
+            ));
+            t.borrow_mut().set_recovery(env.recovery);
+            let t2 = t.clone();
+            let rx: TargetRx = Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu));
+            (AnyTarget::Opf(t), rx)
+        }
+    };
+    TargetNode {
+        target,
+        rx,
+        ep,
+        device,
+    }
+}
+
+/// Stage 3 — *tenants*: the one place a tenant meets a target. Builds
+/// the initiator the home target's own variant calls for, interposes
+/// the fault plane on fabric link `link`, and connects on reactor
+/// `lane`. Also returns the tenant's inbound path, for migrations.
+fn connect_tenant(
+    env: &Env,
+    home: &TargetNode,
+    iep: &Shared<Endpoint>,
+    id: u8,
+    qd: usize,
+    lane: u32,
+    link: usize,
+) -> (TenantHandle, PduRx) {
+    let tx = env.wrap_tx(link, home.rx.clone());
+    let (net, costs) = (env.net.clone(), env.costs.clone());
+    match &home.target {
+        AnyTarget::Spdk(t) => {
+            let i = shared(SpdkInitiator::new(
+                id,
+                qd,
+                net,
+                iep.clone(),
+                home.ep.clone(),
+                tx,
+                costs,
+                Tracer::disabled(),
+            ));
+            if let Some(policy) = env.tenant_cfg.retry {
+                i.borrow_mut().set_retry(policy);
+            }
+            let i2 = i.clone();
+            let rx = env.wrap_rx(
+                link,
+                Rc::new(move |k, pdu| SpdkInitiator::on_pdu(&i2, k, pdu)),
+            );
+            t.borrow_mut().connect_on(id, iep.clone(), rx.clone(), lane);
+            (TenantHandle(AnyInitiator::Spdk(i)), rx)
+        }
+        AnyTarget::Opf(t) => {
+            let i = shared(OpfInitiator::new(
+                id,
+                qd,
+                net,
+                iep.clone(),
+                home.ep.clone(),
+                tx,
+                costs,
+                env.tenant_cfg.clone(),
+                Tracer::disabled(),
+            ));
+            let i2 = i.clone();
+            let rx = env.wrap_rx(
+                link,
+                Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu)),
+            );
+            t.borrow_mut().connect_on(id, iep.clone(), rx.clone(), lane);
+            (TenantHandle(AnyInitiator::Opf(i)), rx)
+        }
     }
 }
 
@@ -461,7 +616,7 @@ pub fn build_pair(
 /// breakdown experiments).
 #[allow(clippy::too_many_arguments)]
 pub fn build_pair_traced(
-    k: &mut Kernel,
+    _k: &mut Kernel,
     runtime: RuntimeKind,
     speed: Speed,
     tenants: usize,
@@ -471,109 +626,158 @@ pub fn build_pair_traced(
     timing_only: bool,
     tracer: Tracer,
 ) -> Pair {
-    let _ = &*k;
-    let speed: Gbps = speed.into();
-    let net = Network::new(FabricConfig::preset(speed));
-    let (costs, profile) = match speed {
-        Gbps::G10 | Gbps::G25 => (CpuCosts::cc(), FlashProfile::cc_ssd()),
-        Gbps::G100 => (CpuCosts::cl(), FlashProfile::cl_ssd()),
-    };
-    let tep = net.add_endpoint("tgt");
-    let device = shared(NvmeDevice::new(profile, 1 << 30, seed ^ 0xFACE));
-    if timing_only {
-        device.borrow_mut().set_store_data(false);
+    let mut env = Env::new(speed.into(), Transport::Tcp);
+    env.tenant_cfg.window = window;
+    let node = build_target(&env, runtime, 0, seed ^ 0xFACE, timing_only, tracer);
+    let initiators = (0..tenants)
+        .map(|id| {
+            let iep = env.net.add_endpoint(format!("ini{id}"));
+            connect_tenant(&env, &node, &iep, id as u8, qd, 0, id).0
+        })
+        .collect();
+    Pair {
+        initiators,
+        target: node.target,
     }
-    let (target, target_rx): (AnyTarget, TargetRx) = match runtime {
-        RuntimeKind::Spdk => {
-            let t = shared(SpdkTarget::new(
-                0,
-                net.clone(),
-                tep.clone(),
-                device,
-                costs.clone(),
-                tracer.clone(),
-            ));
-            let t2 = t.clone();
-            let rx: TargetRx = Rc::new(move |k, from, pdu| SpdkTarget::on_pdu(&t2, k, from, pdu));
-            (AnyTarget::Spdk(t), rx)
+}
+
+/// A built tenant, kept for the cluster-extras and collect stages.
+struct Tenant {
+    /// Global index: metric prefix, fault-plane link, start stagger.
+    idx: u64,
+    /// Kernel lane (target reactor) the tenant's event chain runs on.
+    lane: u32,
+    /// Index of its home target.
+    home: usize,
+    ep: Shared<Endpoint>,
+    rx: PduRx,
+    ini: TenantHandle,
+}
+
+/// Stage 4 — *cluster extras* (DESIGN.md §16), installed only when
+/// [`Scenario::is_cluster`]: the leaf/spine topology, the cluster
+/// priority manager's rebalance ticks, and the live migrations.
+struct ClusterPlane {
+    links_profiled: usize,
+    mgr: Shared<cluster::ClusterPriorityManager>,
+    engine: cluster::MigrationEngine,
+}
+
+fn install_cluster_plane(
+    k: &mut Kernel,
+    env: &Env,
+    sc: &Scenario,
+    nodes: &[TargetNode],
+    tenants: &[Tenant],
+    warm: SimTime,
+    end: SimTime,
+) -> ClusterPlane {
+    // Non-home paths cross the spine.
+    let tenant_eps: Vec<_> = tenants.iter().map(|t| t.ep.clone()).collect();
+    let home: Vec<usize> = tenants.iter().map(|t| t.home).collect();
+    let tgt_eps: Vec<_> = nodes.iter().map(|n| n.ep.clone()).collect();
+    let links_profiled = cluster::install_switched_topology(
+        &env.net,
+        &tenant_eps,
+        &home,
+        &tgt_eps,
+        SimDuration::from_micros(2),
+    );
+
+    // The manager and the migration engine are typed on the NVMe-oPF
+    // target; `Scenario::validate` admits no other cluster.
+    let tgts: Vec<Shared<OpfTarget>> = nodes
+        .iter()
+        .filter_map(|n| n.target.as_opf().cloned())
+        .collect();
+    let mgr = shared(cluster::ClusterPriorityManager::new(tgts.clone()));
+    fn tick_loop(
+        mgr: Shared<cluster::ClusterPriorityManager>,
+        end: SimTime,
+        k: &mut Kernel,
+        at: SimTime,
+    ) {
+        if at > end {
+            return;
         }
-        RuntimeKind::Opf => {
-            let t = shared(OpfTarget::new(
-                0,
-                net.clone(),
-                tep.clone(),
-                device,
-                costs.clone(),
-                OpfTargetConfig::default(),
-                tracer.clone(),
-            ));
-            let t2 = t.clone();
-            let rx: TargetRx = Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu));
-            (AnyTarget::Opf(t), rx)
+        k.schedule_at_on(0, at, move |k| {
+            mgr.borrow_mut().tick();
+            let next = k.now() + SimDuration::from_micros(500);
+            tick_loop(mgr, end, k, next);
+        });
+    }
+    tick_loop(mgr.clone(), end, k, warm);
+
+    let mut engine = cluster::MigrationEngine::new();
+    let mut cur = home;
+    for spec in &sc.migrations {
+        let (ti, to) = (spec.tenant, spec.to_target);
+        let from = cur[ti];
+        if to == from {
+            continue;
         }
-    };
-    let mut initiators = Vec::with_capacity(tenants);
-    for id in 0..tenants {
-        let iep = net.add_endpoint(format!("ini{id}"));
-        let inner = match runtime {
-            RuntimeKind::Spdk => {
-                let i = shared(SpdkInitiator::new(
-                    id as u8,
-                    qd,
-                    net.clone(),
-                    iep.clone(),
-                    tep.clone(),
-                    target_rx.clone(),
-                    costs.clone(),
-                    Tracer::disabled(),
-                ));
-                let i2 = i.clone();
-                let rx: PduRx = Rc::new(move |k, pdu| SpdkInitiator::on_pdu(&i2, k, pdu));
-                match &target {
-                    AnyTarget::Spdk(t) => t.borrow_mut().connect(id as u8, iep, rx),
-                    AnyTarget::Opf(_) => unreachable!(),
-                }
-                AnyInitiator::Spdk(i)
-            }
-            RuntimeKind::Opf => {
-                let i = shared(OpfInitiator::new(
-                    id as u8,
-                    qd,
-                    net.clone(),
-                    iep.clone(),
-                    tep.clone(),
-                    target_rx.clone(),
-                    costs.clone(),
-                    OpfInitiatorConfig {
-                        window,
-                        ..OpfInitiatorConfig::default()
-                    },
-                    Tracer::disabled(),
-                ));
-                let i2 = i.clone();
-                let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
-                match &target {
-                    AnyTarget::Opf(t) => t.borrow_mut().connect(id as u8, iep, rx),
-                    AnyTarget::Spdk(_) => unreachable!(),
-                }
-                AnyInitiator::Opf(i)
-            }
+        let tenant = &tenants[ti];
+        let Some(initiator) = tenant.ini.as_opf() else {
+            continue;
         };
-        initiators.push(TenantHandle { inner });
+        let m = cluster::Migration {
+            tenant: ti as u8,
+            lane: tenant.lane,
+            at: warm + SimDuration::from_secs_f64(spec.at_s.max(0.0)),
+            initiator: initiator.clone(),
+            source: tgts[from].clone(),
+            dest: tgts[to].clone(),
+            dest_ep: nodes[to].ep.clone(),
+            ini_ep: tenant.ep.clone(),
+            // The tenant keeps its fault-plane link across the move, so
+            // an attack or loss burst spans it.
+            to_dest_rx: env.wrap_tx(ti, nodes[to].rx.clone()),
+            from_dest_rx: tenant.rx.clone(),
+            dest_shard: tenant.lane,
+            state: cluster::MigrationState::Scheduled,
+            history: Vec::new(),
+            cmds_moved: 0,
+            redriven: 0,
+        };
+        engine.schedule(k, m, SimDuration::from_micros(100));
+        cur[ti] = to;
     }
-    Pair { initiators, target }
+    // The manager consults the engine's records on every tick so tenants
+    // mid-migration are neither rebalanced nor decayed while their
+    // queues are frozen or in flight between targets.
+    mgr.borrow_mut().watch(engine.records());
+    ClusterPlane {
+        links_profiled,
+        mgr,
+        engine,
+    }
 }
 
 /// Run one scenario to completion and collect its metrics.
+///
+/// Kernel sequence stamps break same-instant ties, so the order this
+/// function schedules in is part of the byte-identity contract:
+/// endpoints per group (targets, the shared `ini-node{g}`, then slots),
+/// then admin keep-alive → manager ticks → migrations → closed-loop
+/// starts → open-loop starts → the warm notification marker.
+///
+/// # Panics
+/// If [`Scenario::validate`] rejects `sc`. Every entry point that
+/// parses outside input validates first and reports the error.
 pub fn run(sc: &Scenario) -> RunResult {
-    if sc.is_cluster() {
-        return run_cluster(sc);
+    run_stack(sc).0
+}
+
+/// [`run`], handing back the torn-down stack so a test can watch it die.
+fn run_stack(sc: &Scenario) -> (RunResult, Vec<TargetNode>, Vec<Tenant>) {
+    if let Err(e) = sc.validate() {
+        // lint: allow(no-panic) the benchmark fixes this signature; callers validate first
+        panic!("invalid scenario: {e}");
     }
     // Churn storms materialise as staggered fault-plane crash windows
     // over the TC slots *before* the plane is built; a scenario with
     // churn but no profile gets the default one (retry + re-drain +
     // settle on), since reconnect-recovery is the point of the storm.
-    // Traffic-free scenarios pass through untouched.
     let churned;
     let sc = match sc.traffic.as_ref().filter(|t| !t.churn.is_empty()) {
         Some(t) => {
@@ -594,36 +798,26 @@ pub fn run(sc: &Scenario) -> RunResult {
         }
         None => sc,
     };
-    let speed: Gbps = sc.speed.into();
-    // Shard the kernel; tenants are assigned to lanes round-robin below.
-    // The merge is bit-identical to the serial kernel for any shard
-    // count (see `simkit::Kernel`), so `shards` never changes results.
+    let is_cluster = sc.is_cluster();
+    let profile = sc.faults.as_ref();
+    let adversary = profile.and_then(|p| p.adversary);
+
+    // --- Stage 1: environment -------------------------------------------
+    // The sharded kernel's merge is bit-identical to the serial one for
+    // any shard count (see `simkit::Kernel`): `shards` never changes results.
     let shards = sc.shards.max(1);
     let mut k = Kernel::with_shards(sc.seed, shards);
     k.set_parallel(sc.parallel);
-    let net = Network::new(FabricConfig::preset(speed));
-    // Table I: the 10/25 Gbps testbed (Chameleon Cloud) has slower CPUs
-    // and a larger SSD than the 100 Gbps one (CloudLab).
-    let (costs, profile) = match speed {
-        Gbps::G10 | Gbps::G25 => (CpuCosts::cc(), FlashProfile::cc_ssd()),
-        Gbps::G100 => (CpuCosts::cl(), FlashProfile::cl_ssd()),
-    };
-    let costs = match sc.transport {
-        Transport::Tcp => costs,
-        Transport::Rdma => costs.to_rdma(),
-    };
-
-    // Fault plane, forked off the kernel RNG under a fixed tag. With
-    // `faults: None` the fork never happens, no interposing closures are
-    // installed, and the event sequence is bit-identical to a build
-    // without this feature.
-    let plane = sc.faults.as_ref().map(|p| {
+    let mut env = Env::new(sc.speed.into(), sc.transport);
+    // The plane's RNG is forked off the kernel's under a fixed tag; with
+    // `faults: None` the fork never happens.
+    env.plane = profile.map(|p| {
         let rng = k.rng().fork(0xFA17);
         shared(faults::FaultPlane::new(p.clone(), rng))
     });
-    if let Some(p) = &plane {
+    if let Some(p) = &env.plane {
         if !p.borrow().profile().degrades.is_empty() {
-            net.set_bandwidth_model(faults::bandwidth_model(p));
+            env.net.set_bandwidth_model(faults::bandwidth_model(p));
         }
     }
 
@@ -632,254 +826,154 @@ pub fn run(sc: &Scenario) -> RunResult {
 
     let ls_hist = Rc::new(RefCell::new(Histogram::new()));
     let tc_hist = Rc::new(RefCell::new(Histogram::new()));
-    let ls_count = Rc::new(Cell::new(0u64));
-    let tc_count = Rc::new(Cell::new(0u64));
-    // With an open-loop traffic block the payload and per-tenant LBA
-    // spans are sized for the largest block count any request can draw;
-    // without one `span_blocks` is exactly `io_blocks` as before.
+    // Payload and per-tenant LBA spans are sized for the largest block
+    // count an open-loop request can draw (`io_blocks` without traffic).
     let span_blocks = match &sc.traffic {
         Some(t) => t.max_blocks(sc.io_blocks.max(1)),
         None => sc.io_blocks.max(1),
     };
     let payload = Bytes::from(vec![0u8; BLOCK_SIZE * span_blocks as usize]);
 
-    // Tenant → lane assignment goes through the same placement-policy
-    // trait the cluster runner uses for tenant → target (one code path,
-    // two axes). The round-robin policy reproduces the historical
-    // hardcoded `global_idx % shards` bit-for-bit; lane choice is
-    // results-invariant regardless (DESIGN.md §13).
+    // Recovery (duplicate suppression on targets, retry + re-drain on
+    // initiators) follows the fault profile — except in a cluster, where
+    // it is always armed: a post-move re-drive rides the re-issue path,
+    // and migration-free rows stay comparable. The profile may still
+    // override the timer values.
+    env.recovery = is_cluster || env.plane.is_some();
+    let mut retry = profile.and_then(|p| p.retry);
+    let mut redrain_timeout = profile.and_then(|p| p.redrain_timeout);
+    if is_cluster {
+        retry = retry.or(Some(RetryPolicy {
+            timeout: SimDuration::from_micros(300),
+            max_retries: 6,
+        }));
+        redrain_timeout = redrain_timeout.or(Some(SimDuration::from_micros(500)));
+    }
+    // With an adversary, §14 hardening follows its `harden` flag:
+    // enforcement plus the drain rate limit, or the wire-trusting
+    // baseline. Without one the defaults add no state and no metric keys.
+    env.target_cfg = OpfTargetConfig {
+        queue_mode: if sc.shared_queue {
+            QueueMode::Shared
+        } else {
+            QueueMode::PerInitiator
+        },
+        ls_bypass: !sc.no_ls_bypass,
+        enforce_identity: adversary.is_none_or(|a| a.harden),
+        drain_rate: adversary.and_then(|a| a.harden.then(opf::DrainRateLimit::default)),
+        ..OpfTargetConfig::default()
+    };
+    env.tenant_cfg = OpfInitiatorConfig {
+        window: sc.resolve_window(),
+        retry,
+        redrain_timeout,
+        ..OpfInitiatorConfig::default()
+    };
+
+    // Tenant → lane goes through the same placement trait as tenant →
+    // target; round-robin is the historical `global_idx % shards`, and
+    // lane choice is results-invariant regardless (DESIGN.md §13).
     let mut lane_policy = cluster::PlacementSpec::RoundRobin.policy();
     let mut lane_loads = vec![0usize; shards];
 
-    let mut targets = Vec::new();
+    let targets_n = sc.targets.max(1);
+    let per_node = sc.ls_per_node + sc.tc_per_node;
+    let mut nodes: Vec<TargetNode> = Vec::with_capacity(sc.pairs * targets_n);
+    let mut tenants: Vec<Tenant> = Vec::with_capacity(sc.pairs * per_node);
+    // Shared initiator-node endpoints, one per group (empty with
+    // `separate_nodes`).
+    let mut node_eps: Vec<Shared<Endpoint>> = Vec::new();
     let mut drivers = Vec::new();
     let mut open_tenants: Vec<(Rc<RefCell<OpenTenant>>, u64, u32)> = Vec::new();
-    // Component handles retained for the end-of-run metrics snapshot.
-    let mut devices = Vec::new();
-    let mut endpoints: Vec<(String, Shared<fabric::Endpoint>)> = Vec::new();
-    let mut ini_handles: Vec<(u64, AnyInitiator)> = Vec::new();
-    // First (target, initiator) endpoint pair, kept for the optional
-    // admin keep-alive loop.
-    let mut ka_eps: Option<(Shared<fabric::Endpoint>, Shared<fabric::Endpoint>)> = None;
 
-    for pair in 0..sc.pairs {
-        let tep = net.add_endpoint(format!("tgt{pair}"));
-        let device = shared(NvmeDevice::new(
-            profile.clone(),
-            1 << 30,
-            sc.seed ^ (pair as u64).wrapping_mul(0x9E37_79B9),
-        ));
-        device.borrow_mut().set_store_data(false);
-        devices.push(device.clone());
-        endpoints.push((format!("pair{pair}.tgt_ep."), tep.clone()));
-
-        let (target, target_rx): (AnyTarget, TargetRx) = match sc.runtime {
-            RuntimeKind::Spdk => {
-                let t = shared(SpdkTarget::new(
-                    pair as u32,
-                    net.clone(),
-                    tep.clone(),
-                    device.clone(),
-                    costs.clone(),
-                    Tracer::disabled(),
-                ));
-                let t2 = t.clone();
-                let rx: TargetRx =
-                    Rc::new(move |k, from, pdu| SpdkTarget::on_pdu(&t2, k, from, pdu));
-                (AnyTarget::Spdk(t), rx)
-            }
-            RuntimeKind::Opf => {
-                // With an adversary configured, the §14 hardening mode
-                // follows its `harden` flag: enforcement plus the drain
-                // rate limit when on, the wire-trusting baseline when
-                // off. Without one, the defaults add no state and no
-                // metric keys, so adversary-free runs stay byte-identical.
-                let adv = sc.faults.as_ref().and_then(|p| p.adversary);
-                let tcfg = OpfTargetConfig {
-                    queue_mode: if sc.shared_queue {
-                        QueueMode::Shared
-                    } else {
-                        QueueMode::PerInitiator
-                    },
-                    ls_bypass: !sc.no_ls_bypass,
-                    enforce_identity: adv.is_none_or(|a| a.harden),
-                    drain_rate: adv.and_then(|a| a.harden.then(opf::DrainRateLimit::default)),
-                    ..OpfTargetConfig::default()
-                };
-                let t = shared(OpfTarget::new(
-                    pair as u32,
-                    net.clone(),
-                    tep.clone(),
-                    device.clone(),
-                    costs.clone(),
-                    tcfg,
-                    Tracer::disabled(),
-                ));
-                let t2 = t.clone();
-                let rx: TargetRx =
-                    Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu));
-                (AnyTarget::Opf(t), rx)
-            }
-        };
-        // Under fault injection the targets must tolerate retransmissions
-        // (duplicate-command suppression, R2T re-grants).
-        if plane.is_some() {
-            match &target {
-                AnyTarget::Spdk(t) => t.borrow_mut().set_recovery(true),
-                AnyTarget::Opf(t) => t.borrow_mut().set_recovery(true),
-            }
-        }
-        // The adversary experiment drives the baseline target's identity
-        // enforcement from the same `harden` flag (and switches its
-        // hardening counters on in metric snapshots).
-        if let Some(adv) = sc.faults.as_ref().and_then(|p| p.adversary) {
-            if let AnyTarget::Spdk(t) = &target {
+    for group in 0..sc.pairs {
+        // --- Stage 2: this group's targets ------------------------------
+        let first = nodes.len();
+        for idx in first..first + targets_n {
+            let node = build_target(
+                &env,
+                sc.runtime,
+                idx as u32,
+                sc.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9),
+                true,
+                Tracer::disabled(),
+            );
+            // The baseline's identity enforcement follows the same
+            // `harden` flag (and turns its hardening counters on).
+            if let (Some(adv), AnyTarget::Spdk(t)) = (adversary, &node.target) {
                 t.borrow_mut().set_hardening(adv.harden);
             }
+            nodes.push(node);
         }
+        let group_nodes = &nodes[first..];
 
+        // --- Stage 3: this group's tenants ------------------------------
         // Initiators either share a node NIC or each get their own node
         // (Figure 7 places every initiator on an individual node).
-        let shared_iep = if sc.separate_nodes {
-            None
-        } else {
-            Some(net.add_endpoint(format!("ini-node{pair}")))
-        };
-        if let Some(ep) = &shared_iep {
-            endpoints.push((format!("pair{pair}.ini_node_ep."), ep.clone()));
-        }
-        let per_node = sc.ls_per_node + sc.tc_per_node;
+        let shared_iep =
+            (!sc.separate_nodes).then(|| env.net.add_endpoint(format!("ini-node{group}")));
+        node_eps.extend(shared_iep.clone());
+        let mut place_policy = sc.placement.policy();
+        let mut placed = vec![0usize; targets_n];
         for slot in 0..per_node {
             let iep = match &shared_iep {
                 Some(ep) => ep.clone(),
-                None => net.add_endpoint(format!("ini{pair}-{slot}")),
+                None => env.net.add_endpoint(format!("ini{group}-{slot}")),
             };
-            let id = slot as u8;
-            let class = if slot < sc.ls_per_node {
-                ReqClass::LatencySensitive
+            let (class, qd, hist) = if slot < sc.ls_per_node {
+                (ReqClass::LatencySensitive, sc.ls_qd, ls_hist.clone())
             } else {
-                ReqClass::ThroughputCritical
+                (ReqClass::ThroughputCritical, sc.tc_qd, tc_hist.clone())
             };
-            let qd = match class {
-                ReqClass::LatencySensitive => sc.ls_qd,
-                ReqClass::ThroughputCritical => sc.tc_qd,
-            };
-            let global_idx = (pair * per_node + slot) as u64;
-            // Shard (reactor) assignment: the tenant's whole event
-            // chain — issue loop, deliveries, its reactor's queue work —
-            // runs on this lane.
+            let global_idx = (group * per_node + slot) as u64;
+            // The tenant's whole event chain — issue loop, deliveries,
+            // its reactor's queue work — runs on this lane.
             let lane = lane_policy.place(global_idx as usize, shards, &lane_loads) as u32;
             lane_loads[lane as usize] += 1;
-            if sc.faults.as_ref().is_some_and(|p| p.keepalive.is_some()) && ka_eps.is_none() {
-                ka_eps = Some((tep.clone(), iep.clone()));
+            let home = place_policy.place(slot, targets_n, &placed);
+            placed[home] += 1;
+            let (ini, rx) = connect_tenant(
+                &env,
+                &group_nodes[home],
+                &iep,
+                slot as u8,
+                qd,
+                lane,
+                global_idx as usize,
+            );
+            // Under an adversary, register each TC connection's class
+            // so forged LS flags are demoted — on every target of the
+            // group, so the demotion survives a migration.
+            if adversary.is_some() && class == ReqClass::ThroughputCritical {
+                for t in group_nodes.iter().filter_map(|n| n.target.as_opf()) {
+                    t.borrow_mut().deny_ls(slot as u8);
+                }
             }
-            // Each initiator slot's path through the fabric is one
-            // fault-plane link (flaps/crashes address it by this index).
-            let slot_tx: TargetRx = match &plane {
-                Some(p) => faults::wrap_target_rx(p, global_idx as usize, target_rx.clone()),
-                None => target_rx.clone(),
-            };
-            let ini = match sc.runtime {
-                RuntimeKind::Spdk => {
-                    let i = shared(SpdkInitiator::new(
-                        id,
-                        qd,
-                        net.clone(),
-                        iep.clone(),
-                        tep.clone(),
-                        slot_tx,
-                        costs.clone(),
-                        Tracer::disabled(),
-                    ));
-                    if let Some(policy) = sc.faults.as_ref().and_then(|p| p.retry) {
-                        i.borrow_mut().set_retry(policy);
-                    }
-                    let i2 = i.clone();
-                    let rx: PduRx = Rc::new(move |k, pdu| SpdkInitiator::on_pdu(&i2, k, pdu));
-                    let rx = match &plane {
-                        Some(p) => faults::wrap_pdu_rx(p, global_idx as usize, rx),
-                        None => rx,
-                    };
-                    match &target {
-                        AnyTarget::Spdk(t) => t.borrow_mut().connect_on(id, iep.clone(), rx, lane),
-                        AnyTarget::Opf(_) => unreachable!(),
-                    }
-                    AnyInitiator::Spdk(i)
-                }
-                RuntimeKind::Opf => {
-                    let icfg = OpfInitiatorConfig {
-                        window: sc.resolve_window(),
-                        retry: sc.faults.as_ref().and_then(|p| p.retry),
-                        redrain_timeout: sc.faults.as_ref().and_then(|p| p.redrain_timeout),
-                        ..OpfInitiatorConfig::default()
-                    };
-                    let i = shared(OpfInitiator::new(
-                        id,
-                        qd,
-                        net.clone(),
-                        iep.clone(),
-                        tep.clone(),
-                        slot_tx,
-                        costs.clone(),
-                        icfg,
-                        Tracer::disabled(),
-                    ));
-                    let i2 = i.clone();
-                    let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
-                    let rx = match &plane {
-                        Some(p) => faults::wrap_pdu_rx(p, global_idx as usize, rx),
-                        None => rx,
-                    };
-                    match &target {
-                        AnyTarget::Opf(t) => {
-                            let mut t = t.borrow_mut();
-                            t.connect_on(id, iep.clone(), rx, lane);
-                            // With an adversary in play, register each
-                            // TC connection's class so forged LS flags
-                            // are demoted under enforcement. Untracked
-                            // otherwise: historical trust-the-wire.
-                            let adversarial =
-                                sc.faults.as_ref().is_some_and(|p| p.adversary.is_some());
-                            if adversarial && class == ReqClass::ThroughputCritical {
-                                t.deny_ls(id);
-                            }
-                        }
-                        AnyTarget::Spdk(_) => unreachable!(),
-                    }
-                    AnyInitiator::Opf(i)
-                }
-            };
 
-            if sc.separate_nodes {
-                endpoints.push((format!("ini{global_idx}.ep."), iep.clone()));
-            }
-            ini_handles.push((global_idx, ini.clone_handle()));
-            let (hist, count) = match class {
-                ReqClass::LatencySensitive => (ls_hist.clone(), ls_count.clone()),
-                ReqClass::ThroughputCritical => (tc_hist.clone(), tc_count.clone()),
+            let io = TenantIo {
+                ini: ini.clone(),
+                pattern: sc.pattern,
+                rng: Pcg32::new(sc.seed ^ (global_idx + 1).wrapping_mul(0x1357_9BDF)),
+                n: 0,
+                lba_base: global_idx * 8192 * u64::from(span_blocks),
+                lba_span: 8192 * u64::from(span_blocks),
+                payload: payload.clone(),
+                hist,
+                win_start: warm,
+                win_end: end,
             };
             // With a traffic block the TC tenants go open-loop; LS
             // tenants keep their closed-loop QD-1 probe so the paper's
             // isolation metric stays comparable.
             if let (Some(tspec), ReqClass::ThroughputCritical) = (&sc.traffic, class) {
                 let tc_total = (sc.pairs * sc.tc_per_node).max(1);
-                let tc_idx = pair * sc.tc_per_node + (slot - sc.ls_per_node);
+                let tc_idx = group * sc.tc_per_node + (slot - sc.ls_per_node);
                 let t = Rc::new(RefCell::new(OpenTenant {
-                    ini,
+                    io,
                     gen: TenantTraffic::new(tspec, sc.seed, tc_idx, tc_total),
                     pending: VecDeque::new(),
-                    payload: payload.clone(),
                     default_blocks: sc.io_blocks.max(1),
                     base_mix: sc.mix,
-                    rng: Pcg32::new(sc.seed ^ (global_idx + 1).wrapping_mul(0x1357_9BDF)),
-                    pattern: sc.pattern,
-                    n_addr: 0,
-                    lba_base: global_idx * 8192 * u64::from(span_blocks),
-                    lba_span: 8192 * u64::from(span_blocks),
-                    hist,
-                    win_start: warm,
-                    win_end: end,
-                    completed_in_win: count,
                     offered_total: 0,
                     done_total: 0,
                     offered_win: 0,
@@ -888,82 +982,85 @@ pub fn run(sc: &Scenario) -> RunResult {
                 open_tenants.push((t, global_idx, lane));
             } else {
                 let driver = Rc::new(RefCell::new(Driver {
-                    ini,
+                    io,
                     class,
                     mix: sc.mix,
                     io_blocks: sc.io_blocks.max(1),
-                    pattern: sc.pattern,
-                    rng: Pcg32::new(sc.seed ^ (global_idx + 1).wrapping_mul(0x1357_9BDF)),
-                    n: 0,
-                    lba_base: global_idx * 8192 * u64::from(span_blocks),
-                    lba_span: 8192 * u64::from(span_blocks),
-                    payload: payload.clone(),
-                    hist,
-                    win_start: warm,
-                    win_end: end,
-                    completed_in_win: count,
                 }));
                 drivers.push((driver, qd, global_idx, lane));
             }
+            tenants.push(Tenant {
+                idx: global_idx,
+                lane,
+                home: first + home,
+                ep: iep,
+                rx,
+                ini,
+            });
         }
-        targets.push(target);
     }
 
-    // Optional admin keep-alive/reconnect loop riding on the first
-    // initiator's link (fault-plane link 0): heartbeats skip while the
-    // link is flapped, the server expires the controller after KATO, and
-    // the next heartbeat's error triggers a reconnect.
+    // Optional admin keep-alive/reconnect loop on the first initiator's
+    // link (fault-plane link 0): heartbeats skip while it is flapped, the
+    // server expires the controller after KATO, the next one reconnects.
     let mut admin_client: Option<Shared<nvmf::AdminClient>> = None;
-    if let (Some(prof), Some(p)) = (sc.faults.as_ref(), &plane) {
-        if let (Some(ka), Some((tep0, iep0))) = (prof.keepalive, &ka_eps) {
-            const SUBNQN: &str = "nqn.2024-08.sim.opf:chaos";
-            let mut server = nvmf::AdminServer::new(ka.kato, "SIMCHAOS");
-            server.add_subsystem(SUBNQN, 1, "10.0.0.1", 4420);
-            let service = shared(nvmf::AdminService::new(server, net.clone(), tep0.clone()));
-            let client = shared(nvmf::AdminClient::new(
-                "nqn.2024-08.sim.opf:host0",
-                net.clone(),
-                iep0.clone(),
-                service,
-                tep0.clone(),
-                costs.clone(),
-            ));
-            nvmf::AdminClient::bring_up(&client, &mut k, SUBNQN.into(), Box::new(|_, _| {}));
-            let probe = faults::link_up_probe(p, 0);
-            nvmf::AdminClient::start_keepalive_with_reconnect(
-                &client,
-                &mut k,
-                ka.every,
-                SUBNQN.into(),
-                Some(probe),
-            );
-            admin_client = Some(client);
-        }
+    if let (Some(ka), Some(p), Some(t0)) = (
+        profile.and_then(|p| p.keepalive),
+        &env.plane,
+        tenants.first(),
+    ) {
+        const SUBNQN: &str = "nqn.2024-08.sim.opf:chaos";
+        let tep0 = nodes[t0.home].ep.clone();
+        let mut server = nvmf::AdminServer::new(ka.kato, "SIMCHAOS");
+        server.add_subsystem(SUBNQN, 1, "10.0.0.1", 4420);
+        let service = shared(nvmf::AdminService::new(
+            server,
+            env.net.clone(),
+            tep0.clone(),
+        ));
+        let client = shared(nvmf::AdminClient::new(
+            "nqn.2024-08.sim.opf:host0",
+            env.net.clone(),
+            t0.ep.clone(),
+            service,
+            tep0,
+            env.costs.clone(),
+        ));
+        nvmf::AdminClient::bring_up(&client, &mut k, SUBNQN.into(), Box::new(|_, _| {}));
+        let probe = faults::link_up_probe(p, 0);
+        nvmf::AdminClient::start_keepalive_with_reconnect(
+            &client,
+            &mut k,
+            ka.every,
+            SUBNQN.into(),
+            Some(probe),
+        );
+        admin_client = Some(client);
     }
 
-    // Start each driver's closed loop, staggered by a microsecond per
-    // initiator so nothing runs in artificial lockstep. The start event
-    // is pinned to the tenant's shard: everything the loop schedules
-    // afterwards inherits that lane.
+    // --- Stage 4: cluster extras ----------------------------------------
+    let cluster_plane =
+        is_cluster.then(|| install_cluster_plane(&mut k, &env, sc, &nodes, &tenants, warm, end));
+
+    // --- Stage 5: drive -------------------------------------------------
+    // Closed loops start staggered by a microsecond per initiator (no
+    // artificial lockstep), each pinned to its tenant's lane: everything
+    // the loop schedules afterwards inherits it.
     for (driver, qd, idx, lane) in drivers {
-        let d = driver.clone();
         k.schedule_at_on(lane, SimTime::from_micros(idx), move |k| {
             for _ in 0..qd {
-                issue(d.clone(), k);
+                issue(driver.clone(), k);
             }
         });
     }
 
-    // Open-loop tenants: the start event (pinned to the tenant's lane,
-    // so the whole arrival chain inherits it — shard/parallel
-    // invariance) kicks off the arrival chain and the 1 ms drainer.
+    // Open-loop tenants likewise: the lane-pinned start event kicks off
+    // the arrival chain and the 1 ms drainer.
     for (t, idx, lane) in &open_tenants {
         let t = t.clone();
         k.schedule_at_on(*lane, SimTime::from_micros(*idx), move |k| {
-            let gap = {
-                let now_ns = k.now().as_nanos();
-                t.borrow_mut().gen.next_gap_ns(now_ns)
-            };
+            let now_ns = k.now().as_nanos();
+            let gap = t.borrow_mut().gen.next_gap_ns(now_ns);
             let t2 = t.clone();
             k.schedule_in(SimDuration::from_nanos(gap), move |k| open_arrival(t2, k));
             open_drain(t, k);
@@ -974,80 +1071,57 @@ pub fn run(sc: &Scenario) -> RunResult {
     // so `notifications` is a within-window delta (Figure 6(c) counts a
     // fixed-duration run).
     let notif_at_warm = Rc::new(Cell::new(0u64));
-    let warm_marker = notif_at_warm.clone();
-    {
-        let sums: Vec<_> = targets
-            .iter()
-            .map(|t| match t {
-                AnyTarget::Spdk(t) => {
-                    let t = t.clone();
-                    Box::new(move || t.borrow().stats.resps_tx) as Box<dyn Fn() -> u64>
-                }
-                AnyTarget::Opf(t) => {
-                    let t = t.clone();
-                    Box::new(move || t.borrow().stats.resps_tx) as Box<dyn Fn() -> u64>
-                }
-            })
-            .collect();
-        k.schedule_at(warm, move |_| {
-            warm_marker.set(sums.iter().map(|f| f()).sum());
-        });
-    }
+    let marker = notif_at_warm.clone();
+    let targets: Vec<AnyTarget> = nodes.iter().map(|n| n.target.clone()).collect();
+    k.schedule_at(warm, move |_| {
+        marker.set(targets.iter().map(AnyTarget::resps_tx).sum());
+    });
 
-    // Under fault injection the horizon is extended by the profile's
-    // settle window so retry/re-drain timers can finish recovering the
-    // in-flight tail (measurement still stops at `end`; the drivers stop
-    // re-issuing and recording there).
-    let settle_s = plane
-        .as_ref()
-        .map_or(0.0, |p| p.borrow().profile().settle_s);
-    // Open-loop runs always get a settle window: arrivals stop at `end`
-    // but the queued/in-flight tail still needs to drain for
-    // exactly-once accounting (a cliff would strand it).
-    let settle_s = if sc.traffic.is_some() {
-        settle_s.max(0.05)
-    } else {
-        settle_s
-    };
-    let horizon = if settle_s > 0.0 {
-        end + SimDuration::from_secs_f64(settle_s)
-    } else {
-        end
-    };
-    k.set_horizon(horizon);
+    // A settle window past `end` (where issue and recording stop) lets
+    // retry/re-drain timers recover the in-flight tail. Fault profiles
+    // bring their own; open-loop and cluster runs always get ≥ 50 ms so
+    // queued arrivals and post-move re-drives land and `offered ==
+    // goodput` is checkable.
+    let mut settle_s = profile.map_or(0.0, |p| p.settle_s);
+    if is_cluster || sc.traffic.is_some() {
+        settle_s = settle_s.max(0.05);
+    }
+    k.set_horizon(end + SimDuration::from_secs_f64(settle_s));
     k.run_to_completion();
 
-    let measure_secs = sc.measure_s;
-    let tc_done = tc_count.get();
-    let ls_done = ls_count.get();
-    let notifications = targets.iter().map(|t| t.resps_tx()).sum::<u64>() - notif_at_warm.get();
-    let util = if targets.is_empty() {
-        0.0
-    } else {
-        targets
-            .iter()
-            .map(|t| t.reactor_utilization(end))
-            .sum::<f64>()
-            / targets.len() as f64
-    };
+    // --- Stage 6: collect -----------------------------------------------
+    let notifications =
+        nodes.iter().map(|n| n.target.resps_tx()).sum::<u64>() - notif_at_warm.get();
+    let busy: f64 = nodes
+        .iter()
+        .map(|n| n.target.reactor_utilization(end))
+        .sum();
+    let util = busy / nodes.len().max(1) as f64;
 
     let tc_hist = tc_hist.borrow();
     let ls_hist = ls_hist.borrow();
+    let (tc_done, ls_done) = (tc_hist.count(), ls_hist.count());
 
     // Unified snapshot: workload-level figures plus every component's
     // MetricsSource counters under a stable prefix.
     let now = k.now();
     let mut metrics = Metrics::at(now);
-    metrics.set("tc.iops", tc_done as f64 / measure_secs);
-    metrics.set("tc.p50_us", tc_hist.percentile(0.50) as f64 / 1e3);
-    metrics.set("tc.p99_us", tc_hist.percentile(0.99) as f64 / 1e3);
-    metrics.set("tc.p9999_us", tc_hist.percentile(0.9999) as f64 / 1e3);
-    metrics.set("tc.avg_us", tc_hist.mean() / 1e3);
-    metrics.set("ls.iops", ls_done as f64 / measure_secs);
-    metrics.set("ls.p50_us", ls_hist.percentile(0.50) as f64 / 1e3);
-    metrics.set("ls.p99_us", ls_hist.percentile(0.99) as f64 / 1e3);
-    metrics.set("ls.p9999_us", ls_hist.percentile(0.9999) as f64 / 1e3);
-    metrics.set("ls.avg_us", ls_hist.mean() / 1e3);
+    for (class, hist) in [("tc", &*tc_hist), ("ls", &*ls_hist)] {
+        metrics.set(format!("{class}.iops"), hist.count() as f64 / sc.measure_s);
+        metrics.set(
+            format!("{class}.p50_us"),
+            hist.percentile(0.50) as f64 / 1e3,
+        );
+        metrics.set(
+            format!("{class}.p99_us"),
+            hist.percentile(0.99) as f64 / 1e3,
+        );
+        metrics.set(
+            format!("{class}.p9999_us"),
+            hist.percentile(0.9999) as f64 / 1e3,
+        );
+        metrics.set(format!("{class}.avg_us"), hist.mean() / 1e3);
+    }
     metrics.set("notifications", notifications as f64);
     metrics.set("completed", (tc_done + ls_done) as f64);
     metrics.set("reactor_util", util);
@@ -1071,79 +1145,79 @@ pub fn run(sc: &Scenario) -> RunResult {
         }
         metrics.set("traffic.offered", offered as f64);
         metrics.set("traffic.done", done as f64);
-        metrics.set(
-            "traffic.completion_ratio",
-            if offered_win == 0 {
-                1.0
-            } else {
-                done_win as f64 / offered_win as f64
-            },
-        );
-        let spread = if served.len() < 2 {
+        let ratio = match offered_win {
+            0 => 1.0,
+            n => done_win as f64 / n as f64,
+        };
+        metrics.set("traffic.completion_ratio", ratio);
+        let max = served.iter().copied().fold(f64::MIN, f64::max);
+        let min = served.iter().copied().fold(f64::MAX, f64::min);
+        let mean = served.iter().sum::<f64>() / served.len().max(1) as f64;
+        let spread = if served.len() < 2 || mean <= 0.0 {
             0.0
         } else {
-            let max = served.iter().copied().fold(f64::MIN, f64::max);
-            let min = served.iter().copied().fold(f64::MAX, f64::min);
-            let mean = served.iter().sum::<f64>() / served.len() as f64;
-            if mean <= 0.0 {
-                0.0
-            } else {
-                (max - min) / mean
-            }
+            (max - min) / mean
         };
         metrics.set("traffic.fairness_spread", spread);
     }
-    for (pair, target) in targets.iter().enumerate() {
-        metrics.merge(&format!("pair{pair}.tgt."), &target.metrics(now));
-    }
-    for (pair, device) in devices.iter().enumerate() {
-        metrics.merge(&format!("pair{pair}.dev."), &device.borrow().metrics(now));
-    }
-    for (prefix, ep) in &endpoints {
-        metrics.merge(prefix, &ep.borrow().metrics(now));
-    }
-    for (idx, ini) in &ini_handles {
-        metrics.merge(&format!("ini{idx}."), &ini.metrics(now));
-    }
-    // Fault-plane injection counters plus cluster-wide recovery
-    // aggregates. Only present when a profile is installed, so fault-free
-    // runs keep their exact pre-faults metric key set.
-    if let Some(p) = &plane {
-        metrics.merge("faults.", &p.borrow().metrics(now));
-        // Events refused past the (settle-extended) horizon. Gated with
-        // the fault counters: the horizon exists on every run, but only
-        // fault timers can realistically outlive it, and an
-        // unconditional key would change the fault-free metric union.
-        metrics.set("kernel.horizon_dropped", k.horizon_dropped() as f64);
-        let (mut retries, mut exhausted, mut redrains, mut dups) = (0u64, 0u64, 0u64, 0u64);
-        let (mut offered, mut goodput) = (0u64, 0u64);
-        for (_, ini) in &ini_handles {
-            match ini {
-                AnyInitiator::Spdk(i) => {
-                    let i = i.borrow();
-                    retries += i.stats.retries;
-                    exhausted += i.stats.retry_exhausted;
-                    dups += i.stats.dup_resps_suppressed;
-                    offered += i.stats.submitted;
-                    goodput += i.stats.completed;
-                }
-                AnyInitiator::Opf(i) => {
-                    let i = i.borrow();
-                    retries += i.stats.retries;
-                    exhausted += i.stats.retry_exhausted;
-                    redrains += i.stats.redrains;
-                    dups += i.stats.dup_resps_suppressed;
-                    offered += i.stats.submitted;
-                    goodput += i.stats.completed;
-                }
-            }
+    // Component prefixes: classic runs name a group's parts under
+    // `pair{g}.`, cluster runs (one group) name targets directly. Both
+    // key unions are pinned by goldens, so this table is the contract.
+    let prefix = |i: usize, classic: &str, cluster: &str| {
+        if is_cluster {
+            cluster.replace("{}", &i.to_string())
+        } else {
+            format!("pair{i}.{classic}.")
         }
-        metrics.set("faults.retries", retries as f64);
-        metrics.set("faults.retry_exhausted", exhausted as f64);
-        metrics.set("faults.redrains", redrains as f64);
-        metrics.set("faults.dup_resps_suppressed", dups as f64);
-        metrics.set("faults.offered", offered as f64);
-        metrics.set("faults.goodput", goodput as f64);
+    };
+    for (t, n) in nodes.iter().enumerate() {
+        metrics.merge(&prefix(t, "tgt", "tgt{}."), &n.target.metrics(now));
+        metrics.merge(&prefix(t, "dev", "dev{}."), &n.device.borrow().metrics(now));
+        metrics.merge(
+            &prefix(t, "tgt_ep", "tgt{}_ep."),
+            &n.ep.borrow().metrics(now),
+        );
+    }
+    for (g, ep) in node_eps.iter().enumerate() {
+        let p = prefix(g, "ini_node_ep", "ini_node_ep.");
+        metrics.merge(&p, &ep.borrow().metrics(now));
+    }
+    for t in &tenants {
+        if sc.separate_nodes {
+            metrics.merge(&format!("ini{}.ep.", t.idx), &t.ep.borrow().metrics(now));
+        }
+        metrics.merge(&format!("ini{}.", t.idx), &t.ini.metrics(now));
+    }
+    if let Some(c) = &cluster_plane {
+        metrics.set("cluster.targets", targets_n as f64);
+        metrics.set("cluster.links_profiled", c.links_profiled as f64);
+        let snap = c.mgr.borrow().snapshot();
+        metrics.set("cluster.mgr_ticks", snap.ticks as f64);
+        metrics.set("cluster.weight_updates", snap.weight_updates as f64);
+        metrics.set("cluster.max_imbalance", snap.max_imbalance as f64);
+        // Gated on nonzero so runs that never exercise the decay or the
+        // migration skip keep byte-identical snapshots.
+        if snap.weight_decays > 0 {
+            metrics.set("cluster.weight_decays", snap.weight_decays as f64);
+        }
+        if snap.migrating_skipped > 0 {
+            metrics.set("cluster.migrating_skipped", snap.migrating_skipped as f64);
+        }
+        // Unconditional, so a no-op migration spec snapshots exactly
+        // like a migration-free run of the same scenario.
+        let tot = c.engine.totals();
+        metrics.set("cluster.migrations_done", tot.done as f64);
+        metrics.set("cluster.migrations_failed", tot.failed as f64);
+        metrics.set("cluster.cmds_moved", tot.cmds_moved as f64);
+        metrics.set("cluster.redriven", tot.redriven as f64);
+    }
+    // Fault-plane injection counters, only present when a profile is
+    // installed, so fault-free runs keep their exact pre-faults key set.
+    if let Some(p) = &env.plane {
+        metrics.merge("faults.", &p.borrow().metrics(now));
+        // Events refused past the horizon; only fault timers can
+        // realistically outlive it, so the key is gated with them.
+        metrics.set("kernel.horizon_dropped", k.horizon_dropped() as f64);
         if let Some(c) = &admin_client {
             let s = c.borrow().ka_stats;
             metrics.set("admin.heartbeats", s.heartbeats as f64);
@@ -1151,484 +1225,47 @@ pub fn run(sc: &Scenario) -> RunResult {
             metrics.set("admin.reconnects", s.reconnects as f64);
         }
     }
-
-    RunResult {
-        tc_iops: tc_done as f64 / measure_secs,
-        tc_mb_s: tc_done as f64 * (BLOCK_SIZE * sc.io_blocks.max(1) as usize) as f64
-            / 1e6
-            / measure_secs,
-        tc_avg_us: tc_hist.mean() / 1e3,
-        tc_p9999_us: tc_hist.percentile(0.9999) as f64 / 1e3,
-        ls_iops: ls_done as f64 / measure_secs,
-        ls_avg_us: ls_hist.mean() / 1e3,
-        ls_p9999_us: ls_hist.percentile(0.9999) as f64 / 1e3,
-        notifications,
-        completed: tc_done + ls_done,
-        reactor_util: util,
-        events: k.events_executed(),
-        cross_shard_events: k.cross_shard_scheduled(),
-        parallel_routed: k.mesh_routed(),
-        parallel_min_slack_ns: k.mesh_min_slack_nanos(),
-        cross_reactor_submits: targets
-            .iter()
-            .map(|t| match t {
-                AnyTarget::Opf(t) => t.borrow().cross_reactor_submits(),
-                AnyTarget::Spdk(_) => 0,
-            })
-            .sum(),
-        metrics,
-    }
-}
-
-/// Run a multi-target cluster scenario (DESIGN.md §16): `sc.targets`
-/// NVMe-oPF targets, each with its own SSD and fabric endpoint, behind
-/// a leaf/spine topology; tenants spread across targets by
-/// `sc.placement`; the cluster priority manager ticking through the
-/// measurement window; and `sc.migrations` moving tenants live.
-///
-/// The recovery plane (duplicate suppression on targets, retry +
-/// re-drain on initiators) is always on here: a migration's post-move
-/// re-drive rides the recovery re-issue path, and keeping it on for
-/// migration-free cluster rows makes the targets axis internally
-/// consistent. Cluster runs are their own golden space — the
-/// single-target `run()` path above is untouched.
-fn run_cluster(sc: &Scenario) -> RunResult {
-    assert!(
-        sc.traffic.is_none(),
-        "open-loop traffic models are single-target for now (traffic + targets > 1 unsupported)"
-    );
-    assert!(
-        sc.runtime == RuntimeKind::Opf,
-        "cluster mode is NVMe-oPF only (the baseline has no migration or placement plane)"
-    );
-    assert!(
-        sc.pairs == 1,
-        "cluster mode replaces the pairs axis with the targets axis"
-    );
-    let targets_n = sc.targets.max(1);
-    let per_node = sc.ls_per_node + sc.tc_per_node;
-    assert!(
-        per_node < 64,
-        "cluster tenant ids must fit the CID-queue key space (< 64)"
-    );
-
-    let speed: Gbps = sc.speed.into();
-    let shards = sc.shards.max(1);
-    let mut k = Kernel::with_shards(sc.seed, shards);
-    k.set_parallel(sc.parallel);
-    let net = Network::new(FabricConfig::preset(speed));
-    let (costs, profile) = match speed {
-        Gbps::G10 | Gbps::G25 => (CpuCosts::cc(), FlashProfile::cc_ssd()),
-        Gbps::G100 => (CpuCosts::cl(), FlashProfile::cl_ssd()),
-    };
-    let costs = match sc.transport {
-        Transport::Tcp => costs,
-        Transport::Rdma => costs.to_rdma(),
-    };
-
-    let plane = sc.faults.as_ref().map(|p| {
-        let rng = k.rng().fork(0xFA17);
-        shared(faults::FaultPlane::new(p.clone(), rng))
-    });
-    if let Some(p) = &plane {
-        if !p.borrow().profile().degrades.is_empty() {
-            net.set_bandwidth_model(faults::bandwidth_model(p));
-        }
-    }
-
-    let warm = SimTime::from_nanos((sc.warmup_s * 1e9) as u64);
-    let end = SimTime::from_nanos(((sc.warmup_s + sc.measure_s) * 1e9) as u64);
-
-    let ls_hist = Rc::new(RefCell::new(Histogram::new()));
-    let tc_hist = Rc::new(RefCell::new(Histogram::new()));
-    let ls_count = Rc::new(Cell::new(0u64));
-    let tc_count = Rc::new(Cell::new(0u64));
-    let payload = Bytes::from(vec![0u8; BLOCK_SIZE * sc.io_blocks.max(1) as usize]);
-
-    // --- Targets, one endpoint + SSD each -------------------------------
-    let adv = sc.faults.as_ref().and_then(|p| p.adversary);
-    let mut tgts: Vec<Shared<OpfTarget>> = Vec::with_capacity(targets_n);
-    let mut tgt_rxs: Vec<TargetRx> = Vec::with_capacity(targets_n);
-    let mut tgt_eps: Vec<Shared<fabric::Endpoint>> = Vec::with_capacity(targets_n);
-    let mut devices = Vec::with_capacity(targets_n);
-    for t in 0..targets_n {
-        let tep = net.add_endpoint(format!("tgt{t}"));
-        let device = shared(NvmeDevice::new(
-            profile.clone(),
-            1 << 30,
-            sc.seed ^ (t as u64).wrapping_mul(0x9E37_79B9),
-        ));
-        device.borrow_mut().set_store_data(false);
-        let tcfg = OpfTargetConfig {
-            queue_mode: if sc.shared_queue {
-                QueueMode::Shared
-            } else {
-                QueueMode::PerInitiator
-            },
-            ls_bypass: !sc.no_ls_bypass,
-            enforce_identity: adv.is_none_or(|a| a.harden),
-            drain_rate: adv.and_then(|a| a.harden.then(opf::DrainRateLimit::default)),
-            ..OpfTargetConfig::default()
-        };
-        let tgt = shared(OpfTarget::new(
-            t as u32,
-            net.clone(),
-            tep.clone(),
-            device.clone(),
-            costs.clone(),
-            tcfg,
-            Tracer::disabled(),
-        ));
-        tgt.borrow_mut().set_recovery(true);
-        let t2 = tgt.clone();
-        let rx: TargetRx = Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu));
-        tgts.push(tgt);
-        tgt_rxs.push(rx);
-        tgt_eps.push(tep);
-        devices.push(device);
-    }
-
-    // The recovery plane is forced on (see the doc comment); fault
-    // profiles may still override the timer values.
-    let retry = sc
-        .faults
-        .as_ref()
-        .and_then(|p| p.retry)
-        .unwrap_or(RetryPolicy {
-            timeout: SimDuration::from_micros(300),
-            max_retries: 6,
-        });
-    let redrain = sc
-        .faults
-        .as_ref()
-        .and_then(|p| p.redrain_timeout)
-        .unwrap_or(SimDuration::from_micros(500));
-
-    // --- Tenants: placed on targets and lanes by the same trait ---------
-    let mut place_policy = sc.placement.policy();
-    let mut placed = vec![0usize; targets_n];
-    let mut lane_policy = cluster::PlacementSpec::RoundRobin.policy();
-    let mut lane_loads = vec![0usize; shards];
-
-    let shared_iep = (!sc.separate_nodes).then(|| net.add_endpoint("ini-node0"));
-    let mut home: Vec<usize> = Vec::with_capacity(per_node);
-    let mut lanes: Vec<u32> = Vec::with_capacity(per_node);
-    let mut tenant_eps: Vec<Shared<fabric::Endpoint>> = Vec::with_capacity(per_node);
-    let mut tenant_rxs: Vec<PduRx> = Vec::with_capacity(per_node);
-    let mut opf_inis: Vec<Shared<OpfInitiator>> = Vec::with_capacity(per_node);
-    let mut drivers = Vec::new();
-    let mut ini_handles: Vec<(u64, AnyInitiator)> = Vec::new();
-    for slot in 0..per_node {
-        let iep = match &shared_iep {
-            Some(ep) => ep.clone(),
-            None => net.add_endpoint(format!("ini0-{slot}")),
-        };
-        let id = slot as u8;
-        let class = if slot < sc.ls_per_node {
-            ReqClass::LatencySensitive
-        } else {
-            ReqClass::ThroughputCritical
-        };
-        let qd = match class {
-            ReqClass::LatencySensitive => sc.ls_qd,
-            ReqClass::ThroughputCritical => sc.tc_qd,
-        };
-        let lane = lane_policy.place(slot, shards, &lane_loads) as u32;
-        lane_loads[lane as usize] += 1;
-        let t_home = place_policy.place(slot, targets_n, &placed);
-        placed[t_home] += 1;
-        // Each tenant's fabric path is one fault-plane link, addressed
-        // by tenant index — the same link across a migration, so an
-        // attack or loss burst spans the move.
-        let slot_tx: TargetRx = match &plane {
-            Some(p) => faults::wrap_target_rx(p, slot, tgt_rxs[t_home].clone()),
-            None => tgt_rxs[t_home].clone(),
-        };
-        let icfg = OpfInitiatorConfig {
-            window: sc.resolve_window(),
-            retry: Some(retry),
-            redrain_timeout: Some(redrain),
-            ..OpfInitiatorConfig::default()
-        };
-        let i = shared(OpfInitiator::new(
-            id,
-            qd,
-            net.clone(),
-            iep.clone(),
-            tgt_eps[t_home].clone(),
-            slot_tx,
-            costs.clone(),
-            icfg,
-            Tracer::disabled(),
-        ));
-        let i2 = i.clone();
-        let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
-        let rx = match &plane {
-            Some(p) => faults::wrap_pdu_rx(p, slot, rx),
-            None => rx,
-        };
-        tgts[t_home]
-            .borrow_mut()
-            .connect_on(id, iep.clone(), rx.clone(), lane);
-        // Under an adversary, register TC classes on *every* target so
-        // forged-LS demotion survives a migration to any destination.
-        if adv.is_some() && class == ReqClass::ThroughputCritical {
-            for tgt in &tgts {
-                tgt.borrow_mut().deny_ls(id);
-            }
-        }
-        home.push(t_home);
-        lanes.push(lane);
-        tenant_eps.push(iep.clone());
-        tenant_rxs.push(rx);
-        ini_handles.push((slot as u64, AnyInitiator::Opf(i.clone())));
-        opf_inis.push(i.clone());
-
-        let (hist, count) = match class {
-            ReqClass::LatencySensitive => (ls_hist.clone(), ls_count.clone()),
-            ReqClass::ThroughputCritical => (tc_hist.clone(), tc_count.clone()),
-        };
-        let global_idx = slot as u64;
-        let driver = Rc::new(RefCell::new(Driver {
-            ini: AnyInitiator::Opf(i),
-            class,
-            mix: sc.mix,
-            io_blocks: sc.io_blocks.max(1),
-            pattern: sc.pattern,
-            rng: Pcg32::new(sc.seed ^ (global_idx + 1).wrapping_mul(0x1357_9BDF)),
-            n: 0,
-            lba_base: global_idx * 8192 * u64::from(sc.io_blocks.max(1)),
-            lba_span: 8192 * u64::from(sc.io_blocks.max(1)),
-            payload: payload.clone(),
-            hist,
-            win_start: warm,
-            win_end: end,
-            completed_in_win: count,
-        }));
-        drivers.push((driver, qd, global_idx, lane));
-    }
-
-    // --- Leaf/spine topology: non-home paths cross the spine ------------
-    let links_profiled = cluster::install_switched_topology(
-        &net,
-        &tenant_eps,
-        &home,
-        &tgt_eps,
-        SimDuration::from_micros(2),
-    );
-
-    // --- Cluster priority manager: periodic rebalance ticks -------------
-    let mgr = shared(cluster::ClusterPriorityManager::new(tgts.clone()));
-    {
-        struct TickCtx {
-            mgr: Shared<cluster::ClusterPriorityManager>,
-            end: SimTime,
-        }
-        fn tick_loop(ctx: Rc<TickCtx>, k: &mut Kernel, at: SimTime) {
-            if at > ctx.end {
-                return;
-            }
-            let c = ctx.clone();
-            k.schedule_at_on(0, at, move |k| {
-                c.mgr.borrow_mut().tick();
-                let next = k.now() + SimDuration::from_micros(500);
-                tick_loop(c.clone(), k, next);
-            });
-        }
-        let ctx = Rc::new(TickCtx {
-            mgr: mgr.clone(),
-            end,
-        });
-        tick_loop(ctx, &mut k, warm);
-    }
-
-    // --- Live migrations -------------------------------------------------
-    let mut engine = cluster::MigrationEngine::new();
-    let mut cur = home.clone();
-    for spec in &sc.migrations {
-        let ti = spec.tenant;
-        assert!(
-            ti < per_node && spec.to_target < targets_n,
-            "migration spec out of range: tenant {ti} -> target {}",
-            spec.to_target
-        );
-        let from = cur[ti];
-        let to = spec.to_target;
-        if to == from {
-            continue;
-        }
-        let to_dest_rx: TargetRx = match &plane {
-            Some(p) => faults::wrap_target_rx(p, ti, tgt_rxs[to].clone()),
-            None => tgt_rxs[to].clone(),
-        };
-        let m = cluster::Migration {
-            tenant: ti as u8,
-            lane: lanes[ti],
-            at: warm + SimDuration::from_secs_f64(spec.at_s.max(0.0)),
-            initiator: opf_inis[ti].clone(),
-            source: tgts[from].clone(),
-            dest: tgts[to].clone(),
-            dest_ep: tgt_eps[to].clone(),
-            ini_ep: tenant_eps[ti].clone(),
-            to_dest_rx,
-            from_dest_rx: tenant_rxs[ti].clone(),
-            dest_shard: lanes[ti],
-            state: cluster::MigrationState::Scheduled,
-            history: Vec::new(),
-            cmds_moved: 0,
-            redriven: 0,
-        };
-        engine.schedule(&mut k, m, SimDuration::from_micros(100));
-        cur[ti] = to;
-    }
-    // The manager consults the engine's records on every tick so tenants
-    // mid-migration are neither rebalanced nor decayed while their
-    // queues are frozen or in flight between targets.
-    mgr.borrow_mut().watch(engine.records());
-
-    // --- Drive -----------------------------------------------------------
-    for (driver, qd, idx, lane) in drivers {
-        let d = driver.clone();
-        k.schedule_at_on(lane, SimTime::from_micros(idx), move |k| {
-            for _ in 0..qd {
-                issue(d.clone(), k);
-            }
-        });
-    }
-
-    let notif_at_warm = Rc::new(Cell::new(0u64));
-    let warm_marker = notif_at_warm.clone();
-    {
-        let sums: Vec<_> = tgts
-            .iter()
-            .map(|t| {
-                let t = t.clone();
-                Box::new(move || t.borrow().stats.resps_tx) as Box<dyn Fn() -> u64>
-            })
-            .collect();
-        k.schedule_at(warm, move |_| {
-            warm_marker.set(sums.iter().map(|f| f()).sum());
-        });
-    }
-
-    // Settle window: cluster runs always get one (fault profiles may
-    // bring a longer one) so the in-flight tail — including post-move
-    // re-drives and their completions — lands before the horizon and
-    // exactly-once accounting (`offered == goodput`) is checkable.
-    let settle = sc.faults.as_ref().map_or(0.0, |p| p.settle_s).max(0.05);
-    let horizon = end + SimDuration::from_secs_f64(settle);
-    k.set_horizon(horizon);
-    k.run_to_completion();
-
-    // --- Collect ---------------------------------------------------------
-    let measure_secs = sc.measure_s;
-    let tc_done = tc_count.get();
-    let ls_done = ls_count.get();
-    let notifications =
-        tgts.iter().map(|t| t.borrow().stats.resps_tx).sum::<u64>() - notif_at_warm.get();
-    let util = tgts
-        .iter()
-        .map(|t| t.borrow().reactor_utilization(end))
-        .sum::<f64>()
-        / targets_n as f64;
-
-    let tc_hist = tc_hist.borrow();
-    let ls_hist = ls_hist.borrow();
-
-    let now = k.now();
-    let mut metrics = Metrics::at(now);
-    metrics.set("tc.iops", tc_done as f64 / measure_secs);
-    metrics.set("tc.p50_us", tc_hist.percentile(0.50) as f64 / 1e3);
-    metrics.set("tc.p99_us", tc_hist.percentile(0.99) as f64 / 1e3);
-    metrics.set("tc.p9999_us", tc_hist.percentile(0.9999) as f64 / 1e3);
-    metrics.set("tc.avg_us", tc_hist.mean() / 1e3);
-    metrics.set("ls.iops", ls_done as f64 / measure_secs);
-    metrics.set("ls.p50_us", ls_hist.percentile(0.50) as f64 / 1e3);
-    metrics.set("ls.p99_us", ls_hist.percentile(0.99) as f64 / 1e3);
-    metrics.set("ls.p9999_us", ls_hist.percentile(0.9999) as f64 / 1e3);
-    metrics.set("ls.avg_us", ls_hist.mean() / 1e3);
-    metrics.set("notifications", notifications as f64);
-    metrics.set("completed", (tc_done + ls_done) as f64);
-    metrics.set("reactor_util", util);
-    metrics.set("events", k.events_executed() as f64);
-    for (t, tgt) in tgts.iter().enumerate() {
-        metrics.merge(&format!("tgt{t}."), &tgt.borrow().metrics(now));
-    }
-    for (t, device) in devices.iter().enumerate() {
-        metrics.merge(&format!("dev{t}."), &device.borrow().metrics(now));
-    }
-    for (t, ep) in tgt_eps.iter().enumerate() {
-        metrics.merge(&format!("tgt{t}_ep."), &ep.borrow().metrics(now));
-    }
-    if let Some(ep) = &shared_iep {
-        metrics.merge("ini_node_ep.", &ep.borrow().metrics(now));
+    // Recovery aggregates: under `faults.` with a plane in a classic
+    // run; always under `recovery.` in a cluster, whose core invariant is
+    // exactly-once (`offered == goodput`).
+    let aggregates = if is_cluster {
+        Some("recovery.")
     } else {
-        for (i, ep) in tenant_eps.iter().enumerate() {
-            metrics.merge(&format!("ini{i}.ep."), &ep.borrow().metrics(now));
+        env.plane.as_ref().map(|_| "faults.")
+    };
+    if let Some(prefix) = aggregates {
+        let (mut retries, mut exhausted, mut redrains, mut dups) = (0u64, 0u64, 0u64, 0u64);
+        let (mut offered, mut goodput) = (0u64, 0u64);
+        for t in &tenants {
+            either!(&t.ini.0, AnyInitiator, i => {
+                let s = &i.borrow().stats;
+                retries += s.retries;
+                exhausted += s.retry_exhausted;
+                dups += s.dup_resps_suppressed;
+                offered += s.submitted;
+                goodput += s.completed;
+            });
+            // Only NVMe-oPF has drains to re-send.
+            if let Some(i) = t.ini.as_opf() {
+                redrains += i.borrow().stats.redrains;
+            }
         }
-    }
-    for (idx, ini) in &ini_handles {
-        metrics.merge(&format!("ini{idx}."), &ini.metrics(now));
+        metrics.set(format!("{prefix}retries"), retries as f64);
+        metrics.set(format!("{prefix}retry_exhausted"), exhausted as f64);
+        metrics.set(format!("{prefix}redrains"), redrains as f64);
+        metrics.set(format!("{prefix}dup_resps_suppressed"), dups as f64);
+        metrics.set(format!("{prefix}offered"), offered as f64);
+        metrics.set(format!("{prefix}goodput"), goodput as f64);
     }
 
-    // Cluster-plane counters.
-    metrics.set("cluster.targets", targets_n as f64);
-    metrics.set("cluster.links_profiled", links_profiled as f64);
-    let snap = mgr.borrow().snapshot();
-    metrics.set("cluster.mgr_ticks", snap.ticks as f64);
-    metrics.set("cluster.weight_updates", snap.weight_updates as f64);
-    metrics.set("cluster.max_imbalance", snap.max_imbalance as f64);
-    // Gated on nonzero so runs that never exercise the decay or the
-    // migration skip keep byte-identical snapshots.
-    if snap.weight_decays > 0 {
-        metrics.set("cluster.weight_decays", snap.weight_decays as f64);
-    }
-    if snap.migrating_skipped > 0 {
-        metrics.set("cluster.migrating_skipped", snap.migrating_skipped as f64);
-    }
-    // Unconditional, so a no-op migration spec (a move to the tenant's
-    // current target, skipped above) leaves a snapshot byte-identical
-    // to a migration-free run of the same scenario.
-    let tot = engine.totals();
-    metrics.set("cluster.migrations_done", tot.done as f64);
-    metrics.set("cluster.migrations_failed", tot.failed as f64);
-    metrics.set("cluster.cmds_moved", tot.cmds_moved as f64);
-    metrics.set("cluster.redriven", tot.redriven as f64);
-
-    if let Some(p) = &plane {
-        metrics.merge("faults.", &p.borrow().metrics(now));
-        metrics.set("kernel.horizon_dropped", k.horizon_dropped() as f64);
-    }
-    // Recovery aggregates are unconditional in cluster runs: the
-    // recovery plane is always armed here, with or without a fault
-    // profile, and exactly-once accounting (`offered == goodput`) is
-    // the cluster plane's core invariant.
-    let (mut retries, mut exhausted, mut redrains, mut dups) = (0u64, 0u64, 0u64, 0u64);
-    let (mut offered, mut goodput) = (0u64, 0u64);
-    for i in &opf_inis {
-        let i = i.borrow();
-        retries += i.stats.retries;
-        exhausted += i.stats.retry_exhausted;
-        redrains += i.stats.redrains;
-        dups += i.stats.dup_resps_suppressed;
-        offered += i.stats.submitted;
-        goodput += i.stats.completed;
-    }
-    metrics.set("recovery.retries", retries as f64);
-    metrics.set("recovery.retry_exhausted", exhausted as f64);
-    metrics.set("recovery.redrains", redrains as f64);
-    metrics.set("recovery.dup_resps_suppressed", dups as f64);
-    metrics.set("recovery.offered", offered as f64);
-    metrics.set("recovery.goodput", goodput as f64);
-
-    RunResult {
-        tc_iops: tc_done as f64 / measure_secs,
+    let result = RunResult {
+        tc_iops: tc_done as f64 / sc.measure_s,
         tc_mb_s: tc_done as f64 * (BLOCK_SIZE * sc.io_blocks.max(1) as usize) as f64
             / 1e6
-            / measure_secs,
+            / sc.measure_s,
         tc_avg_us: tc_hist.mean() / 1e3,
         tc_p9999_us: tc_hist.percentile(0.9999) as f64 / 1e3,
-        ls_iops: ls_done as f64 / measure_secs,
+        ls_iops: ls_done as f64 / sc.measure_s,
         ls_avg_us: ls_hist.mean() / 1e3,
         ls_p9999_us: ls_hist.percentile(0.9999) as f64 / 1e3,
         notifications,
@@ -1638,12 +1275,24 @@ fn run_cluster(sc: &Scenario) -> RunResult {
         cross_shard_events: k.cross_shard_scheduled(),
         parallel_routed: k.mesh_routed(),
         parallel_min_slack_ns: k.mesh_min_slack_nanos(),
-        cross_reactor_submits: tgts
+        cross_reactor_submits: nodes
             .iter()
+            .filter_map(|n| n.target.as_opf())
             .map(|t| t.borrow().cross_reactor_submits())
             .sum(),
         metrics,
+    };
+
+    // Teardown: targets hold each initiator's receive closure,
+    // initiators their target's, and in-flight callbacks the driver that
+    // owns their initiator. Cut both `Rc` cycles or the run leaks its stack.
+    for n in &nodes {
+        n.target.disconnect_all();
     }
+    for t in &tenants {
+        t.ini.abort_pending();
+    }
+    (result, nodes, tenants)
 }
 
 #[cfg(test)]
@@ -1920,6 +1569,53 @@ mod tests {
         // counted one migrate-out, the destination one migrate-in.
         assert_eq!(m.get("tgt1.migrated_out"), m.get("tgt0.migrated_in"));
         assert_eq!(m.get("tgt1.migrated_out"), Some(1.0));
+    }
+
+    /// Every `run` used to leak its stack through two `Rc` cycles
+    /// (target ↔ initiator receive closures, initiator → in-flight
+    /// callback → driver). Once the run's own handles go, nothing may
+    /// keep a target or an initiator alive — in any run shape, with
+    /// commands still in flight at the horizon or (zero length) none
+    /// ever issued.
+    #[test]
+    fn run_frees_its_stack() {
+        fn probe<T: 'static>(rc: &Shared<T>) -> Box<dyn Fn() -> bool> {
+            let weak = Rc::downgrade(rc);
+            Box::new(move || weak.upgrade().is_some())
+        }
+        let classic = |rt| Scenario::ratio(rt, Gbps::G100, Mix::MIXED, 1, 2);
+        let mut lossy_open = classic(RuntimeKind::Opf);
+        lossy_open.traffic = Some(crate::TrafficSpec::default());
+        lossy_open.faults = Some(faults::FaultProfile {
+            drop_p: 0.02,
+            ..faults::FaultProfile::default()
+        });
+        let mut cluster = classic(RuntimeKind::Opf);
+        cluster.targets = 2;
+        cluster.migrations = vec![cluster::MigrationSpec {
+            tenant: 1,
+            at_s: 0.001,
+            to_target: 0,
+        }];
+        let shapes = [
+            classic(RuntimeKind::Spdk),
+            classic(RuntimeKind::Opf),
+            lossy_open,
+            cluster,
+        ];
+        for mut sc in shapes {
+            for measure_s in [0.0, 0.003] {
+                sc.warmup_s = 0.0;
+                sc.measure_s = measure_s;
+                let (_, nodes, tenants) = run_stack(&sc);
+                let target = either!(&nodes[0].target, AnyTarget, t => probe(t));
+                let initiator = either!(&tenants[1].ini.0, AnyInitiator, i => probe(i));
+                assert!(target() && initiator());
+                drop((nodes, tenants));
+                assert!(!target(), "target outlives its run ({sc:?})");
+                assert!(!initiator(), "initiator outlives its run ({sc:?})");
+            }
+        }
     }
 
     #[test]

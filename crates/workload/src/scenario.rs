@@ -142,20 +142,20 @@ pub struct Scenario {
     /// (DESIGN.md §13) — any value replays bit-identically to 1 — which
     /// the shard-differential test suite enforces.
     pub shards: usize,
-    /// Number of NVMe-oF targets in the cluster. 1 (the default) runs
-    /// the classic single-target path, bit-identical to pre-cluster
-    /// builds; >1 switches to the cluster runner: per-target
+    /// Number of NVMe-oF targets per pair. 1 (the default) is the
+    /// paper's topology, bit-identical to pre-cluster builds; >1 makes
+    /// the run a cluster ([`Scenario::is_cluster`]): per-target
     /// endpoints/SSDs behind a leaf/spine fabric, tenants spread by
     /// `placement`, and the cluster priority manager ticking
-    /// (DESIGN.md §16). Cluster mode is NVMe-oPF only.
+    /// (DESIGN.md §16). Cluster mode is NVMe-oPF only, one pair.
     pub targets: usize,
     /// How tenants map onto targets (and, through the same trait, onto
     /// kernel lanes). Round-robin reproduces the historical assignment
     /// exactly.
     pub placement: PlacementSpec,
     /// Live migrations to run, each moving one tenant to another target
-    /// mid-measurement. Non-empty forces the cluster runner and the
-    /// recovery plane (retry + re-drain) on, since the post-move
+    /// mid-measurement. Non-empty makes the run a cluster and so arms
+    /// the recovery plane (retry + re-drain), since the post-move
     /// re-drive rides the recovery re-issue path.
     pub migrations: Vec<MigrationSpec>,
     /// Route cross-lane schedules through the kernel's mailbox-doorbell
@@ -173,6 +173,70 @@ pub struct Scenario {
     /// generator — legacy runs are byte-identical.
     pub traffic: Option<crate::traffic::TrafficSpec>,
 }
+
+/// Why a [`Scenario`] cannot be run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// `ls_per_node + tc_per_node` exceeds the tenant-id space.
+    TooManyTenants {
+        /// Tenants per node asked for.
+        tenants: usize,
+        /// Largest count the scenario's mode can address.
+        max: usize,
+    },
+    /// A cluster on the baseline runtime, which has no placement,
+    /// manager or migration plane.
+    ClusterNeedsOpf,
+    /// A cluster with `pairs != 1`: the targets axis replaces the pairs
+    /// axis.
+    ClusterNeedsOnePair {
+        /// Pairs asked for.
+        pairs: usize,
+    },
+    /// A migration names a tenant the node does not have.
+    MigrationTenantOutOfRange {
+        /// Tenant index asked for.
+        tenant: usize,
+        /// Tenants per node.
+        tenants: usize,
+    },
+    /// A migration names a target the cluster does not have.
+    MigrationTargetOutOfRange {
+        /// Destination asked for.
+        to_target: usize,
+        /// Cluster size.
+        targets: usize,
+    },
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ScenarioError::TooManyTenants { tenants, max } => write!(
+                f,
+                "{tenants} tenants per node exceed the tenant-id space (at most {max} here)"
+            ),
+            ScenarioError::ClusterNeedsOpf => write!(
+                f,
+                "cluster scenarios (targets > 1 or migrations) require the NVMe-oPF runtime"
+            ),
+            ScenarioError::ClusterNeedsOnePair { pairs } => write!(
+                f,
+                "cluster scenarios replace the pairs axis with the targets axis (pairs = {pairs}, want 1)"
+            ),
+            ScenarioError::MigrationTenantOutOfRange { tenant, tenants } => write!(
+                f,
+                "migration tenant {tenant} out of range ({tenants} tenants per node)"
+            ),
+            ScenarioError::MigrationTargetOutOfRange { to_target, targets } => write!(
+                f,
+                "migration to_target {to_target} out of range (targets = {targets})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
 
 impl Scenario {
     /// A 1 LS : 1 TC two-tenant scenario on one pair — the Figure 6(a)
@@ -228,10 +292,57 @@ impl Scenario {
         format!("{}:{}", self.ls_per_node, self.tc_per_node)
     }
 
-    /// True when the scenario needs the cluster runner: more than one
-    /// target, or any live migration scheduled.
+    /// True when the run is a cluster: more than one target, or any
+    /// live migration scheduled. The runner installs the cluster plane
+    /// (switched topology, manager ticks, migrations, always-armed
+    /// recovery) exactly when this holds.
     pub fn is_cluster(&self) -> bool {
         self.targets > 1 || !self.migrations.is_empty()
+    }
+
+    /// Reject scenarios the runner cannot build. Every entry point that
+    /// turns outside input into a `Scenario` (sweep and campaign specs,
+    /// `repro` flags) calls this and reports the error; [`crate::run`]
+    /// calls it once more as its only precondition.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let tenants = self.ls_per_node + self.tc_per_node;
+        // Tenant ids are `slot as u8` with 255 reserved for the shared
+        // queue. An NVMe-oPF target packs the id into the 6-bit owner
+        // field of its CID-queue keys, so ids past 63 would alias; the
+        // cluster plane has always stopped one short of that.
+        let max = match (self.is_cluster(), self.runtime) {
+            (true, _) => 63,
+            (false, RuntimeKind::Opf) => 64,
+            (false, RuntimeKind::Spdk) => 254,
+        };
+        if tenants > max {
+            return Err(ScenarioError::TooManyTenants { tenants, max });
+        }
+        if !self.is_cluster() {
+            return Ok(());
+        }
+        if self.runtime != RuntimeKind::Opf {
+            return Err(ScenarioError::ClusterNeedsOpf);
+        }
+        if self.pairs != 1 {
+            return Err(ScenarioError::ClusterNeedsOnePair { pairs: self.pairs });
+        }
+        let targets = self.targets.max(1);
+        for m in &self.migrations {
+            if m.tenant >= tenants {
+                return Err(ScenarioError::MigrationTenantOutOfRange {
+                    tenant: m.tenant,
+                    tenants,
+                });
+            }
+            if m.to_target >= targets {
+                return Err(ScenarioError::MigrationTargetOutOfRange {
+                    to_target: m.to_target,
+                    targets,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Resolve the window policy for this scenario.
@@ -268,6 +379,95 @@ mod tests {
         assert_eq!(s.resolve_window(), opf::WindowPolicy::Static(32));
         let s = Scenario::two_tenant(RuntimeKind::Opf, Gbps::G10, Mix::READ);
         assert_eq!(s.resolve_window(), opf::WindowPolicy::Static(16));
+    }
+
+    #[test]
+    fn validate_rejects_what_the_runner_cannot_build() {
+        use ScenarioError::*;
+        let opf = || Scenario::ratio(RuntimeKind::Opf, Gbps::G100, Mix::READ, 1, 4);
+        let cluster = || Scenario {
+            targets: 2,
+            ..opf()
+        };
+        let moving = |tenant, to_target| Scenario {
+            migrations: vec![MigrationSpec {
+                tenant,
+                at_s: 0.01,
+                to_target,
+            }],
+            ..cluster()
+        };
+        let cases: [(Scenario, Result<(), ScenarioError>); 10] = [
+            (opf(), Ok(())),
+            (cluster(), Ok(())),
+            (moving(4, 1), Ok(())),
+            (
+                Scenario {
+                    tc_per_node: 64,
+                    ..opf()
+                },
+                Err(TooManyTenants {
+                    tenants: 65,
+                    max: 64,
+                }),
+            ),
+            (
+                Scenario {
+                    ls_per_node: 0,
+                    tc_per_node: 255,
+                    runtime: RuntimeKind::Spdk,
+                    ..opf()
+                },
+                Err(TooManyTenants {
+                    tenants: 255,
+                    max: 254,
+                }),
+            ),
+            (
+                Scenario {
+                    tc_per_node: 63,
+                    ..cluster()
+                },
+                Err(TooManyTenants {
+                    tenants: 64,
+                    max: 63,
+                }),
+            ),
+            (
+                Scenario {
+                    runtime: RuntimeKind::Spdk,
+                    ..cluster()
+                },
+                Err(ClusterNeedsOpf),
+            ),
+            (
+                Scenario {
+                    pairs: 2,
+                    ..cluster()
+                },
+                Err(ClusterNeedsOnePair { pairs: 2 }),
+            ),
+            (
+                moving(5, 1),
+                Err(MigrationTenantOutOfRange {
+                    tenant: 5,
+                    tenants: 5,
+                }),
+            ),
+            (
+                moving(1, 2),
+                Err(MigrationTargetOutOfRange {
+                    to_target: 2,
+                    targets: 2,
+                }),
+            ),
+        ];
+        for (sc, want) in cases {
+            assert_eq!(sc.validate(), want, "{sc:?}");
+            if let Err(e) = want {
+                assert!(!e.to_string().is_empty());
+            }
+        }
     }
 
     #[test]

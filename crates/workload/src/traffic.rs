@@ -349,7 +349,7 @@ impl TrafficSpec {
                 }
                 ArrivalModel::Phased { phases }
             }
-            _ => unreachable!("model validated above"),
+            other => return Err(err("", &format!("unknown model \"{other}\""))),
         };
         Ok(spec)
     }

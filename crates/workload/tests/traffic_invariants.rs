@@ -2,7 +2,8 @@
 //!
 //! For every arrival model (Poisson, bursty, diurnal, phased, churn
 //! storm) × both runtimes × an optional lossy fault plane × random shard
-//! counts, every run must satisfy:
+//! counts × one target or a 2-target cluster (NVMe-oPF only), every run
+//! must satisfy:
 //!
 //! 1. **Seed determinism**: running the same scenario twice yields the
 //!    identical whole-cluster metric snapshot.
@@ -26,12 +27,12 @@ fn snapshot(r: &workload::RunResult) -> Vec<(String, f64)> {
     r.metrics.iter().map(|(n, v)| (n.to_string(), v)).collect()
 }
 
-/// One of the five campaign traffic shapes. Under a lossy plane the
-/// open-loop tenants stay read-only: write workloads under loss stall
-/// non-drain batches by design (DESIGN.md §11), same caveat as
-/// `shard_invariants`.
-fn model_spec(model: usize, lossy: bool) -> TrafficSpec {
-    let read_only = if lossy { Some(1.0) } else { None };
+/// One of the five campaign traffic shapes. With recovery armed (a
+/// lossy plane, or any cluster) the open-loop tenants stay read-only:
+/// write workloads under retry timers stall non-drain batches by design
+/// (DESIGN.md §11), same caveat as `shard_invariants`.
+fn model_spec(model: usize, recovering: bool) -> TrafficSpec {
+    let read_only = if recovering { Some(1.0) } else { None };
     let base = TrafficSpec {
         rate_kiops: 40.0,
         read_fraction: read_only,
@@ -76,7 +77,7 @@ fn model_spec(model: usize, lossy: bool) -> TrafficSpec {
                     Phase {
                         dur_ms: 5.0,
                         rate_kiops: 80.0,
-                        read_fraction: if lossy { 1.0 } else { 0.0 },
+                        read_fraction: if recovering { 1.0 } else { 0.0 },
                         blocks: Some(4),
                     },
                 ],
@@ -95,14 +96,16 @@ proptest! {
         runtime_opf in any::<bool>(),
         shards in 2usize..=4,
         lossy in any::<bool>(),
+        targets in 1usize..=2,
         seed in 1u64..256,
     ) {
-        let runtime = if runtime_opf { RuntimeKind::Opf } else { RuntimeKind::Spdk };
+        let runtime = if runtime_opf || targets > 1 { RuntimeKind::Opf } else { RuntimeKind::Spdk };
         let mut sc = Scenario::ratio(runtime, fabric::Gbps::G100, Mix::READ, 1, 2);
+        sc.targets = targets;
         sc.warmup_s = 0.01;
         sc.measure_s = 0.04;
         sc.seed = seed;
-        sc.traffic = Some(model_spec(model, lossy));
+        sc.traffic = Some(model_spec(model, lossy || targets > 1));
         if lossy {
             sc.faults = Some(FaultProfile {
                 drop_p: 0.03,
@@ -143,11 +146,19 @@ proptest! {
             m.get("traffic.done"), Some(offered),
             "offered vs completed arrivals diverged"
         );
-        if lossy || matches!(model, 3) {
-            prop_assert_eq!(m.get("faults.retry_exhausted"), Some(0.0));
-            let f_offered = m.get("faults.offered").unwrap_or(0.0);
+        // A cluster always arms recovery and reports it under
+        // `recovery.`; a single target only with a fault plane, under
+        // `faults.`.
+        let aggregates = if targets > 1 {
+            Some("recovery")
+        } else {
+            (lossy || matches!(model, 3)).then_some("faults")
+        };
+        if let Some(p) = aggregates {
+            prop_assert_eq!(m.get(&format!("{p}.retry_exhausted")), Some(0.0));
+            let f_offered = m.get(&format!("{p}.offered")).unwrap_or(0.0);
             prop_assert!(f_offered > 0.0);
-            prop_assert_eq!(m.get("faults.goodput"), Some(f_offered));
+            prop_assert_eq!(m.get(&format!("{p}.goodput")), Some(f_offered));
         }
         for i in 0..3 {
             prop_assert_eq!(
