@@ -1,7 +1,7 @@
 //! Explicit-state model checker for the CID lifecycle.
 //!
 //! A small, exact model of the protocol plane's command-identifier
-//! lifecycle: initiator slot epochs (`core::initiator::RetrySlot`), the
+//! lifecycle: initiator slot epochs (`nvmf::initiator::RetrySlot`), the
 //! TC completion queue (`queues::cid::CidQueue` with capacity
 //! `qd + window`), the target's recovery live-set keyed by
 //! `(cid, epoch)`, and an adversary that can drop, duplicate, replay,

@@ -1,82 +1,47 @@
-//! The NVMe-oPF initiator Priority Manager (Algorithms 1 and 2).
+//! The NVMe-oPF initiator Priority Manager (Algorithms 1 and 2): class
+//! tagging, the CID queue, the window and its drain timer, coalesced
+//! completion, `flush`, `rehome` and the dynamic window — a
+//! [`PriorityPolicy`] over the one transport initiator in `nvmf`.
 
 use crate::config::{OpfInitiatorConfig, ReqClass, WindowPolicy};
 use crate::error::{ProtocolError, ProtocolSide};
 use crate::window::DynamicWindow;
 use bytes::Bytes;
 use fabric::{Endpoint, Network};
-use nvme::{Opcode, Sqe, Status};
-use nvmf::initiator::TargetRx;
-use nvmf::qpair::{IoCallback, QPair, ReqCtx};
-use nvmf::{CpuCosts, IoOutcome, Pdu, Priority};
+use nvme::{Cqe, Opcode, Sqe, Status};
+use nvmf::initiator::{PriorityPolicy, TargetRx, Violation};
+use nvmf::qpair::IoCallback;
+use nvmf::{CpuCosts, Pdu, Priority, SpdkInitiator};
 use queues::{CidQueue, CompleteResult};
-use simkit::{Kernel, Metrics, MetricsSource, Resource, Shared, SimTime, Tracer};
+use simkit::{Kernel, Metrics, MetricsSource, Shared, SimTime, Tracer};
 use std::collections::VecDeque;
 
-/// Initiator-side counters.
+/// Priority Manager counters; the transport's are in
+/// [`OpfInitiator::io`]`.stats`.
 #[derive(Clone, Debug, Default)]
 pub struct OpfInitiatorStats {
-    /// Commands submitted (all classes).
-    pub submitted: u64,
     /// LS commands submitted.
     pub ls_submitted: u64,
     /// TC commands submitted.
     pub tc_submitted: u64,
     /// Draining flags sent.
     pub drains_sent: u64,
-    /// Commands completed.
-    pub completed: u64,
-    /// Error completions.
-    pub errors: u64,
-    /// Response capsules received (coalesced + LS).
-    pub resps_rx: u64,
     /// Requests completed via coalesced responses.
     pub coalesced_completions: u64,
-    /// C2H data PDUs received.
-    pub data_rx: u64,
-    /// R2T PDUs received.
-    pub r2ts_rx: u64,
-    /// Payload bytes read.
-    pub bytes_read: u64,
-    /// Payload bytes written.
-    pub bytes_written: u64,
     /// Times the dynamic optimizer changed the window.
     pub window_changes: u64,
-    /// Protocol violations detected (malformed/misdirected PDUs). The
-    /// offending PDU is dropped; the sim keeps running.
-    pub protocol_errors: u64,
     /// Summed drain latency (draining flag sent → coalesced response
     /// received), in nanoseconds of virtual time.
     pub drain_latency_sum_ns: u64,
     /// Number of drain round trips measured.
     pub drain_latency_count: u64,
-    /// Commands retransmitted after a response timeout (recovery mode).
-    pub retries: u64,
-    /// Commands failed locally after exhausting the retry budget.
-    pub retry_exhausted: u64,
     /// Draining flags retransmitted after the redrain timeout.
     pub redrains: u64,
-    /// Stale or duplicate responses suppressed (recovery mode).
-    pub dup_resps_suppressed: u64,
     /// Times this initiator was rehomed onto a new target by a live
     /// migration (DESIGN.md §16).
     pub rehomes: u64,
     /// Outstanding commands re-driven at the destination after a rehome.
     pub rehome_redrives: u64,
-}
-
-/// Per-CID retransmission bookkeeping (mirrors the `nvmf` initiator).
-#[derive(Clone, Default)]
-struct RetrySlot {
-    /// Bumped on every (re)allocation and completion of the CID, so an
-    /// expiry timer armed for an earlier command finds a mismatch and
-    /// dies instead of retransmitting the CID's new occupant.
-    epoch: u64,
-    /// Retransmissions attempted for the current command.
-    attempts: u32,
-    /// Write payload copy: the live payload is consumed by the first
-    /// R2T exchange, so a retransmitted write serves re-grants from here.
-    payload: Option<Bytes>,
 }
 
 /// What the drain-timeout path found when the current window is empty.
@@ -86,32 +51,17 @@ enum StaleDrain {
     /// Outstanding drains exist but the oldest is not overdue yet.
     Wait,
     /// The oldest outstanding drain is overdue: retransmit it.
-    Resend {
-        cid: u16,
-        opcode: Opcode,
-        slba: u64,
-        blocks: u16,
-        priority: Priority,
-    },
+    Resend(Sqe, Priority),
 }
 
-/// The NVMe-oPF initiator.
-///
-/// Wraps the same qpair/fabric plumbing as [`nvmf::SpdkInitiator`] and
-/// adds the Priority Manager: per-request class tags, automatic draining
+/// The NVMe-oPF initiator: the transport initiator
+/// ([`nvmf::SpdkInitiator`] — queue pair, retry, wire, completion) plus
+/// the Priority Manager: per-request class tags, automatic draining
 /// every `window` TC requests, a lock-free zero-copy CID queue, and
 /// batched completion marking on coalesced responses.
 pub struct OpfInitiator {
-    /// Tenant identifier carried in every command capsule (§IV-A: eight
-    /// reserved PDU bits).
-    pub id: u8,
-    qpair: QPair,
-    cpu: Resource,
-    net: Network,
-    ep: Shared<Endpoint>,
-    target_ep: Shared<Endpoint>,
-    target_rx: TargetRx,
-    costs: CpuCosts,
+    /// The transport this Priority Manager drives.
+    pub io: SpdkInitiator,
     cfg: OpfInitiatorConfig,
     /// Pending TC CIDs in issue order (Algorithm 1's queue).
     cid_queue: CidQueue,
@@ -123,8 +73,6 @@ pub struct OpfInitiator {
     /// hazard ("request completions may never return and the NVMe-oPF
     /// initiator will lock").
     window: u32,
-    /// Queue depth, the clamp bound.
-    qd: u32,
     dynamic: Option<DynamicWindow>,
     /// Bumped whenever a drain is sent; the drain-timeout event only
     /// fires a flush when its captured generation is still current.
@@ -140,9 +88,6 @@ pub struct OpfInitiator {
     /// dequeued CIDs travel into the deferred completion event and the
     /// emptied buffer returns here, so steady-state drains never allocate.
     cid_pool: Vec<Vec<u16>>,
-    /// Retransmission slots, one per CID (empty when retry is disabled).
-    slots: Vec<RetrySlot>,
-    tracer: Tracer,
     /// Counters.
     pub stats: OpfInitiatorStats,
     /// Most recent protocol violation, kept for diagnostics.
@@ -169,47 +114,28 @@ impl OpfInitiator {
             WindowPolicy::Static(_) => None,
         };
         let cap = cfg.cid_queue_capacity.max(qd + window as usize);
-        let slots = if cfg.retry.is_some() {
-            vec![RetrySlot::default(); qd]
-        } else {
-            Vec::new()
-        };
-        let mut qpair = QPair::new(qd);
-        if cfg.retry.is_some() || cfg.redrain_timeout.is_some() {
-            // FIFO CID reuse widens the window before a freed CID names a
-            // new command — a stale duplicate response must not be
-            // misattributed to the CID's next occupant.
-            qpair.set_fifo_recycle(true);
+        let mut io = SpdkInitiator::new(id, qd, net, ep, target_ep, target_rx, costs, tracer);
+        if let Some(policy) = cfg.retry {
+            io.set_retry(policy);
+        }
+        if cfg.redrain_timeout.is_some() {
+            // A re-sent drain duplicates responses just as a retry does.
+            io.enable_recovery();
         }
         OpfInitiator {
-            id,
-            qpair,
-            cpu: Resource::new("opf_initiator_cpu"),
-            net,
-            ep,
-            target_ep,
-            target_rx,
-            costs,
+            io,
             cfg,
             cid_queue: CidQueue::new(cap),
             sent_in_window: 0,
             window,
-            qd: qd as u32,
             dynamic,
             window_generation: 0,
             timer_armed: false,
             drain_sent_at: VecDeque::new(),
             cid_pool: Vec::new(),
-            slots,
-            tracer,
             stats: OpfInitiatorStats::default(),
             last_protocol_error: None,
         }
-    }
-
-    /// True when any fault-recovery mechanism is configured.
-    fn recovery(&self) -> bool {
-        self.cfg.retry.is_some() || self.cfg.redrain_timeout.is_some()
     }
 
     /// Most recent protocol violation, if any.
@@ -219,32 +145,30 @@ impl OpfInitiator {
 
     /// Record a protocol violation: count it, keep it for diagnostics,
     /// trace it — and let the caller drop the offending PDU.
-    fn note_protocol_error(&mut self, now: simkit::SimTime, err: ProtocolError) {
-        self.stats.protocol_errors += 1;
-        self.tracer
-            .emit(now, "opf.protocol_error", u32::from(self.id), 0);
+    fn note_protocol_error(&mut self, now: SimTime, err: ProtocolError) {
+        self.io.stats.protocol_errors += 1;
+        self.io.trace(now, "opf.protocol_error", 0);
         self.last_protocol_error = Some(err);
     }
 
     /// Queue pair depth.
     pub fn queue_depth(&self) -> usize {
-        self.qpair.depth()
+        self.io.queue_depth()
     }
 
     /// Commands currently in flight.
     pub fn inflight(&self) -> usize {
-        self.qpair.inflight()
+        self.io.inflight()
     }
 
     /// True when another command can be issued.
     pub fn has_capacity(&self) -> bool {
-        self.qpair.has_capacity()
+        self.io.has_capacity()
     }
 
-    /// Drop the callbacks of commands still in flight (teardown; see
-    /// [`QPair::abort_all`]).
+    /// Drop the callbacks of commands still in flight (teardown).
     pub fn abort_pending(&mut self) {
-        self.qpair.abort_all();
+        self.io.abort_pending();
     }
 
     /// The window size currently in force.
@@ -274,34 +198,14 @@ impl OpfInitiator {
         payload: Option<Bytes>,
         cb: IoCallback,
     ) -> Option<u16> {
-        let (cid, priority, finish, epoch) = {
+        let (cid, epoch, priority, at, arm_drain) = {
             let mut i = this.borrow_mut();
-            let payload_copy = if i.cfg.retry.is_some() {
-                payload.clone()
-            } else {
-                None
-            };
-            let ctx = ReqCtx {
-                opcode,
-                slba,
-                blocks,
-                payload,
-                data: None,
-                priority: Priority::None, // final value set below
-                issued_at: k.now(),
-                cb,
-            };
-            let cid = i.qpair.begin(ctx)?;
-            let epoch = if i.cfg.retry.is_some() {
-                let slot = &mut i.slots[cid as usize];
-                slot.epoch += 1;
-                slot.attempts = 0;
-                slot.payload = payload_copy;
-                slot.epoch
-            } else {
-                0
-            };
-            i.stats.submitted += 1;
+            let i = &mut *i;
+            let now = k.now();
+            // The tag needs the CID (it goes on the CID queue and names
+            // the drain), so the context starts untagged.
+            let (cid, epoch) =
+                i.io.begin(now, opcode, slba, blocks, payload, Priority::None, cb)?;
             let priority = match class {
                 ReqClass::LatencySensitive => {
                     i.stats.ls_submitted += 1;
@@ -320,177 +224,39 @@ impl OpfInitiator {
                         i.sent_in_window = 0;
                         i.window_generation += 1;
                         i.stats.drains_sent += 1;
-                        i.drain_sent_at.push_back((k.now(), cid));
-                        i.tracer
-                            .emit(k.now(), "opf.drain_tx", u32::from(i.id), u64::from(cid));
+                        i.drain_sent_at.push_back((now, cid));
+                        i.io.trace(now, "opf.drain_tx", u64::from(cid));
                     }
                     Priority::ThroughputCritical { draining }
                 }
             };
-            if let Some(ctx) = i.qpair.get_mut(cid) {
+            if let Some(ctx) = i.io.outstanding(cid) {
                 ctx.priority = priority;
             }
-            let c = i.costs.ini_submit;
-            let finish = i.cpu.reserve(k.now(), c).finish;
-            (cid, priority, finish, epoch)
+            // A draining submit historically never armed the timer (its
+            // own response resolves the window) — but with redrain enabled
+            // the timer doubles as the drain-loss watchdog, so it must run.
+            let arm_drain =
+                priority.is_tc() && (!priority.is_draining() || i.cfg.redrain_timeout.is_some());
+            (cid, epoch, priority, i.io.reserve_submit(now), arm_drain)
         };
-        let redrain = this.borrow().cfg.redrain_timeout.is_some();
-        // A draining submit historically never armed the timer (its own
-        // response resolves the window) — but with redrain enabled the
-        // timer doubles as the drain-loss watchdog, so it must run.
-        if priority.is_tc() && (!priority.is_draining() || redrain) {
+        // Kernel sequence stamps break ties: drain timer, then the wire
+        // send, then the expiry timer.
+        if arm_drain {
             Self::arm_drain_timer(this, k);
         }
-        Self::send_cmd_at(this, k, finish, opcode, cid, slba, blocks, priority);
+        let sqe = SpdkInitiator::build_sqe(opcode, cid, slba, blocks);
+        SpdkInitiator::send_cmd_at(this, k, at, sqe, priority);
         // Only commands that receive a direct response get an expiry
         // timer: LS commands and draining flags. Non-draining TC commands
         // complete through a later drain, so an individual timeout would
         // misfire on every healthy coalesced window.
-        if this.borrow().cfg.retry.is_some() && (priority.is_ls() || priority.is_draining()) {
-            Self::arm_expiry(this, k, cid, epoch);
+        if let Some(epoch) = epoch {
+            if priority.is_ls() || priority.is_draining() {
+                SpdkInitiator::arm_expiry(this, k, cid, epoch);
+            }
         }
         Some(cid)
-    }
-
-    /// Schedule a command capsule onto the wire at `at` (the CPU work was
-    /// already reserved by the caller). Shared by first transmission,
-    /// retry, and redrain.
-    #[allow(clippy::too_many_arguments)]
-    fn send_cmd_at(
-        this: &Shared<OpfInitiator>,
-        k: &mut Kernel,
-        at: SimTime,
-        opcode: Opcode,
-        cid: u16,
-        slba: u64,
-        blocks: u16,
-        priority: Priority,
-    ) {
-        let this2 = this.clone();
-        k.schedule_at(at, move |k| {
-            let i = this2.borrow();
-            let sqe = match opcode {
-                Opcode::Read => Sqe::read(cid, 1, slba, blocks),
-                Opcode::Write => Sqe::write(cid, 1, slba, blocks),
-                Opcode::Flush => Sqe {
-                    opcode,
-                    cid,
-                    nsid: 1,
-                    slba: 0,
-                    nlb: 0,
-                },
-            };
-            let pdu = Pdu::CapsuleCmd {
-                sqe,
-                priority,
-                initiator: i.id,
-            };
-            let rx = i.target_rx.clone();
-            let from = i.id;
-            i.net
-                .send(k, &i.ep, &i.target_ep, pdu.wire_len(), move |k| {
-                    rx(k, from, pdu)
-                });
-        });
-    }
-
-    /// Arm the per-command expiry timer for `cid` at the backoff implied
-    /// by its attempt count. The captured epoch invalidates the timer if
-    /// the command completes (or the CID is reused) first.
-    fn arm_expiry(this: &Shared<OpfInitiator>, k: &mut Kernel, cid: u16, epoch: u64) {
-        let backoff = {
-            let i = this.borrow();
-            let Some(policy) = i.cfg.retry else {
-                return;
-            };
-            policy.timeout * (1u64 << i.slots[cid as usize].attempts.min(16))
-        };
-        let this2 = this.clone();
-        k.schedule_in(backoff, move |k| {
-            Self::on_expiry(&this2, k, cid, epoch);
-        });
-    }
-
-    /// A command's expiry timer fired: retransmit it, or fail it locally
-    /// once the budget is spent. Stale timers (epoch mismatch, CID no
-    /// longer outstanding) die silently.
-    fn on_expiry(this: &Shared<OpfInitiator>, k: &mut Kernel, cid: u16, epoch: u64) {
-        enum Act {
-            Exhausted,
-            Resend(SimTime, Opcode, u64, u16, Priority),
-        }
-        let act = {
-            let mut i = this.borrow_mut();
-            let Some(policy) = i.cfg.retry else {
-                return;
-            };
-            if i.slots[cid as usize].epoch != epoch {
-                return;
-            }
-            let Some((opcode, slba, blocks, priority)) = i
-                .qpair
-                .get_mut(cid)
-                .map(|c| (c.opcode, c.slba, c.blocks, c.priority))
-            else {
-                return;
-            };
-            if i.slots[cid as usize].attempts >= policy.max_retries {
-                i.stats.retry_exhausted += 1;
-                i.tracer.emit(
-                    k.now(),
-                    "opf.retry_exhausted",
-                    u32::from(i.id),
-                    u64::from(cid),
-                );
-                Act::Exhausted
-            } else {
-                i.slots[cid as usize].attempts += 1;
-                i.stats.retries += 1;
-                i.tracer
-                    .emit(k.now(), "opf.retry", u32::from(i.id), u64::from(cid));
-                let c = i.costs.ini_submit;
-                let finish = i.cpu.reserve(k.now(), c).finish;
-                Act::Resend(finish, opcode, slba, blocks, priority)
-            }
-        };
-        match act {
-            Act::Exhausted => Self::fail_locally(this, k, cid),
-            Act::Resend(finish, opcode, slba, blocks, priority) => {
-                Self::send_cmd_at(this, k, finish, opcode, cid, slba, blocks, priority);
-                Self::arm_expiry(this, k, cid, epoch);
-            }
-        }
-    }
-
-    /// Complete `cid` (and, for a TC drain, everything queued behind it)
-    /// with an internal error after the retry budget is exhausted.
-    fn fail_locally(this: &Shared<OpfInitiator>, k: &mut Kernel, cid: u16) {
-        let cids = {
-            let mut i = this.borrow_mut();
-            let tc = i
-                .qpair
-                .get_mut(cid)
-                .map(|c| c.priority.is_tc())
-                .unwrap_or(false);
-            if tc {
-                // A failed drain strands its whole window: fail the queued
-                // prefix too, exactly as Algorithm 2 would complete it.
-                let cids = match i.cid_queue.complete_through(cid) {
-                    CompleteResult::Completed(v) => v,
-                    CompleteResult::Missing(mut v) => {
-                        v.push(cid);
-                        v
-                    }
-                };
-                i.drain_sent_at.retain(|&(_, c)| !cids.contains(&c));
-                cids
-            } else {
-                vec![cid]
-            }
-        };
-        for c in cids {
-            Self::complete(this, k, c, Status::InternalError);
-        }
     }
 
     /// Arm (or keep armed) the drain-timeout timer: if the current
@@ -516,14 +282,7 @@ impl OpfInitiator {
                 Done,
                 Rearm,
                 Flush,
-                Redrain {
-                    finish: SimTime,
-                    cid: u16,
-                    opcode: Opcode,
-                    slba: u64,
-                    blocks: u16,
-                    priority: Priority,
-                },
+                Redrain(SimTime, Sqe, Priority),
             }
             let act = {
                 let mut i = this2.borrow_mut();
@@ -538,26 +297,10 @@ impl OpfInitiator {
                     match i.stale_drain(k.now()) {
                         StaleDrain::None => Act::Done,
                         StaleDrain::Wait => Act::Rearm,
-                        StaleDrain::Resend {
-                            cid,
-                            opcode,
-                            slba,
-                            blocks,
-                            priority,
-                        } => {
+                        StaleDrain::Resend(sqe, priority) => {
                             i.stats.redrains += 1;
-                            i.tracer
-                                .emit(k.now(), "opf.redrain", u32::from(i.id), u64::from(cid));
-                            let c = i.costs.ini_submit;
-                            let finish = i.cpu.reserve(k.now(), c).finish;
-                            Act::Redrain {
-                                finish,
-                                cid,
-                                opcode,
-                                slba,
-                                blocks,
-                                priority,
-                            }
+                            i.io.trace(k.now(), "opf.redrain", u64::from(sqe.cid));
+                            Act::Redrain(i.io.reserve_submit(k.now()), sqe, priority)
                         }
                     }
                 } else if i.window_generation != generation {
@@ -579,17 +322,8 @@ impl OpfInitiator {
                         OpfInitiator::arm_drain_timer(&this2, k);
                     }
                 }
-                Act::Redrain {
-                    finish,
-                    cid,
-                    opcode,
-                    slba,
-                    blocks,
-                    priority,
-                } => {
-                    OpfInitiator::send_cmd_at(
-                        &this2, k, finish, opcode, cid, slba, blocks, priority,
-                    );
+                Act::Redrain(at, sqe, priority) => {
+                    SpdkInitiator::send_cmd_at(&this2, k, at, sqe, priority);
                     OpfInitiator::arm_drain_timer(&this2, k);
                 }
             }
@@ -607,11 +341,7 @@ impl OpfInitiator {
             let Some(&(sent, cid)) = self.drain_sent_at.front() else {
                 return StaleDrain::None;
             };
-            let Some((opcode, slba, blocks, priority)) = self
-                .qpair
-                .get_mut(cid)
-                .map(|c| (c.opcode, c.slba, c.blocks, c.priority))
-            else {
+            let Some((sqe, priority)) = self.io.resend_args(cid) else {
                 self.drain_sent_at.pop_front();
                 continue;
             };
@@ -623,13 +353,7 @@ impl OpfInitiator {
             if let Some(front) = self.drain_sent_at.front_mut() {
                 front.0 = now;
             }
-            return StaleDrain::Resend {
-                cid,
-                opcode,
-                slba,
-                blocks,
-                priority,
-            };
+            return StaleDrain::Resend(sqe, priority);
         }
     }
 
@@ -677,7 +401,7 @@ impl OpfInitiator {
                 Some(ref d) => d.current(),
                 None => i.cfg.window.initial().max(1),
             };
-            i.window = w.clamp(1, i.qd);
+            i.window = w.clamp(1, i.io.queue_depth() as u32);
         }
         res
     }
@@ -701,21 +425,12 @@ impl OpfInitiator {
         target_ep: Shared<Endpoint>,
         target_rx: TargetRx,
     ) -> usize {
-        struct Redrive {
-            cid: u16,
-            opcode: Opcode,
-            slba: u64,
-            blocks: u16,
-            priority: Priority,
-            epoch: u64,
-            at: SimTime,
-        }
-        let plan: Vec<Redrive> = {
+        let plan: Vec<(SimTime, Sqe, Priority, Option<u64>)> = {
             let mut i = this.borrow_mut();
-            i.target_ep = target_ep;
-            i.target_rx = target_rx;
+            let i = &mut *i;
+            i.io.retarget(target_ep, target_rx);
             i.stats.rehomes += 1;
-            i.tracer.emit(k.now(), "opf.rehome", u32::from(i.id), 0);
+            i.io.trace(k.now(), "opf.rehome", 0);
             // TC CIDs first, in issue order — the CID queue is the
             // drain-order ground truth. It has no non-destructive
             // iteration, so drain into scratch and re-push identically.
@@ -732,58 +447,34 @@ impl OpfInitiator {
             // Then every other outstanding CID (LS commands), by index.
             let mut order = std::mem::take(&mut tc_cids);
             let tc_n = order.len();
-            for cid in 0..i.qpair.depth() as u16 {
+            for cid in 0..i.io.queue_depth() as u16 {
                 if order[..tc_n].contains(&cid) {
                     continue;
                 }
-                if i.qpair.get_mut(cid).is_some() {
+                if i.io.outstanding(cid).is_some() {
                     order.push(cid);
                 }
             }
-            let retry = i.cfg.retry.is_some();
             let mut plan = Vec::with_capacity(order.len());
             for &cid in &order {
-                let Some((opcode, slba, blocks, priority)) = i
-                    .qpair
-                    .get_mut(cid)
-                    .map(|c| (c.opcode, c.slba, c.blocks, c.priority))
-                else {
+                let Some((sqe, priority)) = i.io.resend_args(cid) else {
                     continue;
                 };
-                let epoch = if retry {
-                    // New incarnation: stale expiry timers die on the
-                    // mismatch, and the retry budget starts fresh at the
-                    // destination.
-                    let slot = &mut i.slots[cid as usize];
-                    slot.epoch += 1;
-                    slot.attempts = 0;
-                    slot.epoch
-                } else {
-                    0
-                };
-                let c = i.costs.ini_submit;
-                let at = i.cpu.reserve(k.now(), c).finish;
-                plan.push(Redrive {
-                    cid,
-                    opcode,
-                    slba,
-                    blocks,
-                    priority,
-                    epoch,
-                    at,
-                });
+                let epoch = i.io.reincarnate(cid);
+                plan.push((i.io.reserve_submit(k.now()), sqe, priority, epoch));
             }
             i.stats.rehome_redrives += plan.len() as u64;
             order.clear();
             i.cid_pool.push(order);
             plan
         };
-        let retry = this.borrow().cfg.retry.is_some();
         let n = plan.len();
-        for r in plan {
-            Self::send_cmd_at(this, k, r.at, r.opcode, r.cid, r.slba, r.blocks, r.priority);
-            if retry && (r.priority.is_ls() || r.priority.is_draining()) {
-                Self::arm_expiry(this, k, r.cid, r.epoch);
+        for (at, sqe, priority, epoch) in plan {
+            SpdkInitiator::send_cmd_at(this, k, at, sqe, priority);
+            if let Some(epoch) = epoch {
+                if priority.is_ls() || priority.is_draining() {
+                    SpdkInitiator::arm_expiry(this, k, sqe.cid, epoch);
+                }
             }
         }
         n
@@ -791,103 +482,80 @@ impl OpfInitiator {
 
     /// Deliver a PDU arriving from the target.
     pub fn on_pdu(this: &Shared<OpfInitiator>, k: &mut Kernel, pdu: Pdu) {
-        match pdu {
-            Pdu::C2HData { cccid, data } => {
-                let finish = {
-                    let mut i = this.borrow_mut();
-                    i.stats.data_rx += 1;
-                    i.stats.bytes_read += data.len() as u64;
-                    let cost = i.costs.ini_on_data;
-                    let finish = i.cpu.reserve(k.now(), cost).finish;
-                    if let Some(ctx) = i.qpair.get_mut(cccid) {
-                        ctx.data = Some(data);
-                    }
-                    finish
-                };
-                k.schedule_at(finish, |_| {});
-            }
-            Pdu::R2T { cccid, r2tl } => Self::on_r2t(this, k, cccid, r2tl),
-            Pdu::CapsuleResp { cqe, priority } => Self::on_resp(this, k, cqe, priority),
-            // A command capsule has no business arriving at an initiator:
-            // record the violation and drop it rather than abort the sim.
-            other => {
-                let mut i = this.borrow_mut();
-                let side = ProtocolSide::Initiator(i.id);
-                i.note_protocol_error(
-                    k.now(),
-                    ProtocolError::UnexpectedPdu {
-                        side,
-                        kind: other.kind(),
-                    },
-                );
-            }
-        }
+        SpdkInitiator::on_pdu(this, k, pdu);
+    }
+}
+
+impl PriorityPolicy for OpfInitiator {
+    const RETRY_TRACE: &'static str = "opf.retry";
+
+    fn transport(&mut self) -> &mut SpdkInitiator {
+        &mut self.io
     }
 
-    fn on_r2t(this: &Shared<OpfInitiator>, k: &mut Kernel, cccid: u16, r2tl: u32) {
-        let (finish, data) = {
+    fn violation(&mut self, now: SimTime, v: Violation) {
+        let id = self.io.id;
+        let side = ProtocolSide::Initiator(id);
+        self.note_protocol_error(
+            now,
+            match v {
+                Violation::UnexpectedPdu(kind) => ProtocolError::UnexpectedPdu { side, kind },
+                Violation::UnknownCid(cid) => ProtocolError::UnknownCid { side, cid },
+                Violation::R2tWithoutPayload(cid) => {
+                    ProtocolError::R2tWithoutPayload { initiator: id, cid }
+                }
+            },
+        );
+    }
+
+    /// Complete `cid` (and, for a TC drain, everything queued behind it)
+    /// with an internal error after the retry budget is exhausted — a
+    /// per-command failure would strand the rest of the window.
+    fn retry_exhausted(this: &Shared<OpfInitiator>, k: &mut Kernel, cid: u16) {
+        let cids = {
             let mut i = this.borrow_mut();
-            i.stats.r2ts_rx += 1;
-            let id = i.id;
-            let mut taken = match i.qpair.get_mut(cccid) {
-                None => Err(ProtocolError::UnknownCid {
-                    side: ProtocolSide::Initiator(id),
-                    cid: cccid,
-                }),
-                Some(ctx) => ctx.payload.take().ok_or(ProtocolError::R2tWithoutPayload {
-                    initiator: id,
-                    cid: cccid,
-                }),
-            };
-            // Retransmitted write: the live payload was consumed by the
-            // first (lost) exchange — serve the re-grant from the retry
-            // copy instead of flagging a protocol violation.
-            if taken.is_err() && i.cfg.retry.is_some() && i.qpair.get_mut(cccid).is_some() {
-                if let Some(copy) = i.slots[cccid as usize].payload.clone() {
-                    taken = Ok(copy);
-                }
+            i.io.trace(k.now(), "opf.retry_exhausted", u64::from(cid));
+            let tc =
+                i.io.outstanding(cid)
+                    .map(|c| c.priority.is_tc())
+                    .unwrap_or(false);
+            if tc {
+                // A failed drain strands its whole window: fail the queued
+                // prefix too, exactly as Algorithm 2 would complete it.
+                let cids = match i.cid_queue.complete_through(cid) {
+                    CompleteResult::Completed(v) => v,
+                    CompleteResult::Missing(mut v) => {
+                        v.push(cid);
+                        v
+                    }
+                };
+                i.drain_sent_at.retain(|&(_, c)| !cids.contains(&c));
+                cids
+            } else {
+                vec![cid]
             }
-            let data = match taken {
-                Ok(d) => d,
-                Err(e) => {
-                    i.note_protocol_error(k.now(), e);
-                    return;
-                }
-            };
-            debug_assert_eq!(data.len(), r2tl as usize);
-            let cost = i.costs.ini_on_r2t + i.costs.ini_send_data;
-            let finish = i.cpu.reserve(k.now(), cost).finish;
-            (finish, data)
         };
-        let this2 = this.clone();
-        k.schedule_at(finish, move |k| {
-            let mut i = this2.borrow_mut();
-            i.stats.bytes_written += data.len() as u64;
-            let pdu = Pdu::H2CData { cccid, data };
-            let rx = i.target_rx.clone();
-            let from = i.id;
-            i.net
-                .send(k, &i.ep, &i.target_ep, pdu.wire_len(), move |k| {
-                    rx(k, from, pdu)
-                });
-        });
+        for c in cids {
+            SpdkInitiator::complete(this, k, c, Status::InternalError);
+        }
     }
 
     /// Algorithm 2: a response for a draining TC request marks every
     /// queued CID up to and including it complete, in issue order. LS
     /// responses complete a single request as in the baseline.
-    fn on_resp(this: &Shared<OpfInitiator>, k: &mut Kernel, cqe: nvme::Cqe, priority: Priority) {
+    fn on_resp(this: &Shared<OpfInitiator>, k: &mut Kernel, cqe: Cqe, priority: Priority) {
         let (finish, cids) = {
             let mut i = this.borrow_mut();
-            i.stats.resps_rx += 1;
+            let i = &mut *i;
+            i.io.stats.resps_rx += 1;
             // The echoed priority bits are wire data an adversary can
             // influence (a forged LS flag on a TC capsule is reflected
             // back by the target); the locally recorded request class is
             // ground truth. Routing a TC completion down the LS path
             // would strand its CID-queue entry until the queue overflows.
-            let priority = match i.qpair.get_mut(cqe.cid).map(|c| c.priority) {
+            let priority = match i.io.outstanding(cqe.cid).map(|c| c.priority) {
                 Some(local) if local.is_tc() != priority.is_tc() => {
-                    let id = i.id;
+                    let id = i.io.id;
                     i.note_protocol_error(
                         k.now(),
                         ProtocolError::RespClassMismatch {
@@ -900,20 +568,20 @@ impl OpfInitiator {
                 _ => priority,
             };
             if priority.is_tc() {
-                let recovery = i.recovery();
+                let recovery = i.io.recovery();
                 if recovery {
                     // Retransmission can produce duplicate and reordered
                     // coalesced responses; completing through a stale one
                     // would mark a CID's *new* occupant complete. A
                     // response is genuine only while its drain CID is
                     // still outstanding.
-                    let outstanding = i.qpair.get_mut(cqe.cid).is_some();
+                    let outstanding = i.io.outstanding(cqe.cid).is_some();
                     let pos = i.drain_sent_at.iter().position(|&(_, c)| c == cqe.cid);
                     if !outstanding {
                         if let Some(idx) = pos {
                             i.drain_sent_at.remove(idx);
                         }
-                        i.stats.dup_resps_suppressed += 1;
+                        i.io.stats.dup_resps_suppressed += 1;
                         return;
                     }
                     if let Some(idx) = pos {
@@ -930,7 +598,7 @@ impl OpfInitiator {
                     // response. Everything dequeued during the search is
                     // still completed (stranding them would leak qpair
                     // slots); the violation is recorded and the sim runs on.
-                    let id = i.id;
+                    let id = i.io.id;
                     i.note_protocol_error(
                         k.now(),
                         ProtocolError::CoalescedCidMissing {
@@ -953,20 +621,16 @@ impl OpfInitiator {
                     i.stats.drain_latency_sum_ns += k.now().since(sent).as_nanos();
                     i.stats.drain_latency_count += 1;
                 }
-                i.tracer.emit(
-                    k.now(),
-                    "opf.coalesced_rx",
-                    u32::from(i.id),
-                    cids.len() as u64,
-                );
+                i.io.trace(k.now(), "opf.coalesced_rx", cids.len() as u64);
                 // One response-processing cost plus per-CID bookkeeping —
                 // the initiator-side saving of coalescing.
-                let cost = i.costs.ini_on_resp + i.cfg.coalesced_complete_each * cids.len() as u64;
-                let finish = i.cpu.reserve(k.now(), cost).finish;
+                let cost =
+                    i.io.costs().ini_on_resp + i.cfg.coalesced_complete_each * cids.len() as u64;
+                let finish = i.io.reserve_cpu(k.now(), cost);
                 // Dynamic window retune (§IV-D).
                 let now = k.now();
                 let batch = cids.len() as u64;
-                let qd = i.qd;
+                let qd = i.io.queue_depth() as u32;
                 if let Some(d) = i.dynamic.as_mut() {
                     if let Some(w) = d.on_drain_complete(now, batch) {
                         let w = w.clamp(1, qd);
@@ -978,8 +642,8 @@ impl OpfInitiator {
                 }
                 (finish, cids)
             } else {
-                let cost = i.costs.ini_on_resp;
-                let finish = i.cpu.reserve(k.now(), cost).finish;
+                let cost = i.io.costs().ini_on_resp;
+                let finish = i.io.reserve_cpu(k.now(), cost);
                 let mut v = i.cid_pool.pop().unwrap_or_default();
                 v.clear();
                 v.push(cqe.cid);
@@ -991,76 +655,23 @@ impl OpfInitiator {
         k.schedule_at(finish, move |k| {
             let mut cids = cids;
             for &cid in &cids {
-                Self::complete(&this2, k, cid, status);
+                SpdkInitiator::complete(&this2, k, cid, status);
             }
             // Return the emptied buffer to the pool for the next drain.
             cids.clear();
             this2.borrow_mut().cid_pool.push(cids);
         });
     }
-
-    fn complete(this: &Shared<OpfInitiator>, k: &mut Kernel, cid: u16, status: Status) {
-        let (ctx, latency) = {
-            let mut i = this.borrow_mut();
-            let Some(ctx) = i.qpair.finish(cid) else {
-                if i.recovery() {
-                    // Duplicate completion raced a retransmission: already
-                    // retired, nothing to do.
-                    i.stats.dup_resps_suppressed += 1;
-                    return;
-                }
-                // Completion for a CID with no inflight command (duplicate
-                // or forged response): record and drop it.
-                let id = i.id;
-                i.note_protocol_error(
-                    k.now(),
-                    ProtocolError::UnknownCid {
-                        side: ProtocolSide::Initiator(id),
-                        cid,
-                    },
-                );
-                return;
-            };
-            if i.cfg.retry.is_some() {
-                // Invalidate any in-flight expiry timer and drop the
-                // payload copy now that the command is done.
-                let slot = &mut i.slots[cid as usize];
-                slot.epoch += 1;
-                slot.payload = None;
-            }
-            i.stats.completed += 1;
-            if !status.is_ok() {
-                i.stats.errors += 1;
-            }
-            let latency = k.now().since(ctx.issued_at);
-            (ctx, latency)
-        };
-        let outcome = IoOutcome {
-            status,
-            data: ctx.data,
-            latency,
-        };
-        (ctx.cb)(k, outcome);
-    }
 }
 
 impl MetricsSource for OpfInitiator {
     fn metrics(&self, now: SimTime) -> Metrics {
-        let mut m = Metrics::at(now);
-        m.set("cpu_util", self.cpu.utilization(now));
-        m.set("inflight", self.qpair.inflight() as f64);
-        m.set("queue_depth", self.qpair.depth() as f64);
+        let mut m = self.io.transport_metrics(now);
         m.set("window", self.window as f64);
         m.set("window_changes", self.stats.window_changes as f64);
         m.set("pending_in_window", self.sent_in_window as f64);
-        m.set("submitted", self.stats.submitted as f64);
         m.set("ls_submitted", self.stats.ls_submitted as f64);
         m.set("tc_submitted", self.stats.tc_submitted as f64);
-        m.set("completed", self.stats.completed as f64);
-        m.set("errors", self.stats.errors as f64);
-        m.set("pdu.resps_rx", self.stats.resps_rx as f64);
-        m.set("pdu.data_rx", self.stats.data_rx as f64);
-        m.set("pdu.r2ts_rx", self.stats.r2ts_rx as f64);
         m.set("drains_sent", self.stats.drains_sent as f64);
         m.set(
             "coalesced_completions",
@@ -1068,8 +679,9 @@ impl MetricsSource for OpfInitiator {
         );
         // Mean completions retired per response processed — the
         // initiator-side saving Figure 6 quantifies.
-        let coalesce_ratio = if self.stats.resps_rx > 0 {
-            self.stats.completed as f64 / self.stats.resps_rx as f64
+        let io = &self.io.stats;
+        let coalesce_ratio = if io.resps_rx > 0 {
+            io.completed as f64 / io.resps_rx as f64
         } else {
             0.0
         };
@@ -1081,17 +693,8 @@ impl MetricsSource for OpfInitiator {
         };
         m.set("drain_latency_avg_us", drain_avg_us);
         m.set("drain_latency_count", self.stats.drain_latency_count as f64);
-        m.set("protocol_errors", self.stats.protocol_errors as f64);
-        // Recovery counters only exist when recovery is configured, so
-        // fault-free snapshots stay bit-identical to the historical ones.
-        if self.recovery() {
-            m.set("retries", self.stats.retries as f64);
-            m.set("retry_exhausted", self.stats.retry_exhausted as f64);
+        if self.io.recovery() {
             m.set("redrains", self.stats.redrains as f64);
-            m.set(
-                "dup_resps_suppressed",
-                self.stats.dup_resps_suppressed as f64,
-            );
         }
         // Migration counters only exist once this initiator was rehomed,
         // so migration-free snapshots stay bit-identical.

@@ -23,10 +23,12 @@
 //!   (network speed, workload mix) plus a runtime hill-climbing
 //!   optimizer that retunes after drain completions.
 //!
-//! The crate deliberately reuses the `nvmf` PDU/cost/qpair layers so the
-//! baseline and NVMe-oPF differ only in the priority logic — the same
+//! The crate deliberately reuses the `nvmf` PDU/cost/qpair layers and
+//! its transport initiator — [`OpfInitiator`] is an
+//! [`nvmf::SpdkInitiator`] plus a [`nvmf::PriorityPolicy`] — so the
+//! baseline and NVMe-oPF differ only in the priority logic: the same
 //! discipline the paper follows by patching SPDK rather than rewriting
-//! it.
+//! it. (The targets are still two implementations.)
 
 pub mod config;
 pub mod error;

@@ -13,7 +13,7 @@
 //! maps and accounting for its assigned initiators, so the §IV-A
 //! never-shared property holds not just per tenant but per core. The two
 //! genuinely shared paths cross reactors explicitly: device submission
-//! travels through a per-reactor [`queues::mailbox`] to the device-owner
+//! travels through a per-reactor [`queues::mailbox()`] to the device-owner
 //! reactor (batched: post × N, one doorbell), and completions hand back
 //! to the owning reactor via a kernel lane switch before the response is
 //! sent. All handoffs are synchronous at simulation-time granularity, so
@@ -1394,7 +1394,7 @@ impl OpfTarget {
     ///
     /// Everything already past staging stays put: drained batches keep
     /// their device in-flight slots (their completions are counted and
-    /// dropped at [`Self::send_to`] once the connection is gone), and
+    /// dropped at `send_to` once the connection is gone), and
     /// writes awaiting H2C data resolve the same way. The initiator
     /// re-drives every outstanding CID at the destination through the
     /// epoch-guarded re-issue path, so nothing stranded here is lost.

@@ -147,8 +147,8 @@ fn redrain_recovers_a_lost_drain() {
     assert_exactly_once(&r.completions.borrow(), &[0, 1, 2, 3]);
     let ini = r.ini.borrow();
     assert_eq!(ini.stats.redrains, 1, "exactly one retransmitted drain");
-    assert_eq!(ini.stats.errors, 0);
-    assert_eq!(ini.stats.protocol_errors, 0);
+    assert_eq!(ini.io.stats.errors, 0);
+    assert_eq!(ini.io.stats.protocol_errors, 0);
 }
 
 /// A lost LS command is retransmitted by its expiry timer.
@@ -169,8 +169,8 @@ fn retry_recovers_a_lost_ls_command() {
     r.k.run_to_completion();
     assert_exactly_once(&r.completions.borrow(), &[0]);
     let ini = r.ini.borrow();
-    assert_eq!(ini.stats.retries, 1);
-    assert_eq!(ini.stats.errors, 0);
+    assert_eq!(ini.io.stats.retries, 1);
+    assert_eq!(ini.io.stats.errors, 0);
 }
 
 /// A lost *coalesced response*: the drain executed at the target but the
@@ -191,8 +191,8 @@ fn lost_coalesced_response_is_redrained() {
     assert_exactly_once(&r.completions.borrow(), &[0, 1, 2, 3]);
     let ini = r.ini.borrow();
     assert!(ini.stats.redrains >= 1, "watchdog must have fired");
-    assert_eq!(ini.stats.errors, 0);
-    assert_eq!(ini.stats.protocol_errors, 0);
+    assert_eq!(ini.io.stats.errors, 0);
+    assert_eq!(ini.io.stats.protocol_errors, 0);
 }
 
 /// Retry budget exhaustion: a command the fabric always eats must fail
@@ -216,9 +216,9 @@ fn retry_exhaustion_fails_locally() {
     assert_eq!(completions.len(), 1);
     assert_eq!(completions[0], (0, Status::InternalError));
     let ini = r.ini.borrow();
-    assert_eq!(ini.stats.retries, 2);
-    assert_eq!(ini.stats.retry_exhausted, 1);
-    assert_eq!(ini.stats.errors, 1);
+    assert_eq!(ini.io.stats.retries, 2);
+    assert_eq!(ini.io.stats.retry_exhausted, 1);
+    assert_eq!(ini.io.stats.errors, 1);
     assert!(ini.has_capacity(), "failed CID must be released");
 }
 
@@ -245,10 +245,10 @@ fn target_suppresses_duplicate_commands() {
     // re-executed drain's second response was suppressed at the
     // initiator — both keep completion exactly-once.
     assert!(
-        tgt.stats.dup_cmds_dropped + ini.stats.dup_resps_suppressed >= 1,
+        tgt.stats.dup_cmds_dropped + ini.io.stats.dup_resps_suppressed >= 1,
         "the raced retransmission must be absorbed somewhere"
     );
-    assert_eq!(ini.stats.errors, 0);
-    assert_eq!(ini.stats.protocol_errors, 0);
+    assert_eq!(ini.io.stats.errors, 0);
+    assert_eq!(ini.io.stats.protocol_errors, 0);
     assert_eq!(tgt.stats.protocol_errors, 0);
 }

@@ -114,7 +114,7 @@ fn coalescing_sends_one_response_per_window() {
     // Data PDUs cannot be coalesced: one per read.
     assert_eq!(t.stats.data_tx, 32);
     let i = r.initiators[0].borrow();
-    assert_eq!(i.stats.resps_rx, 4);
+    assert_eq!(i.io.stats.resps_rx, 4);
     assert_eq!(i.stats.coalesced_completions, 32);
 }
 

@@ -139,7 +139,7 @@ fn initiator_drops_unexpected_pdu() {
     };
     OpfInitiator::on_pdu(&r.inis[0], &mut r.k, stray);
     let ini = r.inis[0].borrow();
-    assert_eq!(ini.stats.protocol_errors, 1);
+    assert_eq!(ini.io.stats.protocol_errors, 1);
     assert!(matches!(
         ini.last_protocol_error(),
         Some(ProtocolError::UnexpectedPdu {
@@ -168,7 +168,7 @@ fn initiator_drops_unknown_cid_completion() {
     );
     r.k.run_to_completion();
     let ini = r.inis[0].borrow();
-    assert_eq!(ini.stats.protocol_errors, 1);
+    assert_eq!(ini.io.stats.protocol_errors, 1);
     assert!(matches!(
         ini.last_protocol_error(),
         Some(ProtocolError::UnknownCid {
@@ -176,7 +176,7 @@ fn initiator_drops_unknown_cid_completion() {
             cid: 42,
         })
     ));
-    assert_eq!(ini.stats.completed, 0);
+    assert_eq!(ini.io.stats.completed, 0);
 }
 
 #[test]
@@ -198,7 +198,7 @@ fn initiator_handles_missing_coalesced_cid() {
     );
     r.k.run_to_completion();
     let ini = r.inis[0].borrow();
-    assert!(ini.stats.protocol_errors >= 1);
+    assert!(ini.io.stats.protocol_errors >= 1);
     assert!(matches!(
         ini.last_protocol_error(),
         Some(
@@ -223,7 +223,7 @@ fn r2t_without_payload_is_dropped() {
     );
     r.k.run_to_completion();
     let ini = r.inis[0].borrow();
-    assert_eq!(ini.stats.protocol_errors, 1);
+    assert_eq!(ini.io.stats.protocol_errors, 1);
     assert!(matches!(
         ini.last_protocol_error(),
         Some(ProtocolError::R2tWithoutPayload {
@@ -276,7 +276,7 @@ fn malformed_capsule_degrades_one_tenant_only() {
     let comps = r.completions.borrow();
     assert_eq!(comps[0], (0..6).collect::<Vec<u64>>());
     assert_eq!(comps[1], (0..6).collect::<Vec<u64>>());
-    assert_eq!(r.inis[0].borrow().stats.protocol_errors, 2);
-    assert_eq!(r.inis[1].borrow().stats.protocol_errors, 0);
+    assert_eq!(r.inis[0].borrow().io.stats.protocol_errors, 2);
+    assert_eq!(r.inis[1].borrow().io.stats.protocol_errors, 0);
     assert_eq!(r.target.borrow().stats.protocol_errors, 0);
 }

@@ -58,7 +58,7 @@ pub enum CampaignError {
     Parse(String),
     /// An object carried a key outside its schema.
     UnknownKey {
-        /// Where ("" = spec root, "expectations[2]", …).
+        /// Where (`""` = spec root, `"expectations[2]"`, …).
         ctx: String,
         /// The offending key.
         key: String,

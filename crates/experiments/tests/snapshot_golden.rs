@@ -1,11 +1,15 @@
-//! Full-snapshot goldens for the two run shapes no CSV golden pins in
+//! Full-snapshot goldens for the run shapes no CSV golden pins in
 //! full: every metric key and value of a 2-target run with one live
-//! migration, and of a lossy open-loop (`traffic` + `faults`) run.
+//! migration, of a lossy open-loop (`traffic` + `faults`) run, and of
+//! a lossy closed-loop run on the baseline runtime.
 //!
-//! Both files were rendered by [`render`] at commit d6a53a9, when the
-//! first shape ran through the separate `run_cluster` driver and the
-//! second through `run`; the single scenario pipeline must reproduce
-//! them byte for byte (key union included).
+//! The first two files were rendered by [`render`] at commit d6a53a9,
+//! when the first shape ran through the separate `run_cluster` driver
+//! and the second through `run`; the single scenario pipeline must
+//! reproduce them byte for byte (key union included). The third was
+//! rendered at d6da634, when the baseline and NVMe-oPF initiators were
+//! two copies of the transport code: it pins the baseline's retry,
+//! R2T re-grant and duplicate-suppression paths.
 
 use faults::FaultProfile;
 use simkit::metrics::format_f64;
@@ -66,6 +70,20 @@ fn openloop_lossy() -> Scenario {
     sc
 }
 
+/// 1 LS + 3 TC closed-loop mixed-I/O tenants on the baseline runtime
+/// over a fabric dropping 2% and duplicating 1% of PDUs.
+fn baseline_lossy() -> Scenario {
+    let mut sc = Scenario::ratio(RuntimeKind::Spdk, fabric::Gbps::G100, Mix::MIXED, 1, 3);
+    sc.warmup_s = 0.01;
+    sc.measure_s = 0.04;
+    sc.faults = Some(FaultProfile {
+        drop_p: 0.02,
+        dup_p: 0.01,
+        ..FaultProfile::default()
+    });
+    sc
+}
+
 #[test]
 fn cluster_migrate_snapshot_matches_golden() {
     assert_matches("snapshot_cluster_migrate.txt", &render(&cluster_migrate()));
@@ -74,4 +92,9 @@ fn cluster_migrate_snapshot_matches_golden() {
 #[test]
 fn openloop_lossy_snapshot_matches_golden() {
     assert_matches("snapshot_openloop_lossy.txt", &render(&openloop_lossy()));
+}
+
+#[test]
+fn baseline_lossy_snapshot_matches_golden() {
+    assert_matches("snapshot_baseline_lossy.txt", &render(&baseline_lossy()));
 }

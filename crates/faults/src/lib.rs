@@ -138,7 +138,7 @@ pub struct Adversary {
     pub drain_flood_p: f64,
     /// Per-capsule probability of re-injecting a previously sent capsule
     /// (same CID, possibly across a recovery epoch), delivered
-    /// [`REPLAY_LAG`] later.
+    /// `REPLAY_LAG` (7 µs) later.
     pub replay_p: f64,
     /// Per-capsule probability of rewriting the SQE initiator byte to
     /// `spoof_victim` — the identity-spoofing attack.
@@ -597,7 +597,7 @@ pub fn wrap_pdu_rx(plane: &Shared<FaultPlane>, link: usize, inner: PduRx) -> Pdu
 }
 
 /// The serialization-time multiplier as a function of virtual time, for
-/// [`fabric::Network::set_bandwidth_model`]-style hooks.
+/// `fabric::Network::set_bandwidth_model`-style hooks.
 pub fn bandwidth_model(plane: &Shared<FaultPlane>) -> Rc<dyn Fn(SimTime) -> f64> {
     let plane = plane.clone();
     Rc::new(move |t| {

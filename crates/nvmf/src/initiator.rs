@@ -1,12 +1,22 @@
-//! The baseline NVMe-oF initiator: closed queue-depth loop, one
-//! completion capsule processed per request.
+//! The one transport-level NVMe-oF initiator: queue pair, CPU
+//! resource, endpoints, retry slots and epochs, wire sends,
+//! `C2HData`/R2T handling, expiry timers and CID completion.
+//!
+//! What differs between the baseline and NVMe-oPF is a
+//! [`PriorityPolicy`]: how a response capsule is routed to CIDs, what
+//! retry exhaustion fails, and how a protocol violation is recorded.
+//! [`SpdkInitiator`] under its own pass-through policy *is* the
+//! baseline (closed queue-depth loop, one completion capsule processed
+//! per request); `opf::OpfInitiator` embeds one and adds the Priority
+//! Manager. The transport functions are generic over the owner that
+//! projects to the transport, so dispatch is static.
 
 use crate::costs::CpuCosts;
-use crate::pdu::{Pdu, Priority};
+use crate::pdu::{Pdu, PduKind, Priority};
 use crate::qpair::{IoCallback, QPair, ReqCtx, RetryPolicy};
 use bytes::Bytes;
 use fabric::{Endpoint, Network};
-use nvme::{Opcode, Sqe, Status};
+use nvme::{Cqe, Opcode, Sqe, Status};
 use simkit::{Kernel, Metrics, MetricsSource, Resource, Shared, SimDuration, SimTime, Tracer};
 use std::rc::Rc;
 
@@ -21,7 +31,7 @@ pub struct IoOutcome {
     pub latency: SimDuration,
 }
 
-/// Initiator-side counters. `resps_rx` counts completion notifications
+/// Transport-level counters. `resps_rx` counts completion notifications
 /// processed — the initiator-CPU cost the paper's coalescing removes.
 #[derive(Clone, Debug, Default)]
 pub struct InitiatorStats {
@@ -49,8 +59,8 @@ pub struct InitiatorStats {
     pub retries: u64,
     /// Commands failed locally after exhausting the retry budget.
     pub retry_exhausted: u64,
-    /// Stale/duplicate completions dropped by the retry layer instead of
-    /// being counted as protocol errors.
+    /// Stale/duplicate completions dropped by the recovery layer instead
+    /// of being counted as protocol errors.
     pub dup_resps_suppressed: u64,
 }
 
@@ -73,9 +83,46 @@ struct RetrySlot {
 /// target handle; the initiator id rides along).
 pub type TargetRx = Rc<dyn Fn(&mut Kernel, u8, Pdu)>;
 
-/// The baseline SPDK-style initiator.
+/// A protocol violation detected by the transport. The offending PDU is
+/// dropped; the policy decides how the violation is recorded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Violation {
+    /// A PDU kind that never travels controller → host.
+    UnexpectedPdu(PduKind),
+    /// An R2T or completion naming no in-flight command.
+    UnknownCid(u16),
+    /// An R2T for an in-flight command with no payload to send.
+    R2tWithoutPayload(u16),
+}
+
+/// The priority-policy hook over the transport: everything the baseline
+/// and NVMe-oPF initiators do differently once a command is on the
+/// queue pair. `Self` is the owner the kernel events hold; it projects
+/// to the transport it owns.
+pub trait PriorityPolicy: Sized + 'static {
+    /// Trace kind of a retransmission.
+    const RETRY_TRACE: &'static str;
+
+    /// The transport this policy drives.
+    fn transport(&mut self) -> &mut SpdkInitiator;
+
+    /// Count, trace and record a violation.
+    fn violation(&mut self, now: SimTime, v: Violation);
+
+    /// `cid` spent its retry budget: complete it (and whatever depends
+    /// on it) with a local error.
+    fn retry_exhausted(this: &Shared<Self>, k: &mut Kernel, cid: u16);
+
+    /// Route a response capsule to the CIDs it completes: reserve the
+    /// processing cost and schedule [`SpdkInitiator::complete`].
+    fn on_resp(this: &Shared<Self>, k: &mut Kernel, cqe: Cqe, priority: Priority);
+}
+
+/// The transport-level initiator; with its own pass-through
+/// [`PriorityPolicy`], the baseline SPDK-style initiator.
 pub struct SpdkInitiator {
-    /// Tenant identifier carried in every command capsule.
+    /// Tenant identifier carried in every command capsule (§IV-A: eight
+    /// reserved PDU bits).
     pub id: u8,
     qpair: QPair,
     cpu: Resource,
@@ -86,6 +133,9 @@ pub struct SpdkInitiator {
     costs: CpuCosts,
     tracer: Tracer,
     retry: Option<RetryPolicy>,
+    /// Some recovery mechanism can re-send a command, so a completion
+    /// naming a finished CID is an expected duplicate, not a violation.
+    recovery: bool,
     slots: Vec<RetrySlot>,
     /// Counters.
     pub stats: InitiatorStats,
@@ -115,19 +165,33 @@ impl SpdkInitiator {
             costs,
             tracer,
             retry: None,
+            recovery: false,
             slots: Vec::new(),
             stats: InitiatorStats::default(),
         }
     }
 
-    /// Enable bounded retransmission with exponential backoff. Also
-    /// switches the queue pair to FIFO CID recycling, so a freshly freed
-    /// CID is not immediately renamed while stale duplicates of its old
-    /// response may still be in flight.
+    /// Enable bounded retransmission with exponential backoff (a
+    /// recovery mechanism, see [`Self::enable_recovery`]).
     pub fn set_retry(&mut self, policy: RetryPolicy) {
         self.retry = Some(policy);
         self.slots = vec![RetrySlot::default(); self.qpair.depth()];
+        self.enable_recovery();
+    }
+
+    /// Declare that commands may be re-sent: duplicate completions are
+    /// suppressed instead of flagged, the recovery counters appear in
+    /// the metrics, and the queue pair recycles CIDs FIFO, so a freshly
+    /// freed CID is not immediately renamed while stale duplicates of
+    /// its old response may still be in flight.
+    pub fn enable_recovery(&mut self) {
+        self.recovery = true;
         self.qpair.set_fifo_recycle(true);
+    }
+
+    /// True when a recovery mechanism is armed.
+    pub fn recovery(&self) -> bool {
+        self.recovery
     }
 
     /// Queue pair depth.
@@ -152,11 +216,95 @@ impl SpdkInitiator {
         self.qpair.abort_all();
     }
 
+    /// The CPU cost model.
+    pub fn costs(&self) -> &CpuCosts {
+        &self.costs
+    }
+
+    /// Context of the in-flight command `cid`, if any.
+    pub fn outstanding(&mut self, cid: u16) -> Option<&mut ReqCtx> {
+        self.qpair.get_mut(cid)
+    }
+
+    /// Emit a trace point attributed to this initiator.
+    pub fn trace(&self, now: SimTime, kind: &'static str, detail: u64) {
+        self.tracer.emit(now, kind, u32::from(self.id), detail);
+    }
+
+    /// Occupy the initiator core for `cost`; returns when the work ends.
+    pub fn reserve_cpu(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
+        self.cpu.reserve(now, cost).finish
+    }
+
+    /// Occupy the core for building one command capsule.
+    pub fn reserve_submit(&mut self, now: SimTime) -> SimTime {
+        self.reserve_cpu(now, self.costs.ini_submit)
+    }
+
+    /// Point the initiator at another target (live migration). Sends
+    /// already holding a CPU reservation go to the new target: the
+    /// endpoint is read when the send fires.
+    pub fn retarget(&mut self, target_ep: Shared<Endpoint>, target_rx: TargetRx) {
+        self.target_ep = target_ep;
+        self.target_rx = target_rx;
+    }
+
+    /// Start a new incarnation of the in-flight `cid` (its command is
+    /// about to be re-driven): expiry timers armed for the old one die
+    /// on the epoch mismatch and the retry budget starts fresh. Returns
+    /// the new epoch, `None` when retry is off.
+    pub fn reincarnate(&mut self, cid: u16) -> Option<u64> {
+        self.retry?;
+        let slot = &mut self.slots[cid as usize];
+        slot.epoch += 1;
+        slot.attempts = 0;
+        Some(slot.epoch)
+    }
+
+    /// Allocate a CID for one command and open its retry incarnation.
+    /// Returns the CID and, when retry is enabled, the epoch to arm an
+    /// expiry timer with; `None` when the queue pair is at depth.
+    ///
+    /// `payload` is required for writes (exactly `blocks × 4096` bytes).
+    #[allow(clippy::too_many_arguments)]
+    pub fn begin(
+        &mut self,
+        now: SimTime,
+        opcode: Opcode,
+        slba: u64,
+        blocks: u16,
+        payload: Option<Bytes>,
+        priority: Priority,
+        cb: IoCallback,
+    ) -> Option<(u16, Option<u64>)> {
+        debug_assert!(
+            opcode != Opcode::Write
+                || payload.as_ref().map(|p| p.len()) == Some(blocks as usize * nvme::BLOCK_SIZE),
+            "write payload must cover the request"
+        );
+        let payload_copy = self.retry.and_then(|_| payload.clone());
+        let cid = self.qpair.begin(ReqCtx {
+            opcode,
+            slba,
+            blocks,
+            payload,
+            data: None,
+            priority,
+            issued_at: now,
+            cb,
+        })?;
+        self.stats.submitted += 1;
+        let epoch = self.reincarnate(cid);
+        if epoch.is_some() {
+            self.slots[cid as usize].payload = payload_copy;
+        }
+        Some((cid, epoch))
+    }
+
     /// Submit one I/O. Returns the allocated CID, or `None` when the
     /// queue pair is at depth (callers run closed loops and must respect
     /// this).
     ///
-    /// `payload` is required for writes (exactly `blocks × 4096` bytes).
     /// The baseline transmits `priority` in the capsule's reserved bits
     /// but its target ignores it — which is exactly the baseline's
     /// multi-tenancy failure.
@@ -171,68 +319,23 @@ impl SpdkInitiator {
         priority: Priority,
         cb: IoCallback,
     ) -> Option<u16> {
-        let (cid, finish, id, epoch) = {
+        let (cid, epoch, at) = {
             let mut i = this.borrow_mut();
-            debug_assert!(
-                opcode != Opcode::Write
-                    || payload.as_ref().map(|p| p.len())
-                        == Some(blocks as usize * nvme::BLOCK_SIZE),
-                "write payload must cover the request"
-            );
-            let payload_copy = if i.retry.is_some() {
-                payload.clone()
-            } else {
-                None
-            };
-            let ctx = ReqCtx {
-                opcode,
-                slba,
-                blocks,
-                payload,
-                data: None,
-                priority,
-                issued_at: k.now(),
-                cb,
-            };
-            let cid = i.qpair.begin(ctx)?;
-            i.stats.submitted += 1;
-            let epoch = if i.retry.is_some() {
-                let slot = &mut i.slots[cid as usize];
-                slot.epoch += 1;
-                slot.attempts = 0;
-                slot.payload = payload_copy;
-                Some(slot.epoch)
-            } else {
-                None
-            };
-            let c = i.costs.ini_submit;
-            let finish = i.cpu.reserve(k.now(), c).finish;
-            i.tracer
-                .emit(k.now(), "ini.submit", u32::from(i.id), u64::from(cid));
-            (cid, finish, i.id, epoch)
+            let (cid, epoch) = i.begin(k.now(), opcode, slba, blocks, payload, priority, cb)?;
+            let at = i.reserve_submit(k.now());
+            i.trace(k.now(), "ini.submit", u64::from(cid));
+            (cid, epoch, at)
         };
-        let this2 = this.clone();
-        k.schedule_at(finish, move |k| {
-            let i = this2.borrow();
-            let pdu = Pdu::CapsuleCmd {
-                sqe: Self::build_sqe(opcode, cid, slba, blocks),
-                priority,
-                initiator: id,
-            };
-            let rx = i.target_rx.clone();
-            let from = i.id;
-            i.net
-                .send(k, &i.ep, &i.target_ep, pdu.wire_len(), move |k| {
-                    rx(k, from, pdu)
-                });
-        });
+        let sqe = Self::build_sqe(opcode, cid, slba, blocks);
+        Self::send_cmd_at(this, k, at, sqe, priority);
         if let Some(epoch) = epoch {
             Self::arm_expiry(this, k, cid, epoch);
         }
         Some(cid)
     }
 
-    fn build_sqe(opcode: Opcode, cid: u16, slba: u64, blocks: u16) -> Sqe {
+    /// The submission-queue entry of one command.
+    pub fn build_sqe(opcode: Opcode, cid: u16, slba: u64, blocks: u16) -> Sqe {
         match opcode {
             Opcode::Read => Sqe::read(cid, 1, slba, blocks),
             Opcode::Write => Sqe::write(cid, 1, slba, blocks),
@@ -246,12 +349,54 @@ impl SpdkInitiator {
         }
     }
 
+    /// The capsule contents that re-send the in-flight command `cid`.
+    pub fn resend_args(&mut self, cid: u16) -> Option<(Sqe, Priority)> {
+        let c = self.qpair.get_mut(cid)?;
+        Some((Self::build_sqe(c.opcode, cid, c.slba, c.blocks), c.priority))
+    }
+
+    /// Put one PDU on the wire to the current target.
+    fn send(&self, k: &mut Kernel, pdu: Pdu) {
+        let rx = self.target_rx.clone();
+        let from = self.id;
+        self.net
+            .send(k, &self.ep, &self.target_ep, pdu.wire_len(), move |k| {
+                rx(k, from, pdu)
+            });
+    }
+
+    /// Schedule a command capsule onto the wire at `at` (the CPU work
+    /// was already reserved by the caller). Shared by first
+    /// transmission, retry, redrain and rehome. The target is read when
+    /// the send fires, not now: a rehome in between redirects it.
+    pub fn send_cmd_at<O: PriorityPolicy>(
+        this: &Shared<O>,
+        k: &mut Kernel,
+        at: SimTime,
+        sqe: Sqe,
+        priority: Priority,
+    ) {
+        let this2 = this.clone();
+        k.schedule_at(at, move |k| {
+            let mut o = this2.borrow_mut();
+            let i = o.transport();
+            let pdu = Pdu::CapsuleCmd {
+                sqe,
+                priority,
+                initiator: i.id,
+            };
+            i.send(k, pdu);
+        });
+    }
+
     /// Schedule the expiry timer for the current attempt of `cid`'s
     /// incarnation `epoch`; the delay doubles with each attempt already
-    /// made (exponential backoff).
-    fn arm_expiry(this: &Shared<SpdkInitiator>, k: &mut Kernel, cid: u16, epoch: u64) {
+    /// made (exponential backoff). The captured epoch invalidates the
+    /// timer if the command completes (or the CID is reused) first.
+    pub fn arm_expiry<O: PriorityPolicy>(this: &Shared<O>, k: &mut Kernel, cid: u16, epoch: u64) {
         let backoff = {
-            let i = this.borrow();
+            let mut o = this.borrow_mut();
+            let i = o.transport();
             let Some(policy) = i.retry else { return };
             policy.timeout * (1u64 << i.slots[cid as usize].attempts.min(16))
         };
@@ -262,69 +407,48 @@ impl SpdkInitiator {
     }
 
     /// An expiry timer fired: if the command is still outstanding and the
-    /// timer is not stale, retransmit it (or give up with a local error
-    /// once the budget is spent).
-    fn on_expiry(this: &Shared<SpdkInitiator>, k: &mut Kernel, cid: u16, epoch: u64) {
-        enum Act {
-            Exhausted,
-            Resend(SimTime, Opcode, u64, u16, Priority, u8),
-        }
-        let act = {
-            let mut i = this.borrow_mut();
+    /// timer is not stale, retransmit it (or hand it to the policy's
+    /// [`PriorityPolicy::retry_exhausted`] once the budget is spent).
+    fn on_expiry<O: PriorityPolicy>(this: &Shared<O>, k: &mut Kernel, cid: u16, epoch: u64) {
+        let resend = {
+            let mut o = this.borrow_mut();
+            let i = o.transport();
             let Some(policy) = i.retry else { return };
             if i.slots[cid as usize].epoch != epoch {
                 return; // completed (or CID reincarnated): stale timer
             }
-            let Some(ctx) = i.qpair.get_mut(cid) else {
+            let Some((sqe, priority)) = i.resend_args(cid) else {
                 return;
             };
-            let (opcode, slba, blocks, priority) = (ctx.opcode, ctx.slba, ctx.blocks, ctx.priority);
             if i.slots[cid as usize].attempts >= policy.max_retries {
                 i.stats.retry_exhausted += 1;
-                Act::Exhausted
+                None
             } else {
                 i.slots[cid as usize].attempts += 1;
                 i.stats.retries += 1;
-                i.tracer
-                    .emit(k.now(), "ini.retry", u32::from(i.id), u64::from(cid));
-                let c = i.costs.ini_submit;
-                let finish = i.cpu.reserve(k.now(), c).finish;
-                Act::Resend(finish, opcode, slba, blocks, priority, i.id)
+                i.trace(k.now(), O::RETRY_TRACE, u64::from(cid));
+                Some((i.reserve_submit(k.now()), sqe, priority))
             }
         };
-        match act {
-            Act::Exhausted => Self::complete(this, k, cid, Status::InternalError),
-            Act::Resend(finish, opcode, slba, blocks, priority, id) => {
-                let this2 = this.clone();
-                k.schedule_at(finish, move |k| {
-                    let i = this2.borrow();
-                    let pdu = Pdu::CapsuleCmd {
-                        sqe: Self::build_sqe(opcode, cid, slba, blocks),
-                        priority,
-                        initiator: id,
-                    };
-                    let rx = i.target_rx.clone();
-                    let from = i.id;
-                    i.net
-                        .send(k, &i.ep, &i.target_ep, pdu.wire_len(), move |k| {
-                            rx(k, from, pdu)
-                        });
-                });
+        match resend {
+            None => O::retry_exhausted(this, k, cid),
+            Some((at, sqe, priority)) => {
+                Self::send_cmd_at(this, k, at, sqe, priority);
                 Self::arm_expiry(this, k, cid, epoch);
             }
         }
     }
 
     /// Deliver a PDU arriving from the target.
-    pub fn on_pdu(this: &Shared<SpdkInitiator>, k: &mut Kernel, pdu: Pdu) {
+    pub fn on_pdu<O: PriorityPolicy>(this: &Shared<O>, k: &mut Kernel, pdu: Pdu) {
         match pdu {
             Pdu::C2HData { cccid, data } => {
                 let finish = {
-                    let mut i = this.borrow_mut();
+                    let mut o = this.borrow_mut();
+                    let i = o.transport();
                     i.stats.data_rx += 1;
                     i.stats.bytes_read += data.len() as u64;
-                    let cost = i.costs.ini_on_data;
-                    let finish = i.cpu.reserve(k.now(), cost).finish;
+                    let finish = i.reserve_cpu(k.now(), i.costs.ini_on_data);
                     if let Some(ctx) = i.qpair.get_mut(cccid) {
                         ctx.data = Some(data);
                     }
@@ -334,103 +458,69 @@ impl SpdkInitiator {
                 k.schedule_at(finish, |_| {});
             }
             Pdu::R2T { cccid, r2tl } => Self::on_r2t(this, k, cccid, r2tl),
-            Pdu::CapsuleResp { cqe, .. } => Self::on_resp(this, k, cqe),
+            Pdu::CapsuleResp { cqe, priority } => O::on_resp(this, k, cqe, priority),
             // Command capsules and H2C data never travel controller → host:
-            // count the violation and drop the PDU rather than abort.
-            _ => {
-                let mut i = this.borrow_mut();
-                i.stats.protocol_errors += 1;
-                i.tracer
-                    .emit(k.now(), "ini.protocol_error", u32::from(i.id), 0);
-            }
+            // record the violation and drop the PDU rather than abort.
+            other => this
+                .borrow_mut()
+                .violation(k.now(), Violation::UnexpectedPdu(other.kind())),
         }
     }
 
-    fn on_r2t(this: &Shared<SpdkInitiator>, k: &mut Kernel, cccid: u16, r2tl: u32) {
-        let staged = {
-            let mut i = this.borrow_mut();
+    fn on_r2t<O: PriorityPolicy>(this: &Shared<O>, k: &mut Kernel, cccid: u16, r2tl: u32) {
+        let (finish, data) = {
+            let mut o = this.borrow_mut();
+            let i = o.transport();
             i.stats.r2ts_rx += 1;
-            // An R2T naming no in-flight write (unknown CID, or a command
-            // with no payload to send): count + drop. Under retry, the
-            // live payload may have been consumed by an earlier R2T of
-            // the same command (duplicate grant, or a grant re-issued for
-            // a retransmitted capsule) — fall back to the slot's copy.
-            let mut data = i.qpair.get_mut(cccid).and_then(|ctx| ctx.payload.take());
-            if data.is_none() && i.retry.is_some() && i.qpair.get_mut(cccid).is_some() {
+            let ctx = i.qpair.get_mut(cccid);
+            let known = ctx.is_some();
+            let mut data = ctx.and_then(|ctx| ctx.payload.take());
+            // Under retry, the live payload may have been consumed by an
+            // earlier R2T of the same command (duplicate grant, or a grant
+            // re-issued for a retransmitted capsule) — fall back to the
+            // slot's copy.
+            if data.is_none() && known && i.retry.is_some() {
                 data = i.slots[cccid as usize].payload.clone();
             }
-            match data {
-                Some(data) => {
-                    debug_assert_eq!(data.len(), r2tl as usize);
-                    let cost = i.costs.ini_on_r2t + i.costs.ini_send_data;
-                    Some((i.cpu.reserve(k.now(), cost).finish, data))
-                }
-                None => {
-                    i.stats.protocol_errors += 1;
-                    i.tracer.emit(
-                        k.now(),
-                        "ini.protocol_error",
-                        u32::from(i.id),
-                        u64::from(cccid),
-                    );
-                    None
-                }
-            }
-        };
-        let Some((finish, data)) = staged else {
-            return;
+            let Some(data) = data else {
+                // An R2T naming no in-flight write: record + drop.
+                let v = if known {
+                    Violation::R2tWithoutPayload(cccid)
+                } else {
+                    Violation::UnknownCid(cccid)
+                };
+                o.violation(k.now(), v);
+                return;
+            };
+            debug_assert_eq!(data.len(), r2tl as usize);
+            let cost = i.costs.ini_on_r2t + i.costs.ini_send_data;
+            (i.reserve_cpu(k.now(), cost), data)
         };
         let this2 = this.clone();
         k.schedule_at(finish, move |k| {
-            let mut i = this2.borrow_mut();
+            let mut o = this2.borrow_mut();
+            let i = o.transport();
             i.stats.bytes_written += data.len() as u64;
-            let pdu = Pdu::H2CData { cccid, data };
-            let rx = i.target_rx.clone();
-            let from = i.id;
-            i.net
-                .send(k, &i.ep, &i.target_ep, pdu.wire_len(), move |k| {
-                    rx(k, from, pdu)
-                });
-        });
-    }
-
-    fn on_resp(this: &Shared<SpdkInitiator>, k: &mut Kernel, cqe: nvme::Cqe) {
-        let finish = {
-            let mut i = this.borrow_mut();
-            i.stats.resps_rx += 1;
-            i.tracer
-                .emit(k.now(), "ini.resp_rx", u32::from(i.id), u64::from(cqe.cid));
-            let c = i.costs.ini_on_resp;
-            i.cpu.reserve(k.now(), c).finish
-        };
-        let this2 = this.clone();
-        k.schedule_at(finish, move |k| {
-            Self::complete(&this2, k, cqe.cid, cqe.status);
+            i.send(k, Pdu::H2CData { cccid, data });
         });
     }
 
     /// Finish one command: release its CID and run the user callback.
-    /// Shared with the NVMe-oPF initiator's coalesced completion path.
-    pub fn complete(this: &Shared<SpdkInitiator>, k: &mut Kernel, cid: u16, status: Status) {
+    pub fn complete<O: PriorityPolicy>(this: &Shared<O>, k: &mut Kernel, cid: u16, status: Status) {
         let (ctx, latency) = {
-            let mut i = this.borrow_mut();
+            let mut o = this.borrow_mut();
+            let i = o.transport();
             let Some(ctx) = i.qpair.finish(cid) else {
-                if i.retry.is_some() {
-                    // Under retransmission, a completion for a finished
-                    // command is an expected duplicate (the original
-                    // response and a retry's response both arrived):
-                    // suppress it silently.
+                if i.recovery {
+                    // A completion for a finished command is an expected
+                    // duplicate (the original response and a re-sent
+                    // command's response both arrived): suppress it.
                     i.stats.dup_resps_suppressed += 1;
-                    return;
+                } else {
+                    // Completion naming no in-flight command (duplicate
+                    // or forged response): record + drop.
+                    o.violation(k.now(), Violation::UnknownCid(cid));
                 }
-                // Completion naming no in-flight command: count + drop.
-                i.stats.protocol_errors += 1;
-                i.tracer.emit(
-                    k.now(),
-                    "ini.protocol_error",
-                    u32::from(i.id),
-                    u64::from(cid),
-                );
                 return;
             };
             if i.retry.is_some() {
@@ -454,10 +544,11 @@ impl SpdkInitiator {
         };
         (ctx.cb)(k, outcome);
     }
-}
 
-impl MetricsSource for SpdkInitiator {
-    fn metrics(&self, now: SimTime) -> Metrics {
+    /// The metric keys both runtimes' initiators report. Recovery
+    /// counters only exist when recovery is configured, so fault-free
+    /// snapshots stay byte-identical to historical output.
+    pub fn transport_metrics(&self, now: SimTime) -> Metrics {
         let mut m = Metrics::at(now);
         m.set("cpu_util", self.cpu.utilization(now));
         m.set("inflight", self.qpair.inflight() as f64);
@@ -468,12 +559,8 @@ impl MetricsSource for SpdkInitiator {
         m.set("pdu.resps_rx", self.stats.resps_rx as f64);
         m.set("pdu.data_rx", self.stats.data_rx as f64);
         m.set("pdu.r2ts_rx", self.stats.r2ts_rx as f64);
-        m.set("bytes_read", self.stats.bytes_read as f64);
-        m.set("bytes_written", self.stats.bytes_written as f64);
         m.set("protocol_errors", self.stats.protocol_errors as f64);
-        // Recovery counters only exist when retry is configured, so
-        // fault-free snapshots stay byte-identical to historical output.
-        if self.retry.is_some() {
+        if self.recovery {
             m.set("retries", self.stats.retries as f64);
             m.set("retry_exhausted", self.stats.retry_exhausted as f64);
             m.set(
@@ -481,6 +568,53 @@ impl MetricsSource for SpdkInitiator {
                 self.stats.dup_resps_suppressed as f64,
             );
         }
+        m
+    }
+}
+
+/// The pass-through policy: one CID per response capsule.
+impl PriorityPolicy for SpdkInitiator {
+    const RETRY_TRACE: &'static str = "ini.retry";
+
+    fn transport(&mut self) -> &mut SpdkInitiator {
+        self
+    }
+
+    fn violation(&mut self, now: SimTime, v: Violation) {
+        self.stats.protocol_errors += 1;
+        let detail = match v {
+            Violation::UnexpectedPdu(_) => 0,
+            Violation::UnknownCid(cid) | Violation::R2tWithoutPayload(cid) => u64::from(cid),
+        };
+        self.trace(now, "ini.protocol_error", detail);
+    }
+
+    fn retry_exhausted(this: &Shared<Self>, k: &mut Kernel, cid: u16) {
+        Self::complete(this, k, cid, Status::InternalError);
+    }
+
+    fn on_resp(this: &Shared<Self>, k: &mut Kernel, cqe: Cqe, _priority: Priority) {
+        let finish = {
+            let mut i = this.borrow_mut();
+            i.stats.resps_rx += 1;
+            i.trace(k.now(), "ini.resp_rx", u64::from(cqe.cid));
+            let cost = i.costs.ini_on_resp;
+            i.reserve_cpu(k.now(), cost)
+        };
+        let this2 = this.clone();
+        k.schedule_at(finish, move |k| {
+            Self::complete(&this2, k, cqe.cid, cqe.status);
+        });
+    }
+}
+
+impl MetricsSource for SpdkInitiator {
+    fn metrics(&self, now: SimTime) -> Metrics {
+        let mut m = self.transport_metrics(now);
+        // The NVMe-oPF snapshot never carried the byte counters, and the
+        // goldens pin each runtime's key set.
+        m.set("bytes_read", self.stats.bytes_read as f64);
+        m.set("bytes_written", self.stats.bytes_written as f64);
         m
     }
 }

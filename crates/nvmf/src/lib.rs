@@ -17,11 +17,14 @@
 //!   commands, subsystem registry, discovery log pages.
 //! * [`target`] — the baseline target: single reactor, FIFO processing,
 //!   **one completion capsule per request** regardless of tenant needs.
-//! * [`initiator`] — the baseline initiator: closed queue-depth loop,
-//!   one completion processed per request.
+//! * [`initiator`] — the one transport-level initiator (queue pair,
+//!   retry, wire, completion) with a [`PriorityPolicy`] hook. Under its
+//!   own pass-through policy it is the baseline: closed queue-depth
+//!   loop, one completion processed per request.
 //!
 //! The NVMe-oPF runtime in the `opf` crate reuses the PDU, qpair and cost
-//! layers and replaces both endpoints' logic with priority managers.
+//! layers, drives this initiator through its Priority Manager policy, and
+//! replaces the target's logic with its own priority manager.
 
 pub mod admin;
 pub mod admin_wire;
@@ -34,7 +37,7 @@ pub mod target;
 pub use admin::{AdminCmd, AdminResp, AdminServer};
 pub use admin_wire::{AdminClient, AdminService, KeepAliveStats};
 pub use costs::CpuCosts;
-pub use initiator::{InitiatorStats, IoOutcome, SpdkInitiator, TargetRx};
+pub use initiator::{InitiatorStats, IoOutcome, PriorityPolicy, SpdkInitiator, TargetRx};
 pub use pdu::{Pdu, PduKind, Priority};
 pub use qpair::{QPair, RetryPolicy};
 pub use target::{SpdkTarget, TargetStats};

@@ -7,7 +7,7 @@
 //! timestamp of any message that lane can still emit. The mesh is the
 //! shared state that makes that rule sound:
 //!
-//! * one [`crate::mailbox`] per ordered lane pair carries timestamped
+//! * one [`crate::mailbox()`] per ordered lane pair carries timestamped
 //!   messages (SPSC by construction: lane *i* is the only producer on
 //!   the *i→j* box and lane *j* its only consumer);
 //! * one cache-padded bound word per lane, published with `Release`

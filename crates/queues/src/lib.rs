@@ -14,7 +14,7 @@
 //!   the request or its payload, so space cost is independent of I/O size.
 //!   It also implements the initiator-side in-order completion marking of
 //!   Algorithm 2 (§IV-C out-of-order handling).
-//! * [`mailbox`] — the cross-shard mailbox of the multi-reactor target
+//! * [`mod@mailbox`] — the cross-shard mailbox of the multi-reactor target
 //!   (DESIGN.md §13): the SPSC ring plus a batch doorbell, used for the
 //!   rare shared paths (admin, device submission) between reactors.
 //! * [`mpsc`] — an unbounded multi-producer/single-consumer queue used

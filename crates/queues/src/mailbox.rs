@@ -142,7 +142,7 @@ impl<T> MailboxTx<T> {
 
 impl<T> MailboxRx<T> {
     /// Belled items not yet taken. The batch contract: every one of
-    /// these is already published in the ring, so that many [`take`]
+    /// these is already published in the ring, so that many [`Self::take`]
     /// calls succeed without spinning.
     pub fn pending(&self) -> usize {
         // ordering-ok: pairs with the producer's Release bell store — every

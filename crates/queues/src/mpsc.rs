@@ -17,7 +17,7 @@
 //! allocation/free is registered with the `analysis` leak tracker and
 //! the link/`next` pointers become happens-before-checked shadow
 //! atomics, so the model tests prove no node (including the stub) leaks
-//! on any interleaving. [`MpscQueue::new_weak`] exists only there, to
+//! on any interleaving. `MpscQueue::new_weak` exists only there, to
 //! show the checker catches a `Relaxed` link store.
 
 use crate::sync::{track_alloc, track_free, AtomicPtr, UnsafeCell};

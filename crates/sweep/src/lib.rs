@@ -272,6 +272,30 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
     let Some(v) = doc.get("faults") else {
         return Ok(None);
     };
+    check_keys(
+        v,
+        "faults",
+        &[
+            "drop_p",
+            "dup_p",
+            "delay_p",
+            "delay_max_us",
+            "corrupt_p",
+            "reorder_p",
+            "reorder_hold_us",
+            "retry_timeout_us",
+            "retry_max",
+            "redrain_timeout_us",
+            "keepalive_us",
+            "kato_us",
+            "settle_s",
+            "flaps",
+            "degrade",
+            "stalls",
+            "crashes",
+            "adversary",
+        ],
+    )?;
     let mut p = FaultProfile::default();
     if let Some(x) = opt_prob(v, "drop_p")? {
         p.drop_p = x;
@@ -319,6 +343,7 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
         p.settle_s = s;
     }
     for e in v.get("flaps").and_then(Json::as_arr).unwrap_or(&[]) {
+        check_keys(e, "faults.flaps entry", &["link", "at_s", "for_s"])?;
         let (at, dur) = window(e, "flaps")?;
         let link = e
             .get("link")
@@ -327,6 +352,7 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
         p.flaps.push(LinkFlap { link, at, dur });
     }
     for e in v.get("degrade").and_then(Json::as_arr).unwrap_or(&[]) {
+        check_keys(e, "faults.degrade entry", &["factor", "at_s", "for_s"])?;
         let (at, dur) = window(e, "degrade")?;
         let factor = opt_f64(e, "factor")?.unwrap_or(2.0);
         if !(factor >= 1.0 && factor.is_finite()) {
@@ -335,10 +361,12 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
         p.degrades.push(Degrade { at, dur, factor });
     }
     for e in v.get("stalls").and_then(Json::as_arr).unwrap_or(&[]) {
+        check_keys(e, "faults.stalls entry", &["at_s", "for_s"])?;
         let (at, dur) = window(e, "stalls")?;
         p.stalls.push(Stall { at, dur });
     }
     for e in v.get("crashes").and_then(Json::as_arr).unwrap_or(&[]) {
+        check_keys(e, "faults.crashes entry", &["tenant", "at_s", "for_s"])?;
         let (at, dur) = window(e, "crashes")?;
         let tenant = e
             .get("tenant")
@@ -347,6 +375,20 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
         p.crashes.push(Crash { tenant, at, dur });
     }
     if let Some(a) = v.get("adversary") {
+        check_keys(
+            a,
+            "faults.adversary",
+            &[
+                "link",
+                "forge_ls_p",
+                "invalid_flags_p",
+                "drain_flood_p",
+                "replay_p",
+                "spoof_p",
+                "spoof_victim",
+                "harden",
+            ],
+        )?;
         let mut adv = Adversary {
             link: a
                 .get("link")
@@ -383,8 +425,8 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
     Ok(Some(p))
 }
 
-/// Hard-error on unknown keys inside a (new-style, strictly validated)
-/// block: a typo'd knob must never silently no-op.
+/// Hard-error on unknown keys inside a block: a typo'd knob must never
+/// silently no-op.
 fn check_keys(v: &Json, ctx: &str, allowed: &[&str]) -> Result<(), String> {
     if let Json::Obj(fields) = v {
         for (k, _) in fields {
@@ -488,6 +530,26 @@ impl SweepSpec {
     /// defaults to a small two-runtime smoke sweep at 100 Gbps.
     pub fn from_json(src: &str) -> Result<SweepSpec, String> {
         let doc = json::parse(src)?;
+        check_keys(
+            &doc,
+            "spec",
+            &[
+                "name",
+                "runtimes",
+                "speeds",
+                "mixes",
+                "ratios",
+                "seeds",
+                "warmup_s",
+                "measure_s",
+                "threads",
+                "faults",
+                "targets",
+                "placement",
+                "migration",
+                "parallel",
+            ],
+        )?;
         let name = doc
             .get("name")
             .and_then(Json::as_str)
@@ -830,7 +892,7 @@ mod tests {
     #[test]
     fn adversary_block_parses_and_propagates() {
         let spec = SweepSpec::from_json(
-            r#"{"name":"adv","runtimes":["opf"],
+            r#"{"name":"adv","runtimes":["opf"],"ratios":[[1,4]],
                 "faults":{"drop_p":0.0,
                           "adversary":{"link":4,"forge_ls_p":0.5,
                                        "invalid_flags_p":0.1,"drain_flood_p":0.2,
@@ -1002,6 +1064,36 @@ mod tests {
             (
                 r#"{"name":"x","runtimes":["spdk"],"ratios":[[0,300]]}"#,
                 "tenant ids wrapping u8",
+            ),
+            // Typo'd knobs and fault indices naming no initiator used to
+            // run a healthy fabric and report zero faults.
+            (r#"{"name":"x","mesure_s":0.01}"#, "unknown spec key"),
+            (
+                r#"{"name":"x","faults":{"drop_pp":0.05}}"#,
+                "unknown faults key",
+            ),
+            (
+                r#"{"name":"x","faults":{"adversary":{"link":0,"forge_ls":0.5}}}"#,
+                "unknown adversary key",
+            ),
+            (
+                r#"{"name":"x","faults":{"stalls":[{"at_s":0.1,"for_s":0.1,"link":0}]}}"#,
+                "unknown stall entry key",
+            ),
+            (
+                r#"{"name":"x","ratios":[[1,2]],
+                    "faults":{"flaps":[{"link":99,"at_s":0.1,"for_s":0.1}]}}"#,
+                "flap link out of range",
+            ),
+            (
+                r#"{"name":"x","ratios":[[1,2]],
+                    "faults":{"crashes":[{"tenant":99,"at_s":0.1,"for_s":0.1}]}}"#,
+                "crash tenant out of range",
+            ),
+            (
+                r#"{"name":"x","ratios":[[1,2]],
+                    "faults":{"adversary":{"link":99,"forge_ls_p":0.5}}}"#,
+                "adversary link out of range",
             ),
         ] {
             assert!(

@@ -1237,14 +1237,16 @@ fn run_stack(sc: &Scenario) -> (RunResult, Vec<TargetNode>, Vec<Tenant>) {
         let (mut retries, mut exhausted, mut redrains, mut dups) = (0u64, 0u64, 0u64, 0u64);
         let (mut offered, mut goodput) = (0u64, 0u64);
         for t in &tenants {
-            either!(&t.ini.0, AnyInitiator, i => {
-                let s = &i.borrow().stats;
-                retries += s.retries;
-                exhausted += s.retry_exhausted;
-                dups += s.dup_resps_suppressed;
-                offered += s.submitted;
-                goodput += s.completed;
-            });
+            // One transport under both runtimes, one set of counters.
+            let s = match &t.ini.0 {
+                AnyInitiator::Spdk(i) => i.borrow().stats.clone(),
+                AnyInitiator::Opf(i) => i.borrow().io.stats.clone(),
+            };
+            retries += s.retries;
+            exhausted += s.retry_exhausted;
+            dups += s.dup_resps_suppressed;
+            offered += s.submitted;
+            goodput += s.completed;
             // Only NVMe-oPF has drains to re-send.
             if let Some(i) = t.ini.as_opf() {
                 redrains += i.borrow().stats.redrains;

@@ -207,6 +207,18 @@ pub enum ScenarioError {
         /// Cluster size.
         targets: usize,
     },
+    /// A fault plan names an initiator link the run does not have; the
+    /// fault would silently never fire.
+    FaultIndexOutOfRange {
+        /// Which knob: `"flap link"`, `"crash tenant"` or
+        /// `"adversary link"`.
+        what: &'static str,
+        /// Index asked for.
+        index: usize,
+        /// Initiators in the run (fault-plane links are global tenant
+        /// indices).
+        initiators: usize,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -231,6 +243,14 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::MigrationTargetOutOfRange { to_target, targets } => write!(
                 f,
                 "migration to_target {to_target} out of range (targets = {targets})"
+            ),
+            ScenarioError::FaultIndexOutOfRange {
+                what,
+                index,
+                initiators,
+            } => write!(
+                f,
+                "fault {what} {index} out of range ({initiators} initiators)"
             ),
         }
     }
@@ -318,6 +338,21 @@ impl Scenario {
         if tenants > max {
             return Err(ScenarioError::TooManyTenants { tenants, max });
         }
+        if let Some(f) = &self.faults {
+            let initiators = self.total_initiators();
+            let flaps = f.flaps.iter().map(|x| ("flap link", x.link));
+            let crashes = f.crashes.iter().map(|x| ("crash tenant", x.tenant));
+            let adversary = f.adversary.iter().map(|a| ("adversary link", a.link));
+            for (what, index) in flaps.chain(crashes).chain(adversary) {
+                if index >= initiators {
+                    return Err(ScenarioError::FaultIndexOutOfRange {
+                        what,
+                        index,
+                        initiators,
+                    });
+                }
+            }
+        }
         if !self.is_cluster() {
             return Ok(());
         }
@@ -383,6 +418,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_what_the_runner_cannot_build() {
+        use simkit::{SimDuration, SimTime};
         use ScenarioError::*;
         let opf = || Scenario::ratio(RuntimeKind::Opf, Gbps::G100, Mix::READ, 1, 4);
         let cluster = || Scenario {
@@ -397,10 +433,42 @@ mod tests {
             }],
             ..cluster()
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 10] = [
+        // Fault-plane links are global tenant indices: 0..5 here.
+        let faulty = |flap, crash, adversary| Scenario {
+            faults: Some(faults::FaultProfile {
+                flaps: vec![faults::LinkFlap {
+                    link: flap,
+                    at: SimTime::ZERO,
+                    dur: SimDuration::from_micros(1),
+                }],
+                crashes: vec![faults::Crash {
+                    tenant: crash,
+                    at: SimTime::ZERO,
+                    dur: SimDuration::from_micros(1),
+                }],
+                adversary: Some(faults::Adversary {
+                    link: adversary,
+                    ..faults::Adversary::default()
+                }),
+                ..faults::FaultProfile::default()
+            }),
+            ..opf()
+        };
+        let out_of_range = |what| {
+            Err(FaultIndexOutOfRange {
+                what,
+                index: 5,
+                initiators: 5,
+            })
+        };
+        let cases: [(Scenario, Result<(), ScenarioError>); 14] = [
             (opf(), Ok(())),
             (cluster(), Ok(())),
             (moving(4, 1), Ok(())),
+            (faulty(4, 4, 4), Ok(())),
+            (faulty(5, 4, 4), out_of_range("flap link")),
+            (faulty(4, 5, 4), out_of_range("crash tenant")),
+            (faulty(4, 4, 5), out_of_range("adversary link")),
             (
                 Scenario {
                     tc_per_node: 64,

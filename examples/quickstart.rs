@@ -113,7 +113,7 @@ fn main() {
     let i = initiator.borrow();
     println!(
         "initiator stats: {} submitted, {} completed, {} coalesced-response(s)",
-        i.stats.submitted, i.stats.completed, i.stats.resps_rx
+        i.io.stats.submitted, i.io.stats.completed, i.io.stats.resps_rx
     );
     let t = target.borrow();
     println!(
