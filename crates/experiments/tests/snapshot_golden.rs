@@ -1,7 +1,8 @@
 //! Full-snapshot goldens for the run shapes no CSV golden pins in
 //! full: every metric key and value of a 2-target run with one live
-//! migration, of a lossy open-loop (`traffic` + `faults`) run, and of
-//! a lossy closed-loop run on the baseline runtime.
+//! migration, of a lossy open-loop (`traffic` + `faults`) run, of a
+//! lossy closed-loop run on each runtime, and of unhardened-adversary
+//! runs on each runtime — plus a digest of the target trace stream.
 //!
 //! The first two files were rendered by [`render`] at commit d6a53a9,
 //! when the first shape ran through the separate `run_cluster` driver
@@ -9,11 +10,25 @@
 //! reproduce them byte for byte (key union included). The third was
 //! rendered at d6da634, when the baseline and NVMe-oPF initiators were
 //! two copies of the transport code: it pins the baseline's retry,
-//! R2T re-grant and duplicate-suppression paths.
+//! R2T re-grant and duplicate-suppression paths. The rest
+//! (`snapshot_opf_lossy_mixed`, `snapshot_unhardened_*`,
+//! `trace_digest`) were rendered at 8b0c8ff, when `nvmf::SpdkTarget`
+//! and `opf::OpfTarget` were two copies of the transport code: they pin
+//! the TC-write staging / `awaiting_data` / R2T re-grant /
+//! `dup_cmds_dropped` paths, trust-the-wire routing with the `send_to`
+//! unknown-initiator drop, and the `tgt.*` / `opf.*` event stream that
+//! `experiments::breakdown` and opfbench's spans pair on.
 
-use faults::FaultProfile;
+use bytes::Bytes;
+use faults::{Adversary, FaultProfile};
+use nvme::Opcode;
+use opf::ReqClass;
 use simkit::metrics::format_f64;
-use workload::{MigrationSpec, Mix, RuntimeKind, Scenario, TrafficSpec};
+use simkit::{Kernel, SimTime, Tracer};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::rc::Rc;
+use workload::{build_pair_traced, MigrationSpec, Mix, Pair, RuntimeKind, Scenario, TrafficSpec};
 
 fn render(sc: &Scenario) -> String {
     workload::run(sc)
@@ -70,10 +85,10 @@ fn openloop_lossy() -> Scenario {
     sc
 }
 
-/// 1 LS + 3 TC closed-loop mixed-I/O tenants on the baseline runtime
-/// over a fabric dropping 2% and duplicating 1% of PDUs.
-fn baseline_lossy() -> Scenario {
-    let mut sc = Scenario::ratio(RuntimeKind::Spdk, fabric::Gbps::G100, Mix::MIXED, 1, 3);
+/// 1 LS + 3 TC closed-loop mixed-I/O tenants over a fabric dropping 2%
+/// and duplicating 1% of PDUs.
+fn closed_lossy(runtime: RuntimeKind) -> Scenario {
+    let mut sc = Scenario::ratio(runtime, fabric::Gbps::G100, Mix::MIXED, 1, 3);
     sc.warmup_s = 0.01;
     sc.measure_s = 0.04;
     sc.faults = Some(FaultProfile {
@@ -94,7 +109,125 @@ fn openloop_lossy_snapshot_matches_golden() {
     assert_matches("snapshot_openloop_lossy.txt", &render(&openloop_lossy()));
 }
 
+/// 1 LS + 3 TC closed-loop mixed-I/O tenants, the last one spoofing
+/// 30% of its capsules as `victim` against a wire-trusting target.
+/// Victim 2 is an honest tenant (trust-the-wire routing into its
+/// queues); victim 9 never connected (the `send_to` drop).
+fn unhardened(runtime: RuntimeKind, victim: u8) -> Scenario {
+    let mut sc = Scenario::ratio(runtime, fabric::Gbps::G100, Mix::MIXED, 1, 3);
+    sc.warmup_s = 0.005;
+    sc.measure_s = 0.02;
+    sc.faults = Some(FaultProfile {
+        adversary: Some(Adversary {
+            link: 3,
+            spoof_p: 0.3,
+            spoof_victim: victim,
+            harden: false,
+            ..Adversary::default()
+        }),
+        ..FaultProfile::default()
+    });
+    sc
+}
+
+/// FNV-1a over every `(time, kind, who, detail)` the target emits in one
+/// fault-free traced run (1 LS + 4 TC tenants, every third request a
+/// write), with the per-kind event counts for diagnosis.
+fn trace_digest(runtime: RuntimeKind) -> String {
+    let mut k = Kernel::new(31);
+    let (sink, tracer) = Tracer::recording();
+    let pair = Rc::new(build_pair_traced(
+        &mut k,
+        runtime,
+        workload::scenario::Speed::G100,
+        5,
+        32,
+        opf::WindowPolicy::Static(8),
+        31,
+        true,
+        tracer,
+    ));
+    fn pump(pair: Rc<Pair>, k: &mut Kernel, tenant: usize, class: ReqClass, n: u64, end: SimTime) {
+        if k.now() >= end {
+            return;
+        }
+        let p2 = pair.clone();
+        let (opcode, payload) = if n % 3 == 0 {
+            let payload = Bytes::from(vec![0u8; nvme::BLOCK_SIZE]);
+            (Opcode::Write, Some(payload))
+        } else {
+            (Opcode::Read, None)
+        };
+        pair.initiators[tenant].submit(
+            k,
+            class,
+            opcode,
+            n % 4096,
+            1,
+            payload,
+            Box::new(move |k, _| pump(p2, k, tenant, class, n + 1, end)),
+        );
+    }
+    let end = SimTime::from_micros(3_000);
+    for tenant in 1..5 {
+        for q in 0..32u64 {
+            let class = ReqClass::ThroughputCritical;
+            pump(pair.clone(), &mut k, tenant, class, q, end);
+        }
+    }
+    pump(pair.clone(), &mut k, 0, ReqClass::LatencySensitive, 0, end);
+    k.set_horizon(end);
+    k.run_to_completion();
+
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let events = &sink.borrow().events;
+    for ev in events {
+        eat(&ev.at.as_nanos().to_le_bytes());
+        eat(ev.kind.as_bytes());
+        eat(&ev.who.to_le_bytes());
+        eat(&ev.detail.to_le_bytes());
+        *kinds.entry(ev.kind).or_default() += 1;
+    }
+    let mut out = format!("{runtime:?} events={} fnv={fnv:016x}\n", events.len());
+    for (kind, n) in kinds {
+        writeln!(out, "{runtime:?} {kind}={n}").unwrap();
+    }
+    out
+}
+
 #[test]
 fn baseline_lossy_snapshot_matches_golden() {
-    assert_matches("snapshot_baseline_lossy.txt", &render(&baseline_lossy()));
+    let rendered = render(&closed_lossy(RuntimeKind::Spdk));
+    assert_matches("snapshot_baseline_lossy.txt", &rendered);
+}
+
+#[test]
+fn opf_lossy_mixed_snapshot_matches_golden() {
+    let rendered = render(&closed_lossy(RuntimeKind::Opf));
+    assert_matches("snapshot_opf_lossy_mixed.txt", &rendered);
+}
+
+#[test]
+fn unhardened_adversary_snapshots_match_golden() {
+    for (runtime, name) in [(RuntimeKind::Spdk, "spdk"), (RuntimeKind::Opf, "opf")] {
+        for victim in [2u8, 9] {
+            let rendered = render(&unhardened(runtime, victim));
+            assert_matches(
+                &format!("snapshot_unhardened_{name}_victim{victim}.txt"),
+                &rendered,
+            );
+        }
+    }
+}
+
+#[test]
+fn target_trace_stream_matches_golden() {
+    let rendered = trace_digest(RuntimeKind::Spdk) + &trace_digest(RuntimeKind::Opf);
+    assert_matches("trace_digest.txt", &rendered);
 }
