@@ -84,9 +84,16 @@ enum Json {
     Bool(bool),
 }
 
+/// Deepest nesting the reader accepts (an emitted scenario nests 2). It
+/// recurses per level, so an unbounded document would end in a stack
+/// overflow instead of an error.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'s> {
     b: &'s [u8],
     i: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl<'s> Parser<'s> {
@@ -113,8 +120,16 @@ impl<'s> Parser<'s> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.obj(),
-            Some(b'[') => self.arr(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.i
+            )),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' { self.obj() } else { self.arr() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') | Some(b'f') => self.boolean(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -244,6 +259,7 @@ pub fn parse(text: &str) -> Result<(Config, Counterexample), String> {
     let mut p = Parser {
         b: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let Json::Obj(root) = p.value()? else {
         return Err("scenario root must be an object".into());
@@ -308,6 +324,14 @@ mod tests {
         assert_eq!(cx.schedule, cx2.schedule);
         assert_eq!(cx.violation, cx2.violation);
         assert_eq!(replay(&cfg2, &cx2.schedule), Ok(Some(cx.violation)));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nested deeper than 64"), "{err}");
+        }
     }
 
     #[test]

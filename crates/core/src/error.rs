@@ -50,7 +50,8 @@ pub enum ProtocolError {
         /// How many queued CIDs were dequeued (and completed) in the search.
         drained: usize,
     },
-    /// An R2T arrived for a command that has no payload to transfer.
+    /// An R2T arrived for a command that has no payload to transfer, or
+    /// granted another length than the payload (corrupted in flight).
     R2tWithoutPayload {
         /// Initiator that received the R2T.
         initiator: u8,
@@ -68,6 +69,17 @@ pub enum ProtocolError {
         claimed: u8,
         /// Initiator the connection actually belongs to.
         expected: u8,
+    },
+    /// A command capsule carried a CID past the bound the target's
+    /// queue keys can hold (`opf::MAX_QUEUE_DEPTH`) — corrupted in
+    /// flight or forged, since no admissible queue pair allocates it.
+    /// Dropped before anything is keyed by the CID; a retransmission
+    /// recovers the command.
+    CidOutOfRange {
+        /// Target that dropped the capsule.
+        target: u32,
+        /// The CID as it arrived.
+        cid: u16,
     },
     /// An initiator ID named no registered connection (a second connect
     /// for an already-connected tenant, or a send routed by a forged ID
@@ -147,6 +159,12 @@ impl std::fmt::Display for ProtocolError {
                 f,
                 "{side:?} capsule claims initiator {claimed} on initiator {expected}'s connection"
             ),
+            ProtocolError::CidOutOfRange { target, cid } => {
+                write!(
+                    f,
+                    "Target({target}) dropped a command with out-of-range CID {cid}"
+                )
+            }
             ProtocolError::UnknownInitiator { side, initiator } => {
                 write!(f, "{side:?} referenced unregistered initiator {initiator}")
             }

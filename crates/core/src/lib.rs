@@ -24,11 +24,12 @@
 //!   optimizer that retunes after drain completions.
 //!
 //! The crate deliberately reuses the `nvmf` PDU/cost/qpair layers and
-//! its transport initiator — [`OpfInitiator`] is an
-//! [`nvmf::SpdkInitiator`] plus a [`nvmf::PriorityPolicy`] — so the
+//! its transport initiator and target — [`OpfInitiator`] is an
+//! [`nvmf::SpdkInitiator`] plus a [`nvmf::PriorityPolicy`], [`OpfTarget`]
+//! an [`nvmf::SpdkTarget`] plus a [`nvmf::TargetPolicy`] — so the
 //! baseline and NVMe-oPF differ only in the priority logic: the same
 //! discipline the paper follows by patching SPDK rather than rewriting
-//! it. (The targets are still two implementations.)
+//! it.
 
 pub mod config;
 pub mod error;
@@ -41,5 +42,5 @@ pub use config::{
 };
 pub use error::{ProtocolError, ProtocolSide};
 pub use initiator::{OpfInitiator, OpfInitiatorStats};
-pub use target::{ExtractedTenant, OpfTarget, OpfTargetStats};
+pub use target::{ExtractedTenant, OpfTarget, OpfTargetStats, MAX_QUEUE_DEPTH};
 pub use window::{optimal_window, DynamicWindow};

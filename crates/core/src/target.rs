@@ -1,4 +1,5 @@
-//! The NVMe-oPF target Priority Manager (Algorithms 3 and 4).
+//! The NVMe-oPF target Priority Manager (Algorithms 3 and 4) — a
+//! [`TargetPolicy`] over the one transport target in `nvmf`.
 //!
 //! Per-initiator TC queues stage throughput-critical commands until the
 //! tenant's draining flag arrives; the batch is then metered into the
@@ -25,57 +26,31 @@ use crate::error::{ProtocolError, ProtocolSide};
 use bytes::Bytes;
 use fabric::{Endpoint, Network};
 use nvme::{NvmeDevice, Opcode, Sqe, Status};
-use nvmf::{CpuCosts, Pdu, PduRx, Priority};
+use nvmf::target::{Dialect, TargetPolicy, Violation};
+use nvmf::{CpuCosts, Pdu, PduRx, Priority, SpdkTarget};
 use queues::{mailbox, CidQueue, MailboxRx, MailboxTx};
 use simkit::FxHashMap;
-use simkit::{Kernel, Metrics, MetricsSource, Resource, Shared, SimDuration, SimTime, Tracer};
-use std::collections::{BTreeMap, VecDeque};
+use simkit::{Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime, Tracer};
+use std::collections::VecDeque;
 
-/// Target-side counters. `resps_tx` is the Figure 6(c) notification
-/// count; in NVMe-oPF it is roughly `drains_rx + ls_rx` instead of the
-/// baseline's one-per-command.
+/// Priority Manager counters; the transport's are in
+/// [`OpfTarget::io`]`.stats`.
 #[derive(Clone, Debug, Default)]
 pub struct OpfTargetStats {
-    /// Command capsules received.
-    pub cmds_rx: u64,
     /// LS commands received.
     pub ls_rx: u64,
     /// TC commands received.
     pub tc_rx: u64,
     /// Draining flags received.
     pub drains_rx: u64,
-    /// H2C data PDUs received.
-    pub data_rx: u64,
-    /// Response capsules sent (completion notifications).
-    pub resps_tx: u64,
-    /// Coalesced responses among `resps_tx`.
+    /// Coalesced responses among the transport's `resps_tx`.
     pub coalesced_resps_tx: u64,
-    /// R2T PDUs sent.
-    pub r2ts_tx: u64,
-    /// C2H data PDUs sent.
-    pub data_tx: u64,
-    /// Commands completed by the device.
-    pub completed: u64,
     /// LS commands that bypassed the TC queues.
     pub ls_bypassed: u64,
     /// High-water mark of any per-initiator TC queue.
     pub max_tc_queue: usize,
     /// High-water mark of the metered ready queue.
     pub max_ready: usize,
-    /// Small sends that paid the backpressure penalty.
-    pub backpressured_sends: u64,
-    /// Protocol violations detected (malformed/misdirected PDUs). The
-    /// offending PDU is dropped; the sim keeps running.
-    pub protocol_errors: u64,
-    /// Duplicate command capsules dropped (recovery mode): retransmits
-    /// of commands still live at the target.
-    pub dup_cmds_dropped: u64,
-    /// R2Ts re-granted to retransmitted writes (recovery mode).
-    pub r2t_regrants: u64,
-    /// Command capsules dropped because the wire initiator byte did not
-    /// match the connection they arrived on (identity enforcement,
-    /// DESIGN.md §14). Subset of `protocol_errors`.
-    pub spoofs_dropped: u64,
     /// Draining flags stripped by the per-tenant rate limiter. The
     /// command itself is kept — staged as plain TC and flushed by the
     /// tenant's next in-rate drain — so honest traffic is never lost.
@@ -103,8 +78,6 @@ pub struct OpfTargetStats {
 pub struct ExtractedTenant {
     /// The tenant (initiator id) being moved.
     pub initiator: u8,
-    /// Kernel shard that hosted the tenant on the source target.
-    pub source_shard: u32,
     /// Staged commands in CID-queue (drain) order.
     cmds: Vec<MovedCmd>,
 }
@@ -152,6 +125,11 @@ struct TcState {
 const OWNER_SHIFT: u16 = 10;
 const CID_MASK: u16 = (1 << OWNER_SHIFT) - 1;
 
+/// Deepest queue pair whose CIDs fit the queue keys' CID field; the
+/// transport drops a command capsule carrying a CID past it
+/// ([`Dialect::max_cid`]) before it can reach `encode_key`.
+pub const MAX_QUEUE_DEPTH: usize = 1 << OWNER_SHIFT;
+
 fn encode_key(owner: u8, cid: u16) -> u16 {
     debug_assert!(cid <= CID_MASK, "CID {cid} exceeds the shared-queue bound");
     debug_assert!(owner < 64, "owner {owner} exceeds the shared-queue bound");
@@ -197,11 +175,6 @@ struct ReadyCmd {
     batch: usize,
 }
 
-struct Conn {
-    ep: Shared<Endpoint>,
-    rx: PduRx,
-}
-
 /// Token-bucket state for one tenant's drain-flag rate limit
 /// (DESIGN.md §14). Pure sim-time arithmetic: refills are computed
 /// lazily from the elapsed time at each drain, so an in-rate tenant
@@ -223,32 +196,12 @@ const OWNER_SHARD: u32 = 0;
 /// is synchronous), so this never limits how much a drain can flush.
 const SUBMIT_MAILBOX_CAP: usize = 256;
 
-/// Summary of one reactor's ownership and traffic, for experiments and
-/// tests (`repro scale` reports these). Bookkeeping only — reactor
-/// counters never become metrics, so metric snapshots stay bit-identical
-/// across shard counts.
-#[derive(Clone, Debug, Default)]
-pub struct ReactorSummary {
-    /// Kernel shard (lane) this reactor runs on.
-    pub shard: u32,
-    /// Tenants assigned to the reactor.
-    pub tenants: usize,
-    /// Commands classified on this reactor.
-    pub cmds: u64,
-    /// Completions returned to this reactor's tenants.
-    pub completions: u64,
-    /// Device submissions posted through this reactor's mailbox.
-    pub posted: u64,
-}
-
 /// Per-reactor state: everything a reactor touches on its tenants' fast
 /// path, owned exclusively (DESIGN.md §13). The genuinely shared
 /// structures — the device, the metered ready queue and the batch
 /// table — belong to the device-owner reactor, reached only through
 /// `submit_tx`.
 struct ReactorState {
-    /// Tenants assigned to this reactor.
-    tenants: Vec<u8>,
     /// Per-initiator TC queues (the §IV-A lock-free design), or the one
     /// shared queue in the ablation mode (always on the owner reactor:
     /// one queue cannot be owned by many).
@@ -257,35 +210,23 @@ struct ReactorState {
     /// here (batched — post × N, one doorbell) and drained by the owner
     /// into the metered ready queue.
     submit_tx: MailboxTx<ReadyCmd>,
-    /// Commands classified on this reactor.
-    cmds: u64,
-    /// Completions returned to this reactor's tenants.
-    completions: u64,
 }
 
-/// The NVMe-oPF target.
+/// The NVMe-oPF target: the transport target ([`nvmf::SpdkTarget`] —
+/// connections, wire checks, R2T grants, duplicate suppression, sends)
+/// plus the Priority Manager: per-tenant TC queues on per-lane reactors,
+/// drained batches metered into the device, one coalesced response per
+/// drain, and the LS bypass.
 pub struct OpfTarget {
-    /// Target identifier (for traces).
-    pub id: u32,
-    reactor: Resource,
-    costs: CpuCosts,
+    /// The transport this Priority Manager drives.
+    pub io: SpdkTarget,
     cfg: OpfTargetConfig,
-    net: Network,
-    ep: Shared<Endpoint>,
-    device: Shared<NvmeDevice>,
-    /// Connected initiators. BTreeMap: metrics enumerate tenants in
-    /// iteration order, which must be deterministic.
-    conns: BTreeMap<u8, Conn>,
-    /// Writes whose H2C data has not arrived yet.
-    pending_writes: FxHashMap<(u8, u16), (Sqe, Priority)>,
     /// Per-reactor state, indexed by kernel shard. Sparse: a target only
     /// materializes the device owner plus the shards its tenants use.
     reactors: Vec<ReactorState>,
     /// Owner-reactor side of each reactor's submission mailbox (parallel
     /// to `reactors`).
     submit_rx: Vec<MailboxRx<ReadyCmd>>,
-    /// Kernel shard hosting each connected initiator.
-    lane_of: BTreeMap<u8, u32>,
     /// Drained batches in flight. Slots are recycled via a free list.
     batches: Vec<Option<Batch>>,
     free_batches: Vec<usize>,
@@ -305,13 +246,6 @@ pub struct OpfTarget {
     group_pool: Vec<Vec<StagedCmd>>,
     /// TC commands currently at the device.
     tc_inflight: usize,
-    /// Recovery mode: suppress duplicate commands from retransmitting
-    /// initiators instead of re-queueing them.
-    recovery: bool,
-    /// Commands accepted and not yet completed, keyed by (initiator,
-    /// CID). Membership-only — never iterated, so its hash order can
-    /// never leak into event order.
-    live: simkit::FxHashSet<(u8, u16)>,
     /// Per-tenant drain rate-limit buckets. Only populated when
     /// `cfg.drain_rate` is set; membership-only lookups, never iterated.
     drain_buckets: FxHashMap<u8, DrainBucket>,
@@ -323,7 +257,6 @@ pub struct OpfTarget {
     /// LS flags are forged by definition and demoted under enforcement.
     /// Membership-only, never iterated.
     ls_denied: simkit::FxHashSet<u8>,
-    tracer: Tracer,
     /// Counters.
     pub stats: OpfTargetStats,
     /// Most recent protocol violation, kept for diagnostics.
@@ -345,19 +278,13 @@ impl OpfTarget {
         cfg: OpfTargetConfig,
         tracer: Tracer,
     ) -> Self {
+        let mut io = SpdkTarget::new(id, net, ep, device, costs, tracer);
+        io.set_hardening(cfg.enforce_identity);
         let mut t = OpfTarget {
-            id,
-            reactor: Resource::new("opf_reactor"),
-            costs,
+            io,
             cfg,
-            net,
-            ep,
-            device,
-            conns: BTreeMap::new(),
-            pending_writes: FxHashMap::default(),
             reactors: Vec::new(),
             submit_rx: Vec::new(),
-            lane_of: BTreeMap::new(),
             batches: Vec::new(),
             free_batches: Vec::new(),
             batch_fifo: FxHashMap::default(),
@@ -367,12 +294,9 @@ impl OpfTarget {
             groups: Vec::new(),
             group_pool: Vec::new(),
             tc_inflight: 0,
-            recovery: false,
-            live: simkit::FxHashSet::default(),
             drain_buckets: FxHashMap::default(),
             drain_weights: FxHashMap::default(),
             ls_denied: simkit::FxHashSet::default(),
-            tracer,
             stats: OpfTargetStats::default(),
             last_protocol_error: None,
         };
@@ -387,45 +311,18 @@ impl OpfTarget {
         while self.reactors.len() <= shard as usize {
             let (tx, rx) = mailbox(SUBMIT_MAILBOX_CAP);
             self.reactors.push(ReactorState {
-                tenants: Vec::new(),
                 tc: FxHashMap::default(),
                 submit_tx: tx,
-                cmds: 0,
-                completions: 0,
             });
             self.submit_rx.push(rx);
         }
     }
 
-    /// Reactor (kernel shard) hosting `initiator`. Unknown initiators —
+    /// Index of the reactor hosting `initiator`. Unknown initiators —
     /// possible only on protocol-error paths — map to the device owner.
-    pub fn reactor_of(&self, initiator: u8) -> u32 {
-        self.lane_of.get(&initiator).copied().unwrap_or(OWNER_SHARD)
-    }
-
     #[inline]
     fn lane_idx(&self, initiator: u8) -> usize {
-        self.reactor_of(initiator) as usize
-    }
-
-    /// Number of reactors materialized on this target.
-    pub fn reactor_count(&self) -> usize {
-        self.reactors.len()
-    }
-
-    /// Per-reactor ownership/traffic summaries, in shard order.
-    pub fn reactor_summaries(&self) -> Vec<ReactorSummary> {
-        self.reactors
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReactorSummary {
-                shard: i as u32,
-                tenants: r.tenants.len(),
-                cmds: r.cmds,
-                completions: r.completions,
-                posted: r.submit_tx.posted() as u64,
-            })
-            .collect()
+        self.io.reactor_of(initiator) as usize
     }
 
     /// Device submissions that crossed reactors (posted from a reactor
@@ -442,7 +339,7 @@ impl OpfTarget {
     /// Enable duplicate-command suppression (set by recovery-enabled
     /// deployments whose initiators may retransmit).
     pub fn set_recovery(&mut self, on: bool) {
-        self.recovery = on;
+        self.io.set_recovery(on);
     }
 
     /// Most recent protocol violation, if any.
@@ -453,8 +350,8 @@ impl OpfTarget {
     /// Record a protocol violation: count it, keep it for diagnostics,
     /// trace it — and let the caller drop the offending PDU.
     fn note_protocol_error(&mut self, now: simkit::SimTime, err: ProtocolError) {
-        self.stats.protocol_errors += 1;
-        self.tracer.emit(now, "opf.protocol_error", self.id, 0);
+        self.io.stats.protocol_errors += 1;
+        self.io.trace(now, "opf.protocol_error", self.io.id, 0);
         self.last_protocol_error = Some(err);
     }
 
@@ -469,38 +366,21 @@ impl OpfTarget {
     /// owner regardless of `shard`: its one queue cannot be owned by
     /// many reactors.
     pub fn connect_on(&mut self, initiator: u8, ep: Shared<Endpoint>, rx: PduRx, shard: u32) {
-        assert_ne!(
-            initiator, SHARED_KEY,
-            "initiator id {SHARED_KEY} is reserved"
-        );
-        if self.conns.contains_key(&initiator) {
-            // A second connect for a live tenant is protocol-reachable
-            // (a confused or malicious host), not a program bug: keep
-            // the original connection, count the violation, and drop
-            // the new endpoint instead of aborting the fabric.
-            let side = ProtocolSide::Target(self.id);
-            self.note_protocol_error(
-                SimTime::ZERO,
-                ProtocolError::UnknownInitiator { side, initiator },
-            );
-            return;
+        if !self.register(initiator, ep, rx, shard) {
+            self.violation(SimTime::ZERO, Violation::UnknownInitiator(initiator));
         }
+    }
+
+    /// Enter `initiator` into the transport's registry and onto its
+    /// reactor; false (nothing clobbered) when it is already connected
+    /// or names the reserved shared-queue key.
+    fn register(&mut self, initiator: u8, ep: Shared<Endpoint>, rx: PduRx, shard: u32) -> bool {
         let shard = match self.cfg.queue_mode {
             QueueMode::PerInitiator => shard,
             QueueMode::Shared => OWNER_SHARD,
         };
         self.ensure_reactor(shard);
-        self.reactors[shard as usize].tenants.push(initiator);
-        self.lane_of.insert(initiator, shard);
-        self.conns.insert(initiator, Conn { ep, rx });
-    }
-
-    /// Drop every initiator connection and the delivery closure it
-    /// holds (teardown: each closure captures its initiator, which
-    /// holds this target's receive path — an `Rc` cycle that would
-    /// outlive the simulation).
-    pub fn disconnect_all(&mut self) {
-        self.conns.clear();
+        initiator != SHARED_KEY && self.io.register(initiator, ep, rx, shard)
     }
 
     /// Register `initiator`'s connection as throughput-critical: any
@@ -556,11 +436,6 @@ impl OpfTarget {
         }
     }
 
-    /// Reactor utilization snapshot.
-    pub fn reactor_utilization(&self, now: simkit::SimTime) -> f64 {
-        self.reactor.utilization(now)
-    }
-
     fn queue_key(&self, initiator: u8) -> u8 {
         match self.cfg.queue_mode {
             QueueMode::PerInitiator => initiator,
@@ -568,85 +443,69 @@ impl OpfTarget {
         }
     }
 
-    fn small_send_cost(&mut self, k: &Kernel) -> SimDuration {
-        let util = self.ep.borrow().uplink_utilization(k.now());
-        let penalty = self.costs.small_send_penalty(util);
-        if !penalty.is_zero() {
-            self.stats.backpressured_sends += 1;
-        }
-        self.costs.send_small + penalty
-    }
-
     /// Deliver a PDU arriving from initiator `from`.
     pub fn on_pdu(this: &Shared<OpfTarget>, k: &mut Kernel, from: u8, pdu: Pdu) {
-        match pdu {
-            Pdu::CapsuleCmd {
-                sqe,
-                priority,
-                initiator,
-            } => {
-                if initiator != from {
-                    let enforce = {
-                        let mut t = this.borrow_mut();
-                        if t.cfg.enforce_identity {
-                            // §14 defense: the wire byte is untrusted.
-                            // The connection's `from` is ground truth, so
-                            // a mismatched capsule can only be forged or
-                            // corrupted — count and drop it before it
-                            // reaches a victim's queue.
-                            t.stats.spoofs_dropped += 1;
-                            let side = ProtocolSide::Target(t.id);
-                            t.note_protocol_error(
-                                k.now(),
-                                ProtocolError::IdentityMismatch {
-                                    side,
-                                    claimed: initiator,
-                                    expected: from,
-                                },
-                            );
-                        }
-                        t.cfg.enforce_identity
-                    };
-                    if enforce {
-                        return;
-                    }
-                    // Enforcement off (the unhardened baseline column):
-                    // trust the wire, classifying under the claimed ID.
-                    Self::on_cmd(this, k, initiator, sqe, priority);
-                    return;
-                }
-                Self::on_cmd(this, k, from, sqe, priority);
-            }
-            Pdu::H2CData { cccid, data } => Self::on_h2c_data(this, k, from, cccid, data),
-            // Responses, R2Ts and C2H data never travel host → controller:
-            // record the violation and drop the PDU rather than abort.
-            other => {
-                let mut t = this.borrow_mut();
-                let side = ProtocolSide::Target(t.id);
-                t.note_protocol_error(
-                    k.now(),
-                    ProtocolError::UnexpectedPdu {
-                        side,
-                        kind: other.kind(),
-                    },
-                );
-            }
-        }
+        SpdkTarget::on_pdu(this, k, from, pdu);
+    }
+}
+
+/// The Priority Manager as a policy over the transport target.
+impl TargetPolicy for OpfTarget {
+    const DIALECT: Dialect = Dialect {
+        cmd_rx: "opf.cmd_rx",
+        dev_submit: "opf.dev_submit",
+        dev_done: "opf.dev_done",
+        resp_tx: "opf.ls_resp_tx",
+        resp_by_target: true,
+        max_cid: CID_MASK,
+        device_lane: Some(OWNER_SHARD),
+        forget_at_completion: true,
+        submit_with_parse: false,
+        tc_writes_early: true,
+    };
+
+    fn transport(&mut self) -> &mut SpdkTarget {
+        &mut self.io
     }
 
-    /// Algorithm 3 entry: classify the command.
-    fn on_cmd(this: &Shared<OpfTarget>, k: &mut Kernel, from: u8, sqe: Sqe, priority: Priority) {
-        let priority = {
-            let mut t = this.borrow_mut();
-            // Class admission control: the LS bit on a connection
-            // registered throughput-critical is forged — demote it to
-            // plain TC so it cannot jump the bypass queue. Only under
-            // enforcement; the baseline trusts the wire.
-            if priority.is_ls() && t.cfg.enforce_identity && t.ls_denied.contains(&from) {
-                t.stats.ls_demoted += 1;
-                let target = t.id;
-                t.note_protocol_error(
-                    k.now(),
+    fn violation(&mut self, now: SimTime, v: Violation) {
+        let target = self.io.id;
+        let side = ProtocolSide::Target(target);
+        self.note_protocol_error(
+            now,
+            match v {
+                Violation::UnexpectedPdu(kind) => ProtocolError::UnexpectedPdu { side, kind },
+                Violation::IdentityMismatch { claimed, expected } => {
+                    ProtocolError::IdentityMismatch {
+                        side,
+                        claimed,
+                        expected,
+                    }
+                }
+                Violation::CidOutOfRange(cid) => ProtocolError::CidOutOfRange { target, cid },
+                Violation::UnknownCid(cid) => ProtocolError::UnknownCid { side, cid },
+                Violation::UnknownInitiator(initiator) => {
+                    ProtocolError::UnknownInitiator { side, initiator }
+                }
+            },
+        );
+    }
+
+    /// Algorithm 3 entry: settle the command's class. A TC write is
+    /// taken at R2T grant so the drain ordering covers it (see
+    /// `StagedCmd::needs_data`); LS and untagged writes classify once
+    /// their data arrives.
+    fn admit(&mut self, now: SimTime, from: u8, sqe: &Sqe, priority: Priority) -> Option<Priority> {
+        // Class admission control: the LS bit on a connection registered
+        // throughput-critical is forged — demote it to plain TC so it
+        // cannot jump the bypass queue. Only under enforcement; the
+        // baseline trusts the wire.
+        let priority =
+            if priority.is_ls() && self.cfg.enforce_identity && self.ls_denied.contains(&from) {
+                self.stats.ls_demoted += 1;
+                let target = self.io.id;
+                self.note_protocol_error(
+                    now,
                     ProtocolError::ForgedPriority {
                         target,
                         initiator: from,
@@ -656,142 +515,60 @@ impl OpfTarget {
                 Priority::ThroughputCritical { draining: false }
             } else {
                 priority
-            }
-        };
-        {
-            let mut t = this.borrow_mut();
-            t.stats.cmds_rx += 1;
-            let lane = t.lane_idx(from);
-            t.reactors[lane].cmds += 1;
-            t.tracer
-                .emit(k.now(), "opf.cmd_rx", u32::from(from), u64::from(sqe.cid));
-            match priority {
-                Priority::LatencySensitive => t.stats.ls_rx += 1,
-                Priority::ThroughputCritical { draining } => {
-                    t.stats.tc_rx += 1;
-                    if draining {
-                        t.stats.drains_rx += 1;
-                    }
-                }
-                Priority::None => {}
-            }
-        }
-
-        if sqe.opcode == Opcode::Write {
-            let tc = priority.is_tc();
-            // Grant the R2T now; LS/untagged writes classify once their
-            // data arrives, TC writes stage immediately so the drain
-            // ordering covers them (see StagedCmd::needs_data).
-            let finish = {
-                let mut t = this.borrow_mut();
-                if t.recovery && t.live.contains(&(from, sqe.cid)) {
-                    // Retransmitted write: the R2T below re-grants the
-                    // transfer; classify will drop the duplicate command.
-                    t.stats.r2t_regrants += 1;
-                }
-                let cost = t.costs.parse_cmd + t.costs.build_r2t + t.small_send_cost(k);
-                let grant = t.reactor.reserve(k.now(), cost);
-                if !tc {
-                    t.pending_writes.insert((from, sqe.cid), (sqe, priority));
-                }
-                grant.finish
             };
-            let this2 = this.clone();
-            k.schedule_at(finish, move |k| {
-                {
-                    let mut t = this2.borrow_mut();
-                    t.stats.r2ts_tx += 1;
-                    let pdu = Pdu::R2T {
-                        cccid: sqe.cid,
-                        r2tl: sqe.data_len() as u32,
-                    };
-                    t.send_to(k, from, pdu);
+        match priority {
+            Priority::LatencySensitive => self.stats.ls_rx += 1,
+            Priority::ThroughputCritical { draining } => {
+                self.stats.tc_rx += 1;
+                if draining {
+                    self.stats.drains_rx += 1;
                 }
-                if tc {
-                    Self::classify(&this2, k, from, sqe, priority, None);
-                }
-            });
-            return;
+            }
+            Priority::None => {}
         }
-
-        let finish = {
-            let mut t = this.borrow_mut();
-            let cost = t.costs.parse_cmd;
-            t.reactor.reserve(k.now(), cost).finish
-        };
-        let this2 = this.clone();
-        k.schedule_at(finish, move |k| {
-            Self::classify(&this2, k, from, sqe, priority, None);
-        });
+        if sqe.opcode == Opcode::Write && self.io.is_live(from, sqe.cid) {
+            // Retransmitted write: the transport re-grants the transfer;
+            // `run` will drop the duplicate command.
+            self.io.stats.r2t_regrants += 1;
+        }
+        Some(priority)
     }
 
-    fn on_h2c_data(this: &Shared<OpfTarget>, k: &mut Kernel, from: u8, cccid: u16, data: Bytes) {
-        let (finish, pending) = {
+    /// The payload of a TC write: attach it to the staged command, or
+    /// release the command into its batch if the drain already passed.
+    fn on_data(this: &Shared<Self>, k: &mut Kernel, from: u8, cccid: u16, data: Bytes) {
+        let finish = {
             let mut t = this.borrow_mut();
-            t.stats.data_rx += 1;
-            let pending = t.pending_writes.remove(&(from, cccid));
-            let cost = t.costs.handle_data;
-            (t.reactor.reserve(k.now(), cost).finish, pending)
+            let cost = t.io.costs().handle_data;
+            t.io.reserve(k.now(), cost)
         };
         let this2 = this.clone();
         k.schedule_at(finish, move |k| {
-            match pending {
-                // LS/untagged write: classify now that the data is here.
-                Some((sqe, priority)) => {
-                    Self::classify(&this2, k, from, sqe, priority, Some(data));
+            let mut t = this2.borrow_mut();
+            if let Some((batch, sqe)) = t.awaiting_data.remove(&(from, cccid)) {
+                t.post_ready(ReadyCmd {
+                    initiator: from,
+                    sqe,
+                    data: Some(data),
+                    batch,
+                });
+                t.collect_submissions();
+                drop(t);
+                return Self::pump(&this2, k);
+            }
+            let key = t.queue_key(from);
+            let lane = t.lane_idx(from);
+            match t
+                .reactors
+                .get_mut(lane)
+                .and_then(|r| r.tc.get_mut(&key))
+                .and_then(|state| state.staged.get_mut(&(from, cccid)))
+            {
+                Some(staged) => {
+                    staged.data = Some(data);
+                    staged.needs_data = false;
                 }
-                // TC write: attach the payload to the staged command, or
-                // release it into its batch if the drain already passed.
-                None => {
-                    let pump_now = {
-                        let mut t = this2.borrow_mut();
-                        if let Some((batch, sqe)) = t.awaiting_data.remove(&(from, cccid)) {
-                            t.post_ready(ReadyCmd {
-                                initiator: from,
-                                sqe,
-                                data: Some(data),
-                                batch,
-                            });
-                            t.collect_submissions();
-                            true
-                        } else {
-                            let key = t.queue_key(from);
-                            let lane = t.lane_idx(from);
-                            match t
-                                .reactors
-                                .get_mut(lane)
-                                .and_then(|r| r.tc.get_mut(&key))
-                                .and_then(|state| state.staged.get_mut(&(from, cccid)))
-                            {
-                                Some(staged) => {
-                                    staged.data = Some(data);
-                                    staged.needs_data = false;
-                                }
-                                // H2C data naming no staged TC write: a
-                                // misbehaving tenant must not abort the
-                                // fabric — count it and drop the payload.
-                                // Under recovery this is the expected echo
-                                // of a retransmitted write, not a
-                                // violation.
-                                None => {
-                                    if t.recovery {
-                                        t.stats.dup_cmds_dropped += 1;
-                                    } else {
-                                        let side = ProtocolSide::Target(t.id);
-                                        t.note_protocol_error(
-                                            k.now(),
-                                            ProtocolError::UnknownCid { side, cid: cccid },
-                                        );
-                                    }
-                                }
-                            }
-                            false
-                        }
-                    };
-                    if pump_now {
-                        Self::pump(&this2, k);
-                    }
-                }
+                None => SpdkTarget::stray_data(&mut *t, k.now(), cccid),
             }
         });
     }
@@ -799,25 +576,28 @@ impl OpfTarget {
     /// Algorithm 3 body: LS (and untagged) commands go straight to
     /// execution; TC commands are staged; a draining TC command flushes
     /// its tenant's queue.
-    fn classify(
-        this: &Shared<OpfTarget>,
+    fn run(
+        this: &Shared<Self>,
         k: &mut Kernel,
         from: u8,
         sqe: Sqe,
         priority: Priority,
         data: Option<Bytes>,
     ) {
+        {
+            let mut t = this.borrow_mut();
+            if !t.io.first_sighting(from, sqe.cid) {
+                // Retransmit of a command still staged, batched or at
+                // the device: exactly-once execution demands we drop it
+                // here.
+                t.io.stats.dup_cmds_dropped += 1;
+                return;
+            }
+        }
         match priority {
             Priority::ThroughputCritical { draining } => {
                 let flush = {
                     let mut t = this.borrow_mut();
-                    if t.recovery && !t.live.insert((from, sqe.cid)) {
-                        // Retransmit of a command still staged, batched or
-                        // at the device: exactly-once execution demands we
-                        // drop it here.
-                        t.stats.dup_cmds_dropped += 1;
-                        return;
-                    }
                     // §14 drain rate limit: an out-of-rate draining flag
                     // is stripped, not dropped — the command stages as
                     // plain TC and the tenant's next in-rate drain (or
@@ -855,11 +635,9 @@ impl OpfTarget {
                         // QD + window, so honest closed-loop tenants never
                         // get here — only a flood does. Count and drop;
                         // a recovering sender retransmits.
-                        if t.recovery {
-                            t.live.remove(&(from, sqe.cid));
-                        }
+                        t.io.forget(from, sqe.cid);
                         t.stats.tc_overflow_drops += 1;
-                        let target = t.id;
+                        let target = t.io.id;
                         t.note_protocol_error(
                             k.now(),
                             ProtocolError::TcQueueOverflow {
@@ -891,46 +669,41 @@ impl OpfTarget {
                 }
             }
             Priority::LatencySensitive if this.borrow().cfg.ls_bypass => {
-                // Bypass: execute immediately, outside the TC meter.
+                // Bypass: execute immediately, outside the TC meter and
+                // the mailbox — it is the express lane, and metering it
+                // through the owner's ready queue is exactly what §IV-A
+                // forbids — and respond per request on the tenant's
+                // reactor.
                 {
                     let mut t = this.borrow_mut();
-                    if t.recovery && !t.live.insert((from, sqe.cid)) {
-                        t.stats.dup_cmds_dropped += 1;
-                        return;
-                    }
                     t.stats.ls_bypassed += 1;
-                    let cost = t.costs.submit_dev;
-                    t.reactor.reserve(k.now(), cost);
+                    let cost = t.io.costs().submit_dev;
+                    t.io.reserve(k.now(), cost);
                 }
-                Self::execute_ls(this, k, from, sqe, data);
+                SpdkTarget::submit_dev(this, k, from, sqe, data, move |this, k, result| {
+                    SpdkTarget::respond(this, k, from, sqe, priority, result);
+                });
             }
             _ => {
                 // LS with bypass disabled (ablation) or untagged traffic:
                 // ride the metered path as a degenerate one-command batch.
-                {
-                    let mut t = this.borrow_mut();
-                    if t.recovery && !t.live.insert((from, sqe.cid)) {
-                        t.stats.dup_cmds_dropped += 1;
-                        return;
-                    }
-                }
-                let is_ls = priority.is_ls();
-                let batch = this.borrow_mut().new_batch(from, sqe.cid, 1, is_ls);
-                {
-                    let mut t = this.borrow_mut();
-                    t.post_ready(ReadyCmd {
-                        initiator: from,
-                        sqe,
-                        data,
-                        batch,
-                    });
-                    t.collect_submissions();
-                }
+                let mut t = this.borrow_mut();
+                let batch = t.new_batch(from, sqe.cid, 1, priority.is_ls());
+                t.post_ready(ReadyCmd {
+                    initiator: from,
+                    sqe,
+                    data,
+                    batch,
+                });
+                t.collect_submissions();
+                drop(t);
                 Self::pump(this, k);
             }
         }
     }
+}
 
+impl OpfTarget {
     /// Allocate a batch slot.
     fn new_batch(&mut self, initiator: u8, drain_cid: u16, size: usize, is_ls: bool) -> usize {
         let batch = Batch {
@@ -988,7 +761,7 @@ impl OpfTarget {
             // per-initiator mode). Each group becomes a batch whose
             // coalesced response goes to that tenant, acknowledged by the
             // tenant's most recent flushed CID.
-            // `order` and `staged` are updated together in `classify`,
+            // `order` and `staged` are updated together in `run`,
             // so a queue key with no staged command is only reachable
             // when trust-the-wire mode (enforce_identity=false) lets a
             // spoofed duplicate collide with a staged CID. Skip and
@@ -1014,15 +787,15 @@ impl OpfTarget {
                 }
             }
             if let Some(cid) = stale {
-                let side = ProtocolSide::Target(t.id);
-                t.stats.protocol_errors += stale_n - 1;
+                let side = ProtocolSide::Target(t.io.id);
+                t.io.stats.protocol_errors += stale_n - 1;
                 t.note_protocol_error(k.now(), ProtocolError::UnknownCid { side, cid });
             }
 
             // Reactor cost: flushing is a queue walk + submits.
             let n: usize = groups.iter().map(|(_, v)| v.len()).sum();
-            let cost = t.costs.submit_dev * n as u64;
-            t.reactor.reserve(k.now(), cost);
+            let cost = t.io.costs().submit_dev * n as u64;
+            t.io.reserve(k.now(), cost);
 
             for (owner, cmds) in &mut groups {
                 let owner = *owner;
@@ -1082,124 +855,16 @@ impl OpfTarget {
                     None => return,
                 }
             };
-            let device = this.borrow().device.clone();
-            {
-                let t = this.borrow();
-                t.tracer.emit(
-                    k.now(),
-                    "opf.dev_submit",
-                    u32::from(cmd.initiator),
-                    u64::from(cmd.sqe.cid),
-                );
-            }
-            let this2 = this.clone();
-            NvmeDevice::submit(&device, k, cmd.sqe, cmd.data, move |k, result| {
-                {
-                    let t = this2.borrow();
-                    t.tracer.emit(
-                        k.now(),
-                        "opf.dev_done",
-                        u32::from(cmd.initiator),
-                        u64::from(cmd.sqe.cid),
-                    );
-                }
-                Self::on_tc_done(&this2, k, cmd.initiator, cmd.sqe, cmd.batch, result);
+            let ReadyCmd {
+                initiator,
+                sqe,
+                data,
+                batch,
+            } = cmd;
+            SpdkTarget::submit_dev(this, k, initiator, sqe, data, move |this, k, result| {
+                Self::on_tc_done(this, k, initiator, sqe, batch, result);
             });
         })
-    }
-
-    /// Execute an LS command immediately and respond per request.
-    ///
-    /// The bypass skips the mailbox — it is the express lane, and
-    /// metering it through the owner's ready queue is exactly what §IV-A
-    /// forbids — but the device submission itself still runs on the
-    /// owner shard, like `pump`, so every device-side event lives on one
-    /// lane.
-    fn execute_ls(
-        this: &Shared<OpfTarget>,
-        k: &mut Kernel,
-        from: u8,
-        sqe: Sqe,
-        data: Option<Bytes>,
-    ) {
-        let device = this.borrow().device.clone();
-        {
-            let t = this.borrow();
-            t.tracer.emit(
-                k.now(),
-                "opf.dev_submit",
-                u32::from(from),
-                u64::from(sqe.cid),
-            );
-        }
-        let this2 = this.clone();
-        k.with_shard(OWNER_SHARD, |k| {
-            NvmeDevice::submit(&device, k, sqe, data, move |k, result| {
-                Self::on_ls_done(&this2, k, from, sqe, result);
-            })
-        })
-    }
-
-    /// An LS command finished at the device: build and send its response
-    /// on the tenant's reactor.
-    fn on_ls_done(
-        this: &Shared<OpfTarget>,
-        k: &mut Kernel,
-        from: u8,
-        sqe: Sqe,
-        result: nvme::device::IoResult,
-    ) {
-        {
-            let t = this.borrow();
-            t.tracer
-                .emit(k.now(), "opf.dev_done", u32::from(from), u64::from(sqe.cid));
-        }
-        let (finish, lane) = {
-            let mut t = this.borrow_mut();
-            t.stats.completed += 1;
-            let lane = t.lane_idx(from);
-            t.reactors[lane].completions += 1;
-            if t.recovery {
-                // As with TC completions: later retransmits re-execute
-                // so a lost LS response can be regenerated.
-                t.live.remove(&(from, sqe.cid));
-            }
-            let mut cost = t.costs.build_resp + t.small_send_cost(k);
-            if result.data.is_some() {
-                cost += t.costs.send_data;
-            }
-            (t.reactor.reserve(k.now(), cost).finish, lane as u32)
-        };
-        let this3 = this.clone();
-        // Hand the completion back to the owning reactor: the response
-        // build and send run on the tenant's lane.
-        k.with_shard(lane, |k| {
-            k.schedule_at(finish, move |k| {
-                let mut t = this3.borrow_mut();
-                if let Some(bytes) = result.data {
-                    t.stats.data_tx += 1;
-                    t.send_to(
-                        k,
-                        from,
-                        Pdu::C2HData {
-                            cccid: sqe.cid,
-                            data: bytes,
-                        },
-                    );
-                }
-                t.stats.resps_tx += 1;
-                t.tracer
-                    .emit(k.now(), "opf.ls_resp_tx", t.id, u64::from(sqe.cid));
-                t.send_to(
-                    k,
-                    from,
-                    Pdu::CapsuleResp {
-                        cqe: result.cqe,
-                        priority: Priority::LatencySensitive,
-                    },
-                );
-            })
-        });
     }
 
     /// Algorithm 4: a TC command finished at the device. Send its data
@@ -1215,19 +880,16 @@ impl OpfTarget {
     ) {
         let (finish, lane) = {
             let mut t = this.borrow_mut();
-            t.stats.completed += 1;
+            t.io.stats.completed += 1;
             t.tc_inflight -= 1;
             let lane = t.lane_idx(from);
-            t.reactors[lane].completions += 1;
-            if t.recovery {
-                // From here on a retransmit of this command re-executes
-                // (idempotently) rather than being suppressed — necessary,
-                // since its response may still be lost on the way back.
-                t.live.remove(&(from, sqe.cid));
-            }
+            // From here on a retransmit of this command re-executes
+            // (idempotently) rather than being suppressed — necessary,
+            // since its response may still be lost on the way back.
+            t.io.forget(from, sqe.cid);
             let mut cost = SimDuration::ZERO;
             if result.data.is_some() {
-                cost += t.costs.send_data;
+                cost += t.io.costs().send_data;
             }
             // lint: allow(no-panic) internal invariant: batch slots are
             // freed only after their last completion (below).
@@ -1239,7 +901,7 @@ impl OpfTarget {
             if b.remaining == 0 {
                 b.done = true;
             }
-            (t.reactor.reserve(k.now(), cost).finish, lane as u32)
+            (t.io.reserve(k.now(), cost), lane as u32)
         };
 
         let this2 = this.clone();
@@ -1248,19 +910,9 @@ impl OpfTarget {
         // (`pump` re-enters the owner lane itself).
         k.with_shard(lane, |k| {
             k.schedule_at(finish, move |k| {
-                {
+                if let Some(bytes) = result.data {
                     let mut t = this2.borrow_mut();
-                    if let Some(bytes) = result.data {
-                        t.stats.data_tx += 1;
-                        t.send_to(
-                            k,
-                            from,
-                            Pdu::C2HData {
-                                cccid: sqe.cid,
-                                data: bytes,
-                            },
-                        );
-                    }
+                    SpdkTarget::send_data(&mut *t, k, from, sqe.cid, bytes);
                 }
                 Self::release_responses(&this2, k, from);
                 // A device slot freed: feed the meter.
@@ -1292,19 +944,17 @@ impl OpfTarget {
                 // lint: allow(no-panic) internal invariant: as above.
                 let b = t.batches[front].take().expect("live batch");
                 t.free_batches.push(front);
-                let cost = t.costs.build_resp + t.small_send_cost(k);
-                let finish = t.reactor.reserve(k.now(), cost).finish;
-                (b, finish)
+                let cost = t.io.costs().build_resp + t.io.small_send_cost(k);
+                (b, t.io.reserve(k.now(), cost))
             };
             let this2 = this.clone();
             k.schedule_at(finish, move |k| {
                 let mut t = this2.borrow_mut();
-                t.stats.resps_tx += 1;
                 if !b.is_ls {
                     t.stats.coalesced_resps_tx += 1;
                 }
-                t.tracer
-                    .emit(k.now(), "opf.coalesced_tx", t.id, u64::from(b.drain_cid));
+                let id = t.io.id;
+                t.io.trace(k.now(), "opf.coalesced_tx", id, u64::from(b.drain_cid));
                 let cqe = if b.worst.is_ok() {
                     nvme::Cqe::success(b.drain_cid, 0)
                 } else {
@@ -1315,38 +965,9 @@ impl OpfTarget {
                 } else {
                     Priority::ThroughputCritical { draining: true }
                 };
-                t.send_to(k, b.initiator, Pdu::CapsuleResp { cqe, priority });
+                SpdkTarget::send_resp(&mut *t, k, b.initiator, cqe, priority);
             });
         }
-    }
-
-    /// Transmit a PDU to initiator `to`. The delivery event is scheduled
-    /// on the recipient's reactor lane — callers normally already run
-    /// there (completion handlers switch lanes first), so this is a
-    /// guarantee, not a handoff.
-    fn send_to(&mut self, k: &mut Kernel, to: u8, pdu: Pdu) {
-        let Some(conn) = self.conns.get(&to) else {
-            // Normal paths only send to initiators registered via
-            // `connect`, but trust-the-wire routing (enforcement off)
-            // can be steered to an ID that never connected. Count and
-            // drop rather than aborting the fabric.
-            let side = ProtocolSide::Target(self.id);
-            self.note_protocol_error(
-                k.now(),
-                ProtocolError::UnknownInitiator {
-                    side,
-                    initiator: to,
-                },
-            );
-            return;
-        };
-        let rx = conn.rx.clone();
-        let bytes = pdu.wire_len();
-        let lane = self.lane_of.get(&to).copied().unwrap_or(OWNER_SHARD);
-        k.with_shard(lane, |k| {
-            self.net
-                .send(k, &self.ep, &conn.ep, bytes, move |k| rx(k, pdu))
-        });
     }
 
     /// Current length of tenant `initiator`'s TC staging queue (the
@@ -1361,14 +982,14 @@ impl OpfTarget {
 
     /// Connected tenant ids, in deterministic (BTreeMap) order.
     pub fn tenant_ids(&self) -> Vec<u8> {
-        self.conns.keys().copied().collect()
+        self.io.tenant_ids().collect()
     }
 
     /// Sum of every tenant's TC staging-queue depth: the load signal the
     /// cluster Priority Manager and the least-loaded placement policy
     /// aggregate per target.
     pub fn total_tc_depth(&self) -> usize {
-        self.conns.keys().map(|&t| self.tc_queue_depth(t)).sum()
+        self.io.tenant_ids().map(|t| self.tc_queue_depth(t)).sum()
     }
 
     /// Set the cluster Priority Manager's drain-rate weight for one
@@ -1379,12 +1000,6 @@ impl OpfTarget {
     /// [`DrainRateLimit`]: crate::config::DrainRateLimit
     pub fn set_tenant_weight(&mut self, initiator: u8, weight: f64) {
         self.drain_weights.insert(initiator, weight.max(0.0));
-    }
-
-    /// The cluster Priority Manager's current drain-rate weight for one
-    /// tenant (1.0 when none has been applied).
-    pub fn tenant_weight(&self, initiator: u8) -> f64 {
-        self.drain_weights.get(&initiator).copied().unwrap_or(1.0)
     }
 
     /// Freeze tenant `initiator` and extract its per-tenant protocol
@@ -1403,17 +1018,11 @@ impl OpfTarget {
     /// shared-queue ablation (one queue mixed across tenants cannot be
     /// frozen per tenant) — counted as a protocol error, never a panic.
     pub fn extract_tenant(&mut self, now: SimTime, initiator: u8) -> Option<ExtractedTenant> {
-        if matches!(self.cfg.queue_mode, QueueMode::Shared) || !self.conns.contains_key(&initiator)
-        {
-            let side = ProtocolSide::Target(self.id);
-            self.note_protocol_error(now, ProtocolError::UnknownInitiator { side, initiator });
+        let per_tenant = matches!(self.cfg.queue_mode, QueueMode::PerInitiator);
+        let Some(lane) = per_tenant.then(|| self.io.unregister(initiator)).flatten() else {
+            self.violation(now, Violation::UnknownInitiator(initiator));
             return None;
-        }
-        self.conns.remove(&initiator);
-        let lane = self.lane_of.remove(&initiator).unwrap_or(OWNER_SHARD);
-        if let Some(r) = self.reactors.get_mut(lane as usize) {
-            r.tenants.retain(|&t| t != initiator);
-        }
+        };
         let mut cmds = Vec::new();
         if let Some(mut state) = self
             .reactors
@@ -1430,7 +1039,7 @@ impl OpfTarget {
                     // recovery live-set entry goes too, so a late wire
                     // duplicate aimed here is handled as unknown, not
                     // double-executed.
-                    self.live.remove(&(owner, cid));
+                    self.io.forget(owner, cid);
                     cmds.push(MovedCmd {
                         sqe: staged.sqe,
                         data: staged.data,
@@ -1443,19 +1052,12 @@ impl OpfTarget {
         }
         self.drain_buckets.remove(&initiator);
         self.drain_weights.remove(&initiator);
+        let n = cmds.len() as u64;
         self.stats.tenants_migrated_out += 1;
-        self.stats.cmds_migrated += cmds.len() as u64;
-        self.tracer.emit(
-            now,
-            "opf.migrate_out",
-            u32::from(initiator),
-            cmds.len() as u64,
-        );
-        Some(ExtractedTenant {
-            initiator,
-            source_shard: lane,
-            cmds,
-        })
+        self.stats.cmds_migrated += n;
+        self.io
+            .trace(now, "opf.migrate_out", u32::from(initiator), n);
+        Some(ExtractedTenant { initiator, cmds })
     }
 
     /// Re-register a migrated tenant on this target: the moved CID queue
@@ -1474,23 +1076,13 @@ impl OpfTarget {
         shard: u32,
     ) -> bool {
         let initiator = moved.initiator;
-        if self.conns.contains_key(&initiator) || initiator == SHARED_KEY {
-            let side = ProtocolSide::Target(self.id);
-            self.note_protocol_error(now, ProtocolError::UnknownInitiator { side, initiator });
+        if !self.register(initiator, ep, rx, shard) {
+            self.violation(now, Violation::UnknownInitiator(initiator));
             return false;
         }
-        let shard = match self.cfg.queue_mode {
-            QueueMode::PerInitiator => shard,
-            QueueMode::Shared => OWNER_SHARD,
-        };
-        self.ensure_reactor(shard);
-        self.reactors[shard as usize].tenants.push(initiator);
-        self.lane_of.insert(initiator, shard);
-        self.conns.insert(initiator, Conn { ep, rx });
         let n = moved.cmds.len() as u64;
         let key = self.queue_key(initiator);
         let lane = self.lane_idx(initiator);
-        let recovery = self.recovery;
         let mut overflow = 0u64;
         {
             let state = self.reactors[lane]
@@ -1517,9 +1109,7 @@ impl OpfTarget {
                         needs_data: cmd.needs_data,
                     },
                 );
-                if recovery {
-                    self.live.insert((initiator, cid));
-                }
+                self.io.first_sighting(initiator, cid);
             }
             let qlen = state.order.len();
             if qlen > self.stats.max_tc_queue {
@@ -1528,8 +1118,8 @@ impl OpfTarget {
         }
         if overflow > 0 {
             self.stats.tc_overflow_drops += overflow;
-            let target = self.id;
-            self.stats.protocol_errors += overflow - 1;
+            let target = self.io.id;
+            self.io.stats.protocol_errors += overflow - 1;
             self.note_protocol_error(
                 now,
                 ProtocolError::TcQueueOverflow {
@@ -1541,64 +1131,41 @@ impl OpfTarget {
         }
         self.stats.tenants_migrated_in += 1;
         self.stats.cmds_migrated += n;
-        self.tracer
-            .emit(now, "opf.migrate_in", u32::from(initiator), n);
+        self.io
+            .trace(now, "opf.migrate_in", u32::from(initiator), n);
         true
     }
 }
 
 impl MetricsSource for OpfTarget {
     fn metrics(&self, now: SimTime) -> Metrics {
-        let mut m = Metrics::at(now);
-        m.set("reactor_util", self.reactor_utilization(now));
-        m.set("pdu.cmds_rx", self.stats.cmds_rx as f64);
+        let mut m = self.io.transport_metrics(now);
         m.set("pdu.ls_rx", self.stats.ls_rx as f64);
         m.set("pdu.tc_rx", self.stats.tc_rx as f64);
         m.set("pdu.drains_rx", self.stats.drains_rx as f64);
-        m.set("pdu.data_rx", self.stats.data_rx as f64);
-        m.set("pdu.resps_tx", self.stats.resps_tx as f64);
         m.set(
             "pdu.coalesced_resps_tx",
             self.stats.coalesced_resps_tx as f64,
         );
-        m.set("pdu.r2ts_tx", self.stats.r2ts_tx as f64);
-        m.set("pdu.data_tx", self.stats.data_tx as f64);
-        m.set("completed", self.stats.completed as f64);
         m.set("ls_bypassed", self.stats.ls_bypassed as f64);
         m.set("max_tc_queue", self.stats.max_tc_queue as f64);
         m.set("max_ready", self.stats.max_ready as f64);
-        m.set("backpressured_sends", self.stats.backpressured_sends as f64);
         m.set("tc_inflight", self.tc_inflight as f64);
         m.set("ready_queue", self.ready.len() as f64);
-        // Commands retired per completion notification — the Figure 6(c)
-        // saving: baseline is 1.0, oPF approaches the window size.
-        let ratio = if self.stats.resps_tx > 0 {
-            self.stats.completed as f64 / self.stats.resps_tx as f64
-        } else {
-            0.0
-        };
-        m.set("coalesce_ratio", ratio);
-        // Per-tenant TC staging-queue depth at snapshot time. `conns` is
-        // a BTreeMap precisely so this enumeration is deterministic.
-        for t in self.conns.keys().copied() {
+        // Per-tenant TC staging-queue depth at snapshot time, in the
+        // registry's deterministic order.
+        for t in self.io.tenant_ids() {
             m.set(
                 format!("tenant{t}.tc_queue_depth"),
                 self.tc_queue_depth(t) as f64,
             );
-        }
-        m.set("protocol_errors", self.stats.protocol_errors as f64);
-        // Recovery counters only exist when recovery is enabled, so
-        // fault-free snapshots stay bit-identical to the historical ones.
-        if self.recovery {
-            m.set("dup_cmds_dropped", self.stats.dup_cmds_dropped as f64);
-            m.set("r2t_regrants", self.stats.r2t_regrants as f64);
         }
         // Hardening counters only exist when the config deviates from
         // the historical default (a drain limiter configured, or
         // identity enforcement switched off for the adversary baseline
         // column), so pre-hardening snapshots stay bit-identical.
         if self.cfg.drain_rate.is_some() || !self.cfg.enforce_identity {
-            m.set("spoofs_dropped", self.stats.spoofs_dropped as f64);
+            m.set("spoofs_dropped", self.io.stats.spoofs_dropped as f64);
             m.set("drains_suppressed", self.stats.drains_suppressed as f64);
             m.set("tc_overflow_drops", self.stats.tc_overflow_drops as f64);
             m.set("ls_demoted", self.stats.ls_demoted as f64);

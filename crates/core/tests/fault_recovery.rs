@@ -245,10 +245,10 @@ fn target_suppresses_duplicate_commands() {
     // re-executed drain's second response was suppressed at the
     // initiator — both keep completion exactly-once.
     assert!(
-        tgt.stats.dup_cmds_dropped + ini.io.stats.dup_resps_suppressed >= 1,
+        tgt.io.stats.dup_cmds_dropped + ini.io.stats.dup_resps_suppressed >= 1,
         "the raced retransmission must be absorbed somewhere"
     );
     assert_eq!(ini.io.stats.errors, 0);
     assert_eq!(ini.io.stats.protocol_errors, 0);
-    assert_eq!(tgt.stats.protocol_errors, 0);
+    assert_eq!(tgt.io.stats.protocol_errors, 0);
 }

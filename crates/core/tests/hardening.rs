@@ -52,7 +52,7 @@ fn double_connect_is_counted_not_fatal() {
     let rx: PduRx = Rc::new(|_, _| {});
     target.borrow_mut().connect(0, dup_ep, rx);
     let t = target.borrow();
-    assert_eq!(t.stats.protocol_errors, 1);
+    assert_eq!(t.io.stats.protocol_errors, 1);
     assert!(matches!(
         t.last_protocol_error(),
         Some(ProtocolError::UnknownInitiator {
@@ -61,8 +61,7 @@ fn double_connect_is_counted_not_fatal() {
         })
     ));
     // The original registration is intact: exactly one tenant slot.
-    let tenants: usize = t.reactor_summaries().iter().map(|r| r.tenants).sum();
-    assert_eq!(tenants, 1);
+    assert_eq!(t.tenant_ids(), [0]);
 }
 
 #[test]
@@ -72,8 +71,8 @@ fn spoofed_initiator_byte_is_dropped_when_enforcing() {
     OpfTarget::on_pdu(&target, &mut k, 0, tc_read(3, 1, false));
     k.run_to_completion();
     let t = target.borrow();
-    assert_eq!(t.stats.spoofs_dropped, 1);
-    assert_eq!(t.stats.protocol_errors, 1);
+    assert_eq!(t.io.stats.spoofs_dropped, 1);
+    assert_eq!(t.io.stats.protocol_errors, 1);
     assert!(matches!(
         t.last_protocol_error(),
         Some(ProtocolError::IdentityMismatch {
@@ -83,8 +82,43 @@ fn spoofed_initiator_byte_is_dropped_when_enforcing() {
         })
     ));
     // Dropped before classification: nothing was counted or staged.
-    assert_eq!(t.stats.cmds_rx, 0);
+    assert_eq!(t.io.stats.cmds_rx, 0);
     assert_eq!(t.tc_queue_depth(0) + t.tc_queue_depth(1), 0);
+}
+
+/// A bit-14 flip of CID 48, as a corrupting fabric delivers it. At
+/// 8b0c8ff it reached `encode_key`: a debug panic, and in release the
+/// CID's high bits were ORed into the key's owner field.
+#[test]
+fn out_of_range_cid_is_dropped_before_it_keys_anything() {
+    let (mut k, target) = rig(1, OpfTargetConfig::default());
+    OpfTarget::on_pdu(&target, &mut k, 0, tc_read(48 | 1 << 14, 0, true));
+    OpfTarget::on_pdu(&target, &mut k, 0, tc_read(1023, 0, false));
+    k.run_to_completion();
+    let t = target.borrow();
+    assert_eq!(
+        t.last_protocol_error(),
+        Some(&ProtocolError::CidOutOfRange {
+            target: 0,
+            cid: 16432,
+        })
+    );
+    assert_eq!(t.io.stats.protocol_errors, 1);
+    // Only the in-range command was counted and staged.
+    assert_eq!(t.io.stats.cmds_rx, 1);
+    assert_eq!(t.tc_queue_depth(0), 1);
+    assert_eq!(t.io.stats.completed, 0);
+}
+
+#[test]
+fn reserved_initiator_id_is_counted_not_fatal() {
+    let net = Network::new(FabricConfig::preset(Gbps::G100));
+    let (_k, target) = rig(0, OpfTargetConfig::default());
+    let rx: PduRx = Rc::new(|_, _| {});
+    target.borrow_mut().connect(255, net.add_endpoint("x"), rx);
+    let t = target.borrow();
+    assert_eq!(t.io.stats.protocol_errors, 1);
+    assert!(t.tenant_ids().is_empty());
 }
 
 #[test]
@@ -100,8 +134,8 @@ fn enforcement_off_trusts_the_wire() {
     OpfTarget::on_pdu(&target, &mut k, 0, tc_read(3, 1, false));
     k.run_to_completion();
     let t = target.borrow();
-    assert_eq!(t.stats.spoofs_dropped, 0);
-    assert_eq!(t.stats.cmds_rx, 1);
+    assert_eq!(t.io.stats.spoofs_dropped, 0);
+    assert_eq!(t.io.stats.cmds_rx, 1);
     assert_eq!(t.tc_queue_depth(1), 1);
     assert_eq!(t.tc_queue_depth(0), 0);
 }
@@ -127,7 +161,7 @@ fn enforcement_off_send_to_unknown_initiator_is_counted() {
     );
     k.run_to_completion();
     let t = target.borrow();
-    assert!(t.stats.protocol_errors >= 1);
+    assert!(t.io.stats.protocol_errors >= 1);
     assert!(matches!(
         t.last_protocol_error(),
         Some(ProtocolError::UnknownInitiator {
@@ -135,7 +169,7 @@ fn enforcement_off_send_to_unknown_initiator_is_counted() {
             initiator: 7,
         })
     ));
-    assert_eq!(t.stats.completed, 1);
+    assert_eq!(t.io.stats.completed, 1);
 }
 
 #[test]
@@ -161,9 +195,9 @@ fn drain_flood_is_rate_limited_and_commands_survive() {
     // The two in-rate drains flushed their commands; the suppressed
     // drains' commands stay staged (coalesced into the next flush, had
     // one come) rather than being lost.
-    assert_eq!(t.stats.completed, 2);
+    assert_eq!(t.io.stats.completed, 2);
     assert_eq!(t.tc_queue_depth(0), 3);
-    assert_eq!(t.stats.protocol_errors, 0);
+    assert_eq!(t.io.stats.protocol_errors, 0);
 }
 
 #[test]
@@ -185,7 +219,7 @@ fn honest_drain_rate_never_trips_the_default_limit() {
     let t = target.borrow();
     assert_eq!(t.stats.drains_rx, 8);
     assert_eq!(t.stats.drains_suppressed, 0);
-    assert_eq!(t.stats.completed, 32);
+    assert_eq!(t.io.stats.completed, 32);
 }
 
 #[test]
@@ -200,7 +234,7 @@ fn tc_queue_overflow_drops_and_counts() {
     k.run_to_completion();
     let t = target.borrow();
     assert_eq!(t.stats.tc_overflow_drops, 1);
-    assert_eq!(t.stats.protocol_errors, 1);
+    assert_eq!(t.io.stats.protocol_errors, 1);
     assert!(matches!(
         t.last_protocol_error(),
         Some(ProtocolError::TcQueueOverflow {
@@ -232,9 +266,9 @@ fn spoof_collision_leaves_stale_queue_key_counted_on_flush() {
     OpfTarget::on_pdu(&target, &mut k, 1, tc_read(6, 1, true));
     k.run_to_completion();
     let t = target.borrow();
-    assert_eq!(t.stats.completed, 2);
+    assert_eq!(t.io.stats.completed, 2);
     assert_eq!(t.tc_queue_depth(1), 0);
-    assert!(t.stats.protocol_errors >= 1);
+    assert!(t.io.stats.protocol_errors >= 1);
     assert!(matches!(
         t.last_protocol_error(),
         Some(ProtocolError::UnknownCid {

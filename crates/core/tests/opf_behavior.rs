@@ -109,10 +109,10 @@ fn coalescing_sends_one_response_per_window() {
     let t = r.target.borrow();
     // 32 requests / window 8 = 4 drains = 4 responses (vs 32 baseline).
     assert_eq!(t.stats.drains_rx, 4);
-    assert_eq!(t.stats.resps_tx, 4);
+    assert_eq!(t.io.stats.resps_tx, 4);
     assert_eq!(t.stats.coalesced_resps_tx, 4);
     // Data PDUs cannot be coalesced: one per read.
-    assert_eq!(t.stats.data_tx, 32);
+    assert_eq!(t.io.stats.data_tx, 32);
     let i = r.initiators[0].borrow();
     assert_eq!(i.io.stats.resps_rx, 4);
     assert_eq!(i.stats.coalesced_completions, 32);
@@ -182,8 +182,8 @@ fn tc_writes_coalesce_and_persist() {
     r.k.run_to_completion();
     assert_eq!(*done.borrow(), 16);
     let t = r.target.borrow();
-    assert_eq!(t.stats.resps_tx, 2, "two windows of 8");
-    assert_eq!(t.stats.r2ts_tx, 16, "R2T per write cannot be coalesced");
+    assert_eq!(t.io.stats.resps_tx, 2, "two windows of 8");
+    assert_eq!(t.io.stats.r2ts_tx, 16, "R2T per write cannot be coalesced");
     drop(t);
     for lba in 0..16u64 {
         let data = r.device.borrow_mut().namespace_mut().read(lba, 1).unwrap();
@@ -394,7 +394,7 @@ fn per_initiator_queues_do_not_cross_drain() {
     assert_eq!(*counts.borrow(), [32, 32]);
     let t = r.target.borrow();
     assert_eq!(t.stats.drains_rx, 4, "two drains per tenant");
-    assert_eq!(t.stats.resps_tx, 4, "one coalesced response per drain");
+    assert_eq!(t.io.stats.resps_tx, 4, "one coalesced response per drain");
 }
 
 #[test]
@@ -435,7 +435,7 @@ fn shared_queue_ablation_drains_early() {
         }
         r.k.run_to_completion();
         assert_eq!(*done.borrow(), 64, "both tenants finish (no lock-up)");
-        let resps = r.target.borrow().stats.resps_tx;
+        let resps = r.target.borrow().io.stats.resps_tx;
         resps
     };
     let isolated = run(QueueMode::PerInitiator);
@@ -569,7 +569,7 @@ fn window_one_degenerates_to_baseline_notifications() {
     }
     r.k.run_to_completion();
     let t = r.target.borrow();
-    assert_eq!(t.stats.resps_tx, 16);
+    assert_eq!(t.io.stats.resps_tx, 16);
     assert_eq!(t.stats.drains_rx, 16);
 }
 

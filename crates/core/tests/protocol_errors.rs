@@ -115,7 +115,7 @@ fn target_drops_unexpected_pdu() {
             priority: Priority::None,
         },
     );
-    assert_eq!(r.target.borrow().stats.protocol_errors, 2);
+    assert_eq!(r.target.borrow().io.stats.protocol_errors, 2);
     assert!(matches!(
         r.target.borrow().last_protocol_error(),
         Some(ProtocolError::UnexpectedPdu {
@@ -278,5 +278,5 @@ fn malformed_capsule_degrades_one_tenant_only() {
     assert_eq!(comps[1], (0..6).collect::<Vec<u64>>());
     assert_eq!(r.inis[0].borrow().io.stats.protocol_errors, 2);
     assert_eq!(r.inis[1].borrow().io.stats.protocol_errors, 0);
-    assert_eq!(r.target.borrow().stats.protocol_errors, 0);
+    assert_eq!(r.target.borrow().io.stats.protocol_errors, 0);
 }

@@ -202,7 +202,7 @@ fn run_scenario(p: &Params) -> Outcome {
     let t = target.borrow();
     let out = Outcome {
         completions: completions_out,
-        resps_tx: t.stats.resps_tx,
+        resps_tx: t.io.stats.resps_tx,
         drains_rx: t.stats.drains_rx,
         ls_rx: t.stats.ls_rx,
     };

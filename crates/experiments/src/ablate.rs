@@ -12,57 +12,51 @@ use crate::sweep::run_all;
 use crate::Durations;
 use fabric::Gbps;
 use workload::report::{fmt_iops, fmt_us};
-use workload::{Mix, RuntimeKind, Scenario, Table, WindowSpec};
+use workload::{Mix, RunResult, RuntimeKind, Scenario, Table, WindowSpec};
 
-/// Run the ablation grid and print the table.
-pub fn all(d: Durations, threads: Option<usize>) {
-    println!("== Ablations: 100 Gbps, read, LS:TC = 1:4 ==\n");
-    let base = |runtime| {
-        let mut sc = Scenario::ratio(runtime, Gbps::G100, Mix::READ, 1, 4);
-        d.apply(&mut sc);
-        sc
-    };
+/// One row of the grid: its label and what it changes on the full
+/// NVMe-oPF scenario.
+type Row = (&'static str, RuntimeKind, fn(&mut Scenario));
 
-    let mut scenarios = Vec::new();
-    let mut labels = Vec::new();
+const ROWS: [Row; 8] = [
+    ("SPDK baseline", RuntimeKind::Spdk, |_| {}),
+    ("NVMe-oPF (full, auto window)", RuntimeKind::Opf, |_| {}),
+    ("  - coalescing (window = 1)", RuntimeKind::Opf, |sc| {
+        sc.window = WindowSpec::Static(1)
+    }),
+    (
+        "  - per-initiator queues (shared TC queue)",
+        RuntimeKind::Opf,
+        |sc| sc.shared_queue = true,
+    ),
+    ("  - LS bypass", RuntimeKind::Opf, |sc| {
+        sc.no_ls_bypass = true
+    }),
+    ("  dynamic window optimizer", RuntimeKind::Opf, |sc| {
+        sc.window = WindowSpec::Dynamic
+    }),
+    ("  small static window (8)", RuntimeKind::Opf, |sc| {
+        sc.window = WindowSpec::Static(8)
+    }),
+    ("  large static window (64)", RuntimeKind::Opf, |sc| {
+        sc.window = WindowSpec::Static(64)
+    }),
+];
 
-    labels.push("SPDK baseline");
-    scenarios.push(base(RuntimeKind::Spdk));
+/// The ablation grid, in table order. Shared with the golden test.
+pub fn scenarios(d: Durations) -> Vec<Scenario> {
+    ROWS.iter()
+        .map(|&(_, runtime, ablate)| {
+            let mut sc = Scenario::ratio(runtime, Gbps::G100, Mix::READ, 1, 4);
+            d.apply(&mut sc);
+            ablate(&mut sc);
+            sc
+        })
+        .collect()
+}
 
-    labels.push("NVMe-oPF (full, auto window)");
-    scenarios.push(base(RuntimeKind::Opf));
-
-    labels.push("  - coalescing (window = 1)");
-    let mut sc = base(RuntimeKind::Opf);
-    sc.window = WindowSpec::Static(1);
-    scenarios.push(sc);
-
-    labels.push("  - per-initiator queues (shared TC queue)");
-    let mut sc = base(RuntimeKind::Opf);
-    sc.shared_queue = true;
-    scenarios.push(sc);
-
-    labels.push("  - LS bypass");
-    let mut sc = base(RuntimeKind::Opf);
-    sc.no_ls_bypass = true;
-    scenarios.push(sc);
-
-    labels.push("  dynamic window optimizer");
-    let mut sc = base(RuntimeKind::Opf);
-    sc.window = WindowSpec::Dynamic;
-    scenarios.push(sc);
-
-    labels.push("  small static window (8)");
-    let mut sc = base(RuntimeKind::Opf);
-    sc.window = WindowSpec::Static(8);
-    scenarios.push(sc);
-
-    labels.push("  large static window (64)");
-    let mut sc = base(RuntimeKind::Opf);
-    sc.window = WindowSpec::Static(64);
-    scenarios.push(sc);
-
-    let results = run_all(&scenarios, threads);
+/// Render the table from the results of [`scenarios`].
+pub fn table(results: &[RunResult]) -> Table {
     let mut t = Table::new([
         "configuration",
         "TC IOPS",
@@ -71,7 +65,7 @@ pub fn all(d: Durations, threads: Option<usize>) {
         "notif/req",
         "reactor util",
     ]);
-    for (label, r) in labels.iter().zip(&results) {
+    for ((label, ..), r) in ROWS.iter().zip(results) {
         t.row([
             label.to_string(),
             fmt_iops(r.tc_iops),
@@ -81,6 +75,13 @@ pub fn all(d: Durations, threads: Option<usize>) {
             format!("{:.0}%", r.reactor_util * 100.0),
         ]);
     }
+    t
+}
+
+/// Run the ablation grid and print the table.
+pub fn all(d: Durations, threads: Option<usize>) {
+    println!("== Ablations: 100 Gbps, read, LS:TC = 1:4 ==\n");
+    let t = table(&run_all(&scenarios(d), threads));
     println!("{}", workload::render_table(&t));
     crate::save_csv("ablations", &t);
 }

@@ -53,7 +53,8 @@ pub fn all(d: Durations, threads: Option<usize>) {
                         runtime,
                         ..ReplayConfig::default()
                     },
-                );
+                )
+                .expect("poisson trace replays");
                 results.lock().unwrap()[i] = Some(r);
             });
         }

@@ -16,7 +16,7 @@
 //! bookkeeping columns prove the routing engaged.
 
 use experiments::sweep::run_all;
-use experiments::{chaos, fig6, observe, scale, table1, Durations};
+use experiments::{ablate, chaos, fig6, observe, scale, table1, Durations};
 
 fn golden(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -98,6 +98,20 @@ fn chaos_quick_matches_golden_under_sharding() {
             &workload::csv_table(&chaos::table(&results)),
         );
     }
+}
+
+/// `repro --quick ablate` against its golden (rendered at 8b0c8ff): the
+/// only artifact that runs the shared-queue, no-bypass and dynamic-window
+/// configurations. The checked-in full-preset `results/ablations.csv`
+/// drifted once without anything noticing; this cannot.
+#[test]
+fn ablations_quick_matches_golden() {
+    let results = run_all(&ablate::scenarios(Durations::quick()), Some(1));
+    assert_csv_matches(
+        "ablations",
+        1,
+        &workload::csv_table(&ablate::table(&results)),
+    );
 }
 
 /// The scale sweep's quick preset against its golden. `scale::table`

@@ -18,6 +18,10 @@
 //! `dup_cmds_dropped` paths, trust-the-wire routing with the `send_to`
 //! unknown-initiator drop, and the `tgt.*` / `opf.*` event stream that
 //! `experiments::breakdown` and opfbench's spans pair on.
+//!
+//! The corrupting run has no golden: it pins that a bit-flipping fabric
+//! cannot reach a `debug_assert!` (this file is built with debug
+//! assertions on) and that every request still completes exactly once.
 
 use bytes::Bytes;
 use faults::{Adversary, FaultProfile};
@@ -152,7 +156,7 @@ fn trace_digest(runtime: RuntimeKind) -> String {
             return;
         }
         let p2 = pair.clone();
-        let (opcode, payload) = if n % 3 == 0 {
+        let (opcode, payload) = if n.is_multiple_of(3) {
             let payload = Bytes::from(vec![0u8; nvme::BLOCK_SIZE]);
             (Opcode::Write, Some(payload))
         } else {
@@ -230,4 +234,34 @@ fn unhardened_adversary_snapshots_match_golden() {
 fn target_trace_stream_matches_golden() {
     let rendered = trace_digest(RuntimeKind::Spdk) + &trace_digest(RuntimeKind::Opf);
     assert_matches("trace_digest.txt", &rendered);
+}
+
+/// 1 LS + 4 TC mixed-I/O tenants over a fabric flipping one bit in 2% of
+/// PDUs: CIDs, initiator bytes, priorities and R2T lengths all arrive
+/// corrupted. Panicked at 8b0c8ff (`encode_key`'s CID bound, the R2T
+/// length assert).
+#[test]
+fn corrupting_fabric_completes_exactly_once_on_both_runtimes() {
+    for runtime in [RuntimeKind::Spdk, RuntimeKind::Opf] {
+        let mut sc = Scenario::ratio(runtime, fabric::Gbps::G100, Mix::MIXED, 1, 4);
+        sc.warmup_s = 0.05;
+        sc.measure_s = 0.2;
+        sc.faults = Some(FaultProfile {
+            corrupt_p: 0.02,
+            ..FaultProfile::default()
+        });
+        let m = workload::run(&sc).metrics;
+        let get = |key: &str| {
+            m.get(key)
+                .unwrap_or_else(|| panic!("{runtime:?}: no {key}"))
+        };
+        assert!(get("faults.corrupts") > 0.0, "{runtime:?}");
+        assert_eq!(get("faults.offered"), get("faults.goodput"), "{runtime:?}");
+        let violations: f64 = m
+            .iter()
+            .filter(|(k, _)| k.ends_with("protocol_errors"))
+            .map(|(_, v)| v)
+            .sum();
+        assert!(violations > 0.0, "{runtime:?}");
+    }
 }

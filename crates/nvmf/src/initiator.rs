@@ -91,7 +91,8 @@ pub enum Violation {
     UnexpectedPdu(PduKind),
     /// An R2T or completion naming no in-flight command.
     UnknownCid(u16),
-    /// An R2T for an in-flight command with no payload to send.
+    /// An R2T for an in-flight command with no payload to send, or
+    /// granting another length than its payload (corrupted in flight).
     R2tWithoutPayload(u16),
 }
 
@@ -482,8 +483,8 @@ impl SpdkInitiator {
             if data.is_none() && known && i.retry.is_some() {
                 data = i.slots[cccid as usize].payload.clone();
             }
-            let Some(data) = data else {
-                // An R2T naming no in-flight write: record + drop.
+            let Some(data) = data.filter(|d| d.len() == r2tl as usize) else {
+                // An R2T matching no in-flight write: record + drop.
                 let v = if known {
                     Violation::R2tWithoutPayload(cccid)
                 } else {
@@ -492,7 +493,6 @@ impl SpdkInitiator {
                 o.violation(k.now(), v);
                 return;
             };
-            debug_assert_eq!(data.len(), r2tl as usize);
             let cost = i.costs.ini_on_r2t + i.costs.ini_send_data;
             (i.reserve_cpu(k.now(), cost), data)
         };

@@ -15,16 +15,19 @@
 //!   small-send penalty).
 //! * [`admin`] — the fabrics control plane: Connect/Identify/Keep-Alive
 //!   commands, subsystem registry, discovery log pages.
-//! * [`target`] — the baseline target: single reactor, FIFO processing,
-//!   **one completion capsule per request** regardless of tenant needs.
+//! * [`target`] — the one transport-level target (connection registry,
+//!   identity and CID checks, R2T grant, duplicate suppression, sends)
+//!   with a [`TargetPolicy`] hook. Under its own pass-through policy it
+//!   is the baseline: single reactor, FIFO processing, **one completion
+//!   capsule per request** regardless of tenant needs.
 //! * [`initiator`] — the one transport-level initiator (queue pair,
 //!   retry, wire, completion) with a [`PriorityPolicy`] hook. Under its
 //!   own pass-through policy it is the baseline: closed queue-depth
 //!   loop, one completion processed per request.
 //!
 //! The NVMe-oPF runtime in the `opf` crate reuses the PDU, qpair and cost
-//! layers, drives this initiator through its Priority Manager policy, and
-//! replaces the target's logic with its own priority manager.
+//! layers and drives this initiator and this target through its Priority
+//! Manager policies.
 
 pub mod admin;
 pub mod admin_wire;
@@ -40,7 +43,7 @@ pub use costs::CpuCosts;
 pub use initiator::{InitiatorStats, IoOutcome, PriorityPolicy, SpdkInitiator, TargetRx};
 pub use pdu::{Pdu, PduKind, Priority};
 pub use qpair::{QPair, RetryPolicy};
-pub use target::{SpdkTarget, TargetStats};
+pub use target::{SpdkTarget, TargetPolicy, TargetStats};
 
 use simkit::Kernel;
 

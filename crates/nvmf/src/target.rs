@@ -1,23 +1,32 @@
-//! The baseline NVMe-oF target: an SPDK-style single-reactor poll loop.
+//! The one transport-level NVMe-oF target: connection registry,
+//! reactor, the identity and CID checks on wire-supplied fields, the
+//! write R2T grant, duplicate suppression, wire sends and the
+//! per-request "C2HData then CapsuleResp" emission.
 //!
-//! Processing is strictly FIFO and every request gets its own response
-//! capsule — the two properties the paper identifies as hostile to
-//! multi-tenancy: a latency-sensitive request "might find itself delayed
-//! by a backlog of requests from a high-throughput application" and every
-//! completion notification costs reactor time and a network packet.
+//! What differs between the baseline and NVMe-oPF is a [`TargetPolicy`]:
+//! a [`Dialect`] of constants, how a violation is recorded, under which
+//! class a command is admitted, what runs once it is parsed, and where
+//! H2C data naming no pending write belongs. [`SpdkTarget`] under its
+//! own pass-through policy *is* the baseline — a single-reactor poll
+//! loop, strictly FIFO, one response capsule per request: the two
+//! properties the paper identifies as hostile to multi-tenancy.
+//! `opf::OpfTarget` embeds one and adds the Priority Manager. The
+//! transport functions are generic over the owner, so dispatch is static.
 
 use crate::costs::CpuCosts;
-use crate::pdu::{Pdu, Priority};
+use crate::pdu::{Pdu, PduKind, Priority};
 use crate::PduRx;
 use bytes::Bytes;
 use fabric::{Endpoint, Network};
-use nvme::{NvmeDevice, Opcode, Sqe};
+use nvme::device::IoResult;
+use nvme::{Cqe, NvmeDevice, Opcode, Sqe};
 use simkit::FxHashMap;
 use simkit::{Kernel, Metrics, MetricsSource, Resource, Shared, SimDuration, SimTime, Tracer};
 use std::collections::BTreeMap;
 
-/// Target-side counters. `resps_tx` is the completion-notification count
-/// Figure 6(c) compares between SPDK and NVMe-oPF.
+/// Transport-level counters. `resps_tx` is the completion-notification
+/// count Figure 6(c) compares between SPDK and NVMe-oPF (there roughly
+/// `drains_rx + ls_rx` instead of one per command).
 #[derive(Clone, Debug, Default)]
 pub struct TargetStats {
     /// Command capsules received.
@@ -34,15 +43,15 @@ pub struct TargetStats {
     pub completed: u64,
     /// Small sends that paid the backpressure penalty.
     pub backpressured_sends: u64,
-    /// Protocol violations detected (misdirected PDUs, H2C data with no
-    /// matching write). The offending PDU is dropped; the sim keeps
-    /// running.
+    /// Protocol violations detected (malformed or misdirected PDUs, H2C
+    /// data with no matching write). The offending PDU is dropped; the
+    /// sim keeps running.
     pub protocol_errors: u64,
     /// Duplicate command capsules dropped (recovery mode): the command
-    /// is already executing, so re-running it would double-complete.
+    /// is still live at the target, so re-running it would
+    /// double-complete.
     pub dup_cmds_dropped: u64,
-    /// R2Ts re-granted for retransmitted writes still waiting on their
-    /// payload (recovery mode).
+    /// R2Ts re-granted for retransmitted writes (recovery mode).
     pub r2t_regrants: u64,
     /// Command capsules dropped because the wire initiator byte did not
     /// match the connection they arrived on (identity enforcement,
@@ -53,9 +62,101 @@ pub struct TargetStats {
 struct Conn {
     ep: Shared<Endpoint>,
     rx: PduRx,
+    /// Kernel shard hosting the initiator. Deliveries to a tenant run on
+    /// its lane so the sharded kernel keeps per-tenant event chains local.
+    lane: u32,
 }
 
-/// The baseline SPDK-style target.
+/// A protocol violation detected by the transport. The offending PDU is
+/// dropped; the policy decides how the violation is recorded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Violation {
+    /// A PDU kind that never travels host → controller.
+    UnexpectedPdu(PduKind),
+    /// The wire initiator byte is not the connection's tenant.
+    IdentityMismatch {
+        /// Initiator ID claimed by the wire byte.
+        claimed: u8,
+        /// Initiator the connection belongs to.
+        expected: u8,
+    },
+    /// A command capsule whose CID exceeds [`Dialect::max_cid`].
+    CidOutOfRange(u16),
+    /// H2C data naming no write that waits for it.
+    UnknownCid(u16),
+    /// A second connect for a live tenant, or a send to an ID with no
+    /// connection (forged, with enforcement off, or migrated away).
+    UnknownInitiator(u8),
+}
+
+/// Everything the two targets do differently that is data rather than
+/// code (tabulated in DESIGN.md §3).
+pub struct Dialect {
+    /// Trace kind of a command capsule's arrival.
+    pub cmd_rx: &'static str,
+    /// Trace kind of a device submission.
+    pub dev_submit: &'static str,
+    /// Trace kind of a device completion.
+    pub dev_done: &'static str,
+    /// Trace kind of a per-request response.
+    pub resp_tx: &'static str,
+    /// `resp_tx` is attributed to the target id, not to the tenant.
+    pub resp_by_target: bool,
+    /// Largest CID a command capsule may carry; a larger one is dropped
+    /// before anything is keyed by it.
+    pub max_cid: u16,
+    /// Multi-reactor: device submission is pinned to this lane and each
+    /// completion handed back to its tenant's lane. `None`: every event
+    /// stays on the lane that delivered the command.
+    pub device_lane: Option<u32>,
+    /// The duplicate set forgets a command at device completion (a later
+    /// retransmission re-executes, regenerating a lost response) rather
+    /// than when its response is sent.
+    pub forget_at_completion: bool,
+    /// `submit_dev` is charged with the parse (a parsed command goes
+    /// straight to the device), not by the policy at release.
+    pub submit_with_parse: bool,
+    /// A TC write enters the policy at R2T grant, so a drain covers it;
+    /// its payload follows through [`TargetPolicy::on_data`]. Every
+    /// other write waits in the transport for its H2C data.
+    pub tc_writes_early: bool,
+}
+
+/// The priority-policy hook over the transport: everything the baseline
+/// and NVMe-oPF targets do differently with a command. `Self` is the
+/// owner the kernel events hold; it projects to the transport it owns.
+pub trait TargetPolicy: Sized + 'static {
+    /// The differences that are constants.
+    const DIALECT: Dialect;
+
+    /// The transport this policy drives.
+    fn transport(&mut self) -> &mut SpdkTarget;
+
+    /// Count, trace and record a violation.
+    fn violation(&mut self, now: SimTime, v: Violation);
+
+    /// A command capsule arrived from `from` (identity and CID already
+    /// checked): settle the class it runs under — the wire bits, unless
+    /// demoted — or `None` to drop it as a duplicate.
+    fn admit(&mut self, now: SimTime, from: u8, sqe: &Sqe, priority: Priority) -> Option<Priority>;
+
+    /// The reactor has parsed `sqe` — and, unless it is an early TC
+    /// write, holds a write's payload: execute it.
+    fn run(
+        this: &Shared<Self>,
+        k: &mut Kernel,
+        from: u8,
+        sqe: Sqe,
+        priority: Priority,
+        data: Option<Bytes>,
+    );
+
+    /// H2C data naming no write held by the transport.
+    fn on_data(this: &Shared<Self>, k: &mut Kernel, from: u8, cccid: u16, data: Bytes);
+}
+
+/// The transport-level target; with its own pass-through
+/// [`TargetPolicy`], the baseline SPDK-style target.
 pub struct SpdkTarget {
     /// Target identifier (for traces).
     pub id: u32,
@@ -64,14 +165,9 @@ pub struct SpdkTarget {
     net: Network,
     ep: Shared<Endpoint>,
     device: Shared<NvmeDevice>,
-    /// Connected initiators. BTreeMap so any future enumeration (e.g.
-    /// per-tenant metrics, as in `OpfTarget`) is deterministic by
-    /// construction.
+    /// Connected initiators. BTreeMap: metrics enumerate tenants in
+    /// iteration order, which must be deterministic.
     conns: BTreeMap<u8, Conn>,
-    /// Kernel shard hosting each connected initiator (see
-    /// [`SpdkTarget::connect_on`]). Deliveries to a tenant run on its
-    /// lane so the sharded kernel keeps per-tenant event chains local.
-    lane_of: BTreeMap<u8, u32>,
     /// Write commands waiting for their H2C data, keyed by
     /// (initiator, CID). Lookup-only — never iterated — so HashMap
     /// order-nondeterminism cannot leak into any output.
@@ -85,12 +181,12 @@ pub struct SpdkTarget {
     /// [`SpdkTarget::set_hardening`] to reproduce the wire-trusting
     /// target.
     enforce_identity: bool,
-    /// Emit the hardening counters in metric snapshots. Opt-in (set by
-    /// [`SpdkTarget::set_hardening`]) so pre-hardening snapshots stay
-    /// byte-identical.
+    /// Emit the hardening counters in the baseline's metric snapshots.
+    /// Opt-in (set by [`SpdkTarget::set_hardening`]) so pre-hardening
+    /// snapshots stay byte-identical.
     hardening_metrics: bool,
-    /// Commands accepted and not yet responded to, keyed by
-    /// (initiator, CID). Membership-only — never iterated — so HashSet
+    /// Commands admitted and still live, keyed by (initiator, CID).
+    /// Membership-only — never iterated — so HashSet
     /// order-nondeterminism cannot leak into any output.
     inflight: simkit::FxHashSet<(u8, u16)>,
     tracer: Tracer,
@@ -116,7 +212,6 @@ impl SpdkTarget {
             ep,
             device,
             conns: BTreeMap::new(),
-            lane_of: BTreeMap::new(),
             pending_writes: FxHashMap::default(),
             recovery: false,
             enforce_identity: true,
@@ -128,17 +223,18 @@ impl SpdkTarget {
     }
 
     /// Enable duplicate suppression: retransmitted command capsules for a
-    /// command that is already executing are dropped (writes still
-    /// waiting on their payload get their R2T re-granted instead), so an
-    /// initiator retrying over a lossy fabric cannot double-execute.
+    /// command that is still live are dropped (writes get their R2T
+    /// re-granted), so an initiator retrying over a lossy fabric cannot
+    /// double-execute.
     pub fn set_recovery(&mut self, on: bool) {
         self.recovery = on;
     }
 
     /// Configure identity enforcement (DESIGN.md §14) and switch the
-    /// hardening counters on in metric snapshots. Enforcement itself
-    /// defaults to on; the metric keys appear only after this is called,
-    /// so pre-hardening snapshots stay byte-identical.
+    /// hardening counters on in the baseline's metric snapshots.
+    /// Enforcement itself defaults to on; the metric keys appear only
+    /// after this is called, so pre-hardening snapshots stay
+    /// byte-identical.
     pub fn set_hardening(&mut self, enforce: bool) {
         self.enforce_identity = enforce;
         self.hardening_metrics = true;
@@ -155,21 +251,27 @@ impl SpdkTarget {
     /// keeping each tenant's event chain on its own shard even though
     /// the baseline target itself is a single reactor.
     pub fn connect_on(&mut self, initiator: u8, ep: Shared<Endpoint>, rx: PduRx, shard: u32) {
-        if self.conns.contains_key(&initiator) {
-            // A second connect for a live tenant is protocol-reachable,
-            // not a program bug: keep the original connection, count the
-            // violation, drop the new endpoint.
-            self.stats.protocol_errors += 1;
-            self.tracer.emit(
-                SimTime::ZERO,
-                "tgt.protocol_error",
-                self.id,
-                u64::from(initiator),
-            );
-            return;
+        if !self.register(initiator, ep, rx, shard) {
+            self.violation(SimTime::ZERO, Violation::UnknownInitiator(initiator));
         }
-        self.lane_of.insert(initiator, shard);
-        self.conns.insert(initiator, Conn { ep, rx });
+    }
+
+    /// Add `initiator` to the connection registry. A second connect for
+    /// a live tenant is protocol-reachable (a confused or malicious
+    /// host), not a program bug: the original connection is kept and
+    /// `false` returned for the caller to record.
+    pub fn register(&mut self, initiator: u8, ep: Shared<Endpoint>, rx: PduRx, lane: u32) -> bool {
+        if self.conns.contains_key(&initiator) {
+            return false;
+        }
+        self.conns.insert(initiator, Conn { ep, rx, lane });
+        true
+    }
+
+    /// Remove `initiator` from the registry (live migration); returns
+    /// the lane that hosted it, `None` if it was not connected.
+    pub fn unregister(&mut self, initiator: u8) -> Option<u32> {
+        Some(self.conns.remove(&initiator)?.lane)
     }
 
     /// Drop every initiator connection and the delivery closure it
@@ -180,14 +282,45 @@ impl SpdkTarget {
         self.conns.clear();
     }
 
+    /// Connected tenant ids, in deterministic (BTreeMap) order.
+    pub fn tenant_ids(&self) -> impl Iterator<Item = u8> + '_ {
+        self.conns.keys().copied()
+    }
+
+    /// Lane (kernel shard) hosting `initiator`. Unknown initiators —
+    /// possible only on protocol-error paths — map to lane 0.
+    pub fn reactor_of(&self, initiator: u8) -> u32 {
+        self.conns.get(&initiator).map_or(0, |c| c.lane)
+    }
+
     /// Reactor utilization snapshot.
     pub fn reactor_utilization(&self, now: simkit::SimTime) -> f64 {
         self.reactor.utilization(now)
     }
 
+    /// The CPU cost model.
+    pub fn costs(&self) -> &CpuCosts {
+        &self.costs
+    }
+
+    /// Occupy the reactor for `cost`; returns when the work ends.
+    pub fn reserve(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
+        self.reactor.reserve(now, cost).finish
+    }
+
+    /// Emit a trace point.
+    pub fn trace(&self, now: SimTime, kind: &'static str, who: u32, detail: u64) {
+        self.tracer.emit(now, kind, who, detail);
+    }
+
+    /// Emit a trace point about tenant `from`'s command `cid`.
+    fn trace_cmd(&self, now: SimTime, kind: &'static str, from: u8, cid: u16) {
+        self.trace(now, kind, u32::from(from), u64::from(cid));
+    }
+
     /// Cost of sending one small PDU right now, including any
     /// backpressure penalty; also counts the penalty.
-    fn small_send_cost(&mut self, k: &Kernel) -> SimDuration {
+    pub fn small_send_cost(&mut self, k: &Kernel) -> SimDuration {
         let util = self.ep.borrow().uplink_utilization(k.now());
         let penalty = self.costs.small_send_penalty(util);
         if !penalty.is_zero() {
@@ -196,8 +329,27 @@ impl SpdkTarget {
         self.costs.send_small + penalty
     }
 
+    /// Enter (`from`, `cid`) into the duplicate set. False when recovery
+    /// is on and the command is already live: a retransmission.
+    pub fn first_sighting(&mut self, from: u8, cid: u16) -> bool {
+        !self.recovery || self.inflight.insert((from, cid))
+    }
+
+    /// True when (`from`, `cid`) is in the duplicate set.
+    pub fn is_live(&self, from: u8, cid: u16) -> bool {
+        self.recovery && self.inflight.contains(&(from, cid))
+    }
+
+    /// End a command's life in the duplicate set: any later
+    /// retransmission is a fresh (and idempotent) execution.
+    pub fn forget(&mut self, from: u8, cid: u16) {
+        if self.recovery {
+            self.inflight.remove(&(from, cid));
+        }
+    }
+
     /// Deliver a PDU arriving from initiator `from`.
-    pub fn on_pdu(this: &Shared<SpdkTarget>, k: &mut Kernel, from: u8, pdu: Pdu) {
+    pub fn on_pdu<O: TargetPolicy>(this: &Shared<O>, k: &mut Kernel, from: u8, pdu: Pdu) {
         match pdu {
             Pdu::CapsuleCmd {
                 sqe,
@@ -205,239 +357,256 @@ impl SpdkTarget {
                 initiator,
             } => {
                 if initiator != from {
-                    let enforce = {
-                        let mut t = this.borrow_mut();
-                        if t.enforce_identity {
-                            // §14 defense: the connection's `from` is
-                            // ground truth; a mismatched wire byte can
-                            // only be forged or corrupted. Count + drop.
-                            t.stats.protocol_errors += 1;
-                            t.stats.spoofs_dropped += 1;
-                            t.tracer.emit(
-                                k.now(),
-                                "tgt.spoof_dropped",
-                                u32::from(from),
-                                u64::from(initiator),
-                            );
-                        }
-                        t.enforce_identity
-                    };
-                    if enforce {
+                    let mut o = this.borrow_mut();
+                    let t = o.transport();
+                    if t.enforce_identity {
+                        // §14 defense: the wire byte is untrusted. The
+                        // connection's `from` is ground truth, so a
+                        // mismatched capsule can only be forged or
+                        // corrupted — count and drop it before it
+                        // reaches a victim's queue.
+                        t.stats.spoofs_dropped += 1;
+                        let v = Violation::IdentityMismatch {
+                            claimed: initiator,
+                            expected: from,
+                        };
+                        o.violation(k.now(), v);
                         return;
                     }
                     // Enforcement off (the unhardened baseline column):
                     // trust the wire, processing under the claimed ID.
-                    Self::on_cmd(this, k, initiator, sqe, priority);
-                    return;
                 }
-                Self::on_cmd(this, k, from, sqe, priority)
+                Self::on_cmd(this, k, initiator, sqe, priority)
             }
             Pdu::H2CData { cccid, data } => Self::on_h2c_data(this, k, from, cccid, data),
             // Responses, R2Ts and C2H data never travel host → controller:
-            // count the violation and drop the PDU rather than abort.
-            _ => {
-                let mut t = this.borrow_mut();
-                t.stats.protocol_errors += 1;
-                t.tracer.emit(k.now(), "tgt.protocol_error", t.id, 0);
-            }
+            // record the violation and drop the PDU rather than abort.
+            other => this
+                .borrow_mut()
+                .violation(k.now(), Violation::UnexpectedPdu(other.kind())),
         }
     }
 
-    fn on_cmd(this: &Shared<SpdkTarget>, k: &mut Kernel, from: u8, sqe: Sqe, priority: Priority) {
-        let finish = {
-            let mut t = this.borrow_mut();
+    fn on_cmd<O: TargetPolicy>(
+        this: &Shared<O>,
+        k: &mut Kernel,
+        from: u8,
+        sqe: Sqe,
+        priority: Priority,
+    ) {
+        let d = O::DIALECT;
+        let write = sqe.opcode == Opcode::Write;
+        let (finish, priority, early) = {
+            let mut o = this.borrow_mut();
+            if sqe.cid > d.max_cid {
+                // No honest queue pair allocates this CID: corrupted in
+                // flight or forged. Dropped before anything is keyed by
+                // it; the sender's retransmission recovers.
+                o.violation(k.now(), Violation::CidOutOfRange(sqe.cid));
+                return;
+            }
+            let verdict = o.admit(k.now(), from, &sqe, priority);
+            let t = o.transport();
             t.stats.cmds_rx += 1;
-            t.tracer
-                .emit(k.now(), "tgt.cmd_rx", u32::from(from), u64::from(sqe.cid));
-            if t.recovery {
-                let key = (from, sqe.cid);
-                if t.inflight.contains(&key) {
-                    if sqe.opcode == Opcode::Write && t.pending_writes.contains_key(&key) {
-                        // Retransmitted write still waiting for its data:
-                        // the R2T (or the data itself) was lost. Fall
-                        // through and grant again.
-                        t.stats.r2t_regrants += 1;
-                    } else {
-                        // The command is already executing; running the
-                        // duplicate would double-complete it.
-                        t.stats.dup_cmds_dropped += 1;
-                        return;
-                    }
-                } else {
-                    t.inflight.insert(key);
-                }
-            }
-            match sqe.opcode {
-                Opcode::Write => {
-                    // Command phase of a write: parse, then grant an R2T.
-                    let cost = t.costs.parse_cmd + t.costs.build_r2t + t.small_send_cost(k);
-                    let grant = t.reactor.reserve(k.now(), cost);
+            t.trace_cmd(k.now(), d.cmd_rx, from, sqe.cid);
+            let Some(priority) = verdict else { return };
+            let early = d.tc_writes_early && priority.is_tc();
+            let mut cost = t.costs.parse_cmd;
+            if write {
+                // Command phase of a write: parse, then grant an R2T.
+                cost += t.costs.build_r2t + t.small_send_cost(k);
+                if !early {
                     t.pending_writes.insert((from, sqe.cid), (sqe, priority));
-                    grant.finish
                 }
-                _ => {
-                    let cost = t.costs.parse_cmd + t.costs.submit_dev;
-                    t.reactor.reserve(k.now(), cost).finish
-                }
+            } else if d.submit_with_parse {
+                cost += t.costs.submit_dev;
             }
-        };
-
-        let this2 = this.clone();
-        match sqe.opcode {
-            Opcode::Write => {
-                k.schedule_at(finish, move |k| {
-                    let mut t = this2.borrow_mut();
-                    t.stats.r2ts_tx += 1;
-                    let pdu = Pdu::R2T {
-                        cccid: sqe.cid,
-                        r2tl: sqe.data_len() as u32,
-                    };
-                    t.send_to(k, from, pdu);
-                });
-            }
-            _ => {
-                k.schedule_at(finish, move |k| {
-                    Self::submit_to_device(&this2, k, from, sqe, priority, None);
-                });
-            }
-        }
-    }
-
-    fn on_h2c_data(this: &Shared<SpdkTarget>, k: &mut Kernel, from: u8, cccid: u16, data: Bytes) {
-        let staged = {
-            let mut t = this.borrow_mut();
-            t.stats.data_rx += 1;
-            match t.pending_writes.remove(&(from, cccid)) {
-                Some((sqe, priority)) => {
-                    let cost = t.costs.handle_data + t.costs.submit_dev;
-                    Some((t.reactor.reserve(k.now(), cost).finish, sqe, priority))
-                }
-                // H2C data naming no pending write: count + drop, don't
-                // let one misbehaving tenant abort the fabric. Under
-                // recovery this is an expected duplicate (the first copy
-                // of the payload consumed the pending entry).
-                None => {
-                    if t.recovery {
-                        t.stats.dup_cmds_dropped += 1;
-                    } else {
-                        t.stats.protocol_errors += 1;
-                        t.tracer
-                            .emit(k.now(), "tgt.protocol_error", t.id, u64::from(cccid));
-                    }
-                    None
-                }
-            }
-        };
-        let Some((finish, sqe, priority)) = staged else {
-            return;
+            (t.reserve(k.now(), cost), priority, early)
         };
         let this2 = this.clone();
         k.schedule_at(finish, move |k| {
-            Self::submit_to_device(&this2, k, from, sqe, priority, Some(data));
-        });
-    }
-
-    /// Hand a command to the NVMe device; on completion run the baseline
-    /// response path (data + response per request).
-    pub(crate) fn submit_to_device(
-        this: &Shared<SpdkTarget>,
-        k: &mut Kernel,
-        from: u8,
-        sqe: Sqe,
-        priority: Priority,
-        data: Option<Bytes>,
-    ) {
-        let device = this.borrow().device.clone();
-        {
-            let t = this.borrow();
-            t.tracer.emit(
-                k.now(),
-                "tgt.dev_submit",
-                u32::from(from),
-                u64::from(sqe.cid),
-            );
-        }
-        let this2 = this.clone();
-        NvmeDevice::submit(&device, k, sqe, data, move |k, result| {
-            {
-                let t = this2.borrow();
-                t.tracer
-                    .emit(k.now(), "tgt.dev_done", u32::from(from), u64::from(sqe.cid));
+            if write {
+                let mut o = this2.borrow_mut();
+                o.transport().stats.r2ts_tx += 1;
+                let pdu = Pdu::R2T {
+                    cccid: sqe.cid,
+                    r2tl: sqe.data_len() as u32,
+                };
+                Self::send_to(&mut *o, k, from, pdu);
+                if !early {
+                    return;
+                }
             }
-            Self::on_device_done(&this2, k, from, sqe, priority, result);
+            O::run(&this2, k, from, sqe, priority, None);
         });
     }
 
-    fn on_device_done(
-        this: &Shared<SpdkTarget>,
+    fn on_h2c_data<O: TargetPolicy>(
+        this: &Shared<O>,
+        k: &mut Kernel,
+        from: u8,
+        cccid: u16,
+        data: Bytes,
+    ) {
+        let pending = {
+            let mut o = this.borrow_mut();
+            let t = o.transport();
+            t.stats.data_rx += 1;
+            t.pending_writes.remove(&(from, cccid)).map(|w| {
+                let mut cost = t.costs.handle_data;
+                if O::DIALECT.submit_with_parse {
+                    cost += t.costs.submit_dev;
+                }
+                (t.reserve(k.now(), cost), w)
+            })
+        };
+        let Some((finish, (sqe, priority))) = pending else {
+            return O::on_data(this, k, from, cccid, data);
+        };
+        let this2 = this.clone();
+        k.schedule_at(finish, move |k| {
+            O::run(&this2, k, from, sqe, priority, Some(data));
+        });
+    }
+
+    /// Record H2C data that names no write: under recovery the expected
+    /// echo of a retransmission (the first copy of the payload consumed
+    /// the entry), otherwise a violation — counted and dropped, so one
+    /// misbehaving tenant cannot abort the fabric.
+    pub fn stray_data<O: TargetPolicy>(o: &mut O, now: SimTime, cccid: u16) {
+        let t = o.transport();
+        if t.recovery {
+            t.stats.dup_cmds_dropped += 1;
+        } else {
+            o.violation(now, Violation::UnknownCid(cccid));
+        }
+    }
+
+    /// Hand a command to the NVMe device, bracketed by the `dev_submit`
+    /// and `dev_done` trace points; `done` runs at device completion.
+    /// The completion closure captures as little as it can (no copy of
+    /// the [`Dialect`]): past 14 words the kernel would box every event.
+    pub fn submit_dev<O: TargetPolicy>(
+        this: &Shared<O>,
+        k: &mut Kernel,
+        from: u8,
+        sqe: Sqe,
+        data: Option<Bytes>,
+        done: impl FnOnce(&Shared<O>, &mut Kernel, IoResult) + 'static,
+    ) {
+        let cid = sqe.cid;
+        let device = {
+            let mut o = this.borrow_mut();
+            let t = o.transport();
+            t.trace_cmd(k.now(), O::DIALECT.dev_submit, from, cid);
+            t.device.clone()
+        };
+        let this2 = this.clone();
+        let lane = O::DIALECT.device_lane.unwrap_or(k.current_shard());
+        k.with_shard(lane, |k| {
+            NvmeDevice::submit(&device, k, sqe, data, move |k, result| {
+                let kind = O::DIALECT.dev_done;
+                this2
+                    .borrow_mut()
+                    .transport()
+                    .trace_cmd(k.now(), kind, from, cid);
+                done(&this2, k, result);
+            })
+        });
+    }
+
+    /// A command answered per request finished at the device: send its
+    /// data (reads), then its response capsule.
+    pub fn respond<O: TargetPolicy>(
+        this: &Shared<O>,
         k: &mut Kernel,
         from: u8,
         sqe: Sqe,
         priority: Priority,
-        result: nvme::device::IoResult,
+        result: IoResult,
     ) {
-        let finish = {
-            let mut t = this.borrow_mut();
+        let (finish, lane) = {
+            let mut o = this.borrow_mut();
+            let t = o.transport();
             t.stats.completed += 1;
+            if O::DIALECT.forget_at_completion {
+                t.forget(from, sqe.cid);
+            }
             let mut cost = t.costs.build_resp + t.small_send_cost(k);
             if result.data.is_some() {
                 cost += t.costs.send_data;
             }
-            t.reactor.reserve(k.now(), cost).finish
+            let lane = match O::DIALECT.device_lane {
+                Some(_) => t.reactor_of(from),
+                None => k.current_shard(),
+            };
+            (t.reserve(k.now(), cost), lane)
         };
         let this2 = this.clone();
-        k.schedule_at(finish, move |k| {
-            let mut t = this2.borrow_mut();
-            if let Some(bytes) = result.data {
-                t.stats.data_tx += 1;
-                let pdu = Pdu::C2HData {
-                    cccid: sqe.cid,
-                    data: bytes,
+        k.with_shard(lane, |k| {
+            k.schedule_at(finish, move |k| {
+                let mut o = this2.borrow_mut();
+                if let Some(bytes) = result.data {
+                    Self::send_data(&mut *o, k, from, sqe.cid, bytes);
+                }
+                let t = o.transport();
+                let who = if O::DIALECT.resp_by_target {
+                    t.id
+                } else {
+                    u32::from(from)
                 };
-                t.send_to(k, from, pdu);
-            }
-            t.stats.resps_tx += 1;
-            t.tracer
-                .emit(k.now(), "tgt.resp_tx", u32::from(from), u64::from(sqe.cid));
-            if t.recovery {
-                // The command's lifetime at the target ends with its
-                // response; any later retransmission is a fresh (and
-                // idempotent) execution rather than a duplicate.
-                t.inflight.remove(&(from, sqe.cid));
-            }
-            let pdu = Pdu::CapsuleResp {
-                cqe: result.cqe,
-                priority,
-            };
-            t.send_to(k, from, pdu);
+                t.trace(k.now(), O::DIALECT.resp_tx, who, u64::from(sqe.cid));
+                if !O::DIALECT.forget_at_completion {
+                    t.forget(from, sqe.cid);
+                }
+                Self::send_resp(&mut *o, k, from, result.cqe, priority);
+            })
         });
     }
 
-    /// Transmit a PDU to initiator `from` over the fabric. The delivery
+    /// Send read data for `cid` to initiator `to` (counted).
+    pub fn send_data<O: TargetPolicy>(o: &mut O, k: &mut Kernel, to: u8, cid: u16, data: Bytes) {
+        o.transport().stats.data_tx += 1;
+        Self::send_to(o, k, to, Pdu::C2HData { cccid: cid, data });
+    }
+
+    /// Send a response capsule to initiator `to` (counted: one
+    /// completion notification).
+    pub fn send_resp<O: TargetPolicy>(
+        o: &mut O,
+        k: &mut Kernel,
+        to: u8,
+        cqe: Cqe,
+        priority: Priority,
+    ) {
+        o.transport().stats.resps_tx += 1;
+        Self::send_to(o, k, to, Pdu::CapsuleResp { cqe, priority });
+    }
+
+    /// Transmit a PDU to initiator `to` over the fabric. The delivery
     /// event is scheduled on the recipient's kernel lane.
-    pub(crate) fn send_to(&mut self, k: &mut Kernel, to: u8, pdu: Pdu) {
-        let Some(conn) = self.conns.get(&to) else {
+    fn send_to<O: TargetPolicy>(o: &mut O, k: &mut Kernel, to: u8, pdu: Pdu) {
+        let t = o.transport();
+        let Some(conn) = t.conns.get(&to) else {
             // Normal paths only send to initiators registered via
             // `connect`, but trust-the-wire routing (enforcement off)
-            // can be steered to an ID that never connected. Count and
-            // drop rather than aborting the fabric.
-            self.stats.protocol_errors += 1;
-            self.tracer
-                .emit(k.now(), "tgt.protocol_error", self.id, u64::from(to));
+            // can be steered to an ID that never connected, and a
+            // migrated-away tenant's late completions land here too.
+            // Count and drop rather than aborting the fabric.
+            o.violation(k.now(), Violation::UnknownInitiator(to));
             return;
         };
         let rx = conn.rx.clone();
         let bytes = pdu.wire_len();
-        let lane = self.lane_of.get(&to).copied().unwrap_or(0);
-        k.with_shard(lane, |k| {
-            self.net
-                .send(k, &self.ep, &conn.ep, bytes, move |k| rx(k, pdu))
+        k.with_shard(conn.lane, |k| {
+            t.net.send(k, &t.ep, &conn.ep, bytes, move |k| rx(k, pdu))
         });
     }
-}
 
-impl MetricsSource for SpdkTarget {
-    fn metrics(&self, now: SimTime) -> Metrics {
+    /// The metric keys both runtimes' targets report. Recovery counters
+    /// only exist in recovery mode, so fault-free snapshots stay
+    /// byte-identical to historical output.
+    pub fn transport_metrics(&self, now: SimTime) -> Metrics {
         let mut m = Metrics::at(now);
         m.set("reactor_util", self.reactor_utilization(now));
         m.set("pdu.cmds_rx", self.stats.cmds_rx as f64);
@@ -447,7 +616,8 @@ impl MetricsSource for SpdkTarget {
         m.set("pdu.data_tx", self.stats.data_tx as f64);
         m.set("completed", self.stats.completed as f64);
         m.set("backpressured_sends", self.stats.backpressured_sends as f64);
-        // Baseline sends one response per completion: coalesce ratio 1.
+        // Commands retired per completion notification — the Figure 6(c)
+        // saving: the baseline is 1.0, NVMe-oPF approaches the window.
         let ratio = if self.stats.resps_tx > 0 {
             self.stats.completed as f64 / self.stats.resps_tx as f64
         } else {
@@ -455,12 +625,86 @@ impl MetricsSource for SpdkTarget {
         };
         m.set("coalesce_ratio", ratio);
         m.set("protocol_errors", self.stats.protocol_errors as f64);
-        // Recovery counters only exist in recovery mode, so fault-free
-        // snapshots stay byte-identical to historical output.
         if self.recovery {
             m.set("dup_cmds_dropped", self.stats.dup_cmds_dropped as f64);
             m.set("r2t_regrants", self.stats.r2t_regrants as f64);
         }
+        m
+    }
+}
+
+/// The pass-through policy: every command goes straight to the device
+/// and gets its own response capsule.
+impl TargetPolicy for SpdkTarget {
+    const DIALECT: Dialect = Dialect {
+        cmd_rx: "tgt.cmd_rx",
+        dev_submit: "tgt.dev_submit",
+        dev_done: "tgt.dev_done",
+        resp_tx: "tgt.resp_tx",
+        resp_by_target: false,
+        max_cid: u16::MAX,
+        device_lane: None,
+        forget_at_completion: false,
+        submit_with_parse: true,
+        tc_writes_early: false,
+    };
+
+    fn transport(&mut self) -> &mut SpdkTarget {
+        self
+    }
+
+    fn violation(&mut self, now: SimTime, v: Violation) {
+        self.stats.protocol_errors += 1;
+        let (kind, who, detail) = match v {
+            Violation::IdentityMismatch { claimed, expected } => {
+                ("tgt.spoof_dropped", u32::from(expected), claimed.into())
+            }
+            Violation::UnexpectedPdu(_) => ("tgt.protocol_error", self.id, 0),
+            Violation::CidOutOfRange(cid) | Violation::UnknownCid(cid) => {
+                ("tgt.protocol_error", self.id, cid.into())
+            }
+            Violation::UnknownInitiator(id) => ("tgt.protocol_error", self.id, id.into()),
+        };
+        self.trace(now, kind, who, detail);
+    }
+
+    fn admit(&mut self, _: SimTime, from: u8, sqe: &Sqe, priority: Priority) -> Option<Priority> {
+        if !self.first_sighting(from, sqe.cid) {
+            if sqe.opcode == Opcode::Write && self.pending_writes.contains_key(&(from, sqe.cid)) {
+                // Retransmitted write still waiting for its data: the
+                // R2T (or the data itself) was lost. Grant again.
+                self.stats.r2t_regrants += 1;
+            } else {
+                // The command is already executing; running the
+                // duplicate would double-complete it.
+                self.stats.dup_cmds_dropped += 1;
+                return None;
+            }
+        }
+        Some(priority)
+    }
+
+    fn run(
+        this: &Shared<Self>,
+        k: &mut Kernel,
+        from: u8,
+        sqe: Sqe,
+        priority: Priority,
+        data: Option<Bytes>,
+    ) {
+        Self::submit_dev(this, k, from, sqe, data, move |this, k, result| {
+            Self::respond(this, k, from, sqe, priority, result)
+        });
+    }
+
+    fn on_data(this: &Shared<Self>, k: &mut Kernel, _from: u8, cccid: u16, _data: Bytes) {
+        Self::stray_data(&mut *this.borrow_mut(), k.now(), cccid);
+    }
+}
+
+impl MetricsSource for SpdkTarget {
+    fn metrics(&self, now: SimTime) -> Metrics {
+        let mut m = self.transport_metrics(now);
         // Hardening counters are opt-in via `set_hardening`, so
         // pre-hardening snapshots stay byte-identical.
         if self.hardening_metrics {

@@ -158,12 +158,20 @@ enum AnyTarget {
 }
 
 impl AnyTarget {
+    /// Read the transport target both runtimes are built on.
+    fn io<R>(&self, f: impl FnOnce(&SpdkTarget) -> R) -> R {
+        match self {
+            AnyTarget::Spdk(t) => f(&t.borrow()),
+            AnyTarget::Opf(t) => f(&t.borrow().io),
+        }
+    }
+
     fn resps_tx(&self) -> u64 {
-        either!(self, AnyTarget, t => t.borrow().stats.resps_tx)
+        self.io(|t| t.stats.resps_tx)
     }
 
     fn reactor_utilization(&self, now: SimTime) -> f64 {
-        either!(self, AnyTarget, t => t.borrow().reactor_utilization(now))
+        self.io(|t| t.reactor_utilization(now))
     }
 
     fn metrics(&self, now: SimTime) -> Metrics {
@@ -172,7 +180,10 @@ impl AnyTarget {
 
     /// Drop every connection (and the initiator handle it captures).
     fn disconnect_all(&self) {
-        either!(self, AnyTarget, t => t.borrow_mut().disconnect_all())
+        match self {
+            AnyTarget::Spdk(t) => t.borrow_mut().disconnect_all(),
+            AnyTarget::Opf(t) => t.borrow_mut().io.disconnect_all(),
+        }
     }
 
     fn as_opf(&self) -> Option<&Shared<OpfTarget>> {

@@ -219,6 +219,15 @@ pub enum ScenarioError {
         /// indices).
         initiators: usize,
     },
+    /// An NVMe-oPF queue depth outside `[1, opf::MAX_QUEUE_DEPTH]`: the
+    /// target's queue keys cannot hold the CIDs a deeper queue pair
+    /// allocates (it would drop them as out of range).
+    QueueDepthOutOfRange {
+        /// Which knob: `"tc_qd"` or `"ls_qd"`.
+        what: &'static str,
+        /// Depth asked for.
+        qd: usize,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -251,6 +260,11 @@ impl std::fmt::Display for ScenarioError {
             } => write!(
                 f,
                 "fault {what} {index} out of range ({initiators} initiators)"
+            ),
+            ScenarioError::QueueDepthOutOfRange { what, qd } => write!(
+                f,
+                "{what} = {qd} outside the NVMe-oPF queue-depth range [1, {}]",
+                opf::MAX_QUEUE_DEPTH
             ),
         }
     }
@@ -337,6 +351,13 @@ impl Scenario {
         };
         if tenants > max {
             return Err(ScenarioError::TooManyTenants { tenants, max });
+        }
+        if self.runtime == RuntimeKind::Opf {
+            for (what, qd) in [("tc_qd", self.tc_qd), ("ls_qd", self.ls_qd)] {
+                if !(1..=opf::MAX_QUEUE_DEPTH).contains(&qd) {
+                    return Err(ScenarioError::QueueDepthOutOfRange { what, qd });
+                }
+            }
         }
         if let Some(f) = &self.faults {
             let initiators = self.total_initiators();
@@ -461,7 +482,7 @@ mod tests {
                 initiators: 5,
             })
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 14] = [
+        let cases: [(Scenario, Result<(), ScenarioError>); 18] = [
             (opf(), Ok(())),
             (cluster(), Ok(())),
             (moving(4, 1), Ok(())),
@@ -469,6 +490,38 @@ mod tests {
             (faulty(5, 4, 4), out_of_range("flap link")),
             (faulty(4, 5, 4), out_of_range("crash tenant")),
             (faulty(4, 4, 5), out_of_range("adversary link")),
+            (
+                Scenario {
+                    tc_qd: 1024,
+                    ..opf()
+                },
+                Ok(()),
+            ),
+            (
+                Scenario {
+                    tc_qd: 1025,
+                    ..opf()
+                },
+                Err(QueueDepthOutOfRange {
+                    what: "tc_qd",
+                    qd: 1025,
+                }),
+            ),
+            (
+                Scenario { ls_qd: 0, ..opf() },
+                Err(QueueDepthOutOfRange {
+                    what: "ls_qd",
+                    qd: 0,
+                }),
+            ),
+            (
+                Scenario {
+                    tc_qd: 2048,
+                    runtime: RuntimeKind::Spdk,
+                    ..opf()
+                },
+                Ok(()),
+            ),
             (
                 Scenario {
                     tc_per_node: 64,

@@ -10,13 +10,13 @@
 
 use crate::hist::Histogram;
 use crate::runner::build_pair;
-use crate::scenario::{RuntimeKind, Speed, WindowSpec};
+use crate::scenario::{RuntimeKind, Scenario, ScenarioError, Speed, WindowSpec};
 use crate::Mix;
 use bytes::Bytes;
 use nvme::{Opcode, BLOCK_SIZE};
 use opf::ReqClass;
 use simkit::{Kernel, Pcg32, SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -198,9 +198,139 @@ pub struct ReplayResult {
     pub goodput_iops: f64,
 }
 
+/// Why a trace cannot be replayed under a configuration. Traces are
+/// outside input ([`TraceLog::from_text`]): [`replay`] checks them
+/// instead of panicking part-way through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReplayError {
+    /// The pair the trace needs — its tenant count, at the configured
+    /// queue depth — is not one the runner can build.
+    Scenario(ScenarioError),
+    /// Event `index` (in arrival order) asks for zero blocks; the field
+    /// is 1-based.
+    ZeroBlocks {
+        /// Position of the event.
+        index: usize,
+    },
+    /// Event `index` arrives so late that the settle window past it
+    /// does not fit in [`SimTime`].
+    ArrivalOutOfRange {
+        /// Position of the event.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::Scenario(e) => write!(f, "trace needs an unbuildable pair: {e}"),
+            ReplayError::ZeroBlocks { index } => {
+                write!(f, "trace event {index}: blocks is 1-based, got 0")
+            }
+            ReplayError::ArrivalOutOfRange { index } => {
+                write!(f, "trace event {index}: arrival time out of range")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+/// How long past the last arrival the replay may run.
+const SETTLE_NS: u64 = 5_000_000_000;
+
+/// What every event of one replay shares.
+struct Replay {
+    pair: crate::runner::Pair,
+    /// Write payload sized for the trace's largest request.
+    payload: Bytes,
+    hist: RefCell<Histogram>,
+    completed: Cell<u64>,
+    last_done: Cell<SimTime>,
+    /// Application-side queue per tenant: arrivals that found the qpair
+    /// full wait here (this is where open-loop latency explodes).
+    pending: RefCell<Vec<VecDeque<(SimTime, TraceEvent)>>>,
+}
+
+impl Replay {
+    /// Issue one event through its tenant's initiator (the caller
+    /// checked capacity).
+    fn submit(self: &Rc<Self>, k: &mut Kernel, ev: TraceEvent, arrived: SimTime) {
+        let class = if ev.ls {
+            ReqClass::LatencySensitive
+        } else {
+            ReqClass::ThroughputCritical
+        };
+        let (opcode, data) = if ev.write {
+            let len = BLOCK_SIZE * ev.blocks as usize;
+            (Opcode::Write, Some(self.payload.slice(..len)))
+        } else {
+            (Opcode::Read, None)
+        };
+        let tenant = ev.tenant as usize;
+        let r = self.clone();
+        let ok = self.pair.initiators[tenant].submit(
+            k,
+            class,
+            opcode,
+            ev.lba,
+            ev.blocks,
+            data,
+            Box::new(move |k, _out| {
+                // End-to-end latency counts from *arrival*, so
+                // application-side queueing is included.
+                let latency = k.now().since(arrived).as_nanos();
+                r.hist.borrow_mut().record(latency);
+                r.completed.set(r.completed.get() + 1);
+                r.last_done.set(k.now());
+                // Drain this tenant's application queue.
+                let next = r.pending.borrow_mut()[tenant].pop_front();
+                if let Some((arr, nev)) = next {
+                    r.submit(k, nev, arr);
+                }
+            }),
+        );
+        assert!(ok, "caller checks capacity before submitting");
+    }
+
+    /// Partially filled windows drain via the initiator PM's own
+    /// drain-timeout timer. A timer flush occupies a queue slot whose
+    /// completion does not wake the application queue, so this periodic
+    /// drainer re-submits pending arrivals whenever capacity is free.
+    fn drain(self: Rc<Self>, k: &mut Kernel) {
+        for tenant in 0..self.pair.initiators.len() {
+            while self.pair.initiators[tenant].has_capacity() {
+                let next = self.pending.borrow_mut()[tenant].pop_front();
+                let Some((arr, ev)) = next else { break };
+                self.submit(k, ev, arr);
+            }
+        }
+        k.schedule_in(SimDuration::from_millis(1), move |k| self.drain(k));
+    }
+}
+
 /// Replay a trace against a single target pair.
-pub fn replay(log: &TraceLog, cfg: &ReplayConfig) -> ReplayResult {
+pub fn replay(log: &TraceLog, cfg: &ReplayConfig) -> Result<ReplayResult, ReplayError> {
     let tenants = log.tenant_count().max(1);
+    // The pair is a one-group scenario of `tenants` tenants at `qd`:
+    // hold it to the same bounds as every other entry point.
+    let shape = Scenario {
+        ls_per_node: 0,
+        tc_per_node: tenants,
+        tc_qd: cfg.qd,
+        ls_qd: cfg.qd,
+        ..Scenario::two_tenant(cfg.runtime, cfg.speed.into(), Mix::READ)
+    };
+    shape.validate().map_err(ReplayError::Scenario)?;
+    for (index, ev) in log.events.iter().enumerate() {
+        if ev.blocks == 0 {
+            return Err(ReplayError::ZeroBlocks { index });
+        }
+        if ev.at_ns.checked_add(SETTLE_NS).is_none() {
+            return Err(ReplayError::ArrivalOutOfRange { index });
+        }
+    }
+
     let mut k = Kernel::new(cfg.seed);
     let pair = build_pair(
         &mut k,
@@ -216,202 +346,50 @@ pub fn replay(log: &TraceLog, cfg: &ReplayConfig) -> ReplayResult {
         cfg.seed,
         true,
     );
+    let max_blocks = log.events.iter().map(|e| e.blocks).max().unwrap_or(1);
+    let r = Rc::new(Replay {
+        pair,
+        payload: Bytes::from(vec![0u8; BLOCK_SIZE * max_blocks as usize]),
+        hist: RefCell::new(Histogram::new()),
+        completed: Cell::new(0),
+        last_done: Cell::new(SimTime::ZERO),
+        pending: RefCell::new(vec![VecDeque::new(); tenants]),
+    });
 
-    let hist = Rc::new(RefCell::new(Histogram::new()));
-    let completed = Rc::new(RefCell::new(0u64));
-    let last_done = Rc::new(RefCell::new(SimTime::ZERO));
-    let payload = Bytes::from(vec![0u8; BLOCK_SIZE]);
-
-    // Application-side pending queue per tenant: arrivals that found the
-    // qpair full wait here (this is where open-loop latency explodes).
-    struct Tenant {
-        pending: VecDeque<(SimTime, TraceEvent)>,
-    }
-    let tenants_state: Rc<RefCell<Vec<Tenant>>> = Rc::new(RefCell::new(
-        (0..tenants)
-            .map(|_| Tenant {
-                pending: VecDeque::new(),
-            })
-            .collect(),
-    ));
-
-    // Submit helper: issue one event through the pair's initiator.
-    #[allow(clippy::too_many_arguments)]
-    fn submit(
-        pair: Rc<crate::runner::Pair>,
-        k: &mut Kernel,
-        ev: TraceEvent,
-        arrived: SimTime,
-        payload: Bytes,
-        hist: Rc<RefCell<Histogram>>,
-        completed: Rc<RefCell<u64>>,
-        last_done: Rc<RefCell<SimTime>>,
-        tenants_state: Rc<RefCell<Vec<Tenant>>>,
-    ) {
-        let class = if ev.ls {
-            ReqClass::LatencySensitive
-        } else {
-            ReqClass::ThroughputCritical
-        };
-        let opcode = if ev.write {
-            Opcode::Write
-        } else {
-            Opcode::Read
-        };
-        let data = if ev.write {
-            Some(payload.clone())
-        } else {
-            None
-        };
-        let pair2 = pair.clone();
-        let hist2 = hist.clone();
-        let completed2 = completed.clone();
-        let last2 = last_done.clone();
-        let ts2 = tenants_state.clone();
-        let payload2 = payload.clone();
-        let tenant = ev.tenant as usize;
-        let ok = pair.initiators[tenant].submit(
-            k,
-            class,
-            opcode,
-            ev.lba,
-            ev.blocks,
-            data,
-            Box::new(move |k, _out| {
-                // End-to-end latency counts from *arrival*, so
-                // application-side queueing is included.
-                hist2.borrow_mut().record(k.now().since(arrived).as_nanos());
-                *completed2.borrow_mut() += 1;
-                *last2.borrow_mut() = k.now();
-                // Drain this tenant's application queue.
-                let next = ts2.borrow_mut()[tenant].pending.pop_front();
-                if let Some((arr, nev)) = next {
-                    submit(
-                        pair2.clone(),
-                        k,
-                        nev,
-                        arr,
-                        payload2.clone(),
-                        hist2.clone(),
-                        completed2.clone(),
-                        last2.clone(),
-                        ts2.clone(),
-                    );
-                }
-            }),
-        );
-        assert!(ok, "caller checks capacity before submitting");
-    }
-
-    let pair = Rc::new(pair);
-    for ev in &log.events {
-        let pair2 = pair.clone();
-        let payload2 = payload.clone();
-        let hist2 = hist.clone();
-        let completed2 = completed.clone();
-        let last2 = last_done.clone();
-        let ts2 = tenants_state.clone();
-        let ev = *ev;
+    for &ev in &log.events {
+        let r = r.clone();
         k.schedule_at(SimTime::from_nanos(ev.at_ns), move |k| {
             let tenant = ev.tenant as usize;
-            if pair2.initiators[tenant].has_capacity() {
-                submit(
-                    pair2.clone(),
-                    k,
-                    ev,
-                    k.now(),
-                    payload2,
-                    hist2,
-                    completed2,
-                    last2,
-                    ts2,
-                );
+            if r.pair.initiators[tenant].has_capacity() {
+                r.submit(k, ev, k.now());
             } else {
-                ts2.borrow_mut()[tenant].pending.push_back((k.now(), ev));
+                r.pending.borrow_mut()[tenant].push_back((k.now(), ev));
             }
         });
     }
-    // Partially filled windows drain via the initiator PM's own
-    // drain-timeout timer. A timer flush occupies a queue slot whose
-    // completion does not wake the application queue, so a periodic
-    // drainer re-submits pending arrivals whenever capacity is free.
-    {
-        fn drainer(
-            pair: Rc<crate::runner::Pair>,
-            k: &mut Kernel,
-            payload: Bytes,
-            hist: Rc<RefCell<Histogram>>,
-            completed: Rc<RefCell<u64>>,
-            last_done: Rc<RefCell<SimTime>>,
-            tenants_state: Rc<RefCell<Vec<Tenant>>>,
-        ) {
-            let n_tenants = tenants_state.borrow().len();
-            for tenant in 0..n_tenants {
-                loop {
-                    if !pair.initiators[tenant].has_capacity() {
-                        break;
-                    }
-                    let next = tenants_state.borrow_mut()[tenant].pending.pop_front();
-                    let Some((arr, ev)) = next else { break };
-                    submit(
-                        pair.clone(),
-                        k,
-                        ev,
-                        arr,
-                        payload.clone(),
-                        hist.clone(),
-                        completed.clone(),
-                        last_done.clone(),
-                        tenants_state.clone(),
-                    );
-                }
-            }
-            let (p2, pa2, h2, c2, l2, t2) = (
-                pair.clone(),
-                payload.clone(),
-                hist.clone(),
-                completed.clone(),
-                last_done.clone(),
-                tenants_state.clone(),
-            );
-            k.schedule_in(SimDuration::from_millis(1), move |k| {
-                drainer(p2, k, pa2, h2, c2, l2, t2)
-            });
-        }
-        let (p2, pa2, h2, c2, l2, t2) = (
-            pair.clone(),
-            payload.clone(),
-            hist.clone(),
-            completed.clone(),
-            last_done.clone(),
-            tenants_state.clone(),
-        );
-        k.schedule_in(SimDuration::from_millis(1), move |k| {
-            drainer(p2, k, pa2, h2, c2, l2, t2)
-        });
-    }
+    let drainer = r.clone();
+    k.schedule_in(SimDuration::from_millis(1), move |k| drainer.drain(k));
 
-    let horizon =
-        SimTime::from_nanos(log.events.last().map(|e| e.at_ns).unwrap_or(0) + 5_000_000_000);
-    k.set_horizon(horizon);
+    let last_arrival = log.events.last().map_or(0, |e| e.at_ns);
+    k.set_horizon(SimTime::from_nanos(last_arrival + SETTLE_NS));
     k.run_to_completion();
 
-    let done = *completed.borrow();
+    let done = r.completed.get();
     assert_eq!(
         done,
         log.events.len() as u64,
         "replay must complete the whole trace"
     );
-    let h = hist.borrow();
-    let makespan = last_done.borrow().as_secs_f64();
-    ReplayResult {
+    let h = r.hist.borrow();
+    let makespan = r.last_done.get().as_secs_f64();
+    Ok(ReplayResult {
         completed: done,
         mean_us: h.mean() / 1e3,
         p99_us: h.percentile(0.99) as f64 / 1e3,
         p9999_us: h.percentile(0.9999) as f64 / 1e3,
         makespan_s: makespan,
         goodput_iops: done as f64 / makespan.max(1e-9),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -458,6 +436,41 @@ mod tests {
             .is_empty());
     }
 
+    /// One-line traces that each panicked the replayer at 8b0c8ff — the
+    /// reserved tenant id, a tenant aliasing the queue-key owner field,
+    /// zero blocks, an arrival time that overflows the horizon, and (in
+    /// debug builds) a write larger than the one-block payload.
+    #[test]
+    fn hostile_traces_get_typed_errors() {
+        use ReplayError::*;
+        let too_many = |tenants, max| Err(Scenario(ScenarioError::TooManyTenants { tenants, max }));
+        let cases = [
+            ("0,255,TC,R,0,1", too_many(256, 64)),
+            ("0,100,TC,R,0,1", too_many(101, 64)),
+            ("0,0,TC,R,0,0", Err(ZeroBlocks { index: 0 })),
+            (
+                "0,0,TC,R,0,1\n18446744073709551615,0,LS,R,0,1",
+                Err(ArrivalOutOfRange { index: 1 }),
+            ),
+            ("0,0,TC,W,0,8", Ok(1)),
+        ];
+        for (text, want) in cases {
+            let log = TraceLog::from_text(text).unwrap();
+            let got = replay(&log, &ReplayConfig::default()).map(|r| r.completed);
+            assert_eq!(got, want, "{text}");
+            if let Err(e) = got {
+                assert!(!e.to_string().is_empty());
+            }
+        }
+        // The baseline addresses more tenants, but not the reserved id.
+        let spdk = ReplayConfig {
+            runtime: RuntimeKind::Spdk,
+            ..ReplayConfig::default()
+        };
+        let log = TraceLog::from_text("0,255,TC,R,0,1").unwrap();
+        assert_eq!(replay(&log, &spdk).map(|r| r.completed), too_many(256, 254));
+    }
+
     #[test]
     fn poisson_rate_is_respected() {
         let log = TraceLog::poisson(100_000.0, SimDuration::from_millis(100), 4, Mix::READ, 3);
@@ -472,7 +485,7 @@ mod tests {
     #[test]
     fn replay_completes_trace_below_saturation() {
         let log = TraceLog::poisson(50_000.0, SimDuration::from_millis(50), 2, Mix::READ, 9);
-        let r = replay(&log, &ReplayConfig::default());
+        let r = replay(&log, &ReplayConfig::default()).unwrap();
         assert_eq!(r.completed, log.events.len() as u64);
         assert!(r.mean_us > 50.0, "mean {}", r.mean_us);
         assert!(r.p9999_us >= r.p99_us && r.p99_us >= 0.0);
@@ -484,8 +497,8 @@ mod tests {
         let low = TraceLog::poisson(150_000.0, SimDuration::from_millis(40), 4, Mix::READ, 5);
         let high = TraceLog::poisson(400_000.0, SimDuration::from_millis(40), 4, Mix::READ, 5);
         let cfg = ReplayConfig::default();
-        let rl = replay(&low, &cfg);
-        let rh = replay(&high, &cfg);
+        let rl = replay(&low, &cfg).unwrap();
+        let rh = replay(&high, &cfg).unwrap();
         assert!(
             rh.mean_us > rl.mean_us * 3.0,
             "overload must inflate latency: {} vs {}",
@@ -503,8 +516,9 @@ mod tests {
                 runtime: RuntimeKind::Spdk,
                 ..ReplayConfig::default()
             },
-        );
-        let opf = replay(&log, &ReplayConfig::default());
+        )
+        .unwrap();
+        let opf = replay(&log, &ReplayConfig::default()).unwrap();
         // 230K offered exceeds SPDK's ~178K capacity but not oPF's.
         assert!(
             spdk.mean_us > opf.mean_us * 3.0,

@@ -118,7 +118,7 @@ fn main() {
     let t = target.borrow();
     println!(
         "target stats: {} cmds, {} drains, {} responses, {} R2Ts",
-        t.stats.cmds_rx, t.stats.drains_rx, t.stats.resps_tx, t.stats.r2ts_tx
+        t.io.stats.cmds_rx, t.stats.drains_rx, t.io.stats.resps_tx, t.io.stats.r2ts_tx
     );
     println!("virtual time elapsed: {}", k.now());
 }

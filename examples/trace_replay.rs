@@ -41,7 +41,8 @@ fn main() {
                 runtime,
                 ..ReplayConfig::default()
             },
-        );
+        )
+        .expect("a synthesized trace is replayable");
         t.row([
             runtime.label().to_string(),
             r.completed.to_string(),
