@@ -4,12 +4,11 @@
 //! document — the bounded configuration plus the action schedule — so a
 //! violation found in CI can be checked in, diffed, and replayed
 //! locally with `cargo run -p analysis --bin fsm -- --replay <file>`.
-//! The format is emitted and parsed here with no dependencies (the
-//! parser handles exactly the JSON subset the emitter produces, plus
-//! whitespace and string escapes).
+//! The format is emitted here and read back through the workspace's one
+//! JSON reader (the dependency-free `json` leaf crate).
 
 use super::{Action, Config, Counterexample, Violation};
-use std::collections::BTreeMap;
+use json::Json;
 
 /// Serialize a counterexample with the configuration that produced it.
 pub fn emit(cfg: &Config, cx: &Counterexample) -> String {
@@ -74,227 +73,64 @@ fn parse_action(s: &str) -> Result<Action, String> {
     })
 }
 
-/// Minimal JSON value for the scenario subset.
-#[derive(Debug, Clone)]
-enum Json {
-    Obj(BTreeMap<String, Json>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(i64),
-    Bool(bool),
-}
-
-/// Deepest nesting the reader accepts (an emitted scenario nests 2). It
-/// recurses per level, so an unbounded document would end in a stack
-/// overflow instead of an error.
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'s> {
-    b: &'s [u8],
-    i: usize,
-    /// Objects and arrays currently open.
-    depth: usize,
-}
-
-impl<'s> Parser<'s> {
-    fn ws(&mut self) {
-        while self.b.get(self.i).is_some_and(|c| c.is_ascii_whitespace()) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.i))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
-                "nested deeper than {MAX_DEPTH} levels at byte {}",
-                self.i
-            )),
-            Some(open @ (b'{' | b'[')) => {
-                self.depth += 1;
-                let v = if open == b'{' { self.obj() } else { self.arr() };
-                self.depth -= 1;
-                v
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') | Some(b'f') => self.boolean(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.i)),
-        }
-    }
-
-    fn obj(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("bad object at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn arr(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(format!("bad array at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.b.get(self.i) {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    let esc = self.b.get(self.i + 1).copied();
-                    s.push(match esc {
-                        Some(b'n') => '\n',
-                        Some(b't') => '\t',
-                        Some(c) => c as char,
-                        None => return Err("unterminated escape".into()),
-                    });
-                    self.i += 2;
-                }
-                Some(&c) => {
-                    s.push(c as char);
-                    self.i += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn boolean(&mut self) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(b"true") {
-            self.i += 4;
-            Ok(Json::Bool(true))
-        } else if self.b[self.i..].starts_with(b"false") {
-            self.i += 5;
-            Ok(Json::Bool(false))
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self.b.get(self.i).is_some_and(|c| c.is_ascii_digit()) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
-fn get<'j>(obj: &'j BTreeMap<String, Json>, key: &str) -> Result<&'j Json, String> {
+fn get<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, String> {
     obj.get(key).ok_or_else(|| format!("missing key `{key}`"))
 }
 
-fn as_usize(j: &Json, key: &str) -> Result<usize, String> {
-    match j {
-        Json::Num(n) if *n >= 0 => Ok(*n as usize),
-        _ => Err(format!("`{key}` must be a non-negative integer")),
-    }
+/// Largest bound a scenario may set. The model allocates `qd` slots and
+/// `max_cmds` counters up front and its CIDs are 16-bit; checked-in
+/// witnesses use single digits.
+const MAX_BOUND: usize = 1 << 16;
+
+fn get_usize(obj: &Json, key: &str) -> Result<usize, String> {
+    get(obj, key)?
+        .as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|&n| n <= MAX_BOUND)
+        .ok_or_else(|| format!("`{key}` must be an integer in [0, {MAX_BOUND}]"))
 }
 
-fn as_bool(j: &Json, key: &str) -> Result<bool, String> {
-    match j {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("`{key}` must be a bool")),
-    }
+fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
+    get(obj, key)?
+        .as_bool()
+        .ok_or_else(|| format!("`{key}` must be a bool"))
 }
 
 /// Parse a scenario document back into its configuration and
 /// counterexample.
 pub fn parse(text: &str) -> Result<(Config, Counterexample), String> {
-    let mut p = Parser {
-        b: text.as_bytes(),
-        i: 0,
-        depth: 0,
-    };
-    let Json::Obj(root) = p.value()? else {
+    let root = json::parse(text)?;
+    if !matches!(root, Json::Obj(_)) {
         return Err("scenario root must be an object".into());
-    };
-    let Json::Obj(c) = get(&root, "config")? else {
+    }
+    let c = get(&root, "config")?;
+    if !matches!(c, Json::Obj(_)) {
         return Err("`config` must be an object".into());
-    };
+    }
     let cfg = Config {
-        qd: as_usize(get(c, "qd")?, "qd")?,
-        window: as_usize(get(c, "window")?, "window")?,
-        max_cmds: as_usize(get(c, "max_cmds")?, "max_cmds")?,
-        net_cap: as_usize(get(c, "net_cap")?, "net_cap")?,
-        forge_ls: as_bool(get(c, "forge_ls")?, "forge_ls")?,
-        drop: as_bool(get(c, "drop")?, "drop")?,
-        dup: as_bool(get(c, "dup")?, "dup")?,
-        replay: as_bool(get(c, "replay")?, "replay")?,
-        hardened: as_bool(get(c, "hardened")?, "hardened")?,
+        qd: get_usize(c, "qd")?,
+        window: get_usize(c, "window")?,
+        max_cmds: get_usize(c, "max_cmds")?,
+        net_cap: get_usize(c, "net_cap")?,
+        forge_ls: get_bool(c, "forge_ls")?,
+        drop: get_bool(c, "drop")?,
+        dup: get_bool(c, "dup")?,
+        replay: get_bool(c, "replay")?,
+        hardened: get_bool(c, "hardened")?,
     };
-    let violation = match get(&root, "violation")? {
-        Json::Str(s) => match s.as_str() {
-            "cid-queue-overflow" => Violation::CidQueueOverflow,
-            "double-completion" => Violation::DoubleCompletion,
-            "deadlock" => Violation::Deadlock,
-            other => return Err(format!("unknown violation `{other}`")),
-        },
-        _ => return Err("`violation` must be a string".into()),
+    let violation = match get(&root, "violation")?.as_str() {
+        Some("cid-queue-overflow") => Violation::CidQueueOverflow,
+        Some("double-completion") => Violation::DoubleCompletion,
+        Some("deadlock") => Violation::Deadlock,
+        Some(other) => return Err(format!("unknown violation `{other}`")),
+        None => return Err("`violation` must be a string".into()),
     };
-    let Json::Arr(sched) = get(&root, "schedule")? else {
-        return Err("`schedule` must be an array".into());
-    };
+    let sched = get(&root, "schedule")?
+        .as_arr()
+        .ok_or("`schedule` must be an array")?;
     let mut schedule = Vec::with_capacity(sched.len());
     for item in sched {
-        let Json::Str(s) = item else {
-            return Err("schedule entries must be strings".into());
-        };
+        let s = item.as_str().ok_or("schedule entries must be strings")?;
         schedule.push(parse_action(s)?);
     }
     Ok((
@@ -338,6 +174,15 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(parse("[]").is_err());
         assert!(parse("{\"violation\": \"nope\"}").is_err());
+        // Found by the reader fuzz: `replay` allocates `qd` slots.
+        let cfg = Config::forged_ls_witness(false);
+        let cx = check(&cfg).counterexample().unwrap().clone();
+        let huge = emit(&cfg, &cx).replace("\"qd\": 1,", "\"qd\": 100000000000,");
+        let err = parse(&huge).unwrap_err();
+        assert!(
+            err.contains("`qd` must be an integer in [0, 65536]"),
+            "{err}"
+        );
         assert!(parse_action("fly-me-to-the-moon 3").is_err());
     }
 

@@ -13,8 +13,8 @@
 //! | `atomic-ordering` | `crates/queues/src` | every `Ordering::<X>` literal carries a justification at the call site: `// relaxed-ok: <why>` for `Relaxed`, `// ordering-ok: <why>` for any ordering — the queues' publish/consume edges are exactly what the model checker proves, so an unexplained ordering choice is a red flag |
 //! | `atomic-facade` | `crates/queues/src` (except `sync.rs`) | every `Atomic*` type must be a `queues::sync` facade export (so the mini-loom model shadows it), and `std::sync::atomic::Atomic*` may not be named directly — only through the facade |
 //! | `no-panic` | `crates/core/src`, `crates/nvmf/src`, `crates/workload/src` | no `panic!` / `unreachable!` / `todo!` / `unimplemented!` / `.unwrap()` / `.expect(` in non-test code: malformed wire input must become a counted protocol error, and a malformed scenario, spec or trace a typed error, not a crash (internal invariants may waive) |
-//! | `no-threading` | all crates except `simkit`, `analysis`, and the bench `shims` | no `static mut`, `thread_local!`, or `thread::spawn` outside the sanctioned homes: the deterministic kernel owns all parallelism, and ad-hoc threads/globals are exactly the bugs the model checker cannot see (scoped `std::thread::scope` spawns in experiment drivers stay legal) |
-//! | `wall-clock` | all crates except `simkit` and the bench `shims` | no `Instant` / `SystemTime`: simulations must be deterministic; real time enters only through `simkit` (e.g. its `Stopwatch`) |
+//! | `no-threading` | all crates except `analysis` and the `shims` | no `static mut`, `thread_local!`, or `thread::spawn` outside the sanctioned homes: a simulation is single-threaded, and ad-hoc threads/globals are exactly the bugs the model checker cannot see. Scoped `std::thread::scope` fan-out over seeds and grid points stays legal in experiment drivers, but not in `simkit`: the kernel spawns no thread of any kind |
+//! | `wall-clock` | all crates except `simkit` and the `shims` | no `Instant` / `SystemTime`: simulations must be deterministic; real time enters only through `simkit` (e.g. its `Stopwatch`) |
 //! | `hashmap-iter` | all crates | no iteration over `HashMap`s declared in the same file: iteration order is randomized per process and leaks nondeterminism into metrics, snapshots, and reports — use `BTreeMap`, sort first, or waive with a reason |
 //! | `safety-comment` | all code incl. tests | every `unsafe` token is paired, by token span, with a `// SAFETY:` (or `# Safety` doc) comment: same line, or walking the token stream backwards through comments/attributes/signature tokens until the previous statement boundary (`;`, `{`, `}`) |
 //! | `foreign-rand` | all crates except `simkit` and the `shims` | no `rand`-crate APIs (`thread_rng`, `StdRng`, …) or ad-hoc LCG multiplier constants: every random draw must flow from `simkit::rng` (seeded, forkable) or simulations stop being bit-reproducible |
@@ -387,14 +387,13 @@ fn rule_no_panic(ctx: &Ctx, out: &mut Vec<Finding>) {
 }
 
 /// `no-threading`: no ad-hoc parallelism or mutable globals outside the
-/// sanctioned homes — the deterministic kernel owns all concurrency.
+/// sanctioned homes — a simulation runs on one thread, and the only
+/// parallelism is scoped fan-out over independent runs in the drivers.
 fn rule_no_threading(ctx: &Ctx, out: &mut Vec<Finding>) {
-    if ctx.rel_str.contains("crates/simkit/")
-        || ctx.rel_str.contains("crates/analysis/")
-        || ctx.rel_str.contains("crates/shims/")
-    {
+    if ctx.rel_str.contains("crates/analysis/") || ctx.rel_str.contains("crates/shims/") {
         return;
     }
+    let kernel = ctx.rel_str.contains("crates/simkit/");
     for ci in 0..ctx.code.len() {
         let what = if ctx.seq(ci, &["static", "mut"]) {
             Some("static mut")
@@ -402,6 +401,8 @@ fn rule_no_threading(ctx: &Ctx, out: &mut Vec<Finding>) {
             Some("thread_local!")
         } else if ctx.seq(ci, &["thread", ":", ":", "spawn"]) {
             Some("thread::spawn")
+        } else if kernel && ctx.seq(ci, &["thread", ":", ":", "scope"]) {
+            Some("thread::scope")
         } else {
             None
         };
@@ -416,9 +417,9 @@ fn rule_no_threading(ctx: &Ctx, out: &mut Vec<Finding>) {
             "no-threading",
             line,
             format!(
-                "{what} outside simkit/analysis: the deterministic kernel owns all \
-                 parallelism — free threads and mutable globals break reproducibility \
-                 and evade the model checker"
+                "{what} outside analysis: a simulation is single-threaded — free \
+                 threads and mutable globals break reproducibility and evade the \
+                 model checker"
             ),
             waived,
         );
@@ -922,15 +923,15 @@ mod tests {
         assert!(lint("crates/experiments/src/x.rs", scoped)
             .iter()
             .all(|x| x.rule != "no-threading"));
-        // Sanctioned homes.
+        // Sanctioned home: the model checker drives real threads.
         let spawn = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert!(lint("crates/simkit/src/x.rs", spawn).is_empty());
         assert!(lint("crates/analysis/src/x.rs", spawn).is_empty());
-        // The threaded conservative-lookahead engine (DESIGN.md §17)
-        // lives inside the simkit sanction: scoped lane workers pass.
-        let engine =
-            "pub fn run() { std::thread::scope(|s| { for _ in 0..4 { s.spawn(|| {}); } }); }\n";
-        assert!(lint("crates/simkit/src/parallel.rs", engine).is_empty());
+        // The kernel has no sanction: free and scoped spawns are both
+        // findings in simkit.
+        for src in [spawn, scoped] {
+            let f = lint("crates/simkit/src/x.rs", src);
+            assert!(f.iter().any(|x| x.rule == "no-threading"), "{src}: {f:?}");
+        }
         // Test code is exempt (stress tests drive real threads).
         assert!(lint("crates/queues/tests/x.rs", spawn).is_empty());
     }

@@ -174,32 +174,11 @@ macro_rules! shadow_atomic_fetch_add {
     };
 }
 
-/// `fetch_sub`, for the lane mesh's in-flight/idle counters.
-macro_rules! shadow_atomic_fetch_sub {
-    ($name:ident, $int:ty) => {
-        impl $name {
-            pub fn fetch_sub(&self, v: $int, ord: Ordering) -> $int {
-                if let Some((exec, tid)) = current() {
-                    exec.yield_point(tid);
-                    exec.tick(tid);
-                    let old = self.real.fetch_sub(v, Ordering::SeqCst);
-                    self.rmw_edges(&exec, tid, ord);
-                    old
-                } else {
-                    self.real.fetch_sub(v, ord)
-                }
-            }
-        }
-    };
-}
-
 shadow_atomic_int!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
 shadow_atomic_int!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 shadow_atomic_int!(AtomicBool, std::sync::atomic::AtomicBool, bool);
 shadow_atomic_fetch_add!(AtomicUsize, usize);
 shadow_atomic_fetch_add!(AtomicU64, u64);
-shadow_atomic_fetch_sub!(AtomicUsize, usize);
-shadow_atomic_fetch_sub!(AtomicU64, u64);
 
 /// Shadow pointer atomic (the MPSC queue's `tail`/`next` links).
 pub struct AtomicPtr<T> {

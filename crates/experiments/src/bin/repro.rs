@@ -72,6 +72,17 @@ fn main() {
     .with_shards(shards)
     .with_parallel(parallel);
 
+    // Every scenario a figure builds carries `d`'s shard count.
+    let mut probe = workload::Scenario::two_tenant(
+        workload::RuntimeKind::Opf,
+        fabric::Gbps::G100,
+        workload::Mix::READ,
+    );
+    d.apply(&mut probe);
+    if let Err(e) = probe.validate() {
+        eprintln!("repro: --shards {shards}: {e}");
+        std::process::exit(2);
+    }
     if targets > 1 {
         if let Err(e) = cluster::validate(d, quick, targets) {
             eprintln!("repro: --targets {targets}: {e}");

@@ -1007,15 +1007,29 @@ mod tests {
 
     #[test]
     fn unbuildable_scenario_is_a_typed_error() {
-        match CampaignSpec::from_json_str(&minimal(r#", "tc": 300"#)) {
-            Err(CampaignError::Scenario { error, .. }) => assert_eq!(
-                error,
-                workload::ScenarioError::TooManyTenants {
+        use workload::ScenarioError::*;
+        let shards = r#"{"name": "t", "seeds": [1], "scenarios": [
+            {"name": "p", "traffic": {"model": "poisson"}, "shards": 100000000000}]}"#;
+        for (src, want) in [
+            (
+                minimal(r#", "tc": 300"#),
+                TooManyTenants {
                     tenants: 301,
-                    max: 64
-                }
+                    max: 64,
+                },
             ),
-            other => panic!("expected a scenario error, got {other:?}"),
+            (
+                shards.to_string(),
+                ShardsOutOfRange {
+                    shards: 100_000_000_000,
+                    max: 1024,
+                },
+            ),
+        ] {
+            match CampaignSpec::from_json_str(&src) {
+                Err(CampaignError::Scenario { error, .. }) => assert_eq!(error, want),
+                other => panic!("expected a scenario error, got {other:?}"),
+            }
         }
     }
 

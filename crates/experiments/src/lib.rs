@@ -89,8 +89,8 @@ pub struct Durations {
     pub shards: usize,
     /// Route cross-shard schedules through the mailbox doorbell mesh
     /// (`repro --parallel`, DESIGN.md §17). Results are bit-identical
-    /// with the flag on or off; the knob exercises the parallel-merge
-    /// plumbing end to end.
+    /// with the flag on or off; the knob exercises the mailbox detour
+    /// end to end.
     pub parallel: bool,
 }
 

@@ -17,14 +17,10 @@
 //! * [`mod@mailbox`] — the cross-shard mailbox of the multi-reactor target
 //!   (DESIGN.md §13): the SPSC ring plus a batch doorbell, used for the
 //!   rare shared paths (admin, device submission) between reactors.
-//! * [`mpsc`] — an unbounded multi-producer/single-consumer queue used
-//!   only by the *shared-queue ablation*, which demonstrates the problem
-//!   (early drains, cross-tenant interference) that per-initiator queues
-//!   avoid.
-//! * [`lane`] — the conservative-lookahead synchronization mesh of the
-//!   parallel kernel (DESIGN.md §17): pairwise mailboxes plus published
-//!   per-lane bounds and a quiescence counter, so worker threads can
-//!   race ahead inside provably-safe windows.
+//! * [`mpsc`] — an unbounded multi-producer/single-consumer queue. No
+//!   product path calls it (the *shared-queue ablation* is [`CidQueue`]
+//!   under `QueueMode::Shared`); it stays as the one heap-allocating
+//!   queue, so the model checker's leak tracking has a subject.
 //!
 //! All cross-thread primitives go through [`sync`], a facade over
 //! `std::sync::atomic` that swaps in the `analysis` crate's shadow
@@ -33,14 +29,12 @@
 //! leaked nodes (`cargo test -p analysis`).
 
 pub mod cid;
-pub mod lane;
 pub mod mailbox;
 pub mod mpsc;
 pub mod spsc;
 pub mod sync;
 
 pub use cid::{CidQueue, CompleteResult};
-pub use lane::{lane_mesh, LanePort};
 pub use mailbox::{mailbox, MailboxRx, MailboxTx};
 pub use mpsc::{channel as mpsc_channel, MpscQueue, MpscReceiver, MpscSender};
 pub use spsc::{spsc_channel, Consumer, Producer};

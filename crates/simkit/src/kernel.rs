@@ -121,13 +121,13 @@ impl Ord for Scheduled {
     }
 }
 
-/// Per-lane doorbell inbox of the parallel routing mesh: cross-lane
-/// schedules are posted here and drained into the lane heap at the top
-/// of the next `step()`. Single driver thread, so the SPSC contract of
-/// the underlying mailbox holds trivially; what the detour buys is the
-/// *same code path* the threaded engine uses (post → ring → drain on
-/// the doorbell edge) plus the lookahead audit, while the `(at, seq)`
-/// merge key keeps results byte-identical to direct heap pushes.
+/// Per-lane doorbell inbox of the routing mesh: cross-lane schedules
+/// are posted here and drained into the lane heap at the top of the
+/// next `step()`. Single driver thread, so the SPSC contract of the
+/// underlying mailbox holds trivially; the detour exercises the
+/// mailbox path (post → ring → drain on the doorbell edge) and the
+/// slack audit, while the `(at, seq)` merge key keeps results
+/// byte-identical to direct heap pushes.
 struct MeshInbox {
     tx: MailboxTx<Scheduled>,
     rx: MailboxRx<Scheduled>,
@@ -140,8 +140,8 @@ struct Mesh {
     /// Cross-lane schedules routed through a mailbox.
     routed: u64,
     /// Smallest observed slack `at - now` on a routed schedule, in
-    /// nanoseconds: the lookahead the threaded engine would have had on
-    /// this exact workload. `u64::MAX` until the first routing.
+    /// nanoseconds: how far ahead of the clock this workload's
+    /// cross-lane messages land. `u64::MAX` until the first routing.
     min_slack: u64,
 }
 
@@ -191,6 +191,12 @@ impl Kernel {
         Self::with_shards(seed, 1)
     }
 
+    /// Most lanes a run may ask [`Self::with_shards`] for. Every lane
+    /// preallocates its heap and lane ids are `u32`, so a count taken
+    /// from outside input is checked against this first (the largest
+    /// run on record uses 8).
+    pub const MAX_SHARDS: usize = 1024;
+
     /// Create a kernel partitioned into `shards` logical lanes (clamped
     /// to at least one). Shard count never changes simulation results —
     /// see the module docs for the merge rule that guarantees it.
@@ -217,11 +223,10 @@ impl Kernel {
         }
     }
 
-    /// Route cross-lane schedules through per-lane mailbox doorbells —
-    /// the code path the threaded engine synchronizes on — instead of
-    /// pushing directly into the peer heap. The global `(at, seq)`
-    /// stamp is assigned before routing and every detoured event is
-    /// drained back before the next merge, so results stay
+    /// Route cross-lane schedules through per-lane mailbox doorbells
+    /// instead of pushing directly into the peer heap. The global
+    /// `(at, seq)` stamp is assigned before routing and every detoured
+    /// event is drained back before the next merge, so results stay
     /// byte-identical to the direct path; what changes is the
     /// mechanism, plus side-band audit counters
     /// ([`Self::mesh_routed`], [`Self::mesh_min_slack_nanos`]).
@@ -258,8 +263,8 @@ impl Kernel {
     }
 
     /// Smallest `at - now` slack observed on a routed schedule, in
-    /// nanoseconds — the effective lookahead this workload would give
-    /// the threaded engine. `None` before any routing.
+    /// nanoseconds — the minimum distance between a cross-lane send
+    /// and its delivery time. `None` before any routing.
     #[inline]
     pub fn mesh_min_slack_nanos(&self) -> Option<u64> {
         self.mesh

@@ -26,19 +26,19 @@
 //! ```
 
 pub mod fxhash;
-pub mod json;
 pub mod kernel;
 pub mod metrics;
-pub mod parallel;
 pub mod resource;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
+/// The workspace's one JSON reader (the leaf crate `json`), re-exported
+/// where `sweep`, `experiments` and the benchmark have always found it.
+pub use ::json;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use kernel::Kernel;
 pub use metrics::{Metrics, MetricsSource};
-pub use parallel::{LaneCtx, LaneReport, ParallelKernel};
 pub use resource::Resource;
 pub use rng::Pcg32;
 pub use time::{SimDuration, SimTime, Stopwatch};

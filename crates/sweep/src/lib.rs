@@ -201,7 +201,7 @@ fn parse_ratio(v: &Json) -> Result<(usize, usize), String> {
         [ls, tc] => {
             let ls = ls.as_u64().ok_or("LS count not an integer")? as usize;
             let tc = tc.as_u64().ok_or("TC count not an integer")? as usize;
-            if ls + tc == 0 {
+            if ls.saturating_add(tc) == 0 {
                 return Err("ratio [0, 0] has no tenants".to_string());
             }
             Ok((ls, tc))
@@ -851,6 +851,10 @@ mod tests {
         assert!(SweepSpec::from_json(r#"{"name":"x","speeds":[40]}"#).is_err());
         assert!(SweepSpec::from_json(r#"{"name":"x","runtimes":[]}"#).is_err());
         assert!(SweepSpec::from_json(r#"{"name":"x","ratios":[[0,0]]}"#).is_err());
+        // Found by the reader fuzz: the pair's sum overflowed `usize`.
+        let huge = r#"{"name":"x","ratios":[[18446744073709551615,2]]}"#;
+        let err = SweepSpec::from_json(huge).unwrap_err();
+        assert!(err.contains("tenant-id space"), "{err}");
         assert!(SweepSpec::from_json(r#"{"name":"x","measure_s":0}"#).is_err());
         assert!(SweepSpec::from_json(r#"{"name":"x","threads":0}"#).is_err());
     }

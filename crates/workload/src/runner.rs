@@ -60,9 +60,9 @@ pub struct RunResult {
     /// stay byte-identical to the direct path.
     pub parallel_routed: u64,
     /// Smallest cross-lane scheduling slack observed by the mesh, in
-    /// nanoseconds — the effective lookahead bound this workload would
-    /// grant the threaded engine (DESIGN.md §17). `None` when nothing
-    /// was mesh-routed.
+    /// nanoseconds — the minimum distance between a cross-lane send
+    /// and its delivery time (DESIGN.md §17). `None` when nothing was
+    /// mesh-routed.
     pub parallel_min_slack_ns: Option<u64>,
     /// Unified whole-cluster snapshot: the scalar fields above plus every
     /// component's [`MetricsSource`] counters, prefixed by component

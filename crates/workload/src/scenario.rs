@@ -162,8 +162,8 @@ pub struct Scenario {
     /// mesh (DESIGN.md §17) instead of pushing straight into the peer
     /// lane's heap. Results are byte-identical either way — the merge
     /// key is the global `(time, seq)` stamp regardless of the route —
-    /// but `true` exercises the synchronization structure the threaded
-    /// engine runs on and reports the workload's effective lookahead
+    /// but `true` exercises the cross-shard mailbox under a full
+    /// workload and reports the smallest cross-lane scheduling slack
     /// through [`crate::runner::RunResult::parallel_min_slack_ns`].
     /// Default `false`: the classic direct path, untouched.
     pub parallel: bool,
@@ -228,6 +228,15 @@ pub enum ScenarioError {
         /// Depth asked for.
         qd: usize,
     },
+    /// More kernel shards than [`simkit::Kernel::MAX_SHARDS`]: every
+    /// shard preallocates a lane, so an absurd count would abort the
+    /// process on allocation instead of running.
+    ShardsOutOfRange {
+        /// Shards asked for.
+        shards: usize,
+        /// Largest count the kernel accepts.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -266,6 +275,9 @@ impl std::fmt::Display for ScenarioError {
                 "{what} = {qd} outside the NVMe-oPF queue-depth range [1, {}]",
                 opf::MAX_QUEUE_DEPTH
             ),
+            ScenarioError::ShardsOutOfRange { shards, max } => {
+                write!(f, "shards = {shards} out of range (at most {max})")
+            }
         }
     }
 }
@@ -339,7 +351,7 @@ impl Scenario {
     /// `repro` flags) calls this and reports the error; [`crate::run`]
     /// calls it once more as its only precondition.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        let tenants = self.ls_per_node + self.tc_per_node;
+        let tenants = self.ls_per_node.saturating_add(self.tc_per_node);
         // Tenant ids are `slot as u8` with 255 reserved for the shared
         // queue. An NVMe-oPF target packs the id into the 6-bit owner
         // field of its CID-queue keys, so ids past 63 would alias; the
@@ -351,6 +363,13 @@ impl Scenario {
         };
         if tenants > max {
             return Err(ScenarioError::TooManyTenants { tenants, max });
+        }
+        let max = simkit::Kernel::MAX_SHARDS;
+        if self.shards > max {
+            return Err(ScenarioError::ShardsOutOfRange {
+                shards: self.shards,
+                max,
+            });
         }
         if self.runtime == RuntimeKind::Opf {
             for (what, qd) in [("tc_qd", self.tc_qd), ("ls_qd", self.ls_qd)] {
@@ -482,7 +501,7 @@ mod tests {
                 initiators: 5,
             })
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 18] = [
+        let cases: [(Scenario, Result<(), ScenarioError>); 21] = [
             (opf(), Ok(())),
             (cluster(), Ok(())),
             (moving(4, 1), Ok(())),
@@ -580,6 +599,25 @@ mod tests {
                 Err(MigrationTargetOutOfRange {
                     to_target: 2,
                     targets: 2,
+                }),
+            ),
+            // `0` clamps to one shard in the runner, as it always has.
+            (Scenario { shards: 0, ..opf() }, Ok(())),
+            (
+                Scenario {
+                    shards: 1024,
+                    ..opf()
+                },
+                Ok(()),
+            ),
+            (
+                Scenario {
+                    shards: 100_000_000_000,
+                    ..opf()
+                },
+                Err(ShardsOutOfRange {
+                    shards: 100_000_000_000,
+                    max: 1024,
                 }),
             ),
         ];

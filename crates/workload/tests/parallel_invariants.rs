@@ -2,11 +2,10 @@
 //! (DESIGN.md §17).
 //!
 //! With the knob on, every cross-lane schedule detours through the
-//! kernel's mailbox-doorbell mesh — the same synchronization structure
-//! the threaded [`simkit::ParallelKernel`] runs on — instead of being
-//! pushed straight into the peer lane's heap. For random small
-//! topologies × both runtimes × shard counts × a seeded fault plane,
-//! every run must satisfy:
+//! kernel's mailbox-doorbell mesh instead of being pushed straight
+//! into the peer lane's heap. For random small topologies × both
+//! runtimes × shard counts × a seeded fault plane, every run must
+//! satisfy:
 //!
 //! 1. **Replay**: the mesh-routed run's whole metric snapshot is
 //!    byte-identical to the direct run's, and so is the executed-event
@@ -14,8 +13,8 @@
 //!    way, so any divergence means the detour reordered something.
 //! 2. **Engagement**: with ≥ 2 tenants and ≥ 2 shards the mesh really
 //!    routed messages (`parallel_routed > 0`), and the reported
-//!    minimum cross-lane slack — the effective lookahead this workload
-//!    would grant the threaded engine — is positive.
+//!    minimum cross-lane slack — send time to delivery time — is
+//!    positive.
 //! 3. **Off is off**: with `parallel: false` nothing is mesh-routed and
 //!    no slack is reported.
 
@@ -79,8 +78,7 @@ proptest! {
 
         // 2. Engagement: whenever the sharded routing crossed lanes at
         // all, the mesh carried those messages, and the slack it
-        // reports (the workload's effective lookahead bound) is a real
-        // positive duration.
+        // reports is a real positive duration.
         if meshed.cross_shard_events > 0 {
             prop_assert!(
                 meshed.parallel_routed > 0,
