@@ -17,6 +17,7 @@ use experiments::campaign::CampaignSpec;
 use proptest::prelude::*;
 use proptest::sample::Index;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use sweep::SweepSpec;
 use workload::{Mix, TraceLog};
 
@@ -96,7 +97,7 @@ fn edits() -> impl Strategy<Value = Vec<Edit>> {
 }
 
 /// Every `*.json` directly under `scenarios/<sub>`, sorted.
-fn corpus(sub: &str) -> Vec<String> {
+fn read_corpus(sub: &str) -> Vec<String> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../scenarios")
         .join(sub);
@@ -113,6 +114,18 @@ fn corpus(sub: &str) -> Vec<String> {
         .collect()
 }
 
+/// The sweep and campaign specs under `scenarios/`, read once.
+fn specs() -> &'static [String] {
+    static DOCS: OnceLock<Vec<String>> = OnceLock::new();
+    DOCS.get_or_init(|| read_corpus(""))
+}
+
+/// The fsm scenarios under `scenarios/fsm/`, read once.
+fn fsm_scenarios() -> &'static [String] {
+    static DOCS: OnceLock<Vec<String>> = OnceLock::new();
+    DOCS.get_or_init(|| read_corpus("fsm"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20000))]
 
@@ -121,7 +134,7 @@ proptest! {
     /// versa).
     #[test]
     fn spec_readers_never_panic(pick in any::<Index>(), edits in edits()) {
-        let docs = corpus("");
+        let docs = specs();
         let text = mutate(&docs[pick.index(docs.len())], &edits);
         if let Ok(spec) = SweepSpec::from_json(&text) {
             for (point, sc) in spec.expand() {
@@ -134,7 +147,7 @@ proptest! {
 
     #[test]
     fn fsm_scenario_reader_never_panics(pick in any::<Index>(), edits in edits()) {
-        let docs = corpus("fsm");
+        let docs = fsm_scenarios();
         let text = mutate(&docs[pick.index(docs.len())], &edits);
         if let Ok((cfg, cx)) = fsm::scenario::parse(&text) {
             // What `fsm --replay` does with it next.
@@ -163,13 +176,13 @@ proptest! {
 /// The fuzz above only means something if the unmutated corpus parses.
 #[test]
 fn the_corpus_itself_is_accepted() {
-    for doc in corpus("") {
+    for doc in specs() {
         assert!(
-            SweepSpec::from_json(&doc).is_ok() || CampaignSpec::from_json_str(&doc).is_ok(),
+            SweepSpec::from_json(doc).is_ok() || CampaignSpec::from_json_str(doc).is_ok(),
             "neither spec reader accepts:\n{doc}"
         );
     }
-    for doc in corpus("fsm") {
-        fsm::scenario::parse(&doc).expect("checked-in fsm scenario parses");
+    for doc in fsm_scenarios() {
+        fsm::scenario::parse(doc).expect("checked-in fsm scenario parses");
     }
 }

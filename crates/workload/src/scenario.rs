@@ -364,11 +364,10 @@ impl Scenario {
         if tenants > max {
             return Err(ScenarioError::TooManyTenants { tenants, max });
         }
-        let max = simkit::Kernel::MAX_SHARDS;
-        if self.shards > max {
+        if self.shards > simkit::Kernel::MAX_SHARDS {
             return Err(ScenarioError::ShardsOutOfRange {
                 shards: self.shards,
-                max,
+                max: simkit::Kernel::MAX_SHARDS,
             });
         }
         if self.runtime == RuntimeKind::Opf {
