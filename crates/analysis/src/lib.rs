@@ -7,8 +7,8 @@
 //!
 //! * [`model`] — a vendored mini-loom: an exhaustive-interleaving
 //!   explorer with shadow `Atomic*`/`UnsafeCell` types that track
-//!   happens-before edges with vector clocks and flag data races,
-//!   missing Acquire/Release edges, and leaked nodes. The real queue
+//!   happens-before edges with vector clocks and flag data races and
+//!   missing Acquire/Release edges. The real queue
 //!   sources build against it through `queues`' `model` feature.
 //! * [`lint`] — a repo-specific source linter (run as
 //!   `cargo run -p analysis --bin lint`) enforcing rules no off-the-shelf

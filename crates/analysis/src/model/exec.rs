@@ -14,7 +14,6 @@
 use super::clock::VClock;
 use super::ModelError;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Lock that shrugs off poisoning: a panicking model thread must not
@@ -59,8 +58,6 @@ pub(crate) struct ExecState {
     steps: usize,
     /// First failure observed; later ones are ignored.
     pub failure: Option<ModelError>,
-    /// Tracked heap allocations (leak detection).
-    pub tracked: HashSet<usize>,
     /// After a step-limit blowout the token is abandoned and threads
     /// free-run to termination so the driver can report the failure.
     freewheel: bool,
@@ -103,7 +100,6 @@ impl Execution {
                 cursor: 0,
                 steps: 0,
                 failure: None,
-                tracked: HashSet::new(),
                 freewheel: false,
             }),
             cv: Condvar::new(),

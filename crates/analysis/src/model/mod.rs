@@ -6,7 +6,7 @@
 //! [`check`] runs the supplied closure once per *schedule*. Model
 //! threads ([`thread::spawn`]) are real OS threads, but a single
 //! execution token serializes them: every shadow atomic operation
-//! ([`AtomicUsize`], [`AtomicPtr`], …) is a scheduling point where the
+//! ([`AtomicUsize`], [`AtomicU64`], …) is a scheduling point where the
 //! explorer chooses which runnable thread continues. Whenever two or
 //! more threads were runnable the choice is recorded, and the driver
 //! backtracks over recorded choices depth-first until every
@@ -20,8 +20,7 @@
 //! and `Relaxed` does nothing — see [`shadow`](self) for the exact
 //! rules. Every [`UnsafeCell`] access is checked against the clocks; an
 //! unordered pair is a data race and fails the check with both source
-//! locations. [`alloc::track_alloc`]/[`alloc::track_free`] catch leaked
-//! or double-freed intrusive nodes at the end of every execution.
+//! locations.
 //!
 //! # What it does and does not model
 //!
@@ -36,13 +35,12 @@
 //! * Closures must be deterministic: replay assumes identical behavior
 //!   under identical schedules.
 
-pub mod alloc;
 mod clock;
 mod exec;
 mod shadow;
 pub mod thread;
 
-pub use shadow::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, UnsafeCell};
+pub use shadow::{AtomicBool, AtomicU64, AtomicUsize, UnsafeCell};
 
 use exec::{lock, set_current, Execution};
 use std::fmt;
@@ -63,10 +61,6 @@ pub enum ModelError {
     /// A model thread panicked (usually a failed assertion in the test
     /// body, on a specific interleaving).
     Panic { thread: usize, message: String },
-    /// Tracked allocations outlived the execution.
-    Leak { count: usize },
-    /// `track_alloc`/`track_free` misuse: double alloc or double free.
-    AllocMisuse { thread: usize, detail: String },
     /// An execution exceeded the per-execution step budget (unbounded
     /// spin loop in the test body?).
     StepLimit(usize),
@@ -89,12 +83,6 @@ impl fmt::Display for ModelError {
             }
             ModelError::Panic { thread, message } => {
                 write!(f, "thread {thread} panicked: {message}")
-            }
-            ModelError::Leak { count } => {
-                write!(f, "{count} tracked allocation(s) leaked")
-            }
-            ModelError::AllocMisuse { thread, detail } => {
-                write!(f, "allocation tracking misuse on thread {thread}: {detail}")
             }
             ModelError::StepLimit(n) => {
                 write!(
@@ -197,13 +185,7 @@ impl Checker {
 
             let (failure, mut schedule) = {
                 let s = lock(&exec.state);
-                let mut failure = s.failure.clone();
-                if failure.is_none() && !s.tracked.is_empty() {
-                    failure = Some(ModelError::Leak {
-                        count: s.tracked.len(),
-                    });
-                }
-                (failure, s.schedule.clone())
+                (s.failure.clone(), s.schedule.clone())
             };
             if let Some(error) = failure {
                 return Err(Failure {
@@ -244,7 +226,7 @@ impl Checker {
 }
 
 /// Explore every interleaving of `f` with default budgets; panic on the
-/// first data race, leak, deadlock, or assertion failure.
+/// first data race, deadlock, or assertion failure.
 pub fn check<F>(f: F) -> Report
 where
     F: Fn() + Send + Sync + 'static,
@@ -336,19 +318,6 @@ mod tests {
             matches!(fail.error, ModelError::DataRace { .. }),
             "unexpected failure: {fail}"
         );
-    }
-
-    #[test]
-    fn leaked_allocation_is_reported() {
-        let fail = try_check(|| {
-            let b = Box::into_raw(Box::new(7u64));
-            alloc::track_alloc(b as usize);
-            // SAFETY: freeing the box we just leaked from Box::into_raw;
-            // the tracker deliberately isn't told.
-            unsafe { drop(Box::from_raw(b)) };
-        })
-        .expect_err("leak must be reported");
-        assert!(matches!(fail.error, ModelError::Leak { count: 1 }));
     }
 
     #[test]

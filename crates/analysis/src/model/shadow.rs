@@ -180,76 +180,6 @@ shadow_atomic_int!(AtomicBool, std::sync::atomic::AtomicBool, bool);
 shadow_atomic_fetch_add!(AtomicUsize, usize);
 shadow_atomic_fetch_add!(AtomicU64, u64);
 
-/// Shadow pointer atomic (the MPSC queue's `tail`/`next` links).
-pub struct AtomicPtr<T> {
-    real: std::sync::atomic::AtomicPtr<T>,
-    sync: SyncClock,
-}
-
-impl<T> AtomicPtr<T> {
-    pub fn new(p: *mut T) -> Self {
-        AtomicPtr {
-            real: std::sync::atomic::AtomicPtr::new(p),
-            sync: SyncClock::default(),
-        }
-    }
-
-    pub fn load(&self, ord: Ordering) -> *mut T {
-        if let Some((exec, tid)) = current() {
-            exec.yield_point(tid);
-            exec.tick(tid);
-            let p = self.real.load(Ordering::SeqCst);
-            if is_acquire(ord) {
-                exec.acquire(tid, &lock(&self.sync.0));
-            }
-            p
-        } else {
-            self.real.load(ord)
-        }
-    }
-
-    pub fn store(&self, p: *mut T, ord: Ordering) {
-        if let Some((exec, tid)) = current() {
-            exec.yield_point(tid);
-            let clock = exec.tick(tid);
-            self.real.store(p, Ordering::SeqCst);
-            let mut sync = lock(&self.sync.0);
-            if is_release(ord) {
-                *sync = clock;
-            } else {
-                sync.clear();
-            }
-        } else {
-            self.real.store(p, ord)
-        }
-    }
-
-    pub fn swap(&self, p: *mut T, ord: Ordering) -> *mut T {
-        if let Some((exec, tid)) = current() {
-            exec.yield_point(tid);
-            exec.tick(tid);
-            let old = self.real.swap(p, Ordering::SeqCst);
-            let mut sync = lock(&self.sync.0);
-            if is_acquire(ord) {
-                exec.acquire(tid, &sync);
-            }
-            if is_release(ord) {
-                let clock = exec.clock_of(tid);
-                sync.join(&clock);
-            }
-            old
-        } else {
-            self.real.swap(p, ord)
-        }
-    }
-}
-
-impl<T> Default for AtomicPtr<T> {
-    fn default() -> Self {
-        Self::new(std::ptr::null_mut())
-    }
-}
-
 /// Who touched a plain-memory cell, and at what epoch.
 struct CellMeta {
     last_write: Option<(usize, u32, &'static Location<'static>)>,
@@ -277,8 +207,8 @@ unsafe impl<T: Send> Sync for UnsafeCell<T> {}
 impl<T> UnsafeCell<T> {
     /// Creating a cell counts as a write by the creating thread, so a
     /// consumer that reaches the value without an acquire edge back to
-    /// the constructor is flagged (e.g. an MPSC node published through a
-    /// `Relaxed` link store).
+    /// the constructor is flagged (e.g. a value published through a
+    /// `Relaxed` store).
     #[track_caller]
     pub fn new(value: T) -> Self {
         let loc = Location::caller();

@@ -17,26 +17,24 @@
 //! * [`mod@mailbox`] — the cross-shard mailbox of the multi-reactor target
 //!   (DESIGN.md §13): the SPSC ring plus a batch doorbell, used for the
 //!   rare shared paths (admin, device submission) between reactors.
-//! * [`mpsc`] — an unbounded multi-producer/single-consumer queue. No
-//!   product path calls it (the *shared-queue ablation* is [`CidQueue`]
-//!   under `QueueMode::Shared`); it stays as the one heap-allocating
-//!   queue, so the model checker's leak tracking has a subject.
+//!
+//! There is no shared multi-producer queue: the *shared-queue ablation*
+//! is [`CidQueue`] under `QueueMode::Shared`. Every queue here is a
+//! preallocated ring, so none allocates per element.
 //!
 //! All cross-thread primitives go through [`sync`], a facade over
 //! `std::sync::atomic` that swaps in the `analysis` crate's shadow
 //! types under `--features model` — the same queue sources are then
-//! exhaustively model-checked for data races, ordering violations, and
-//! leaked nodes (`cargo test -p analysis`).
+//! exhaustively model-checked for data races and ordering violations
+//! (`cargo test -p analysis`).
 
 pub mod cid;
 pub mod mailbox;
-pub mod mpsc;
 pub mod spsc;
 pub mod sync;
 
 pub use cid::{CidQueue, CompleteResult};
 pub use mailbox::{mailbox, MailboxRx, MailboxTx};
-pub use mpsc::{channel as mpsc_channel, MpscQueue, MpscReceiver, MpscSender};
 pub use spsc::{spsc_channel, Consumer, Producer};
 
 /// Pads a value to a cache line to prevent false sharing between the

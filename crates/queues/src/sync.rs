@@ -2,13 +2,12 @@
 //! names instead of `std` so the *same* sources can be model-checked.
 //!
 //! * Default build: thin zero-cost re-exports/wrappers around
-//!   `std::sync::atomic` and `std::cell::UnsafeCell`; the allocation
-//!   hooks compile to nothing.
+//!   `std::sync::atomic` and `std::cell::UnsafeCell`.
 //! * `--features model`: the types come from `analysis::model` — shadow
 //!   atomics and cells that track happens-before with vector clocks and
 //!   turn every access into a scheduling point, so
 //!   `analysis`'s model tests explore every interleaving of the real
-//!   queue code and flag data races, ordering bugs, and leaked nodes.
+//!   queue code and flag data races and ordering bugs.
 //!   Outside an active `model::check` execution the shadow types fall
 //!   through to plain `std` behavior, so ordinary unit tests still pass
 //!   in a unified-feature workspace build.
@@ -18,16 +17,14 @@
 //! wrapper inlines to exactly the raw-pointer code it replaces.
 
 #[cfg(feature = "model")]
-pub use analysis::model::alloc::{track_alloc, track_free};
-#[cfg(feature = "model")]
-pub use analysis::model::{AtomicPtr, AtomicUsize, UnsafeCell};
+pub use analysis::model::{AtomicUsize, UnsafeCell};
 
 #[cfg(not(feature = "model"))]
 pub use real::*;
 
 #[cfg(not(feature = "model"))]
 mod real {
-    pub use std::sync::atomic::{AtomicPtr, AtomicUsize};
+    pub use std::sync::atomic::AtomicUsize;
 
     /// `std::cell::UnsafeCell` behind the loom-style closure API.
     #[derive(Debug, Default)]
@@ -52,12 +49,4 @@ mod real {
             f(self.0.get())
         }
     }
-
-    /// Leak-tracking hook; only the model build records anything.
-    #[inline(always)]
-    pub fn track_alloc(_addr: usize) {}
-
-    /// Leak-tracking hook; only the model build records anything.
-    #[inline(always)]
-    pub fn track_free(_addr: usize) {}
 }
