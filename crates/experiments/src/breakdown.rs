@@ -78,6 +78,7 @@ fn drive(runtime: RuntimeKind, d: Durations) -> Phases {
     pump(pair.clone(), &mut k, 0, ReqClass::LatencySensitive, 0, end);
     k.set_horizon(end);
     k.run_to_completion();
+    pair.teardown();
 
     // Pair events per (who, cid): cmd_rx -> dev_submit -> dev_done.
     let mut last_rx: HashMap<(u32, u64), SimTime> = HashMap::new();

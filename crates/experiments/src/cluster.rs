@@ -92,10 +92,12 @@ pub fn scenarios(d: Durations, quick: bool, max_targets: usize) -> Vec<Scenario>
 
 /// Check every scenario `repro --targets N` would run, so a flag the
 /// cluster plane cannot honour is a typed error before anything runs.
+/// The adversary grid runs at `N` itself, so it goes first: an error
+/// then names the flag's value, not a power of two below it.
 pub fn validate(d: Durations, quick: bool, targets: usize) -> Result<(), workload::ScenarioError> {
-    scenarios(d, quick, targets)
+    adversary_scenarios(d, targets)
         .iter()
-        .chain(&adversary_scenarios(d, targets))
+        .chain(&scenarios(d, quick, targets))
         .try_for_each(Scenario::validate)
 }
 

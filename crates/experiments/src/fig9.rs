@@ -9,11 +9,9 @@
 //!   node.
 
 use crate::Durations;
-use h5::bench::{run_h5bench, H5BenchConfig, H5BenchResult, H5Kernel, H5Runtime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use h5::bench::{run_h5bench, H5BenchConfig, H5Kernel};
 use workload::report::fmt_us;
-use workload::Table;
+use workload::{RuntimeKind, Table};
 
 fn particles_for(d: Durations) -> u64 {
     // Map the sweep budget onto dataset volume: full runs move 1M
@@ -25,37 +23,6 @@ fn particles_for(d: Durations) -> u64 {
     }
 }
 
-fn run_points(configs: Vec<H5BenchConfig>, threads: Option<usize>) -> Vec<H5BenchResult> {
-    let n = configs.len();
-    let workers = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        })
-        .clamp(1, n.max(1));
-    let results: Mutex<Vec<Option<H5BenchResult>>> = Mutex::new(vec![None; n]);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = run_h5bench(&configs[i]);
-                results.lock().unwrap()[i] = Some(r);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("filled"))
-        .collect()
-}
-
 fn panel(kernel: H5Kernel, pattern: u8, d: Durations, threads: Option<usize>) -> Table {
     let particles = particles_for(d);
     let points: Vec<(usize, usize)> = match pattern {
@@ -63,7 +30,7 @@ fn panel(kernel: H5Kernel, pattern: u8, d: Durations, threads: Option<usize>) ->
         _ => (1..=10).map(|per| (4, per)).collect(),
     };
     let mut configs = Vec::new();
-    for runtime in [H5Runtime::Spdk, H5Runtime::Opf] {
+    for runtime in [RuntimeKind::Spdk, RuntimeKind::Opf] {
         for &(pairs, per) in &points {
             let mut c = H5BenchConfig::fig9(runtime, kernel);
             c.pairs = pairs;
@@ -72,7 +39,7 @@ fn panel(kernel: H5Kernel, pattern: u8, d: Durations, threads: Option<usize>) ->
             configs.push(c);
         }
     }
-    let results = run_points(configs, threads);
+    let results = crate::sweep::map(&configs, threads, run_h5bench);
     let mut t = Table::new([
         "ranks",
         "S MiB/s",

@@ -12,10 +12,8 @@
 
 use crate::Durations;
 use simkit::SimDuration;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use workload::report::fmt_us;
-use workload::{replay, Mix, ReplayConfig, ReplayResult, RuntimeKind, Table, TraceLog};
+use workload::{replay, Mix, ReplayConfig, RuntimeKind, Table, TraceLog};
 
 /// Run the open-loop sweep and print the table.
 pub fn all(d: Durations, threads: Option<usize>) {
@@ -29,42 +27,14 @@ pub fn all(d: Durations, threads: Option<usize>) {
             jobs.push((runtime, r));
         }
     }
-    let results: Mutex<Vec<Option<ReplayResult>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let workers = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        })
-        .clamp(1, jobs.len());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (runtime, rate) = jobs[i];
-                let log = TraceLog::poisson(rate, dur, 4, Mix::READ, 77);
-                let r = replay(
-                    &log,
-                    &ReplayConfig {
-                        runtime,
-                        ..ReplayConfig::default()
-                    },
-                )
-                .expect("poisson trace replays");
-                results.lock().unwrap()[i] = Some(r);
-            });
-        }
+    let results = crate::sweep::map(&jobs, threads, |&(runtime, rate)| {
+        let log = TraceLog::poisson(rate, dur, 4, Mix::READ, 77);
+        let cfg = ReplayConfig {
+            runtime,
+            ..ReplayConfig::default()
+        };
+        replay(&log, &cfg).expect("poisson trace replays")
     });
-    let results: Vec<ReplayResult> = results
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("filled"))
-        .collect();
 
     let mut t = Table::new([
         "offered IOPS",

@@ -1,10 +1,11 @@
-//! Parallel execution of independent scenario runs.
+//! Parallel execution of independent simulation runs.
 //!
 //! Every simulation is single-threaded and deterministic; a figure is a
-//! set of independent `(Scenario, seed)` points, so the sweep fans them
-//! out across OS threads (guide idiom: data-race freedom by construction
-//! — each worker owns its scenarios, results come back through a
-//! mutex-guarded vector indexed by position).
+//! set of independent points (scenarios, h5bench configs, replayed
+//! traces), so the sweep fans them out across OS threads (guide idiom:
+//! data-race freedom by construction — each worker owns its points,
+//! results come back through a mutex-guarded vector indexed by
+//! position).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -13,7 +14,17 @@ use workload::{run, RunResult, Scenario};
 /// Run all scenarios, preserving input order, using up to
 /// `threads` workers (defaults to available parallelism).
 pub fn run_all(scenarios: &[Scenario], threads: Option<usize>) -> Vec<RunResult> {
-    let n = scenarios.len();
+    map(scenarios, threads, run)
+}
+
+/// `items.iter().map(f)`, fanned out over up to `threads` workers
+/// (defaults to available parallelism) with results in input order.
+pub fn map<T: Sync, R: Send>(
+    items: &[T],
+    threads: Option<usize>,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
     if n == 0 {
         return Vec::new();
     }
@@ -25,10 +36,10 @@ pub fn run_all(scenarios: &[Scenario], threads: Option<usize>) -> Vec<RunResult>
         })
         .clamp(1, n);
     if workers == 1 {
-        return scenarios.iter().map(run).collect();
+        return items.iter().map(f).collect();
     }
 
-    let results: Mutex<Vec<Option<RunResult>>> = Mutex::new(vec![None; n]);
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -37,7 +48,7 @@ pub fn run_all(scenarios: &[Scenario], threads: Option<usize>) -> Vec<RunResult>
                 if i >= n {
                     break;
                 }
-                let r = run(&scenarios[i]);
+                let r = f(&items[i]);
                 results.lock().unwrap()[i] = Some(r);
             });
         }

@@ -9,25 +9,15 @@
 
 use crate::format::{Dtype, H5File};
 use crate::store::MemStore;
-use crate::vol::{run_extent, BlockSource, LatencyMeter, RankInitiator};
+use crate::vol::{run_extent, BlockSource, LatencyMeter};
 use bytes::Bytes;
-use fabric::{FabricConfig, Gbps, Network};
-use nvme::{FlashProfile, NvmeDevice, Opcode, BLOCK_SIZE};
-use nvmf::initiator::TargetRx;
-use nvmf::{CpuCosts, PduRx, SpdkInitiator, SpdkTarget};
-use opf::{OpfInitiator, OpfInitiatorConfig, OpfTarget, OpfTargetConfig, ReqClass, WindowPolicy};
-use simkit::{shared, Kernel, SimDuration, SimTime, Tracer};
+use fabric::Gbps;
+use nvme::{Opcode, BLOCK_SIZE};
+use opf::{ReqClass, WindowPolicy};
+use simkit::{Kernel, SimDuration, SimTime, Tracer};
 use std::cell::Cell;
 use std::rc::Rc;
-
-/// Which runtime serves the benchmark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum H5Runtime {
-    /// Baseline SPDK.
-    Spdk,
-    /// NVMe-oPF.
-    Opf,
-}
+use workload::{Env, Pair, RuntimeKind, TenantHandle};
 
 /// Which h5bench kernel to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +32,7 @@ pub enum H5Kernel {
 #[derive(Clone, Debug)]
 pub struct H5BenchConfig {
     /// Runtime under test.
-    pub runtime: H5Runtime,
+    pub runtime: RuntimeKind,
     /// Fabric speed (the paper's Figure 9 runs 25 Gbps per its caption).
     pub speed: Gbps,
     /// Initiator-node/target-node pairs (paper: 4).
@@ -66,7 +56,7 @@ pub struct H5BenchConfig {
 
 impl H5BenchConfig {
     /// A Figure 9-shaped default.
-    pub fn fig9(runtime: H5Runtime, kernel: H5Kernel) -> Self {
+    pub fn fig9(runtime: RuntimeKind, kernel: H5Kernel) -> Self {
         H5BenchConfig {
             runtime,
             speed: Gbps::G25,
@@ -116,13 +106,8 @@ const LS_VOLUME_DIVISOR: u64 = 16;
 /// extent length in blocks.
 type TimestepPlan = (Vec<(u64, Bytes)>, u64, u64);
 
-struct RankPlan {
-    base_lba: u64,
-    timesteps: Vec<TimestepPlan>,
-}
-
 /// Build each rank's file layout locally (the VOL's metadata mirror).
-fn plan_rank(cfg: &H5BenchConfig, base_lba: u64, particles: u64) -> RankPlan {
+fn plan_rank(cfg: &H5BenchConfig, base_lba: u64, particles: u64) -> Vec<TimestepPlan> {
     let bytes = particles * 4;
     let blocks_needed = 2 + cfg.timesteps as u64 * (1 + bytes.div_ceil(BLOCK_SIZE as u64));
     let mut file = H5File::create(MemStore::new(blocks_needed + 4)).expect("create plan file");
@@ -145,20 +130,17 @@ fn plan_rank(cfg: &H5BenchConfig, base_lba: u64, particles: u64) -> RankPlan {
         meta.push((base_lba + attr.lba, Bytes::from(attr.block)));
         timesteps.push((meta, base_lba + plan.data_lba, plan.data_blocks));
     }
-    RankPlan {
-        base_lba,
-        timesteps,
-    }
+    timesteps
 }
 
 /// Drive one rank through all timesteps, then call `on_done`.
 #[allow(clippy::too_many_arguments)]
 fn run_rank(
-    ini: Rc<RankInitiator>,
+    ini: TenantHandle,
     k: &mut Kernel,
     cfg: H5BenchConfig,
     class: ReqClass,
-    plan: Rc<RankPlan>,
+    plan: Rc<Vec<TimestepPlan>>,
     meter: Rc<LatencyMeter>,
     ts: usize,
     on_done: Rc<dyn Fn(&mut Kernel)>,
@@ -167,8 +149,7 @@ fn run_rank(
         on_done(k);
         return;
     }
-    let _ = plan.base_lba;
-    let (meta, data_lba, data_blocks) = plan.timesteps[ts].clone();
+    let (meta, data_lba, data_blocks) = plan[ts].clone();
     let opcode = match cfg.kernel {
         H5Kernel::Write => Opcode::Write,
         H5Kernel::Read => Opcode::Read,
@@ -177,7 +158,7 @@ fn run_rank(
     // Metadata phase: LS block I/O, strictly ordered (header before
     // group table before superblock on write; opens read them back).
     fn meta_phase(
-        ini: Rc<RankInitiator>,
+        ini: TenantHandle,
         k: &mut Kernel,
         mut meta: std::collections::VecDeque<(u64, Bytes)>,
         write: bool,
@@ -192,18 +173,19 @@ fn run_rank(
                 } else {
                     (Opcode::Read, None)
                 };
-                ini.submit(
+                let ok = ini.submit(
                     k,
                     ReqClass::LatencySensitive,
                     opcode,
                     lba,
+                    1,
                     payload,
                     Box::new(move |k, out| {
                         assert!(out.status.is_ok());
                         meta_phase(ini2, k, meta, write, next);
                     }),
-                )
-                .expect("LS qpair has capacity");
+                );
+                assert!(ok, "LS qpair has capacity");
             }
         }
     }
@@ -255,13 +237,14 @@ fn run_rank(
 
 /// Run the benchmark to completion and report aggregate results.
 pub fn run_h5bench(cfg: &H5BenchConfig) -> H5BenchResult {
+    run_stack(cfg).0
+}
+
+/// [`run_h5bench`], handing back the torn-down pairs so a test can
+/// watch them die.
+fn run_stack(cfg: &H5BenchConfig) -> (H5BenchResult, Vec<Pair>) {
     assert!(cfg.pairs >= 1 && cfg.ranks_per_node >= 1 && cfg.timesteps >= 1);
     let mut k = Kernel::new(cfg.seed);
-    let net = Network::new(FabricConfig::preset(cfg.speed));
-    let (costs, profile) = match cfg.speed {
-        Gbps::G10 | Gbps::G25 => (CpuCosts::cc(), FlashProfile::cc_ssd()),
-        Gbps::G100 => (CpuCosts::cl(), FlashProfile::cl_ssd()),
-    };
     let window = opf::optimal_window(
         cfg.speed,
         if cfg.kernel == H5Kernel::Write {
@@ -271,63 +254,25 @@ pub fn run_h5bench(cfg: &H5BenchConfig) -> H5BenchResult {
         },
         cfg.ranks_per_node.saturating_sub(1).max(1),
     );
+    let env = Env::fault_free(cfg.speed, WindowPolicy::Static(window));
 
     let done_count = Rc::new(Cell::new(0usize));
     let last_tc_done = Rc::new(Cell::new(SimTime::ZERO));
     let meter = Rc::new(LatencyMeter::default());
     let mut tc_ranks = 0u64;
+    // Regions are sized by the largest (TC) rank so they never overlap
+    // regardless of class.
+    let tc_blocks = cfg.bytes_per_timestep().div_ceil(BLOCK_SIZE as u64);
+    let tc_region = 4 + cfg.timesteps as u64 * (1 + tc_blocks) + 16;
 
-    for pair in 0..cfg.pairs {
-        let tep = net.add_endpoint(format!("tgt{pair}"));
-        let device = shared(NvmeDevice::new(
-            profile.clone(),
-            1 << 30,
-            cfg.seed ^ (pair as u64 + 1).wrapping_mul(0xABCD_1234),
-        ));
-        device.borrow_mut().set_store_data(false);
-        let iep = net.add_endpoint(format!("node{pair}"));
-
-        // Build the runtime pair.
-        enum TargetHandle {
-            S(simkit::Shared<SpdkTarget>),
-            O(simkit::Shared<OpfTarget>),
-        }
-        let (th, target_rx): (TargetHandle, TargetRx) = match cfg.runtime {
-            H5Runtime::Spdk => {
-                let t = shared(SpdkTarget::new(
-                    pair as u32,
-                    net.clone(),
-                    tep.clone(),
-                    device.clone(),
-                    costs.clone(),
-                    Tracer::disabled(),
-                ));
-                let t2 = t.clone();
-                (
-                    TargetHandle::S(t),
-                    Rc::new(move |k, from, pdu| SpdkTarget::on_pdu(&t2, k, from, pdu)),
-                )
-            }
-            H5Runtime::Opf => {
-                let t = shared(OpfTarget::new(
-                    pair as u32,
-                    net.clone(),
-                    tep.clone(),
-                    device.clone(),
-                    costs.clone(),
-                    OpfTargetConfig::default(),
-                    Tracer::disabled(),
-                ));
-                let t2 = t.clone();
-                (
-                    TargetHandle::O(t),
-                    Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu)),
-                )
-            }
-        };
+    let mut pairs = Vec::with_capacity(cfg.pairs);
+    for p in 0..cfg.pairs {
+        let device_seed = cfg.seed ^ (p as u64 + 1).wrapping_mul(0xABCD_1234);
+        let mut pair = env.pair(cfg.runtime, p as u32, device_seed, true, Tracer::disabled());
+        // Every rank of a node shares its NIC.
+        let node = env.endpoint(format!("node{p}"));
 
         for slot in 0..cfg.ranks_per_node {
-            let id = slot as u8;
             // One LS rank per node, the rest TC (§V-E).
             let class = if slot == 0 && cfg.ranks_per_node > 1 {
                 ReqClass::LatencySensitive
@@ -338,51 +283,7 @@ pub fn run_h5bench(cfg: &H5BenchConfig) -> H5BenchResult {
                 ReqClass::LatencySensitive => 1,
                 ReqClass::ThroughputCritical => 128,
             };
-            let ini = match cfg.runtime {
-                H5Runtime::Spdk => {
-                    let i = shared(SpdkInitiator::new(
-                        id,
-                        qd,
-                        net.clone(),
-                        iep.clone(),
-                        tep.clone(),
-                        target_rx.clone(),
-                        costs.clone(),
-                        Tracer::disabled(),
-                    ));
-                    let i2 = i.clone();
-                    let rx: PduRx = Rc::new(move |k, pdu| SpdkInitiator::on_pdu(&i2, k, pdu));
-                    match &th {
-                        TargetHandle::S(t) => t.borrow_mut().connect(id, iep.clone(), rx),
-                        TargetHandle::O(_) => unreachable!(),
-                    }
-                    RankInitiator::Spdk(i)
-                }
-                H5Runtime::Opf => {
-                    let icfg = OpfInitiatorConfig {
-                        window: WindowPolicy::Static(window),
-                        ..OpfInitiatorConfig::default()
-                    };
-                    let i = shared(OpfInitiator::new(
-                        id,
-                        qd,
-                        net.clone(),
-                        iep.clone(),
-                        tep.clone(),
-                        target_rx.clone(),
-                        costs.clone(),
-                        icfg,
-                        Tracer::disabled(),
-                    ));
-                    let i2 = i.clone();
-                    let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
-                    match &th {
-                        TargetHandle::O(t) => t.borrow_mut().connect(id, iep.clone(), rx),
-                        TargetHandle::S(_) => unreachable!(),
-                    }
-                    RankInitiator::Opf(i)
-                }
-            };
+            let ini = env.connect(&mut pair, &node, slot as u8, qd);
 
             // Each rank owns a disjoint file region on the pair's SSD.
             // LS probe ranks move a fraction of the volume (see
@@ -394,16 +295,7 @@ pub fn run_h5bench(cfg: &H5BenchConfig) -> H5BenchResult {
                 }
                 ReqClass::LatencySensitive => (cfg.particles / LS_VOLUME_DIVISOR).max(1024),
             };
-            let bytes = particles * 4;
-            let region = (4 + cfg.timesteps as u64 * (1 + bytes.div_ceil(BLOCK_SIZE as u64))) + 16;
-            // Regions are sized by the largest (TC) rank so they never
-            // overlap regardless of class.
-            let tc_bytes = cfg.bytes_per_timestep();
-            let tc_region =
-                (4 + cfg.timesteps as u64 * (1 + tc_bytes.div_ceil(BLOCK_SIZE as u64))) + 16;
-            let _ = region;
             let plan = Rc::new(plan_rank(cfg, slot as u64 * tc_region, particles));
-            let ini = Rc::new(ini);
             let dc = done_count.clone();
             let ld = last_tc_done.clone();
             let is_tc = class == ReqClass::ThroughputCritical;
@@ -414,16 +306,17 @@ pub fn run_h5bench(cfg: &H5BenchConfig) -> H5BenchResult {
                 }
             });
             let cfg2 = cfg.clone();
-            let meter2 = if class == ReqClass::ThroughputCritical {
+            let meter2 = if is_tc {
                 meter.clone()
             } else {
                 Rc::new(LatencyMeter::default())
             };
-            let idx = (pair * cfg.ranks_per_node + slot) as u64;
+            let idx = (p * cfg.ranks_per_node + slot) as u64;
             k.schedule_at(SimTime::from_micros(idx), move |k| {
                 run_rank(ini, k, cfg2, class, plan, meter2, 0, on_done);
             });
         }
+        pairs.push(pair);
     }
 
     k.run_to_completion();
@@ -437,20 +330,24 @@ pub fn run_h5bench(cfg: &H5BenchConfig) -> H5BenchResult {
     // measure latency, not throughput.
     let elapsed_s = last_tc_done.get().as_secs_f64();
     let total_bytes = tc_ranks * cfg.timesteps as u64 * cfg.bytes_per_timestep();
-    H5BenchResult {
+    let result = H5BenchResult {
         bandwidth_mib_s: total_bytes as f64 / (1024.0 * 1024.0) / elapsed_s.max(1e-9),
         avg_latency_us: meter.mean_us(),
         total_bytes,
         elapsed_s,
         ranks_done,
+    };
+    for pair in &pairs {
+        pair.teardown();
     }
+    (result, pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny(runtime: H5Runtime, kernel: H5Kernel) -> H5BenchConfig {
+    fn tiny(runtime: RuntimeKind, kernel: H5Kernel) -> H5BenchConfig {
         H5BenchConfig {
             runtime,
             speed: Gbps::G25,
@@ -466,7 +363,7 @@ mod tests {
 
     #[test]
     fn write_kernel_completes_all_ranks() {
-        let r = run_h5bench(&tiny(H5Runtime::Opf, H5Kernel::Write));
+        let r = run_h5bench(&tiny(RuntimeKind::Opf, H5Kernel::Write));
         assert_eq!(r.ranks_done, 3);
         assert!(r.bandwidth_mib_s > 0.0);
         assert!(r.avg_latency_us > 0.0);
@@ -477,7 +374,7 @@ mod tests {
 
     #[test]
     fn read_kernel_pays_loading_overhead() {
-        let mut cfg = tiny(H5Runtime::Opf, H5Kernel::Read);
+        let mut cfg = tiny(RuntimeKind::Opf, H5Kernel::Read);
         let fast = run_h5bench(&cfg);
         cfg.read_load_us_per_mib = 50_000.0;
         let slow = run_h5bench(&cfg);
@@ -491,8 +388,8 @@ mod tests {
 
     #[test]
     fn opf_beats_spdk_on_writes() {
-        let mut s_cfg = tiny(H5Runtime::Spdk, H5Kernel::Write);
-        let mut o_cfg = tiny(H5Runtime::Opf, H5Kernel::Write);
+        let mut s_cfg = tiny(RuntimeKind::Spdk, H5Kernel::Write);
+        let mut o_cfg = tiny(RuntimeKind::Opf, H5Kernel::Write);
         // More ranks and volume so steady state dominates.
         for c in [&mut s_cfg, &mut o_cfg] {
             c.ranks_per_node = 5;
@@ -508,17 +405,40 @@ mod tests {
         );
     }
 
+    /// `run_h5bench` used to leak every pair through the target ↔
+    /// initiator receive closures. Once the returned pairs go, nothing
+    /// may keep a stack (and so its SSD) alive.
+    #[test]
+    fn run_frees_its_stack() {
+        for runtime in [RuntimeKind::Spdk, RuntimeKind::Opf] {
+            for kernel in [H5Kernel::Write, H5Kernel::Read] {
+                let mut cfg = tiny(runtime, kernel);
+                cfg.pairs = 2;
+                let (_, pairs) = run_stack(&cfg);
+                let devices: Vec<_> = pairs.iter().map(|p| Rc::downgrade(p.device())).collect();
+                assert!(devices.iter().all(|d| d.upgrade().is_some()));
+                drop(pairs);
+                for d in &devices {
+                    assert!(
+                        d.upgrade().is_none(),
+                        "{runtime:?} {kernel:?} outlives its run"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn deterministic() {
-        let a = run_h5bench(&tiny(H5Runtime::Spdk, H5Kernel::Write));
-        let b = run_h5bench(&tiny(H5Runtime::Spdk, H5Kernel::Write));
+        let a = run_h5bench(&tiny(RuntimeKind::Spdk, H5Kernel::Write));
+        let b = run_h5bench(&tiny(RuntimeKind::Spdk, H5Kernel::Write));
         assert_eq!(a.elapsed_s, b.elapsed_s);
         assert_eq!(a.total_bytes, b.total_bytes);
     }
 
     #[test]
     fn scaling_ranks_increases_bandwidth() {
-        let mut one = tiny(H5Runtime::Opf, H5Kernel::Write);
+        let mut one = tiny(RuntimeKind::Opf, H5Kernel::Write);
         one.ranks_per_node = 2;
         let mut many = one.clone();
         many.pairs = 3;

@@ -25,6 +25,6 @@ pub mod format;
 pub mod store;
 pub mod vol;
 
-pub use bench::{run_h5bench, H5BenchConfig, H5BenchResult, H5Kernel, H5Runtime};
+pub use bench::{run_h5bench, H5BenchConfig, H5BenchResult, H5Kernel};
 pub use format::{Attribute, H5Error, H5File, ObjectKind};
 pub use store::{MemStore, NamespaceStore, SyncStore};

@@ -11,59 +11,9 @@
 use bytes::Bytes;
 use nvme::{Opcode, BLOCK_SIZE};
 use nvmf::qpair::IoCallback;
-use nvmf::{Priority, SpdkInitiator};
-use opf::{OpfInitiator, ReqClass};
-use simkit::{Kernel, Shared};
-
-/// The initiator a rank drives (baseline or NVMe-oPF).
-pub enum RankInitiator {
-    /// Baseline SPDK initiator.
-    Spdk(Shared<SpdkInitiator>),
-    /// NVMe-oPF initiator with a priority manager.
-    Opf(Shared<OpfInitiator>),
-}
-
-impl RankInitiator {
-    /// Submit one block I/O tagged with `class`.
-    pub fn submit(
-        &self,
-        k: &mut Kernel,
-        class: ReqClass,
-        opcode: Opcode,
-        lba: u64,
-        payload: Option<Bytes>,
-        cb: IoCallback,
-    ) -> Option<u16> {
-        match self {
-            RankInitiator::Spdk(i) => {
-                let priority = match class {
-                    ReqClass::LatencySensitive => Priority::LatencySensitive,
-                    ReqClass::ThroughputCritical => {
-                        Priority::ThroughputCritical { draining: false }
-                    }
-                };
-                SpdkInitiator::submit(i, k, opcode, lba, 1, payload, priority, cb)
-            }
-            RankInitiator::Opf(i) => OpfInitiator::submit(i, k, class, opcode, lba, 1, payload, cb),
-        }
-    }
-
-    /// Drain any partially filled NVMe-oPF window (no-op for SPDK).
-    pub fn flush(&self, k: &mut Kernel, cb: IoCallback) -> bool {
-        match self {
-            RankInitiator::Spdk(_) => false,
-            RankInitiator::Opf(i) => OpfInitiator::flush(i, k, cb).is_some(),
-        }
-    }
-
-    /// True when another command can be issued within the queue depth.
-    pub fn has_capacity(&self) -> bool {
-        match self {
-            RankInitiator::Spdk(i) => i.borrow().has_capacity(),
-            RankInitiator::Opf(i) => i.borrow().has_capacity(),
-        }
-    }
-}
+use opf::ReqClass;
+use simkit::Kernel;
+use workload::TenantHandle;
 
 /// Content for a run of blocks: either real bytes (integration tests,
 /// data verified end-to-end) or a shared synthetic block (timing runs).
@@ -132,7 +82,7 @@ impl LatencyMeter {
 /// the store adapters).
 #[allow(clippy::too_many_arguments)]
 pub fn run_extent(
-    ini: std::rc::Rc<RankInitiator>,
+    ini: TenantHandle,
     k: &mut Kernel,
     class: ReqClass,
     opcode: Opcode,
@@ -163,7 +113,7 @@ pub fn run_extent(
 /// would leave the tail waiting forever — force a drain. Retried from
 /// completion callbacks until the flush command gets a queue slot.
 fn maybe_flush_tail(
-    ini: &std::rc::Rc<RankInitiator>,
+    ini: &TenantHandle,
     state: &std::rc::Rc<std::cell::RefCell<ExtentState>>,
     k: &mut Kernel,
 ) {
@@ -192,11 +142,7 @@ struct ExtentState {
     on_done: Option<ExtentDone>,
 }
 
-fn pump(
-    ini: std::rc::Rc<RankInitiator>,
-    state: std::rc::Rc<std::cell::RefCell<ExtentState>>,
-    k: &mut Kernel,
-) {
+fn pump(ini: TenantHandle, state: std::rc::Rc<std::cell::RefCell<ExtentState>>, k: &mut Kernel) {
     loop {
         let (class, opcode, lba, payload) = {
             let mut s = state.borrow_mut();
@@ -251,22 +197,19 @@ fn pump(
                 maybe_flush_tail(&ini2, &state2, k);
             }
         });
-        let ok = ini.submit(k, class, opcode, lba, payload, cb);
-        assert!(ok.is_some(), "has_capacity checked above");
+        let ok = ini.submit(k, class, opcode, lba, 1, payload, cb);
+        assert!(ok, "has_capacity checked above");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric::{FabricConfig, Gbps, Network};
-    use nvme::{FlashProfile, NvmeDevice};
-    use nvmf::initiator::TargetRx;
-    use nvmf::CpuCosts;
-    use opf::{OpfInitiator, OpfInitiatorConfig, OpfTarget, OpfTargetConfig, WindowPolicy};
-    use simkit::{shared, Tracer};
+    use opf::WindowPolicy;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use workload::scenario::Speed;
+    use workload::RuntimeKind;
 
     #[test]
     fn latency_meter_means() {
@@ -303,39 +246,16 @@ mod tests {
     #[test]
     fn run_extent_drives_queue_depth_and_finishes() {
         let mut k = Kernel::new(3);
-        let net = Network::new(FabricConfig::preset(Gbps::G100));
-        let tep = net.add_endpoint("tgt");
-        let iep = net.add_endpoint("ini");
-        let device = shared(NvmeDevice::new(FlashProfile::cl_ssd(), 1 << 20, 4));
-        device.borrow_mut().set_store_data(false);
-        let target = shared(OpfTarget::new(
-            0,
-            net.clone(),
-            tep.clone(),
-            device,
-            CpuCosts::cl(),
-            OpfTargetConfig::default(),
-            Tracer::disabled(),
-        ));
-        let t2 = target.clone();
-        let target_rx: TargetRx = Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu));
-        let ini = shared(OpfInitiator::new(
-            0,
+        let pair = workload::build_pair(
+            &mut k,
+            RuntimeKind::Opf,
+            Speed::G100,
+            1,
             16,
-            net.clone(),
-            iep.clone(),
-            tep,
-            target_rx,
-            CpuCosts::cl(),
-            OpfInitiatorConfig {
-                window: WindowPolicy::Static(8),
-                ..OpfInitiatorConfig::default()
-            },
-            Tracer::disabled(),
-        ));
-        let i2 = ini.clone();
-        let rx: nvmf::PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
-        target.borrow_mut().connect(0, iep, rx);
+            WindowPolicy::Static(8),
+            4,
+            true,
+        );
 
         let meter = Rc::new(LatencyMeter::default());
         let done = Rc::new(RefCell::new(false));
@@ -343,7 +263,7 @@ mod tests {
         // 100 blocks through a QD-16 pipe with windows of 8 (not a
         // multiple: the tail needs the flush path).
         run_extent(
-            Rc::new(RankInitiator::Opf(ini)),
+            pair.initiators[0].clone(),
             &mut k,
             ReqClass::ThroughputCritical,
             Opcode::Write,

@@ -126,12 +126,12 @@ impl TenantHandle {
         either!(&self.0, AnyInitiator, i => i.borrow().has_capacity())
     }
 
-    /// Drain a partially filled NVMe-oPF window (no-op for SPDK or when
-    /// nothing is pending).
-    pub fn flush(&self, k: &mut Kernel) {
-        if let Some(i) = self.as_opf() {
-            OpfInitiator::flush(i, k, Box::new(|_, _| {}));
-        }
+    /// Drain a partially filled NVMe-oPF window; `cb` runs when the
+    /// drain completes. Returns whether a drain was issued (never for
+    /// SPDK, nor when nothing is pending — `cb` is then dropped).
+    pub fn flush(&self, k: &mut Kernel, cb: IoCallback) -> bool {
+        self.as_opf()
+            .is_some_and(|i| OpfInitiator::flush(i, k, cb).is_some())
     }
 
     fn metrics(&self, now: SimTime) -> Metrics {
@@ -390,36 +390,67 @@ fn open_drain(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
     k.schedule_in(SimDuration::from_micros(1000), move |k| open_drain(t2, k));
 }
 
-/// One initiator-node/target-node pair with uniform-queue-depth tenants,
-/// for callers (like the trace replayer) that drive their own issue
-/// logic instead of the closed-loop `run()`.
+/// One target and the tenants connected to it, for callers (the trace
+/// replayer, the h5bench harness) that drive their own issue logic
+/// instead of the closed-loop `run()`. Built by [`Env::pair`] and
+/// [`Env::connect`].
 pub struct Pair {
-    /// Per-tenant initiator handles.
+    /// Per-tenant initiator handles, in connect order.
     pub initiators: Vec<TenantHandle>,
-    target: AnyTarget,
+    node: TargetNode,
 }
 
 impl Pair {
     /// Completion notifications the target has sent so far.
     pub fn notifications(&self) -> u64 {
-        self.target.resps_tx()
+        self.node.target.resps_tx()
     }
 
     /// Unified snapshot of the pair: the target's counters under `tgt.`
     /// and each tenant initiator's under `ini<N>.`.
     pub fn metrics(&self, now: SimTime) -> Metrics {
         let mut m = Metrics::at(now);
-        m.merge("tgt.", &self.target.metrics(now));
+        m.merge("tgt.", &self.node.target.metrics(now));
         for (i, h) in self.initiators.iter().enumerate() {
             m.merge(&format!("ini{i}."), &h.metrics(now));
         }
         m
     }
+
+    /// The target's SSD.
+    pub fn device(&self) -> &Shared<NvmeDevice> {
+        &self.node.device
+    }
+
+    /// Drop the target's connections and the tenants' pending callbacks
+    /// once the kernel has run: they close the `Rc` cycles that would
+    /// otherwise keep the whole stack alive after its run.
+    pub fn teardown(&self) {
+        teardown([&self.node], &self.initiators);
+    }
+}
+
+/// The end of every built stack: targets hold each initiator's receive
+/// closure, initiators their target's, and in-flight callbacks whatever
+/// drives their initiator. Dropping the connections and the pending
+/// callbacks cuts both `Rc` cycles.
+fn teardown<'a>(
+    nodes: impl IntoIterator<Item = &'a TargetNode>,
+    tenants: impl IntoIterator<Item = &'a TenantHandle>,
+) {
+    for n in nodes {
+        n.target.disconnect_all();
+    }
+    for t in tenants {
+        t.abort_pending();
+    }
 }
 
 /// Stage 1 — *environment*: what every target and tenant is built
-/// against.
-struct Env {
+/// against. The one stack builder: [`run`] builds its stages on it, and
+/// callers that drive their own I/O build pairs through
+/// [`Env::fault_free`], [`Env::pair`] and [`Env::connect`].
+pub struct Env {
     net: Network,
     costs: CpuCosts,
     flash: FlashProfile,
@@ -454,6 +485,51 @@ impl Env {
             target_cfg: OpfTargetConfig::default(),
             tenant_cfg: OpfInitiatorConfig::default(),
         }
+    }
+
+    /// A fault-free NVMe/TCP environment at `speed` whose NVMe-oPF
+    /// tenants use `window`.
+    pub fn fault_free(speed: Gbps, window: opf::WindowPolicy) -> Env {
+        let mut env = Env::new(speed, Transport::Tcp);
+        env.tenant_cfg.window = window;
+        env
+    }
+
+    /// A fabric endpoint (one node's NIC).
+    pub fn endpoint(&self, name: String) -> Shared<Endpoint> {
+        self.net.add_endpoint(name)
+    }
+
+    /// Stage 2 on its own: target `id` of `runtime` (endpoint `tgt{id}`)
+    /// with its SSD, no tenants yet.
+    pub fn pair(
+        &self,
+        runtime: RuntimeKind,
+        id: u32,
+        device_seed: u64,
+        timing_only: bool,
+        tracer: Tracer,
+    ) -> Pair {
+        Pair {
+            initiators: Vec::new(),
+            node: build_target(self, runtime, id, device_seed, timing_only, tracer),
+        }
+    }
+
+    /// Stage 3 on its own: connect tenant `id` at queue depth `qd` from
+    /// endpoint `iep` to `pair`'s target (reactor 0), append it to
+    /// `pair.initiators` and return its handle.
+    pub fn connect(
+        &self,
+        pair: &mut Pair,
+        iep: &Shared<Endpoint>,
+        id: u8,
+        qd: usize,
+    ) -> TenantHandle {
+        let link = pair.initiators.len();
+        let (ini, _) = connect_tenant(self, &pair.node, iep, id, qd, 0, link);
+        pair.initiators.push(ini.clone());
+        ini
     }
 
     /// Interpose the fault plane on the initiator→target direction of
@@ -637,19 +713,13 @@ pub fn build_pair_traced(
     timing_only: bool,
     tracer: Tracer,
 ) -> Pair {
-    let mut env = Env::new(speed.into(), Transport::Tcp);
-    env.tenant_cfg.window = window;
-    let node = build_target(&env, runtime, 0, seed ^ 0xFACE, timing_only, tracer);
-    let initiators = (0..tenants)
-        .map(|id| {
-            let iep = env.net.add_endpoint(format!("ini{id}"));
-            connect_tenant(&env, &node, &iep, id as u8, qd, 0, id).0
-        })
-        .collect();
-    Pair {
-        initiators,
-        target: node.target,
+    let env = Env::fault_free(speed.into(), window);
+    let mut pair = env.pair(runtime, 0, seed ^ 0xFACE, timing_only, tracer);
+    for id in 0..tenants {
+        let iep = env.endpoint(format!("ini{id}"));
+        env.connect(&mut pair, &iep, id as u8, qd);
     }
+    pair
 }
 
 /// A built tenant, kept for the cluster-extras and collect stages.
@@ -1296,15 +1366,7 @@ fn run_stack(sc: &Scenario) -> (RunResult, Vec<TargetNode>, Vec<Tenant>) {
         metrics,
     };
 
-    // Teardown: targets hold each initiator's receive closure,
-    // initiators their target's, and in-flight callbacks the driver that
-    // owns their initiator. Cut both `Rc` cycles or the run leaks its stack.
-    for n in &nodes {
-        n.target.disconnect_all();
-    }
-    for t in &tenants {
-        t.ini.abort_pending();
-    }
+    teardown(&nodes, tenants.iter().map(|t| &t.ini));
     (result, nodes, tenants)
 }
 

@@ -237,6 +237,20 @@ pub enum ScenarioError {
         /// Largest count the kernel accepts.
         max: usize,
     },
+    /// More pairs than [`Scenario::MAX_PAIRS`].
+    PairsOutOfRange {
+        /// Pairs asked for.
+        pairs: usize,
+        /// Largest count the runner accepts.
+        max: usize,
+    },
+    /// More targets per pair than [`Scenario::MAX_TARGETS`].
+    TargetsOutOfRange {
+        /// Targets asked for.
+        targets: usize,
+        /// Largest count the runner accepts.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -278,6 +292,12 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::ShardsOutOfRange { shards, max } => {
                 write!(f, "shards = {shards} out of range (at most {max})")
             }
+            ScenarioError::PairsOutOfRange { pairs, max } => {
+                write!(f, "pairs = {pairs} out of range (at most {max})")
+            }
+            ScenarioError::TargetsOutOfRange { targets, max } => {
+                write!(f, "targets = {targets} out of range (at most {max})")
+            }
         }
     }
 }
@@ -285,6 +305,16 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 impl Scenario {
+    /// Largest `pairs` a scenario may ask for. The runner preallocates
+    /// per pair, so a count taken from outside input is checked against
+    /// this first (the largest run on record uses 8).
+    pub const MAX_PAIRS: usize = 1024;
+
+    /// Largest `targets` a scenario may ask for, checked for the same
+    /// reason (the largest run on record uses 2). A cluster node holds at
+    /// most 63 tenants, so further targets could only sit idle.
+    pub const MAX_TARGETS: usize = 64;
+
     /// A 1 LS : 1 TC two-tenant scenario on one pair — the Figure 6(a)
     /// baseline shape.
     pub fn two_tenant(runtime: RuntimeKind, speed: Gbps, mix: Mix) -> Scenario {
@@ -368,6 +398,18 @@ impl Scenario {
             return Err(ScenarioError::ShardsOutOfRange {
                 shards: self.shards,
                 max: simkit::Kernel::MAX_SHARDS,
+            });
+        }
+        if self.pairs > Scenario::MAX_PAIRS {
+            return Err(ScenarioError::PairsOutOfRange {
+                pairs: self.pairs,
+                max: Scenario::MAX_PAIRS,
+            });
+        }
+        if self.targets > Scenario::MAX_TARGETS {
+            return Err(ScenarioError::TargetsOutOfRange {
+                targets: self.targets,
+                max: Scenario::MAX_TARGETS,
             });
         }
         if self.runtime == RuntimeKind::Opf {
@@ -500,7 +542,7 @@ mod tests {
                 initiators: 5,
             })
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 21] = [
+        let cases: [(Scenario, Result<(), ScenarioError>); 25] = [
             (opf(), Ok(())),
             (cluster(), Ok(())),
             (moving(4, 1), Ok(())),
@@ -617,6 +659,41 @@ mod tests {
                 Err(ShardsOutOfRange {
                     shards: 100_000_000_000,
                     max: 1024,
+                }),
+            ),
+            // Both aborted the process on allocation at 363394b.
+            (
+                Scenario {
+                    pairs: 1024,
+                    ..opf()
+                },
+                Ok(()),
+            ),
+            (
+                Scenario {
+                    pairs: 100_000_000_000,
+                    ..opf()
+                },
+                Err(PairsOutOfRange {
+                    pairs: 100_000_000_000,
+                    max: 1024,
+                }),
+            ),
+            (
+                Scenario {
+                    targets: 64,
+                    ..cluster()
+                },
+                Ok(()),
+            ),
+            (
+                Scenario {
+                    targets: 100_000_000_000,
+                    ..cluster()
+                },
+                Err(TargetsOutOfRange {
+                    targets: 100_000_000_000,
+                    max: 64,
                 }),
             ),
         ];

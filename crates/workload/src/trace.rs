@@ -9,7 +9,7 @@
 //! qpair is at depth.
 
 use crate::hist::Histogram;
-use crate::runner::build_pair;
+use crate::runner::{build_pair, Pair, TenantHandle};
 use crate::scenario::{RuntimeKind, Scenario, ScenarioError, Speed, WindowSpec};
 use crate::Mix;
 use bytes::Bytes;
@@ -212,8 +212,7 @@ pub enum ReplayError {
         /// Position of the event.
         index: usize,
     },
-    /// Event `index` arrives so late that the settle window past it
-    /// does not fit in [`SimTime`].
+    /// Event `index` arrives after [`MAX_ARRIVAL_NS`].
     ArrivalOutOfRange {
         /// Position of the event.
         index: usize,
@@ -239,9 +238,14 @@ impl std::error::Error for ReplayError {}
 /// How long past the last arrival the replay may run.
 const SETTLE_NS: u64 = 5_000_000_000;
 
+/// Latest arrival a trace may carry: one simulated hour. The replayer's
+/// 1 ms drainer wakes until the last arrival, so a later one costs
+/// millions of events of host time per simulated hour before any I/O.
+pub const MAX_ARRIVAL_NS: u64 = 3_600_000_000_000;
+
 /// What every event of one replay shares.
 struct Replay {
-    pair: crate::runner::Pair,
+    initiators: Vec<TenantHandle>,
     /// Write payload sized for the trace's largest request.
     payload: Bytes,
     hist: RefCell<Histogram>,
@@ -269,7 +273,7 @@ impl Replay {
         };
         let tenant = ev.tenant as usize;
         let r = self.clone();
-        let ok = self.pair.initiators[tenant].submit(
+        let ok = self.initiators[tenant].submit(
             k,
             class,
             opcode,
@@ -298,8 +302,8 @@ impl Replay {
     /// completion does not wake the application queue, so this periodic
     /// drainer re-submits pending arrivals whenever capacity is free.
     fn drain(self: Rc<Self>, k: &mut Kernel) {
-        for tenant in 0..self.pair.initiators.len() {
-            while self.pair.initiators[tenant].has_capacity() {
+        for tenant in 0..self.initiators.len() {
+            while self.initiators[tenant].has_capacity() {
                 let next = self.pending.borrow_mut()[tenant].pop_front();
                 let Some((arr, ev)) = next else { break };
                 self.submit(k, ev, arr);
@@ -311,6 +315,11 @@ impl Replay {
 
 /// Replay a trace against a single target pair.
 pub fn replay(log: &TraceLog, cfg: &ReplayConfig) -> Result<ReplayResult, ReplayError> {
+    Ok(replay_stack(log, cfg)?.0)
+}
+
+/// [`replay`], handing back the torn-down pair so a test can watch it die.
+fn replay_stack(log: &TraceLog, cfg: &ReplayConfig) -> Result<(ReplayResult, Pair), ReplayError> {
     let tenants = log.tenant_count().max(1);
     // The pair is a one-group scenario of `tenants` tenants at `qd`:
     // hold it to the same bounds as every other entry point.
@@ -326,7 +335,7 @@ pub fn replay(log: &TraceLog, cfg: &ReplayConfig) -> Result<ReplayResult, Replay
         if ev.blocks == 0 {
             return Err(ReplayError::ZeroBlocks { index });
         }
-        if ev.at_ns.checked_add(SETTLE_NS).is_none() {
+        if ev.at_ns > MAX_ARRIVAL_NS {
             return Err(ReplayError::ArrivalOutOfRange { index });
         }
     }
@@ -348,7 +357,7 @@ pub fn replay(log: &TraceLog, cfg: &ReplayConfig) -> Result<ReplayResult, Replay
     );
     let max_blocks = log.events.iter().map(|e| e.blocks).max().unwrap_or(1);
     let r = Rc::new(Replay {
-        pair,
+        initiators: pair.initiators.clone(),
         payload: Bytes::from(vec![0u8; BLOCK_SIZE * max_blocks as usize]),
         hist: RefCell::new(Histogram::new()),
         completed: Cell::new(0),
@@ -360,7 +369,7 @@ pub fn replay(log: &TraceLog, cfg: &ReplayConfig) -> Result<ReplayResult, Replay
         let r = r.clone();
         k.schedule_at(SimTime::from_nanos(ev.at_ns), move |k| {
             let tenant = ev.tenant as usize;
-            if r.pair.initiators[tenant].has_capacity() {
+            if r.initiators[tenant].has_capacity() {
                 r.submit(k, ev, k.now());
             } else {
                 r.pending.borrow_mut()[tenant].push_back((k.now(), ev));
@@ -382,14 +391,16 @@ pub fn replay(log: &TraceLog, cfg: &ReplayConfig) -> Result<ReplayResult, Replay
     );
     let h = r.hist.borrow();
     let makespan = r.last_done.get().as_secs_f64();
-    Ok(ReplayResult {
+    let result = ReplayResult {
         completed: done,
         mean_us: h.mean() / 1e3,
         p99_us: h.percentile(0.99) as f64 / 1e3,
         p9999_us: h.percentile(0.9999) as f64 / 1e3,
         makespan_s: makespan,
         goodput_iops: done as f64 / makespan.max(1e-9),
-    })
+    };
+    pair.teardown();
+    Ok((result, pair))
 }
 
 #[cfg(test)]
@@ -439,11 +450,14 @@ mod tests {
     /// One-line traces that each panicked the replayer at 8b0c8ff — the
     /// reserved tenant id, a tenant aliasing the queue-key owner field,
     /// zero blocks, an arrival time that overflows the horizon, and (in
-    /// debug builds) a write larger than the one-block payload.
+    /// debug builds) a write larger than the one-block payload — plus an
+    /// arrival past [`MAX_ARRIVAL_NS`], which spun the 1 ms drainer for
+    /// an hour of simulated time at 363394b.
     #[test]
     fn hostile_traces_get_typed_errors() {
         use ReplayError::*;
         let too_many = |tenants, max| Err(Scenario(ScenarioError::TooManyTenants { tenants, max }));
+        let past_horizon = format!("0,0,TC,R,0,1\n{},0,TC,R,0,1", MAX_ARRIVAL_NS + 1);
         let cases = [
             ("0,255,TC,R,0,1", too_many(256, 64)),
             ("0,100,TC,R,0,1", too_many(101, 64)),
@@ -452,6 +466,7 @@ mod tests {
                 "0,0,TC,R,0,1\n18446744073709551615,0,LS,R,0,1",
                 Err(ArrivalOutOfRange { index: 1 }),
             ),
+            (past_horizon.as_str(), Err(ArrivalOutOfRange { index: 1 })),
             ("0,0,TC,W,0,8", Ok(1)),
         ];
         for (text, want) in cases {
@@ -469,6 +484,28 @@ mod tests {
         };
         let log = TraceLog::from_text("0,255,TC,R,0,1").unwrap();
         assert_eq!(replay(&log, &spdk).map(|r| r.completed), too_many(256, 254));
+    }
+
+    /// `replay` used to leak its pair through the target ↔ initiator
+    /// receive closures. Once the returned pair goes, nothing may keep
+    /// the stack (and so its SSD) alive.
+    #[test]
+    fn replay_frees_its_stack() {
+        let log = TraceLog::poisson(50_000.0, SimDuration::from_millis(2), 3, Mix::MIXED, 4);
+        for runtime in [RuntimeKind::Spdk, RuntimeKind::Opf] {
+            let cfg = ReplayConfig {
+                runtime,
+                ..ReplayConfig::default()
+            };
+            let (_, pair) = replay_stack(&log, &cfg).unwrap();
+            let device = Rc::downgrade(pair.device());
+            assert!(device.upgrade().is_some());
+            drop(pair);
+            assert!(
+                device.upgrade().is_none(),
+                "{runtime:?} outlives its replay"
+            );
+        }
     }
 
     #[test]

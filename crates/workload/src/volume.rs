@@ -107,7 +107,7 @@ impl StripedVolume {
     /// Drain partially filled windows on every backing target.
     pub fn flush(&self, k: &mut Kernel) {
         for t in &self.targets {
-            t.initiators[0].flush(k);
+            t.initiators[0].flush(k, Box::new(|_, _| {}));
         }
     }
 

@@ -9,17 +9,14 @@
 //! ```
 
 use bytes::Bytes;
-use nvme_opf::fabric::{FabricConfig, Gbps, Network};
 use nvme_opf::h5::format::Dtype;
-use nvme_opf::h5::vol::{run_extent, BlockSource, RankInitiator};
+use nvme_opf::h5::vol::{run_extent, BlockSource};
 use nvme_opf::h5::{H5File, MemStore, NamespaceStore};
-use nvme_opf::nvme::{FlashProfile, NvmeDevice, Opcode};
-use nvme_opf::nvmf::initiator::TargetRx;
-use nvme_opf::nvmf::{CpuCosts, PduRx};
-use nvme_opf::opf::{
-    OpfInitiator, OpfInitiatorConfig, OpfTarget, OpfTargetConfig, ReqClass, WindowPolicy,
-};
-use nvme_opf::simkit::{shared, Kernel, SimTime, Tracer};
+use nvme_opf::nvme::Opcode;
+use nvme_opf::opf::{ReqClass, WindowPolicy};
+use nvme_opf::simkit::{Kernel, SimTime};
+use nvme_opf::workload::scenario::Speed;
+use nvme_opf::workload::{build_pair, RuntimeKind, TenantHandle};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -29,39 +26,18 @@ const TIMESTEPS: usize = 3;
 
 fn main() {
     let mut k = Kernel::new(99);
-    let net = Network::new(FabricConfig::preset(Gbps::G25));
-    let tep = net.add_endpoint("storage-server");
-    let iep = net.add_endpoint("compute-node");
-    let device = shared(NvmeDevice::new(FlashProfile::cc_ssd(), 1 << 22, 5));
-    let target = shared(OpfTarget::new(
-        0,
-        net.clone(),
-        tep.clone(),
-        device.clone(),
-        CpuCosts::cc(),
-        OpfTargetConfig::default(),
-        Tracer::disabled(),
-    ));
-    let t2 = target.clone();
-    let target_rx: TargetRx = Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu));
-    let ini = shared(OpfInitiator::new(
-        0,
+    // One compute node, one storage server with real data storage.
+    let pair = build_pair(
+        &mut k,
+        RuntimeKind::Opf,
+        Speed::G25,
+        1,
         128,
-        net.clone(),
-        iep.clone(),
-        tep,
-        target_rx,
-        CpuCosts::cc(),
-        OpfInitiatorConfig {
-            window: WindowPolicy::Static(32),
-            ..OpfInitiatorConfig::default()
-        },
-        Tracer::disabled(),
-    ));
-    let i2 = ini.clone();
-    let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
-    target.borrow_mut().connect(0, iep, rx);
-    let rank = Rc::new(RankInitiator::Opf(ini.clone()));
+        WindowPolicy::Static(32),
+        5,
+        false,
+    );
+    let rank = pair.initiators[0].clone();
 
     // Simulated physics state: one f32 per particle, evolved per step.
     let datasets: Vec<Vec<u8>> = (0..TIMESTEPS)
@@ -88,7 +64,7 @@ fn main() {
 
     // Issue each timestep: metadata (LS) then the particle extent (TC).
     fn checkpoint(
-        rank: Rc<RankInitiator>,
+        rank: TenantHandle,
         k: &mut Kernel,
         mut steps: VecDeque<(usize, nvme_opf::h5::format::DatasetPlan)>,
         datasets: Rc<Vec<Vec<u8>>>,
@@ -99,7 +75,7 @@ fn main() {
         };
         // Metadata phase, sequential LS writes.
         fn meta(
-            rank: Rc<RankInitiator>,
+            rank: TenantHandle,
             k: &mut Kernel,
             mut q: VecDeque<(u64, Bytes)>,
             next: Box<dyn FnOnce(&mut Kernel)>,
@@ -108,18 +84,19 @@ fn main() {
                 None => next(k),
                 Some((lba, block)) => {
                     let r = rank.clone();
-                    rank.submit(
+                    let ok = rank.submit(
                         k,
                         ReqClass::LatencySensitive,
                         Opcode::Write,
                         lba,
+                        1,
                         Some(block),
                         Box::new(move |k, out| {
                             assert!(out.status.is_ok());
                             meta(r, k, q, next);
                         }),
-                    )
-                    .unwrap();
+                    );
+                    assert!(ok);
                 }
             }
         }
@@ -167,7 +144,7 @@ fn main() {
     assert_eq!(done.borrow().len(), TIMESTEPS);
 
     // Verify the checkpoint straight off the SSD (no fabric).
-    let mut dev = device.borrow_mut();
+    let mut dev = pair.device().borrow_mut();
     let file = H5File::open(NamespaceStore::new(dev.namespace_mut())).expect("file opens");
     for (ts, data) in datasets.iter().enumerate() {
         let name = file

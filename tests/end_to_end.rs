@@ -2,56 +2,31 @@
 //! format down to simulated flash, over the fabric, under both runtimes.
 
 use bytes::Bytes;
-use nvme_opf::fabric::{FabricConfig, Gbps, Network};
 use nvme_opf::h5::format::Dtype;
-use nvme_opf::h5::vol::{run_extent, BlockSource, RankInitiator};
+use nvme_opf::h5::vol::{run_extent, BlockSource};
 use nvme_opf::h5::{H5File, MemStore, NamespaceStore};
-use nvme_opf::nvme::{FlashProfile, NvmeDevice, Opcode, BLOCK_SIZE};
-use nvme_opf::nvmf::initiator::TargetRx;
-use nvme_opf::nvmf::{CpuCosts, PduRx};
-use nvme_opf::opf::{
-    OpfInitiator, OpfInitiatorConfig, OpfTarget, OpfTargetConfig, ReqClass, WindowPolicy,
-};
-use nvme_opf::simkit::{shared, Kernel, Shared, Tracer};
+use nvme_opf::nvme::{Opcode, BLOCK_SIZE};
+use nvme_opf::opf::{ReqClass, WindowPolicy};
+use nvme_opf::simkit::Kernel;
+use nvme_opf::workload::scenario::Speed;
+use nvme_opf::workload::{build_pair, Pair, RuntimeKind, TenantHandle};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Wire one NVMe-oPF initiator + target + device with real data storage.
-fn opf_rig(window: u32) -> (Kernel, Shared<OpfInitiator>, Shared<NvmeDevice>) {
-    let k = Kernel::new(2024);
-    let net = Network::new(FabricConfig::preset(Gbps::G100));
-    let tep = net.add_endpoint("tgt");
-    let iep = net.add_endpoint("ini");
-    let device = shared(NvmeDevice::new(FlashProfile::cl_ssd(), 1 << 20, 11));
-    let target = shared(OpfTarget::new(
-        0,
-        net.clone(),
-        tep.clone(),
-        device.clone(),
-        CpuCosts::cl(),
-        OpfTargetConfig::default(),
-        Tracer::disabled(),
-    ));
-    let t2 = target.clone();
-    let target_rx: TargetRx = Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu));
-    let ini = shared(OpfInitiator::new(
-        0,
+/// One NVMe-oPF tenant + target + device with real data storage.
+fn opf_rig(window: u32) -> (Kernel, Pair) {
+    let mut k = Kernel::new(2024);
+    let pair = build_pair(
+        &mut k,
+        RuntimeKind::Opf,
+        Speed::G100,
+        1,
         128,
-        net.clone(),
-        iep.clone(),
-        tep,
-        target_rx,
-        CpuCosts::cl(),
-        OpfInitiatorConfig {
-            window: WindowPolicy::Static(window),
-            ..OpfInitiatorConfig::default()
-        },
-        Tracer::disabled(),
-    ));
-    let i2 = ini.clone();
-    let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
-    target.borrow_mut().connect(0, iep, rx);
-    (k, ini, device)
+        WindowPolicy::Static(window),
+        11,
+        false,
+    );
+    (k, pair)
 }
 
 /// An HDF5-style file written across the simulated fabric — metadata as
@@ -60,7 +35,7 @@ fn opf_rig(window: u32) -> (Kernel, Shared<OpfInitiator>, Shared<NvmeDevice>) {
 /// namespace afterwards.
 #[test]
 fn h5_file_written_over_fabric_is_readable_from_device() {
-    let (mut k, ini, device) = opf_rig(8);
+    let (mut k, pair) = opf_rig(8);
     let particles: Vec<u8> = (0..50_000u32)
         .flat_map(|i| (i as f32).sqrt().to_le_bytes())
         .collect();
@@ -75,7 +50,7 @@ fn h5_file_written_over_fabric_is_readable_from_device() {
         .set_attr("/particles", "units", b"sqrt-index")
         .unwrap();
 
-    let rank = Rc::new(RankInitiator::Opf(ini.clone()));
+    let rank = pair.initiators[0].clone();
     let done = Rc::new(RefCell::new(false));
 
     // Metadata first (LS), then the bulk extent (TC) with REAL bytes.
@@ -86,7 +61,7 @@ fn h5_file_written_over_fabric_is_readable_from_device() {
         .collect();
     meta.push((attr_write.lba, Bytes::from(attr_write.block)));
     fn write_meta(
-        rank: Rc<RankInitiator>,
+        rank: TenantHandle,
         k: &mut Kernel,
         mut meta: std::collections::VecDeque<(u64, Bytes)>,
         next: Box<dyn FnOnce(&mut Kernel)>,
@@ -95,18 +70,19 @@ fn h5_file_written_over_fabric_is_readable_from_device() {
             None => next(k),
             Some((lba, block)) => {
                 let r2 = rank.clone();
-                rank.submit(
+                let ok = rank.submit(
                     k,
                     ReqClass::LatencySensitive,
                     Opcode::Write,
                     lba,
+                    1,
                     Some(block),
                     Box::new(move |k, out| {
                         assert!(out.status.is_ok());
                         write_meta(r2, k, meta, next);
                     }),
-                )
-                .unwrap();
+                );
+                assert!(ok);
             }
         }
     }
@@ -138,7 +114,7 @@ fn h5_file_written_over_fabric_is_readable_from_device() {
     assert!(*done.borrow(), "write must complete");
 
     // Re-open the file straight from the device namespace (no fabric).
-    let mut dev = device.borrow_mut();
+    let mut dev = pair.device().borrow_mut();
     let store = NamespaceStore::new(dev.namespace_mut());
     let file = H5File::open(store).expect("file written over fabric opens");
     let read_back = file.read_dataset("/particles").expect("dataset readable");
@@ -158,14 +134,14 @@ fn h5_file_written_over_fabric_is_readable_from_device() {
 /// matches what was written.
 #[test]
 fn tc_reads_over_fabric_return_written_bytes() {
-    let (mut k, ini, device) = opf_rig(4);
+    let (mut k, pair) = opf_rig(4);
     // Seed the namespace directly with a pattern.
     let blocks = 16u64;
     for lba in 0..blocks {
         let block: Vec<u8> = (0..BLOCK_SIZE)
             .map(|i| ((lba as usize * 7 + i * 13) % 251) as u8)
             .collect();
-        device
+        pair.device()
             .borrow_mut()
             .namespace_mut()
             .write(lba, &block)
@@ -174,8 +150,7 @@ fn tc_reads_over_fabric_return_written_bytes() {
     let got: Rc<RefCell<Vec<Option<Vec<u8>>>>> = Rc::new(RefCell::new(vec![None; blocks as usize]));
     for lba in 0..blocks {
         let g = got.clone();
-        OpfInitiator::submit(
-            &ini,
+        let ok = pair.initiators[0].submit(
             &mut k,
             ReqClass::ThroughputCritical,
             Opcode::Read,
@@ -186,8 +161,8 @@ fn tc_reads_over_fabric_return_written_bytes() {
                 assert!(out.status.is_ok());
                 g.borrow_mut()[lba as usize] = out.data.map(|b| b.to_vec());
             }),
-        )
-        .unwrap();
+        );
+        assert!(ok);
     }
     k.run_to_completion();
     for lba in 0..blocks {
