@@ -22,12 +22,17 @@
 //! when `h5::bench` hand-built its own copy of the stack and `replay`
 //! went through `build_pair`: every field of small h5bench and
 //! open-loop replay runs, which no CSV golden pins.
+//! `snapshot_sideband` was rendered at 42de97b, when the kernel kept one
+//! event heap per lane and the oPF target one submission mailbox per
+//! reactor: the lane and reactor counters of sharded and meshed runs,
+//! which live outside the metric snapshot.
 //!
 //! The corrupting run has no golden: it pins that a bit-flipping fabric
 //! cannot reach a `debug_assert!` (this file is built with debug
 //! assertions on) and that every request still completes exactly once.
 
 use bytes::Bytes;
+use experiments::{scale, sweep::run_all, Durations};
 use faults::{Adversary, FaultProfile};
 use h5::{run_h5bench, H5BenchConfig, H5Kernel};
 use nvme::Opcode;
@@ -38,8 +43,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use workload::{
-    build_pair_traced, replay, MigrationSpec, Mix, Pair, ReplayConfig, RuntimeKind, Scenario,
-    TraceLog, TrafficSpec,
+    build_pair_traced, replay, MigrationSpec, Mix, Pair, ReplayConfig, RunResult, RuntimeKind,
+    Scenario, TraceLog, TrafficSpec,
 };
 
 fn render(sc: &Scenario) -> String {
@@ -119,6 +124,53 @@ fn cluster_migrate_snapshot_matches_golden() {
 #[test]
 fn openloop_lossy_snapshot_matches_golden() {
     assert_matches("snapshot_openloop_lossy.txt", &render(&openloop_lossy()));
+}
+
+/// One run's lane and reactor counters: the `RunResult` side-band
+/// fields plus every `*max_ready` key of its snapshot.
+fn sideband(label: &str, r: &RunResult) -> String {
+    let mut out = format!(
+        "{label} events={} cross_shard_events={} cross_reactor_submits={} \
+         parallel_routed={} parallel_min_slack_ns={:?}\n",
+        r.events,
+        r.cross_shard_events,
+        r.cross_reactor_submits,
+        r.parallel_routed,
+        r.parallel_min_slack_ns,
+    );
+    for (k, v) in r.metrics.iter().filter(|(k, _)| k.ends_with("max_ready")) {
+        writeln!(out, "{label} {k}={}", format_f64(v)).unwrap();
+    }
+    out
+}
+
+/// The quick scale grid with the mesh off and on, the cluster migration
+/// at 2 and 4 shards, and the lossy open loop at 2 shards on the mesh.
+#[test]
+fn snapshot_sideband_matches_golden() {
+    let mut out = String::new();
+    for parallel in [false, true] {
+        let scenarios = scale::scenarios(Durations::quick().with_parallel(parallel), true);
+        for (sc, r) in scenarios.iter().zip(run_all(&scenarios, Some(1))) {
+            let tenants = sc.total_initiators();
+            let label = format!("scale/{tenants}t/{}sh/parallel={parallel}", sc.shards);
+            out += &sideband(&label, &r);
+        }
+    }
+    for shards in [2, 4] {
+        let sc = Scenario {
+            shards,
+            ..cluster_migrate()
+        };
+        out += &sideband(&format!("cluster_migrate/{shards}sh"), &workload::run(&sc));
+    }
+    let sc = Scenario {
+        shards: 2,
+        parallel: true,
+        ..openloop_lossy()
+    };
+    out += &sideband("openloop_lossy/2sh/parallel=true", &workload::run(&sc));
+    assert_matches("snapshot_sideband.txt", &out);
 }
 
 /// 1 LS + 3 TC closed-loop mixed-I/O tenants, the last one spoofing
