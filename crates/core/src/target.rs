@@ -7,19 +7,18 @@
 //! Latency-sensitive commands bypass every queue and execute
 //! immediately.
 //!
-//! # Multi-reactor structure (DESIGN.md §13)
+//! # Reactors (DESIGN.md §13)
 //!
-//! The target is split into *reactors*, one per kernel shard hosting its
-//! tenants: each reactor exclusively owns the TC [`CidQueue`]s, staging
-//! maps and accounting for its assigned initiators, so the §IV-A
-//! never-shared property holds not just per tenant but per core. The two
-//! genuinely shared paths cross reactors explicitly: device submission
-//! travels through a per-reactor [`queues::mailbox()`] to the device-owner
-//! reactor (batched: post × N, one doorbell), and completions hand back
-//! to the owning reactor via a kernel lane switch before the response is
-//! sent. All handoffs are synchronous at simulation-time granularity, so
-//! reactor count — like shard count — is unobservable in results; the
-//! structure is the ownership substrate later PRs parallelize.
+//! Each tenant is hosted by one reactor — a kernel lane,
+//! [`SpdkTarget::reactor_of`] — and owns its TC [`CidQueue`] and staging
+//! map. The §IV-A never-shared property is a property of each queue, so
+//! one map keyed by tenant holds them all. The device, the metered ready
+//! queue and the batch table belong to the device-owner reactor: a
+//! released command goes straight onto the ready queue, counted in
+//! [`OpfTarget::cross_reactor_submits`] when its tenant lives on another
+//! reactor, and completions hand back to the tenant's lane before the
+//! response is sent. Lanes are labels on kernel events, so reactor
+//! count — like shard count — is unobservable in results.
 
 use crate::config::{OpfTargetConfig, QueueMode};
 use crate::error::{ProtocolError, ProtocolSide};
@@ -28,7 +27,7 @@ use fabric::{Endpoint, Network};
 use nvme::{NvmeDevice, Opcode, Sqe, Status};
 use nvmf::target::{Dialect, TargetPolicy, Violation};
 use nvmf::{CpuCosts, Pdu, PduRx, Priority, SpdkTarget};
-use queues::{mailbox, CidQueue, MailboxRx, MailboxTx};
+use queues::CidQueue;
 use simkit::FxHashMap;
 use simkit::{Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime, Tracer};
 use std::collections::VecDeque;
@@ -191,42 +190,20 @@ struct DrainBucket {
 /// order.
 const OWNER_SHARD: u32 = 0;
 
-/// Capacity of each reactor's submission mailbox. Purely a batching
-/// granularity: a full ring publishes and drains mid-batch (the handoff
-/// is synchronous), so this never limits how much a drain can flush.
-const SUBMIT_MAILBOX_CAP: usize = 256;
-
-/// Per-reactor state: everything a reactor touches on its tenants' fast
-/// path, owned exclusively (DESIGN.md §13). The genuinely shared
-/// structures — the device, the metered ready queue and the batch
-/// table — belong to the device-owner reactor, reached only through
-/// `submit_tx`.
-struct ReactorState {
-    /// Per-initiator TC queues (the §IV-A lock-free design), or the one
-    /// shared queue in the ablation mode (always on the owner reactor:
-    /// one queue cannot be owned by many).
-    tc: FxHashMap<u8, TcState>,
-    /// Mailbox to the device-owner reactor: released commands are posted
-    /// here (batched — post × N, one doorbell) and drained by the owner
-    /// into the metered ready queue.
-    submit_tx: MailboxTx<ReadyCmd>,
-}
-
 /// The NVMe-oPF target: the transport target ([`nvmf::SpdkTarget`] —
 /// connections, wire checks, R2T grants, duplicate suppression, sends)
-/// plus the Priority Manager: per-tenant TC queues on per-lane reactors,
-/// drained batches metered into the device, one coalesced response per
-/// drain, and the LS bypass.
+/// plus the Priority Manager: per-tenant TC queues, drained batches
+/// metered into the device, one coalesced response per drain, and the
+/// LS bypass.
 pub struct OpfTarget {
     /// The transport this Priority Manager drives.
     pub io: SpdkTarget,
     cfg: OpfTargetConfig,
-    /// Per-reactor state, indexed by kernel shard. Sparse: a target only
-    /// materializes the device owner plus the shards its tenants use.
-    reactors: Vec<ReactorState>,
-    /// Owner-reactor side of each reactor's submission mailbox (parallel
-    /// to `reactors`).
-    submit_rx: Vec<MailboxRx<ReadyCmd>>,
+    /// Per-initiator TC queues (the §IV-A lock-free design), or the one
+    /// shared queue under `SHARED_KEY` in the ablation mode.
+    tc: FxHashMap<u8, TcState>,
+    /// Released commands whose tenant is hosted off the device owner.
+    cross_reactor_submits: u64,
     /// Drained batches in flight. Slots are recycled via a free list.
     batches: Vec<Option<Batch>>,
     free_batches: Vec<usize>,
@@ -280,11 +257,11 @@ impl OpfTarget {
     ) -> Self {
         let mut io = SpdkTarget::new(id, net, ep, device, costs, tracer);
         io.set_hardening(cfg.enforce_identity);
-        let mut t = OpfTarget {
+        OpfTarget {
             io,
             cfg,
-            reactors: Vec::new(),
-            submit_rx: Vec::new(),
+            tc: FxHashMap::default(),
+            cross_reactor_submits: 0,
             batches: Vec::new(),
             free_batches: Vec::new(),
             batch_fifo: FxHashMap::default(),
@@ -299,41 +276,13 @@ impl OpfTarget {
             ls_denied: simkit::FxHashSet::default(),
             stats: OpfTargetStats::default(),
             last_protocol_error: None,
-        };
-        // The device owner always exists, even before any connect: the
-        // protocol-error paths route unknown initiators to it.
-        t.ensure_reactor(OWNER_SHARD);
-        t
-    }
-
-    /// Materialize reactors (and their mailboxes) up to `shard`.
-    fn ensure_reactor(&mut self, shard: u32) {
-        while self.reactors.len() <= shard as usize {
-            let (tx, rx) = mailbox(SUBMIT_MAILBOX_CAP);
-            self.reactors.push(ReactorState {
-                tc: FxHashMap::default(),
-                submit_tx: tx,
-            });
-            self.submit_rx.push(rx);
         }
     }
 
-    /// Index of the reactor hosting `initiator`. Unknown initiators —
-    /// possible only on protocol-error paths — map to the device owner.
-    #[inline]
-    fn lane_idx(&self, initiator: u8) -> usize {
-        self.io.reactor_of(initiator) as usize
-    }
-
-    /// Device submissions that crossed reactors (posted from a reactor
-    /// other than the device owner).
+    /// Device submissions that crossed reactors (released for a tenant
+    /// hosted off the device owner).
     pub fn cross_reactor_submits(&self) -> u64 {
-        self.reactors
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != OWNER_SHARD as usize)
-            .map(|(_, r)| r.submit_tx.posted() as u64)
-            .sum()
+        self.cross_reactor_submits
     }
 
     /// Enable duplicate-command suppression (set by recovery-enabled
@@ -379,7 +328,6 @@ impl OpfTarget {
             QueueMode::PerInitiator => shard,
             QueueMode::Shared => OWNER_SHARD,
         };
-        self.ensure_reactor(shard);
         initiator != SHARED_KEY && self.io.register(initiator, ep, rx, shard)
     }
 
@@ -393,47 +341,14 @@ impl OpfTarget {
         self.ls_denied.insert(initiator);
     }
 
-    /// Route a released command to the device-owner reactor through the
-    /// posting reactor's mailbox. Posts are batched; the caller publishes
-    /// and drains with [`Self::collect_submissions`] once its batch is
-    /// complete.
+    /// Hand a released command to the device-owner reactor's metered
+    /// ready queue.
     fn post_ready(&mut self, cmd: ReadyCmd) {
-        let lane = self.lane_idx(cmd.initiator);
-        if let Err(cmd) = self.reactors[lane].submit_tx.post(cmd) {
-            // Ring full mid-batch: publish and drain what is there, then
-            // repost. The handoff is synchronous, so a full ring costs
-            // only batching granularity, never correctness.
-            self.collect_lane(lane);
-            if self.reactors[lane].submit_tx.post(cmd).is_err() {
-                // lint: allow(no-panic) internal invariant: the ring was
-                // drained empty on the line above.
-                unreachable!("mailbox full immediately after drain");
-            }
+        if self.io.reactor_of(cmd.initiator) != OWNER_SHARD {
+            self.cross_reactor_submits += 1;
         }
-    }
-
-    /// Owner side: ring one reactor's doorbell and drain its belled
-    /// submissions into the metered ready queue.
-    fn collect_lane(&mut self, lane: usize) {
-        self.reactors[lane].submit_tx.ring();
-        while let Some(cmd) = self.submit_rx[lane].take() {
-            self.ready.push_back(cmd);
-        }
-    }
-
-    /// Owner side: collect every reactor's published submissions in
-    /// shard order and note the ready high-water mark. The handoff is
-    /// synchronous at sim-time granularity — within one event only that
-    /// event's reactor has posted, so ready order equals post order and
-    /// reactor count stays unobservable in results.
-    fn collect_submissions(&mut self) {
-        for lane in 0..self.reactors.len() {
-            self.collect_lane(lane);
-        }
-        let rlen = self.ready.len();
-        if rlen > self.stats.max_ready {
-            self.stats.max_ready = rlen;
-        }
+        self.ready.push_back(cmd);
+        self.stats.max_ready = self.stats.max_ready.max(self.ready.len());
     }
 
     fn queue_key(&self, initiator: u8) -> u8 {
@@ -552,16 +467,13 @@ impl TargetPolicy for OpfTarget {
                     data: Some(data),
                     batch,
                 });
-                t.collect_submissions();
                 drop(t);
                 return Self::pump(&this2, k);
             }
             let key = t.queue_key(from);
-            let lane = t.lane_idx(from);
             match t
-                .reactors
-                .get_mut(lane)
-                .and_then(|r| r.tc.get_mut(&key))
+                .tc
+                .get_mut(&key)
                 .and_then(|state| state.staged.get_mut(&(from, cccid)))
             {
                 Some(staged) => {
@@ -628,8 +540,7 @@ impl TargetPolicy for OpfTarget {
                         }
                     }
                     let key = t.queue_key(from);
-                    let lane = t.lane_idx(from);
-                    let state = t.reactors[lane].tc.entry(key).or_insert_with(TcState::new);
+                    let state = t.tc.entry(key).or_insert_with(TcState::new);
                     if state.order.push(encode_key(from, sqe.cid)).is_err() {
                         // Staging queue full. The queue is sized for
                         // QD + window, so honest closed-loop tenants never
@@ -669,11 +580,10 @@ impl TargetPolicy for OpfTarget {
                 }
             }
             Priority::LatencySensitive if this.borrow().cfg.ls_bypass => {
-                // Bypass: execute immediately, outside the TC meter and
-                // the mailbox — it is the express lane, and metering it
-                // through the owner's ready queue is exactly what §IV-A
-                // forbids — and respond per request on the tenant's
-                // reactor.
+                // Bypass: execute immediately, outside the TC meter — it
+                // is the express lane, and metering it through the
+                // owner's ready queue is exactly what §IV-A forbids — and
+                // respond per request on the tenant's reactor.
                 {
                     let mut t = this.borrow_mut();
                     t.stats.ls_bypassed += 1;
@@ -695,7 +605,6 @@ impl TargetPolicy for OpfTarget {
                     data,
                     batch,
                 });
-                t.collect_submissions();
                 drop(t);
                 Self::pump(this, k);
             }
@@ -747,8 +656,7 @@ impl OpfTarget {
                 t.groups = groups;
                 t.group_pool = pool;
             };
-            let lane = t.lane_idx(from);
-            let Some(state) = t.reactors.get_mut(lane).and_then(|r| r.tc.get_mut(&key)) else {
+            let Some(state) = t.tc.get_mut(&key) else {
                 put_back(&mut t, keys, groups, pool);
                 return;
             };
@@ -829,7 +737,6 @@ impl OpfTarget {
                 pool.push(v);
             }
             put_back(&mut t, keys, groups, pool);
-            t.collect_submissions();
         }
         Self::pump(this, k);
     }
@@ -882,7 +789,7 @@ impl OpfTarget {
             let mut t = this.borrow_mut();
             t.io.stats.completed += 1;
             t.tc_inflight -= 1;
-            let lane = t.lane_idx(from);
+            let lane = t.io.reactor_of(from);
             // From here on a retransmit of this command re-executes
             // (idempotently) rather than being suppressed — necessary,
             // since its response may still be lost on the way back.
@@ -901,7 +808,7 @@ impl OpfTarget {
             if b.remaining == 0 {
                 b.done = true;
             }
-            (t.io.reserve(k.now(), cost), lane as u32)
+            (t.io.reserve(k.now(), cost), lane)
         };
 
         let this2 = this.clone();
@@ -974,9 +881,8 @@ impl OpfTarget {
     /// shared-queue ablation reports the one shared queue for every
     /// tenant).
     pub fn tc_queue_depth(&self, initiator: u8) -> usize {
-        self.reactors
-            .get(self.lane_idx(initiator))
-            .and_then(|r| r.tc.get(&self.queue_key(initiator)))
+        self.tc
+            .get(&self.queue_key(initiator))
             .map_or(0, |s| s.order.len())
     }
 
@@ -1019,16 +925,12 @@ impl OpfTarget {
     /// frozen per tenant) — counted as a protocol error, never a panic.
     pub fn extract_tenant(&mut self, now: SimTime, initiator: u8) -> Option<ExtractedTenant> {
         let per_tenant = matches!(self.cfg.queue_mode, QueueMode::PerInitiator);
-        let Some(lane) = per_tenant.then(|| self.io.unregister(initiator)).flatten() else {
+        if !per_tenant || self.io.unregister(initiator).is_none() {
             self.violation(now, Violation::UnknownInitiator(initiator));
             return None;
-        };
+        }
         let mut cmds = Vec::new();
-        if let Some(mut state) = self
-            .reactors
-            .get_mut(lane as usize)
-            .and_then(|r| r.tc.remove(&initiator))
-        {
+        if let Some(mut state) = self.tc.remove(&initiator) {
             let mut keys = std::mem::take(&mut self.drain_keys);
             state.order.drain_all_into(&mut keys);
             for &qkey in &keys {
@@ -1082,13 +984,9 @@ impl OpfTarget {
         }
         let n = moved.cmds.len() as u64;
         let key = self.queue_key(initiator);
-        let lane = self.lane_idx(initiator);
         let mut overflow = 0u64;
         {
-            let state = self.reactors[lane]
-                .tc
-                .entry(key)
-                .or_insert_with(TcState::new);
+            let state = self.tc.entry(key).or_insert_with(TcState::new);
             for cmd in moved.cmds {
                 let cid = cmd.sqe.cid;
                 if state.order.push(encode_key(initiator, cid)).is_err() {

@@ -159,17 +159,21 @@ pub(crate) fn honest_tc() -> impl Iterator<Item = usize> {
 /// Per-tenant completion spread (% of mean) across the honest TC
 /// tenants.
 pub(crate) fn honest_spread_pct(r: &RunResult) -> f64 {
-    let per: Vec<f64> = honest_tc()
-        .map(|i| {
-            r.metrics
-                .get(&format!("ini{i}.completed"))
-                .unwrap_or_else(|| panic!("ini{i}.completed missing from snapshot"))
-        })
-        .collect();
-    let mean = per.iter().sum::<f64>() / per.len() as f64;
-    let min = per.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = per.iter().copied().fold(0.0, f64::max);
-    (max - min) / mean * 100.0
+    crate::spread(&crate::completed(r, honest_tc())).2
+}
+
+/// Every adversary action the fault plane counted (`faults.adv_*`).
+pub(crate) fn adv_attacks(r: &RunResult) -> f64 {
+    [
+        "forged_ls",
+        "forged_invalid",
+        "drain_floods",
+        "replays",
+        "spoofs",
+    ]
+    .iter()
+    .map(|k| r.metrics.get(&format!("faults.adv_{k}")).unwrap_or(0.0))
+    .sum()
 }
 
 /// Stray commands across all honest tenants (LS probe included): lost
@@ -215,16 +219,7 @@ pub fn table(results: &[RunResult]) -> Table {
             let m = &r.metrics;
             let spread = honest_spread_pct(r);
             let strays = honest_strays(r);
-            let adv_attacks = [
-                "forged_ls",
-                "forged_invalid",
-                "drain_floods",
-                "replays",
-                "spoofs",
-            ]
-            .iter()
-            .map(|k| m.get(&format!("faults.adv_{k}")).unwrap_or(0.0))
-            .sum::<f64>();
+            let adv_attacks = adv_attacks(r);
             let spoofs_dropped = m.get("pair0.tgt.spoofs_dropped").unwrap_or(0.0);
             let suppressed = m.get("pair0.tgt.drains_suppressed").unwrap_or(0.0);
             let proto_errs = m.get("pair0.tgt.protocol_errors").unwrap_or(0.0);

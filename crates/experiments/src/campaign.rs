@@ -1025,6 +1025,14 @@ mod tests {
                     max: 1024,
                 },
             ),
+            // Simulated without end at 42de97b.
+            (
+                minimal(r#", "measure_s": 1e9"#),
+                DurationOutOfRange {
+                    seconds: 1_000_000_001,
+                    max: 3600,
+                },
+            ),
         ] {
             match CampaignSpec::from_json_str(&src) {
                 Err(CampaignError::Scenario { error, .. }) => assert_eq!(error, want),

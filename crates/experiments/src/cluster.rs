@@ -12,8 +12,8 @@
 //!      cluster priority manager keep tenants on different targets
 //!      within the same bound a single target honors.
 //!    - **Shard invariance** — result columns are identical across
-//!      shard counts for a given (tenants, targets) point; the lane
-//!      merge stays pure bookkeeping in cluster mode too.
+//!      shard counts for a given (tenants, targets) point; lanes stay
+//!      pure bookkeeping in cluster mode too.
 //!    - **Cluster engagement** — multi-target rows show spine links
 //!      profiled and manager ticks firing, so the bound above is a
 //!      property of the cluster plane, not of it never engaging.
@@ -27,7 +27,7 @@
 //!    fairness and exactly-once completion are asserted on every row,
 //!    plus migration completion itself (`done == moves`, none failed).
 
-use crate::adversary::{attacks, honest_strays, honest_tc, profile, SPOOF_VICTIM};
+use crate::adversary::{adv_attacks, attacks, honest_strays, honest_tc, profile, SPOOF_VICTIM};
 use crate::sweep::run_all;
 use crate::Durations;
 use fabric::Gbps;
@@ -101,18 +101,6 @@ pub fn validate(d: Durations, quick: bool, targets: usize) -> Result<(), workloa
         .try_for_each(Scenario::validate)
 }
 
-/// Per-tenant completion counts across the whole cluster.
-fn per_tenant_completed(r: &RunResult, tenants: usize) -> Vec<u64> {
-    (0..tenants)
-        .map(|i| {
-            r.metrics
-                .get(&format!("ini{i}.completed"))
-                .unwrap_or_else(|| panic!("ini{i}.completed missing from snapshot"))
-                as u64
-        })
-        .collect()
-}
-
 /// Build the results table from [`scenarios`]-ordered results, asserting
 /// cluster-wide fairness, shard invariance and cluster engagement.
 pub fn scale_table(results: &[RunResult], quick: bool, max_targets: usize) -> Table {
@@ -137,11 +125,7 @@ pub fn scale_table(results: &[RunResult], quick: bool, max_targets: usize) -> Ta
             for &shards in &SHARD_COUNTS {
                 let r = &results[idx];
                 idx += 1;
-                let per = per_tenant_completed(r, tenants);
-                let min = per.iter().copied().min().unwrap_or(0);
-                let max = per.iter().copied().max().unwrap_or(0);
-                let mean = per.iter().sum::<u64>() as f64 / per.len().max(1) as f64;
-                let spread = (max - min) as f64 / mean * 100.0;
+                let (min, max, spread) = crate::spread(&crate::completed(r, 0..tenants));
                 assert!(
                     spread <= 5.0,
                     "{tenants} tenants / {targets} targets / {shards} shards: \
@@ -264,21 +248,11 @@ fn coresident_spread_pct(r: &RunResult, targets: usize, migrating: usize) -> f64
     let mut worst: f64 = 0.0;
     for t in 0..targets {
         // Round-robin homes: slot % targets.
-        let per: Vec<f64> = honest_tc()
-            .filter(|&i| i != migrating && i % targets == t)
-            .map(|i| {
-                r.metrics
-                    .get(&format!("ini{i}.completed"))
-                    .unwrap_or_else(|| panic!("ini{i}.completed missing from snapshot"))
-            })
-            .collect();
-        if per.len() < 2 {
-            continue;
+        let slots = honest_tc().filter(|&i| i != migrating && i % targets == t);
+        let per = crate::completed(r, slots);
+        if per.len() >= 2 {
+            worst = worst.max(crate::spread(&per).2);
         }
-        let mean = per.iter().sum::<f64>() / per.len() as f64;
-        let min = per.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = per.iter().copied().fold(0.0, f64::max);
-        worst = worst.max((max - min) / mean * 100.0);
     }
     worst
 }
@@ -305,16 +279,7 @@ pub fn adversary_table(results: &[RunResult], targets: usize) -> Table {
         let m = &r.metrics;
         let spread = coresident_spread_pct(r, targets, SPOOF_VICTIM as usize);
         let strays = honest_strays(r);
-        let adv_attacks = [
-            "forged_ls",
-            "forged_invalid",
-            "drain_floods",
-            "replays",
-            "spoofs",
-        ]
-        .iter()
-        .map(|k| m.get(&format!("faults.adv_{k}")).unwrap_or(0.0))
-        .sum::<f64>();
+        let adv_attacks = adv_attacks(r);
         let done = m.get("cluster.migrations_done").unwrap_or(0.0);
         let failed = m.get("cluster.migrations_failed").unwrap_or(0.0);
         let cmds_moved = m.get("cluster.cmds_moved").unwrap_or(0.0);

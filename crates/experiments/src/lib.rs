@@ -74,6 +74,31 @@ pub fn save_csv(name: &str, table: &workload::Table) {
     }
 }
 
+/// `ini{i}.completed` of each tenant slot in `slots`.
+pub(crate) fn completed(
+    r: &workload::RunResult,
+    slots: impl IntoIterator<Item = usize>,
+) -> Vec<f64> {
+    slots
+        .into_iter()
+        .map(|i| {
+            r.metrics
+                .get(&format!("ini{i}.completed"))
+                .unwrap_or_else(|| panic!("ini{i}.completed missing from snapshot"))
+        })
+        .collect()
+}
+
+/// `(min, max, spread)` of per-tenant counts, the spread being
+/// `(max − min) / mean` in percent. Counts are integers below 2^53, so
+/// the float math is exact.
+pub(crate) fn spread(per: &[f64]) -> (f64, f64, f64) {
+    let min = per.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = per.iter().copied().fold(0.0, f64::max);
+    let mean = per.iter().sum::<f64>() / per.len() as f64;
+    (min, max, (max - min) / mean * 100.0)
+}
+
 /// Experiment durations: full (paper-like 10s runs are unnecessary in a
 /// noise-free simulator; 1s of virtual time is converged) vs quick
 /// smoke-test settings.

@@ -10,7 +10,7 @@
 //!    contract exercised end to end, up to 256 tenants over 8 shards.
 //! 2. **Routing engagement** — with more than one shard, the cross-shard
 //!    bookkeeping columns are nonzero, so the invariance above is a
-//!    property of the merge, not of the sharding never happening.
+//!    property of the lane labels, not of the sharding never happening.
 //! 3. **Fairness** — per-tenant completion spread at equal weights stays
 //!    within 5% of the mean as tenancy grows.
 //!
@@ -70,18 +70,6 @@ pub fn scenarios(d: Durations, quick: bool) -> Vec<Scenario> {
     v
 }
 
-/// Per-tenant completion counts from the unified snapshot.
-fn per_tenant_completed(r: &RunResult, tenants: usize) -> Vec<u64> {
-    (0..tenants)
-        .map(|i| {
-            r.metrics
-                .get(&format!("ini{i}.completed"))
-                .unwrap_or_else(|| panic!("ini{i}.completed missing from snapshot"))
-                as u64
-        })
-        .collect()
-}
-
 /// Build the results table from [`scenarios`]-ordered results, asserting
 /// shard invariance, routing engagement and the 5% fairness bound.
 pub fn table(results: &[RunResult], quick: bool) -> Table {
@@ -104,11 +92,7 @@ pub fn table(results: &[RunResult], quick: bool) -> Table {
         for &shards in &SHARD_COUNTS {
             let r = &results[idx];
             idx += 1;
-            let per = per_tenant_completed(r, tenants);
-            let min = per.iter().copied().min().unwrap_or(0);
-            let max = per.iter().copied().max().unwrap_or(0);
-            let mean = per.iter().sum::<u64>() as f64 / per.len().max(1) as f64;
-            let spread = (max - min) as f64 / mean * 100.0;
+            let (min, max, spread) = crate::spread(&crate::completed(r, 0..tenants));
             assert!(
                 spread <= 5.0,
                 "{tenants} tenants / {shards} shards: per-tenant completion \
@@ -138,7 +122,7 @@ pub fn table(results: &[RunResult], quick: bool) -> Table {
                 );
                 assert!(
                     r.cross_reactor_submits > 0,
-                    "{tenants} tenants / {shards} shards: no mailbox crossings \
+                    "{tenants} tenants / {shards} shards: no cross-reactor submits \
                      — every tenant landed on the owner reactor"
                 );
             } else if shards == 1 {

@@ -7,24 +7,19 @@
 //!
 //! # Shards
 //!
-//! The kernel can be partitioned into N logical *shards* (lanes): each
-//! shard owns its own event heap, and every component (tenant, reactor)
-//! is pinned to one shard. Events inherit the shard of the event that
-//! scheduled them, so a tenant's whole causal chain stays on its lane;
-//! [`Kernel::schedule_at_on`] and [`Kernel::with_shard`] move work
-//! across lanes explicitly (and are counted, so cross-shard traffic is
-//! observable).
+//! The kernel can be partitioned into N logical *shards* (lanes). A lane
+//! is a label: every scheduled event carries the lane it runs on, and
+//! every component (tenant, reactor) is pinned to one. Events inherit
+//! the lane of the event that scheduled them, so a tenant's whole causal
+//! chain stays on its lane; [`Kernel::schedule_at_on`] and
+//! [`Kernel::with_shard`] move work across lanes explicitly (and are
+//! counted, so cross-shard traffic is observable).
 //!
-//! The merge rule makes shard count *unobservable in results*: every
-//! event carries a globally monotone sequence stamp assigned at schedule
-//! time, each lane's stream is sorted by `(time, seq)`, and `step()`
-//! pops the lane whose head has the smallest `(time, seq)`. Because the
-//! stamp is globally unique, this k-way merge reproduces the serial
-//! kernel's total order *bit-identically for any shard count* — the
-//! (time, shard, seq) decomposition is pure bookkeeping. That invariant
-//! is what lets the multi-reactor target refactor land without
-//! disturbing a single golden artifact; it is enforced end-to-end by
-//! the shard-differential test suite (DESIGN.md §13).
+//! Every lane's events sit in one heap ordered by `(time, seq)`, where
+//! `seq` is a monotone stamp assigned at schedule time. The label never
+//! enters that order, so shard count is *unobservable in results*: any
+//! count replays the serial kernel's total order bit-identically. The
+//! shard-differential test suite enforces it end to end (DESIGN.md §13).
 
 use crate::rng::Pcg32;
 use crate::time::{SimDuration, SimTime};
@@ -100,7 +95,11 @@ struct Scheduled {
     at: SimTime,
     seq: u64,
     slot: u32,
+    /// Lane the event runs on; a label, not part of the order.
+    lane: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Scheduled>() == 24);
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
@@ -122,11 +121,11 @@ impl Ord for Scheduled {
 }
 
 /// Per-lane doorbell inbox of the routing mesh: cross-lane schedules
-/// are posted here and drained into the lane heap at the top of the
-/// next `step()`. Single driver thread, so the SPSC contract of the
+/// are posted here and drained into the heap at the top of the next
+/// `step()`. Single driver thread, so the SPSC contract of the
 /// underlying mailbox holds trivially; the detour exercises the
 /// mailbox path (post → ring → drain on the doorbell edge) and the
-/// slack audit, while the `(at, seq)` merge key keeps results
+/// slack audit, while the `(at, seq)` heap key keeps results
 /// byte-identical to direct heap pushes.
 struct MeshInbox {
     tx: MailboxTx<Scheduled>,
@@ -148,23 +147,13 @@ struct Mesh {
 /// Discrete-event simulation kernel.
 pub struct Kernel {
     now: SimTime,
-    /// Globally monotone schedule stamp shared by every lane: the merge
-    /// key `(at, seq)` therefore totally orders events identically to a
-    /// single serial heap, whatever the shard count.
+    /// Monotone schedule stamp: the heap key `(at, seq)` totally orders
+    /// events, whatever lane labels they carry.
     seq: u64,
-    /// Per-shard event heaps ("lanes"); `lanes.len() == 1` is the serial
-    /// kernel.
-    lanes: Vec<BinaryHeap<Scheduled>>,
-    /// Lanes currently holding at least one event. Maintained on every
-    /// push/pop so `merge_lane` can skip the k-way scan whenever at most
-    /// one lane is live — the common case for lightly sharded runs,
-    /// where the scan otherwise makes sharding *slower* than serial.
-    nonempty_lanes: usize,
-    /// The single live lane when `nonempty_lanes == 1` (stale otherwise).
-    single_lane: u32,
-    /// Events executed per lane (ownership accounting for the scale
-    /// experiment; invisible to default metrics).
-    lane_executed: Vec<u64>,
+    /// Every pending event of every lane.
+    heap: BinaryHeap<Scheduled>,
+    /// Number of lanes (always ≥ 1).
+    shards: usize,
     /// Shard of the event currently executing; new events inherit it.
     current_shard: u32,
     /// Events explicitly placed on a lane other than the scheduler's.
@@ -191,26 +180,21 @@ impl Kernel {
         Self::with_shards(seed, 1)
     }
 
-    /// Most lanes a run may ask [`Self::with_shards`] for. Every lane
-    /// preallocates its heap and lane ids are `u32`, so a count taken
-    /// from outside input is checked against this first (the largest
-    /// run on record uses 8).
+    /// Most lanes a run may ask [`Self::with_shards`] for. The mesh
+    /// detour preallocates an inbox per lane and lane ids are `u32`, so
+    /// a count taken from outside input is checked against this first
+    /// (the largest run on record uses 8).
     pub const MAX_SHARDS: usize = 1024;
 
     /// Create a kernel partitioned into `shards` logical lanes (clamped
     /// to at least one). Shard count never changes simulation results —
-    /// see the module docs for the merge rule that guarantees it.
+    /// see the module docs for why.
     pub fn with_shards(seed: u64, shards: usize) -> Self {
-        let shards = shards.max(1);
         Kernel {
             now: SimTime::ZERO,
             seq: 0,
-            lanes: (0..shards)
-                .map(|_| BinaryHeap::with_capacity(1024 / shards.min(8)))
-                .collect(),
-            lane_executed: vec![0; shards],
-            nonempty_lanes: 0,
-            single_lane: 0,
+            heap: BinaryHeap::with_capacity(1024),
+            shards: shards.max(1),
             current_shard: 0,
             cross_shard_scheduled: 0,
             slots: Vec::with_capacity(1024),
@@ -224,9 +208,9 @@ impl Kernel {
     }
 
     /// Route cross-lane schedules through per-lane mailbox doorbells
-    /// instead of pushing directly into the peer heap. The global
-    /// `(at, seq)` stamp is assigned before routing and every detoured
-    /// event is drained back before the next merge, so results stay
+    /// instead of pushing directly into the heap. The `(at, seq)` stamp
+    /// is assigned before routing and every detoured event is drained
+    /// into the heap before the next pop, so results stay
     /// byte-identical to the direct path; what changes is the
     /// mechanism, plus side-band audit counters
     /// ([`Self::mesh_routed`], [`Self::mesh_min_slack_nanos`]).
@@ -238,7 +222,7 @@ impl Kernel {
         }
         if self.mesh.is_none() {
             self.mesh = Some(Mesh {
-                inboxes: (0..self.lanes.len())
+                inboxes: (0..self.shards)
                     .map(|_| {
                         let (tx, rx) = queues::mailbox(1024);
                         MeshInbox { tx, rx }
@@ -276,19 +260,13 @@ impl Kernel {
     /// Number of logical shards (always ≥ 1).
     #[inline]
     pub fn shards(&self) -> usize {
-        self.lanes.len()
+        self.shards
     }
 
     /// Shard of the event currently executing (0 outside any event).
     #[inline]
     pub fn current_shard(&self) -> u32 {
         self.current_shard
-    }
-
-    /// Events executed on `shard` so far.
-    #[inline]
-    pub fn shard_executed(&self, shard: u32) -> u64 {
-        self.lane_executed[shard as usize]
     }
 
     /// Events that were explicitly scheduled onto a lane other than the
@@ -303,7 +281,7 @@ impl Kernel {
     /// another reactor (e.g. a mailbox drain): everything `f` schedules
     /// lands on `shard`'s lane.
     pub fn with_shard<R>(&mut self, shard: u32, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        debug_assert!((shard as usize) < self.lanes.len(), "shard out of range");
+        debug_assert!((shard as usize) < self.shards, "shard out of range");
         let prev = self.current_shard;
         self.current_shard = shard;
         let r = f(self);
@@ -331,7 +309,7 @@ impl Kernel {
             .mesh
             .as_ref()
             .map_or(0, |m| m.inboxes.iter().map(|i| i.rx.pending()).sum());
-        self.lanes.iter().map(BinaryHeap::len).sum::<usize>() + staged
+        self.heap.len() + staged
     }
 
     /// The kernel RNG. Components should usually [`fork`](Pcg32::fork)
@@ -397,16 +375,16 @@ impl Kernel {
         self.schedule_at_on(shard, at, f);
     }
 
-    /// Schedule `f` at `at` on an explicit shard lane. The global stamp
-    /// keeps the merged order independent of lane placement; this only
-    /// affects ownership accounting and which reactor "runs" the event.
+    /// Schedule `f` at `at` on an explicit shard lane. The lane is a
+    /// label on the event: it never changes the order, only ownership
+    /// accounting and which reactor "runs" the event.
     pub fn schedule_at_on(
         &mut self,
         shard: u32,
         at: SimTime,
         f: impl FnOnce(&mut Kernel) + 'static,
     ) {
-        debug_assert!((shard as usize) < self.lanes.len(), "shard out of range");
+        debug_assert!((shard as usize) < self.shards, "shard out of range");
         let at = at.max(self.now);
         if at > self.horizon {
             self.horizon_dropped += 1;
@@ -419,71 +397,53 @@ impl Kernel {
         let seq = self.seq;
         self.seq += 1;
         let slot = self.store_event(f);
-        let sched = Scheduled { at, seq, slot };
+        let sched = Scheduled {
+            at,
+            seq,
+            slot,
+            lane: shard,
+        };
         if cross && self.mesh.is_some() {
-            self.route_through_mesh(shard, sched);
+            self.route_through_mesh(sched);
         } else {
-            self.push_lane(shard, sched);
+            self.heap.push(sched);
         }
     }
 
-    /// Push onto a lane heap, maintaining the live-lane bookkeeping.
-    fn push_lane(&mut self, shard: u32, sched: Scheduled) {
-        let lane = &mut self.lanes[shard as usize];
-        if lane.is_empty() {
-            self.nonempty_lanes += 1;
-            if self.nonempty_lanes == 1 {
-                self.single_lane = shard;
-            }
-        }
-        lane.push(sched);
-    }
-
-    /// Post a cross-lane schedule to the target lane's doorbell inbox.
-    /// The event stays invisible to the merge until the next `step()`
-    /// drains it — which is also the first moment it could have been
-    /// popped on the direct path, so the detour is unobservable in
-    /// results.
-    fn route_through_mesh(&mut self, shard: u32, sched: Scheduled) {
+    /// Post a cross-lane schedule to its lane's doorbell inbox. The
+    /// event stays invisible until the next `step()` drains it into the
+    /// heap — which is also the first moment it could have been popped
+    /// on the direct path, so the detour is unobservable in results.
+    fn route_through_mesh(&mut self, sched: Scheduled) {
         let slack = sched.at.as_nanos() - self.now.as_nanos();
+        let lane = sched.lane as usize;
         let mesh = self.mesh.as_mut().expect("caller checked mesh");
         mesh.routed += 1;
         mesh.min_slack = mesh.min_slack.min(slack);
-        let inbox = &mut mesh.inboxes[shard as usize];
-        match inbox.tx.send(sched) {
-            Ok(()) => {}
-            Err(sched) => {
-                // Ring full: drain the target inbox into its heap (the
-                // single-driver equivalent of the receiver emptying its
-                // mailbox) and retry into the now-empty ring.
-                let mut drained = Vec::with_capacity(inbox.rx.pending());
-                while let Some(s) = inbox.rx.take() {
-                    drained.push(s);
-                }
-                for s in drained {
-                    self.push_lane(shard, s);
-                }
-                let mesh = self.mesh.as_mut().expect("caller checked mesh");
-                mesh.inboxes[shard as usize]
-                    .tx
-                    .send(sched)
-                    .unwrap_or_else(|_| unreachable!("mailbox empty after drain"));
-            }
+        if let Err(sched) = mesh.inboxes[lane].tx.send(sched) {
+            // Ring full: empty the inboxes into the heap (the
+            // single-driver equivalent of the receiver draining its
+            // mailbox) and retry into the now-empty ring.
+            self.drain_mesh();
+            let mesh = self.mesh.as_mut().expect("caller checked mesh");
+            mesh.inboxes[lane]
+                .tx
+                .send(sched)
+                .unwrap_or_else(|_| unreachable!("mailbox empty after drain"));
         }
     }
 
-    /// Move every belled mesh event into its lane heap. Called before
-    /// each merge so the detour never reorders anything.
+    /// Move every belled mesh event into the heap. Called before each
+    /// pop so the detour never reorders anything.
+    #[inline]
     fn drain_mesh(&mut self) {
-        let Some(mut mesh) = self.mesh.take() else {
-            return;
-        };
-        for (shard, inbox) in mesh.inboxes.iter_mut().enumerate() {
-            while let Some(s) = inbox.rx.take() {
-                self.push_lane(shard as u32, s);
+        if let Some(mesh) = &mut self.mesh {
+            for inbox in &mut mesh.inboxes {
+                while let Some(s) = inbox.rx.take() {
+                    self.heap.push(s);
+                }
             }
         }
-        self.mesh = Some(mesh);
     }
 
     /// Schedule `f` to run `delay` after now.
@@ -498,82 +458,32 @@ impl Kernel {
         self.schedule_at(self.now, f);
     }
 
-    /// Index of the lane whose head event has the smallest `(at, seq)`,
-    /// or `None` when every lane is empty. This is the deterministic
-    /// k-way merge: seq stamps are globally unique, so the winner is the
-    /// exact event a serial single-heap kernel would pop next.
-    #[inline]
-    fn merge_lane(&self) -> Option<(usize, SimTime)> {
-        // Fast paths: with ≤ 1 live lane there is nothing to merge, so
-        // skip the scan entirely (this also covers the serial kernel).
-        match self.nonempty_lanes {
-            0 => return None,
-            1 => {
-                let lane = self.single_lane as usize;
-                return self.lanes[lane].peek().map(|head| (lane, head.at));
-            }
-            _ => {}
-        }
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(head) = lane.peek() {
-                let key = (head.at, head.seq, i);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(at, _, i)| (i, at))
-    }
-
     /// Execute a single event if one is pending. Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
-        if self.mesh.is_some() {
-            self.drain_mesh();
-        }
-        let Some((lane, _)) = self.merge_lane() else {
+        self.drain_mesh();
+        let Some(ev) = self.heap.pop() else {
             return false;
         };
-        match self.lanes[lane].pop() {
-            Some(ev) => {
-                if self.lanes[lane].is_empty() {
-                    self.nonempty_lanes -= 1;
-                    if self.nonempty_lanes == 1 {
-                        // One-time scan for the survivor; cheap because
-                        // it only runs on the 2 → 1 transition.
-                        for (i, l) in self.lanes.iter().enumerate() {
-                            if !l.is_empty() {
-                                self.single_lane = i as u32;
-                                break;
-                            }
-                        }
-                    }
-                }
-                debug_assert!(ev.at >= self.now, "time went backwards");
-                self.now = ev.at;
-                self.executed += 1;
-                self.lane_executed[lane] += 1;
-                self.current_shard = lane as u32;
-                // Copy the slot out (plain words) and free it *before*
-                // running, so the closure can schedule into it.
-                let mut slot = self.slots[ev.slot as usize];
-                self.free_slots.push(ev.slot);
-                // SAFETY: the slot was occupied (its index came off the
-                // heap, which holds each stored index exactly once) and
-                // is consumed exactly here.
-                unsafe { (slot.call)(slot.data.as_mut_ptr() as *mut usize, self) };
-                // Restore the documented "0 outside any event" contract:
-                // without this, runner code scheduling between steps
-                // inherits the last executed lane, miscounting
-                // `cross_shard_scheduled` and lane ownership. Result
-                // order is unaffected either way — the merge key is the
-                // global `(at, seq)` stamp, not the lane.
-                self.current_shard = 0;
-                true
-            }
-            None => false,
-        }
+        debug_assert!(ev.at >= self.now, "time went backwards");
+        self.now = ev.at;
+        self.executed += 1;
+        self.current_shard = ev.lane;
+        // Copy the slot out (plain words) and free it *before* running,
+        // so the closure can schedule into it.
+        let mut slot = self.slots[ev.slot as usize];
+        self.free_slots.push(ev.slot);
+        // SAFETY: the slot was occupied (its index came off the heap,
+        // which holds each stored index exactly once) and is consumed
+        // exactly here.
+        unsafe { (slot.call)(slot.data.as_mut_ptr() as *mut usize, self) };
+        // Restore the documented "0 outside any event" contract: without
+        // this, runner code scheduling between steps inherits the last
+        // executed lane, miscounting `cross_shard_scheduled` and lane
+        // ownership. Result order is unaffected either way — the heap
+        // key is `(at, seq)`, not the lane.
+        self.current_shard = 0;
+        true
     }
 
     /// Run until the event queue drains.
@@ -586,13 +496,8 @@ impl Kernel {
     /// even if the queue drained earlier.
     pub fn run_until(&mut self, until: SimTime) {
         loop {
-            if self.mesh.is_some() {
-                self.drain_mesh();
-            }
-            let Some((_, at)) = self.merge_lane() else {
-                break;
-            };
-            if at > until {
+            self.drain_mesh();
+            if self.heap.peek().is_none_or(|head| head.at > until) {
                 break;
             }
             self.step();
@@ -604,25 +509,14 @@ impl Kernel {
 impl Drop for Kernel {
     fn drop(&mut self) {
         // Release closures still pending (e.g. after `run_until`): each
-        // occupied slot is named exactly once by a heap entry — or by a
-        // mesh inbox entry not yet drained into one.
-        if let Some(mesh) = &mut self.mesh {
-            for inbox in &mut mesh.inboxes {
-                while let Some(ev) = inbox.rx.take() {
-                    let mut slot = self.slots[ev.slot as usize];
-                    // SAFETY: staged slots are occupied and consumed
-                    // exactly once, here.
-                    unsafe { (slot.drop)(slot.data.as_mut_ptr() as *mut usize) };
-                }
-            }
-        }
-        for lane in &mut self.lanes {
-            for ev in lane.drain() {
-                let mut slot = self.slots[ev.slot as usize];
-                // SAFETY: the slot is occupied (see above) and this is
-                // its single consumption.
-                unsafe { (slot.drop)(slot.data.as_mut_ptr() as *mut usize) };
-            }
+        // occupied slot is named exactly once by a heap entry once the
+        // mesh inboxes are drained into it.
+        self.drain_mesh();
+        for ev in self.heap.drain() {
+            let mut slot = self.slots[ev.slot as usize];
+            // SAFETY: the slot is occupied (see above) and this is its
+            // single consumption.
+            unsafe { (slot.drop)(slot.data.as_mut_ptr() as *mut usize) };
         }
     }
 }
@@ -845,35 +739,6 @@ mod tests {
         }
     }
 
-    /// The ≤ 1-live-lane merge short-circuit: drive the non-empty count
-    /// through every transition (0→1, 1→2, 2→1 with survivor re-scan,
-    /// 1→0, then refill) and check the order never deviates.
-    #[test]
-    fn single_live_lane_short_circuit_tracks_transitions() {
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let mut k = Kernel::with_shards(0, 4);
-        // Phase 1: only lane 2 is live.
-        for i in 0..3u64 {
-            let o = order.clone();
-            k.schedule_at_on(2, SimTime::from_micros(i), move |_| o.borrow_mut().push(i));
-        }
-        // Phase 2: lane 0 joins, then both drain (2 → 1 picks a survivor).
-        let o = order.clone();
-        k.schedule_at_on(0, SimTime::from_micros(1), move |_| {
-            o.borrow_mut().push(100)
-        });
-        k.run_to_completion();
-        assert_eq!(k.events_pending(), 0);
-        // Phase 3: refill a different single lane after full drain.
-        let o = order.clone();
-        k.schedule_at_on(3, SimTime::from_micros(10), move |_| {
-            o.borrow_mut().push(200)
-        });
-        k.run_to_completion();
-        assert_eq!(*order.borrow(), vec![0, 1, 100, 2, 200]);
-        assert_eq!(k.events_executed(), 5);
-    }
-
     #[test]
     fn events_inherit_and_with_shard_overrides_lane() {
         let lanes = Rc::new(RefCell::new(Vec::new()));
@@ -896,19 +761,6 @@ mod tests {
         // Only the explicit setup placement counts: inside `with_shard`
         // the context IS the target lane, so nested schedules are local.
         assert_eq!(k.cross_shard_scheduled(), 1);
-    }
-
-    #[test]
-    fn per_shard_executed_counters_sum_to_total() {
-        let mut k = Kernel::with_shards(0, 3);
-        for i in 0..9u64 {
-            k.schedule_at_on((i % 3) as u32, SimTime::from_micros(i), |_| {});
-        }
-        k.run_to_completion();
-        assert_eq!(k.events_executed(), 9);
-        let per: u64 = (0..3).map(|s| k.shard_executed(s)).sum();
-        assert_eq!(per, 9);
-        assert_eq!(k.shard_executed(0), 3);
     }
 
     /// Regression: `current_shard` documents "(0 outside any event)",
@@ -935,14 +787,13 @@ mod tests {
         assert_eq!(k.cross_shard_scheduled(), 1, "no phantom cross-shard count");
         k.run_to_completion();
         assert_eq!(*lanes.borrow(), vec![0]);
-        assert_eq!(k.shard_executed(0), 1);
         assert_eq!(k.current_shard(), 0);
     }
 
     /// The `parallel: true` detour: cross-lane schedules ride mailbox
     /// doorbells instead of direct heap pushes, and the result replays
-    /// the direct path bit-identically (the merge key is the global
-    /// stamp either way).
+    /// the direct path bit-identically (the heap key is `(at, seq)`
+    /// either way).
     #[test]
     fn mesh_detour_replays_direct_path() {
         fn run(shards: usize, parallel: bool) -> (Vec<(u64, u64)>, u64) {
@@ -977,6 +828,27 @@ mod tests {
         assert!(m_routed > 0, "mesh never engaged");
     }
 
+    /// More routed schedules than an inbox holds, posted from one event:
+    /// the full ring empties into the heap and order still follows
+    /// `(at, seq)`.
+    #[test]
+    fn mesh_ring_full_spills_into_the_heap() {
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let mut k = Kernel::with_shards(0, 2);
+        k.set_parallel(true);
+        let o = order.clone();
+        k.schedule_at(SimTime::ZERO, move |k| {
+            for i in 0..3000u64 {
+                let o = o.clone();
+                let at = SimTime::from_nanos(3000 - i);
+                k.schedule_at_on(1, at, move |_| o.borrow_mut().push(i));
+            }
+        });
+        k.run_to_completion();
+        assert_eq!(k.mesh_routed(), 3000);
+        assert_eq!(*order.borrow(), (0..3000).rev().collect::<Vec<_>>());
+    }
+
     #[test]
     fn mesh_min_slack_reports_effective_lookahead() {
         let mut k = Kernel::with_shards(0, 2);
@@ -1001,8 +873,8 @@ mod tests {
             let t = token.clone();
             k.schedule_at_on(0, SimTime::from_micros(1), move |k| {
                 let t2 = t.clone();
-                // Routed through the mesh, drained into lane 1's heap
-                // by the next merge, then stranded there by the cutoff.
+                // Routed through the mesh, drained into the heap by the
+                // next step, then stranded there by the cutoff.
                 k.schedule_at_on(1, k.now() + SimDuration::from_micros(1), move |_| drop(t2));
             });
             k.run_until(SimTime::from_micros(1));

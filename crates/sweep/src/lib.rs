@@ -1099,6 +1099,20 @@ mod tests {
                     "faults":{"adversary":{"link":99,"forge_ls_p":0.5}}}"#,
                 "adversary link out of range",
             ),
+            // Both simulated without end at 42de97b.
+            (
+                r#"{"name":"x","runtimes":["opf"],"seeds":[1],"measure_s":0.02,
+                    "faults":{"keepalive_us":0}}"#,
+                "zero keep-alive period",
+            ),
+            (
+                r#"{"name":"x","faults":{"keepalive_us":-5}}"#,
+                "negative keep-alive period",
+            ),
+            (
+                r#"{"name":"x","measure_s":1e9}"#,
+                "a billion simulated seconds",
+            ),
         ] {
             assert!(
                 SweepSpec::from_json(doc).is_err(),

@@ -51,8 +51,8 @@ pub struct RunResult {
     /// Bookkeeping, not a metric: proves the sharded routing actually
     /// engaged while results stay shard-invariant.
     pub cross_shard_events: u64,
-    /// Device submissions that crossed target reactors via the mailbox
-    /// (NVMe-oPF targets only; 0 with one shard).
+    /// Device submissions for tenants hosted off the target's
+    /// device-owner reactor (NVMe-oPF targets only; 0 with one shard).
     pub cross_reactor_submits: u64,
     /// Cross-lane schedules that detoured through the kernel's
     /// mailbox-doorbell mesh (`parallel: true` runs only; 0 otherwise).
@@ -884,8 +884,8 @@ fn run_stack(sc: &Scenario) -> (RunResult, Vec<TargetNode>, Vec<Tenant>) {
     let adversary = profile.and_then(|p| p.adversary);
 
     // --- Stage 1: environment -------------------------------------------
-    // The sharded kernel's merge is bit-identical to the serial one for
-    // any shard count (see `simkit::Kernel`): `shards` never changes results.
+    // Shards are labels on one event heap (see `simkit::Kernel`):
+    // `shards` never changes results.
     let shards = sc.shards.max(1);
     let mut k = Kernel::with_shards(sc.seed, shards);
     k.set_parallel(sc.parallel);

@@ -136,8 +136,8 @@ pub struct Scenario {
     /// perfect fabric and the exact pre-faults event sequence.
     pub faults: Option<faults::FaultProfile>,
     /// Kernel shard / target reactor count. Tenants are assigned
-    /// round-robin to shards; each target reactor owns its tenants' TC
-    /// queues, and device submission crosses reactors through a mailbox.
+    /// round-robin to shards; a shard is a label on kernel events and
+    /// on each tenant's connection.
     /// Shard count is *unobservable in results* by construction
     /// (DESIGN.md §13) — any value replays bit-identically to 1 — which
     /// the shard-differential test suite enforces.
@@ -159,9 +159,9 @@ pub struct Scenario {
     /// re-drive rides the recovery re-issue path.
     pub migrations: Vec<MigrationSpec>,
     /// Route cross-lane schedules through the kernel's mailbox-doorbell
-    /// mesh (DESIGN.md §17) instead of pushing straight into the peer
-    /// lane's heap. Results are byte-identical either way — the merge
-    /// key is the global `(time, seq)` stamp regardless of the route —
+    /// mesh (DESIGN.md §17) instead of pushing straight into the heap.
+    /// Results are byte-identical either way — the heap key is the
+    /// `(time, seq)` stamp regardless of the route —
     /// but `true` exercises the cross-shard mailbox under a full
     /// workload and reports the smallest cross-lane scheduling slack
     /// through [`crate::runner::RunResult::parallel_min_slack_ns`].
@@ -251,6 +251,18 @@ pub enum ScenarioError {
         /// Largest count the runner accepts.
         max: usize,
     },
+    /// `warmup_s + measure_s + faults.settle_s` past one simulated hour
+    /// ([`crate::trace::MAX_ARRIVAL_NS`]): the run would not end in any
+    /// useful host time.
+    DurationOutOfRange {
+        /// Simulated seconds asked for, rounded up.
+        seconds: u64,
+        /// Longest run the runner accepts, in seconds.
+        max: u64,
+    },
+    /// A zero keep-alive period: the heartbeat would re-arm itself at
+    /// the same instant forever.
+    KeepAliveZero,
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -298,6 +310,11 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::TargetsOutOfRange { targets, max } => {
                 write!(f, "targets = {targets} out of range (at most {max})")
             }
+            ScenarioError::DurationOutOfRange { seconds, max } => write!(
+                f,
+                "warmup_s + measure_s + settle_s = {seconds} s out of range (at most {max} s)"
+            ),
+            ScenarioError::KeepAliveZero => write!(f, "keep-alive period must be positive"),
         }
     }
 }
@@ -412,6 +429,15 @@ impl Scenario {
                 max: Scenario::MAX_TARGETS,
             });
         }
+        let max_s = crate::trace::MAX_ARRIVAL_NS / 1_000_000_000;
+        let settle_s = self.faults.as_ref().map_or(0.0, |f| f.settle_s);
+        let span_s = self.warmup_s + self.measure_s + settle_s;
+        if span_s.is_nan() || span_s > max_s as f64 {
+            return Err(ScenarioError::DurationOutOfRange {
+                seconds: span_s.ceil() as u64,
+                max: max_s,
+            });
+        }
         if self.runtime == RuntimeKind::Opf {
             for (what, qd) in [("tc_qd", self.tc_qd), ("ls_qd", self.ls_qd)] {
                 if !(1..=opf::MAX_QUEUE_DEPTH).contains(&qd) {
@@ -420,6 +446,9 @@ impl Scenario {
             }
         }
         if let Some(f) = &self.faults {
+            if f.keepalive.is_some_and(|ka| ka.every.is_zero()) {
+                return Err(ScenarioError::KeepAliveZero);
+            }
             let initiators = self.total_initiators();
             let flaps = f.flaps.iter().map(|x| ("flap link", x.link));
             let crashes = f.crashes.iter().map(|x| ("crash tenant", x.tenant));
@@ -542,7 +571,17 @@ mod tests {
                 initiators: 5,
             })
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 25] = [
+        let keepalive = |us| Scenario {
+            faults: Some(faults::FaultProfile {
+                keepalive: Some(faults::KeepAliveSpec {
+                    every: SimDuration::from_micros(us),
+                    kato: SimDuration::from_micros(3 * us),
+                }),
+                ..faults::FaultProfile::default()
+            }),
+            ..opf()
+        };
+        let cases: [(Scenario, Result<(), ScenarioError>); 30] = [
             (opf(), Ok(())),
             (cluster(), Ok(())),
             (moving(4, 1), Ok(())),
@@ -694,6 +733,37 @@ mod tests {
                 Err(TargetsOutOfRange {
                     targets: 100_000_000_000,
                     max: 64,
+                }),
+            ),
+            // Both simulated without end at 42de97b.
+            (keepalive(4000), Ok(())),
+            (keepalive(0), Err(KeepAliveZero)),
+            (
+                Scenario {
+                    warmup_s: 0.0,
+                    measure_s: 3600.0,
+                    ..opf()
+                },
+                Ok(()),
+            ),
+            (
+                Scenario {
+                    measure_s: 3600.0,
+                    ..keepalive(4000)
+                },
+                Err(DurationOutOfRange {
+                    seconds: 3601,
+                    max: 3600,
+                }),
+            ),
+            (
+                Scenario {
+                    measure_s: 1e9,
+                    ..opf()
+                },
+                Err(DurationOutOfRange {
+                    seconds: 1_000_000_001,
+                    max: 3600,
                 }),
             ),
         ];
