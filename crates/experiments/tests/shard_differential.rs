@@ -1,10 +1,11 @@
 //! Differential guard for the sharded kernel and multi-reactor target.
 //!
 //! DESIGN.md §13's determinism contract: the shard count is pure
-//! bookkeeping — per-lane event heaps merged on the kernel's global
-//! schedule stamp reproduce the serial total order bit-identically, and
-//! the target's mailbox handoffs are synchronous at sim-time
-//! granularity. These tests enforce the contract end to end by
+//! bookkeeping — a lane is a label on each event in the kernel's one
+//! heap, ordered by `(time, seq)` alone, so any shard count reproduces
+//! the serial total order bit-identically; on the target a lane only
+//! picks which counter a submission bumps. These tests enforce the
+//! contract end to end by
 //! re-rendering the *pre-sharding* golden CSVs (the same files
 //! `zero_copy_differential` checks at shards=1) under 2 and 4 shards and
 //! comparing bytes. `chaos` covers the fault-plane variant: retransmit
@@ -40,8 +41,9 @@ fn assert_csv_matches(name: &str, shards: usize, rendered: &str) {
 }
 
 /// Every shard count the differential sweep re-renders under. 1 is
-/// already covered by `zero_copy_differential`; 2 and 4 exercise the
-/// lane merge, the round-robin tenant assignment and the mailbox.
+/// already covered by `zero_copy_differential`; 2 and 4 exercise lane
+/// labels, the round-robin tenant assignment and the cross-reactor
+/// submit count.
 const SHARD_COUNTS: [usize; 2] = [2, 4];
 
 /// Static hardware table: shard-free by nature, but kept in the sweep so

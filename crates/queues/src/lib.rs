@@ -14,9 +14,9 @@
 //!   the request or its payload, so space cost is independent of I/O size.
 //!   It also implements the initiator-side in-order completion marking of
 //!   Algorithm 2 (§IV-C out-of-order handling).
-//! * [`mod@mailbox`] — the cross-shard mailbox of the multi-reactor target
-//!   (DESIGN.md §13): the SPSC ring plus a batch doorbell, used for the
-//!   rare shared paths (admin, device submission) between reactors.
+//! * [`mod@mailbox`] — the SPSC ring plus a batch doorbell; its one user
+//!   is the kernel's `set_parallel` detour (DESIGN.md §17), which drains
+//!   per-lane inboxes into the kernel's single event heap.
 //!
 //! There is no shared multi-producer queue: the *shared-queue ablation*
 //! is [`CidQueue`] under `QueueMode::Shared`. Every queue here is a

@@ -1,8 +1,8 @@
 //! Cross-shard mailbox: an SPSC ring plus a batch doorbell.
 //!
-//! The sharded target (DESIGN.md §13) gives every reactor exclusive
-//! ownership of its tenants' queues; the few genuinely shared paths —
-//! admin work and device submission — cross shards through a mailbox.
+//! Its one user is the kernel's `set_parallel` detour (DESIGN.md §17):
+//! cross-lane schedules are posted to the target lane's mailbox and
+//! drained into the kernel's single event heap before the next pop.
 //! The mailbox is the existing [`crate::spsc`] ring with one addition: a
 //! *doorbell*, a cumulative count of posted items that the producer
 //! publishes once per batch (`post` × N, then one [`MailboxTx::ring`]).
@@ -26,12 +26,13 @@ use crate::sync::AtomicUsize;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Posting half of a mailbox. `!Clone`: one producer per (shard, owner)
-/// direction; a reactor holds one `MailboxTx` per peer it submits to.
+/// Posting half of a mailbox. `!Clone`: one producer per mailbox; the
+/// kernel's detour holds one per destination lane.
 pub struct MailboxTx<T> {
     tx: Producer<T>,
     bell: Arc<AtomicUsize>,
-    /// Cumulative items successfully posted (producer-local).
+    /// Cumulative items successfully posted (producer-local); `ring`
+    /// publishes it as the bell.
     posted: usize,
     /// Ordering for bell publication (model builds only; production is
     /// hard-wired to `Release`).
@@ -129,11 +130,6 @@ impl<T> MailboxTx<T> {
         Ok(())
     }
 
-    /// Cumulative items posted over the mailbox lifetime.
-    pub fn posted(&self) -> usize {
-        self.posted
-    }
-
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.tx.capacity()
@@ -219,7 +215,6 @@ mod tests {
         let mut got = Vec::new();
         assert_eq!(rx.drain(|v| got.push(v)), 12);
         assert_eq!(got, (0..12).collect::<Vec<_>>());
-        assert_eq!(tx.posted(), 12);
         assert_eq!(rx.taken(), 12);
     }
 
