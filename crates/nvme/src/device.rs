@@ -65,7 +65,8 @@ pub struct NvmeDevice {
     /// (deterministic per seed). Fault-injection knob for testing error
     /// propagation through coalesced batches.
     error_rate: f64,
-    /// Cached zero block handed out by timing-only reads.
+    /// Cached zero buffer handed out by timing-only reads, as long as
+    /// the last such read.
     zero_block: Bytes,
     /// Counters.
     pub stats: DeviceStats,
@@ -275,12 +276,16 @@ impl NvmeDevice {
                 } else {
                     self.stats.reads += 1;
                     self.stats.blocks_read += u64::from(sqe.blocks());
-                    let data = if sqe.blocks() == 1 {
-                        self.zero_block.clone()
-                    } else {
-                        Bytes::from(vec![0u8; sqe.data_len()])
-                    };
-                    (Cqe::success(sqe.cid, sq_head), Some(data))
+                    // One shared zero buffer, regrown when the read
+                    // length changes: `Bytes::slice` copies, so a
+                    // longer buffer cannot serve a shorter read.
+                    if self.zero_block.len() != sqe.data_len() {
+                        self.zero_block = Bytes::from(vec![0u8; sqe.data_len()]);
+                    }
+                    (
+                        Cqe::success(sqe.cid, sq_head),
+                        Some(self.zero_block.clone()),
+                    )
                 }
             }
             Opcode::Write => {
@@ -388,6 +393,29 @@ mod tests {
         let dev = dev.borrow();
         assert_eq!(dev.stats.reads, 1);
         assert_eq!(dev.stats.writes, 1);
+    }
+
+    /// Timing-only reads of any length hand out one shared zero buffer
+    /// instead of allocating a fresh one per command.
+    #[test]
+    fn timing_only_reads_share_one_zero_buffer() {
+        let dev = new_dev();
+        dev.borrow_mut().set_store_data(false);
+        let mut k = Kernel::new(1);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        for cid in 0..2u16 {
+            let g = got.clone();
+            NvmeDevice::submit(&dev, &mut k, Sqe::read(cid, 1, 0, 32), None, move |_, r| {
+                g.borrow_mut()
+                    .push(r.data.expect("timing-only read returns data"));
+            });
+        }
+        k.run_to_completion();
+        let got = got.borrow();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].len(), 32 * BLOCK_SIZE);
+        assert!(got[0].iter().all(|&b| b == 0));
+        assert_eq!(got[0].as_ptr(), got[1].as_ptr(), "second read reallocated");
     }
 
     #[test]
