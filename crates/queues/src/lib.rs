@@ -16,7 +16,7 @@
 //!   Algorithm 2 (§IV-C out-of-order handling).
 //! * [`mod@mailbox`] — the SPSC ring plus a batch doorbell; its one user
 //!   is the kernel's `set_parallel` detour (DESIGN.md §17), which drains
-//!   per-lane inboxes into the kernel's single event heap.
+//!   per-lane inboxes into the kernel's single event queue.
 //!
 //! There is no shared multi-producer queue: the *shared-queue ablation*
 //! is [`CidQueue`] under `QueueMode::Shared`. Every queue here is a

@@ -2,7 +2,7 @@
 //!
 //! Its one user is the kernel's `set_parallel` detour (DESIGN.md §17):
 //! cross-lane schedules are posted to the target lane's mailbox and
-//! drained into the kernel's single event heap before the next pop.
+//! drained into the kernel's single event queue before the next pop.
 //! The mailbox is the existing [`crate::spsc`] ring with one addition: a
 //! *doorbell*, a cumulative count of posted items that the producer
 //! publishes once per batch (`post` × N, then one [`MailboxTx::ring`]).

@@ -3,7 +3,7 @@
 //! The NVMe-oPF reproduction replaces the paper's hardware testbed
 //! (Chameleon Cloud / CloudLab, 10/25/100 Gbps Ethernet, NVMe SSDs) with a
 //! discrete-event simulation. This crate provides the kernel: a virtual
-//! clock, an event heap with a total deterministic order, a seedable PCG
+//! clock, an event queue with a total deterministic order, a seedable PCG
 //! random number generator, and a small set of modelling primitives
 //! (single-server [`Resource`]s, [`Shared`] component handles).
 //!

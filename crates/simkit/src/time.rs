@@ -2,7 +2,7 @@
 //!
 //! `u64` nanoseconds give ~584 years of simulated range, far beyond the
 //! 10-second experiment windows the paper uses, while keeping ordering
-//! comparisons branch-free integer compares in the event heap.
+//! comparisons branch-free integer compares in the event queue.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};

@@ -884,7 +884,7 @@ fn run_stack(sc: &Scenario) -> (RunResult, Vec<TargetNode>, Vec<Tenant>) {
     let adversary = profile.and_then(|p| p.adversary);
 
     // --- Stage 1: environment -------------------------------------------
-    // Shards are labels on one event heap (see `simkit::Kernel`):
+    // Shards are labels on one event queue (see `simkit::Kernel`):
     // `shards` never changes results.
     let shards = sc.shards.max(1);
     let mut k = Kernel::with_shards(sc.seed, shards);

@@ -159,8 +159,8 @@ pub struct Scenario {
     /// re-drive rides the recovery re-issue path.
     pub migrations: Vec<MigrationSpec>,
     /// Route cross-lane schedules through the kernel's mailbox-doorbell
-    /// mesh (DESIGN.md §17) instead of pushing straight into the heap.
-    /// Results are byte-identical either way — the heap key is the
+    /// mesh (DESIGN.md §17) instead of pushing straight into the queue.
+    /// Results are byte-identical either way — the order key is the
     /// `(time, seq)` stamp regardless of the route —
     /// but `true` exercises the cross-shard mailbox under a full
     /// workload and reports the smallest cross-lane scheduling slack
