@@ -26,6 +26,10 @@
 //! event heap per lane and the oPF target one submission mailbox per
 //! reactor: the lane and reactor counters of sharded and meshed runs,
 //! which live outside the metric snapshot.
+//! `snapshot_keepalive_{opf,spdk}` were rendered at d6b5036, when
+//! `nvmf::admin` still carried discovery, property reads and byte codecs
+//! beside the keep-alive path: the only goldens whose runs include the
+//! admin control plane's traffic (`admin.*`, and its events in `events`).
 //!
 //! The corrupting run has no golden: it pins that a bit-flipping fabric
 //! cannot reach a `debug_assert!` (this file is built with debug
@@ -275,6 +279,36 @@ fn baseline_lossy_snapshot_matches_golden() {
 fn opf_lossy_mixed_snapshot_matches_golden() {
     let rendered = render(&closed_lossy(RuntimeKind::Opf));
     assert_matches("snapshot_opf_lossy_mixed.txt", &rendered);
+}
+
+/// 1 LS + 2 TC read tenants at 100 G; initiator 0's link goes dark for
+/// 15 ms at 30 ms while the admin client heartbeats every 4 ms against
+/// a 10 ms KATO, so the controller expires and the client reconnects.
+fn keepalive(runtime: RuntimeKind) -> Scenario {
+    let mut sc = Scenario::ratio(runtime, fabric::Gbps::G100, Mix::READ, 1, 2);
+    sc.warmup_s = 0.02;
+    sc.measure_s = 0.08;
+    sc.faults = Some(FaultProfile {
+        flaps: vec![faults::LinkFlap {
+            link: 0,
+            at: SimTime::from_millis(30),
+            dur: SimDuration::from_millis(15),
+        }],
+        keepalive: Some(faults::KeepAliveSpec {
+            every: SimDuration::from_millis(4),
+            kato: SimDuration::from_millis(10),
+        }),
+        ..FaultProfile::default()
+    });
+    sc
+}
+
+#[test]
+fn keepalive_snapshots_match_golden() {
+    for (runtime, name) in [(RuntimeKind::Opf, "opf"), (RuntimeKind::Spdk, "spdk")] {
+        let rendered = render(&keepalive(runtime));
+        assert_matches(&format!("snapshot_keepalive_{name}.txt"), &rendered);
+    }
 }
 
 #[test]
