@@ -13,8 +13,9 @@
 //! * [`costs`] — the reactor/initiator CPU cost model (per-PDU parse,
 //!   build, and send costs; Table I testbed scaling; the backpressured
 //!   small-send penalty).
-//! * [`admin`] — the fabrics control plane: Connect/Identify/Keep-Alive
-//!   commands, subsystem registry, discovery log pages.
+//! * [`admin`] — the fabrics control plane a keep-alive loop drives:
+//!   Connect/Identify/Keep-Alive over the fabric, controller expiry
+//!   after the keep-alive timeout, and reconnect.
 //! * [`target`] — the one transport-level target (connection registry,
 //!   identity and CID checks, R2T grant, duplicate suppression, sends)
 //!   with a [`TargetPolicy`] hook. Under its own pass-through policy it
@@ -30,15 +31,13 @@
 //! Manager policies.
 
 pub mod admin;
-pub mod admin_wire;
 pub mod costs;
 pub mod initiator;
 pub mod pdu;
 pub mod qpair;
 pub mod target;
 
-pub use admin::{AdminCmd, AdminResp, AdminServer};
-pub use admin_wire::{AdminClient, AdminService, KeepAliveStats};
+pub use admin::{AdminClient, AdminService, KeepAliveStats};
 pub use costs::CpuCosts;
 pub use initiator::{InitiatorStats, IoOutcome, PriorityPolicy, SpdkInitiator, TargetRx};
 pub use pdu::{Pdu, PduKind, Priority};

@@ -69,9 +69,12 @@ impl std::fmt::Debug for QPair {
 }
 
 impl QPair {
+    /// Deepest queue pair: one CID per depth slot, CIDs are `u16`.
+    pub const MAX_DEPTH: usize = u16::MAX as usize;
+
     /// Create a queue pair with `depth` concurrently usable CIDs.
     pub fn new(depth: usize) -> Self {
-        assert!(depth >= 1 && depth <= u16::MAX as usize);
+        assert!((1..=Self::MAX_DEPTH).contains(&depth));
         // Hand out low CIDs first so traces are readable.
         let free_cids = (0..depth as u16).rev().collect();
         let mut outstanding = Vec::with_capacity(depth);

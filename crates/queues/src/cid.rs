@@ -39,12 +39,8 @@ impl CompleteResult {
     }
 }
 
-/// A bounded queue of pending command identifiers.
-///
-/// Internally a lock-free SPSC ring ([`crate::spsc`]): in a threaded
-/// deployment the transport's receive path is the producer and the
-/// priority manager the consumer. The simulation drives both sides from
-/// one thread, which is trivially within the SPSC contract.
+/// A bounded queue of pending command identifiers, kept in a
+/// [`crate::spsc`] ring.
 pub struct CidQueue {
     tx: Producer<u16>,
     rx: Consumer<u16>,
@@ -141,11 +137,6 @@ impl CidQueue {
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.rx.capacity()
-    }
-
-    /// Split into lock-free producer/consumer halves for cross-thread use.
-    pub fn split(self) -> (Producer<u16>, Consumer<u16>) {
-        (self.tx, self.rx)
     }
 }
 

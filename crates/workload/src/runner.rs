@@ -1084,40 +1084,26 @@ fn run_stack(sc: &Scenario) -> (RunResult, Vec<TargetNode>, Vec<Tenant>) {
     // Optional admin keep-alive/reconnect loop on the first initiator's
     // link (fault-plane link 0): heartbeats skip while it is flapped, the
     // server expires the controller after KATO, the next one reconnects.
-    let mut admin_client: Option<Shared<nvmf::AdminClient>> = None;
-    if let (Some(ka), Some(p), Some(t0)) = (
+    let admin_client = match (
         profile.and_then(|p| p.keepalive),
         &env.plane,
         tenants.first(),
     ) {
-        const SUBNQN: &str = "nqn.2024-08.sim.opf:chaos";
-        let tep0 = nodes[t0.home].ep.clone();
-        let mut server = nvmf::AdminServer::new(ka.kato, "SIMCHAOS");
-        server.add_subsystem(SUBNQN, 1, "10.0.0.1", 4420);
-        let service = shared(nvmf::AdminService::new(
-            server,
-            env.net.clone(),
-            tep0.clone(),
-        ));
-        let client = shared(nvmf::AdminClient::new(
-            "nqn.2024-08.sim.opf:host0",
-            env.net.clone(),
-            t0.ep.clone(),
-            service,
-            tep0,
-            env.costs.clone(),
-        ));
-        nvmf::AdminClient::bring_up(&client, &mut k, SUBNQN.into(), Box::new(|_, _| {}));
-        let probe = faults::link_up_probe(p, 0);
-        nvmf::AdminClient::start_keepalive_with_reconnect(
-            &client,
-            &mut k,
-            ka.every,
-            SUBNQN.into(),
-            Some(probe),
-        );
-        admin_client = Some(client);
-    }
+        (Some(ka), Some(p), Some(t0)) => {
+            let tep0 = nodes[t0.home].ep.clone();
+            let service = shared(nvmf::AdminService::new(ka.kato, env.net.clone(), tep0));
+            let client = shared(nvmf::AdminClient::new(
+                t0.ep.clone(),
+                service,
+                env.costs.ini_submit,
+            ));
+            nvmf::AdminClient::bring_up(&client, &mut k);
+            let probe = faults::link_up_probe(p, 0);
+            nvmf::AdminClient::start_keepalive_with_reconnect(&client, &mut k, ka.every, probe);
+            Some(client)
+        }
+        _ => None,
+    };
 
     // --- Stage 4: cluster extras ----------------------------------------
     let cluster_plane =

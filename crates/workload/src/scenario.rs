@@ -219,14 +219,17 @@ pub enum ScenarioError {
         /// indices).
         initiators: usize,
     },
-    /// An NVMe-oPF queue depth outside `[1, opf::MAX_QUEUE_DEPTH]`: the
-    /// target's queue keys cannot hold the CIDs a deeper queue pair
-    /// allocates (it would drop them as out of range).
+    /// A queue depth outside `[1, max]`: on NVMe-oPF `max` is
+    /// `opf::MAX_QUEUE_DEPTH`, since the target's queue keys cannot hold
+    /// the CIDs a deeper queue pair allocates (it would drop them as out
+    /// of range); on the baseline it is [`nvmf::QPair::MAX_DEPTH`].
     QueueDepthOutOfRange {
         /// Which knob: `"tc_qd"` or `"ls_qd"`.
         what: &'static str,
         /// Depth asked for.
         qd: usize,
+        /// Deepest queue pair the runtime can build.
+        max: usize,
     },
     /// More kernel shards than [`simkit::Kernel::MAX_SHARDS`]: every
     /// shard preallocates a lane, so an absurd count would abort the
@@ -296,11 +299,9 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "fault {what} {index} out of range ({initiators} initiators)"
             ),
-            ScenarioError::QueueDepthOutOfRange { what, qd } => write!(
-                f,
-                "{what} = {qd} outside the NVMe-oPF queue-depth range [1, {}]",
-                opf::MAX_QUEUE_DEPTH
-            ),
+            ScenarioError::QueueDepthOutOfRange { what, qd, max } => {
+                write!(f, "{what} = {qd} outside the queue-depth range [1, {max}]")
+            }
             ScenarioError::ShardsOutOfRange { shards, max } => {
                 write!(f, "shards = {shards} out of range (at most {max})")
             }
@@ -438,11 +439,13 @@ impl Scenario {
                 max: max_s,
             });
         }
-        if self.runtime == RuntimeKind::Opf {
-            for (what, qd) in [("tc_qd", self.tc_qd), ("ls_qd", self.ls_qd)] {
-                if !(1..=opf::MAX_QUEUE_DEPTH).contains(&qd) {
-                    return Err(ScenarioError::QueueDepthOutOfRange { what, qd });
-                }
+        let max = match self.runtime {
+            RuntimeKind::Opf => opf::MAX_QUEUE_DEPTH,
+            RuntimeKind::Spdk => nvmf::QPair::MAX_DEPTH,
+        };
+        for (what, qd) in [("tc_qd", self.tc_qd), ("ls_qd", self.ls_qd)] {
+            if !(1..=max).contains(&qd) {
+                return Err(ScenarioError::QueueDepthOutOfRange { what, qd, max });
             }
         }
         if let Some(f) = &self.faults {
@@ -581,7 +584,7 @@ mod tests {
             }),
             ..opf()
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 30] = [
+        let cases: [(Scenario, Result<(), ScenarioError>); 32] = [
             (opf(), Ok(())),
             (cluster(), Ok(())),
             (moving(4, 1), Ok(())),
@@ -604,6 +607,7 @@ mod tests {
                 Err(QueueDepthOutOfRange {
                     what: "tc_qd",
                     qd: 1025,
+                    max: 1024,
                 }),
             ),
             (
@@ -611,6 +615,7 @@ mod tests {
                 Err(QueueDepthOutOfRange {
                     what: "ls_qd",
                     qd: 0,
+                    max: 1024,
                 }),
             ),
             (
@@ -620,6 +625,30 @@ mod tests {
                     ..opf()
                 },
                 Ok(()),
+            ),
+            (
+                Scenario {
+                    tc_qd: 0,
+                    runtime: RuntimeKind::Spdk,
+                    ..opf()
+                },
+                Err(QueueDepthOutOfRange {
+                    what: "tc_qd",
+                    qd: 0,
+                    max: 65535,
+                }),
+            ),
+            (
+                Scenario {
+                    ls_qd: 65536,
+                    runtime: RuntimeKind::Spdk,
+                    ..opf()
+                },
+                Err(QueueDepthOutOfRange {
+                    what: "ls_qd",
+                    qd: 65536,
+                    max: 65535,
+                }),
             ),
             (
                 Scenario {

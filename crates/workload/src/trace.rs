@@ -484,6 +484,22 @@ mod tests {
         };
         let log = TraceLog::from_text("0,255,TC,R,0,1").unwrap();
         assert_eq!(replay(&log, &spdk).map(|r| r.completed), too_many(256, 254));
+        // A zero queue depth is a typed error on both runtimes, not a
+        // `QPair::new` assert.
+        let log = TraceLog::from_text("0,0,TC,R,0,1").unwrap();
+        for (runtime, max) in [(RuntimeKind::Spdk, 65535), (RuntimeKind::Opf, 1024)] {
+            let cfg = ReplayConfig {
+                runtime,
+                qd: 0,
+                ..ReplayConfig::default()
+            };
+            let want = ScenarioError::QueueDepthOutOfRange {
+                what: "tc_qd",
+                qd: 0,
+                max,
+            };
+            assert_eq!(replay(&log, &cfg).map(|r| r.completed), Err(Scenario(want)));
+        }
     }
 
     /// `replay` used to leak its pair through the target ↔ initiator
