@@ -10,10 +10,8 @@
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
-//! | `atomic-ordering` | `crates/queues/src` | every `Ordering::<X>` literal carries a justification at the call site: `// relaxed-ok: <why>` for `Relaxed`, `// ordering-ok: <why>` for any ordering — the queues' publish/consume edges are exactly what the model checker proves, so an unexplained ordering choice is a red flag |
-//! | `atomic-facade` | `crates/queues/src` (except `sync.rs`) | every `Atomic*` type must be a `queues::sync` facade export (so the mini-loom model shadows it), and `std::sync::atomic::Atomic*` may not be named directly — only through the facade |
 //! | `no-panic` | `crates/core/src`, `crates/nvmf/src`, `crates/workload/src` | no `panic!` / `unreachable!` / `todo!` / `unimplemented!` / `.unwrap()` / `.expect(` in non-test code: malformed wire input must become a counted protocol error, and a malformed scenario, spec or trace a typed error, not a crash (internal invariants may waive) |
-//! | `no-threading` | all crates except `analysis` and the `shims` | no `static mut`, `thread_local!`, or `thread::spawn` outside the sanctioned homes: a simulation is single-threaded, and ad-hoc threads/globals are exactly the bugs the model checker cannot see. Scoped `std::thread::scope` fan-out over seeds and grid points stays legal in experiment drivers, but not in `simkit`: the kernel spawns no thread of any kind |
+//! | `no-threading` | all crates except the `shims` | no `static mut`, `thread_local!`, or `thread::spawn`: a simulation is single-threaded, and ad-hoc threads and mutable globals break reproducibility. Scoped `std::thread::scope` fan-out over seeds and grid points stays legal in experiment drivers, but not in `simkit`: the kernel spawns no thread of any kind |
 //! | `wall-clock` | all crates except `simkit` and the `shims` | no `Instant` / `SystemTime`: simulations must be deterministic; real time enters only through `simkit` (e.g. its `Stopwatch`) |
 //! | `hashmap-iter` | all crates | no iteration over `HashMap`s declared in the same file: iteration order is randomized per process and leaks nondeterminism into metrics, snapshots, and reports — use `BTreeMap`, sort first, or waive with a reason |
 //! | `safety-comment` | all code incl. tests | every `unsafe` token is paired, by token span, with a `// SAFETY:` (or `# Safety` doc) comment: same line, or walking the token stream backwards through comments/attributes/signature tokens until the previous statement boundary (`;`, `{`, `}`) |
@@ -25,9 +23,8 @@
 //! (after the `//`/`/*`/leading-`*` furniture), on the offending line
 //! or in the contiguous run of comment-only lines directly above it. A
 //! waiver mentioned mid-sentence, or inside a string literal, does not
-//! count. `atomic-ordering` also accepts its dedicated `relaxed-ok:` /
-//! `ordering-ok:` markers, and `hashmap-iter` accepts
-//! `hashmap-iter-ok:`.
+//! count. `hashmap-iter` also accepts its dedicated `hashmap-iter-ok:`
+//! marker.
 
 use crate::lex::{lex, test_spans, Tok, TokKind};
 use std::collections::BTreeSet;
@@ -242,109 +239,6 @@ impl<'s> Ctx<'s> {
     }
 }
 
-const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// `atomic-ordering`: every `Ordering::<X>` in queue code justified at
-/// the call site.
-fn rule_atomic_ordering(ctx: &Ctx, out: &mut Vec<Finding>) {
-    if !ctx.rel_str.contains("crates/queues/src") {
-        return;
-    }
-    for ci in 0..ctx.code.len() {
-        if ctx.t(ci) != "Ordering" || !ctx.seq(ci + 1, &[":", ":"]) {
-            continue;
-        }
-        let ord = ctx.t(ci + 3).to_string();
-        if !ORDERINGS.contains(&ord.as_str()) || ctx.is_test(ci) {
-            continue;
-        }
-        let line = ctx.line_of(ci);
-        let markers: &[&str] = if ord == "Relaxed" {
-            &["relaxed-ok:", "ordering-ok:"]
-        } else {
-            &["ordering-ok:"]
-        };
-        let waived = ctx.waived(line, "atomic-ordering", markers);
-        ctx.push(
-            out,
-            "atomic-ordering",
-            line,
-            format!(
-                "Ordering::{ord} on a queue path without a justification — add \
-                 `// ordering-ok: <why>` (or `// relaxed-ok: <why>` for Relaxed) \
-                 at the call site"
-            ),
-            waived,
-        );
-    }
-}
-
-/// `atomic-facade`: queue code may only name `Atomic*` types exported by
-/// the `queues::sync` facade, and never via `std::sync::atomic` paths.
-fn rule_atomic_facade(ctx: &Ctx, out: &mut Vec<Finding>, facade: Option<&BTreeSet<String>>) {
-    if !ctx.rel_str.contains("crates/queues/src") || ctx.rel_str.ends_with("sync.rs") {
-        return;
-    }
-    let is_atomic = |t: &str| t.starts_with("Atomic") && t.len() > "Atomic".len();
-    for ci in 0..ctx.code.len() {
-        // Direct std path: `std :: sync :: atomic :: …` reaching an
-        // Atomic type (either immediately or inside a `{…}` use-group).
-        if ctx.seq(ci, &["std", ":", ":", "sync", ":", ":", "atomic", ":", ":"]) && !ctx.is_test(ci)
-        {
-            let mut hits: Vec<usize> = Vec::new();
-            if is_atomic(ctx.t(ci + 9)) {
-                hits.push(ci + 9);
-            } else if ctx.t(ci + 9) == "{" {
-                let mut j = ci + 10;
-                while j < ctx.code.len() && ctx.t(j) != "}" {
-                    if is_atomic(ctx.t(j)) {
-                        hits.push(j);
-                    }
-                    j += 1;
-                }
-            }
-            for h in hits {
-                let line = ctx.line_of(h);
-                let waived = ctx.waived(line, "atomic-facade", &[]);
-                let name = ctx.t(h).to_string();
-                ctx.push(
-                    out,
-                    "atomic-facade",
-                    line,
-                    format!(
-                        "std::sync::atomic::{name} named directly — queue code must go \
-                         through the crate::sync facade so the model checker shadows it"
-                    ),
-                    waived,
-                );
-            }
-        }
-        // Facade-membership: any Atomic* identifier must be an export of
-        // queues::sync (checked only when the facade set is available).
-        if let Some(facade) = facade {
-            if ctx.kind(ci) == Some(TokKind::Ident)
-                && is_atomic(ctx.t(ci))
-                && !facade.contains(ctx.t(ci))
-                && !ctx.is_test(ci)
-            {
-                let line = ctx.line_of(ci);
-                let waived = ctx.waived(line, "atomic-facade", &[]);
-                let name = ctx.t(ci).to_string();
-                ctx.push(
-                    out,
-                    "atomic-facade",
-                    line,
-                    format!(
-                        "{name} has no loom-facade twin in queues::sync — add it to both \
-                         facade branches so the mini-loom model can shadow it"
-                    ),
-                    waived,
-                );
-            }
-        }
-    }
-}
-
 /// `no-panic`: protocol code and the scenario driver must return typed
 /// errors, not crash.
 fn rule_no_panic(ctx: &Ctx, out: &mut Vec<Finding>) {
@@ -390,7 +284,7 @@ fn rule_no_panic(ctx: &Ctx, out: &mut Vec<Finding>) {
 /// sanctioned homes — a simulation runs on one thread, and the only
 /// parallelism is scoped fan-out over independent runs in the drivers.
 fn rule_no_threading(ctx: &Ctx, out: &mut Vec<Finding>) {
-    if ctx.rel_str.contains("crates/analysis/") || ctx.rel_str.contains("crates/shims/") {
+    if ctx.rel_str.contains("crates/shims/") {
         return;
     }
     let kernel = ctx.rel_str.contains("crates/simkit/");
@@ -417,9 +311,8 @@ fn rule_no_threading(ctx: &Ctx, out: &mut Vec<Finding>) {
             "no-threading",
             line,
             format!(
-                "{what} outside analysis: a simulation is single-threaded — free \
-                 threads and mutable globals break reproducibility and evade the \
-                 model checker"
+                "{what}: a simulation is single-threaded — free threads and \
+                 mutable globals break reproducibility"
             ),
             waived,
         );
@@ -670,27 +563,10 @@ fn rule_safety_comment(ctx: &Ctx, out: &mut Vec<Finding>) {
     }
 }
 
-/// Parse the `Atomic*` exports of a `queues::sync` facade source: every
-/// `Atomic`-prefixed identifier that appears in it (both cfg branches
-/// re-export the same names, so a plain scan is exact).
-pub fn facade_atomics(src: &str) -> BTreeSet<String> {
-    let toks = lex(src);
-    toks.iter()
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text(src))
-        .filter(|t| t.starts_with("Atomic") && t.len() > "Atomic".len())
-        .map(str::to_string)
-        .collect()
-}
-
-/// Audit one file: every finding, including waived ones. `facade` is the
-/// `queues::sync` Atomic export set for the `atomic-facade` rule (None
-/// skips the membership check; the direct-std-path check always runs).
-pub fn audit_source_with(rel: &Path, src: &str, facade: Option<&BTreeSet<String>>) -> Vec<Finding> {
+/// Audit one file: every finding, including waived ones.
+pub fn audit_source(rel: &Path, src: &str) -> Vec<Finding> {
     let ctx = Ctx::new(rel, src);
     let mut out = Vec::new();
-    rule_atomic_ordering(&ctx, &mut out);
-    rule_atomic_facade(&ctx, &mut out, facade);
     rule_no_panic(&ctx, &mut out);
     rule_no_threading(&ctx, &mut out);
     rule_wall_clock(&ctx, &mut out);
@@ -703,16 +579,11 @@ pub fn audit_source_with(rel: &Path, src: &str, facade: Option<&BTreeSet<String>
 }
 
 /// Lint one file: unwaived violations only.
-pub fn lint_source_with(rel: &Path, src: &str, facade: Option<&BTreeSet<String>>) -> Vec<Finding> {
-    audit_source_with(rel, src, facade)
+pub fn lint_source(rel: &Path, src: &str) -> Vec<Finding> {
+    audit_source(rel, src)
         .into_iter()
         .filter(|f| !f.waived)
         .collect()
-}
-
-/// Lint one file with no facade context (unit-test convenience).
-pub fn lint_source(rel: &Path, src: &str) -> Vec<Finding> {
-    lint_source_with(rel, src, None)
 }
 
 /// Recursively collect `.rs` files under `dir`, skipping build output and
@@ -737,12 +608,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Audit every `.rs` file under `root`: all findings, waived included,
-/// sorted by path and line. The `queues::sync` facade export set is
-/// parsed from the checkout itself.
+/// sorted by path and line.
 pub fn audit_workspace(root: &Path) -> Vec<Finding> {
-    let facade = std::fs::read_to_string(root.join("crates/queues/src/sync.rs"))
-        .map(|src| facade_atomics(&src))
-        .ok();
     let mut files = Vec::new();
     collect_rs(root, &mut files);
     let mut findings = Vec::new();
@@ -751,7 +618,7 @@ pub fn audit_workspace(root: &Path) -> Vec<Finding> {
             continue;
         };
         let rel = path.strip_prefix(root).unwrap_or(&path);
-        findings.extend(audit_source_with(rel, &src, facade.as_ref()));
+        findings.extend(audit_source(rel, &src));
     }
     findings
 }
@@ -771,63 +638,6 @@ mod tests {
 
     fn lint(rel: &str, src: &str) -> Vec<Finding> {
         lint_source(Path::new(rel), src)
-    }
-
-    #[test]
-    fn ordering_needs_justification() {
-        let src = "use std::sync::atomic::Ordering;\nfn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n";
-        let f = lint("crates/queues/src/x.rs", src);
-        assert!(f.iter().any(|x| x.rule == "atomic-ordering" && x.line == 2));
-
-        let ok = "fn f(a: &AtomicUsize) {\n    // relaxed-ok: producer-owned index\n    a.load(Ordering::Relaxed);\n}\n";
-        assert!(lint("crates/queues/src/x.rs", ok).is_empty());
-        // Acquire/Release need a justification too — relaxed-ok does not
-        // cover them, ordering-ok does.
-        let acq = "fn f(a: &AtomicUsize) {\n    // relaxed-ok: wrong marker\n    a.load(Ordering::Acquire);\n}\n";
-        assert_eq!(lint("crates/queues/src/x.rs", acq).len(), 1);
-        let acq_ok = "fn f(a: &AtomicUsize) {\n    // ordering-ok: pairs with the Release in push\n    a.load(Ordering::Acquire);\n}\n";
-        assert!(lint("crates/queues/src/x.rs", acq_ok).is_empty());
-        // Out of scope: other crates may pick orderings freely.
-        assert!(lint("crates/core/src/x.rs", src)
-            .iter()
-            .all(|x| x.rule != "atomic-ordering"));
-    }
-
-    #[test]
-    fn atomic_facade_membership_and_std_path() {
-        let facade: BTreeSet<String> = ["AtomicUsize".to_string(), "AtomicPtr".to_string()].into();
-        // An Atomic type with no facade twin.
-        let src = "use crate::sync::AtomicUsize;\nfn f(x: &AtomicU64) { let _ = x; }\n";
-        let f = lint_source_with(Path::new("crates/queues/src/x.rs"), src, Some(&facade));
-        assert!(
-            f.iter()
-                .any(|x| x.rule == "atomic-facade" && x.detail.contains("AtomicU64")),
-            "{f:?}"
-        );
-        // Facade members are fine.
-        let ok = "use crate::sync::{AtomicUsize, AtomicPtr};\nfn f(a: &AtomicUsize, p: &AtomicPtr<u8>) { let _ = (a, p); }\n";
-        assert!(
-            lint_source_with(Path::new("crates/queues/src/x.rs"), ok, Some(&facade)).is_empty()
-        );
-        // Direct std path is flagged even for facade members…
-        let std_path = "use std::sync::atomic::AtomicUsize;\n";
-        let f = lint_source_with(Path::new("crates/queues/src/x.rs"), std_path, Some(&facade));
-        assert!(f.iter().any(|x| x.rule == "atomic-facade"), "{f:?}");
-        // …including inside a use-group, while `Ordering` alone is fine.
-        let group = "use std::sync::atomic::{AtomicUsize, Ordering};\n";
-        let f = lint_source_with(Path::new("crates/queues/src/x.rs"), group, Some(&facade));
-        assert_eq!(f.iter().filter(|x| x.rule == "atomic-facade").count(), 1);
-        assert!(lint_source_with(
-            Path::new("crates/queues/src/x.rs"),
-            "use std::sync::atomic::Ordering;\n",
-            Some(&facade)
-        )
-        .is_empty());
-        // sync.rs itself and non-queues crates are out of scope.
-        assert!(
-            lint_source_with(Path::new("crates/queues/src/sync.rs"), src, Some(&facade)).is_empty()
-        );
-        assert!(lint_source_with(Path::new("crates/core/src/x.rs"), src, Some(&facade)).is_empty());
     }
 
     #[test]
@@ -883,7 +693,7 @@ mod tests {
     #[test]
     fn audit_reports_waived_findings() {
         let src = "// lint: allow(no-panic) internal invariant\nfn f(o: Option<u8>) -> u8 { o.unwrap() }\n";
-        let all = audit_source_with(Path::new("crates/core/src/x.rs"), src, None);
+        let all = audit_source(Path::new("crates/core/src/x.rs"), src);
         assert_eq!(all.len(), 1);
         assert!(all[0].waived);
         assert!(lint("crates/core/src/x.rs", src).is_empty());
@@ -923,16 +733,18 @@ mod tests {
         assert!(lint("crates/experiments/src/x.rs", scoped)
             .iter()
             .all(|x| x.rule != "no-threading"));
-        // Sanctioned home: the model checker drives real threads.
+        // No crate is a sanctioned home, the tooling included.
         let spawn = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert!(lint("crates/analysis/src/x.rs", spawn).is_empty());
-        // The kernel has no sanction: free and scoped spawns are both
-        // findings in simkit.
+        assert!(lint("crates/analysis/src/x.rs", spawn)
+            .iter()
+            .any(|x| x.rule == "no-threading"));
+        // The kernel spawns no thread of any kind: free and scoped
+        // spawns are both findings in simkit.
         for src in [spawn, scoped] {
             let f = lint("crates/simkit/src/x.rs", src);
             assert!(f.iter().any(|x| x.rule == "no-threading"), "{src}: {f:?}");
         }
-        // Test code is exempt (stress tests drive real threads).
+        // Test code is exempt.
         assert!(lint("crates/queues/tests/x.rs", spawn).is_empty());
     }
 
@@ -1076,14 +888,5 @@ mod tests {
         assert!(lint("crates/queues/src/x.rs", doc)
             .iter()
             .all(|x| x.rule != "safety-comment"));
-    }
-
-    #[test]
-    fn facade_atomics_parses_exports() {
-        let src =
-            "pub use std::sync::atomic::{AtomicPtr, AtomicUsize};\npub struct UnsafeCell<T>(T);\n";
-        let set = facade_atomics(src);
-        assert!(set.contains("AtomicUsize") && set.contains("AtomicPtr"));
-        assert_eq!(set.len(), 2);
     }
 }

@@ -88,9 +88,9 @@ fn every_ported_rule_still_fires() {
     // nothing.
     let cases: &[(&str, &str, &str)] = &[
         (
-            "atomic-ordering",
+            "no-threading",
             "crates/queues/src/x.rs",
-            "fn f(a: &AtomicUsize) { a.load(Ordering::SeqCst); }\n",
+            "fn f(a: &AtomicUsize) { a.load(Ordering::SeqCst); std::thread::spawn(|| {}); }\n",
         ),
         (
             "no-panic",

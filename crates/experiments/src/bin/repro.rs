@@ -19,7 +19,7 @@ fn usage() -> ! {
          --shards N runs every scenario on N kernel shards (results are bit-identical for any N)\n\
          --targets N (N > 1) gives `scale` a targets axis (scale_cluster.csv) and reruns\n\
          `adversary` hardened across a live migration (adversary_targetsN.csv)\n\
-         --parallel routes cross-shard schedules through the mailbox doorbell mesh\n\
+         --parallel routes cross-shard schedules through the mailbox mesh\n\
          (DESIGN.md §17); artifacts stay byte-identical to their serial goldens"
     );
     std::process::exit(2);

@@ -112,7 +112,7 @@ pub struct Durations {
     /// (`repro --shards N`). Results are bit-identical for any value
     /// (DESIGN.md §13); the knob exercises the sharded machinery.
     pub shards: usize,
-    /// Route cross-shard schedules through the mailbox doorbell mesh
+    /// Route cross-shard schedules through the mailbox mesh
     /// (`repro --parallel`, DESIGN.md §17). Results are bit-identical
     /// with the flag on or off; the knob exercises the mailbox detour
     /// end to end.

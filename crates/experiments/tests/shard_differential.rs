@@ -132,7 +132,7 @@ fn scale_quick_matches_golden() {
 }
 
 /// The same quick scale grid with cross-shard schedules detoured
-/// through the mailbox doorbell mesh (`parallel: true`, DESIGN.md §17).
+/// through the mailbox mesh (`parallel: true`, DESIGN.md §17).
 /// The detour is pure bookkeeping on the global `(at, seq)` merge key,
 /// so the golden must reproduce byte for byte — and the side-band
 /// routing counter proves the mesh really carried the traffic rather
@@ -143,7 +143,7 @@ fn scale_quick_matches_golden_with_meshed_routing() {
     let results = run_all(&scale::scenarios(d, true), Some(1));
     assert!(
         results.iter().any(|r| r.parallel_routed > 0),
-        "no scale run ever routed through the doorbell mesh"
+        "no scale run ever routed through the mailbox mesh"
     );
     assert_csv_matches(
         "scale",

@@ -11,7 +11,7 @@
 //! request complete in order — Algorithm 2's loop
 //! `for i = head; queue[i] && !cid; i++ { mark complete }`.
 
-use crate::spsc::{spsc_channel, Consumer, Producer};
+use std::collections::VecDeque;
 
 /// Outcome of [`CidQueue::complete_through`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,11 +39,10 @@ impl CompleteResult {
     }
 }
 
-/// A bounded queue of pending command identifiers, kept in a
-/// [`crate::spsc`] ring.
+/// A bounded queue of pending command identifiers, in issue order.
 pub struct CidQueue {
-    tx: Producer<u16>,
-    rx: Consumer<u16>,
+    cids: VecDeque<u16>,
+    cap: usize,
 }
 
 impl std::fmt::Debug for CidQueue {
@@ -56,18 +55,26 @@ impl std::fmt::Debug for CidQueue {
 }
 
 impl CidQueue {
-    /// Create a queue holding at least `cap` CIDs. Sized in practice as
-    /// queue depth + window size so a full window of in-flight TC
-    /// requests can never overflow it (§IV-A's lock-up scenario).
+    /// Create a queue holding at least `cap` CIDs (rounded up to a power
+    /// of two). Sized in practice as queue depth + window size so a full
+    /// window of in-flight TC requests can never overflow it (§IV-A's
+    /// lock-up scenario).
     pub fn new(cap: usize) -> Self {
-        let (tx, rx) = spsc_channel(cap);
-        CidQueue { tx, rx }
+        let cap = cap.max(2).next_power_of_two();
+        CidQueue {
+            cids: VecDeque::with_capacity(cap),
+            cap,
+        }
     }
 
     /// Algorithm 1: `queue[tail] <- req.cid; tail <- tail + 1`.
     /// Errors with the CID when full.
     pub fn push(&mut self, cid: u16) -> Result<(), u16> {
-        self.tx.push(cid)
+        if self.cids.len() == self.cap {
+            return Err(cid);
+        }
+        self.cids.push_back(cid);
+        Ok(())
     }
 
     /// Algorithm 2: dequeue and mark complete every CID up to and
@@ -89,7 +96,7 @@ impl CidQueue {
     /// path never allocates (§IV-B "Zero-Copy Queues").
     pub fn complete_through_into(&mut self, cid: u16, out: &mut Vec<u16>) -> bool {
         out.clear();
-        while let Some(c) = self.rx.pop() {
+        while let Some(c) = self.cids.pop_front() {
             out.push(c);
             if c == cid {
                 return true;
@@ -109,34 +116,32 @@ impl CidQueue {
     /// with every pending CID in issue order, reusing its capacity.
     pub fn drain_all_into(&mut self, out: &mut Vec<u16>) {
         out.clear();
-        while let Some(c) = self.rx.pop() {
-            out.push(c);
-        }
+        out.extend(self.cids.drain(..));
     }
 
     /// Dequeue the oldest pending CID.
     pub fn pop(&mut self) -> Option<u16> {
-        self.rx.pop()
+        self.cids.pop_front()
     }
 
     /// The oldest pending CID, if any.
     pub fn front(&mut self) -> Option<u16> {
-        self.rx.peek().copied()
+        self.cids.front().copied()
     }
 
     /// Number of pending CIDs.
     pub fn len(&self) -> usize {
-        self.rx.len()
+        self.cids.len()
     }
 
     /// True when no CIDs are pending.
     pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
+        self.cids.is_empty()
     }
 
-    /// Ring capacity.
+    /// Queue capacity.
     pub fn capacity(&self) -> usize {
-        self.rx.capacity()
+        self.cap
     }
 }
 

@@ -1,267 +1,73 @@
-//! Bounded lock-free single-producer/single-consumer ring buffer.
+//! Bounded single-producer/single-consumer FIFO with split handles.
 //!
-//! The classic two-index ring: the producer owns `tail`, the consumer owns
-//! `head`; each side publishes its index with `Release` and observes the
-//! other side's with `Acquire`, which is exactly the happens-before edge
-//! needed for the slot contents to be visible (Rust Atomics and Locks,
-//! ch. 5). Capacity is rounded up to a power of two so masking replaces
-//! modulo.
+//! The simulator runs on one thread, so the two handles share a plain
+//! `VecDeque` through an `Rc<RefCell<…>>`. Neither handle is `Send`: a
+//! cross-thread handoff is a compile error rather than a data race.
 //!
-//! Indices increase monotonically and are mapped into the buffer with a
-//! mask; `tail - head` is the occupancy. With `usize` indices a wraparound
-//! would need ~10^19 operations, far beyond any simulation.
+//! ```compile_fail
+//! fn assert_send<T: Send>() {}
+//! assert_send::<queues::Producer<u32>>();
+//! ```
 //!
-//! Built against [`crate::sync`], so the identical source is exhaustively
-//! model-checked by `analysis` (`cargo test -p analysis`); the
-//! `spsc_channel_weak` constructor exists only under the `model` feature
-//! and deliberately weakens the publish ordering so the checker's
-//! negative tests prove a missing `Release` is caught.
+//! ```compile_fail
+//! fn assert_send<T: Send>() {}
+//! assert_send::<queues::Consumer<u32>>();
+//! ```
 
-use crate::sync::{AtomicUsize, UnsafeCell};
-use crate::CachePadded;
-use std::mem::MaybeUninit;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-struct Ring<T> {
-    buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: usize,
-    /// Consumer position (next slot to read). Owned by the consumer.
-    head: CachePadded<AtomicUsize>,
-    /// Producer position (next slot to write). Owned by the producer.
-    tail: CachePadded<AtomicUsize>,
-    /// Ordering for index publication (model builds only; production is
-    /// hard-wired to `Release`). Lets negative model tests inject a
-    /// deliberately-broken `Relaxed` publish.
-    #[cfg(feature = "model")]
-    publish_ord: Ordering,
-}
-
-// SAFETY: the ring transfers `T` values across threads; slots are only
-// accessed by the side that owns the index range, ordered by the
-// Acquire/Release pairs on head/tail.
-unsafe impl<T: Send> Send for Ring<T> {}
-// SAFETY: as above — producer and consumer touch disjoint slot ranges,
-// synchronized through the index atomics.
-unsafe impl<T: Send> Sync for Ring<T> {}
-
-impl<T> Ring<T> {
-    fn with_capacity(cap: usize) -> Self {
-        let cap = cap.max(2).next_power_of_two();
-        let buf = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Ring {
-            buf,
-            mask: cap - 1,
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-            #[cfg(feature = "model")]
-            // ordering-ok: default publish edge; model negative tests weaken it.
-            publish_ord: Ordering::Release,
-        }
-    }
-
-    /// Ordering used when a side publishes its index to the other side.
-    #[inline]
-    fn publish_ord(&self) -> Ordering {
-        #[cfg(feature = "model")]
-        {
-            self.publish_ord
-        }
-        #[cfg(not(feature = "model"))]
-        {
-            // ordering-ok: index publication carries the slot write/read to
-            // the other side; pairs with that side's Acquire load.
-            Ordering::Release
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-}
-
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        // Drop any values still in the ring. We have exclusive access
-        // here: `&mut self` means no concurrent side to synchronize with.
-        // relaxed-ok: exclusive access per the above.
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed); // relaxed-ok: as above
-        for i in head..tail {
-            self.buf[i & self.mask].with_mut(|slot| {
-                // SAFETY: slots in [head, tail) were written and never read.
-                unsafe { (*slot).assume_init_drop() }
-            });
-        }
-    }
-}
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Producing half of an SPSC channel. `!Clone`: single producer.
 pub struct Producer<T> {
-    ring: Arc<Ring<T>>,
-    /// Cached view of the consumer's head; refreshed only when the ring
-    /// looks full, keeping the hot path to one shared load.
-    cached_head: usize,
+    ring: Rc<RefCell<VecDeque<T>>>,
+    cap: usize,
 }
 
 /// Consuming half of an SPSC channel. `!Clone`: single consumer.
 pub struct Consumer<T> {
-    ring: Arc<Ring<T>>,
-    /// Cached view of the producer's tail.
-    cached_tail: usize,
+    ring: Rc<RefCell<VecDeque<T>>>,
 }
 
-/// Create a bounded SPSC channel with room for at least `cap` items
-/// (rounded up to a power of two).
+/// Create a bounded SPSC channel with room for `cap` items.
 pub fn spsc_channel<T>(cap: usize) -> (Producer<T>, Consumer<T>) {
-    let ring = Arc::new(Ring::with_capacity(cap));
+    let ring = Rc::new(RefCell::new(VecDeque::with_capacity(cap)));
     (
         Producer {
             ring: ring.clone(),
-            cached_head: 0,
+            cap,
         },
-        Consumer {
-            ring,
-            cached_tail: 0,
-        },
-    )
-}
-
-/// Like [`spsc_channel`], but index publication uses `publish_ord`
-/// instead of `Release`. Exists only for the model checker's negative
-/// tests: passing `Ordering::Relaxed` must make `analysis` report a data
-/// race on the slot transfer.
-#[cfg(feature = "model")]
-pub fn spsc_channel_weak<T>(cap: usize, publish_ord: Ordering) -> (Producer<T>, Consumer<T>) {
-    let mut ring = Ring::with_capacity(cap);
-    ring.publish_ord = publish_ord;
-    let ring = Arc::new(ring);
-    (
-        Producer {
-            ring: ring.clone(),
-            cached_head: 0,
-        },
-        Consumer {
-            ring,
-            cached_tail: 0,
-        },
+        Consumer { ring },
     )
 }
 
 impl<T> Producer<T> {
     /// Push a value; returns it back if the ring is full.
     pub fn push(&mut self, value: T) -> Result<(), T> {
-        let ring = &*self.ring;
-        // relaxed-ok: `tail` is producer-owned; only this thread stores it.
-        let tail = ring.tail.load(Ordering::Relaxed);
-        if tail - self.cached_head == ring.capacity() {
-            // ordering-ok: pairs with the consumer's Release head publish —
-            // the slot is only reused after its read is visible here.
-            self.cached_head = ring.head.load(Ordering::Acquire);
-            if tail - self.cached_head == ring.capacity() {
-                return Err(value);
-            }
+        let mut ring = self.ring.borrow_mut();
+        if ring.len() == self.cap {
+            return Err(value);
         }
-        ring.buf[tail & ring.mask].with_mut(|slot| {
-            // SAFETY: the slot at `tail` is outside [head, tail) so the
-            // consumer will not touch it until we publish the new tail.
-            unsafe { (*slot).write(value) }
-        });
-        ring.tail.store(tail + 1, ring.publish_ord());
+        ring.push_back(value);
         Ok(())
-    }
-
-    /// Number of items currently queued (may be stale by the time it
-    /// returns; exact when no concurrent consumer activity).
-    pub fn len(&self) -> usize {
-        // relaxed-ok: producer-owned index.
-        let tail = self.ring.tail.load(Ordering::Relaxed);
-        // ordering-ok: pairs with the consumer's Release head publish.
-        let head = self.ring.head.load(Ordering::Acquire);
-        tail - head
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
     }
 }
 
 impl<T> Consumer<T> {
     /// Pop the oldest value, or `None` when empty.
     pub fn pop(&mut self) -> Option<T> {
-        let ring = &*self.ring;
-        // relaxed-ok: `head` is consumer-owned; only this thread stores it.
-        let head = ring.head.load(Ordering::Relaxed);
-        if head == self.cached_tail {
-            // ordering-ok: pairs with the producer's Release tail publish —
-            // makes the slot write visible before we read it.
-            self.cached_tail = ring.tail.load(Ordering::Acquire);
-            if head == self.cached_tail {
-                return None;
-            }
-        }
-        let value = ring.buf[head & ring.mask].with(|slot| {
-            // SAFETY: slot at `head` was published by the producer's
-            // Release store that we observed with Acquire.
-            unsafe { (*slot).assume_init_read() }
-        });
-        ring.head.store(head + 1, ring.publish_ord());
-        Some(value)
+        self.ring.borrow_mut().pop_front()
     }
 
-    /// Peek at the oldest value without consuming it.
-    pub fn peek(&mut self) -> Option<&T> {
-        let ring = &*self.ring;
-        // relaxed-ok: consumer-owned index.
-        let head = ring.head.load(Ordering::Relaxed);
-        if head == self.cached_tail {
-            // ordering-ok: pairs with the producer's Release tail publish.
-            self.cached_tail = ring.tail.load(Ordering::Acquire);
-            if head == self.cached_tail {
-                return None;
-            }
-        }
-        let value = ring.buf[head & ring.mask].with(|slot| {
-            // SAFETY: as in `pop`, but we don't consume; `&mut self`
-            // prevents a simultaneous pop from invalidating the reference.
-            unsafe { (*slot).assume_init_ref() }
-        });
-        Some(value)
-    }
-
-    /// Number of items currently queued.
-    pub fn len(&self) -> usize {
-        // relaxed-ok: consumer-owned index.
-        let head = self.ring.head.load(Ordering::Relaxed);
-        // ordering-ok: pairs with the producer's Release tail publish.
-        let tail = self.ring.tail.load(Ordering::Acquire);
-        tail - head
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
+    /// Number of items queued.
+    pub(crate) fn len(&self) -> usize {
+        self.ring.borrow().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
 
     #[test]
     fn push_pop_fifo() {
@@ -276,10 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_rounds_up_and_fills() {
+    fn full_ring_rejects_until_a_pop() {
         let (mut tx, mut rx) = spsc_channel::<u64>(5);
-        assert_eq!(tx.capacity(), 8);
-        for i in 0..8 {
+        for i in 0..5 {
             tx.push(i).unwrap();
         }
         assert_eq!(tx.push(99), Err(99));
@@ -289,46 +94,17 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let (mut tx, mut rx) = spsc_channel::<u32>(4);
-        tx.push(7).unwrap();
-        assert_eq!(rx.peek(), Some(&7));
-        assert_eq!(rx.peek(), Some(&7));
-        assert_eq!(rx.pop(), Some(7));
-        assert_eq!(rx.peek(), None);
-    }
-
-    #[test]
-    fn len_tracks_occupancy() {
-        let (mut tx, mut rx) = spsc_channel::<u8>(4);
-        assert!(tx.is_empty() && rx.is_empty());
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        assert_eq!(tx.len(), 2);
-        assert_eq!(rx.len(), 2);
-        rx.pop();
-        assert_eq!(rx.len(), 1);
-    }
-
-    #[test]
     fn drops_pending_items() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        #[derive(Debug)]
-        struct D;
-        impl Drop for D {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let token = Rc::new(());
         {
-            let (mut tx, mut rx) = spsc_channel::<D>(8);
+            let (mut tx, mut rx) = spsc_channel::<Rc<()>>(8);
             for _ in 0..6 {
-                tx.push(D).unwrap();
+                tx.push(token.clone()).unwrap();
             }
             drop(rx.pop()); // one dropped by consumption
+            assert_eq!(Rc::strong_count(&token), 6);
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 6);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     #[test]
@@ -344,84 +120,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn two_thread_stress_transfers_everything_in_order() {
-        const N: usize = 200_000;
-        let (mut tx, mut rx) = spsc_channel::<usize>(64);
-        let producer = std::thread::spawn(move || {
-            for i in 0..N {
-                let mut v = i;
-                loop {
-                    match tx.push(v) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            v = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        });
-        let mut next = 0usize;
-        while next < N {
-            if let Some(v) = rx.pop() {
-                assert_eq!(v, next, "values must arrive in order");
-                next += 1;
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(rx.pop(), None);
-    }
-
-    #[test]
-    fn two_thread_stress_with_boxed_values() {
-        // Heap values catch use-after-free / double-drop under ASAN-like
-        // scrutiny and MIRI.
-        const N: usize = 20_000;
-        let (mut tx, mut rx) = spsc_channel::<Box<usize>>(16);
-        let producer = std::thread::spawn(move || {
-            for i in 0..N {
-                let mut v = Box::new(i);
-                loop {
-                    match tx.push(v) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            v = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-        });
-        let mut sum = 0usize;
-        let mut got = 0usize;
-        while got < N {
-            if let Some(v) = rx.pop() {
-                sum += *v;
-                got += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(sum, N * (N - 1) / 2);
-    }
-
     proptest::proptest! {
         /// Any interleaved sequence of pushes and pops behaves like a
         /// VecDeque of the same capacity.
         #[test]
         fn matches_vecdeque_model(ops in proptest::collection::vec(
             proptest::prelude::any::<(bool, u16)>(), 0..400)) {
-            let (mut tx, mut rx) = spsc_channel::<u16>(16);
-            let cap = tx.capacity();
+            const CAP: usize = 16;
+            let (mut tx, mut rx) = spsc_channel::<u16>(CAP);
             let mut model: VecDeque<u16> = VecDeque::new();
             for (is_push, v) in ops {
                 if is_push {
                     let r = tx.push(v);
-                    if model.len() == cap {
+                    if model.len() == CAP {
                         proptest::prop_assert_eq!(r, Err(v));
                     } else {
                         proptest::prop_assert_eq!(r, Ok(()));

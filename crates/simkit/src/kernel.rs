@@ -33,6 +33,7 @@ use crate::rng::Pcg32;
 use crate::time::{SimDuration, SimTime};
 use queues::{MailboxRx, MailboxTx};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
 /// Closures up to this many machine words are stored inline in their
@@ -250,13 +251,10 @@ impl EventQueue {
     }
 }
 
-/// Per-lane doorbell inbox of the routing mesh: cross-lane schedules
-/// are posted here and drained into the queue at the top of the next
-/// `step()`. Single driver thread, so the SPSC contract of the
-/// underlying mailbox holds trivially; the detour exercises the
-/// mailbox path (post → ring → drain on the doorbell edge) and the
-/// slack audit, while the `(at, seq)` order keeps results
-/// byte-identical to direct pushes.
+/// Per-lane inbox of the routing mesh: cross-lane schedules are sent
+/// here and drained into the queue at the top of the next `step()`.
+/// The detour exercises the mailbox path and the slack audit, while the
+/// `(at, seq)` order keeps results byte-identical to direct pushes.
 struct MeshInbox {
     tx: MailboxTx<Scheduled>,
     rx: MailboxRx<Scheduled>,
@@ -266,6 +264,9 @@ struct MeshInbox {
 /// [`Kernel::set_parallel`]).
 struct Mesh {
     inboxes: Vec<MeshInbox>,
+    /// Events sent to any inbox since the last drain, so the drain at
+    /// the top of every step is one compare when nothing was routed.
+    staged: usize,
     /// Cross-lane schedules routed through a mailbox.
     routed: u64,
     /// Smallest observed slack `at - now` on a routed schedule, in
@@ -274,7 +275,32 @@ struct Mesh {
     min_slack: u64,
 }
 
+impl Mesh {
+    /// Move every staged event into `queue`.
+    #[inline]
+    fn drain_into(&mut self, queue: &mut EventQueue) {
+        if self.staged == 0 {
+            return;
+        }
+        self.staged = 0;
+        for inbox in &mut self.inboxes {
+            while let Some(s) = inbox.rx.take() {
+                queue.push(s);
+            }
+        }
+    }
+}
+
 /// Discrete-event simulation kernel.
+///
+/// A kernel is neither `Send` nor `Sync`. Event closures may capture
+/// `Rc`s, and the slots they are erased into hide those captures from
+/// the auto traits, so a marker field opts out explicitly:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simkit::Kernel>();
+/// ```
 pub struct Kernel {
     now: SimTime,
     /// Monotone schedule stamp: the key `(at, seq)` totally orders
@@ -299,9 +325,11 @@ pub struct Kernel {
     /// Events discarded at the horizon (observability for chaos runs:
     /// distinguishes "dropped by fault plane" from "dropped by horizon").
     horizon_dropped: u64,
-    /// `Some` when cross-lane schedules detour through mailbox
-    /// doorbells (the `parallel: true` scenario knob).
+    /// `Some` when cross-lane schedules detour through per-lane
+    /// mailboxes (the `parallel: true` scenario knob).
     mesh: Option<Mesh>,
+    /// Keeps the kernel on the thread that built it (see the type docs).
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Kernel {
@@ -334,12 +362,13 @@ impl Kernel {
             horizon: SimTime::MAX,
             horizon_dropped: 0,
             mesh: None,
+            _not_send: PhantomData,
         }
     }
 
-    /// Route cross-lane schedules through per-lane mailbox doorbells
-    /// instead of pushing directly into the queue. The `(at, seq)` stamp
-    /// is assigned before routing and every detoured event is drained
+    /// Route cross-lane schedules through per-lane mailboxes instead of
+    /// pushing directly into the queue. The `(at, seq)` stamp is
+    /// assigned before routing and every detoured event is drained
     /// into the queue before the next pop, so results stay
     /// byte-identical to the direct path; what changes is the
     /// mechanism, plus side-band audit counters
@@ -358,6 +387,7 @@ impl Kernel {
                         MeshInbox { tx, rx }
                     })
                     .collect(),
+                staged: 0,
                 routed: 0,
                 min_slack: u64::MAX,
             });
@@ -540,10 +570,10 @@ impl Kernel {
         }
     }
 
-    /// Post a cross-lane schedule to its lane's doorbell inbox. The
-    /// event stays invisible until the next `step()` drains it into the
-    /// queue — which is also the first moment it could have been popped
-    /// on the direct path, so the detour is unobservable in results.
+    /// Send a cross-lane schedule to its lane's inbox. The event stays
+    /// invisible until the next `step()` drains it into the queue —
+    /// which is also the first moment it could have been popped on the
+    /// direct path, so the detour is unobservable in results.
     fn route_through_mesh(&mut self, sched: Scheduled) {
         let slack = sched.at.as_nanos() - self.now.as_nanos();
         let lane = sched.lane as usize;
@@ -551,28 +581,23 @@ impl Kernel {
         mesh.routed += 1;
         mesh.min_slack = mesh.min_slack.min(slack);
         if let Err(sched) = mesh.inboxes[lane].tx.send(sched) {
-            // Ring full: empty the inboxes into the queue (the
-            // single-driver equivalent of the receiver draining its
-            // mailbox) and retry into the now-empty ring.
-            self.drain_mesh();
-            let mesh = self.mesh.as_mut().expect("caller checked mesh");
+            // Mailbox full: empty the inboxes into the queue and retry
+            // into the now-empty mailbox.
+            mesh.drain_into(&mut self.queue);
             mesh.inboxes[lane]
                 .tx
                 .send(sched)
                 .unwrap_or_else(|_| unreachable!("mailbox empty after drain"));
         }
+        mesh.staged += 1;
     }
 
-    /// Move every belled mesh event into the queue. Called before each
+    /// Move every staged mesh event into the queue. Called before each
     /// pop so the detour never reorders anything.
     #[inline]
     fn drain_mesh(&mut self) {
         if let Some(mesh) = &mut self.mesh {
-            for inbox in &mut mesh.inboxes {
-                while let Some(s) = inbox.rx.take() {
-                    self.queue.push(s);
-                }
-            }
+            mesh.drain_into(&mut self.queue);
         }
     }
 
@@ -1096,8 +1121,8 @@ mod tests {
         assert_eq!(k.current_shard(), 0);
     }
 
-    /// The `parallel: true` detour: cross-lane schedules ride mailbox
-    /// doorbells instead of direct pushes, and the result replays
+    /// The `parallel: true` detour: cross-lane schedules ride per-lane
+    /// mailboxes instead of direct pushes, and the result replays
     /// the direct path bit-identically (the order is `(at, seq)`
     /// either way).
     #[test]

@@ -117,7 +117,7 @@ pub struct SweepSpec {
     pub placement: PlacementSpec,
     /// Live migrations applied to every expanded scenario.
     pub migrations: Vec<MigrationSpec>,
-    /// Route cross-lane schedules through the kernel's mailbox-doorbell
+    /// Route cross-lane schedules through the kernel's mailbox
     /// mesh in every expanded scenario (DESIGN.md §17). Results are
     /// byte-identical to the direct path by construction.
     pub parallel: bool,

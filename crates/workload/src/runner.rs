@@ -55,7 +55,7 @@ pub struct RunResult {
     /// device-owner reactor (NVMe-oPF targets only; 0 with one shard).
     pub cross_reactor_submits: u64,
     /// Cross-lane schedules that detoured through the kernel's
-    /// mailbox-doorbell mesh (`parallel: true` runs only; 0 otherwise).
+    /// mailbox mesh (`parallel: true` runs only; 0 otherwise).
     /// Bookkeeping, not a metric: proves the mesh engaged while results
     /// stay byte-identical to the direct path.
     pub parallel_routed: u64,

@@ -158,7 +158,7 @@ pub struct Scenario {
     /// the recovery plane (retry + re-drain), since the post-move
     /// re-drive rides the recovery re-issue path.
     pub migrations: Vec<MigrationSpec>,
-    /// Route cross-lane schedules through the kernel's mailbox-doorbell
+    /// Route cross-lane schedules through the kernel's mailbox
     /// mesh (DESIGN.md §17) instead of pushing straight into the queue.
     /// Results are byte-identical either way — the order key is the
     /// `(time, seq)` stamp regardless of the route —

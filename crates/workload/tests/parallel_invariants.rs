@@ -2,7 +2,7 @@
 //! (DESIGN.md §17).
 //!
 //! With the knob on, every cross-lane schedule detours through the
-//! kernel's mailbox-doorbell mesh instead of being pushed straight
+//! kernel's mailbox mesh instead of being pushed straight
 //! into the peer lane's heap. For random small topologies × both
 //! runtimes × shard counts × a seeded fault plane, every run must
 //! satisfy:
