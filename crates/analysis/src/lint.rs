@@ -11,7 +11,7 @@
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
 //! | `no-panic` | `crates/core/src`, `crates/nvmf/src`, `crates/workload/src` | no `panic!` / `unreachable!` / `todo!` / `unimplemented!` / `.unwrap()` / `.expect(` in non-test code: malformed wire input must become a counted protocol error, and a malformed scenario, spec or trace a typed error, not a crash (internal invariants may waive) |
-//! | `no-threading` | all crates except the `shims` | no `static mut`, `thread_local!`, or `thread::spawn`: a simulation is single-threaded, and ad-hoc threads and mutable globals break reproducibility. Scoped `std::thread::scope` fan-out over seeds and grid points stays legal in experiment drivers, but not in `simkit`: the kernel spawns no thread of any kind |
+//! | `no-threading` | all crates except the `shims` | no `static mut`, `thread_local!`, or `thread::spawn`: a simulation is single-threaded, and ad-hoc threads and mutable globals break reproducibility. Scoped `std::thread::scope` fan-out over independent simulations stays legal — seeds and grid points in the experiment drivers, a run's independent pairs in the workload runner — but not in `simkit`: the kernel spawns no thread of any kind |
 //! | `wall-clock` | all crates except `simkit` and the `shims` | no `Instant` / `SystemTime`: simulations must be deterministic; real time enters only through `simkit` (e.g. its `Stopwatch`) |
 //! | `hashmap-iter` | all crates | no iteration over `HashMap`s declared in the same file: iteration order is randomized per process and leaks nondeterminism into metrics, snapshots, and reports — use `BTreeMap`, sort first, or waive with a reason |
 //! | `safety-comment` | all code incl. tests | every `unsafe` token is paired, by token span, with a `// SAFETY:` (or `# Safety` doc) comment: same line, or walking the token stream backwards through comments/attributes/signature tokens until the previous statement boundary (`;`, `{`, `}`) |
@@ -280,9 +280,11 @@ fn rule_no_panic(ctx: &Ctx, out: &mut Vec<Finding>) {
     }
 }
 
-/// `no-threading`: no ad-hoc parallelism or mutable globals outside the
-/// sanctioned homes — a simulation runs on one thread, and the only
-/// parallelism is scoped fan-out over independent runs in the drivers.
+/// `no-threading`: no ad-hoc parallelism or mutable globals — a
+/// simulation runs on one thread, and the only parallelism is scoped
+/// fan-out over independent simulations: seeds and grid points in the
+/// drivers, a run's independent pairs in the workload runner. The
+/// kernel itself spawns nothing.
 fn rule_no_threading(ctx: &Ctx, out: &mut Vec<Finding>) {
     if ctx.rel_str.contains("crates/shims/") {
         return;
@@ -311,8 +313,9 @@ fn rule_no_threading(ctx: &Ctx, out: &mut Vec<Finding>) {
             "no-threading",
             line,
             format!(
-                "{what}: a simulation is single-threaded — free threads and \
-                 mutable globals break reproducibility"
+                "{what}: a simulation is single-threaded — parallelism is scoped \
+                 fan-out over independent simulations (`std::thread::scope`, never \
+                 in the kernel); free threads and mutable globals break reproducibility"
             ),
             waived,
         );
@@ -727,14 +730,20 @@ mod tests {
                 "{name} must be flagged: {f:?}"
             );
         }
-        // Scoped spawns (experiment drivers) are legal: `s.spawn` has no
-        // `thread::` path.
+        // Scoped spawns over independent simulations are legal — the
+        // experiment drivers' grid points and the workload runner's
+        // groups: `s.spawn` has no `thread::` path. A free spawn is still
+        // a finding in either.
         let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-        assert!(lint("crates/experiments/src/x.rs", scoped)
-            .iter()
-            .all(|x| x.rule != "no-threading"));
-        // No crate is a sanctioned home, the tooling included.
         let spawn = "fn f() { std::thread::spawn(|| {}); }\n";
+        for file in [
+            "crates/experiments/src/x.rs",
+            "crates/workload/src/runner.rs",
+        ] {
+            assert!(lint(file, scoped).iter().all(|x| x.rule != "no-threading"));
+            assert!(lint(file, spawn).iter().any(|x| x.rule == "no-threading"));
+        }
+        // No crate is a sanctioned home, the tooling included.
         assert!(lint("crates/analysis/src/x.rs", spawn)
             .iter()
             .any(|x| x.rule == "no-threading"));

@@ -14,7 +14,7 @@ const SUB_SHIFT: usize = SUB_BUCKETS.trailing_zeros() as usize;
 const BUCKETS: usize = 59;
 
 /// A log-linear histogram of nanosecond values.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,
@@ -140,7 +140,9 @@ impl Histogram {
         self.max
     }
 
-    /// Merge another histogram into this one.
+    /// Merge another histogram into this one. Every field is an integer
+    /// count, sum or extreme, so merging parts in any order gives
+    /// exactly the histogram of all their values.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
@@ -268,6 +270,30 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// Splitting values over parts and merging the parts back, in
+        /// any order, equals one histogram fed every value — how a
+        /// multi-pair run combines its groups' latencies.
+        #[test]
+        fn merging_parts_in_any_order_equals_the_whole(
+            values in proptest::collection::vec(0u64..u64::MAX, 0..300),
+            keys in proptest::collection::vec(0u64..1000, 1..6),
+        ) {
+            let mut whole = Histogram::new();
+            let mut parts = vec![Histogram::new(); keys.len()];
+            for (i, &v) in values.iter().enumerate() {
+                whole.record(v);
+                parts[i % keys.len()].record(v);
+            }
+            // A random permutation of the parts: sort them by key.
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&i| (keys[i], i));
+            let mut merged = Histogram::new();
+            for i in order {
+                merged.merge(&parts[i]);
+            }
+            proptest::prop_assert_eq!(merged, whole);
+        }
+
         /// Percentile relative error stays within the design bound for
         /// arbitrary value sets.
         #[test]

@@ -98,7 +98,11 @@ pub struct Scenario {
     pub runtime: RuntimeKind,
     /// Fabric speed.
     pub speed: Speed,
-    /// Number of initiator-node/target-node pairs.
+    /// Number of initiator-node/target-node pairs, in
+    /// `[1, Scenario::MAX_PAIRS]`. Pairs share nothing, so the runner
+    /// simulates each one as its own group, on its own kernel, in
+    /// parallel with the others, and merges them in pair order
+    /// ([`crate::run`]); results do not depend on the core count.
     pub pairs: usize,
     /// LS initiators per initiator-node (queue depth 1).
     pub ls_per_node: usize,
@@ -240,7 +244,8 @@ pub enum ScenarioError {
         /// Largest count the kernel accepts.
         max: usize,
     },
-    /// More pairs than [`Scenario::MAX_PAIRS`].
+    /// `pairs` outside `[1, Scenario::MAX_PAIRS]`: zero pairs would
+    /// measure nothing.
     PairsOutOfRange {
         /// Pairs asked for.
         pairs: usize,
@@ -306,7 +311,7 @@ impl std::fmt::Display for ScenarioError {
                 write!(f, "shards = {shards} out of range (at most {max})")
             }
             ScenarioError::PairsOutOfRange { pairs, max } => {
-                write!(f, "pairs = {pairs} out of range (at most {max})")
+                write!(f, "pairs = {pairs} outside the range [1, {max}]")
             }
             ScenarioError::TargetsOutOfRange { targets, max } => {
                 write!(f, "targets = {targets} out of range (at most {max})")
@@ -323,9 +328,9 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 impl Scenario {
-    /// Largest `pairs` a scenario may ask for. The runner preallocates
-    /// per pair, so a count taken from outside input is checked against
-    /// this first (the largest run on record uses 8).
+    /// Largest `pairs` a scenario may ask for. The runner builds a
+    /// kernel and a stack per pair, so a count taken from outside input
+    /// is checked against this first (the largest run on record uses 8).
     pub const MAX_PAIRS: usize = 1024;
 
     /// Largest `targets` a scenario may ask for, checked for the same
@@ -418,7 +423,7 @@ impl Scenario {
                 max: simkit::Kernel::MAX_SHARDS,
             });
         }
-        if self.pairs > Scenario::MAX_PAIRS {
+        if !(1..=Scenario::MAX_PAIRS).contains(&self.pairs) {
             return Err(ScenarioError::PairsOutOfRange {
                 pairs: self.pairs,
                 max: Scenario::MAX_PAIRS,
@@ -584,7 +589,7 @@ mod tests {
             }),
             ..opf()
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 32] = [
+        let cases: [(Scenario, Result<(), ScenarioError>); 33] = [
             (opf(), Ok(())),
             (cluster(), Ok(())),
             (moving(4, 1), Ok(())),
@@ -726,6 +731,14 @@ mod tests {
                 },
                 Err(ShardsOutOfRange {
                     shards: 100_000_000_000,
+                    max: 1024,
+                }),
+            ),
+            // Ran and reported `completed 0` at ac48d8c.
+            (
+                Scenario { pairs: 0, ..opf() },
+                Err(PairsOutOfRange {
+                    pairs: 0,
                     max: 1024,
                 }),
             ),
