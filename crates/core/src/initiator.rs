@@ -214,9 +214,12 @@ impl OpfInitiator {
                 ReqClass::ThroughputCritical => {
                     i.stats.tc_submitted += 1;
                     // Alg 1: queue[tail] <- req.cid.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "internal invariant: sized for QD + window"
+                    )]
                     i.cid_queue
                         .push(cid)
-                        // lint: allow(no-panic) internal invariant: sized for QD + window
                         .expect("CID queue sized for QD + window");
                     i.sent_in_window += 1;
                     let draining = i.sent_in_window >= i.window;
@@ -438,11 +441,11 @@ impl OpfInitiator {
             tc_cids.clear();
             i.cid_queue.drain_all_into(&mut tc_cids);
             for &cid in &tc_cids {
-                i.cid_queue
-                    .push(cid)
-                    // lint: allow(no-panic) internal invariant: re-pushing
-                    // exactly what was just drained cannot overflow.
-                    .expect("re-push after drain");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: re-pushing exactly what was just drained cannot overflow"
+                )]
+                i.cid_queue.push(cid).expect("re-push after drain");
             }
             // Then every other outstanding CID (LS commands), by index.
             let mut order = std::mem::take(&mut tc_cids);

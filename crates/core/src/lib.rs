@@ -31,6 +31,11 @@
 //! discipline the paper follows by patching SPDK rather than rewriting
 //! it.
 
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod config;
 pub mod error;
 pub mod initiator;

@@ -707,13 +707,15 @@ impl OpfTarget {
 
             for (owner, cmds) in &mut groups {
                 let owner = *owner;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: groups are created non-empty just above"
+                )]
                 let ack_cid = if owner == from {
                     drain_cid
                 } else {
                     // Shared-queue ablation: acknowledge the tenant's last
                     // flushed command.
-                    // lint: allow(no-panic) internal invariant: groups are
-                    // created non-empty just above.
                     cmds.last().expect("non-empty group").sqe.cid
                 };
                 let batch = t.new_batch(owner, ack_cid, cmds.len(), false);
@@ -798,8 +800,10 @@ impl OpfTarget {
             if result.data.is_some() {
                 cost += t.io.costs().send_data;
             }
-            // lint: allow(no-panic) internal invariant: batch slots are
-            // freed only after their last completion (below).
+            #[expect(
+                clippy::expect_used,
+                reason = "internal invariant: batch slots are freed only after their last completion (below)"
+            )]
             let b = t.batches[batch].as_mut().expect("live batch");
             b.remaining -= 1;
             if !result.cqe.status.is_ok() && b.worst == Status::Success {
@@ -840,15 +844,22 @@ impl OpfTarget {
                 let Some(&front) = fifo.front() else {
                     return;
                 };
-                // lint: allow(no-panic) internal invariant: the FIFO only
-                // holds live batch slots.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: the FIFO only holds live batch slots"
+                )]
                 if !t.batches[front].as_ref().expect("live batch").done {
                     return;
                 }
-                // lint: allow(no-panic) internal invariant: checked Some
-                // a few lines up, nothing removed it since.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: checked Some a few lines up, nothing removed it since"
+                )]
                 t.batch_fifo.get_mut(&owner).expect("fifo").pop_front();
-                // lint: allow(no-panic) internal invariant: as above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: the FIFO only holds live batch slots"
+                )]
                 let b = t.batches[front].take().expect("live batch");
                 t.free_batches.push(front);
                 let cost = t.io.costs().build_resp + t.io.small_send_cost(k);

@@ -174,7 +174,7 @@ mod tests {
         };
         let mut opt = DynamicWindow::new(2);
         let mut now = SimTime::ZERO;
-        let mut visits = std::collections::HashMap::new();
+        let mut visits = std::collections::BTreeMap::new();
         for _ in 0..200 {
             let w = opt.current();
             let rate = rate_for(w);

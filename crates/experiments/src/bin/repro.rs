@@ -1,19 +1,26 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [--threads N] <artifact>...
-//! artifacts: table1 fig6a fig6b fig6c fig7 fig8 fig9 ablate all
+//! repro [--quick] [--threads N] [--shards N] [--targets N] [--parallel] <artifact>...
 //! ```
+//!
+//! `repro --help` lists the artifacts. Every name is checked before any
+//! artifact runs.
 
 use experiments::{
     ablate, adversary, breakdown, campaign, chaos, cluster, fig6, fig7, fig8, fig9, iosize,
     observe, openloop, scale, table1, transport, Durations,
 };
 
+/// Every artifact `main` knows, in usage order.
+const ARTIFACTS: &str = "table1 fig6 fig6a fig6b fig6c fig7 fig8 fig9 ablate iosize openloop \
+    transport breakdown observe chaos scale adversary campaign all";
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--threads N] [--shards N] [--targets N] [--parallel] <artifact>...\n\
-         artifacts: table1 fig6a fig6b fig6c fig7 fig8 fig9 ablate iosize openloop transport breakdown observe chaos scale adversary campaign all\n\
+         artifacts: {ARTIFACTS}\n\
+         fig6 is fig6a, fig6b and fig6c\n\
          campaign runs the checked-in quick campaign (scenarios/campaign_quick.json) and\n\
          exits non-zero if any expectation gate fails\n\
          --shards N runs every scenario on N kernel shards (results are bit-identical for any N)\n\
@@ -58,6 +65,11 @@ fn main() {
             "--parallel" => parallel = true,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
+            // Checked here, so a typo fails before any artifact runs.
+            other if !ARTIFACTS.split_whitespace().any(|a| a == other) => {
+                eprintln!("repro: unknown artifact {other:?}");
+                usage();
+            }
             other => artifacts.push(other.to_string()),
         }
     }
@@ -147,7 +159,7 @@ fn main() {
                 breakdown::all(d, threads);
                 observe::all(d, threads);
             }
-            _ => usage(),
+            other => unreachable!("artifact {other:?} passed the name check"),
         }
     }
     eprintln!("[repro finished in {:.1}s]", start.elapsed_secs());

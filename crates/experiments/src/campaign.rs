@@ -267,21 +267,26 @@ fn check_keys(v: &Json, ctx: &str, allowed: &[&str]) -> Result<(), CampaignError
     }
 }
 
+/// [`Json::field`] with the object it sits in (`ctx`) named in the error.
+fn field<'a, T>(
+    v: &'a Json,
+    ctx: &str,
+    key: &str,
+    want: &str,
+    conv: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, CampaignError> {
+    v.field(key, want, conv)
+        .map_err(|e| CampaignError::Parse(format!("{ctx}: {e}")))
+}
+
 fn finite_bound(v: &Json, ctx: &str, key: &str) -> Result<Option<f64>, CampaignError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(b) => {
-            let x = b.as_f64().ok_or_else(|| {
-                CampaignError::Parse(format!("{ctx}: \"{key}\" must be a number"))
-            })?;
-            if !x.is_finite() {
-                return Err(CampaignError::NanBound {
-                    ctx: ctx.to_string(),
-                });
-            }
-            Ok(Some(x))
-        }
+    let x = field(v, ctx, key, "a number", Json::as_f64)?;
+    if x.is_some_and(|x| !x.is_finite()) {
+        return Err(CampaignError::NanBound {
+            ctx: ctx.to_string(),
+        });
     }
+    Ok(x)
 }
 
 impl CampaignSpec {
@@ -317,9 +322,7 @@ impl CampaignSpec {
             .to_string();
 
         let mut seeds: Vec<u64> = Vec::new();
-        for (i, s) in v
-            .get("seeds")
-            .and_then(Json::as_arr)
+        for (i, s) in field(v, "spec", "seeds", "an array", Json::as_arr)?
             .unwrap_or(&[])
             .iter()
             .enumerate()
@@ -340,9 +343,10 @@ impl CampaignSpec {
                 "warmup_s must be >= 0 and measure_s > 0".into(),
             ));
         }
-        let ls = v.get("ls").and_then(Json::as_u64).unwrap_or(1) as usize;
-        let tc = v.get("tc").and_then(Json::as_u64).unwrap_or(2) as usize;
-        let runtime = match v.get("runtime").and_then(Json::as_str).unwrap_or("opf") {
+        let ls = field(v, "spec", "ls", "an integer", Json::as_u64)?.unwrap_or(1) as usize;
+        let tc = field(v, "spec", "tc", "an integer", Json::as_u64)?.unwrap_or(2) as usize;
+        let runtime = match field(v, "spec", "runtime", "a string", Json::as_str)?.unwrap_or("opf")
+        {
             "opf" => RuntimeKind::Opf,
             "spdk" => RuntimeKind::Spdk,
             other => {
@@ -351,7 +355,7 @@ impl CampaignSpec {
                 )))
             }
         };
-        let speed = match v.get("speed").and_then(Json::as_u64).unwrap_or(100) {
+        let speed = match field(v, "spec", "speed", "an integer", Json::as_u64)?.unwrap_or(100) {
             10 => Gbps::G10,
             25 => Gbps::G25,
             100 => Gbps::G100,
@@ -361,12 +365,10 @@ impl CampaignSpec {
                 )))
             }
         };
-        let threads = v.get("threads").and_then(Json::as_u64).map(|t| t as usize);
+        let threads = field(v, "spec", "threads", "an integer", Json::as_u64)?.map(|t| t as usize);
 
         let mut scenarios = Vec::new();
-        for (i, s) in v
-            .get("scenarios")
-            .and_then(Json::as_arr)
+        for (i, s) in field(v, "spec", "scenarios", "an array", Json::as_arr)?
             .unwrap_or(&[])
             .iter()
             .enumerate()
@@ -405,11 +407,11 @@ impl CampaignSpec {
             scenarios.push(CampaignScenario {
                 name,
                 traffic,
-                ls: s.get("ls").and_then(Json::as_u64).map(|n| n as usize),
-                tc: s.get("tc").and_then(Json::as_u64).map(|n| n as usize),
+                ls: field(s, &ctx, "ls", "an integer", Json::as_u64)?.map(|n| n as usize),
+                tc: field(s, &ctx, "tc", "an integer", Json::as_u64)?.map(|n| n as usize),
                 drop_p,
-                shards: s.get("shards").and_then(Json::as_u64).unwrap_or(1) as usize,
-                parallel: s.get("parallel").and_then(Json::as_bool).unwrap_or(false),
+                shards: field(s, &ctx, "shards", "an integer", Json::as_u64)?.unwrap_or(1) as usize,
+                parallel: field(s, &ctx, "parallel", "a boolean", Json::as_bool)?.unwrap_or(false),
             });
         }
 
@@ -418,9 +420,7 @@ impl CampaignSpec {
         }
 
         let mut expectations = Vec::new();
-        for (i, e) in v
-            .get("expectations")
-            .and_then(Json::as_arr)
+        for (i, e) in field(v, "spec", "expectations", "an array", Json::as_arr)?
             .unwrap_or(&[])
             .iter()
             .enumerate()
@@ -431,9 +431,7 @@ impl CampaignSpec {
                 &ctx,
                 &["scenario", "check", "metric", "stat", "min", "max"],
             )?;
-            let scenario = e
-                .get("scenario")
-                .and_then(Json::as_str)
+            let scenario = field(e, &ctx, "scenario", "a string", Json::as_str)?
                 .unwrap_or("*")
                 .to_string();
             if scenario != "*" && !scenarios.iter().any(|c| c.name == scenario) {
@@ -443,7 +441,10 @@ impl CampaignSpec {
             }
             let min = finite_bound(e, &ctx, "min")?;
             let max = finite_bound(e, &ctx, "max")?;
-            let check = match (e.get("check").and_then(Json::as_str), e.get("metric")) {
+            let check = match (
+                field(e, &ctx, "check", "a string", Json::as_str)?,
+                e.get("metric"),
+            ) {
                 (Some("exactly_once"), None) => {
                     if min.is_some() || max.is_some() {
                         return Err(CampaignError::Parse(format!(
@@ -475,7 +476,7 @@ impl CampaignSpec {
                             CampaignError::Parse(format!("{ctx}: \"metric\" must be a string"))
                         })?
                         .to_string();
-                    let stat = match e.get("stat").and_then(Json::as_str) {
+                    let stat = match field(e, &ctx, "stat", "a string", Json::as_str)? {
                         None => Stat::Mean,
                         Some(s) => Stat::parse(s).ok_or_else(|| {
                             CampaignError::Parse(format!(
@@ -1037,6 +1038,87 @@ mod tests {
             match CampaignSpec::from_json_str(&src) {
                 Err(CampaignError::Scenario { error, .. }) => assert_eq!(error, want),
                 other => panic!("expected a scenario error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn wrongly_typed_value_is_a_typed_error() {
+        let scenario = |extra: &str| {
+            format!(
+                r#"{{"name": "t", "seeds": [1],
+                    "scenarios": [{{"name": "p", "traffic": {{"model": "poisson"}}{extra}}}]}}"#
+            )
+        };
+        let expect = |e: &str| minimal(&format!(r#", "expectations": [{e}]"#));
+        for (src, want) in [
+            // Used to drop every gate and pass.
+            (
+                minimal(r#", "expectations": {"scenario": "p", "check": "exactly_once"}"#),
+                r#"spec: "expectations" must be an array"#,
+            ),
+            // Used to run at 100 G.
+            (
+                minimal(r#", "speed": "10""#),
+                r#"spec: "speed" must be an integer"#,
+            ),
+            (
+                minimal(r#", "ls": "1""#),
+                r#"spec: "ls" must be an integer"#,
+            ),
+            (
+                minimal(r#", "tc": "3""#),
+                r#"spec: "tc" must be an integer"#,
+            ),
+            (
+                minimal(r#", "threads": "2""#),
+                r#"spec: "threads" must be an integer"#,
+            ),
+            (
+                minimal(r#", "runtime": 3"#),
+                r#"spec: "runtime" must be a string"#,
+            ),
+            (
+                r#"{"name": "t", "seeds": {"a": 1}}"#.to_string(),
+                r#"spec: "seeds" must be an array"#,
+            ),
+            (
+                r#"{"name": "t", "seeds": [1], "scenarios": {}}"#.to_string(),
+                r#"spec: "scenarios" must be an array"#,
+            ),
+            (
+                scenario(r#", "tc": "3""#),
+                r#"scenarios[0]: "tc" must be an integer"#,
+            ),
+            (
+                scenario(r#", "ls": -1"#),
+                r#"scenarios[0]: "ls" must be an integer"#,
+            ),
+            (
+                scenario(r#", "shards": "4""#),
+                r#"scenarios[0]: "shards" must be an integer"#,
+            ),
+            (
+                scenario(r#", "parallel": "yes""#),
+                r#"scenarios[0]: "parallel" must be a boolean"#,
+            ),
+            // Used to become "*".
+            (
+                expect(r#"{"scenario": 3, "check": "exactly_once"}"#),
+                r#"expectations[0]: "scenario" must be a string"#,
+            ),
+            (
+                expect(r#"{"scenario": "p", "check": 1}"#),
+                r#"expectations[0]: "check" must be a string"#,
+            ),
+            (
+                expect(r#"{"scenario": "p", "metric": "ls.p9999_us", "stat": 99, "max": 1}"#),
+                r#"expectations[0]: "stat" must be a string"#,
+            ),
+        ] {
+            match CampaignSpec::from_json_str(&src) {
+                Err(CampaignError::Parse(msg)) => assert_eq!(msg, want, "{src}"),
+                other => panic!("{src}: expected Parse, got {other:?}"),
             }
         }
     }

@@ -37,6 +37,10 @@ fn cores() -> usize {
 
 /// `items.iter().map(f)`, fanned out over up to `threads` workers
 /// (defaults to available parallelism) with results in input order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "scoped fan-out over independent simulations, results in input order"
+)]
 pub fn map<T: Sync, R: Send>(
     items: &[T],
     threads: Option<usize>,

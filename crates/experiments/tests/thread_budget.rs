@@ -23,6 +23,10 @@ fn threads_now() -> usize {
 
 /// The most threads alive at once while `f` runs, the sampling thread
 /// itself included.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a sampling thread counts the run's threads"
+)]
 fn peak_threads_during(f: impl FnOnce()) -> usize {
     let done = AtomicBool::new(false);
     thread::scope(|s| {

@@ -540,9 +540,10 @@ impl MetricsSource for FaultPlane {
 /// flip broke framing (the simulated CRC catches it → treated as a drop).
 fn corrupt_one_bit(rng: &mut Pcg32, pdu: &Pdu) -> Option<Pdu> {
     let wire: Bytes = pdu.encode();
-    // lint: allow(no-payload-to_vec) copy-on-write: the bit flip must not
-    // mutate the sender's retransmission buffer or any sibling view of
-    // the shared payload (DESIGN.md §12).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "copy-on-write: the flip must not reach any view of the shared payload"
+    )]
     let mut buf = wire.to_vec();
     if buf.is_empty() {
         return None;

@@ -32,6 +32,21 @@ impl Json {
         }
     }
 
+    /// Typed object field lookup: `Ok(None)` when `key` is absent, and
+    /// an error naming the key and the type it wants (`want`, e.g. "a
+    /// number") when `conv` rejects the value, so a wrongly typed value
+    /// never reads as the default.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        want: &str,
+        conv: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| conv(v).ok_or_else(|| format!("\"{key}\" must be {want}")))
+            .transpose()
+    }
+
     /// Number as `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -164,12 +164,12 @@ mod tests {
 
     proptest::proptest! {
         /// Random write sequences: last-writer-wins per block, verified
-        /// against a HashMap model.
+        /// against a BTreeMap model.
         #[test]
         fn last_writer_wins(writes in proptest::collection::vec(
             (0u64..64, 1u64..4, proptest::prelude::any::<u8>()), 1..40)) {
             let mut ns = Namespace::new(1, 128);
-            let mut model: std::collections::HashMap<u64, u8> = Default::default();
+            let mut model: std::collections::BTreeMap<u64, u8> = Default::default();
             for (slba, nblocks, fill) in writes {
                 let data = vec![fill; nblocks as usize * BLOCK_SIZE];
                 ns.write(slba, &data).unwrap();

@@ -30,6 +30,11 @@
 //! layers and drives this initiator and this target through its Priority
 //! Manager policies.
 
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod admin;
 pub mod costs;
 pub mod initiator;

@@ -301,6 +301,10 @@ impl Pdu {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests copy payloads out to compare them"
+)]
 mod tests {
     use super::*;
 

@@ -8,7 +8,8 @@
 //!
 //! Only use these aliases for maps that are **never iterated**: iteration
 //! order depends on the hasher, and hash-order iteration is exactly what
-//! the workspace `hashmap-iter` lint exists to keep off the event paths.
+//! the workspace's `hashmap-iter` clippy rule (DESIGN.md §10) keeps off
+//! the event paths.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -66,9 +66,12 @@ struct EventSlot {
     data: EventData,
 }
 
-/// SAFETY contract for both fns: `data` points at storage previously
-/// initialized by `store_event` for this exact `F`, and is not used
-/// again afterwards.
+/// Run the closure stored inline in `data`, consuming it.
+///
+/// # Safety
+/// `data` points at storage previously initialized by `store_event` for
+/// this exact `F`, and is not used again afterwards. The other three
+/// entry points share this contract.
 unsafe fn call_inline<F: FnOnce(&mut Kernel)>(data: *mut usize, k: &mut Kernel) {
     // SAFETY: per the contract, `data` holds a valid `F` (inline layout
     // was checked at store time); `read` takes ownership, so the slot is
@@ -77,14 +80,20 @@ unsafe fn call_inline<F: FnOnce(&mut Kernel)>(data: *mut usize, k: &mut Kernel) 
     f(k);
 }
 
-// SAFETY: caller upholds the shared contract above for this `F`.
+/// Drop the closure stored inline in `data` unrun.
+///
+/// # Safety
+/// As [`call_inline`], for this `F`.
 unsafe fn drop_inline<F>(data: *mut usize) {
     // SAFETY: per the contract, `data` holds a valid `F` that will not
     // be read again.
     unsafe { std::ptr::drop_in_place(data as *mut F) }
 }
 
-// SAFETY: caller upholds the shared contract above for this `F`.
+/// Run the boxed closure whose pointer `data` holds, consuming it.
+///
+/// # Safety
+/// As [`call_inline`], for this `F`.
 unsafe fn call_boxed<F: FnOnce(&mut Kernel)>(data: *mut usize, k: &mut Kernel) {
     // SAFETY: per the contract, the first word holds the raw pointer
     // produced by `Box::into_raw` at store time; ownership returns to
@@ -93,7 +102,10 @@ unsafe fn call_boxed<F: FnOnce(&mut Kernel)>(data: *mut usize, k: &mut Kernel) {
     b(k);
 }
 
-// SAFETY: caller upholds the shared contract above for this `F`.
+/// Drop the boxed closure whose pointer `data` holds unrun.
+///
+/// # Safety
+/// As [`call_inline`], for this `F`.
 unsafe fn drop_boxed<F>(data: *mut usize) {
     // SAFETY: as `call_boxed`, but the closure is dropped unrun.
     drop(unsafe { Box::from_raw((data as *mut *mut F).read()) });

@@ -25,6 +25,9 @@
 //! assert_eq!(k.now().as_micros(), 5);
 //! ```
 
+// The kernel's event-slot erasure is the workspace's one `unsafe` product code.
+#![allow(unsafe_code)]
+
 pub mod fxhash;
 pub mod kernel;
 pub mod metrics;

@@ -166,16 +166,18 @@ impl SimDuration {
 /// Wall-clock stopwatch for harness-side progress reporting.
 ///
 /// Simulation code must never read the host clock — results would stop
-/// being reproducible, and the workspace linter's `wall-clock` rule
-/// rejects `std::time::Instant`/`SystemTime` outside this crate. The one
-/// legitimate use is a harness timing its own run (e.g. `repro` printing
-/// how long regeneration took); routing that through `Stopwatch` keeps
-/// `std::time` out of every other crate.
+/// being reproducible, and the workspace's `clippy.toml` disallows
+/// `std::time::Instant`/`SystemTime` everywhere. The one legitimate use
+/// is a harness timing its own run (e.g. `repro` printing how long
+/// regeneration took); routing that through `Stopwatch` keeps `std::time`
+/// out of every other place.
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "the sanctioned wall-clock reader")]
 pub struct Stopwatch(std::time::Instant);
 
 impl Stopwatch {
     /// Start timing now.
+    #[expect(clippy::disallowed_types, reason = "the sanctioned wall-clock reader")]
     pub fn start() -> Self {
         Stopwatch(std::time::Instant::now())
     }

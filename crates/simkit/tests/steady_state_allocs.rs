@@ -7,6 +7,8 @@
 //! 1e-3 allocations each. This binary installs its own counting global
 //! allocator, so it holds exactly this one test.
 
+#![allow(unsafe_code, reason = "a counting global allocator")]
+
 use simkit::{Kernel, Pcg32, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;

@@ -233,14 +233,19 @@ fn list<T>(
     }
 }
 
+/// [`Json::field`] with the block it sits in (`ctx`) named in the error.
+fn field<'a, T>(
+    v: &'a Json,
+    ctx: &str,
+    key: &str,
+    want: &str,
+    conv: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.field(key, want, conv).map_err(|e| format!("{ctx}: {e}"))
+}
+
 fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(x) => x
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("faults.{key} must be a number")),
-    }
+    field(v, "faults", key, "a number", Json::as_f64)
 }
 
 fn opt_prob(v: &Json, key: &str) -> Result<Option<f64>, String> {
@@ -342,7 +347,7 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
         }
         p.settle_s = s;
     }
-    for e in v.get("flaps").and_then(Json::as_arr).unwrap_or(&[]) {
+    for e in field(v, "faults", "flaps", "an array", Json::as_arr)?.unwrap_or(&[]) {
         check_keys(e, "faults.flaps entry", &["link", "at_s", "for_s"])?;
         let (at, dur) = window(e, "flaps")?;
         let link = e
@@ -351,7 +356,7 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
             .ok_or("faults.flaps entry needs an integer link")? as usize;
         p.flaps.push(LinkFlap { link, at, dur });
     }
-    for e in v.get("degrade").and_then(Json::as_arr).unwrap_or(&[]) {
+    for e in field(v, "faults", "degrade", "an array", Json::as_arr)?.unwrap_or(&[]) {
         check_keys(e, "faults.degrade entry", &["factor", "at_s", "for_s"])?;
         let (at, dur) = window(e, "degrade")?;
         let factor = opt_f64(e, "factor")?.unwrap_or(2.0);
@@ -360,12 +365,12 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
         }
         p.degrades.push(Degrade { at, dur, factor });
     }
-    for e in v.get("stalls").and_then(Json::as_arr).unwrap_or(&[]) {
+    for e in field(v, "faults", "stalls", "an array", Json::as_arr)?.unwrap_or(&[]) {
         check_keys(e, "faults.stalls entry", &["at_s", "for_s"])?;
         let (at, dur) = window(e, "stalls")?;
         p.stalls.push(Stall { at, dur });
     }
-    for e in v.get("crashes").and_then(Json::as_arr).unwrap_or(&[]) {
+    for e in field(v, "faults", "crashes", "an array", Json::as_arr)?.unwrap_or(&[]) {
         check_keys(e, "faults.crashes entry", &["tenant", "at_s", "for_s"])?;
         let (at, dur) = window(e, "crashes")?;
         let tenant = e
@@ -411,13 +416,19 @@ fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
         if let Some(x) = opt_prob(a, "spoof_p")? {
             adv.spoof_p = x;
         }
-        if let Some(victim) = a.get("spoof_victim").and_then(Json::as_u64) {
+        if let Some(victim) = field(
+            a,
+            "faults.adversary",
+            "spoof_victim",
+            "an integer",
+            Json::as_u64,
+        )? {
             if victim > u64::from(u8::MAX) {
                 return Err(format!("faults.adversary.spoof_victim {victim} exceeds u8"));
             }
             adv.spoof_victim = victim as u8;
         }
-        if let Some(h) = a.get("harden").and_then(Json::as_bool) {
+        if let Some(h) = field(a, "faults.adversary", "harden", "a boolean", Json::as_bool)? {
             adv.harden = h;
         }
         p.adversary = Some(adv);
@@ -584,8 +595,8 @@ impl SweepSpec {
                 },
                 vec![42],
             )?,
-            warmup_s: doc.get("warmup_s").and_then(Json::as_f64).unwrap_or(0.05),
-            measure_s: doc.get("measure_s").and_then(Json::as_f64).unwrap_or(0.15),
+            warmup_s: field(&doc, "spec", "warmup_s", "a number", Json::as_f64)?.unwrap_or(0.05),
+            measure_s: field(&doc, "spec", "measure_s", "a number", Json::as_f64)?.unwrap_or(0.15),
             threads: doc
                 .get("threads")
                 .map(|v| {
@@ -857,6 +868,21 @@ mod tests {
         assert!(err.contains("tenant-id space"), "{err}");
         assert!(SweepSpec::from_json(r#"{"name":"x","measure_s":0}"#).is_err());
         assert!(SweepSpec::from_json(r#"{"name":"x","threads":0}"#).is_err());
+        // A present key of the wrong type is an error naming it, never
+        // the default.
+        for (doc, want) in [
+            (
+                r#"{"name":"x","warmup_s":"0.001"}"#,
+                r#""warmup_s" must be a number"#,
+            ),
+            (
+                r#"{"name":"x","measure_s":true}"#,
+                r#""measure_s" must be a number"#,
+            ),
+        ] {
+            let err = SweepSpec::from_json(doc).unwrap_err();
+            assert!(err.contains(want), "{doc}: {err}");
+        }
     }
 
     #[test]
@@ -933,6 +959,19 @@ mod tests {
         ] {
             assert!(SweepSpec::from_json(doc).is_err(), "should reject: {doc}");
         }
+        for (doc, want) in [
+            (
+                r#"{"name":"x","faults":{"adversary":{"link":0,"harden":"no"}}}"#,
+                r#"faults.adversary: "harden" must be a boolean"#,
+            ),
+            (
+                r#"{"name":"x","faults":{"adversary":{"link":0,"spoof_victim":"2"}}}"#,
+                r#"faults.adversary: "spoof_victim" must be an integer"#,
+            ),
+        ] {
+            let err = SweepSpec::from_json(doc).unwrap_err();
+            assert!(err.contains(want), "{doc}: {err}");
+        }
     }
 
     #[test]
@@ -961,6 +1000,14 @@ mod tests {
             .is_err(),
             "degrade factor below 1 would speed the link up"
         );
+        for key in ["flaps", "degrade", "stalls", "crashes"] {
+            let doc = format!(r#"{{"name":"x","faults":{{"{key}":{{"at_s":0.1,"for_s":0.1}}}}}}"#);
+            let err = SweepSpec::from_json(&doc).unwrap_err();
+            assert!(
+                err.contains(&format!(r#"faults: "{key}" must be an array"#)),
+                "{doc}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! aggregate TC throughput, LS tail latency, and the completion-
 //! notification counts that Figure 6(c) compares.
 
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod hist;
 pub mod mix;
 pub mod report;

@@ -879,9 +879,12 @@ pub fn run(sc: &Scenario) -> RunResult {
 ///
 /// # Panics
 /// As [`run`].
+#[expect(
+    clippy::panic,
+    reason = "the benchmark fixes this signature; callers validate first"
+)]
 pub fn run_on(sc: &Scenario, workers: usize) -> RunResult {
     if let Err(e) = sc.validate() {
-        // lint: allow(no-panic) the benchmark fixes this signature; callers validate first
         panic!("invalid scenario: {e}");
     }
     // Churn storms materialise as staggered fault-plane crash windows
@@ -929,6 +932,10 @@ pub fn run_on(sc: &Scenario, workers: usize) -> RunResult {
 /// payload once every worker has left the meeting, so it never strands
 /// the others there; a worker the system cannot start has its groups
 /// run on the calling thread.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "scoped fan-out over a run's independent pair groups, merged in group order"
+)]
 fn fan_out<T, O: Send>(
     groups: usize,
     workers: usize,
@@ -2053,6 +2060,10 @@ mod tests {
     /// thread, before the workers meet or after — surfaces on the
     /// calling thread as that panic, and never leaves a worker waiting.
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a free thread lets the receive timeout turn a hang into a failure"
+    )]
     fn a_group_panic_surfaces_and_never_hangs() {
         let (tx, rx) = std::sync::mpsc::channel();
         // Groups 0 and 2 run on the calling thread, 1 and 3 on the other

@@ -133,6 +133,10 @@ fn h5_file_written_over_fabric_is_readable_from_device() {
 /// The same dataset read back over the fabric (TC coalesced reads)
 /// matches what was written.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test copies each payload out to compare it"
+)]
 fn tc_reads_over_fabric_return_written_bytes() {
     let (mut k, pair) = opf_rig(4);
     // Seed the namespace directly with a pattern.
