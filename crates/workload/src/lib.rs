@@ -19,6 +19,7 @@
 
 pub mod hist;
 pub mod mix;
+pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -29,8 +30,9 @@ pub mod volume;
 pub use cluster::{MigrationSpec, PlacementSpec};
 pub use hist::Histogram;
 pub use mix::Mix;
+pub use pool::map;
 pub use report::{csv_table, render_table, Table};
-pub use runner::{build_pair, build_pair_traced, run, run_on, Env, Pair, RunResult, TenantHandle};
+pub use runner::{build_pair, build_pair_traced, run, run_all, Env, Pair, RunResult, TenantHandle};
 pub use scenario::{Pattern, RuntimeKind, Scenario, ScenarioError, Transport, WindowSpec};
 pub use trace::{replay, ReplayConfig, ReplayError, ReplayResult, TraceEvent, TraceLog};
 pub use traffic::{ArrivalModel, ChurnStorm, Phase, TenantTraffic, TrafficSpec};
