@@ -16,6 +16,10 @@ const BUCKETS: usize = 59;
 /// A log-linear histogram of nanosecond values.
 #[derive(Clone, PartialEq)]
 pub struct Histogram {
+    /// Cells `first..first + counts.len()` of the 3,776: the smallest
+    /// recorded value's to the largest's. A grid holds every run's
+    /// histograms until it merges them; latencies span a few hundred.
+    first: usize,
     counts: Vec<u64>,
     total: u64,
     sum: u128,
@@ -43,7 +47,8 @@ impl Histogram {
     /// New empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; BUCKETS * SUB_BUCKETS],
+            first: 0,
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -81,7 +86,11 @@ impl Histogram {
     /// Record one value (nanoseconds).
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::index_of(value)] += 1;
+        let i = Self::index_of(value);
+        if self.counts.get(i.wrapping_sub(self.first)).is_none() {
+            self.cover(i, i);
+        }
+        self.counts[i - self.first] += 1;
         self.total += 1;
         self.sum += u128::from(value);
         if value < self.min {
@@ -134,7 +143,7 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Self::value_of(i).min(self.max);
+                return Self::value_of(self.first + i).min(self.max);
             }
         }
         self.max
@@ -144,8 +153,12 @@ impl Histogram {
     /// count, sum or extreme, so merging parts in any order gives
     /// exactly the histogram of all their values.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if !other.counts.is_empty() {
+            self.cover(other.first, other.first + other.counts.len() - 1);
+            let cells = &mut self.counts[other.first - self.first..];
+            for (a, b) in cells.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -153,9 +166,28 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
+    /// Grow the stored cells, with no spare capacity, to cover `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.first = lo;
+        }
+        if lo < self.first {
+            let grow = self.first - lo;
+            self.counts.reserve_exact(grow);
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = lo;
+        }
+        let len = hi + 1 - self.first;
+        if len > self.counts.len() {
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+    }
+
     /// Reset to empty without deallocating.
     pub fn clear(&mut self) {
-        self.counts.fill(0);
+        self.first = 0;
+        self.counts.clear();
         self.total = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -252,12 +284,16 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut h = Histogram::new();
-        h.record(5);
+        h.record(5_000_000);
         h.clear();
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(0.99), 0);
+        assert_eq!(h, Histogram::new());
         h.record(7);
         assert_eq!(h.count(), 1);
+        let mut fresh = Histogram::new();
+        fresh.record(7);
+        assert_eq!(h, fresh);
     }
 
     #[test]
