@@ -24,15 +24,19 @@
 //! # The queue
 //!
 //! Nothing is ever scheduled before `now`, so the pending set is a
-//! *monotone* priority queue, and the kernel keeps it in a radix heap
-//! keyed on `at` (DESIGN.md §8): a push is a bit scan and a `Vec` push,
-//! and a pop refiles one small bucket. Same-instant events leave in
+//! *monotone* priority queue, and the kernel keeps it in a timing wheel
+//! of 256 ns ticks spanning 4.19 ms (DESIGN.md §8): a push links the
+//! event onto its tick's list once, and a pop finds the next occupied
+//! tick with a bit scan and sorts that tick's few events by
+//! `(at, seq)`. Events due beyond the span wait in a binary heap until
+//! the wheel comes within a span of them. Same-instant events leave in
 //! `seq` order.
 
 use crate::rng::Pcg32;
 use crate::time::{SimDuration, SimTime};
 use queues::{MailboxRx, MailboxTx};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
@@ -124,55 +128,71 @@ struct Scheduled {
 
 const _: () = assert!(std::mem::size_of::<Scheduled>() == 24);
 
+/// Ticks are `at >> TICK_SHIFT`: 256 ns each.
+const TICK_SHIFT: u32 = 8;
+/// Wheel slots, one tick each: the wheel spans 2^14 ticks (4.19 ms).
+const SLOTS: usize = 1 << 14;
+const SLOT_MASK: u64 = SLOTS as u64 - 1;
+/// End of a slot's list.
+const NIL: u32 = u32::MAX;
+
+/// The pop-order key of the event in `slot`.
+#[inline]
+fn order_key(keys: &[Scheduled], slot: u32) -> (SimTime, u64) {
+    let s = &keys[slot as usize];
+    (s.at, s.seq)
+}
+
 /// Every pending event of every lane, popped in `(at, seq)` order.
 ///
-/// A radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) over
-/// `at`. It relies on the kernel being *monotone* — nothing is ever
-/// scheduled before `now` — so every pending `at` is at least `last`,
-/// the `at` of the minimum most recently settled. An event sits in
-/// bucket `b`, the highest bit at which its `at` differs from `last`;
-/// every `at` in a lower bucket is then smaller than every `at` in a
-/// higher one, so the lowest non-empty bucket holds the minimum.
-/// Settling it moves `last` up to that minimum and refiles the bucket's
-/// other entries into strictly lower buckets, so each event is refiled
-/// at most 64 times and in practice a few. Events at `last` wait in
-/// `ties` in `seq` order. Entries are slot indices, not keys, to keep
-/// the buckets small; the keys sit in one table indexed by slot.
+/// A timing wheel (Varghese and Lauck, SOSP 1987) of 256 ns ticks. It
+/// relies on the kernel being *monotone* — nothing is ever scheduled
+/// before `now` — so no pending event is due before `tick`, the tick
+/// the wheel stands at, and `run` holds that tick's events sorted by
+/// `(at, seq)`. An event due in one of the next `SLOTS - 1` ticks is
+/// filed once, on the list of slot `tick mod SLOTS`, threaded through
+/// `next`; a two-level bitmap finds the next occupied slot. An event due
+/// later waits in `far` until the wheel comes within a span of it.
+/// Entries are slot indices, not keys; the keys sit in one table
+/// indexed by slot.
 struct EventQueue {
     keys: Vec<Scheduled>,
-    buckets: [Vec<u32>; 64],
-    /// Bit `b` is set iff `buckets[b]` is non-empty.
-    nonempty: u64,
-    /// Slots whose `at == last`, ascending by `seq`: the queue's head.
-    ties: VecDeque<u32>,
-    last: SimTime,
+    /// Next slot on the same wheel list, indexed by slot.
+    next: Vec<u32>,
+    /// First slot on each wheel slot's list, or `NIL`.
+    heads: Box<[u32]>,
+    /// Bit `i` is set iff `heads[i]` is not `NIL`.
+    occupied: [u64; SLOTS / 64],
+    /// Bit `w` is set iff `occupied[w]` is non-zero.
+    summary: [u64; SLOTS / 4096],
+    /// The events of `tick`, by descending `(at, seq)`: the head is last.
+    run: Vec<u32>,
+    /// `(at, slot)` of every event at least `SLOTS` ticks past `tick`.
+    far: BinaryHeap<Reverse<(u64, u32)>>,
+    tick: u64,
+    len: usize,
 }
 
 impl EventQueue {
     fn new() -> Self {
         EventQueue {
             keys: Vec::with_capacity(1024),
-            buckets: std::array::from_fn(|_| Vec::new()),
-            nonempty: 0,
-            ties: VecDeque::with_capacity(64),
-            last: SimTime::ZERO,
+            next: Vec::with_capacity(1024),
+            heads: vec![NIL; SLOTS].into_boxed_slice(),
+            occupied: [0; SLOTS / 64],
+            summary: [0; SLOTS / 4096],
+            run: Vec::with_capacity(64),
+            far: BinaryHeap::new(),
+            tick: 0,
+            len: 0,
         }
     }
 
     fn len(&self) -> usize {
-        self.ties.len() + self.buckets.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Put a slot whose `at > last` into its bucket.
-    #[inline]
-    fn file(&mut self, slot: u32, at: SimTime) {
-        let b = 63 - (at.as_nanos() ^ self.last.as_nanos()).leading_zeros() as usize;
-        self.buckets[b].push(slot);
-        self.nonempty |= 1 << b;
+        self.len
     }
 
     fn push(&mut self, s: Scheduled) {
-        debug_assert!(s.at >= self.last, "scheduled before the settled minimum");
         let i = s.slot as usize;
         if i < self.keys.len() {
             self.keys[i] = s;
@@ -181,85 +201,138 @@ impl EventQueue {
             // filed after a younger slot; the gap is overwritten when
             // its own event is pushed.
             self.keys.resize(i + 1, s);
+            self.next.resize(i + 1, NIL);
         }
-        if s.at > self.last {
-            self.file(s.slot, s.at);
-            return;
+        self.len += 1;
+        let tick = s.at.as_nanos() >> TICK_SHIFT;
+        debug_assert!(tick >= self.tick, "scheduled before the wheel's tick");
+        if tick == self.tick {
+            // A schedule drained from the mesh can carry a lower `seq`
+            // than one pushed directly in the same step.
+            let pos = self
+                .run
+                .partition_point(|&j| order_key(&self.keys, j) > (s.at, s.seq));
+            self.run.insert(pos, s.slot);
+        } else if tick - self.tick < SLOTS as u64 {
+            self.link(s.slot, tick);
+        } else {
+            self.far.push(Reverse((s.at.as_nanos(), s.slot)));
         }
-        // Insert from the back: a schedule drained from the mesh can
-        // carry a lower `seq` than one pushed directly in the same step.
-        let keys = &self.keys;
-        let pos = self
-            .ties
-            .iter()
-            .rposition(|&j| keys[j as usize].seq < s.seq)
-            .map_or(0, |p| p + 1);
-        self.ties.insert(pos, s.slot);
+    }
+
+    /// Put `slot` on the list of `tick`, which lies within the wheel.
+    #[inline]
+    fn link(&mut self, slot: u32, tick: u64) {
+        let w = (tick & SLOT_MASK) as usize;
+        self.next[slot as usize] = self.heads[w];
+        self.heads[w] = slot;
+        self.occupied[w / 64] |= 1 << (w % 64);
+        self.summary[w / 4096] |= 1 << (w / 64 % 64);
+    }
+
+    /// The first occupied wheel slot at or after `from`.
+    #[inline]
+    fn occupied_from(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let bits = self.occupied[word] & (u64::MAX << (from % 64));
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
+        }
+        let word = word + 1;
+        let mut mask = u64::MAX << (word % 64);
+        for s in word / 64..self.summary.len() {
+            let words = self.summary[s] & mask;
+            if words != 0 {
+                let w = s * 64 + words.trailing_zeros() as usize;
+                return Some(w * 64 + self.occupied[w].trailing_zeros() as usize);
+            }
+            mask = u64::MAX;
+        }
+        None
     }
 
     /// Remove and return the earliest `(at, seq)` event if its `at` is
-    /// at most `limit`. `last` only advances to an `at` that is popped
-    /// here, so it never passes the clock: a caller of
-    /// [`Kernel::run_until`] may still schedule between `until` and a
-    /// later head.
+    /// at most `limit`. The wheel never moves past `limit`'s tick, so it
+    /// never passes the clock: a caller of [`Kernel::run_until`] may
+    /// still schedule between `until` and a later head.
     fn pop(&mut self, limit: SimTime) -> Option<Scheduled> {
-        let ready = if self.ties.is_empty() {
-            self.settle(limit)
-        } else {
-            self.last <= limit
-        };
-        if !ready {
+        if self.run.is_empty() && !self.advance(limit) {
             return None;
         }
-        let slot = self.ties.pop_front()?;
-        Some(self.keys[slot as usize])
+        let &slot = self.run.last()?;
+        let s = self.keys[slot as usize];
+        if s.at > limit {
+            return None;
+        }
+        self.run.pop();
+        self.len -= 1;
+        Some(s)
     }
 
-    /// With `ties` empty: if the earliest pending `at` is at most
-    /// `limit`, make it `last` and move its events into `ties`.
-    fn settle(&mut self, limit: SimTime) -> bool {
-        if self.nonempty == 0 {
+    /// With `run` empty: if the next occupied tick starts at or before
+    /// `limit`, move the wheel to that tick, its events into `run` and
+    /// the far events now within a span into the wheel. A tick that
+    /// starts by `limit` is not past the clock once it reaches `limit`,
+    /// even if all its events are later.
+    fn advance(&mut self, limit: SimTime) -> bool {
+        let from = ((self.tick + 1) & SLOT_MASK) as usize;
+        let tick = match self.occupied_from(from).or_else(|| self.occupied_from(0)) {
+            // The wheel's own tick is never occupied, so this is the
+            // next occupied tick after it.
+            Some(w) => self.tick + ((w as u64).wrapping_sub(self.tick) & SLOT_MASK),
+            None => match self.far.peek() {
+                Some(&Reverse((at, _))) => at >> TICK_SHIFT,
+                None => return false,
+            },
+        };
+        if tick << TICK_SHIFT > limit.as_nanos() {
             return false;
         }
-        let b = self.nonempty.trailing_zeros() as usize;
-        let mut bucket = std::mem::take(&mut self.buckets[b]);
-        let min = bucket
-            .iter()
-            .map(|&i| self.keys[i as usize].at)
-            .min()
-            .expect("a set bit names a non-empty bucket");
-        if min > limit {
-            self.buckets[b] = bucket;
-            return false;
-        }
-        self.last = min;
-        self.nonempty &= !(1 << b);
-        for &i in &bucket {
-            let at = self.keys[i as usize].at;
-            if at == min {
-                self.ties.push_back(i);
-            } else {
-                self.file(i, at);
+        let w = (tick & SLOT_MASK) as usize;
+        self.tick = tick;
+        let mut i = std::mem::replace(&mut self.heads[w], NIL);
+        if i != NIL {
+            self.occupied[w / 64] &= !(1 << (w % 64));
+            if self.occupied[w / 64] == 0 {
+                self.summary[w / 4096] &= !(1 << (w / 64 % 64));
             }
         }
-        // Refiling only reached lower buckets; keep this one's capacity.
-        bucket.clear();
-        self.buckets[b] = bucket;
-        if self.ties.len() > 1 {
-            let keys = &self.keys;
-            self.ties
-                .make_contiguous()
-                .sort_unstable_by_key(|&i| keys[i as usize].seq);
+        while i != NIL {
+            self.run.push(i);
+            i = self.next[i as usize];
         }
+        while let Some(&Reverse((at, slot))) = self.far.peek() {
+            let t = at >> TICK_SHIFT;
+            if t - tick >= SLOTS as u64 {
+                break;
+            }
+            self.far.pop();
+            if t == tick {
+                self.run.push(slot);
+            } else {
+                self.link(slot, t);
+            }
+        }
+        self.run
+            .sort_unstable_by_key(|&j| Reverse(order_key(&self.keys, j)));
         true
     }
 
     /// Every pending slot, each named exactly once, emptying the queue.
-    fn drain(&mut self) -> impl Iterator<Item = u32> + '_ {
-        self.nonempty = 0;
-        self.ties
-            .drain(..)
-            .chain(self.buckets.iter_mut().flat_map(|b| b.drain(..)))
+    fn drain(&mut self) -> Vec<u32> {
+        let mut all = std::mem::take(&mut self.run);
+        for head in self.heads.iter_mut() {
+            let mut i = std::mem::replace(head, NIL);
+            while i != NIL {
+                all.push(i);
+                i = self.next[i as usize];
+            }
+        }
+        all.extend(self.far.drain().map(|Reverse((_, slot))| slot));
+        self.occupied = [0; SLOTS / 64];
+        self.summary = [0; SLOTS / 4096];
+        self.len = 0;
+        all
     }
 }
 
@@ -815,11 +888,11 @@ mod tests {
     fn pending_events_release_captures_on_kernel_drop() {
         // Both inline and boxed pending closures must be dropped (not
         // leaked, not run) when the kernel is torn down mid-run, from
-        // the tie list and from every bucket alike.
+        // the current tick's run, the wheel and the far heap alike.
         let token = Rc::new(());
         {
             let mut k = Kernel::new(0);
-            let ats = [5_000u64, 5_000, 5_000, 6_000, 300_000, 1 << 40, 1 << 40];
+            let ats = [5_000u64, 5_000, 5_100, 6_000, 300_000, 1 << 40, 1 << 40];
             for (i, &at) in ats.iter().enumerate() {
                 let t = token.clone();
                 if i % 2 == 0 {
@@ -834,11 +907,14 @@ mod tests {
             }
             k.run_until(SimTime::from_micros(1));
             assert_eq!(Rc::strong_count(&token), 1 + ats.len());
-            // One of the three 5 µs events runs; two stay in the tie
-            // list, the rest in three different buckets.
+            // One 5 µs event runs; the other and the 5.1 µs one share its
+            // tick and stay in the run, two more sit on two wheel slots
+            // and the last two in the far heap.
             assert!(k.step());
-            assert_eq!(k.queue.ties.len(), 2);
-            assert_eq!(k.queue.nonempty.count_ones(), 3);
+            assert_eq!(k.queue.run.len(), 2);
+            let slots: u32 = k.queue.occupied.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(slots, 2);
+            assert_eq!(k.queue.far.len(), 2);
             assert_eq!(k.events_pending(), ats.len() - 1);
             assert_eq!(Rc::strong_count(&token), ats.len());
         }
@@ -867,10 +943,22 @@ mod tests {
         assert_eq!(*order.borrow(), vec!["new", "head"]);
     }
 
+    /// One differential workload: how far ahead events are scheduled,
+    /// where `run_until` cuts, and how many events it runs.
+    struct Mix {
+        /// Delay of a new event, given the clock in nanoseconds.
+        delay: fn(&mut Pcg32, u64) -> u64,
+        /// Next cutoff, given the last one and the earliest unfired
+        /// `at` (if any).
+        cutoff: fn(&mut Pcg32, u64, Option<u64>) -> u64,
+        budget: u32,
+    }
+
     /// Every schedule and every firing of one differential run, keyed
     /// by the kernel's own `seq` (the count of schedules before it).
     struct Diff {
         rng: RefCell<Pcg32>,
+        delay: fn(&mut Pcg32, u64) -> u64,
         next_seq: Cell<u64>,
         /// Children events may still schedule.
         budget: Cell<u32>,
@@ -891,6 +979,52 @@ mod tests {
         }
     }
 
+    fn diff_cutoff(rng: &mut Pcg32, until: u64, _: Option<u64>) -> u64 {
+        until + rng.gen_range(0, 300_000)
+    }
+
+    const TICK: u64 = 1 << TICK_SHIFT;
+    const SPAN: u64 = SLOTS as u64 * TICK;
+
+    /// Delays at the wheel's edges: inside the current tick, exactly on
+    /// a tick boundary, span − 1, span and span + 1 ticks ahead (from
+    /// the clock and from a boundary), and far past the span.
+    fn edge_delay(rng: &mut Pcg32, now: u64) -> u64 {
+        let to_boundary = TICK - now % TICK;
+        match rng.gen_below(10) {
+            0 => 0,
+            1 => rng.gen_range(0, to_boundary),
+            2 => to_boundary,
+            3 => to_boundary + TICK * rng.gen_range(0, 64),
+            4 => SPAN - TICK + rng.gen_range(0, 2) * to_boundary,
+            5 => SPAN + rng.gen_range(0, 2) * to_boundary,
+            6 => SPAN + TICK + rng.gen_range(0, 2) * to_boundary,
+            7 => 2 * SPAN + rng.gen_range(0, SPAN),
+            _ => rng.gen_range(1, 3 * TICK),
+        }
+    }
+
+    /// Cutoffs that land on the next pending event, so its tick still
+    /// holds later ones, or jump past a whole span.
+    fn edge_cutoff(rng: &mut Pcg32, until: u64, next: Option<u64>) -> u64 {
+        match (rng.gen_below(3), next) {
+            (0, Some(at)) => at.max(until),
+            (1, _) => until + SPAN + rng.gen_range(0, SPAN),
+            _ => until + rng.gen_range(0, 3 * TICK),
+        }
+    }
+
+    const BASE: Mix = Mix {
+        delay: diff_delay,
+        cutoff: diff_cutoff,
+        budget: 2_000,
+    };
+    const EDGES: Mix = Mix {
+        delay: edge_delay,
+        cutoff: edge_cutoff,
+        budget: 3_000,
+    };
+
     fn diff_schedule(k: &mut Kernel, st: &Rc<Diff>, lane: u32, at: SimTime) {
         let seq = st.next_seq.get();
         st.next_seq.set(seq + 1);
@@ -910,7 +1044,7 @@ mod tests {
                 let (lane, delay) = {
                     let mut rng = st.rng.borrow_mut();
                     let lane = rng.gen_below(k.shards() as u32);
-                    (lane, diff_delay(&mut rng, k.now().as_nanos()))
+                    (lane, (st.delay)(&mut rng, k.now().as_nanos()))
                 };
                 diff_schedule(k, &st, lane, k.now() + SimDuration::from_nanos(delay));
             }
@@ -924,26 +1058,42 @@ mod tests {
         all
     }
 
-    fn run_diff(seed: u64, shards: usize, parallel: bool) -> Vec<(u64, u64)> {
+    /// What a differential run drove the wheel through.
+    #[derive(Default)]
+    struct Seen {
+        /// Cutoffs that left a later event in the current tick's run.
+        cut_inside_tick: u32,
+        /// Cutoffs with events waiting in the far heap.
+        far_pending: u32,
+        /// The wheel's last tick.
+        last_tick: u64,
+    }
+
+    fn run_diff(mix: &Mix, seed: u64, shards: usize, parallel: bool) -> (Vec<(u64, u64)>, Seen) {
         let st = Rc::new(Diff {
             rng: RefCell::new(Pcg32::new(seed)),
+            delay: mix.delay,
             next_seq: 0.into(),
-            budget: 2_000.into(),
+            budget: mix.budget.into(),
             scheduled: RefCell::new(Vec::new()),
             fired: RefCell::new(Vec::new()),
         });
+        let mut seen = Seen::default();
         let mut k = Kernel::with_shards(seed, shards);
         k.set_parallel(parallel);
         let lanes = shards as u32;
         for i in 0..64 {
-            let delay = diff_delay(&mut st.rng.borrow_mut(), 0);
+            let delay = (mix.delay)(&mut st.rng.borrow_mut(), 0);
             diff_schedule(&mut k, &st, i % lanes, SimTime::from_nanos(delay));
         }
         // Cutoffs, each followed by schedules from outside any event,
         // some of them between the cutoff and the pending head.
         let mut until = 0;
         for _ in 0..24 {
-            until += st.rng.borrow_mut().gen_range(0, 300_000);
+            let next = diff_reference(&st)
+                .get(st.fired.borrow().len())
+                .map(|&(at, _)| at);
+            until = (mix.cutoff)(&mut st.rng.borrow_mut(), until, next);
             k.run_until(SimTime::from_nanos(until));
             assert_eq!(k.now(), SimTime::from_nanos(until));
             let fired = st.fired.borrow().clone();
@@ -953,11 +1103,13 @@ mod tests {
                 reference.get(fired.len()).is_none_or(|&(at, _)| at > until),
                 "run_until({until}) left a due event pending"
             );
+            seen.cut_inside_tick += u32::from(!k.queue.run.is_empty());
+            seen.far_pending += u32::from(!k.queue.far.is_empty());
             for _ in 0..4 {
                 let (lane, delay) = {
                     let mut rng = st.rng.borrow_mut();
                     let delay = match rng.gen_below(3) {
-                        0 => diff_delay(&mut rng, until),
+                        0 => (mix.delay)(&mut rng, until),
                         _ => rng.gen_range(0, 3_000),
                     };
                     (rng.gen_below(lanes), delay)
@@ -967,13 +1119,14 @@ mod tests {
         }
         k.run_to_completion();
         assert_eq!(k.events_pending(), 0);
+        seen.last_tick = k.queue.tick;
         let reference = diff_reference(&st);
         assert!(reference.len() > 1_000, "too few events to compare");
         assert_eq!(*st.fired.borrow(), reference, "seed {seed}");
         if parallel {
             assert!(k.mesh_routed() > 0, "mesh never engaged");
         }
-        reference
+        (reference, seen)
     }
 
     /// The queue pops exactly the reference sort by `(at, seq)`, across
@@ -983,15 +1136,122 @@ mod tests {
     #[test]
     fn queue_order_matches_reference_sort() {
         for seed in [1, 42] {
-            let serial = run_diff(seed, 1, false);
-            assert_eq!(run_diff(seed, 4, false), serial);
-            assert_eq!(run_diff(seed, 4, true), serial);
+            let serial = run_diff(&BASE, seed, 1, false).0;
+            assert_eq!(run_diff(&BASE, seed, 4, false).0, serial);
+            assert_eq!(run_diff(&BASE, seed, 4, true).0, serial);
         }
     }
 
+    /// The same at the wheel's edges: tick boundaries, delays of about
+    /// one span, far events moving into the wheel, slot indices wrapping
+    /// after the wheel has turned more than once, cutoffs inside a tick
+    /// that still holds a later event, and mesh-drained lower-`seq`
+    /// schedules landing in the current tick.
+    #[test]
+    fn wheel_edges_match_reference_sort() {
+        for seed in [3, 7] {
+            let (serial, seen) = run_diff(&EDGES, seed, 1, false);
+            assert!(seen.cut_inside_tick > 0, "no cutoff fell inside a tick");
+            assert!(seen.far_pending > 0, "nothing waited past the span");
+            assert!(
+                seen.last_tick > 2 * SLOTS as u64,
+                "the wheel never wrapped twice"
+            );
+            assert_eq!(run_diff(&EDGES, seed, 4, true).0, serial);
+        }
+    }
+
+    /// Both mixes over many more seeds and events, in a release build:
+    /// `cargo test --release -p simkit --lib -- --ignored kernel::`.
+    #[test]
+    #[ignore = "high-budget differential; CI runs it in release"]
+    fn queue_order_matches_reference_sort_at_scale() {
+        for seed in 0..32 {
+            for mix in [&BASE, &EDGES] {
+                let big = Mix {
+                    budget: 20_000,
+                    ..*mix
+                };
+                let serial = run_diff(&big, seed, 1, false).0;
+                assert_eq!(run_diff(&big, seed, 3, true).0, serial, "seed {seed}");
+            }
+        }
+    }
+
+    /// A cutoff inside a tick leaves that tick's later event pending; a
+    /// schedule between the cutoff and that event, from outside any
+    /// event, joins the same tick and fires first.
+    #[test]
+    fn run_until_inside_a_tick_keeps_its_later_events() {
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let mut k = Kernel::new(0);
+        for at in [5_000u64, 5_100] {
+            let o = order.clone();
+            k.schedule_at(SimTime::from_nanos(at), move |_| o.borrow_mut().push(at));
+        }
+        k.run_until(SimTime::from_nanos(5_050));
+        assert_eq!(*order.borrow(), vec![5_000]);
+        assert_eq!(k.queue.run.len(), 1, "5.1 µs shares the 5 µs tick");
+        for at in [5_060u64, 5_050] {
+            let o = order.clone();
+            k.schedule_at(SimTime::from_nanos(at), move |_| o.borrow_mut().push(at));
+        }
+        k.run_to_completion();
+        assert_eq!(*order.borrow(), vec![5_000, 5_050, 5_060, 5_100]);
+    }
+
+    /// With the wheel empty, a cutoff exactly at a far event runs it, and
+    /// one just before the next leaves room to schedule ahead of it.
+    #[test]
+    fn run_until_reaches_far_events_exactly() {
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let mut k = Kernel::new(0);
+        for at in [2 * SPAN + 5, 3 * SPAN + 7] {
+            let o = order.clone();
+            k.schedule_at(SimTime::from_nanos(at), move |_| o.borrow_mut().push(at));
+        }
+        assert_eq!(k.queue.far.len(), 2);
+        k.run_until(SimTime::from_nanos(2 * SPAN + 5));
+        assert_eq!(*order.borrow(), vec![2 * SPAN + 5]);
+        k.run_until(SimTime::from_nanos(3 * SPAN + 6));
+        assert_eq!(order.borrow().len(), 1);
+        let o = order.clone();
+        k.schedule_at(SimTime::from_nanos(3 * SPAN + 6), move |_| {
+            o.borrow_mut().push(0)
+        });
+        k.run_to_completion();
+        assert_eq!(*order.borrow(), vec![2 * SPAN + 5, 0, 3 * SPAN + 7]);
+    }
+
+    /// A crossing detoured through the mesh reaches the queue one step
+    /// late with a lower `seq` than a direct schedule for the same
+    /// instant in the current tick; it must still fire first, and both
+    /// before a later event already in that tick.
+    #[test]
+    fn mesh_crossing_into_the_current_tick_keeps_seq_order() {
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let mut k = Kernel::with_shards(0, 2);
+        k.set_parallel(true);
+        let start = SimTime::from_nanos(4 * TICK);
+        let o = order.clone();
+        k.schedule_at(start + SimDuration::from_nanos(200), move |_| {
+            o.borrow_mut().push("later")
+        });
+        let o = order.clone();
+        k.schedule_at(start, move |k| {
+            let (a, b) = (o.clone(), o.clone());
+            let at = k.now() + SimDuration::from_nanos(100);
+            k.schedule_at_on(1, at, move |_| a.borrow_mut().push("crossing"));
+            k.schedule_at(at, move |_| b.borrow_mut().push("local"));
+        });
+        k.run_to_completion();
+        assert_eq!(k.mesh_routed(), 1);
+        assert_eq!(*order.borrow(), vec!["crossing", "local", "later"]);
+    }
+
     /// A zero-delay crossing detours through the mesh while a same-lane
-    /// zero-delay child goes straight into the tie list; the detour
-    /// carries the lower `seq`, so it must still fire first.
+    /// zero-delay child goes straight into the current tick's run; the
+    /// detour carries the lower `seq`, so it must still fire first.
     #[test]
     fn mesh_zero_delay_crossing_fires_before_later_ties() {
         let order = Rc::new(RefCell::new(Vec::new()));
