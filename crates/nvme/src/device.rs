@@ -65,8 +65,8 @@ pub struct NvmeDevice {
     /// (deterministic per seed). Fault-injection knob for testing error
     /// propagation through coalesced batches.
     error_rate: f64,
-    /// Cached zero buffer handed out by timing-only reads, as long as
-    /// the last such read.
+    /// Cached zero buffer whose views timing-only reads hand out, as
+    /// long as the longest such read.
     zero_block: Bytes,
     /// Counters.
     pub stats: DeviceStats,
@@ -276,15 +276,15 @@ impl NvmeDevice {
                 } else {
                     self.stats.reads += 1;
                     self.stats.blocks_read += u64::from(sqe.blocks());
-                    // One shared zero buffer, regrown when the read
-                    // length changes: `Bytes::slice` copies, so a
-                    // longer buffer cannot serve a shorter read.
-                    if self.zero_block.len() != sqe.data_len() {
-                        self.zero_block = Bytes::from(vec![0u8; sqe.data_len()]);
+                    // One shared zero buffer, grown to the longest read;
+                    // a shorter read gets a view of it.
+                    let len = sqe.data_len();
+                    if self.zero_block.len() < len {
+                        self.zero_block = Bytes::from(vec![0u8; len]);
                     }
                     (
                         Cqe::success(sqe.cid, sq_head),
-                        Some(self.zero_block.clone()),
+                        Some(self.zero_block.slice(..len)),
                     )
                 }
             }
@@ -395,27 +395,40 @@ mod tests {
         assert_eq!(dev.stats.writes, 1);
     }
 
-    /// Timing-only reads of any length hand out one shared zero buffer
-    /// instead of allocating a fresh one per command.
+    /// Timing-only reads of any length hand out views of one shared
+    /// zero buffer instead of allocating a fresh one per command: a
+    /// longer read grows it once, and shorter reads never shrink it.
     #[test]
     fn timing_only_reads_share_one_zero_buffer() {
         let dev = new_dev();
         dev.borrow_mut().set_store_data(false);
         let mut k = Kernel::new(1);
         let got = Rc::new(RefCell::new(Vec::new()));
-        for cid in 0..2u16 {
+        let lens = [4u16, 32, 32, 1, 4, 16, 1, 32];
+        for (cid, &blocks) in lens.iter().enumerate() {
             let g = got.clone();
-            NvmeDevice::submit(&dev, &mut k, Sqe::read(cid, 1, 0, 32), None, move |_, r| {
+            let sqe = Sqe::read(cid as u16, 1, 0, blocks);
+            NvmeDevice::submit(&dev, &mut k, sqe, None, move |_, r| {
                 g.borrow_mut()
                     .push(r.data.expect("timing-only read returns data"));
             });
+            // One at a time, so completions follow submission order.
+            k.run_to_completion();
         }
-        k.run_to_completion();
         let got = got.borrow();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].len(), 32 * BLOCK_SIZE);
-        assert!(got[0].iter().all(|&b| b == 0));
-        assert_eq!(got[0].as_ptr(), got[1].as_ptr(), "second read reallocated");
+        assert_eq!(got.len(), lens.len());
+        for (data, &blocks) in got.iter().zip(&lens) {
+            assert_eq!(data.len(), usize::from(blocks) * BLOCK_SIZE);
+            assert!(data.iter().all(|&b| b == 0));
+        }
+        assert_ne!(
+            got[0].as_ptr(),
+            got[1].as_ptr(),
+            "grew without a new buffer"
+        );
+        for data in &got[2..] {
+            assert_eq!(data.as_ptr(), got[1].as_ptr(), "a read reallocated");
+        }
     }
 
     #[test]

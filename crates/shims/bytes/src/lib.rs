@@ -17,11 +17,17 @@ use std::sync::Arc;
 /// the zero-copy property the NVMe-oPF queues rely on. The `Vec` backing
 /// (rather than `Arc<[u8]>`) makes `From<Vec<u8>>` and
 /// [`BytesMut::freeze`] true moves, matching the real crate: a payload is
-/// allocated exactly once, where it is built.
-#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// allocated exactly once, where it is built. A handle is a view
+/// `start..end` of that allocation, so [`Bytes::slice`] shares it too.
+/// Equality, ordering and hashing go by the viewed bytes.
+#[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
+    start: u32,
+    end: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Bytes>() == 16);
 
 impl Bytes {
     /// An empty `Bytes`.
@@ -32,34 +38,33 @@ impl Bytes {
     /// Wrap a static slice (copies here, unlike the real crate — fine for
     /// the small headers this workspace uses it on).
     pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes {
-            data: Arc::new(data.to_vec()),
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Copy a slice into a new `Bytes`.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes {
-            data: Arc::new(data.to_vec()),
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        (self.end - self.start) as usize
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.start == self.end
     }
 
     /// Copy out to a `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
+        self.as_ref().to_vec()
     }
 
-    /// A new `Bytes` holding `self[range]`.
+    /// A view of `self[range]` sharing this allocation.
+    ///
+    /// # Panics
+    /// When the range is reversed or runs past `self.len()`.
     pub fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Bytes {
         use std::ops::Bound;
         let start = match range.start_bound() {
@@ -72,41 +77,86 @@ impl Bytes {
             Bound::Excluded(&n) => n,
             Bound::Unbounded => self.len(),
         };
-        Bytes::copy_from_slice(&self.data[start..end])
+        assert!(start <= end, "range start {start} > range end {end}");
+        assert!(
+            end <= self.len(),
+            "range end {end} out of bounds: {}",
+            self.len()
+        );
+        // Both fit: `end <= self.len() <= u32::MAX`.
+        Bytes {
+            data: self.data.clone(),
+            start: self.start + start as u32,
+            end: self.start + end as u32,
+        }
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.data[self.start as usize..self.end as usize]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl std::hash::Hash for Bytes {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
     }
 }
 
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.data.iter().take(32) {
+        for &b in self.iter().take(32) {
             write!(f, "\\x{b:02x}")?;
         }
-        if self.data.len() > 32 {
-            write!(f, "..{} bytes", self.data.len())?;
+        if self.len() > 32 {
+            write!(f, "..{} bytes", self.len())?;
         }
         write!(f, "\"")
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// A move, not a copy: the Vec's allocation becomes the shared
+    /// payload buffer.
+    ///
+    /// # Panics
+    /// When `v` is longer than `u32::MAX` bytes.
     fn from(v: Vec<u8>) -> Bytes {
-        // A move, not a copy: the Vec's allocation becomes the shared
-        // payload buffer.
-        Bytes { data: Arc::new(v) }
+        let end = u32::try_from(v.len()).expect("a Bytes holds at most u32::MAX bytes");
+        Bytes {
+            data: Arc::new(v),
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -124,13 +174,13 @@ impl From<BytesMut> for Bytes {
 
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
-        self.data.as_slice() == other
+        **self == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self.data.as_slice() == other.as_slice()
+        **self == **other
     }
 }
 
@@ -165,9 +215,7 @@ impl BytesMut {
 
     /// Convert into an immutable [`Bytes`] without copying.
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: Arc::new(self.data),
-        }
+        Bytes::from(self.data)
     }
 }
 
@@ -258,5 +306,58 @@ mod tests {
         assert_eq!(b, v);
         assert_eq!(Bytes::copy_from_slice(&v), b);
         assert_eq!(b.slice(1..3).to_vec(), vec![9u8, 9]);
+    }
+
+    #[test]
+    fn slices_are_views_of_one_allocation() {
+        let b = Bytes::from((0..=255u8).collect::<Vec<_>>());
+        let s = b.slice(16..128);
+        assert_eq!(s.len(), 112);
+        assert_eq!(s[0], 16);
+        assert_eq!(s.as_ptr(), b[16..].as_ptr(), "slice copied");
+        let ss = s.slice(8..=9);
+        assert_eq!(&ss[..], &[24, 25]);
+        assert_eq!(ss.as_ptr(), b[24..].as_ptr(), "slice of a slice copied");
+        assert!(s.slice(112..).is_empty());
+        assert_eq!(s.slice(..), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_view_panics() {
+        // In range of the allocation, past the end of the view.
+        let b = Bytes::from(vec![0u8; 64]).slice(0..32);
+        let _ = b.slice(30..40);
+    }
+
+    #[test]
+    #[should_panic(expected = "range start")]
+    fn reversed_slice_panics() {
+        let (from, to) = (10, 5);
+        let _ = Bytes::from(vec![0u8; 64]).slice(from..to);
+    }
+
+    #[test]
+    fn equality_hash_and_order_go_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |b: &Bytes| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        let whole = Bytes::from(vec![1u8, 2, 3, 1, 2, 3, 4]);
+        let (a, b) = (whole.slice(0..3), whole.slice(3..6));
+        let fresh = Bytes::copy_from_slice(&[1, 2, 3]);
+        assert_eq!(a, b);
+        assert_eq!(a, fresh);
+        assert_eq!(hash(&a), hash(&b));
+        assert_eq!(hash(&a), hash(&fresh));
+        assert!(
+            whole.slice(3..7) > a,
+            "a longer view with the same prefix sorts after"
+        );
+        assert_ne!(whole.slice(0..2), a);
+        assert_eq!(Bytes::new(), whole.slice(7..));
     }
 }
