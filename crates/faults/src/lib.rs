@@ -310,6 +310,9 @@ pub struct FaultPlane {
     pub stats: FaultStats,
     /// Live adversary, if the profile configured one.
     adversary: Option<AdvState>,
+    /// Emptied buffers for [`dispatch`] to fill, so routing a PDU does
+    /// not allocate once one exists per level of nested delivery.
+    spare: Vec<Deliveries>,
 }
 
 /// One routing decision: deliver after `Option<SimDuration>` (inline when
@@ -336,6 +339,7 @@ impl FaultPlane {
             rng,
             stats: FaultStats::default(),
             adversary,
+            spare: Vec::new(),
         }
     }
 
@@ -445,25 +449,31 @@ impl FaultPlane {
         Some(mangled)
     }
 
-    /// Decide the fate of one PDU. The draw order is fixed (adversary,
-    /// crash, flap, drop, corrupt, dup, delay/reorder) so identical seeds
-    /// replay identically.
-    fn decide(&mut self, now: SimTime, link: usize, toward_target: bool, pdu: Pdu) -> Deliveries {
-        let mut out = Deliveries::new();
-        let Some(pdu) = self.adversary_intercept(link, toward_target, pdu, &mut out) else {
-            return out;
+    /// Decide the fate of one PDU, pushing its surviving copies into
+    /// `out`. The draw order is fixed (adversary, crash, flap, drop,
+    /// corrupt, dup, delay/reorder) so identical seeds replay identically.
+    fn decide(
+        &mut self,
+        now: SimTime,
+        link: usize,
+        toward_target: bool,
+        pdu: Pdu,
+        out: &mut Deliveries,
+    ) {
+        let Some(pdu) = self.adversary_intercept(link, toward_target, pdu, out) else {
+            return;
         };
         if self.crashed(link, now) {
             self.stats.crash_drops += 1;
-            return out;
+            return;
         }
         if !self.link_up(link, now) {
             self.stats.flap_drops += 1;
-            return out;
+            return;
         }
         if self.profile.drop_p > 0.0 && self.rng.gen_bool(self.profile.drop_p) {
             self.stats.drops += 1;
-            return out;
+            return;
         }
         let mut pdu = pdu;
         if self.profile.corrupt_p > 0.0 && self.rng.gen_bool(self.profile.corrupt_p) {
@@ -474,7 +484,7 @@ impl FaultPlane {
                 }
                 None => {
                     self.stats.corrupt_drops += 1;
-                    return out;
+                    return;
                 }
             }
         }
@@ -505,7 +515,6 @@ impl FaultPlane {
         } else {
             out.push((Some(hold), pdu));
         }
-        out
     }
 }
 
@@ -553,21 +562,27 @@ fn corrupt_one_bit(rng: &mut Pcg32, pdu: &Pdu) -> Option<Pdu> {
     Pdu::decode(&buf)
 }
 
-/// A direction-erased delivery closure (what survives the plane).
-type Deliver = Rc<dyn Fn(&mut Kernel, Pdu)>;
-
 /// Run one PDU through the plane and hand the surviving copies to
 /// `deliver` (inline, or via scheduled events for delayed copies).
-fn dispatch(
+fn dispatch<D>(
     plane: &Shared<FaultPlane>,
     k: &mut Kernel,
     link: usize,
     toward_target: bool,
     pdu: Pdu,
-    deliver: Deliver,
-) {
-    let deliveries = plane.borrow_mut().decide(k.now(), link, toward_target, pdu);
-    for (after, pdu) in deliveries {
+    deliver: D,
+) where
+    D: Fn(&mut Kernel, Pdu) + Clone + 'static,
+{
+    let mut out = {
+        let mut p = plane.borrow_mut();
+        let mut out = p.spare.pop().unwrap_or_default();
+        p.decide(k.now(), link, toward_target, pdu, &mut out);
+        out
+    };
+    // An inline delivery may route another PDU through the plane, so
+    // the plane is not borrowed while delivering.
+    for (after, pdu) in out.drain(..) {
         match after {
             None => deliver(k, pdu),
             Some(d) => {
@@ -576,6 +591,7 @@ fn dispatch(
             }
         }
     }
+    plane.borrow_mut().spare.push(out);
 }
 
 /// Interpose the plane on an initiator→target delivery closure.
@@ -584,8 +600,9 @@ pub fn wrap_target_rx(plane: &Shared<FaultPlane>, link: usize, inner: TargetRx) 
     let plane = plane.clone();
     Rc::new(move |k: &mut Kernel, from: u8, pdu: Pdu| {
         let inner = inner.clone();
-        let deliver: Deliver = Rc::new(move |k, pdu| inner(k, from, pdu));
-        dispatch(&plane, k, link, true, pdu, deliver);
+        dispatch(&plane, k, link, true, pdu, move |k, pdu| {
+            inner(k, from, pdu)
+        });
     })
 }
 
@@ -593,7 +610,8 @@ pub fn wrap_target_rx(plane: &Shared<FaultPlane>, link: usize, inner: TargetRx) 
 pub fn wrap_pdu_rx(plane: &Shared<FaultPlane>, link: usize, inner: PduRx) -> PduRx {
     let plane = plane.clone();
     Rc::new(move |k: &mut Kernel, pdu: Pdu| {
-        dispatch(&plane, k, link, false, pdu, inner.clone());
+        let inner = inner.clone();
+        dispatch(&plane, k, link, false, pdu, move |k, pdu| inner(k, pdu));
     })
 }
 
