@@ -73,71 +73,57 @@ fn parse_action(s: &str) -> Result<Action, String> {
     })
 }
 
-fn get<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing key `{key}`"))
-}
-
 /// Largest bound a scenario may set. The model allocates `qd` slots and
 /// `max_cmds` counters up front and its CIDs are 16-bit; checked-in
 /// witnesses use single digits.
 const MAX_BOUND: usize = 1 << 16;
 
-fn get_usize(obj: &Json, key: &str) -> Result<usize, String> {
-    get(obj, key)?
-        .as_u64()
-        .and_then(|n| usize::try_from(n).ok())
-        .filter(|&n| n <= MAX_BOUND)
-        .ok_or_else(|| format!("`{key}` must be an integer in [0, {MAX_BOUND}]"))
-}
-
-fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    get(obj, key)?
-        .as_bool()
-        .ok_or_else(|| format!("`{key}` must be a bool"))
-}
-
 /// Parse a scenario document back into its configuration and
-/// counterexample.
+/// counterexample. Unknown keys, at the root or in `config`, are errors.
 pub fn parse(text: &str) -> Result<(Config, Counterexample), String> {
-    let root = json::parse(text)?;
-    if !matches!(root, Json::Obj(_)) {
-        return Err("scenario root must be an object".into());
-    }
-    let c = get(&root, "config")?;
-    if !matches!(c, Json::Obj(_)) {
-        return Err("`config` must be an object".into());
-    }
+    // This tool's messages quote names as `qd`, not "qd".
+    read(&json::parse(text)?).map_err(|e| e.to_string().replace('"', "`"))
+}
+
+fn read(doc: &Json) -> Result<(Config, Counterexample), json::Error> {
+    let root = doc.obj("", &["violation", "config", "schedule"])?;
+    let c = root.obj(
+        "config",
+        &[
+            "qd", "window", "max_cmds", "net_cap", "forge_ls", "drop", "dup", "replay", "hardened",
+        ],
+    )?;
+    let c = root.need("config", c)?;
+    let bound = |key| c.need(key, c.int(key, 0..=MAX_BOUND)?);
+    let flag = |key| c.need(key, c.bool(key)?);
     let cfg = Config {
-        qd: get_usize(c, "qd")?,
-        window: get_usize(c, "window")?,
-        max_cmds: get_usize(c, "max_cmds")?,
-        net_cap: get_usize(c, "net_cap")?,
-        forge_ls: get_bool(c, "forge_ls")?,
-        drop: get_bool(c, "drop")?,
-        dup: get_bool(c, "dup")?,
-        replay: get_bool(c, "replay")?,
-        hardened: get_bool(c, "hardened")?,
+        qd: bound("qd")?,
+        window: bound("window")?,
+        max_cmds: bound("max_cmds")?,
+        net_cap: bound("net_cap")?,
+        forge_ls: flag("forge_ls")?,
+        drop: flag("drop")?,
+        dup: flag("dup")?,
+        replay: flag("replay")?,
+        hardened: flag("hardened")?,
     };
-    let violation = match get(&root, "violation")?.as_str() {
-        Some("cid-queue-overflow") => Violation::CidQueueOverflow,
-        Some("double-completion") => Violation::DoubleCompletion,
-        Some("deadlock") => Violation::Deadlock,
-        Some(other) => return Err(format!("unknown violation `{other}`")),
-        None => return Err("`violation` must be a string".into()),
+    let violation = match root.need("violation", root.str("violation")?)? {
+        "cid-queue-overflow" => Violation::CidQueueOverflow,
+        "double-completion" => Violation::DoubleCompletion,
+        "deadlock" => Violation::Deadlock,
+        other => return Err(root.err(format!("unknown violation `{other}`"))),
     };
-    let sched = get(&root, "schedule")?
-        .as_arr()
-        .ok_or("`schedule` must be an array")?;
-    let mut schedule = Vec::with_capacity(sched.len());
-    for item in sched {
-        let s = item.as_str().ok_or("schedule entries must be strings")?;
-        schedule.push(parse_action(s)?);
-    }
+    let schedule = root.items("schedule", |a, at| {
+        a.as_str()
+            .ok_or("not a string".to_string())
+            .and_then(parse_action)
+            .map_err(|e| json::Error::invalid(at, e))
+    })?;
     Ok((
         cfg,
         Counterexample {
             violation,
-            schedule,
+            schedule: root.need("schedule", schedule)?,
         },
     ))
 }

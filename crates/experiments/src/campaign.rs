@@ -44,7 +44,7 @@
 
 use crate::sweep::run_all;
 use fabric::Gbps;
-use simkit::json::{escape, parse, Json};
+use simkit::json::{self, escape, parse, ErrorKind, Json, Obj};
 use simkit::metrics::format_f64;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -58,14 +58,16 @@ pub enum CampaignError {
     Parse(String),
     /// An object carried a key outside its schema.
     UnknownKey {
-        /// Where (`""` = spec root, `"expectations[2]"`, …).
+        /// Where (`""` = spec root, `"expectations[2]"`,
+        /// `"scenarios[0].traffic"`, …).
         ctx: String,
         /// The offending key.
         key: String,
     },
-    /// An expectation bound was NaN or infinite.
+    /// A number that must be finite was not: an expectation bound, a
+    /// duration or a rate written as an overflowing literal (`1e999`).
     NanBound {
-        /// Which expectation.
+        /// The block it sits in (`""` = spec root).
         ctx: String,
     },
     /// The same seed appeared twice — cross-seed stats would
@@ -87,11 +89,10 @@ impl fmt::Display for CampaignError {
         match self {
             CampaignError::Parse(msg) => write!(f, "campaign spec: {msg}"),
             CampaignError::UnknownKey { ctx, key } => {
-                let at = if ctx.is_empty() { "spec root" } else { ctx };
-                write!(f, "campaign spec: unknown key \"{key}\" in {at}")
+                write!(f, "campaign spec: unknown key \"{key}\" in {}", block(ctx))
             }
             CampaignError::NanBound { ctx } => {
-                write!(f, "campaign spec: non-finite bound in {ctx}")
+                write!(f, "campaign spec: non-finite number in {}", block(ctx))
             }
             CampaignError::DuplicateSeed(s) => {
                 write!(
@@ -113,6 +114,15 @@ impl fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
+
+/// A block path for messages (`""` is the spec root).
+fn block(ctx: &str) -> &str {
+    if ctx.is_empty() {
+        "spec root"
+    } else {
+        ctx
+    }
+}
 
 /// Cross-seed statistic an expectation can bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -247,46 +257,80 @@ pub struct CampaignSpec {
     pub expectations: Vec<Expectation>,
 }
 
-fn check_keys(v: &Json, ctx: &str, allowed: &[&str]) -> Result<(), CampaignError> {
-    match v {
-        Json::Obj(fields) => {
-            for (k, _) in fields {
-                if !allowed.contains(&k.as_str()) {
-                    return Err(CampaignError::UnknownKey {
-                        ctx: ctx.to_string(),
-                        key: k.clone(),
-                    });
-                }
-            }
-            Ok(())
+impl From<json::Error> for CampaignError {
+    fn from(e: json::Error) -> Self {
+        match e.kind {
+            ErrorKind::UnknownKey { key, .. } => CampaignError::UnknownKey { ctx: e.path, key },
+            ErrorKind::NotFinite(_) => CampaignError::NanBound { ctx: e.path },
+            _ => CampaignError::Parse(e.to_string()),
         }
-        _ => Err(CampaignError::Parse(format!(
-            "{} must be an object",
-            if ctx.is_empty() { "spec" } else { ctx }
-        ))),
     }
 }
 
-/// [`Json::field`] with the object it sits in (`ctx`) named in the error.
-fn field<'a, T>(
-    v: &'a Json,
-    ctx: &str,
-    key: &str,
-    want: &str,
-    conv: impl FnOnce(&'a Json) -> Option<T>,
-) -> Result<Option<T>, CampaignError> {
-    v.field(key, want, conv)
-        .map_err(|e| CampaignError::Parse(format!("{ctx}: {e}")))
-}
+const SPEC_KEYS: &[&str] = &[
+    "name",
+    "seeds",
+    "warmup_s",
+    "measure_s",
+    "ls",
+    "tc",
+    "runtime",
+    "speed",
+    "threads",
+    "scenarios",
+    "expectations",
+];
 
-fn finite_bound(v: &Json, ctx: &str, key: &str) -> Result<Option<f64>, CampaignError> {
-    let x = field(v, ctx, key, "a number", Json::as_f64)?;
-    if x.is_some_and(|x| !x.is_finite()) {
-        return Err(CampaignError::NanBound {
-            ctx: ctx.to_string(),
-        });
+const SCENARIO_KEYS: &[&str] = &[
+    "name", "traffic", "ls", "tc", "drop_p", "shards", "parallel",
+];
+
+const EXPECTATION_KEYS: &[&str] = &["scenario", "check", "metric", "stat", "min", "max"];
+
+/// One `expectations[i]` entry; `scenarios` are the names it may name.
+fn parse_expectation(e: &Obj, scenarios: &[CampaignScenario]) -> Result<Expectation, json::Error> {
+    let scenario = e.str("scenario")?.unwrap_or("*").to_string();
+    if scenario != "*" && !scenarios.iter().any(|c| c.name == scenario) {
+        return Err(e.err(format!("references unknown scenario \"{scenario}\"")));
     }
-    Ok(x)
+    let (min, max) = (e.f64("min", ..)?, e.f64("max", ..)?);
+    let check = match (e.str("check")?, e.str("metric")?) {
+        (Some("exactly_once"), None) if min.is_none() && max.is_none() => Check::ExactlyOnce,
+        (Some("exactly_once"), None) => return Err(e.err("exactly_once takes no bounds")),
+        (Some("completion_floor"), None) => Check::CompletionFloor {
+            min: e.need("min", min)?,
+        },
+        (Some("fairness_spread"), None) => Check::FairnessSpread {
+            max: e.need("max", max)?,
+        },
+        (Some(other), None) => {
+            return Err(e.err(format!(
+                "unknown check \"{other}\" (exactly_once | completion_floor | fairness_spread)"
+            )))
+        }
+        (None, Some(metric)) => {
+            let stat = match e.str("stat")? {
+                None => Stat::Mean,
+                Some(s) => Stat::parse(s).ok_or_else(|| {
+                    e.err(format!(
+                        "unknown stat \"{s}\" (mean | stddev | p99 | min | max)"
+                    ))
+                })?,
+            };
+            if min.is_none() && max.is_none() {
+                return Err(e.err("a metric expectation needs \"min\" and/or \"max\""));
+            }
+            Check::Metric {
+                metric: metric.to_string(),
+                stat,
+                min,
+                max,
+            }
+        }
+        (Some(_), Some(_)) => return Err(e.err("give either \"check\" or \"metric\", not both")),
+        (None, None) => return Err(e.err("needs a \"check\" or a \"metric\"")),
+    };
+    Ok(Expectation { scenario, check })
 }
 
 impl CampaignSpec {
@@ -298,120 +342,62 @@ impl CampaignSpec {
 
     /// Parse a campaign spec from a parsed JSON value.
     pub fn from_json(v: &Json) -> Result<CampaignSpec, CampaignError> {
-        check_keys(
-            v,
-            "",
-            &[
-                "name",
-                "seeds",
-                "warmup_s",
-                "measure_s",
-                "ls",
-                "tc",
-                "runtime",
-                "speed",
-                "threads",
-                "scenarios",
-                "expectations",
-            ],
-        )?;
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CampaignError::Parse("\"name\" (string) is required".into()))?
-            .to_string();
-
-        let mut seeds: Vec<u64> = Vec::new();
-        for (i, s) in field(v, "spec", "seeds", "an array", Json::as_arr)?
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-        {
-            let s = s.as_u64().ok_or_else(|| {
-                CampaignError::Parse(format!("seeds[{i}] must be a non-negative integer"))
-            })?;
-            if seeds.contains(&s) {
-                return Err(CampaignError::DuplicateSeed(s));
+        let o = v.obj("", SPEC_KEYS)?;
+        let name = o.need("name", o.str("name")?)?.to_string();
+        let seeds = o
+            .items("seeds", |s, at| {
+                s.as_u64()
+                    .ok_or_else(|| json::Error::invalid(at, "not a non-negative integer"))
+            })?
+            .unwrap_or_default();
+        for (i, s) in seeds.iter().enumerate() {
+            if seeds[..i].contains(s) {
+                return Err(CampaignError::DuplicateSeed(*s));
             }
-            seeds.push(s);
         }
-
-        let warmup_s = finite_bound(v, "spec", "warmup_s")?.unwrap_or(0.02);
-        let measure_s = finite_bound(v, "spec", "measure_s")?.unwrap_or(0.06);
-        if warmup_s < 0.0 || measure_s <= 0.0 {
-            return Err(CampaignError::Parse(
-                "warmup_s must be >= 0 and measure_s > 0".into(),
-            ));
-        }
-        let ls = field(v, "spec", "ls", "an integer", Json::as_u64)?.unwrap_or(1) as usize;
-        let tc = field(v, "spec", "tc", "an integer", Json::as_u64)?.unwrap_or(2) as usize;
-        let runtime = match field(v, "spec", "runtime", "a string", Json::as_str)?.unwrap_or("opf")
-        {
+        let warmup_s = o.f64("warmup_s", 0.0..)?.unwrap_or(0.02);
+        let measure_s = o.f64("measure_s", json::POSITIVE)?.unwrap_or(0.06);
+        let ls = o.int("ls", ..)?.unwrap_or(1);
+        let tc = o.int("tc", ..)?.unwrap_or(2);
+        let runtime = match o.str("runtime")?.unwrap_or("opf") {
             "opf" => RuntimeKind::Opf,
             "spdk" => RuntimeKind::Spdk,
             other => {
-                return Err(CampaignError::Parse(format!(
-                    "unknown runtime \"{other}\" (opf | spdk)"
-                )))
+                return Err(o
+                    .err(format!("unknown runtime \"{other}\" (opf | spdk)"))
+                    .into())
             }
         };
-        let speed = match field(v, "spec", "speed", "an integer", Json::as_u64)?.unwrap_or(100) {
+        let speed = match o.int::<u64>("speed", ..)?.unwrap_or(100) {
             10 => Gbps::G10,
             25 => Gbps::G25,
             100 => Gbps::G100,
             other => {
-                return Err(CampaignError::Parse(format!(
-                    "unknown speed {other} (10 | 25 | 100)"
-                )))
+                return Err(o
+                    .err(format!("unknown speed {other} (10 | 25 | 100)"))
+                    .into())
             }
         };
-        let threads = field(v, "spec", "threads", "an integer", Json::as_u64)?.map(|t| t as usize);
+        let threads = o.int("threads", ..)?;
 
-        let mut scenarios = Vec::new();
-        for (i, s) in field(v, "spec", "scenarios", "an array", Json::as_arr)?
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
+        let mut scenarios: Vec<CampaignScenario> = Vec::new();
+        for s in o
+            .items("scenarios", |s, at| s.obj(at, SCENARIO_KEYS))?
+            .unwrap_or_default()
         {
-            let ctx = format!("scenarios[{i}]");
-            check_keys(
-                s,
-                &ctx,
-                &[
-                    "name", "traffic", "ls", "tc", "drop_p", "shards", "parallel",
-                ],
-            )?;
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| CampaignError::Parse(format!("{ctx}: \"name\" is required")))?
-                .to_string();
-            if scenarios.iter().any(|c: &CampaignScenario| c.name == name) {
-                return Err(CampaignError::Parse(format!(
-                    "{ctx}: duplicate scenario name \"{name}\""
-                )));
+            let name = s.need("name", s.str("name")?)?.to_string();
+            if scenarios.iter().any(|c| c.name == name) {
+                return Err(s.err(format!("duplicate scenario name \"{name}\"")).into());
             }
-            let traffic = s
-                .get("traffic")
-                .ok_or_else(|| CampaignError::Parse(format!("{ctx}: \"traffic\" is required")))
-                .and_then(|t| {
-                    TrafficSpec::from_json(t)
-                        .map_err(|e| CampaignError::Parse(format!("{ctx}: {e}")))
-                })?;
-            let drop_p = finite_bound(s, &ctx, "drop_p")?.unwrap_or(0.0);
-            if !(0.0..=1.0).contains(&drop_p) {
-                return Err(CampaignError::Parse(format!(
-                    "{ctx}: \"drop_p\" must be in [0, 1]"
-                )));
-            }
+            let traffic = s.need("traffic", s.get("traffic"))?;
             scenarios.push(CampaignScenario {
                 name,
-                traffic,
-                ls: field(s, &ctx, "ls", "an integer", Json::as_u64)?.map(|n| n as usize),
-                tc: field(s, &ctx, "tc", "an integer", Json::as_u64)?.map(|n| n as usize),
-                drop_p,
-                shards: field(s, &ctx, "shards", "an integer", Json::as_u64)?.unwrap_or(1) as usize,
-                parallel: field(s, &ctx, "parallel", "a boolean", Json::as_bool)?.unwrap_or(false),
+                traffic: TrafficSpec::read_at(traffic, format!("{}.traffic", s.path()))?,
+                drop_p: s.f64("drop_p", 0.0..=1.0)?.unwrap_or(0.0),
+                ls: s.int("ls", ..)?,
+                tc: s.int("tc", ..)?,
+                shards: s.int("shards", ..)?.unwrap_or(1),
+                parallel: s.bool("parallel")?.unwrap_or(false),
             });
         }
 
@@ -419,96 +405,11 @@ impl CampaignSpec {
             return Err(CampaignError::EmptyGrid);
         }
 
-        let mut expectations = Vec::new();
-        for (i, e) in field(v, "spec", "expectations", "an array", Json::as_arr)?
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("expectations[{i}]");
-            check_keys(
-                e,
-                &ctx,
-                &["scenario", "check", "metric", "stat", "min", "max"],
-            )?;
-            let scenario = field(e, &ctx, "scenario", "a string", Json::as_str)?
-                .unwrap_or("*")
-                .to_string();
-            if scenario != "*" && !scenarios.iter().any(|c| c.name == scenario) {
-                return Err(CampaignError::Parse(format!(
-                    "{ctx}: references unknown scenario \"{scenario}\""
-                )));
-            }
-            let min = finite_bound(e, &ctx, "min")?;
-            let max = finite_bound(e, &ctx, "max")?;
-            let check = match (
-                field(e, &ctx, "check", "a string", Json::as_str)?,
-                e.get("metric"),
-            ) {
-                (Some("exactly_once"), None) => {
-                    if min.is_some() || max.is_some() {
-                        return Err(CampaignError::Parse(format!(
-                            "{ctx}: exactly_once takes no bounds"
-                        )));
-                    }
-                    Check::ExactlyOnce
-                }
-                (Some("completion_floor"), None) => Check::CompletionFloor {
-                    min: min.ok_or_else(|| {
-                        CampaignError::Parse(format!("{ctx}: completion_floor requires \"min\""))
-                    })?,
-                },
-                (Some("fairness_spread"), None) => Check::FairnessSpread {
-                    max: max.ok_or_else(|| {
-                        CampaignError::Parse(format!("{ctx}: fairness_spread requires \"max\""))
-                    })?,
-                },
-                (Some(other), None) => {
-                    return Err(CampaignError::Parse(format!(
-                        "{ctx}: unknown check \"{other}\" \
-                         (exactly_once | completion_floor | fairness_spread)"
-                    )))
-                }
-                (None, Some(m)) => {
-                    let metric = m
-                        .as_str()
-                        .ok_or_else(|| {
-                            CampaignError::Parse(format!("{ctx}: \"metric\" must be a string"))
-                        })?
-                        .to_string();
-                    let stat = match field(e, &ctx, "stat", "a string", Json::as_str)? {
-                        None => Stat::Mean,
-                        Some(s) => Stat::parse(s).ok_or_else(|| {
-                            CampaignError::Parse(format!(
-                                "{ctx}: unknown stat \"{s}\" (mean | stddev | p99 | min | max)"
-                            ))
-                        })?,
-                    };
-                    if min.is_none() && max.is_none() {
-                        return Err(CampaignError::Parse(format!(
-                            "{ctx}: a metric expectation needs \"min\" and/or \"max\""
-                        )));
-                    }
-                    Check::Metric {
-                        metric,
-                        stat,
-                        min,
-                        max,
-                    }
-                }
-                (Some(_), Some(_)) => {
-                    return Err(CampaignError::Parse(format!(
-                        "{ctx}: give either \"check\" or \"metric\", not both"
-                    )))
-                }
-                (None, None) => {
-                    return Err(CampaignError::Parse(format!(
-                        "{ctx}: needs a \"check\" or a \"metric\""
-                    )))
-                }
-            };
-            expectations.push(Expectation { scenario, check });
-        }
+        let expectations = o
+            .items("expectations", |e, at| {
+                parse_expectation(&e.obj(at, EXPECTATION_KEYS)?, &scenarios)
+            })?
+            .unwrap_or_default();
 
         let spec = CampaignSpec {
             name,

@@ -28,4 +28,4 @@ pub mod network;
 
 pub use config::{FabricConfig, Gbps};
 pub use endpoint::{Endpoint, EndpointId, EndpointStats};
-pub use network::{BandwidthModel, LinkProfile, Network, NetworkError};
+pub use network::{BandwidthModel, LinkProfile, Network};

@@ -11,26 +11,6 @@ use std::rc::Rc;
 /// which serialization is inflated at `now` (1.0 = nominal bandwidth).
 pub type BandwidthModel = Rc<dyn Fn(SimTime) -> f64>;
 
-/// Typed fabric-plane error. The protocol plane never panics on bad
-/// input and neither does the fabric under it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetworkError {
-    /// An endpoint with this name is already registered.
-    DuplicateEndpoint(String),
-}
-
-impl std::fmt::Display for NetworkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetworkError::DuplicateEndpoint(name) => {
-                write!(f, "endpoint {name:?} is already registered")
-            }
-        }
-    }
-}
-
-impl std::error::Error for NetworkError {}
-
 /// Path shape of one directed (src, dst) link through a switched
 /// topology. The default single-switch star needs no profile at all;
 /// cluster topologies install profiles on cross-rack paths.
@@ -63,11 +43,6 @@ pub struct Network {
     config: FabricConfig,
     endpoints: Shared<Vec<Shared<Endpoint>>>,
     bw_model: Shared<Option<BandwidthModel>>,
-    /// Name → id registry backing duplicate-registration detection; the
-    /// first binding wins, later ones are counted and (via
-    /// [`Network::register_endpoint`]) rejected with a typed error.
-    names: Shared<BTreeMap<String, EndpointId>>,
-    dup_registrations: Shared<u64>,
     /// Per-(src, dst) path profiles. Empty in every single-switch
     /// scenario, in which case `send` never consults it.
     links: Shared<BTreeMap<(u32, u32), LinkProfile>>,
@@ -80,8 +55,6 @@ impl Network {
             config,
             endpoints: shared(Vec::new()),
             bw_model: shared(None),
-            names: shared(BTreeMap::new()),
-            dup_registrations: shared(0),
             links: shared(BTreeMap::new()),
         }
     }
@@ -99,51 +72,11 @@ impl Network {
     }
 
     /// Attach a new endpoint (a node) to the fabric.
-    ///
-    /// Re-registering a name no longer shadows the prior endpoint in the
-    /// name registry silently: the first binding wins and the duplicate
-    /// is counted ([`Network::duplicate_registrations`]). Callers that
-    /// need the failure surfaced use [`Network::register_endpoint`].
     pub fn add_endpoint(&self, name: impl Into<String>) -> Shared<Endpoint> {
-        let name = name.into();
         let mut eps = self.endpoints.borrow_mut();
-        let id = EndpointId(eps.len() as u32);
-        match self.names.borrow_mut().entry(name.clone()) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(id);
-            }
-            std::collections::btree_map::Entry::Occupied(_) => {
-                *self.dup_registrations.borrow_mut() += 1;
-            }
-        }
-        let ep = shared(Endpoint::new(id, name));
+        let ep = shared(Endpoint::new(EndpointId(eps.len() as u32), name.into()));
         eps.push(ep.clone());
         ep
-    }
-
-    /// Checked endpoint registration: a duplicate name is a typed error
-    /// (counted, nothing overwritten), never a silent re-bind. The
-    /// cluster plane registers every node through this entry point.
-    pub fn register_endpoint(
-        &self,
-        name: impl Into<String>,
-    ) -> Result<Shared<Endpoint>, NetworkError> {
-        let name = name.into();
-        if self.names.borrow().contains_key(&name) {
-            *self.dup_registrations.borrow_mut() += 1;
-            return Err(NetworkError::DuplicateEndpoint(name));
-        }
-        Ok(self.add_endpoint(name))
-    }
-
-    /// Endpoint registered under `name`, if any (first binding wins).
-    pub fn endpoint_by_name(&self, name: &str) -> Option<Shared<Endpoint>> {
-        self.names.borrow().get(name).map(|id| self.endpoint(*id))
-    }
-
-    /// How many duplicate-name registrations were attempted.
-    pub fn duplicate_registrations(&self) -> u64 {
-        *self.dup_registrations.borrow()
     }
 
     /// Install a path profile on the directed (src, dst) link. Profiles
@@ -497,23 +430,6 @@ mod tests {
             + cfg.propagation
             + cfg.rx_cost(4096);
         assert_eq!(t.since(start), plain, "no residual incast inflation");
-    }
-
-    #[test]
-    fn duplicate_registration_is_a_typed_error_and_counted() {
-        let net = Network::new(FabricConfig::preset(Gbps::G100));
-        let a = net.register_endpoint("node-a").expect("fresh name");
-        assert_eq!(net.duplicate_registrations(), 0);
-        let err = net.register_endpoint("node-a").unwrap_err();
-        assert_eq!(err, NetworkError::DuplicateEndpoint("node-a".into()));
-        assert_eq!(net.duplicate_registrations(), 1);
-        // Nothing overwritten: the registry still resolves to the first.
-        let by_name = net.endpoint_by_name("node-a").expect("registered");
-        assert_eq!(by_name.borrow().id, a.borrow().id);
-        // The infallible path also counts (no silent shadowing).
-        net.add_endpoint("node-a");
-        assert_eq!(net.duplicate_registrations(), 2);
-        assert_eq!(by_name.borrow().id, a.borrow().id);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! The NVMe device: rings + flash units + namespace, driven by events.
+//! The NVMe device: flash units + namespace, driven by events.
 
 use crate::flash::FlashProfile;
 use crate::namespace::{Namespace, NsError};
-use crate::rings::{CompletionRing, SubmissionRing};
 use crate::spec::{Cqe, Opcode, Sqe, Status, BLOCK_SIZE};
 use bytes::Bytes;
 use simkit::{Kernel, Metrics, MetricsSource, Pcg32, Resource, Shared, SimDuration, SimTime};
@@ -40,20 +39,19 @@ pub struct DeviceStats {
 
 /// An NVMe SSD model.
 ///
-/// Commands enter through a [`SubmissionRing`], are dispatched to the
-/// least-loaded flash unit with a jittered service time, mutate the
-/// [`Namespace`] when service completes, and post a [`Cqe`] through a
-/// [`CompletionRing`]. Because units drain independently, CQEs are
-/// reaped out of submission order under concurrency — the §IV-C
-/// behaviour NVMe-oPF's initiator-side queue must absorb.
+/// Each command is fetched the moment it is submitted, dispatched to the
+/// least-loaded flash unit with a jittered service time, mutates the
+/// [`Namespace`] when service completes, and completes with a [`Cqe`]
+/// carrying the SQ head of a 1024-entry queue. Because units drain
+/// independently, CQEs land out of submission order under concurrency —
+/// the §IV-C behaviour NVMe-oPF's initiator-side queue must absorb.
 pub struct NvmeDevice {
     profile: FlashProfile,
     ns: Namespace,
     units: Vec<Resource>,
-    sq: SubmissionRing,
-    cq: CompletionRing,
     rng: Pcg32,
-    /// Monotone sequence of submissions, used to detect reordering.
+    /// Monotone sequence of submissions, used to detect reordering and
+    /// to report the SQ head.
     submit_seq: u64,
     complete_watermark: u64,
     inflight: usize,
@@ -82,8 +80,6 @@ impl NvmeDevice {
             profile,
             ns: Namespace::new(1, capacity_blocks),
             units,
-            sq: SubmissionRing::new(1024),
-            cq: CompletionRing::new(1024),
             rng: Pcg32::new(seed ^ 0x5511_D0D0),
             submit_seq: 0,
             complete_watermark: 0,
@@ -138,7 +134,7 @@ impl NvmeDevice {
     }
 
     /// Pick the unit that frees up soonest (controller striping).
-    fn least_loaded_unit(&self, now: SimTime) -> usize {
+    fn least_loaded_unit(&self) -> usize {
         let mut best = 0;
         let mut best_free = self.units[0].next_free();
         for (i, u) in self.units.iter().enumerate().skip(1) {
@@ -147,7 +143,6 @@ impl NvmeDevice {
                 best = i;
                 best_free = f;
             }
-            let _ = now;
         }
         best
     }
@@ -155,7 +150,7 @@ impl NvmeDevice {
     /// Submit a command. `data` must be `Some` for writes (one 4K block
     /// per `sqe.blocks()`), `None` otherwise. The payload is a refcounted
     /// [`Bytes`] handle — the transport's buffer is shared, never copied.
-    /// The callback fires when the CQE is reaped from the completion ring.
+    /// The callback fires when the command completes.
     ///
     /// Free function over a [`Shared`] handle because completion events
     /// must re-borrow the device.
@@ -169,19 +164,6 @@ impl NvmeDevice {
         let (finish, seq) = {
             let mut dev = this.borrow_mut();
 
-            // Ring admission: models the bounded SQ a real controller has.
-            if dev.sq.submit(sqe).is_err() {
-                // SQ full — complete with an internal error immediately
-                // (callers size queue depths to avoid this).
-                dev.stats.errors += 1;
-                let cqe = Cqe::error(sqe.cid, dev.sq.head(), Status::InternalError);
-                drop(dev);
-                k.defer(move |k| cb(k, IoResult { cqe, data: None }));
-                return;
-            }
-            let fetched = dev.sq.fetch().expect("just submitted");
-            debug_assert_eq!(fetched.cid, sqe.cid);
-
             let seq = dev.submit_seq;
             dev.submit_seq += 1;
             dev.inflight += 1;
@@ -194,7 +176,7 @@ impl NvmeDevice {
             if let Some(status) = dev.validate(&sqe, data.as_deref()) {
                 dev.inflight -= 1;
                 dev.stats.errors += 1;
-                let cqe = Cqe::error(sqe.cid, dev.sq.head(), status);
+                let cqe = Cqe::error(sqe.cid, dev.sq_head(), status);
                 drop(dev);
                 // Spec-ish: error completions still take a controller
                 // round trip (~5us).
@@ -205,7 +187,7 @@ impl NvmeDevice {
             }
 
             let now = k.now();
-            let unit = dev.least_loaded_unit(now);
+            let unit = dev.least_loaded_unit();
             let mean = dev.profile.mean_service(sqe.opcode, sqe.blocks());
             let jitter = dev.profile.jitter_frac;
             let service =
@@ -246,18 +228,20 @@ impl NvmeDevice {
         None
     }
 
-    /// Perform the media access and post/reap the CQE.
+    /// The SQ head a CQE reports: the next slot of the 1024-entry queue
+    /// the controller will fetch from. Every command is fetched as it is
+    /// submitted, so that is the submission count modulo 1024.
+    fn sq_head(&self) -> u16 {
+        (self.submit_seq & 1023) as u16
+    }
+
+    /// Perform the media access and build the CQE.
     fn execute(&mut self, sqe: Sqe, data: Option<Bytes>) -> IoResult {
-        let sq_head = self.sq.head();
+        let sq_head = self.sq_head();
         if self.error_rate > 0.0 && self.rng.gen_bool(self.error_rate) {
             self.stats.errors += 1;
             let cqe = Cqe::error(sqe.cid, sq_head, Status::InternalError);
-            self.cq.post(cqe).expect("CQ sized >= SQ");
-            let reaped = self.cq.reap().expect("just posted");
-            return IoResult {
-                cqe: reaped,
-                data: None,
-            };
+            return IoResult { cqe, data: None };
         }
         let (cqe, out) = match sqe.opcode {
             Opcode::Read => {
@@ -313,13 +297,7 @@ impl NvmeDevice {
                 (Cqe::success(sqe.cid, sq_head), None)
             }
         };
-        // Exercise the completion ring exactly as a polled driver would.
-        self.cq.post(cqe).expect("CQ sized >= SQ");
-        let reaped = self.cq.reap().expect("just posted");
-        IoResult {
-            cqe: reaped,
-            data: out,
-        }
+        IoResult { cqe, data: out }
     }
 }
 
@@ -621,6 +599,53 @@ mod tests {
         }
         k2.run_to_completion();
         assert_eq!(err, *errs2.borrow());
+    }
+
+    /// Every CQE reports the SQ head of a 1024-entry queue: the number of
+    /// commands fetched so far, modulo 1024. A command that fails
+    /// validation reports it at submission; every other command, media
+    /// errors included, at completion.
+    #[test]
+    fn cqe_sq_head_counts_fetched_commands() {
+        const BATCH: usize = 7;
+        let dev = new_dev();
+        dev.borrow_mut().inject_errors(0.1);
+        let mut k = Kernel::new(23);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        for batch in 0..300 {
+            for j in 0..BATCH {
+                let i = batch * BATCH + j;
+                // Every fifth command reads past the namespace end.
+                let slba = if i.is_multiple_of(5) {
+                    u64::MAX
+                } else {
+                    i as u64
+                };
+                let g = got.clone();
+                let sqe = Sqe::read(i as u16, 1, slba, 1);
+                NvmeDevice::submit(&dev, &mut k, sqe, None, move |_, r| {
+                    g.borrow_mut()
+                        .push((r.cqe.cid, r.cqe.status, r.cqe.sq_head));
+                });
+            }
+            k.run_to_completion();
+        }
+        let mut got = got.borrow().clone();
+        got.sort_by_key(|&(cid, _, _)| cid);
+        assert_eq!(got.len(), 2100);
+        let mut media_errors = 0;
+        for (i, &(cid, status, sq_head)) in got.iter().enumerate() {
+            assert_eq!(usize::from(cid), i);
+            let want = if i.is_multiple_of(5) {
+                assert_eq!(status, Status::LbaOutOfRange);
+                i + 1
+            } else {
+                media_errors += usize::from(status == Status::InternalError);
+                (i / BATCH + 1) * BATCH
+            };
+            assert_eq!(usize::from(sq_head), want % 1024, "cid {cid}");
+        }
+        assert!(media_errors > 0, "no media error completions");
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! 1.6 TB on CloudLab) with a controller model that preserves the device
 //! behaviours the paper's evaluation depends on:
 //!
-//! * **Submission/Completion queue rings** (§IV-C: "Standard NVMe devices
-//!   consist of two circular buffers") with head/tail doorbell semantics.
 //! * **Out-of-order completion**: commands are serviced by multiple
 //!   internal flash units with jittered service times, so CQEs land in a
 //!   different order than SQEs were submitted — the problem NVMe-oPF's
@@ -20,11 +18,9 @@
 pub mod device;
 pub mod flash;
 pub mod namespace;
-pub mod rings;
 pub mod spec;
 
 pub use device::{DeviceStats, NvmeDevice};
 pub use flash::FlashProfile;
 pub use namespace::Namespace;
-pub use rings::{CompletionRing, SubmissionRing};
 pub use spec::{Cqe, Opcode, Sqe, Status, BLOCK_SIZE};

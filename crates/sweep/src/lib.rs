@@ -64,8 +64,6 @@
 //!
 //! Cluster scenarios (DESIGN.md §16) add three more knobs — `"targets"`
 //! (the cluster size), a `"placement"` block, and a `"migration"` block.
-//! The two blocks are strictly validated: an unknown key inside either
-//! is a hard parse error, never a silent no-op.
 //!
 //! ```json
 //! {
@@ -74,16 +72,22 @@
 //!   "migration": {"moves": [{"tenant": 1, "at_s": 0.05, "to_target": 0}]}
 //! }
 //! ```
+//!
+//! Every object of the spec — the root, each block and each list entry —
+//! is read through the one key-checked reader in [`json`]: an unknown key
+//! anywhere is a hard parse error naming the block and the key
+//! (`faults.flaps[1]: unknown key "lnk"`), never a silent no-op, and a
+//! present value of the wrong type or out of range never reads as the
+//! default.
 
 pub use simkit::json;
 
 use fabric::Gbps;
 use faults::{Adversary, Crash, Degrade, FaultProfile, KeepAliveSpec, LinkFlap, Stall};
-use json::Json;
+use json::{Error, Json, Obj};
 use nvmf::RetryPolicy;
 use simkit::metrics::format_f64;
 use simkit::{SimDuration, SimTime};
-use workload::scenario::Speed;
 use workload::{MigrationSpec, Mix, PlacementSpec, RunResult, RuntimeKind, Scenario};
 
 /// A parsed sweep specification.
@@ -159,471 +163,263 @@ impl Point {
     }
 }
 
-fn parse_runtime(v: &Json) -> Result<RuntimeKind, String> {
+fn parse_runtime(v: &Json, at: String) -> Result<RuntimeKind, Error> {
     match v.as_str() {
-        Some("spdk") | Some("SPDK") => Ok(RuntimeKind::Spdk),
-        Some("opf") | Some("OPF") | Some("nvme-opf") => Ok(RuntimeKind::Opf),
-        _ => Err(format!("unknown runtime {v:?} (want \"spdk\" or \"opf\")")),
-    }
-}
-
-fn parse_speed(v: &Json) -> Result<Gbps, String> {
-    match v.as_u64() {
-        Some(10) => Ok(Gbps::G10),
-        Some(25) => Ok(Gbps::G25),
-        Some(100) => Ok(Gbps::G100),
-        _ => Err(format!("unknown speed {v:?} (want 10, 25 or 100)")),
-    }
-}
-
-fn parse_mix(v: &Json) -> Result<Mix, String> {
-    if let Some(f) = v.as_f64() {
-        if (0.0..=1.0).contains(&f) {
-            return Ok(Mix { read_fraction: f });
-        }
-        return Err(format!("mix fraction {f} outside [0, 1]"));
-    }
-    match v.as_str() {
-        Some("read") => Ok(Mix::READ),
-        Some("write") => Ok(Mix::WRITE),
-        Some("mixed") => Ok(Mix::MIXED),
-        _ => Err(format!(
-            "unknown mix {v:?} (want \"read\", \"write\", \"mixed\" or a fraction)"
+        Some("spdk" | "SPDK") => Ok(RuntimeKind::Spdk),
+        Some("opf" | "OPF" | "nvme-opf") => Ok(RuntimeKind::Opf),
+        _ => Err(Error::invalid(
+            at,
+            format!("unknown runtime {v:?} (want \"spdk\" or \"opf\")"),
         )),
     }
 }
 
-fn parse_ratio(v: &Json) -> Result<(usize, usize), String> {
-    let arr = v
+fn parse_speed(v: &Json, at: String) -> Result<Gbps, Error> {
+    match v.as_u64() {
+        Some(10) => Ok(Gbps::G10),
+        Some(25) => Ok(Gbps::G25),
+        Some(100) => Ok(Gbps::G100),
+        _ => Err(Error::invalid(
+            at,
+            format!("unknown speed {v:?} (want 10, 25 or 100)"),
+        )),
+    }
+}
+
+fn parse_mix(v: &Json, at: String) -> Result<Mix, Error> {
+    match (v.as_f64(), v.as_str()) {
+        (Some(f), _) if (0.0..=1.0).contains(&f) => Ok(Mix { read_fraction: f }),
+        (Some(f), _) => Err(Error::invalid(
+            at,
+            format!("mix fraction {f} outside [0, 1]"),
+        )),
+        (_, Some("read")) => Ok(Mix::READ),
+        (_, Some("write")) => Ok(Mix::WRITE),
+        (_, Some("mixed")) => Ok(Mix::MIXED),
+        _ => Err(Error::invalid(
+            at,
+            format!("unknown mix {v:?} (want \"read\", \"write\", \"mixed\" or a fraction)"),
+        )),
+    }
+}
+
+fn parse_ratio(v: &Json, at: String) -> Result<(usize, usize), Error> {
+    let pair = v
         .as_arr()
-        .ok_or_else(|| format!("ratio {v:?} not a pair"))?;
-    match arr {
-        [ls, tc] => {
-            let ls = ls.as_u64().ok_or("LS count not an integer")? as usize;
-            let tc = tc.as_u64().ok_or("TC count not an integer")? as usize;
-            if ls.saturating_add(tc) == 0 {
-                return Err("ratio [0, 0] has no tenants".to_string());
-            }
-            Ok((ls, tc))
+        .map(|a| a.iter().map(Json::as_u64).collect::<Vec<_>>());
+    match pair.as_deref() {
+        Some([Some(ls), Some(tc)]) if ls.saturating_add(*tc) > 0 => {
+            Ok((*ls as usize, *tc as usize))
         }
-        _ => Err(format!("ratio {v:?} must be [ls, tc]")),
+        Some([Some(_), Some(_)]) => Err(Error::invalid(at, "ratio [0, 0] has no tenants")),
+        _ => Err(Error::invalid(
+            at,
+            format!("ratio {v:?} must be [ls, tc] (two non-negative integers)"),
+        )),
     }
 }
 
-fn list<T>(
-    doc: &Json,
-    key: &str,
-    parse_one: impl Fn(&Json) -> Result<T, String>,
-    default: Vec<T>,
-) -> Result<Vec<T>, String> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => {
-            let arr = v
-                .as_arr()
-                .ok_or_else(|| format!("{key} must be an array"))?;
-            if arr.is_empty() {
-                return Err(format!("{key} must not be empty"));
-            }
-            arr.iter()
-                .map(&parse_one)
-                .collect::<Result<Vec<T>, String>>()
-                .map_err(|e| format!("{key}: {e}"))
-        }
-    }
-}
+const SPEC_KEYS: &[&str] = &[
+    "name",
+    "runtimes",
+    "speeds",
+    "mixes",
+    "ratios",
+    "seeds",
+    "warmup_s",
+    "measure_s",
+    "threads",
+    "faults",
+    "targets",
+    "placement",
+    "migration",
+    "parallel",
+];
 
-/// [`Json::field`] with the block it sits in (`ctx`) named in the error.
-fn field<'a, T>(
-    v: &'a Json,
-    ctx: &str,
-    key: &str,
-    want: &str,
-    conv: impl FnOnce(&'a Json) -> Option<T>,
-) -> Result<Option<T>, String> {
-    v.field(key, want, conv).map_err(|e| format!("{ctx}: {e}"))
-}
+const FAULT_KEYS: &[&str] = &[
+    "drop_p",
+    "dup_p",
+    "delay_p",
+    "delay_max_us",
+    "corrupt_p",
+    "reorder_p",
+    "reorder_hold_us",
+    "retry_timeout_us",
+    "retry_max",
+    "redrain_timeout_us",
+    "keepalive_us",
+    "kato_us",
+    "settle_s",
+    "flaps",
+    "degrade",
+    "stalls",
+    "crashes",
+    "adversary",
+];
 
-fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    field(v, "faults", key, "a number", Json::as_f64)
-}
+const ADVERSARY_KEYS: &[&str] = &[
+    "link",
+    "forge_ls_p",
+    "invalid_flags_p",
+    "drain_flood_p",
+    "replay_p",
+    "spoof_p",
+    "spoof_victim",
+    "harden",
+];
 
-fn opt_prob(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    match opt_f64(v, key)? {
-        Some(p) if !(0.0..=1.0).contains(&p) => Err(format!("faults.{key} = {p} outside [0, 1]")),
-        other => Ok(other),
-    }
-}
+/// A probability.
+const PROB: std::ops::RangeInclusive<f64> = 0.0..=1.0;
 
-/// A duration given in microseconds.
-fn opt_us(v: &Json, key: &str) -> Result<Option<SimDuration>, String> {
-    Ok(opt_f64(v, key)?.map(|us| SimDuration::from_secs_f64(us / 1e6)))
-}
-
-/// An `{"at_s": …, "for_s": …}` scheduled window.
-fn window(v: &Json, key: &str) -> Result<(SimTime, SimDuration), String> {
-    let at = opt_f64(v, "at_s")?.ok_or_else(|| format!("faults.{key} entry needs at_s"))?;
-    let dur = opt_f64(v, "for_s")?.ok_or_else(|| format!("faults.{key} entry needs for_s"))?;
-    if at < 0.0 || dur < 0.0 {
-        return Err(format!("faults.{key} window must be non-negative"));
-    }
-    Ok((
-        SimTime::from_nanos((at * 1e9) as u64),
-        SimDuration::from_secs_f64(dur),
-    ))
-}
-
-fn parse_faults(doc: &Json) -> Result<Option<FaultProfile>, String> {
-    let Some(v) = doc.get("faults") else {
-        return Ok(None);
+/// The `"faults"` block. Durations in µs take any number (a non-positive
+/// or overflowing one reads as zero); window times take any number >= 0.
+fn parse_faults(f: &Obj) -> Result<FaultProfile, Error> {
+    let us = |key| {
+        Ok::<_, Error>(
+            f.num(key, ..)?
+                .map(|us| SimDuration::from_secs_f64(us / 1e6)),
+        )
     };
-    check_keys(
-        v,
-        "faults",
-        &[
-            "drop_p",
-            "dup_p",
-            "delay_p",
-            "delay_max_us",
-            "corrupt_p",
-            "reorder_p",
-            "reorder_hold_us",
-            "retry_timeout_us",
-            "retry_max",
-            "redrain_timeout_us",
-            "keepalive_us",
-            "kato_us",
-            "settle_s",
-            "flaps",
-            "degrade",
-            "stalls",
-            "crashes",
-            "adversary",
-        ],
-    )?;
-    let mut p = FaultProfile::default();
-    if let Some(x) = opt_prob(v, "drop_p")? {
-        p.drop_p = x;
+    // One `{"at_s": …, "for_s": …}` entry of a scheduled-window list.
+    let window = |e: &Obj| -> Result<(SimTime, SimDuration), Error> {
+        let at = e.need("at_s", e.num("at_s", 0.0..)?)?;
+        let dur = e.need("for_s", e.num("for_s", 0.0..)?)?;
+        Ok((
+            SimTime::from_nanos((at * 1e9) as u64),
+            SimDuration::from_secs_f64(dur),
+        ))
+    };
+    let d = FaultProfile::default();
+    let mut retry = match us("retry_timeout_us")? {
+        Some(timeout) => (timeout > SimDuration::ZERO).then_some(RetryPolicy {
+            timeout,
+            max_retries: d.retry.map_or(6, |r| r.max_retries),
+        }),
+        None => d.retry,
+    };
+    if let (Some(r), Some(n)) = (&mut retry, f.int("retry_max", 0..=u32::MAX)?) {
+        r.max_retries = n;
     }
-    if let Some(x) = opt_prob(v, "dup_p")? {
-        p.dup_p = x;
-    }
-    if let Some(x) = opt_prob(v, "delay_p")? {
-        p.delay_p = x;
-    }
-    if let Some(d) = opt_us(v, "delay_max_us")? {
-        p.delay_max = d;
-    }
-    if let Some(x) = opt_prob(v, "corrupt_p")? {
-        p.corrupt_p = x;
-    }
-    if let Some(x) = opt_prob(v, "reorder_p")? {
-        p.reorder_p = x;
-    }
-    if let Some(d) = opt_us(v, "reorder_hold_us")? {
-        p.reorder_hold = d;
-    }
-    if let Some(d) = opt_us(v, "retry_timeout_us")? {
-        p.retry = (d > SimDuration::ZERO).then_some(RetryPolicy {
-            timeout: d,
-            max_retries: p.retry.map_or(6, |r| r.max_retries),
-        });
-    }
-    if let Some(n) = opt_f64(v, "retry_max")? {
-        if let Some(r) = &mut p.retry {
-            r.max_retries = n as u32;
-        }
-    }
-    if let Some(d) = opt_us(v, "redrain_timeout_us")? {
-        p.redrain_timeout = (d > SimDuration::ZERO).then_some(d);
-    }
-    if let Some(every) = opt_us(v, "keepalive_us")? {
-        let kato = opt_us(v, "kato_us")?.unwrap_or(every * 3);
-        p.keepalive = Some(KeepAliveSpec { every, kato });
-    }
-    if let Some(s) = opt_f64(v, "settle_s")? {
-        if !(s >= 0.0 && s.is_finite()) {
-            return Err("faults.settle_s must be finite and non-negative".to_string());
-        }
-        p.settle_s = s;
-    }
-    for e in field(v, "faults", "flaps", "an array", Json::as_arr)?.unwrap_or(&[]) {
-        check_keys(e, "faults.flaps entry", &["link", "at_s", "for_s"])?;
-        let (at, dur) = window(e, "flaps")?;
-        let link = e
-            .get("link")
-            .and_then(Json::as_u64)
-            .ok_or("faults.flaps entry needs an integer link")? as usize;
-        p.flaps.push(LinkFlap { link, at, dur });
-    }
-    for e in field(v, "faults", "degrade", "an array", Json::as_arr)?.unwrap_or(&[]) {
-        check_keys(e, "faults.degrade entry", &["factor", "at_s", "for_s"])?;
-        let (at, dur) = window(e, "degrade")?;
-        let factor = opt_f64(e, "factor")?.unwrap_or(2.0);
-        if !(factor >= 1.0 && factor.is_finite()) {
-            return Err(format!("faults.degrade factor {factor} must be >= 1"));
-        }
-        p.degrades.push(Degrade { at, dur, factor });
-    }
-    for e in field(v, "faults", "stalls", "an array", Json::as_arr)?.unwrap_or(&[]) {
-        check_keys(e, "faults.stalls entry", &["at_s", "for_s"])?;
-        let (at, dur) = window(e, "stalls")?;
-        p.stalls.push(Stall { at, dur });
-    }
-    for e in field(v, "faults", "crashes", "an array", Json::as_arr)?.unwrap_or(&[]) {
-        check_keys(e, "faults.crashes entry", &["tenant", "at_s", "for_s"])?;
-        let (at, dur) = window(e, "crashes")?;
-        let tenant = e
-            .get("tenant")
-            .and_then(Json::as_u64)
-            .ok_or("faults.crashes entry needs an integer tenant")? as usize;
-        p.crashes.push(Crash { tenant, at, dur });
-    }
-    if let Some(a) = v.get("adversary") {
-        check_keys(
-            a,
-            "faults.adversary",
-            &[
-                "link",
-                "forge_ls_p",
-                "invalid_flags_p",
-                "drain_flood_p",
-                "replay_p",
-                "spoof_p",
-                "spoof_victim",
-                "harden",
-            ],
-        )?;
-        let mut adv = Adversary {
-            link: a
-                .get("link")
-                .and_then(Json::as_u64)
-                .ok_or("faults.adversary needs an integer link")? as usize,
-            ..Adversary::default()
-        };
-        if let Some(x) = opt_prob(a, "forge_ls_p")? {
-            adv.forge_ls_p = x;
-        }
-        if let Some(x) = opt_prob(a, "invalid_flags_p")? {
-            adv.invalid_flags_p = x;
-        }
-        if let Some(x) = opt_prob(a, "drain_flood_p")? {
-            adv.drain_flood_p = x;
-        }
-        if let Some(x) = opt_prob(a, "replay_p")? {
-            adv.replay_p = x;
-        }
-        if let Some(x) = opt_prob(a, "spoof_p")? {
-            adv.spoof_p = x;
-        }
-        if let Some(victim) = field(
-            a,
-            "faults.adversary",
-            "spoof_victim",
-            "an integer",
-            Json::as_u64,
-        )? {
-            if victim > u64::from(u8::MAX) {
-                return Err(format!("faults.adversary.spoof_victim {victim} exceeds u8"));
-            }
-            adv.spoof_victim = victim as u8;
-        }
-        if let Some(h) = field(a, "faults.adversary", "harden", "a boolean", Json::as_bool)? {
-            adv.harden = h;
-        }
-        p.adversary = Some(adv);
-    }
-    Ok(Some(p))
-}
-
-/// Hard-error on unknown keys inside a block: a typo'd knob must never
-/// silently no-op.
-fn check_keys(v: &Json, ctx: &str, allowed: &[&str]) -> Result<(), String> {
-    if let Json::Obj(fields) = v {
-        for (k, _) in fields {
-            if !allowed.contains(&k.as_str()) {
-                return Err(format!("{ctx}: unknown key {k:?} (allowed: {allowed:?})"));
-            }
-        }
-        Ok(())
-    } else {
-        Err(format!("{ctx} must be an object"))
-    }
+    let keepalive = match us("keepalive_us")? {
+        Some(every) => Some(KeepAliveSpec {
+            every,
+            kato: us("kato_us")?.unwrap_or(every * 3),
+        }),
+        None => None,
+    };
+    let ad = Adversary::default();
+    let adversary = match f.obj("adversary", ADVERSARY_KEYS)? {
+        None => None,
+        Some(a) => Some(Adversary {
+            link: a.need("link", a.int("link", ..)?)?,
+            forge_ls_p: a.f64("forge_ls_p", PROB)?.unwrap_or(ad.forge_ls_p),
+            invalid_flags_p: a
+                .f64("invalid_flags_p", PROB)?
+                .unwrap_or(ad.invalid_flags_p),
+            drain_flood_p: a.f64("drain_flood_p", PROB)?.unwrap_or(ad.drain_flood_p),
+            replay_p: a.f64("replay_p", PROB)?.unwrap_or(ad.replay_p),
+            spoof_p: a.f64("spoof_p", PROB)?.unwrap_or(ad.spoof_p),
+            spoof_victim: a
+                .int("spoof_victim", 0..=u8::MAX)?
+                .unwrap_or(ad.spoof_victim),
+            harden: a.bool("harden")?.unwrap_or(ad.harden),
+        }),
+    };
+    Ok(FaultProfile {
+        drop_p: f.f64("drop_p", PROB)?.unwrap_or(d.drop_p),
+        dup_p: f.f64("dup_p", PROB)?.unwrap_or(d.dup_p),
+        delay_p: f.f64("delay_p", PROB)?.unwrap_or(d.delay_p),
+        delay_max: us("delay_max_us")?.unwrap_or(d.delay_max),
+        corrupt_p: f.f64("corrupt_p", PROB)?.unwrap_or(d.corrupt_p),
+        reorder_p: f.f64("reorder_p", PROB)?.unwrap_or(d.reorder_p),
+        reorder_hold: us("reorder_hold_us")?.unwrap_or(d.reorder_hold),
+        flaps: f
+            .items("flaps", |e, at| {
+                let e = e.obj(at, &["link", "at_s", "for_s"])?;
+                let (at, dur) = window(&e)?;
+                let link = e.need("link", e.int("link", ..)?)?;
+                Ok(LinkFlap { link, at, dur })
+            })?
+            .unwrap_or_default(),
+        degrades: f
+            .items("degrade", |e, at| {
+                let e = e.obj(at, &["factor", "at_s", "for_s"])?;
+                let (at, dur) = window(&e)?;
+                let factor = e.f64("factor", 1.0..)?.unwrap_or(2.0);
+                Ok(Degrade { at, dur, factor })
+            })?
+            .unwrap_or_default(),
+        stalls: f
+            .items("stalls", |e, at| {
+                let (at, dur) = window(&e.obj(at, &["at_s", "for_s"])?)?;
+                Ok(Stall { at, dur })
+            })?
+            .unwrap_or_default(),
+        crashes: f
+            .items("crashes", |e, at| {
+                let e = e.obj(at, &["tenant", "at_s", "for_s"])?;
+                let (at, dur) = window(&e)?;
+                let tenant = e.need("tenant", e.int("tenant", ..)?)?;
+                Ok(Crash { tenant, at, dur })
+            })?
+            .unwrap_or_default(),
+        retry,
+        redrain_timeout: match us("redrain_timeout_us")? {
+            Some(t) => (t > SimDuration::ZERO).then_some(t),
+            None => d.redrain_timeout,
+        },
+        keepalive,
+        adversary,
+        settle_s: f.f64("settle_s", 0.0..)?.unwrap_or(d.settle_s),
+    })
 }
 
 /// ```json
 /// "placement": {"policy": "pinned", "pins": [0, 1, 0]}
 /// ```
 /// Policies: `"round_robin"` (default), `"least_loaded"`, `"pinned"`
-/// (requires `pins`). Unknown keys are hard errors.
-fn parse_placement(doc: &Json) -> Result<PlacementSpec, String> {
-    let Some(v) = doc.get("placement") else {
-        return Ok(PlacementSpec::RoundRobin);
-    };
-    check_keys(v, "placement", &["policy", "pins"])?;
-    let policy = v
-        .get("policy")
-        .and_then(Json::as_str)
-        .ok_or("placement needs a string \"policy\"")?;
-    let pins = v.get("pins");
-    match policy {
-        "round_robin" | "least_loaded" if pins.is_some() => Err(format!(
-            "placement.pins only applies to policy \"pinned\" (got \"{policy}\")"
-        )),
-        "round_robin" => Ok(PlacementSpec::RoundRobin),
-        "least_loaded" => Ok(PlacementSpec::LeastLoaded),
-        "pinned" => {
-            let arr = pins
-                .and_then(Json::as_arr)
-                .ok_or("placement policy \"pinned\" needs a \"pins\" array")?;
-            let pins = arr
-                .iter()
-                .map(|p| {
-                    p.as_u64()
-                        .map(|p| p as usize)
-                        .ok_or_else(|| format!("placement.pins entry {p:?} not an integer"))
-                })
-                .collect::<Result<Vec<usize>, String>>()?;
-            Ok(PlacementSpec::Pinned(pins))
-        }
-        other => Err(format!(
-            "unknown placement policy {other:?} (want \"round_robin\", \"least_loaded\" or \"pinned\")"
-        )),
+/// (requires `pins`).
+fn parse_placement(p: &Obj) -> Result<PlacementSpec, Error> {
+    let policy = p.need("policy", p.str("policy")?)?;
+    let pins = p.items("pins", |v, at| {
+        v.as_u64()
+            .map(|n| n as usize)
+            .ok_or_else(|| Error::invalid(at, format!("pin {v:?} is not an integer")))
+    })?;
+    match (policy, pins) {
+        ("round_robin" | "least_loaded", Some(_)) => Err(p.err(format!(
+            "\"pins\" only applies to policy \"pinned\" (got \"{policy}\")"
+        ))),
+        ("round_robin", None) => Ok(PlacementSpec::RoundRobin),
+        ("least_loaded", None) => Ok(PlacementSpec::LeastLoaded),
+        ("pinned", pins) => Ok(PlacementSpec::Pinned(p.need("pins", pins)?)),
+        (other, _) => Err(p.err(format!(
+            "unknown policy {other:?} (want \"round_robin\", \"least_loaded\" or \"pinned\")"
+        ))),
     }
 }
 
 /// ```json
 /// "migration": {"moves": [{"tenant": 1, "at_s": 0.05, "to_target": 0}]}
 /// ```
-/// `at_s` is seconds into the measured window. Unknown keys are hard
-/// errors, at both the block and per-move level.
-fn parse_migrations(doc: &Json) -> Result<Vec<MigrationSpec>, String> {
-    let Some(v) = doc.get("migration") else {
-        return Ok(Vec::new());
-    };
-    check_keys(v, "migration", &["moves"])?;
-    let moves = v
-        .get("moves")
-        .and_then(Json::as_arr)
-        .ok_or("migration needs a \"moves\" array")?;
-    moves
-        .iter()
-        .map(|e| {
-            check_keys(e, "migration.moves entry", &["tenant", "at_s", "to_target"])?;
-            let tenant = e
-                .get("tenant")
-                .and_then(Json::as_u64)
-                .ok_or("migration move needs an integer tenant")? as usize;
-            let at_s = e
-                .get("at_s")
-                .and_then(Json::as_f64)
-                .ok_or("migration move needs a number at_s")?;
-            if !(at_s >= 0.0 && at_s.is_finite()) {
-                return Err(format!(
-                    "migration at_s {at_s} must be finite and non-negative"
-                ));
-            }
-            let to_target =
-                e.get("to_target")
-                    .and_then(Json::as_u64)
-                    .ok_or("migration move needs an integer to_target")? as usize;
-            Ok(MigrationSpec {
-                tenant,
-                at_s,
-                to_target,
-            })
+/// `at_s` is seconds into the measured window.
+fn parse_migrations(m: &Obj) -> Result<Vec<MigrationSpec>, Error> {
+    let moves = m.items("moves", |e, at| {
+        let e = e.obj(at, &["tenant", "at_s", "to_target"])?;
+        Ok(MigrationSpec {
+            tenant: e.need("tenant", e.int("tenant", ..)?)?,
+            at_s: e.need("at_s", e.f64("at_s", 0.0..)?)?,
+            to_target: e.need("to_target", e.int("to_target", ..)?)?,
         })
-        .collect()
+    })?;
+    m.need("moves", moves)
 }
 
 impl SweepSpec {
     /// Parse a spec document. Only `name` is required; everything else
     /// defaults to a small two-runtime smoke sweep at 100 Gbps.
     pub fn from_json(src: &str) -> Result<SweepSpec, String> {
-        let doc = json::parse(src)?;
-        check_keys(
-            &doc,
-            "spec",
-            &[
-                "name",
-                "runtimes",
-                "speeds",
-                "mixes",
-                "ratios",
-                "seeds",
-                "warmup_s",
-                "measure_s",
-                "threads",
-                "faults",
-                "targets",
-                "placement",
-                "migration",
-                "parallel",
-            ],
-        )?;
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("spec needs a string \"name\"")?
-            .to_string();
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-        {
-            return Err(format!(
-                "name {name:?} must be non-empty [A-Za-z0-9_-] (it names the output file)"
-            ));
-        }
-        let spec = SweepSpec {
-            name,
-            runtimes: list(
-                &doc,
-                "runtimes",
-                parse_runtime,
-                vec![RuntimeKind::Spdk, RuntimeKind::Opf],
-            )?,
-            speeds: list(&doc, "speeds", parse_speed, vec![Gbps::G100])?,
-            mixes: list(&doc, "mixes", parse_mix, vec![Mix::READ])?,
-            ratios: list(&doc, "ratios", parse_ratio, vec![(1, 1)])?,
-            seeds: list(
-                &doc,
-                "seeds",
-                |v| {
-                    v.as_u64()
-                        .ok_or_else(|| format!("seed {v:?} not an integer"))
-                },
-                vec![42],
-            )?,
-            warmup_s: field(&doc, "spec", "warmup_s", "a number", Json::as_f64)?.unwrap_or(0.05),
-            measure_s: field(&doc, "spec", "measure_s", "a number", Json::as_f64)?.unwrap_or(0.15),
-            threads: doc
-                .get("threads")
-                .map(|v| {
-                    v.as_u64()
-                        .filter(|&t| t >= 1)
-                        .map(|t| t as usize)
-                        .ok_or_else(|| format!("threads {v:?} not a positive integer"))
-                })
-                .transpose()?,
-            faults: parse_faults(&doc)?,
-            targets: match doc.get("targets") {
-                None => 1,
-                Some(v) => v
-                    .as_u64()
-                    .filter(|&t| t >= 1)
-                    .map(|t| t as usize)
-                    .ok_or_else(|| format!("targets {v:?} not a positive integer"))?,
-            },
-            placement: parse_placement(&doc)?,
-            migrations: parse_migrations(&doc)?,
-            parallel: match doc.get("parallel") {
-                None => false,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| format!("parallel {v:?} not a boolean"))?,
-            },
-        };
+        let spec = SweepSpec::read(&json::parse(src)?).map_err(|e| e.to_string())?;
         // Duplicate seeds silently double-count a grid point: every
         // derived statistic (means, fairness spreads, campaign gates)
         // would be quietly biased toward the repeated run. Hard error.
@@ -634,12 +430,6 @@ impl SweepSpec {
                      repeated seeds double-count runs in derived statistics)"
                 ));
             }
-        }
-        if !(spec.warmup_s >= 0.0 && spec.warmup_s.is_finite()) {
-            return Err("warmup_s must be a finite non-negative number".to_string());
-        }
-        if !(spec.measure_s > 0.0 && spec.measure_s.is_finite()) {
-            return Err("measure_s must be a finite positive number".to_string());
         }
         // Fail a scenario the runner cannot build (cluster on the
         // baseline, too many tenants per node, a migration out of range)
@@ -660,6 +450,58 @@ impl SweepSpec {
             }
         }
         Ok(spec)
+    }
+
+    /// The spec's fields, each checked on its own.
+    fn read(doc: &Json) -> Result<SweepSpec, Error> {
+        let o = doc.obj("", SPEC_KEYS)?;
+        let name = o.need("name", o.str("name")?)?.to_string();
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+        {
+            return Err(o.err(format!(
+                "name {name:?} must be non-empty [A-Za-z0-9_-] (it names the output file)"
+            )));
+        }
+        let seed = |v: &Json, at: String| {
+            v.as_u64()
+                .ok_or_else(|| Error::invalid(at, format!("seed {v:?} is not an integer")))
+        };
+        Ok(SweepSpec {
+            name,
+            runtimes: o
+                .nonempty("runtimes", parse_runtime)?
+                .unwrap_or_else(|| vec![RuntimeKind::Spdk, RuntimeKind::Opf]),
+            speeds: o
+                .nonempty("speeds", parse_speed)?
+                .unwrap_or_else(|| vec![Gbps::G100]),
+            mixes: o
+                .nonempty("mixes", parse_mix)?
+                .unwrap_or_else(|| vec![Mix::READ]),
+            ratios: o
+                .nonempty("ratios", parse_ratio)?
+                .unwrap_or_else(|| vec![(1, 1)]),
+            seeds: o.nonempty("seeds", seed)?.unwrap_or_else(|| vec![42]),
+            warmup_s: o.f64("warmup_s", 0.0..)?.unwrap_or(0.05),
+            measure_s: o.f64("measure_s", json::POSITIVE)?.unwrap_or(0.15),
+            threads: o.int("threads", 1..)?,
+            faults: o
+                .obj("faults", FAULT_KEYS)?
+                .map(|f| parse_faults(&f))
+                .transpose()?,
+            targets: o.int("targets", 1..)?.unwrap_or(1),
+            placement: match o.obj("placement", &["policy", "pins"])? {
+                Some(p) => parse_placement(&p)?,
+                None => PlacementSpec::RoundRobin,
+            },
+            migrations: match o.obj("migration", &["moves"])? {
+                Some(m) => parse_migrations(&m)?,
+                None => Vec::new(),
+            },
+            parallel: o.bool("parallel")?.unwrap_or(false),
+        })
     }
 
     /// The scenario at one grid point.
@@ -697,10 +539,10 @@ impl SweepSpec {
                             let sc = self.scenario(runtime, speed, mix, ls, tc, seed);
                             let point = Point {
                                 runtime,
-                                speed_gbps: match Speed::from(speed) {
-                                    Speed::G10 => 10,
-                                    Speed::G25 => 25,
-                                    Speed::G100 => 100,
+                                speed_gbps: match speed {
+                                    Gbps::G10 => 10,
+                                    Gbps::G25 => 25,
+                                    Gbps::G100 => 100,
                                 },
                                 read_fraction: mix.read_fraction,
                                 ls,
@@ -1000,6 +842,16 @@ mod tests {
             .is_err(),
             "degrade factor below 1 would speed the link up"
         );
+        // A retry budget is a count: it used to be read as a number and
+        // truncated, so -1 meant 0 retries and 2.5 meant 2.
+        for n in ["-1", "2.5", "4294967296"] {
+            let doc = format!(r#"{{"name":"x","faults":{{"retry_max":{n}}}}}"#);
+            let err = SweepSpec::from_json(&doc).unwrap_err();
+            assert!(
+                err.contains(r#"faults: "retry_max" must be an integer"#),
+                "{doc}: {err}"
+            );
+        }
         for key in ["flaps", "degrade", "stalls", "crashes"] {
             let doc = format!(r#"{{"name":"x","faults":{{"{key}":{{"at_s":0.1,"for_s":0.1}}}}}}"#);
             let err = SweepSpec::from_json(&doc).unwrap_err();

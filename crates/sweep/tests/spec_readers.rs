@@ -1,0 +1,144 @@
+//! Every spec reader — the sweep spec, the campaign spec with its
+//! traffic blocks, and the fsm scenario — reads each of its objects
+//! through the one key-checked reader in `json`, so a misspelt key is an
+//! error naming the block and the key at every nesting level.
+
+use analysis::fsm;
+use experiments::campaign::{CampaignError, CampaignSpec};
+use std::path::Path;
+use sweep::SweepSpec;
+
+const SWEEP: [(&str, &str); 6] = [
+    (r#"{"name":"x","misspelt":1}"#, "spec"),
+    (r#"{"name":"x","faults":{"misspelt":1}}"#, "faults"),
+    (
+        r#"{"name":"x","faults":{"flaps":[{"link":0,"at_s":0,"for_s":0},
+            {"link":0,"at_s":0,"for_s":0,"misspelt":1}]}}"#,
+        "faults.flaps[1]",
+    ),
+    (
+        r#"{"name":"x","faults":{"adversary":{"link":0,"misspelt":1}}}"#,
+        "faults.adversary",
+    ),
+    (
+        r#"{"name":"x","placement":{"policy":"round_robin","misspelt":1}}"#,
+        "placement",
+    ),
+    (
+        r#"{"name":"x","migration":{"moves":[{"tenant":0,"at_s":0,"to_target":0,"misspelt":1}]}}"#,
+        "migration.moves[0]",
+    ),
+];
+
+/// A campaign spec with one `@slot` in each object a key can sit in.
+const CAMPAIGN: &str = r#"{"name": "t", "seeds": [1] @root,
+    "scenarios": [
+      {"name": "a", "traffic": {"model": "phased" @traffic,
+        "churn": [{"at_s": 0.01, "for_s": 0.01, "tenants": 1 @churn}],
+        "phases": [{"dur_ms": 1, "rate_kiops": 10, "read_fraction": 1},
+                   {"dur_ms": 1, "rate_kiops": 10, "read_fraction": 0 @phase}]}},
+      {"name": "b", "traffic": {"model": "poisson"} @scenario}],
+    "expectations": [{"check": "exactly_once" @expectation}]}"#;
+
+/// [`CAMPAIGN`] with a misspelt key in `slot` and the other slots empty.
+fn campaign(slot: &str) -> String {
+    let slots = [
+        "@root",
+        "@traffic",
+        "@churn",
+        "@phase",
+        "@scenario",
+        "@expectation",
+    ];
+    slots.iter().fold(CAMPAIGN.to_string(), |doc, s| {
+        doc.replace(s, if *s == slot { r#", "misspelt": 1"# } else { "" })
+    })
+}
+
+#[test]
+fn a_misspelt_key_names_its_block_at_every_level() {
+    for (doc, path) in SWEEP {
+        let err = SweepSpec::from_json(doc).unwrap_err();
+        assert!(
+            err.contains(&format!("{path}: unknown key \"misspelt\"")),
+            "{doc}: {err}"
+        );
+    }
+
+    assert!(CampaignSpec::from_json_str(&campaign("")).is_ok());
+    for (slot, ctx) in [
+        ("@root", ""),
+        ("@scenario", "scenarios[1]"),
+        ("@expectation", "expectations[0]"),
+        ("@traffic", "scenarios[0].traffic"),
+        ("@churn", "scenarios[0].traffic.churn[0]"),
+        ("@phase", "scenarios[0].traffic.phases[1]"),
+    ] {
+        let err = CampaignSpec::from_json_str(&campaign(slot)).unwrap_err();
+        let key = "misspelt".to_string();
+        let at = if ctx.is_empty() { "spec root" } else { ctx };
+        assert_eq!(
+            err.to_string(),
+            format!("campaign spec: unknown key \"{key}\" in {at}")
+        );
+        assert_eq!(
+            err,
+            CampaignError::UnknownKey {
+                ctx: ctx.to_string(),
+                key
+            }
+        );
+    }
+
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fsm");
+    let witness = std::fs::read_to_string(dir.join("forged_ls_overflow.json")).unwrap();
+    assert!(fsm::scenario::parse(&witness).is_ok());
+    for (doc, path) in [
+        (witness.replacen('{', r#"{"misspelt": 1,"#, 1), "spec"),
+        (
+            witness.replace(r#""config": {"#, r#""config": {"misspelt": 1,"#),
+            "config",
+        ),
+    ] {
+        let err = fsm::scenario::parse(&doc).unwrap_err();
+        assert!(
+            err.contains(&format!("{path}: unknown key `misspelt`")),
+            "{err}"
+        );
+    }
+}
+
+/// The per-reader key checks and typed-lookup wrappers are gone: one
+/// reader in `json` does both.
+#[test]
+fn no_reader_keeps_its_own_key_check() {
+    fn scan(dir: &Path, hits: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                scan(&path, hits);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                for (i, line) in text.lines().enumerate() {
+                    let l = line.trim_start();
+                    let rest = l.strip_prefix("pub ").unwrap_or(l);
+                    if rest.starts_with("fn check_keys")
+                        || rest.starts_with("fn field(")
+                        || rest.starts_with("fn field<")
+                    {
+                        hits.push(format!("{}:{}", path.display(), i + 1));
+                    }
+                }
+            }
+        }
+    }
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut hits = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let src = entry.unwrap().path().join("src");
+        if src.is_dir() {
+            scan(&src, &mut hits);
+        }
+    }
+    assert!(hits.is_empty(), "per-reader key checks: {hits:?}");
+}

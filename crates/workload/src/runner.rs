@@ -717,7 +717,7 @@ pub fn build_pair_traced(
     timing_only: bool,
     tracer: Tracer,
 ) -> Pair {
-    let env = Env::fault_free(speed.into(), window);
+    let env = Env::fault_free(speed, window);
     let mut pair = env.pair(runtime, 0, seed ^ 0xFACE, timing_only, tracer);
     for id in 0..tenants {
         let iep = env.endpoint(format!("ini{id}"));
@@ -973,7 +973,7 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
     let shards = sc.shards.max(1);
     let mut k = Kernel::with_shards(sc.seed, shards);
     k.set_parallel(sc.parallel);
-    let mut env = Env::new(sc.speed.into(), sc.transport);
+    let mut env = Env::new(sc.speed, sc.transport);
     // Each group's plane forks its RNG off the group kernel's under a
     // tag of its own; group 0's is the historical `0xFA17`, so every
     // one-group run keeps its stream. With `faults: None` the fork never

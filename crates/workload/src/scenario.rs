@@ -54,37 +54,9 @@ pub enum WindowSpec {
     Dynamic,
 }
 
-/// Serializable mirror of [`fabric::Gbps`] (kept separate so `fabric`
-/// stays serde-free).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Speed {
-    /// 10 Gbps.
-    G10,
-    /// 25 Gbps.
-    G25,
-    /// 100 Gbps.
-    G100,
-}
-
-impl From<Speed> for Gbps {
-    fn from(s: Speed) -> Gbps {
-        match s {
-            Speed::G10 => Gbps::G10,
-            Speed::G25 => Gbps::G25,
-            Speed::G100 => Gbps::G100,
-        }
-    }
-}
-
-impl From<Gbps> for Speed {
-    fn from(g: Gbps) -> Speed {
-        match g {
-            Gbps::G10 => Speed::G10,
-            Gbps::G25 => Speed::G25,
-            Gbps::G100 => Speed::G100,
-        }
-    }
-}
+/// The fabric speed a scenario runs at: [`fabric::Gbps`] under the name
+/// the scenario API has always used.
+pub use fabric::Gbps as Speed;
 
 /// One experiment configuration.
 ///
@@ -343,7 +315,7 @@ impl Scenario {
     pub fn two_tenant(runtime: RuntimeKind, speed: Gbps, mix: Mix) -> Scenario {
         Scenario {
             runtime,
-            speed: speed.into(),
+            speed,
             pairs: 1,
             ls_per_node: 1,
             tc_per_node: 1,
@@ -503,7 +475,7 @@ impl Scenario {
         match self.window {
             WindowSpec::Static(w) => opf::WindowPolicy::Static(w),
             WindowSpec::Auto => opf::WindowPolicy::Static(opf::optimal_window(
-                self.speed.into(),
+                self.speed,
                 self.mix.write_fraction(),
                 self.tc_per_node,
             )),
@@ -814,13 +786,6 @@ mod tests {
             if let Err(e) = want {
                 assert!(!e.to_string().is_empty());
             }
-        }
-    }
-
-    #[test]
-    fn speed_roundtrip() {
-        for g in Gbps::ALL {
-            assert_eq!(Gbps::from(Speed::from(g)), g);
         }
     }
 

@@ -328,7 +328,7 @@ fn replay_stack(log: &TraceLog, cfg: &ReplayConfig) -> Result<(ReplayResult, Pai
         tc_per_node: tenants,
         tc_qd: cfg.qd,
         ls_qd: cfg.qd,
-        ..Scenario::two_tenant(cfg.runtime, cfg.speed.into(), Mix::READ)
+        ..Scenario::two_tenant(cfg.runtime, cfg.speed, Mix::READ)
     };
     shape.validate().map_err(ReplayError::Scenario)?;
     for (index, ev) in log.events.iter().enumerate() {

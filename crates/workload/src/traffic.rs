@@ -33,10 +33,16 @@
 //! `workload/tests/traffic_invariants.rs`). A scenario without a
 //! `traffic` block never touches this module — legacy runs stay
 //! byte-identical.
+//!
+//! The block, its `churn` storms and its `phases` are read through the
+//! one key-checked reader in `simkit::json`, like every spec block: an
+//! unknown key is an error naming its path (`scenarios[0].traffic.
+//! phases[1]` inside a campaign spec), never a silent no-op.
 
 use crate::Mix;
-use simkit::json::Json;
+use simkit::json::{self, Json, POSITIVE};
 use simkit::Pcg32;
+use std::ops::Bound;
 
 /// Open-loop traffic description for the throughput-critical tenants of
 /// a scenario. Latency-sensitive tenants keep their closed-loop QD-1
@@ -136,48 +142,18 @@ impl Default for TrafficSpec {
     }
 }
 
-fn err(ctx: &str, msg: &str) -> String {
-    format!("traffic{ctx}: {msg}")
-}
-
-fn check_keys(v: &Json, ctx: &str, allowed: &[&str]) -> Result<(), String> {
-    if let Json::Obj(fields) = v {
-        for (k, _) in fields {
-            if !allowed.contains(&k.as_str()) {
-                return Err(err(
-                    ctx,
-                    &format!("unknown key \"{k}\" (allowed: {})", allowed.join(", ")),
-                ));
-            }
-        }
-        Ok(())
-    } else {
-        Err(err(ctx, "expected an object"))
-    }
-}
-
-fn finite(v: &Json, ctx: &str, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(f) => {
-            let x = f
-                .as_f64()
-                .ok_or_else(|| err(ctx, &format!("\"{key}\" must be a number")))?;
-            if !x.is_finite() {
-                return Err(err(ctx, &format!("\"{key}\" must be finite")));
-            }
-            Ok(Some(x))
-        }
-    }
-}
-
 impl TrafficSpec {
     /// Parse a `"traffic"` block. Unknown keys are hard errors, never
-    /// silent no-ops, matching the sweep-spec convention.
+    /// silent no-ops, as in every spec block.
     pub fn from_json(v: &Json) -> Result<TrafficSpec, String> {
-        check_keys(
-            v,
-            "",
+        TrafficSpec::read_at(v, "traffic").map_err(|e| e.to_string())
+    }
+
+    /// Parse the `"traffic"` block at `path` (`scenarios[0].traffic`),
+    /// the path every error names.
+    pub fn read_at(v: &Json, path: impl Into<String>) -> Result<TrafficSpec, json::Error> {
+        let t = v.obj(
+            path,
             &[
                 "model",
                 "rate_kiops",
@@ -192,166 +168,89 @@ impl TrafficSpec {
                 "phases",
             ],
         )?;
-        let mut spec = TrafficSpec::default();
-        if let Some(r) = finite(v, "", "rate_kiops")? {
-            if r <= 0.0 {
-                return Err(err("", "\"rate_kiops\" must be > 0"));
-            }
-            spec.rate_kiops = r;
-        }
-        if let Some(f) = finite(v, "", "read_fraction")? {
-            if !(0.0..=1.0).contains(&f) {
-                return Err(err("", "\"read_fraction\" must be in [0, 1]"));
-            }
-            spec.read_fraction = Some(f);
-        }
-        if let Some(s) = finite(v, "", "zipf")? {
-            if s < 0.0 {
-                return Err(err("", "\"zipf\" must be >= 0"));
-            }
-            spec.zipf = Some(s);
-        }
-        if let Some(mix) = v.get("size_mix") {
-            let arr = mix
-                .as_arr()
-                .ok_or_else(|| err("", "\"size_mix\" must be an array of [blocks, weight]"))?;
-            for (i, entry) in arr.iter().enumerate() {
-                let ctx = format!(".size_mix[{i}]");
-                let pair = entry
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| err(&ctx, "expected [blocks, weight]"))?;
-                let blocks = pair[0]
-                    .as_u64()
-                    .filter(|&b| (1..=u64::from(u16::MAX)).contains(&b))
-                    .ok_or_else(|| err(&ctx, "blocks must be an integer in [1, 65535]"))?;
-                let w = pair[1]
-                    .as_f64()
-                    .filter(|w| w.is_finite() && *w > 0.0)
-                    .ok_or_else(|| err(&ctx, "weight must be a finite number > 0"))?;
-                spec.size_mix.push((blocks as u16, w));
-            }
-            if spec.size_mix.is_empty() {
-                return Err(err("", "\"size_mix\" must not be empty"));
-            }
-        }
-        if let Some(churn) = v.get("churn") {
-            let arr = churn
-                .as_arr()
-                .ok_or_else(|| err("", "\"churn\" must be an array of storms"))?;
-            for (i, storm) in arr.iter().enumerate() {
-                let ctx = format!(".churn[{i}]");
-                check_keys(storm, &ctx, &["at_s", "for_s", "tenants"])?;
-                let at_s = finite(storm, &ctx, "at_s")?
-                    .filter(|a| *a >= 0.0)
-                    .ok_or_else(|| err(&ctx, "\"at_s\" must be a number >= 0"))?;
-                let for_s = finite(storm, &ctx, "for_s")?
-                    .filter(|f| *f > 0.0)
-                    .ok_or_else(|| err(&ctx, "\"for_s\" must be a number > 0"))?;
-                let tenants = storm
-                    .get("tenants")
-                    .and_then(Json::as_u64)
-                    .filter(|&t| t >= 1)
-                    .ok_or_else(|| err(&ctx, "\"tenants\" must be an integer >= 1"))?;
-                spec.churn.push(ChurnStorm {
-                    at_s,
-                    for_s,
-                    tenants: tenants as usize,
-                });
-            }
-        }
-        let model = v.get("model").and_then(Json::as_str).ok_or_else(|| {
-            err(
-                "",
-                "\"model\" is required: poisson | bursty | diurnal | phased",
-            )
-        })?;
+        let model = t.need("model", t.str("model")?)?;
         let model_keys: &[&str] = match model {
             "poisson" => &[],
             "bursty" => &["on_ms", "off_ms"],
             "diurnal" => &["trough_frac", "period_ms"],
             "phased" => &["phases"],
-            other => return Err(err("", &format!("unknown model \"{other}\""))),
+            other => {
+                return Err(t.err(format!(
+                    "unknown model \"{other}\" (poisson | bursty | diurnal | phased)"
+                )))
+            }
         };
         for key in ["on_ms", "off_ms", "trough_frac", "period_ms", "phases"] {
-            if v.get(key).is_some() && !model_keys.contains(&key) {
-                return Err(err(
-                    "",
-                    &format!("\"{key}\" does not apply to model \"{model}\""),
-                ));
+            if t.get(key).is_some() && !model_keys.contains(&key) {
+                return Err(t.err(format!("\"{key}\" does not apply to model \"{model}\"")));
             }
         }
-        spec.model = match model {
-            "poisson" => ArrivalModel::Poisson,
-            "bursty" => {
-                let on_ms = finite(v, "", "on_ms")?
-                    .filter(|x| *x > 0.0)
-                    .ok_or_else(|| err("", "bursty requires \"on_ms\" > 0"))?;
-                let off_ms = finite(v, "", "off_ms")?
-                    .filter(|x| *x > 0.0)
-                    .ok_or_else(|| err("", "bursty requires \"off_ms\" > 0"))?;
-                ArrivalModel::Bursty { on_ms, off_ms }
-            }
-            "diurnal" => {
-                let trough_frac = finite(v, "", "trough_frac")?
-                    .filter(|x| *x > 0.0 && *x <= 1.0)
-                    .ok_or_else(|| err("", "diurnal requires \"trough_frac\" in (0, 1]"))?;
-                let period_ms = finite(v, "", "period_ms")?
-                    .filter(|x| *x > 0.0)
-                    .ok_or_else(|| err("", "diurnal requires \"period_ms\" > 0"))?;
-                ArrivalModel::Diurnal {
-                    trough_frac,
-                    period_ms,
-                }
-            }
+        let model = match model {
+            "bursty" => ArrivalModel::Bursty {
+                on_ms: t.need("on_ms", t.f64("on_ms", POSITIVE)?)?,
+                off_ms: t.need("off_ms", t.f64("off_ms", POSITIVE)?)?,
+            },
+            "diurnal" => ArrivalModel::Diurnal {
+                trough_frac: t.need(
+                    "trough_frac",
+                    t.f64("trough_frac", (Bound::Excluded(0.0), Bound::Included(1.0)))?,
+                )?,
+                period_ms: t.need("period_ms", t.f64("period_ms", POSITIVE)?)?,
+            },
             "phased" => {
-                let arr = v
-                    .get("phases")
-                    .and_then(Json::as_arr)
-                    .filter(|a| !a.is_empty())
-                    .ok_or_else(|| err("", "phased requires a non-empty \"phases\" array"))?;
-                let mut phases = Vec::new();
-                for (i, ph) in arr.iter().enumerate() {
-                    let ctx = format!(".phases[{i}]");
-                    check_keys(
-                        ph,
-                        &ctx,
-                        &["dur_ms", "rate_kiops", "read_fraction", "blocks"],
-                    )?;
-                    let dur_ms = finite(ph, &ctx, "dur_ms")?
-                        .filter(|x| *x > 0.0)
-                        .ok_or_else(|| err(&ctx, "\"dur_ms\" must be a number > 0"))?;
-                    let rate_kiops = finite(ph, &ctx, "rate_kiops")?
-                        .filter(|x| *x >= 0.0)
-                        .ok_or_else(|| err(&ctx, "\"rate_kiops\" must be a number >= 0"))?;
-                    let read_fraction = finite(ph, &ctx, "read_fraction")?
-                        .filter(|x| (0.0..=1.0).contains(x))
-                        .ok_or_else(|| err(&ctx, "\"read_fraction\" must be in [0, 1]"))?;
-                    let blocks = match ph.get("blocks") {
-                        None => None,
-                        Some(b) => Some(
-                            b.as_u64()
-                                .filter(|&b| (1..=u64::from(u16::MAX)).contains(&b))
-                                .ok_or_else(|| {
-                                    err(&ctx, "\"blocks\" must be an integer in [1, 65535]")
-                                })? as u16,
-                        ),
-                    };
-                    phases.push(Phase {
-                        dur_ms,
-                        rate_kiops,
-                        read_fraction,
-                        blocks,
-                    });
-                }
+                let phases = t.nonempty("phases", |p, at| {
+                    let p = p.obj(at, &["dur_ms", "rate_kiops", "read_fraction", "blocks"])?;
+                    Ok(Phase {
+                        dur_ms: p.need("dur_ms", p.f64("dur_ms", POSITIVE)?)?,
+                        rate_kiops: p.need("rate_kiops", p.f64("rate_kiops", 0.0..)?)?,
+                        read_fraction: p
+                            .need("read_fraction", p.f64("read_fraction", 0.0..=1.0)?)?,
+                        blocks: p.int("blocks", 1..=u16::MAX)?,
+                    })
+                })?;
+                let phases = t.need("phases", phases)?;
                 if phases.iter().all(|p| p.rate_kiops <= 0.0) {
-                    return Err(err("", "phased needs at least one phase with rate > 0"));
+                    return Err(t.err("phased needs at least one phase with rate > 0"));
                 }
                 ArrivalModel::Phased { phases }
             }
-            other => return Err(err("", &format!("unknown model \"{other}\""))),
+            _ => ArrivalModel::Poisson,
         };
-        Ok(spec)
+        let size_mix = t.nonempty("size_mix", |entry, at| {
+            let pair = entry.as_arr().filter(|p| p.len() == 2);
+            let pair =
+                pair.ok_or_else(|| json::Error::invalid(&at, "expected [blocks, weight]"))?;
+            let blocks = pair[0]
+                .as_u64()
+                .and_then(|b| u16::try_from(b).ok())
+                .filter(|&b| b >= 1)
+                .ok_or_else(|| {
+                    json::Error::invalid(&at, "blocks must be an integer in [1, 65535]")
+                })?;
+            let weight = pair[1]
+                .as_f64()
+                .filter(|w| w.is_finite() && *w > 0.0)
+                .ok_or_else(|| json::Error::invalid(&at, "weight must be a finite number > 0"))?;
+            Ok((blocks, weight))
+        })?;
+        let churn = t.items("churn", |storm, at| {
+            let c = storm.obj(at, &["at_s", "for_s", "tenants"])?;
+            Ok(ChurnStorm {
+                at_s: c.need("at_s", c.f64("at_s", 0.0..)?)?,
+                for_s: c.need("for_s", c.f64("for_s", POSITIVE)?)?,
+                tenants: c.need("tenants", c.int("tenants", 1..)?)?,
+            })
+        })?;
+        Ok(TrafficSpec {
+            model,
+            rate_kiops: t
+                .f64("rate_kiops", POSITIVE)?
+                .unwrap_or(TrafficSpec::default().rate_kiops),
+            read_fraction: t.f64("read_fraction", 0.0..=1.0)?,
+            size_mix: size_mix.unwrap_or_default(),
+            zipf: t.f64("zipf", 0.0..)?,
+            churn: churn.unwrap_or_default(),
+        })
     }
 
     /// Largest block count any request of this spec can draw — sizes the
