@@ -113,6 +113,66 @@ impl FabricConfig {
     pub fn rx_cost(&self, bytes: usize) -> SimDuration {
         self.per_frame_rx * self.frames_for(bytes) as u64
     }
+
+    /// The four per-size costs of a message of `bytes`, evaluated once.
+    pub(crate) fn wire_cost(&self, bytes: usize) -> WireCost {
+        WireCost {
+            frames: self.frames_for(bytes) as u64,
+            ser: self.serialization(bytes),
+            tx: self.tx_cost(bytes),
+            rx: self.rx_cost(bytes),
+        }
+    }
+}
+
+/// What one message of a given size costs: its frames, its
+/// serialization on one link and its NIC costs at each end.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WireCost {
+    pub(crate) frames: u64,
+    pub(crate) ser: SimDuration,
+    pub(crate) tx: SimDuration,
+    pub(crate) rx: SimDuration,
+}
+
+/// Entries in a [`CostMemo`].
+const MEMO_SIZES: usize = 4;
+
+/// The wire costs of the last few message sizes one endpoint sent. A
+/// sender's traffic is a handful of sizes (command capsules, data PDUs,
+/// completions), so a hit spares the divisions, the float division and
+/// the rounding of [`FabricConfig::serialization`]; a miss computes the
+/// costs and replaces the oldest entry.
+#[derive(Clone, Debug)]
+pub(crate) struct CostMemo {
+    sizes: [usize; MEMO_SIZES],
+    costs: [WireCost; MEMO_SIZES],
+    /// The entry the next miss replaces.
+    next: usize,
+}
+
+impl CostMemo {
+    /// A memo of `cfg`'s costs whose every entry holds the empty message.
+    pub(crate) fn new(cfg: &FabricConfig) -> Self {
+        CostMemo {
+            sizes: [0; MEMO_SIZES],
+            costs: [cfg.wire_cost(0); MEMO_SIZES],
+            next: 0,
+        }
+    }
+
+    /// `cfg.wire_cost(bytes)`, from the memo when `bytes` is in it.
+    #[inline]
+    pub(crate) fn get(&mut self, cfg: &FabricConfig, bytes: usize) -> WireCost {
+        if let Some(e) = self.sizes.iter().position(|&s| s == bytes) {
+            return self.costs[e];
+        }
+        let cost = cfg.wire_cost(bytes);
+        self.sizes[self.next] = bytes;
+        self.costs[self.next] = cost;
+        self.next = (self.next + 1) % MEMO_SIZES;
+        cost
+    }
 }
 
 #[cfg(test)]

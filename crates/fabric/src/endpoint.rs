@@ -1,5 +1,6 @@
 //! Endpoints: a node's attachment to the fabric.
 
+use crate::config::{CostMemo, FabricConfig};
 use simkit::{Metrics, MetricsSource, Resource, SimDuration, SimTime};
 
 /// Index of an endpoint within its [`crate::Network`].
@@ -38,12 +39,15 @@ pub struct Endpoint {
     /// Distinct sources with bulk transfers in the downlink's current
     /// busy period (incast detection).
     pub(crate) downlink_senders: Vec<EndpointId>,
+    /// Wire costs of the sizes this endpoint last sent, under the config
+    /// of the network that attached it.
+    pub(crate) costs: CostMemo,
     /// Counters.
     pub stats: EndpointStats,
 }
 
 impl Endpoint {
-    pub(crate) fn new(id: EndpointId, name: String) -> Self {
+    pub(crate) fn new(id: EndpointId, name: String, cfg: &FabricConfig) -> Self {
         Endpoint {
             id,
             name,
@@ -52,6 +56,7 @@ impl Endpoint {
             uplink: Resource::new("uplink"),
             downlink: Resource::new("downlink"),
             downlink_senders: Vec::new(),
+            costs: CostMemo::new(cfg),
             stats: EndpointStats::default(),
         }
     }

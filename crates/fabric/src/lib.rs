@@ -22,6 +22,11 @@
 //! multi-hop paths with extra store-and-forward stages and bottleneck
 //! bandwidth factors, consulted only when at least one is installed.
 
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod config;
 pub mod endpoint;
 pub mod network;

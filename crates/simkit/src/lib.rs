@@ -25,8 +25,12 @@
 //! assert_eq!(k.now().as_micros(), 5);
 //! ```
 
-// The kernel's event-slot erasure is the workspace's one `unsafe` product code.
+// The kernel's event-record erasure is the workspace's one `unsafe` product code.
 #![allow(unsafe_code)]
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod fxhash;
 pub mod kernel;
