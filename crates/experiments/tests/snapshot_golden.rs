@@ -41,6 +41,12 @@
 //! `nic.*_util`) were re-rendered at 16bada7, when each group began to
 //! be read at its own last event instead of the latest group's; every
 //! other line is as rendered at ac48d8c, plus the `events` delta.
+//! The `events` tokens of `snapshot_{baseline_lossy, cluster_migrate,
+//! keepalive_opf, keepalive_spdk, openloop_lossy, opf_lossy_mixed,
+//! pairs, sideband, unhardened_*}` (and the `events` row of
+//! `observe.csv`) were re-rendered, and nothing else, when the initiator
+//! stopped scheduling an event that did nothing after each C2H data
+//! PDU: every run with reads counts one event fewer per data PDU.
 //!
 //! The corrupting run has no golden: it pins that a bit-flipping fabric
 //! cannot reach a `debug_assert!` (this file is built with debug

@@ -444,19 +444,18 @@ impl SpdkInitiator {
     pub fn on_pdu<O: PriorityPolicy>(this: &Shared<O>, k: &mut Kernel, pdu: Pdu) {
         match pdu {
             Pdu::C2HData { cccid, data } => {
-                let finish = {
-                    let mut o = this.borrow_mut();
-                    let i = o.transport();
-                    i.stats.data_rx += 1;
-                    i.stats.bytes_read += data.len() as u64;
-                    let finish = i.reserve_cpu(k.now(), i.costs.ini_on_data);
-                    if let Some(ctx) = i.qpair.get_mut(cccid) {
-                        ctx.data = Some(data);
-                    }
-                    finish
-                };
-                // Data processing occupies the core; nothing to do after.
-                k.schedule_at(finish, |_| {});
+                let mut o = this.borrow_mut();
+                let i = o.transport();
+                i.stats.data_rx += 1;
+                i.stats.bytes_read += data.len() as u64;
+                // Data processing occupies the core, which the reservation
+                // records. Nothing runs when it ends, so no event is
+                // scheduled for it; the run just lasts at least that long.
+                let finish = i.reserve_cpu(k.now(), i.costs.ini_on_data);
+                k.extend_to(finish);
+                if let Some(ctx) = i.qpair.get_mut(cccid) {
+                    ctx.data = Some(data);
+                }
             }
             Pdu::R2T { cccid, r2tl } => Self::on_r2t(this, k, cccid, r2tl),
             Pdu::CapsuleResp { cqe, priority } => O::on_resp(this, k, cqe, priority),
