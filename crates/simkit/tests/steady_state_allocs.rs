@@ -2,8 +2,8 @@
 //!
 //! A hold loop keeps 4096 events pending: each event, when it runs,
 //! schedules one successor a random gap ahead. After a warm-up that
-//! lets the slot table, the key table and the current tick's run reach
-//! their working size, one million more events must average below
+//! lets the record table and the current tick's run reach their
+//! working size, one million more events must average below
 //! 1e-3 allocations each. This binary installs its own counting global
 //! allocator, so it holds exactly this one test.
 
