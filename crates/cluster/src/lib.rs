@@ -18,6 +18,11 @@
 //! state rather than splitting one tenant's window across targets, so
 //! Algorithm 2's prefix-marking never spans coalescers.
 
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod manager;
 pub mod migration;
 pub mod placement;

@@ -14,6 +14,11 @@
 //! (`scenarios[0].traffic.phases[1]`) and the key for a value of the
 //! wrong type or out of range, so a bad value never reads as the default.
 
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use std::fmt;
 use std::ops::{Bound, RangeBounds};
 

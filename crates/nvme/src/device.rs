@@ -274,8 +274,9 @@ impl NvmeDevice {
             }
             Opcode::Write => {
                 if self.store_data {
-                    let d = data.expect("validated");
-                    match self.ns.write(sqe.slba, &d) {
+                    // `validate` admitted the write with its payload; a
+                    // missing one would be an empty, bad-length write.
+                    match self.ns.write(sqe.slba, &data.unwrap_or_default()) {
                         Ok(()) => {
                             self.stats.writes += 1;
                             self.stats.blocks_written += u64::from(sqe.blocks());

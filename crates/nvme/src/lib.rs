@@ -15,6 +15,11 @@
 //!   through a sparse store, so the whole stack (including the mini-HDF5
 //!   layer) is verified end-to-end for data integrity, not just timing.
 
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod device;
 pub mod flash;
 pub mod namespace;

@@ -150,7 +150,7 @@ impl Sqe {
             opcode: Opcode::from_u8(b[0])?,
             cid: u16::from_le_bytes([b[2], b[3]]),
             nsid: u32::from_le_bytes([b[4], b[5], b[6], b[7]]),
-            slba: u64::from_le_bytes(b[40..48].try_into().unwrap()),
+            slba: u64::from_le_bytes([b[40], b[41], b[42], b[43], b[44], b[45], b[46], b[47]]),
             nlb: u16::from_le_bytes([b[48], b[49]]),
         })
     }

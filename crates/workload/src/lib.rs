@@ -34,6 +34,6 @@ pub use pool::map;
 pub use report::{csv_table, render_table, Table};
 pub use runner::{build_pair, build_pair_traced, run, run_all, Env, Pair, RunResult, TenantHandle};
 pub use scenario::{Pattern, RuntimeKind, Scenario, ScenarioError, Transport, WindowSpec};
-pub use trace::{replay, ReplayConfig, ReplayError, ReplayResult, TraceEvent, TraceLog};
-pub use traffic::{ArrivalModel, ChurnStorm, Phase, TenantTraffic, TrafficSpec};
+pub use trace::{TraceEvent, TraceLog};
+pub use traffic::{Arrival, ArrivalModel, ChurnStorm, Phase, TenantTraffic, TrafficSpec};
 pub use volume::StripedVolume;

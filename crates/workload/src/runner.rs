@@ -9,7 +9,7 @@
 use crate::hist::Histogram;
 use crate::pool::map;
 use crate::scenario::{Pattern, RuntimeKind, Scenario, Speed, Transport};
-use crate::traffic::TenantTraffic;
+use crate::traffic::{Arrival, ArrivalModel, TenantTraffic};
 use bytes::Bytes;
 use fabric::{Endpoint, FabricConfig, Gbps, Network};
 use nvme::{FlashProfile, NvmeDevice, Opcode, BLOCK_SIZE};
@@ -254,7 +254,9 @@ fn issue(d: Rc<RefCell<Driver>>, k: &mut Kernel) {
         };
         let blocks = dr.io_blocks;
         let slba = dr.io.next_slba(blocks);
-        let payload = (opcode == Opcode::Write).then(|| dr.io.payload.clone());
+        // The payload is sized for the largest open-loop request.
+        let len = BLOCK_SIZE * blocks as usize;
+        let payload = (opcode == Opcode::Write).then(|| dr.io.payload.slice(..len));
         (dr.class, opcode, slba, blocks, payload)
     };
     let d2 = d.clone();
@@ -276,14 +278,15 @@ fn issue(d: Rc<RefCell<Driver>>, k: &mut Kernel) {
 }
 
 /// One open-loop TC tenant (PR 10 traffic models): arrivals come from a
-/// [`TenantTraffic`] generator on the tenant's own kernel lane; a
-/// request that finds the qpair full waits in the app-side `pending`
-/// queue and its latency counts from *arrival* (queueing included),
-/// exactly like `trace::replay`.
+/// [`TenantTraffic`] generator or trace on the tenant's own kernel lane;
+/// a request that finds the qpair full waits in the app-side `pending`
+/// queue and its latency counts from *arrival* (queueing included).
 struct OpenTenant {
     io: TenantIo,
     gen: TenantTraffic,
     pending: VecDeque<OpenReq>,
+    /// Where a trace's LS events record (`io.hist` is the TC one).
+    ls_hist: Rc<RefCell<Histogram>>,
     default_blocks: u16,
     base_mix: crate::Mix,
     offered_total: u64,
@@ -294,20 +297,21 @@ struct OpenTenant {
 
 #[derive(Clone, Copy)]
 struct OpenReq {
-    write: bool,
-    blocks: u16,
+    arrival: Arrival,
     arrived: SimTime,
 }
 
 /// One arrival: draw the request shape, submit or queue it, and
 /// schedule the next arrival (the chain stops once the next one would
-/// land past the measure window).
+/// land past the measure window, or a trace has none left).
 fn open_arrival(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
     let now = k.now();
     let (req, gap, win_end) = {
         let mut s = t.borrow_mut();
         let (default_blocks, base_mix) = (s.default_blocks, s.base_mix);
-        let (write, blocks) = s.gen.draw(now.as_nanos(), default_blocks, base_mix);
+        let Some(arrival) = s.gen.draw(now.as_nanos(), default_blocks, base_mix) else {
+            return;
+        };
         s.offered_total += 1;
         if s.io.in_window(now) {
             s.offered_win += 1;
@@ -315,8 +319,7 @@ fn open_arrival(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
         let gap = s.gen.next_gap_ns(now.as_nanos());
         (
             OpenReq {
-                write,
-                blocks,
+                arrival,
                 arrived: now,
             },
             gap,
@@ -334,21 +337,22 @@ fn open_arrival(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
     }
 }
 
-/// Submit one open-loop request; its completion pops the next queued
-/// arrival (if any) straight into the freed slot.
+/// Submit one open-loop request at its own LBA (a trace's) or the
+/// tenant's next one; its completion pops the next queued arrival (if
+/// any) straight into the freed slot.
 fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
+    let Arrival {
+        class,
+        write,
+        blocks,
+        lba,
+    } = req.arrival;
     let (opcode, slba, blocks, payload) = {
         let io = &mut t.borrow_mut().io;
-        let opcode = if req.write {
-            Opcode::Write
-        } else {
-            Opcode::Read
-        };
-        let blocks = req.blocks.max(1);
-        let slba = io.next_slba(blocks);
-        let payload = req
-            .write
-            .then(|| io.payload.slice(0..BLOCK_SIZE * blocks as usize));
+        let opcode = if write { Opcode::Write } else { Opcode::Read };
+        let blocks = blocks.max(1);
+        let slba = lba.unwrap_or_else(|| io.next_slba(blocks));
+        let payload = write.then(|| io.payload.slice(0..BLOCK_SIZE * blocks as usize));
         (opcode, slba, blocks, payload)
     };
     let t2 = t.clone();
@@ -362,7 +366,11 @@ fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
                 s.done_win += 1;
                 // End-to-end latency counts from arrival: app-side
                 // queueing is part of what an open-loop client sees.
-                s.io.hist.borrow_mut().record(now.since(arrived).as_nanos());
+                let hist = match class {
+                    ReqClass::LatencySensitive => &s.ls_hist,
+                    ReqClass::ThroughputCritical => &s.io.hist,
+                };
+                hist.borrow_mut().record(now.since(arrived).as_nanos());
             }
         }
         let next = t2.borrow_mut().pending.pop_front();
@@ -370,15 +378,15 @@ fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
             open_submit(&t2, k, r);
         }
     });
-    let (class, io) = (ReqClass::ThroughputCritical, &t.borrow().io);
+    let io = &t.borrow().io;
     let ok = io.ini.submit(k, class, opcode, slba, blocks, payload, cb);
     debug_assert!(ok, "open-loop submit must respect capacity");
 }
 
 /// Periodic 1 ms queue re-fill: an NVMe-oPF drain-timer flush occupies a
 /// queue slot whose completion does not pop the app queue, so without
-/// this sweep a tenant could idle with work pending (same shape as
-/// `trace::replay`'s drainer). The chain dies at the kernel horizon.
+/// this sweep a tenant could idle with work pending. The chain dies at
+/// the kernel horizon.
 fn open_drain(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
     loop {
         if !t.borrow().io.ini.has_capacity() {
@@ -394,9 +402,9 @@ fn open_drain(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
     k.schedule_in(SimDuration::from_micros(1000), move |k| open_drain(t2, k));
 }
 
-/// One target and the tenants connected to it, for callers (the trace
-/// replayer, the h5bench harness) that drive their own issue logic
-/// instead of the closed-loop `run()`. Built by [`Env::pair`] and
+/// One target and the tenants connected to it, for callers (the h5bench
+/// harness, the phase breakdown, the examples) that drive their own
+/// issue logic instead of [`run`]. Built by [`Env::pair`] and
 /// [`Env::connect`].
 pub struct Pair {
     /// Per-tenant initiator handles, in connect order.
@@ -1068,7 +1076,7 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
     let mut placed = vec![0usize; targets_n];
     let mut tenants: Vec<Tenant> = Vec::with_capacity(per_node);
     let mut drivers = Vec::new();
-    let mut open_tenants: Vec<(Rc<RefCell<OpenTenant>>, u64, u32)> = Vec::new();
+    let mut open_tenants: Vec<(Rc<RefCell<OpenTenant>>, SimTime, u32)> = Vec::new();
     for slot in 0..per_node {
         let iep = match &node_ep {
             Some(ep) => ep.clone(),
@@ -1126,6 +1134,7 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
                 io,
                 gen: TenantTraffic::new(tspec, sc.seed, tc_idx, tc_total),
                 pending: VecDeque::new(),
+                ls_hist: ls_hist.clone(),
                 default_blocks: sc.io_blocks.max(1),
                 base_mix: sc.mix,
                 offered_total: 0,
@@ -1133,7 +1142,13 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
                 offered_win: 0,
                 done_win: 0,
             }));
-            open_tenants.push((t, global_idx, lane));
+            // A trace's timestamps are absolute: its tenants start at
+            // zero, not staggered.
+            let start = match tspec.model {
+                ArrivalModel::Trace(_) => SimTime::ZERO,
+                _ => SimTime::from_micros(global_idx),
+            };
+            open_tenants.push((t, start, lane));
         } else {
             let driver = Rc::new(RefCell::new(Driver {
                 io,
@@ -1196,9 +1211,9 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
 
     // Open-loop tenants likewise: the lane-pinned start event kicks off
     // the arrival chain and the 1 ms drainer.
-    for (t, idx, lane) in &open_tenants {
+    for (t, start, lane) in &open_tenants {
         let t = t.clone();
-        k.schedule_at_on(*lane, SimTime::from_micros(*idx), move |k| {
+        k.schedule_at_on(*lane, *start, move |k| {
             let now_ns = k.now().as_nanos();
             let gap = t.borrow_mut().gen.next_gap_ns(now_ns);
             let t2 = t.clone();
@@ -1761,6 +1776,85 @@ mod tests {
         // counted one migrate-out, the destination one migrate-in.
         assert_eq!(m.get("tgt1.migrated_out"), m.get("tgt0.migrated_in"));
         assert_eq!(m.get("tgt1.migrated_out"), Some(1.0));
+    }
+
+    /// Four open-loop Poisson read tenants at an aggregate `rate_kiops`,
+    /// measured from time zero for 40 ms.
+    fn open_loop(runtime: RuntimeKind, rate_kiops: f64) -> RunResult {
+        let mut sc = Scenario::ratio(runtime, Gbps::G100, Mix::READ, 0, 4);
+        sc.window = WindowSpec::Static(32);
+        sc.warmup_s = 0.0;
+        sc.measure_s = 0.04;
+        sc.seed = 5;
+        sc.traffic = Some(crate::TrafficSpec {
+            rate_kiops,
+            ..crate::TrafficSpec::default()
+        });
+        run(&sc)
+    }
+
+    #[test]
+    fn latency_explodes_past_saturation() {
+        // Device read cap ~267K: offered 150K is fine, 400K is not.
+        let low = open_loop(RuntimeKind::Opf, 150.0);
+        let high = open_loop(RuntimeKind::Opf, 400.0);
+        assert!(
+            high.tc_avg_us > low.tc_avg_us * 3.0,
+            "overload must inflate latency: {} vs {}",
+            high.tc_avg_us,
+            low.tc_avg_us
+        );
+    }
+
+    #[test]
+    fn opf_sustains_higher_open_loop_rate_than_spdk() {
+        // 230K offered exceeds SPDK's ~178K capacity but not oPF's.
+        let spdk = open_loop(RuntimeKind::Spdk, 230.0);
+        let opf = open_loop(RuntimeKind::Opf, 230.0);
+        assert!(
+            spdk.tc_avg_us > opf.tc_avg_us * 3.0,
+            "SPDK should be saturated: {} vs {}",
+            spdk.tc_avg_us,
+            opf.tc_avg_us
+        );
+    }
+
+    /// A churn storm `validate` accepts at 1e30 s crashes nobody inside
+    /// the run (its stagger sum used to overflow: a panic in debug
+    /// builds, a crash window ~20 µs into the run in release).
+    #[test]
+    fn churn_storm_past_the_run_crashes_nobody() {
+        let mut sc = Scenario::ratio(RuntimeKind::Opf, Gbps::G100, Mix::READ, 1, 3);
+        sc.warmup_s = 0.0;
+        sc.measure_s = 0.005;
+        sc.traffic = Some(crate::TrafficSpec {
+            churn: vec![crate::ChurnStorm {
+                at_s: 1e30,
+                for_s: 0.001,
+                tenants: 3,
+            }],
+            ..crate::TrafficSpec::default()
+        });
+        assert_eq!(sc.validate(), Ok(()));
+        let m = run(&sc).metrics;
+        assert_eq!(m.get("faults.crash_drops"), Some(0.0));
+        assert_eq!(m.get("traffic.offered"), m.get("traffic.done"));
+    }
+
+    /// A closed-loop LS writer beside open-loop tenants that draw larger
+    /// requests: its writes carry their own size, not the payload sized
+    /// for the largest draw (a debug assertion in the initiator).
+    #[test]
+    fn closed_loop_writes_beside_larger_open_loop_sizes() {
+        let mut sc = Scenario::ratio(RuntimeKind::Opf, Gbps::G100, Mix::WRITE, 1, 1);
+        sc.warmup_s = 0.0;
+        sc.measure_s = 0.005;
+        sc.traffic = Some(crate::TrafficSpec {
+            size_mix: vec![(4, 1.0)],
+            ..crate::TrafficSpec::default()
+        });
+        let r = run(&sc);
+        assert!(r.ls_iops > 0.0 && r.tc_iops > 0.0, "{r:?}");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! of a figure.
 
 use crate::mix::Mix;
+use crate::traffic::ArrivalModel;
 use cluster::{MigrationSpec, PlacementSpec};
 use fabric::Gbps;
 
@@ -232,7 +233,7 @@ pub enum ScenarioError {
         max: usize,
     },
     /// `warmup_s + measure_s + faults.settle_s` past one simulated hour
-    /// ([`crate::trace::MAX_ARRIVAL_NS`]): the run would not end in any
+    /// ([`Scenario::MAX_DURATION_NS`]): the run would not end in any
     /// useful host time.
     DurationOutOfRange {
         /// Simulated seconds asked for, rounded up.
@@ -243,6 +244,14 @@ pub enum ScenarioError {
     /// A zero keep-alive period: the heartbeat would re-arm itself at
     /// the same instant forever.
     KeepAliveZero,
+    /// A trace event names a tenant past the scenario's TC tenants; its
+    /// requests would silently never be issued.
+    TraceTenantOutOfRange {
+        /// Largest tenant the trace names.
+        tenant: usize,
+        /// TC tenants in the run (`pairs × tc_per_node`).
+        tenants: usize,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -293,6 +302,10 @@ impl std::fmt::Display for ScenarioError {
                 "warmup_s + measure_s + settle_s = {seconds} s out of range (at most {max} s)"
             ),
             ScenarioError::KeepAliveZero => write!(f, "keep-alive period must be positive"),
+            ScenarioError::TraceTenantOutOfRange { tenant, tenants } => write!(
+                f,
+                "trace tenant {tenant} out of range ({tenants} TC tenants)"
+            ),
         }
     }
 }
@@ -309,6 +322,11 @@ impl Scenario {
     /// reason (the largest run on record uses 2). A cluster node holds at
     /// most 63 tenants, so further targets could only sit idle.
     pub const MAX_TARGETS: usize = 64;
+
+    /// Longest run a scenario may ask for, warmup, measure window and
+    /// settle time together: one simulated hour, in nanoseconds. A
+    /// longer one would not end in any useful host time.
+    pub const MAX_DURATION_NS: u64 = 3_600_000_000_000;
 
     /// A 1 LS : 1 TC two-tenant scenario on one pair — the Figure 6(a)
     /// baseline shape.
@@ -407,7 +425,7 @@ impl Scenario {
                 max: Scenario::MAX_TARGETS,
             });
         }
-        let max_s = crate::trace::MAX_ARRIVAL_NS / 1_000_000_000;
+        let max_s = Scenario::MAX_DURATION_NS / 1_000_000_000;
         let settle_s = self.faults.as_ref().map_or(0.0, |f| f.settle_s);
         let span_s = self.warmup_s + self.measure_s + settle_s;
         if span_s.is_nan() || span_s > max_s as f64 {
@@ -423,6 +441,14 @@ impl Scenario {
         for (what, qd) in [("tc_qd", self.tc_qd), ("ls_qd", self.ls_qd)] {
             if !(1..=max).contains(&qd) {
                 return Err(ScenarioError::QueueDepthOutOfRange { what, qd, max });
+            }
+        }
+        if let Some(ArrivalModel::Trace(log)) = self.traffic.as_ref().map(|t| &t.model) {
+            let tenants = self.pairs.saturating_mul(self.tc_per_node);
+            if let Some(tenant) = log.events.iter().map(|e| usize::from(e.tenant)).max() {
+                if tenant >= tenants {
+                    return Err(ScenarioError::TraceTenantOutOfRange { tenant, tenants });
+                }
             }
         }
         if let Some(f) = &self.faults {
@@ -561,7 +587,32 @@ mod tests {
             }),
             ..opf()
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 33] = [
+        // Trace tenants are TC tenant indices: 0..4 here.
+        let traced = |tenant| Scenario {
+            traffic: Some(crate::TrafficSpec {
+                model: ArrivalModel::Trace(std::sync::Arc::new(crate::TraceLog {
+                    events: vec![crate::TraceEvent {
+                        at_ns: 0,
+                        tenant,
+                        ls: false,
+                        write: false,
+                        lba: 0,
+                        blocks: 1,
+                    }],
+                })),
+                ..crate::TrafficSpec::default()
+            }),
+            ..opf()
+        };
+        let cases: [(Scenario, Result<(), ScenarioError>); 35] = [
+            (traced(3), Ok(())),
+            (
+                traced(4),
+                Err(TraceTenantOutOfRange {
+                    tenant: 4,
+                    tenants: 4,
+                }),
+            ),
             (opf(), Ok(())),
             (cluster(), Ok(())),
             (moving(4, 1), Ok(())),

@@ -69,6 +69,21 @@ fn run_frees_its_stack() {
         drop_p: 0.02,
         ..faults::FaultProfile::default()
     });
+    // Trace arrivals, LS and TC, reads and writes, faster than the
+    // queue pairs take them, so requests wait application-side.
+    let text: String = (0..400u64)
+        .map(|i| {
+            let class = if i % 5 == 0 { "LS" } else { "TC" };
+            let op = if i % 3 == 0 { "W" } else { "R" };
+            format!("{},{},{class},{op},{i},2\n", i * 10, i % 2)
+        })
+        .collect();
+    let log = workload::TraceLog::from_text(&text).expect("a valid trace");
+    let mut traced = classic(RuntimeKind::Opf);
+    traced.traffic = Some(workload::TrafficSpec {
+        model: workload::ArrivalModel::Trace(std::sync::Arc::new(log)),
+        ..workload::TrafficSpec::default()
+    });
     let mut cluster = classic(RuntimeKind::Opf);
     cluster.targets = 2;
     cluster.migrations = vec![workload::MigrationSpec {
@@ -80,6 +95,7 @@ fn run_frees_its_stack() {
         classic(RuntimeKind::Spdk),
         classic(RuntimeKind::Opf),
         lossy_open,
+        traced,
         cluster,
         three_pairs,
     ];

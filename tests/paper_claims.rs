@@ -4,7 +4,7 @@
 //! (coalescing, bypass, backpressure, incast), a shape assertion fails.
 
 use nvme_opf::fabric::Gbps;
-use nvme_opf::workload::{run, Mix, RunResult, RuntimeKind, Scenario};
+use nvme_opf::workload::{run, Mix, RunResult, RuntimeKind, Scenario, TrafficSpec, WindowSpec};
 
 fn quick(runtime: RuntimeKind, speed: Gbps, mix: Mix, ls: usize, tc: usize) -> RunResult {
     let mut sc = Scenario::ratio(runtime, speed, mix, ls, tc);
@@ -141,6 +141,50 @@ fn obs4_scale_out_monotone() {
     assert!(s3 > s1 * 2.5, "SPDK scales with pairs: {s1:.0} -> {s3:.0}");
     assert!(o3 > o1 * 2.5, "oPF scales with pairs: {o1:.0} -> {o3:.0}");
     assert!(o1 > s1 && o3 > s3, "oPF ahead at every scale");
+}
+
+/// Mean TC latency of one `repro openloop` row at 40 ms: 4 open-loop
+/// Poisson read tenants (no LS probe) at an aggregate `rate_kiops`,
+/// queue depth 128, window 32, seed 77, measured from time zero.
+fn open_loop_mean_us(runtime: RuntimeKind, rate_kiops: f64) -> f64 {
+    let sc = Scenario {
+        tc_qd: 128,
+        window: WindowSpec::Static(32),
+        warmup_s: 0.0,
+        measure_s: 0.04,
+        seed: 77,
+        traffic: Some(TrafficSpec {
+            rate_kiops,
+            ..TrafficSpec::default()
+        }),
+        ..Scenario::ratio(runtime, Gbps::G100, Mix::READ, 0, 4)
+    };
+    run(&sc).tc_avg_us
+}
+
+/// Open-loop knees (an extension; the paper's runs are closed-loop):
+/// the baseline saturates at its reactor's completion ceiling (~178K
+/// IOPS), between 150K and 200K offered, while NVMe-oPF holds until the
+/// device does (~265K), between 260K and 300K.
+#[test]
+fn openloop_knees_spdk_150k_200k_opf_260k_300k() {
+    let s150 = open_loop_mean_us(RuntimeKind::Spdk, 150.0);
+    let s200 = open_loop_mean_us(RuntimeKind::Spdk, 200.0);
+    let o150 = open_loop_mean_us(RuntimeKind::Opf, 150.0);
+    let o260 = open_loop_mean_us(RuntimeKind::Opf, 260.0);
+    let o300 = open_loop_mean_us(RuntimeKind::Opf, 300.0);
+    assert!(
+        s200 > 3.0 * s150,
+        "SPDK past its knee at 200K: {s150:.0} -> {s200:.0} us"
+    );
+    assert!(
+        o260 < 2.0 * o150,
+        "oPF below its knee at 260K: {o150:.0} -> {o260:.0} us"
+    );
+    assert!(
+        o300 > 3.0 * o260,
+        "oPF past its knee at 300K: {o260:.0} -> {o300:.0} us"
+    );
 }
 
 /// Full determinism across the entire stack: identical scenarios produce
