@@ -10,9 +10,9 @@
 //! # Reactors (DESIGN.md §13)
 //!
 //! Each tenant is hosted by one reactor — a kernel lane,
-//! [`SpdkTarget::reactor_of`] — and owns its TC [`CidQueue`] and staging
-//! map. The §IV-A never-shared property is a property of each queue, so
-//! one map keyed by tenant holds them all. The device, the metered ready
+//! [`SpdkTarget::reactor_of`] — and owns its TC [`CidQueue`] and staged
+//! commands. The §IV-A never-shared property is a property of each queue,
+//! so one table indexed by tenant ID holds them all. The device, the metered ready
 //! queue and the batch table belong to the device-owner reactor: a
 //! released command goes straight onto the ready queue, counted in
 //! [`OpfTarget::cross_reactor_submits`] when its tenant lives on another
@@ -28,8 +28,7 @@ use nvme::{NvmeDevice, Opcode, Sqe, Status};
 use nvmf::target::{Dialect, TargetPolicy, Violation};
 use nvmf::{CpuCosts, Pdu, PduRx, Priority, SpdkTarget};
 use queues::CidQueue;
-use simkit::FxHashMap;
-use simkit::{Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime, Tracer};
+use simkit::{slot, Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime, Tracer};
 use std::collections::VecDeque;
 
 /// Priority Manager counters; the transport's are in
@@ -78,7 +77,7 @@ pub struct ExtractedTenant {
     /// The tenant (initiator id) being moved.
     pub initiator: u8,
     /// Staged commands in CID-queue (drain) order.
-    cmds: Vec<MovedCmd>,
+    cmds: Vec<StagedCmd>,
 }
 
 impl ExtractedTenant {
@@ -88,18 +87,9 @@ impl ExtractedTenant {
     }
 }
 
-/// One staged command crossing targets inside an [`ExtractedTenant`].
-struct MovedCmd {
-    sqe: Sqe,
-    data: Option<Bytes>,
-    needs_data: bool,
-}
-
-/// A TC command staged in a tenant's queue, waiting for a drain.
+/// A TC command staged in a tenant's queue, waiting for a drain (or
+/// crossing targets inside an [`ExtractedTenant`]).
 struct StagedCmd {
-    /// Owning tenant (needed by the shared-queue ablation, where one
-    /// queue mixes tenants).
-    owner: u8,
     sqe: Sqe,
     data: Option<Bytes>,
     /// Write whose H2C data has not arrived yet. TC writes are staged at
@@ -109,16 +99,34 @@ struct StagedCmd {
     needs_data: bool,
 }
 
-/// One tenant's TC state: the zero-copy CID order queue plus the staged
-/// commands the transport already holds (§IV-B: the queue itself stores
-/// only CIDs; the command buffers belong to the transport layer).
+/// One tenant's Priority Manager state, indexed by initiator ID.
 ///
-/// In the shared-queue ablation one `TcState` mixes tenants, so queue
-/// entries carry the owner in the upper bits of the stored key (CIDs are
-/// bounded by the qpair depth, well under 1024).
-struct TcState {
-    order: CidQueue,
-    staged: FxHashMap<(u8, u16), StagedCmd>,
+/// In the shared-queue ablation the one order queue mixing tenants is
+/// the record of the reserved ID `SHARED_KEY`, and its entries carry the
+/// owner in the bits above the CID; staged commands stay with their owner.
+#[derive(Default)]
+struct Tenant {
+    /// The zero-copy CID order queue (§IV-B: it stores only CIDs; the
+    /// command buffers are `staged`), made at the first TC command.
+    order: Option<CidQueue>,
+    /// Staged TC commands, indexed by CID (at most [`CID_MASK`]).
+    staged: Vec<Option<StagedCmd>>,
+    /// Batch slots in drain order: responses release strictly in it.
+    batch_fifo: VecDeque<usize>,
+    /// Drained TC writes still waiting for their H2C data, one per CID:
+    /// the batch slot to join once the payload lands, and the SQE. A
+    /// short list: at most a window's writes wait, where a table indexed
+    /// by CID would hold a slot per queue-pair entry.
+    awaiting_data: Vec<(usize, Sqe)>,
+    /// Drain rate-limit bucket, made at the first drain when
+    /// `cfg.drain_rate` is set.
+    bucket: Option<DrainBucket>,
+    /// Drain-rate weight set by the cluster Priority Manager (`None` =
+    /// 1.0, the configured rate untouched).
+    weight: Option<f64>,
+    /// Registered throughput-critical at connect time: its LS flags are
+    /// forged by definition and demoted under enforcement.
+    ls_denied: bool,
 }
 
 const OWNER_SHIFT: u16 = 10;
@@ -139,12 +147,9 @@ fn decode_key(key: u16) -> (u8, u16) {
     ((key >> OWNER_SHIFT) as u8, key & CID_MASK)
 }
 
-impl TcState {
-    fn new() -> Self {
-        TcState {
-            order: CidQueue::new(2048),
-            staged: FxHashMap::default(),
-        }
+impl Tenant {
+    fn order(&mut self) -> &mut CidQueue {
+        self.order.get_or_insert_with(|| CidQueue::new(2048))
     }
 }
 
@@ -199,19 +204,15 @@ pub struct OpfTarget {
     /// The transport this Priority Manager drives.
     pub io: SpdkTarget,
     cfg: OpfTargetConfig,
-    /// Per-initiator TC queues (the §IV-A lock-free design), or the one
-    /// shared queue under `SHARED_KEY` in the ablation mode.
-    tc: FxHashMap<u8, TcState>,
+    /// Per-tenant state indexed by initiator ID: the per-initiator TC
+    /// queues of the §IV-A lock-free design (or the one shared queue
+    /// under `SHARED_KEY` in the ablation mode) and what rides with them.
+    tenants: Vec<Tenant>,
     /// Released commands whose tenant is hosted off the device owner.
     cross_reactor_submits: u64,
     /// Drained batches in flight. Slots are recycled via a free list.
     batches: Vec<Option<Batch>>,
     free_batches: Vec<usize>,
-    /// Per-tenant batch order: responses release strictly in drain order.
-    batch_fifo: FxHashMap<u8, VecDeque<usize>>,
-    /// Drained TC writes still waiting for their H2C data: batch slot to
-    /// join once the payload lands.
-    awaiting_data: FxHashMap<(u8, u16), (usize, Sqe)>,
     /// Metered commands waiting for a device slot.
     ready: VecDeque<ReadyCmd>,
     /// Scratch for [`CidQueue::drain_all_into`] in `flush_queue`: reused
@@ -223,17 +224,6 @@ pub struct OpfTarget {
     group_pool: Vec<Vec<StagedCmd>>,
     /// TC commands currently at the device.
     tc_inflight: usize,
-    /// Per-tenant drain rate-limit buckets. Only populated when
-    /// `cfg.drain_rate` is set; membership-only lookups, never iterated.
-    drain_buckets: FxHashMap<u8, DrainBucket>,
-    /// Per-tenant drain-rate weights set by the cluster Priority Manager
-    /// (default 1.0 = the configured rate untouched). Consulted only
-    /// when `cfg.drain_rate` is set; membership-only, never iterated.
-    drain_weights: FxHashMap<u8, f64>,
-    /// Tenants registered throughput-critical at connect time: their
-    /// LS flags are forged by definition and demoted under enforcement.
-    /// Membership-only, never iterated.
-    ls_denied: simkit::FxHashSet<u8>,
     /// Counters.
     pub stats: OpfTargetStats,
     /// Most recent protocol violation, kept for diagnostics.
@@ -260,20 +250,15 @@ impl OpfTarget {
         OpfTarget {
             io,
             cfg,
-            tc: FxHashMap::default(),
+            tenants: Vec::new(),
             cross_reactor_submits: 0,
             batches: Vec::new(),
             free_batches: Vec::new(),
-            batch_fifo: FxHashMap::default(),
-            awaiting_data: FxHashMap::default(),
             ready: VecDeque::new(),
             drain_keys: Vec::new(),
             groups: Vec::new(),
             group_pool: Vec::new(),
             tc_inflight: 0,
-            drain_buckets: FxHashMap::default(),
-            drain_weights: FxHashMap::default(),
-            ls_denied: simkit::FxHashSet::default(),
             stats: OpfTargetStats::default(),
             last_protocol_error: None,
         }
@@ -338,7 +323,12 @@ impl OpfTarget {
     /// §14). Untracked connections keep the historical trust-the-wire
     /// behavior, so existing setups are unaffected.
     pub fn deny_ls(&mut self, initiator: u8) {
-        self.ls_denied.insert(initiator);
+        self.record(initiator).ls_denied = true;
+    }
+
+    /// Tenant `initiator`'s record, made on first use.
+    fn record(&mut self, initiator: u8) -> &mut Tenant {
+        slot(&mut self.tenants, initiator.into(), Tenant::default)
     }
 
     /// Hand a released command to the device-owner reactor's metered
@@ -355,6 +345,15 @@ impl OpfTarget {
         match self.cfg.queue_mode {
             QueueMode::PerInitiator => initiator,
             QueueMode::Shared => SHARED_KEY,
+        }
+    }
+
+    /// The order-queue entry for `owner`'s `cid`: the CID itself, with
+    /// the owner in the bits above it when one queue mixes tenants.
+    fn queue_entry(&self, owner: u8, cid: u16) -> u16 {
+        match self.cfg.queue_mode {
+            QueueMode::PerInitiator => cid,
+            QueueMode::Shared => encode_key(owner, cid),
         }
     }
 
@@ -416,7 +415,7 @@ impl TargetPolicy for OpfTarget {
         // cannot jump the bypass queue. Only under enforcement; the
         // baseline trusts the wire.
         let priority =
-            if priority.is_ls() && self.cfg.enforce_identity && self.ls_denied.contains(&from) {
+            if priority.is_ls() && self.cfg.enforce_identity && self.record(from).ls_denied {
                 self.stats.ls_demoted += 1;
                 let target = self.io.id;
                 self.note_protocol_error(
@@ -460,7 +459,9 @@ impl TargetPolicy for OpfTarget {
         let this2 = this.clone();
         k.schedule_at(finish, move |k| {
             let mut t = this2.borrow_mut();
-            if let Some((batch, sqe)) = t.awaiting_data.remove(&(from, cccid)) {
+            let awaiting = &mut t.record(from).awaiting_data;
+            let i = awaiting.iter().position(|(_, sqe)| sqe.cid == cccid);
+            if let Some((batch, sqe)) = i.map(|i| awaiting.swap_remove(i)) {
                 t.post_ready(ReadyCmd {
                     initiator: from,
                     sqe,
@@ -470,17 +471,12 @@ impl TargetPolicy for OpfTarget {
                 drop(t);
                 return Self::pump(&this2, k);
             }
-            let key = t.queue_key(from);
-            match t
-                .tc
-                .get_mut(&key)
-                .and_then(|state| state.staged.get_mut(&(from, cccid)))
-            {
-                Some(staged) => {
+            match t.record(from).staged.get_mut(usize::from(cccid)) {
+                Some(Some(staged)) => {
                     staged.data = Some(data);
                     staged.needs_data = false;
                 }
-                None => SpdkTarget::stray_data(&mut *t, k.now(), cccid),
+                _ => SpdkTarget::stray_data(&mut *t, k.now(), cccid),
             }
         });
     }
@@ -510,6 +506,7 @@ impl TargetPolicy for OpfTarget {
             Priority::ThroughputCritical { draining } => {
                 let flush = {
                     let mut t = this.borrow_mut();
+                    let t = &mut *t;
                     // §14 drain rate limit: an out-of-rate draining flag
                     // is stripped, not dropped — the command stages as
                     // plain TC and the tenant's next in-rate drain (or
@@ -522,8 +519,9 @@ impl TargetPolicy for OpfTarget {
                             // Cluster Priority Manager weight: scales this
                             // tenant's refill rate (1.0 ⇒ bit-identical to
                             // the unweighted math).
-                            let weight = t.drain_weights.get(&from).copied().unwrap_or(1.0);
-                            let bucket = t.drain_buckets.entry(from).or_insert(DrainBucket {
+                            let rec = slot(&mut t.tenants, from.into(), Tenant::default);
+                            let weight = rec.weight.unwrap_or(1.0);
+                            let bucket = rec.bucket.get_or_insert(DrainBucket {
                                 tokens: f64::from(rate.burst),
                                 last: now,
                             });
@@ -539,9 +537,9 @@ impl TargetPolicy for OpfTarget {
                             }
                         }
                     }
-                    let key = t.queue_key(from);
-                    let state = t.tc.entry(key).or_insert_with(TcState::new);
-                    if state.order.push(encode_key(from, sqe.cid)).is_err() {
+                    let (key, entry) = (t.queue_key(from), t.queue_entry(from, sqe.cid));
+                    let order = t.record(key).order();
+                    if order.push(entry).is_err() {
                         // Staging queue full. The queue is sized for
                         // QD + window, so honest closed-loop tenants never
                         // get here — only a flood does. Count and drop;
@@ -559,17 +557,14 @@ impl TargetPolicy for OpfTarget {
                         );
                         return;
                     }
+                    let qlen = order.len();
                     let needs_data = sqe.opcode == Opcode::Write && data.is_none();
-                    state.staged.insert(
-                        (from, sqe.cid),
-                        StagedCmd {
-                            owner: from,
-                            sqe,
-                            data,
-                            needs_data,
-                        },
-                    );
-                    let qlen = state.order.len();
+                    let staged = &mut t.record(from).staged;
+                    *slot(staged, sqe.cid.into(), || None) = Some(StagedCmd {
+                        sqe,
+                        data,
+                        needs_data,
+                    });
                     if qlen > t.stats.max_tc_queue {
                         t.stats.max_tc_queue = qlen;
                     }
@@ -630,7 +625,7 @@ impl OpfTarget {
             self.batches.push(Some(batch));
             self.batches.len() - 1
         };
-        self.batch_fifo.entry(initiator).or_default().push_back(idx);
+        self.record(initiator).batch_fifo.push_back(idx);
         idx
     }
 
@@ -656,11 +651,11 @@ impl OpfTarget {
                 t.groups = groups;
                 t.group_pool = pool;
             };
-            let Some(state) = t.tc.get_mut(&key) else {
+            let Some(order) = t.record(key).order.as_mut() else {
                 put_back(&mut t, keys, groups, pool);
                 return;
             };
-            state.order.drain_all_into(&mut keys);
+            order.drain_all_into(&mut keys);
             if keys.is_empty() {
                 put_back(&mut t, keys, groups, pool);
                 return;
@@ -677,14 +672,17 @@ impl OpfTarget {
             // commands actually found, so accounting stays consistent.
             let mut stale: Option<u16> = None;
             let mut stale_n: u64 = 0;
-            for &qkey in &keys {
-                let (owner, cid) = decode_key(qkey);
-                let Some(staged) = state.staged.remove(&(owner, cid)) else {
+            for &entry in &keys {
+                let (owner, cid) = match t.cfg.queue_mode {
+                    QueueMode::PerInitiator => (from, entry),
+                    QueueMode::Shared => decode_key(entry),
+                };
+                let staged = t.record(owner).staged.get_mut(usize::from(cid));
+                let Some(staged) = staged.and_then(Option::take) else {
                     stale = Some(cid);
                     stale_n += 1;
                     continue;
                 };
-                debug_assert_eq!(staged.owner, owner);
                 match groups.iter_mut().find(|(o, _)| *o == owner) {
                     Some((_, v)) => v.push(staged),
                     None => {
@@ -723,8 +721,9 @@ impl OpfTarget {
                     if cmd.needs_data {
                         // Drained before its H2C data landed: joins the
                         // batch when the payload arrives.
-                        t.awaiting_data
-                            .insert((owner, cmd.sqe.cid), (batch, cmd.sqe));
+                        let awaiting = &mut t.record(owner).awaiting_data;
+                        awaiting.retain(|(_, sqe)| sqe.cid != cmd.sqe.cid);
+                        awaiting.push((batch, cmd.sqe));
                     } else {
                         t.post_ready(ReadyCmd {
                             initiator: owner,
@@ -838,10 +837,7 @@ impl OpfTarget {
         loop {
             let (b, finish) = {
                 let mut t = this.borrow_mut();
-                let Some(fifo) = t.batch_fifo.get_mut(&owner) else {
-                    return;
-                };
-                let Some(&front) = fifo.front() else {
+                let Some(&front) = t.record(owner).batch_fifo.front() else {
                     return;
                 };
                 #[expect(
@@ -851,11 +847,7 @@ impl OpfTarget {
                 if !t.batches[front].as_ref().expect("live batch").done {
                     return;
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "internal invariant: checked Some a few lines up, nothing removed it since"
-                )]
-                t.batch_fifo.get_mut(&owner).expect("fifo").pop_front();
+                t.record(owner).batch_fifo.pop_front();
                 #[expect(
                     clippy::expect_used,
                     reason = "internal invariant: the FIFO only holds live batch slots"
@@ -892,12 +884,11 @@ impl OpfTarget {
     /// shared-queue ablation reports the one shared queue for every
     /// tenant).
     pub fn tc_queue_depth(&self, initiator: u8) -> usize {
-        self.tc
-            .get(&self.queue_key(initiator))
-            .map_or(0, |s| s.order.len())
+        let rec = self.tenants.get(usize::from(self.queue_key(initiator)));
+        rec.and_then(|r| r.order.as_ref()).map_or(0, CidQueue::len)
     }
 
-    /// Connected tenant ids, in deterministic (BTreeMap) order.
+    /// Connected tenant ids, in ascending order.
     pub fn tenant_ids(&self) -> Vec<u8> {
         self.io.tenant_ids().collect()
     }
@@ -916,7 +907,7 @@ impl OpfTarget {
     ///
     /// [`DrainRateLimit`]: crate::config::DrainRateLimit
     pub fn set_tenant_weight(&mut self, initiator: u8, weight: f64) {
-        self.drain_weights.insert(initiator, weight.max(0.0));
+        self.record(initiator).weight = Some(weight.max(0.0));
     }
 
     /// Freeze tenant `initiator` and extract its per-tenant protocol
@@ -941,30 +932,24 @@ impl OpfTarget {
             return None;
         }
         let mut cmds = Vec::new();
-        if let Some(mut state) = self.tc.remove(&initiator) {
+        let rec = self.record(initiator);
+        let (order, mut staged) = (rec.order.take(), std::mem::take(&mut rec.staged));
+        (rec.bucket, rec.weight) = (None, None);
+        if let Some(mut order) = order {
             let mut keys = std::mem::take(&mut self.drain_keys);
-            state.order.drain_all_into(&mut keys);
-            for &qkey in &keys {
-                let (owner, cid) = decode_key(qkey);
-                debug_assert_eq!(owner, initiator);
-                if let Some(staged) = state.staged.remove(&(owner, cid)) {
+            order.drain_all_into(&mut keys);
+            for &cid in &keys {
+                if let Some(cmd) = staged.get_mut(usize::from(cid)).and_then(Option::take) {
                     // The staged copy leaves with the queue; the source's
                     // recovery live-set entry goes too, so a late wire
                     // duplicate aimed here is handled as unknown, not
                     // double-executed.
-                    self.io.forget(owner, cid);
-                    cmds.push(MovedCmd {
-                        sqe: staged.sqe,
-                        data: staged.data,
-                        needs_data: staged.needs_data,
-                    });
+                    self.io.forget(initiator, cid);
+                    cmds.push(cmd);
                 }
             }
-            keys.clear();
             self.drain_keys = keys;
         }
-        self.drain_buckets.remove(&initiator);
-        self.drain_weights.remove(&initiator);
         let n = cmds.len() as u64;
         self.stats.tenants_migrated_out += 1;
         self.stats.cmds_migrated += n;
@@ -996,34 +981,24 @@ impl OpfTarget {
         let n = moved.cmds.len() as u64;
         let key = self.queue_key(initiator);
         let mut overflow = 0u64;
-        {
-            let state = self.tc.entry(key).or_insert_with(TcState::new);
-            for cmd in moved.cmds {
-                let cid = cmd.sqe.cid;
-                if state.order.push(encode_key(initiator, cid)).is_err() {
-                    // A moved queue cannot exceed the destination's
-                    // capacity in per-initiator mode (same bound both
-                    // sides), but the no-panic rule holds regardless:
-                    // shed like any other overflow and let the
-                    // initiator's re-drive re-issue the command.
-                    overflow += 1;
-                    continue;
-                }
-                state.staged.insert(
-                    (initiator, cid),
-                    StagedCmd {
-                        owner: initiator,
-                        sqe: cmd.sqe,
-                        data: cmd.data,
-                        needs_data: cmd.needs_data,
-                    },
-                );
-                self.io.first_sighting(initiator, cid);
+        for cmd in moved.cmds {
+            let cid = cmd.sqe.cid;
+            let entry = self.queue_entry(initiator, cid);
+            if self.record(key).order().push(entry).is_err() {
+                // A moved queue cannot exceed the destination's
+                // capacity in per-initiator mode (same bound both
+                // sides), but the no-panic rule holds regardless:
+                // shed like any other overflow and let the
+                // initiator's re-drive re-issue the command.
+                overflow += 1;
+                continue;
             }
-            let qlen = state.order.len();
-            if qlen > self.stats.max_tc_queue {
-                self.stats.max_tc_queue = qlen;
-            }
+            *slot(&mut self.record(initiator).staged, cid.into(), || None) = Some(cmd);
+            self.io.first_sighting(initiator, cid);
+        }
+        let qlen = self.record(key).order().len();
+        if qlen > self.stats.max_tc_queue {
+            self.stats.max_tc_queue = qlen;
         }
         if overflow > 0 {
             self.stats.tc_overflow_drops += overflow;
@@ -1087,5 +1062,158 @@ impl MetricsSource for OpfTarget {
             m.set("cmds_migrated", self.stats.cmds_migrated as f64);
         }
         m
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fabric::{FabricConfig, Gbps};
+    use nvme::FlashProfile;
+    use simkit::{shared, RecordingSink};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Every PDU the target sent, with the tenant it went to.
+    type Inbox = Rc<RefCell<Vec<(u8, Pdu)>>>;
+
+    fn target(
+        net: &Network,
+        id: u32,
+        mode: QueueMode,
+    ) -> (Shared<OpfTarget>, Shared<RecordingSink>) {
+        let device = shared(NvmeDevice::new(FlashProfile::cl_ssd(), 1 << 20, 5));
+        device.borrow_mut().set_store_data(false);
+        let cfg = OpfTargetConfig {
+            queue_mode: mode,
+            ..OpfTargetConfig::default()
+        };
+        let (trace, tracer) = Tracer::recording();
+        let ep = net.add_endpoint(format!("tgt{id}"));
+        let t = OpfTarget::new(id, net.clone(), ep, device, CpuCosts::cl(), cfg, tracer);
+        (shared(t), trace)
+    }
+
+    fn sink(id: u8, inbox: &Inbox) -> PduRx {
+        let inbox = inbox.clone();
+        Rc::new(move |_, pdu| inbox.borrow_mut().push((id, pdu)))
+    }
+
+    fn connect(net: &Network, t: &Shared<OpfTarget>, ids: &[u8], inbox: &Inbox) {
+        for &id in ids {
+            let ep = net.add_endpoint(format!("ini{id}"));
+            t.borrow_mut().connect(id, ep, sink(id, inbox));
+        }
+    }
+
+    /// A one-block TC read capsule from `from`.
+    fn tc(t: &Shared<OpfTarget>, k: &mut Kernel, from: u8, cid: u16, draining: bool) {
+        let pdu = Pdu::CapsuleCmd {
+            sqe: Sqe::read(cid, 1, u64::from(cid), 1),
+            priority: Priority::ThroughputCritical { draining },
+            initiator: from,
+        };
+        OpfTarget::on_pdu(t, k, from, pdu);
+    }
+
+    /// (tenant, CID) of every response capsule sent, sorted.
+    fn responses(inbox: &Inbox) -> Vec<(u8, u16)> {
+        let mut r: Vec<_> = (inbox.borrow().iter())
+            .filter_map(|(id, pdu)| match pdu {
+                Pdu::CapsuleResp { cqe, .. } => Some((*id, cqe.cid)),
+                _ => None,
+            })
+            .collect();
+        r.sort_unstable();
+        r
+    }
+
+    #[test]
+    fn tenant_ids_0_and_254_work_and_the_shared_key_is_refused() {
+        let (mut k, net) = (
+            Kernel::new(3),
+            Network::new(FabricConfig::preset(Gbps::G100)),
+        );
+        let (t, _) = target(&net, 0, QueueMode::PerInitiator);
+        let inbox = Inbox::default();
+        connect(&net, &t, &[254, 0, SHARED_KEY], &inbox);
+        assert_eq!(t.borrow().tenant_ids(), [0, 254]);
+        assert_eq!(t.borrow().io.stats.protocol_errors, 1, "255 refused");
+        for id in [0, 254] {
+            tc(&t, &mut k, id, 1, false);
+            tc(&t, &mut k, id, 2, true);
+        }
+        k.run_to_completion();
+        assert_eq!(responses(&inbox), [(0, 2), (254, 2)]);
+        let t = t.borrow();
+        assert_eq!(t.io.stats.completed, 4);
+        assert_eq!(t.io.stats.protocol_errors, 1);
+    }
+
+    #[test]
+    fn shared_queue_stages_the_same_cid_for_two_tenants() {
+        let (mut k, net) = (
+            Kernel::new(3),
+            Network::new(FabricConfig::preset(Gbps::G100)),
+        );
+        let (t, _) = target(&net, 0, QueueMode::Shared);
+        let inbox = Inbox::default();
+        connect(&net, &t, &[1, 2], &inbox);
+        tc(&t, &mut k, 1, 5, false);
+        tc(&t, &mut k, 2, 5, false);
+        k.run_to_completion();
+        {
+            let t = t.borrow();
+            assert_eq!((t.tc_queue_depth(1), t.tc_queue_depth(2)), (2, 2));
+            assert!(t.tenants[1].staged[5].is_some() && t.tenants[2].staged[5].is_some());
+        }
+        // Tenant 1's drain flushes both: each tenant gets its own response.
+        tc(&t, &mut k, 1, 6, true);
+        k.run_to_completion();
+        assert_eq!(responses(&inbox), [(1, 6), (2, 5)]);
+        let t = t.borrow();
+        assert_eq!(t.io.stats.completed, 3);
+        assert_eq!(t.io.stats.protocol_errors, 0);
+    }
+
+    #[test]
+    fn a_partly_drained_queue_moves_across_targets_in_drain_order() {
+        let (mut k, net) = (
+            Kernel::new(3),
+            Network::new(FabricConfig::preset(Gbps::G100)),
+        );
+        let (a, _) = target(&net, 0, QueueMode::PerInitiator);
+        let (b, b_trace) = target(&net, 1, QueueMode::PerInitiator);
+        let inbox = Inbox::default();
+        connect(&net, &a, &[3], &inbox);
+        // The drain on CID 0 flushes 2 and 0; 9, 3 and 6 stay staged.
+        for (cid, draining) in [(2, false), (0, true), (9, false), (3, false), (6, false)] {
+            tc(&a, &mut k, 3, cid, draining);
+        }
+        k.run_to_completion();
+        assert_eq!(a.borrow().tc_queue_depth(3), 3);
+        let moved = a
+            .borrow_mut()
+            .extract_tenant(k.now(), 3)
+            .expect("connected");
+        let cids: Vec<u16> = moved.cmds.iter().map(|c| c.sqe.cid).collect();
+        assert_eq!(cids, [9, 3, 6]);
+        assert_eq!(a.borrow().tc_queue_depth(3), 0);
+        assert!(a.borrow().tenant_ids().is_empty());
+
+        let ep = net.add_endpoint("ini3@b");
+        assert!(b
+            .borrow_mut()
+            .adopt_tenant(k.now(), moved, ep, sink(3, &inbox), 0));
+        assert_eq!(b.borrow().tc_queue_depth(3), 3);
+        tc(&b, &mut k, 3, 8, true);
+        k.run_to_completion();
+        let submitted: Vec<u64> = (b_trace.borrow().events.iter())
+            .filter(|e| e.kind == "opf.dev_submit")
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(submitted, [9, 3, 6, 8]);
+        assert_eq!(responses(&inbox), [(3, 0), (3, 8)]);
+        assert_eq!(b.borrow().io.stats.completed, 4);
     }
 }

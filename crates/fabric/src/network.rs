@@ -3,8 +3,7 @@
 
 use crate::config::FabricConfig;
 use crate::endpoint::{Endpoint, EndpointId};
-use simkit::{shared, Kernel, Shared, SimDuration, SimTime};
-use std::collections::BTreeMap;
+use simkit::{shared, slot, Kernel, Shared, SimDuration, SimTime};
 use std::rc::Rc;
 
 /// A time-varying wire-time multiplier: `f(now)` returns the factor by
@@ -43,9 +42,10 @@ pub struct Network {
     config: FabricConfig,
     endpoints: Shared<Vec<Shared<Endpoint>>>,
     bw_model: Shared<Option<BandwidthModel>>,
-    /// Per-(src, dst) path profiles. Empty in every single-switch
-    /// scenario, in which case `send` never consults it.
-    links: Shared<BTreeMap<(u32, u32), LinkProfile>>,
+    /// Path profiles: one row per source endpoint, indexed by the
+    /// destination's id. Empty in every single-switch scenario, in which
+    /// case `send` never consults it.
+    links: Shared<Vec<Vec<Option<LinkProfile>>>>,
 }
 
 impl Network {
@@ -55,7 +55,7 @@ impl Network {
             config,
             endpoints: shared(Vec::new()),
             bw_model: shared(None),
-            links: shared(BTreeMap::new()),
+            links: shared(Vec::new()),
         }
     }
 
@@ -84,12 +84,18 @@ impl Network {
     /// are consulted by `send` only once at least one is installed, so
     /// single-switch scenarios stay bit-identical.
     pub fn set_link_profile(&self, src: EndpointId, dst: EndpointId, profile: LinkProfile) {
-        self.links.borrow_mut().insert((src.0, dst.0), profile);
+        let mut links = self.links.borrow_mut();
+        let row = slot(&mut links, src.0 as usize, Vec::new);
+        *slot(row, dst.0 as usize, || None) = Some(profile);
     }
 
     /// The profile installed on (src, dst), if any.
     pub fn link_profile(&self, src: EndpointId, dst: EndpointId) -> Option<LinkProfile> {
-        self.links.borrow().get(&(src.0, dst.0)).copied()
+        *self
+            .links
+            .borrow()
+            .get(src.0 as usize)?
+            .get(dst.0 as usize)?
     }
 
     /// Number of attached endpoints.
@@ -141,16 +147,12 @@ impl Network {
         let factor = self.bw_model.borrow().as_ref().map(|f| f(now));
         // Multi-hop path shape: each extra switch hop store-and-forwards
         // (one more serialization + propagation), plus any flat extra
-        // latency. The map is empty outside cluster topologies, so the
+        // latency. The table is empty outside cluster topologies, so the
         // single-switch path never consults it.
-        let profile = {
-            let links = self.links.borrow();
-            if links.is_empty() {
-                None
-            } else {
-                let key = (src.borrow().id.0, dst.borrow().id.0);
-                links.get(&key).copied()
-            }
+        let profile = if self.links.borrow().is_empty() {
+            None
+        } else {
+            self.link_profile(src.borrow().id, dst.borrow().id)
         };
 
         let (sid, cost, ser, tx_done) = {

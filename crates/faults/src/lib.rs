@@ -369,6 +369,20 @@ impl FaultPlane {
             .any(|f| f.link == link && f.at <= now && now < f.at + f.dur)
     }
 
+    /// Can the plane alter a PDU on `link`: a non-zero probability, a
+    /// stall window, a flap or crash naming the link, or the adversary
+    /// riding it? If not, `decide` draws nothing and delivers inline.
+    fn touches(&self, link: usize) -> bool {
+        let p = &self.profile;
+        [p.drop_p, p.dup_p, p.delay_p, p.corrupt_p, p.reorder_p]
+            .iter()
+            .any(|&x| x > 0.0)
+            || !p.stalls.is_empty()
+            || p.flaps.iter().any(|f| f.link == link)
+            || p.crashes.iter().any(|c| c.tenant == link)
+            || p.adversary.is_some_and(|a| a.link == link)
+    }
+
     /// Is the tenant on `link` inside a crash window at `now`?
     fn crashed(&self, link: usize, now: SimTime) -> bool {
         self.profile
@@ -602,8 +616,12 @@ fn dispatch<D>(
 }
 
 /// Interpose the plane on an initiator→target delivery closure.
-/// `link` is the global initiator slot index the closure serves.
+/// `link` is the global initiator slot index the closure serves. A link
+/// the plane cannot alter keeps `inner` itself.
 pub fn wrap_target_rx(plane: &Shared<FaultPlane>, link: usize, inner: TargetRx) -> TargetRx {
+    if !plane.borrow().touches(link) {
+        return inner;
+    }
     let plane = plane.clone();
     Rc::new(move |k: &mut Kernel, from: u8, pdu: Pdu| {
         let inner = inner.clone();
@@ -613,8 +631,12 @@ pub fn wrap_target_rx(plane: &Shared<FaultPlane>, link: usize, inner: TargetRx) 
     })
 }
 
-/// Interpose the plane on a target→initiator delivery closure.
+/// Interpose the plane on a target→initiator delivery closure; a link
+/// the plane cannot alter keeps `inner` itself.
 pub fn wrap_pdu_rx(plane: &Shared<FaultPlane>, link: usize, inner: PduRx) -> PduRx {
+    if !plane.borrow().touches(link) {
+        return inner;
+    }
     let plane = plane.clone();
     Rc::new(move |k: &mut Kernel, pdu: Pdu| {
         let inner = inner.clone();
@@ -702,6 +724,114 @@ mod tests {
             f == 3 && c == i as u16 // in order, untouched
         }));
         assert_eq!(stats, FaultStats::default());
+    }
+
+    /// Whether `wrap_target_rx` and `wrap_pdu_rx` interpose the plane
+    /// on `link` rather than hand back `inner` itself.
+    fn wraps(profile: FaultProfile, link: usize) -> bool {
+        let plane = plane_with(profile);
+        let tx: TargetRx = Rc::new(|_, _, _| {});
+        let rx: PduRx = Rc::new(|_, _| {});
+        let tx_wrapped = !Rc::ptr_eq(&wrap_target_rx(&plane, link, tx.clone()), &tx);
+        let rx_wrapped = !Rc::ptr_eq(&wrap_pdu_rx(&plane, link, rx.clone()), &rx);
+        assert_eq!(tx_wrapped, rx_wrapped, "both directions agree");
+        tx_wrapped
+    }
+
+    #[test]
+    fn a_link_the_plane_cannot_alter_keeps_its_closure() {
+        // Retry, re-drain and keep-alive timers and a bandwidth window
+        // never touch a PDU.
+        let timers_only = FaultProfile {
+            keepalive: Some(KeepAliveSpec {
+                every: SimDuration::from_micros(100),
+                kato: SimDuration::from_micros(500),
+            }),
+            degrades: vec![Degrade {
+                at: SimTime::ZERO,
+                dur: SimDuration::from_millis(1),
+                factor: 2.0,
+            }],
+            ..FaultProfile::default()
+        };
+        assert!(!wraps(FaultProfile::default(), 0));
+        assert!(!wraps(timers_only, 0));
+        assert!(!wraps(zero_profile(), 5));
+        let window = (SimTime::from_millis(1), SimDuration::from_millis(1));
+        let flap = |link| LinkFlap {
+            link,
+            at: window.0,
+            dur: window.1,
+        };
+        let crash = |tenant| Crash {
+            tenant,
+            at: window.0,
+            dur: window.1,
+        };
+        let adversary = |link| Adversary {
+            link,
+            ..Adversary::default()
+        };
+        let p = FaultProfile::default;
+        let one_link = [
+            (
+                FaultProfile {
+                    flaps: vec![flap(1)],
+                    ..p()
+                },
+                1,
+            ),
+            (
+                FaultProfile {
+                    crashes: vec![crash(1)],
+                    ..p()
+                },
+                1,
+            ),
+            (
+                FaultProfile {
+                    adversary: Some(adversary(1)),
+                    ..p()
+                },
+                1,
+            ),
+        ];
+        for (profile, link) in one_link {
+            assert!(wraps(profile.clone(), link), "{profile:?}");
+            assert!(!wraps(profile, link + 1), "another link is untouched");
+        }
+        let every_link = [
+            FaultProfile {
+                drop_p: 0.01,
+                ..p()
+            },
+            FaultProfile { dup_p: 0.01, ..p() },
+            FaultProfile {
+                delay_p: 0.01,
+                ..p()
+            },
+            FaultProfile {
+                corrupt_p: 0.01,
+                ..p()
+            },
+            FaultProfile {
+                reorder_p: 0.01,
+                ..p()
+            },
+            FaultProfile {
+                stalls: vec![Stall {
+                    at: window.0,
+                    dur: window.1,
+                }],
+                ..p()
+            },
+        ];
+        for profile in every_link {
+            assert!(
+                wraps(profile.clone(), 0) && wraps(profile.clone(), 7),
+                "{profile:?}"
+            );
+        }
     }
 
     #[test]

@@ -107,6 +107,10 @@ const LS_VOLUME_DIVISOR: u64 = 16;
 type TimestepPlan = (Vec<(u64, Bytes)>, u64, u64);
 
 /// Build each rank's file layout locally (the VOL's metadata mirror).
+#[expect(
+    clippy::expect_used,
+    reason = "the plan store is sized for this layout and every config is built in code (fig9's presets, tests), never read from input"
+)]
 fn plan_rank(cfg: &H5BenchConfig, base_lba: u64, particles: u64) -> Vec<TimestepPlan> {
     let bytes = particles * 4;
     let blocks_needed = 2 + cfg.timesteps as u64 * (1 + bytes.div_ceil(BLOCK_SIZE as u64));

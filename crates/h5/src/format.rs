@@ -104,8 +104,15 @@ fn seal(block: &mut [u8]) {
     block[BLOCK_SIZE - 4..].copy_from_slice(&c.to_le_bytes());
 }
 
+/// The little-endian integer in `b[off..off + N]`; a block too short
+/// to hold it is corrupt.
+fn le<const N: usize>(b: &[u8], off: usize) -> Result<[u8; N], H5Error> {
+    let bytes = b.get(off..off + N).and_then(|s| s.try_into().ok());
+    bytes.ok_or_else(|| H5Error::Corrupt("truncated block".into()))
+}
+
 fn verify(block: &[u8]) -> Result<(), H5Error> {
-    let stored = u32::from_le_bytes(block[BLOCK_SIZE - 4..].try_into().unwrap());
+    let stored = u32::from_le_bytes(le(block, BLOCK_SIZE - 4)?);
     if checksum(&block[..BLOCK_SIZE - 4]) != stored {
         return Err(H5Error::Corrupt("checksum mismatch".into()));
     }
@@ -138,8 +145,8 @@ impl Superblock {
         }
         verify(b)?;
         Ok(Superblock {
-            root: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            alloc_ptr: u64::from_le_bytes(b[24..32].try_into().unwrap()),
+            root: u64::from_le_bytes(le(b, 16)?),
+            alloc_ptr: u64::from_le_bytes(le(b, 24)?),
         })
     }
 }
@@ -189,7 +196,7 @@ impl Group {
             return Err(H5Error::Corrupt("not a group block".into()));
         }
         verify(b)?;
-        let count = u32::from_le_bytes(b[4..8].try_into().unwrap()) as usize;
+        let count = u32::from_le_bytes(le(b, 4)?) as usize;
         let mut entries = Vec::with_capacity(count);
         let mut off = 8;
         for _ in 0..count {
@@ -207,7 +214,7 @@ impl Group {
                 _ => return Err(H5Error::Corrupt("bad kind".into())),
             };
             off += 1;
-            let addr = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
+            let addr = u64::from_le_bytes(le(b, off)?);
             off += 8;
             entries.push(GroupEntry { name, kind, addr });
         }
@@ -296,9 +303,9 @@ impl DatasetInfo {
         }
         Ok(DatasetInfo {
             dtype,
-            len: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-            data_lba: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            data_bytes: u64::from_le_bytes(b[24..32].try_into().unwrap()),
+            len: u64::from_le_bytes(le(b, 8)?),
+            data_lba: u64::from_le_bytes(le(b, 16)?),
+            data_bytes: u64::from_le_bytes(le(b, 24)?),
             attrs,
         })
     }
@@ -390,7 +397,9 @@ impl<S: SyncStore> H5File<S> {
         let mut group = self.read_group(lba)?;
         let mut parts = path.split('/').peekable();
         loop {
-            let part = parts.next().expect("non-empty");
+            let Some(part) = parts.next() else {
+                return Err(H5Error::NotFound(path.into()));
+            };
             if parts.peek().is_none() {
                 return Ok((lba, group, part));
             }

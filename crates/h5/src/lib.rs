@@ -20,6 +20,11 @@
 //!   dataset per timestep, dataset-loading overhead between read
 //!   timesteps) and the Figure 9 scaling harness (ranks = initiators).
 
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod bench;
 pub mod format;
 pub mod store;

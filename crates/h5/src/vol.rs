@@ -174,7 +174,10 @@ fn pump(ini: TenantHandle, state: std::rc::Rc<std::cell::RefCell<ExtentState>>, 
                 s.completed == s.blocks
             };
             if finished {
-                let done = state2.borrow_mut().on_done.take().expect("done once");
+                // `completed` reaches `blocks` once, so `on_done` is there.
+                let Some(done) = state2.borrow_mut().on_done.take() else {
+                    return;
+                };
                 // Drain a partially filled oPF window before reporting;
                 // SPDK (or an already-drained window) completes directly.
                 let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));

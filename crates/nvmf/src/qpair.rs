@@ -5,6 +5,7 @@ use crate::pdu::Priority;
 use bytes::Bytes;
 use nvme::Opcode;
 use simkit::{Kernel, SimTime};
+use std::collections::VecDeque;
 
 /// Callback invoked when a request completes.
 pub type IoCallback = Box<dyn FnOnce(&mut Kernel, IoOutcome)>;
@@ -48,7 +49,7 @@ pub struct ReqCtx {
 /// directly by CID: begin/lookup/finish on the per-request hot path touch
 /// one slot with no hashing.
 pub struct QPair {
-    free_cids: Vec<u16>,
+    free_cids: VecDeque<u16>,
     outstanding: Vec<Option<ReqCtx>>,
     inflight: usize,
     depth: usize,
@@ -113,7 +114,7 @@ impl QPair {
     /// Allocate a CID and register the request context. `None` when the
     /// queue pair is at depth.
     pub fn begin(&mut self, ctx: ReqCtx) -> Option<u16> {
-        let cid = self.free_cids.pop()?;
+        let cid = self.free_cids.pop_back()?;
         let slot = &mut self.outstanding[cid as usize];
         debug_assert!(slot.is_none(), "CID {cid} double-allocated");
         *slot = Some(ctx);
@@ -131,11 +132,11 @@ impl QPair {
         let ctx = self.outstanding.get_mut(cid as usize)?.take()?;
         self.inflight -= 1;
         if self.fifo_recycle {
-            // `begin` pops from the back, so inserting at the front makes
+            // `begin` pops from the back, so pushing at the front makes
             // this CID the last one to be handed out again.
-            self.free_cids.insert(0, cid);
+            self.free_cids.push_front(cid);
         } else {
-            self.free_cids.push(cid);
+            self.free_cids.push_back(cid);
         }
         Some(ctx)
     }
@@ -204,6 +205,36 @@ mod tests {
         // first and reuses `a` only once nothing else is free.
         assert_eq!(q.begin(ctx()).unwrap(), 2);
         assert_eq!(q.begin(ctx()).unwrap(), a);
+    }
+
+    /// LIFO and FIFO recycling hand CIDs out in exactly the order of a
+    /// reference free list kept as a `Vec` (pop from the back; a freed
+    /// CID pushed to the back, or inserted at the front under FIFO).
+    #[test]
+    fn recycling_order_matches_a_vec_free_list() {
+        for fifo in [false, true] {
+            let depth = 16u16;
+            let mut q = QPair::new(depth.into());
+            q.set_fifo_recycle(fifo);
+            let mut free: Vec<u16> = (0..depth).rev().collect();
+            let mut live: Vec<u16> = Vec::new();
+            let mut rng = simkit::Pcg32::new(11);
+            for _ in 0..4000 {
+                if !live.is_empty() && (free.is_empty() || rng.gen_bool(0.5)) {
+                    let cid = live.swap_remove(rng.gen_range(0, live.len() as u64) as usize);
+                    assert!(q.finish(cid).is_some());
+                    if fifo {
+                        free.insert(0, cid);
+                    } else {
+                        free.push(cid);
+                    }
+                } else {
+                    let cid = q.begin(ctx()).unwrap();
+                    assert_eq!(Some(cid), free.pop(), "fifo {fifo}");
+                    live.push(cid);
+                }
+            }
+        }
     }
 
     #[test]

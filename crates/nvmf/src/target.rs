@@ -21,8 +21,9 @@ use fabric::{Endpoint, Network};
 use nvme::device::IoResult;
 use nvme::{Cqe, NvmeDevice, Opcode, Sqe};
 use simkit::FxHashMap;
-use simkit::{Kernel, Metrics, MetricsSource, Resource, Shared, SimDuration, SimTime, Tracer};
-use std::collections::BTreeMap;
+use simkit::{
+    slot, Kernel, Metrics, MetricsSource, Resource, Shared, SimDuration, SimTime, Tracer,
+};
 
 /// Transport-level counters. `resps_tx` is the completion-notification
 /// count Figure 6(c) compares between SPDK and NVMe-oPF (there roughly
@@ -165,11 +166,12 @@ pub struct SpdkTarget {
     net: Network,
     ep: Shared<Endpoint>,
     device: Shared<NvmeDevice>,
-    /// Connected initiators. BTreeMap: metrics enumerate tenants in
-    /// iteration order, which must be deterministic.
-    conns: BTreeMap<u8, Conn>,
+    /// Connected initiators, indexed by initiator ID: metrics enumerate
+    /// tenants in ascending ID order.
+    conns: Vec<Option<Conn>>,
     /// Write commands waiting for their H2C data, keyed by
-    /// (initiator, CID). Lookup-only — never iterated — so HashMap
+    /// (initiator, CID): hashed, not indexed, as a baseline wire CID
+    /// reaches 65 535. Lookup-only — never iterated — so HashMap
     /// order-nondeterminism cannot leak into any output.
     pending_writes: FxHashMap<(u8, u16), (Sqe, Priority)>,
     /// Duplicate-suppression mode for lossy fabrics (see
@@ -185,10 +187,9 @@ pub struct SpdkTarget {
     /// Opt-in (set by [`SpdkTarget::set_hardening`]) so pre-hardening
     /// snapshots stay byte-identical.
     hardening_metrics: bool,
-    /// Commands admitted and still live, keyed by (initiator, CID).
-    /// Membership-only — never iterated — so HashSet
-    /// order-nondeterminism cannot leak into any output.
-    inflight: simkit::FxHashSet<(u8, u16)>,
+    /// Commands admitted and still live: one CID bitset per initiator
+    /// ID, grown on demand (a forged CID of 65 535 costs 8 KiB).
+    inflight: Vec<Vec<u64>>,
     tracer: Tracer,
     /// Counters.
     pub stats: TargetStats,
@@ -211,12 +212,12 @@ impl SpdkTarget {
             net,
             ep,
             device,
-            conns: BTreeMap::new(),
+            conns: Vec::new(),
             pending_writes: FxHashMap::default(),
             recovery: false,
             enforce_identity: true,
             hardening_metrics: false,
-            inflight: simkit::FxHashSet::default(),
+            inflight: Vec::new(),
             tracer,
             stats: TargetStats::default(),
         }
@@ -261,17 +262,22 @@ impl SpdkTarget {
     /// host), not a program bug: the original connection is kept and
     /// `false` returned for the caller to record.
     pub fn register(&mut self, initiator: u8, ep: Shared<Endpoint>, rx: PduRx, lane: u32) -> bool {
-        if self.conns.contains_key(&initiator) {
+        let conn = slot(&mut self.conns, initiator.into(), || None);
+        if conn.is_some() {
             return false;
         }
-        self.conns.insert(initiator, Conn { ep, rx, lane });
+        *conn = Some(Conn { ep, rx, lane });
         true
+    }
+
+    fn conn(&self, initiator: u8) -> Option<&Conn> {
+        self.conns.get(usize::from(initiator))?.as_ref()
     }
 
     /// Remove `initiator` from the registry (live migration); returns
     /// the lane that hosted it, `None` if it was not connected.
     pub fn unregister(&mut self, initiator: u8) -> Option<u32> {
-        Some(self.conns.remove(&initiator)?.lane)
+        Some(self.conns.get_mut(usize::from(initiator))?.take()?.lane)
     }
 
     /// Drop every initiator connection and the delivery closure it
@@ -282,15 +288,17 @@ impl SpdkTarget {
         self.conns.clear();
     }
 
-    /// Connected tenant ids, in deterministic (BTreeMap) order.
+    /// Connected tenant ids, in ascending order.
     pub fn tenant_ids(&self) -> impl Iterator<Item = u8> + '_ {
-        self.conns.keys().copied()
+        (0..=u8::MAX)
+            .zip(&self.conns)
+            .filter_map(|(id, c)| c.as_ref().map(|_| id))
     }
 
     /// Lane (kernel shard) hosting `initiator`. Unknown initiators —
     /// possible only on protocol-error paths — map to lane 0.
     pub fn reactor_of(&self, initiator: u8) -> u32 {
-        self.conns.get(&initiator).map_or(0, |c| c.lane)
+        self.conn(initiator).map_or(0, |c| c.lane)
     }
 
     /// Reactor utilization snapshot.
@@ -332,19 +340,31 @@ impl SpdkTarget {
     /// Enter (`from`, `cid`) into the duplicate set. False when recovery
     /// is on and the command is already live: a retransmission.
     pub fn first_sighting(&mut self, from: u8, cid: u16) -> bool {
-        !self.recovery || self.inflight.insert((from, cid))
+        if !self.recovery {
+            return true;
+        }
+        let set = slot(&mut self.inflight, from.into(), Vec::new);
+        let word = slot(set, usize::from(cid >> 6), || 0);
+        let fresh = *word & (1 << (cid & 63)) == 0;
+        *word |= 1 << (cid & 63);
+        fresh
     }
 
     /// True when (`from`, `cid`) is in the duplicate set.
     pub fn is_live(&self, from: u8, cid: u16) -> bool {
-        self.recovery && self.inflight.contains(&(from, cid))
+        let word = self
+            .inflight
+            .get(usize::from(from))
+            .and_then(|s| s.get(usize::from(cid >> 6)));
+        word.is_some_and(|w| w & (1 << (cid & 63)) != 0)
     }
 
     /// End a command's life in the duplicate set: any later
     /// retransmission is a fresh (and idempotent) execution.
     pub fn forget(&mut self, from: u8, cid: u16) {
-        if self.recovery {
-            self.inflight.remove(&(from, cid));
+        let set = self.inflight.get_mut(usize::from(from));
+        if let Some(word) = set.and_then(|s| s.get_mut(usize::from(cid >> 6))) {
+            *word &= !(1 << (cid & 63));
         }
     }
 
@@ -587,7 +607,7 @@ impl SpdkTarget {
     /// event is scheduled on the recipient's kernel lane.
     fn send_to<O: TargetPolicy>(o: &mut O, k: &mut Kernel, to: u8, pdu: Pdu) {
         let t = o.transport();
-        let Some(conn) = t.conns.get(&to) else {
+        let Some(conn) = t.conn(to) else {
             // Normal paths only send to initiators registered via
             // `connect`, but trust-the-wire routing (enforcement off)
             // can be steered to an ID that never connected, and a
@@ -751,7 +771,49 @@ mod tests {
         let t = target.borrow();
         assert_eq!(t.stats.protocol_errors, 1);
         // The original registration is intact.
-        assert_eq!(t.conns.len(), 1);
+        assert_eq!(t.tenant_ids().count(), 1);
+    }
+
+    #[test]
+    fn tenant_ids_stay_ascending_across_out_of_order_connects() {
+        let (_k, net, target) = rig();
+        let mut t = target.borrow_mut();
+        for id in [9u8, 254, 3, 200] {
+            let rx: PduRx = Rc::new(|_, _| {});
+            assert!(t.register(id, net.add_endpoint(format!("ini{id}")), rx, 0));
+        }
+        assert_eq!(t.tenant_ids().collect::<Vec<_>>(), [0, 3, 9, 200, 254]);
+        assert_eq!(t.unregister(3), Some(0));
+        assert_eq!(t.unregister(3), None);
+        assert_eq!(t.unregister(77), None);
+        assert_eq!(t.tenant_ids().collect::<Vec<_>>(), [0, 9, 200, 254]);
+        let rx: PduRx = Rc::new(|_, _| {});
+        assert!(t.register(3, net.add_endpoint("again"), rx, 0));
+        assert_eq!(t.tenant_ids().collect::<Vec<_>>(), [0, 3, 9, 200, 254]);
+        t.disconnect_all();
+        assert_eq!(t.tenant_ids().count(), 0);
+    }
+
+    /// A wire CID is untrusted: the largest one round-trips through the
+    /// duplicate set without a panic, and its bitset stays at 8 KiB.
+    #[test]
+    fn forged_max_cid_round_trips_through_the_duplicate_set() {
+        let (_k, _net, target) = rig();
+        let mut t = target.borrow_mut();
+        t.set_recovery(true);
+        for (from, cid) in [(7u8, u16::MAX), (255, u16::MAX), (0, 0), (0, 64)] {
+            assert!(!t.is_live(from, cid));
+            assert!(t.first_sighting(from, cid));
+            assert!(t.is_live(from, cid));
+            assert!(!t.first_sighting(from, cid), "a retransmission");
+            t.forget(from, cid);
+            assert!(!t.is_live(from, cid));
+            assert!(t.first_sighting(from, cid), "fresh after forget");
+        }
+        assert!(t.is_live(0, 64) && !t.is_live(0, 65) && !t.is_live(1, 64));
+        assert_eq!(t.inflight[7].len() * 8, 8 << 10);
+        t.forget(42, u16::MAX);
+        assert!(!t.is_live(42, u16::MAX));
     }
 
     #[test]

@@ -66,3 +66,12 @@ pub type Shared<T> = Rc<RefCell<T>>;
 pub fn shared<T>(value: T) -> Shared<T> {
     Rc::new(RefCell::new(value))
 }
+
+/// Entry `i` of a table indexed by a small ID (a tenant, a CID, an
+/// endpoint), growing the table with `fill` until `i` exists.
+pub fn slot<T>(table: &mut Vec<T>, i: usize, fill: impl FnMut() -> T) -> &mut T {
+    if table.len() <= i {
+        table.resize_with(i + 1, fill);
+    }
+    &mut table[i]
+}

@@ -88,6 +88,36 @@ fn idle_weights_decay_and_migrating_tenants_are_skipped() {
     );
 }
 
+/// The fault plane skips a link it can never alter. A flap scheduled
+/// past the horizon on every link makes the plane interpose on all of
+/// them without ever acting, so the run must be byte-identical to the
+/// same cluster run whose retry-only plane wraps no link.
+#[test]
+fn a_plane_wrapping_every_link_but_never_acting_changes_nothing() {
+    let mut sc = cluster_scenario(1, 3, 2, 11);
+    sc.faults = Some(FaultProfile::default());
+    sc.migrations = vec![workload::MigrationSpec {
+        tenant: 1,
+        at_s: 0.015,
+        to_target: 0,
+    }];
+    let unwrapped = workload::run(&sc);
+    let flaps = (0..sc.total_initiators())
+        .map(|link| faults::LinkFlap {
+            link,
+            at: simkit::SimTime::from_secs(1_000),
+            dur: SimDuration::from_millis(1),
+        })
+        .collect();
+    sc.faults = Some(FaultProfile {
+        flaps,
+        ..FaultProfile::default()
+    });
+    let wrapped = workload::run(&sc);
+    assert_eq!(unwrapped.metrics.get("cluster.migrations_done"), Some(1.0));
+    assert_eq!(snapshot(&unwrapped), snapshot(&wrapped));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..Default::default() })]
     #[test]
