@@ -8,21 +8,19 @@
 //! artifact runs.
 
 use experiments::{
-    ablate, adversary, breakdown, campaign, chaos, cluster, fig6, fig7, fig8, fig9, iosize,
-    observe, openloop, scale, table1, transport, Durations,
+    ablate, adversary, breakdown, chaos, cluster, fig6, fig7, fig8, fig9, iosize, observe,
+    openloop, scale, table1, transport, Durations,
 };
 
 /// Every artifact `main` knows, in usage order.
 const ARTIFACTS: &str = "table1 fig6 fig6a fig6b fig6c fig7 fig8 fig9 ablate iosize openloop \
-    transport breakdown observe chaos scale adversary campaign all";
+    transport breakdown observe chaos scale adversary all";
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--threads N] [--shards N] [--targets N] [--parallel] <artifact>...\n\
          artifacts: {ARTIFACTS}\n\
          fig6 is fig6a, fig6b and fig6c\n\
-         campaign runs the checked-in quick campaign (scenarios/campaign_quick.json) and\n\
-         exits non-zero if any expectation gate fails\n\
          --shards N runs every scenario on N kernel shards (results are bit-identical for any N)\n\
          --targets N (N > 1) gives `scale` a targets axis (scale_cluster.csv) and reruns\n\
          `adversary` hardened across a live migration (adversary_targetsN.csv)\n\
@@ -136,12 +134,6 @@ fn main() {
                     cluster::adversary_all(d, threads, targets);
                 } else {
                     adversary::all(d, threads);
-                }
-            }
-            "campaign" => {
-                if !campaign::all(threads) {
-                    eprintln!("[campaign expectation gate FAILED]");
-                    std::process::exit(1);
                 }
             }
             "all" => {

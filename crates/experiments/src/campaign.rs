@@ -2,13 +2,16 @@
 //!
 //! A campaign spec (JSON) names a set of traffic scenarios (each an
 //! open-loop [`TrafficSpec`] plus a few topology knobs), a seed list,
-//! and a list of declarative *expectations*. The runner expands the
-//! `scenarios × seeds` grid in a canonical order, fans it out across
-//! threads ([`crate::sweep::run_all`]), computes cross-seed summary
-//! statistics (mean/stddev/p99/min/max per metric), evaluates the
-//! expectations, and writes `results/campaign_<name>/summary.json` +
-//! `summary.csv` — bit-identical across runs of the same spec, which is
-//! what lets CI gate on them.
+//! and a list of declarative *expectations*. It is the campaign front
+//! door of the one grid type, [`ExperimentSpec`] ([`crate::spec`]): the
+//! root's `runtime`, `speed`, `ls` and `tc` fill its base block and each
+//! scenario is a named row, so the grid expands `scenarios × seeds` in
+//! the spec's one order. The runner fans it out across threads
+//! ([`crate::sweep::run_all`]), computes cross-seed summary statistics
+//! (mean/stddev/p99/min/max per metric), evaluates the expectations, and
+//! writes `results/campaign_<name>/summary.json` + `summary.csv` —
+//! bit-identical across runs of the same spec, which is what lets CI
+//! gate on them.
 //!
 //! ## Spec schema
 //!
@@ -32,6 +35,11 @@
 //! }
 //! ```
 //!
+//! The root `name` follows the sweep's rule (non-empty `[A-Za-z0-9_-]`:
+//! it names the output directory), `runtime` takes the sweep's spellings,
+//! and `tc`, `shards` and `threads` start at 1. A scenario's `ls`, `tc`,
+//! `shards` and `parallel` override the root for that row.
+//!
 //! Expectation vocabulary: `exactly_once` (every offered open-loop
 //! arrival completed exactly once, no exhausted retries),
 //! `completion_floor` (min over seeds of `traffic.completion_ratio` ≥
@@ -42,13 +50,17 @@
 //! spec are hard errors — never silent no-ops — and every parse failure
 //! is a typed [`CampaignError`], never a panic.
 
-use crate::sweep::run_all;
-use fabric::Gbps;
-use simkit::json::{self, escape, parse, ErrorKind, Json, Obj};
+// no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
+use crate::spec::{Door, ExperimentSpec};
+use simkit::json::{self, escape, parse, ErrorKind, Obj};
 use simkit::metrics::format_f64;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use workload::{Mix, RunResult, RuntimeKind, Scenario, TrafficSpec};
+use workload::{RunResult, TrafficSpec};
 
 /// Typed campaign-spec / evaluation error. `Display` is the user-facing
 /// message; the variants are what the negative-path tests pin down.
@@ -86,29 +98,23 @@ pub enum CampaignError {
 
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("campaign spec: ")?;
         match self {
-            CampaignError::Parse(msg) => write!(f, "campaign spec: {msg}"),
+            CampaignError::Parse(msg) => f.write_str(msg),
             CampaignError::UnknownKey { ctx, key } => {
-                write!(f, "campaign spec: unknown key \"{key}\" in {}", block(ctx))
+                write!(f, "unknown key \"{key}\" in {}", block(ctx))
             }
-            CampaignError::NanBound { ctx } => {
-                write!(f, "campaign spec: non-finite number in {}", block(ctx))
-            }
+            CampaignError::NanBound { ctx } => write!(f, "non-finite number in {}", block(ctx)),
             CampaignError::DuplicateSeed(s) => {
                 write!(
                     f,
-                    "campaign spec: duplicate seed {s} (cross-seed stats would double-count)"
+                    "duplicate seed {s} (cross-seed stats would double-count)"
                 )
             }
             CampaignError::EmptyGrid => {
-                write!(
-                    f,
-                    "campaign spec: empty grid (needs >= 1 seed and >= 1 scenario)"
-                )
+                f.write_str("empty grid (needs >= 1 seed and >= 1 scenario)")
             }
-            CampaignError::Scenario { name, error } => {
-                write!(f, "campaign spec: scenario \"{name}\": {error}")
-            }
+            CampaignError::Scenario { name, error } => write!(f, "scenario \"{name}\": {error}"),
         }
     }
 }
@@ -140,25 +146,27 @@ pub enum Stat {
 }
 
 impl Stat {
+    /// Every statistic with its spec name.
+    const NAMES: [(Stat, &'static str); 5] = [
+        (Stat::Mean, "mean"),
+        (Stat::Stddev, "stddev"),
+        (Stat::P99, "p99"),
+        (Stat::Min, "min"),
+        (Stat::Max, "max"),
+    ];
+
     fn parse(s: &str) -> Option<Stat> {
-        Some(match s {
-            "mean" => Stat::Mean,
-            "stddev" => Stat::Stddev,
-            "p99" => Stat::P99,
-            "min" => Stat::Min,
-            "max" => Stat::Max,
-            _ => return None,
-        })
+        Stat::NAMES
+            .iter()
+            .find(|(_, n)| *n == s)
+            .map(|&(stat, _)| stat)
     }
 
     fn label(&self) -> &'static str {
-        match self {
-            Stat::Mean => "mean",
-            Stat::Stddev => "stddev",
-            Stat::P99 => "p99",
-            Stat::Min => "min",
-            Stat::Max => "max",
-        }
+        Stat::NAMES
+            .iter()
+            .find(|(stat, _)| stat == self)
+            .map_or("", |(_, n)| n)
     }
 
     fn of(&self, values: &[f64]) -> f64 {
@@ -230,32 +238,8 @@ pub struct CampaignScenario {
     pub parallel: bool,
 }
 
-/// A parsed campaign specification.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CampaignSpec {
-    /// Campaign name: output lands in `results/campaign_<name>/`.
-    pub name: String,
-    /// Seeds (duplicate-free; each scenario runs once per seed).
-    pub seeds: Vec<u64>,
-    /// Warmup seconds per run.
-    pub warmup_s: f64,
-    /// Measured seconds per run.
-    pub measure_s: f64,
-    /// Default LS tenants per scenario.
-    pub ls: usize,
-    /// Default TC tenants per scenario.
-    pub tc: usize,
-    /// Runtime under test.
-    pub runtime: RuntimeKind,
-    /// Fabric speed.
-    pub speed: Gbps,
-    /// Worker threads (CLI may override).
-    pub threads: Option<usize>,
-    /// The scenario rows.
-    pub scenarios: Vec<CampaignScenario>,
-    /// The expectation gates.
-    pub expectations: Vec<Expectation>,
-}
+/// A campaign spec: the campaign front door of the one grid type.
+pub type CampaignSpec = ExperimentSpec;
 
 impl From<json::Error> for CampaignError {
     fn from(e: json::Error) -> Self {
@@ -267,19 +251,24 @@ impl From<json::Error> for CampaignError {
     }
 }
 
-const SPEC_KEYS: &[&str] = &[
-    "name",
-    "seeds",
-    "warmup_s",
-    "measure_s",
-    "ls",
-    "tc",
-    "runtime",
-    "speed",
-    "threads",
-    "scenarios",
-    "expectations",
-];
+const CAMPAIGN: Door = Door {
+    keys: &[
+        "name",
+        "seeds",
+        "warmup_s",
+        "measure_s",
+        "ls",
+        "tc",
+        "runtime",
+        "speed",
+        "threads",
+        "scenarios",
+        "expectations",
+    ],
+    seed: None,
+    warmup_s: 0.02,
+    measure_s: 0.06,
+};
 
 const SCENARIO_KEYS: &[&str] = &[
     "name", "traffic", "ls", "tc", "drop_p", "shards", "parallel",
@@ -333,53 +322,14 @@ fn parse_expectation(e: &Obj, scenarios: &[CampaignScenario]) -> Result<Expectat
     Ok(Expectation { scenario, check })
 }
 
-impl CampaignSpec {
-    /// Parse a campaign spec from JSON source.
-    pub fn from_json_str(src: &str) -> Result<CampaignSpec, CampaignError> {
-        let v = parse(src).map_err(CampaignError::Parse)?;
-        CampaignSpec::from_json(&v)
-    }
-
-    /// Parse a campaign spec from a parsed JSON value.
-    pub fn from_json(v: &Json) -> Result<CampaignSpec, CampaignError> {
-        let o = v.obj("", SPEC_KEYS)?;
-        let name = o.need("name", o.str("name")?)?.to_string();
-        let seeds = o
-            .items("seeds", |s, at| {
-                s.as_u64()
-                    .ok_or_else(|| json::Error::invalid(at, "not a non-negative integer"))
-            })?
-            .unwrap_or_default();
-        for (i, s) in seeds.iter().enumerate() {
-            if seeds[..i].contains(s) {
-                return Err(CampaignError::DuplicateSeed(*s));
-            }
+impl ExperimentSpec {
+    /// The campaign door: parse a campaign spec from JSON source.
+    pub fn from_json_str(src: &str) -> Result<ExperimentSpec, CampaignError> {
+        let doc = parse(src).map_err(CampaignError::Parse)?;
+        let (o, base) = ExperimentSpec::read_root(&doc, &CAMPAIGN)?;
+        if let Some(s) = base.duplicate_seed() {
+            return Err(CampaignError::DuplicateSeed(s));
         }
-        let warmup_s = o.f64("warmup_s", 0.0..)?.unwrap_or(0.02);
-        let measure_s = o.f64("measure_s", json::POSITIVE)?.unwrap_or(0.06);
-        let ls = o.int("ls", ..)?.unwrap_or(1);
-        let tc = o.int("tc", ..)?.unwrap_or(2);
-        let runtime = match o.str("runtime")?.unwrap_or("opf") {
-            "opf" => RuntimeKind::Opf,
-            "spdk" => RuntimeKind::Spdk,
-            other => {
-                return Err(o
-                    .err(format!("unknown runtime \"{other}\" (opf | spdk)"))
-                    .into())
-            }
-        };
-        let speed = match o.int::<u64>("speed", ..)?.unwrap_or(100) {
-            10 => Gbps::G10,
-            25 => Gbps::G25,
-            100 => Gbps::G100,
-            other => {
-                return Err(o
-                    .err(format!("unknown speed {other} (10 | 25 | 100)"))
-                    .into())
-            }
-        };
-        let threads = o.int("threads", ..)?;
-
         let mut scenarios: Vec<CampaignScenario> = Vec::new();
         for s in o
             .items("scenarios", |s, at| s.obj(at, SCENARIO_KEYS))?
@@ -395,73 +345,31 @@ impl CampaignSpec {
                 traffic: TrafficSpec::read_at(traffic, format!("{}.traffic", s.path()))?,
                 drop_p: s.f64("drop_p", 0.0..=1.0)?.unwrap_or(0.0),
                 ls: s.int("ls", ..)?,
-                tc: s.int("tc", ..)?,
-                shards: s.int("shards", ..)?.unwrap_or(1),
+                tc: s.int("tc", 1..)?,
+                shards: s.int("shards", 1..)?.unwrap_or(1),
                 parallel: s.bool("parallel")?.unwrap_or(false),
             });
         }
-
-        if seeds.is_empty() || scenarios.is_empty() {
+        if base.seeds.is_empty() || scenarios.is_empty() {
             return Err(CampaignError::EmptyGrid);
         }
-
         let expectations = o
             .items("expectations", |e, at| {
                 parse_expectation(&e.obj(at, EXPECTATION_KEYS)?, &scenarios)
             })?
             .unwrap_or_default();
-
-        let spec = CampaignSpec {
-            name,
-            seeds,
-            warmup_s,
-            measure_s,
-            ls,
-            tc,
-            runtime,
-            speed,
-            threads,
+        let spec = ExperimentSpec {
             scenarios,
             expectations,
+            ..base
         };
-        for cs in &spec.scenarios {
-            build_scenario(&spec, cs, spec.seeds[0])
-                .validate()
-                .map_err(|error| CampaignError::Scenario {
-                    name: cs.name.clone(),
-                    error,
-                })?;
-        }
+        spec.check().map_err(|(p, error)| {
+            let row = p.row.and_then(|i| spec.scenarios.get(i));
+            let name = row.map(|cs| cs.name.clone()).unwrap_or_default();
+            CampaignError::Scenario { name, error }
+        })?;
         Ok(spec)
     }
-}
-
-/// Build the concrete [`Scenario`] for one grid point.
-fn build_scenario(spec: &CampaignSpec, cs: &CampaignScenario, seed: u64) -> Scenario {
-    let mut sc = Scenario::ratio(
-        spec.runtime,
-        spec.speed,
-        Mix::READ,
-        cs.ls.unwrap_or(spec.ls),
-        cs.tc.unwrap_or(spec.tc).max(1),
-    );
-    sc.warmup_s = spec.warmup_s;
-    sc.measure_s = spec.measure_s;
-    sc.seed = seed;
-    sc.shards = cs.shards.max(1);
-    sc.parallel = cs.parallel;
-    sc.traffic = Some(cs.traffic.clone());
-    if cs.drop_p > 0.0 {
-        sc.faults = Some(faults::FaultProfile {
-            drop_p: cs.drop_p,
-            retry: Some(nvmf::RetryPolicy {
-                timeout: simkit::SimDuration::from_micros(300),
-                max_retries: 32,
-            }),
-            ..faults::FaultProfile::default()
-        });
-    }
-    sc
 }
 
 /// Cross-seed statistics of one metric.
@@ -549,51 +457,48 @@ fn summarised(key: &str) -> bool {
 /// Run the whole grid and evaluate the expectations. `threads`
 /// overrides the spec's thread count.
 pub fn run_campaign(spec: &CampaignSpec, threads: Option<usize>) -> CampaignSummary {
-    let mut grid = Vec::new();
-    for cs in &spec.scenarios {
-        for &seed in &spec.seeds {
-            grid.push(build_scenario(spec, cs, seed));
-        }
-    }
-    let results = run_all(&grid, threads.or(spec.threads));
+    let runs = spec.run(threads.or(spec.threads));
+    let results: Vec<RunResult> = runs.into_iter().map(|(_, r)| r).collect();
+    // Rows × seeds, seed innermost (the campaign door gives no axes):
+    // one chunk of runs per row.
     let per_scenario: Vec<(&CampaignScenario, &[RunResult])> = spec
         .scenarios
         .iter()
-        .zip(results.chunks(spec.seeds.len()))
+        .zip(results.chunks(spec.seeds.len().max(1)))
         .collect();
 
-    let mut stats = Vec::new();
-    for (cs, runs) in &per_scenario {
-        let mut rows = Vec::new();
-        for (key, _) in runs[0].metrics.iter() {
-            if !summarised(key) {
-                continue;
-            }
-            let values: Vec<f64> = runs.iter().filter_map(|r| r.metrics.get(key)).collect();
-            if values.len() != runs.len() {
-                continue;
-            }
-            rows.push(MetricStats {
-                metric: key.to_string(),
-                mean: mean(&values),
-                stddev: stddev(&values),
-                p99: percentile(&values, 0.99),
-                min: values.iter().copied().fold(f64::INFINITY, f64::min),
-                max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            });
-        }
-        stats.push((cs.name.clone(), rows));
-    }
-
-    let mut outcomes = Vec::new();
-    for exp in &spec.expectations {
-        for (cs, runs) in &per_scenario {
-            if exp.scenario != "*" && exp.scenario != cs.name {
-                continue;
-            }
-            outcomes.push(evaluate(&exp.check, cs, runs));
-        }
-    }
+    let stats = per_scenario
+        .iter()
+        .map(|(cs, runs)| {
+            let rows = runs[0]
+                .metrics
+                .iter()
+                .filter(|(key, _)| summarised(key))
+                .filter_map(|(key, _)| {
+                    let v = seed_values(runs, key)?;
+                    Some(MetricStats {
+                        metric: key.to_string(),
+                        mean: Stat::Mean.of(&v),
+                        stddev: Stat::Stddev.of(&v),
+                        p99: Stat::P99.of(&v),
+                        min: Stat::Min.of(&v),
+                        max: Stat::Max.of(&v),
+                    })
+                })
+                .collect();
+            (cs.name.clone(), rows)
+        })
+        .collect();
+    let outcomes: Vec<Outcome> = spec
+        .expectations
+        .iter()
+        .flat_map(|exp| {
+            per_scenario
+                .iter()
+                .filter(|(cs, _)| exp.scenario == "*" || exp.scenario == cs.name)
+                .map(|(cs, runs)| evaluate(&exp.check, cs, runs))
+        })
+        .collect();
     let pass = outcomes.iter().all(|o| o.pass);
     CampaignSummary {
         name: spec.name.clone(),
@@ -611,56 +516,39 @@ fn seed_values(runs: &[RunResult], key: &str) -> Option<Vec<f64>> {
 }
 
 fn evaluate(check: &Check, cs: &CampaignScenario, runs: &[RunResult]) -> Outcome {
-    let scenario = cs.name.clone();
-    match check {
+    let stat = |key: &str, stat: Stat| seed_values(runs, key).map(|v| stat.of(&v));
+    let (label, observed, pass) = match check {
         Check::ExactlyOnce => {
-            let (label, mut observed, mut pass) = ("exactly_once".to_string(), None, false);
-            if let (Some(offered), Some(done)) = (
-                seed_values(runs, "traffic.offered"),
-                seed_values(runs, "traffic.done"),
-            ) {
-                let worst = offered
-                    .iter()
-                    .zip(&done)
+            let offered = seed_values(runs, "traffic.offered");
+            let done = seed_values(runs, "traffic.done");
+            let worst = offered.as_ref().zip(done.as_ref()).map(|(o, d)| {
+                o.iter()
+                    .zip(d)
                     .map(|(o, d)| (o - d).abs())
-                    .fold(0.0_f64, f64::max);
-                let exhausted = seed_values(runs, "faults.retry_exhausted")
-                    .map_or(0.0, |v| v.iter().copied().fold(0.0, f64::max));
-                observed = Some(worst);
-                pass = worst == 0.0 && exhausted == 0.0 && offered.iter().all(|&o| o > 0.0);
-            }
-            Outcome {
-                scenario,
-                label,
-                observed,
-                pass,
-            }
+                    .fold(0.0_f64, f64::max)
+            });
+            let exhausted = stat("faults.retry_exhausted", Stat::Max).unwrap_or(0.0);
+            let offered_all = offered.is_some_and(|o| o.iter().all(|&o| o > 0.0));
+            let pass = worst == Some(0.0) && exhausted == 0.0 && offered_all;
+            ("exactly_once".to_string(), worst, pass)
         }
         Check::CompletionFloor { min } => {
-            let observed = seed_values(runs, "traffic.completion_ratio").map(|v| Stat::Min.of(&v));
-            Outcome {
-                scenario,
-                label: format!("completion_floor >= {}", format_f64(*min)),
-                pass: observed.is_some_and(|o| o >= *min),
-                observed,
-            }
+            let observed = stat("traffic.completion_ratio", Stat::Min);
+            let label = format!("completion_floor >= {}", format_f64(*min));
+            (label, observed, observed.is_some_and(|o| o >= *min))
         }
         Check::FairnessSpread { max } => {
-            let observed = seed_values(runs, "traffic.fairness_spread").map(|v| Stat::Max.of(&v));
-            Outcome {
-                scenario,
-                label: format!("fairness_spread <= {}", format_f64(*max)),
-                pass: observed.is_some_and(|o| o <= *max),
-                observed,
-            }
+            let observed = stat("traffic.fairness_spread", Stat::Max);
+            let label = format!("fairness_spread <= {}", format_f64(*max));
+            (label, observed, observed.is_some_and(|o| o <= *max))
         }
         Check::Metric {
             metric,
-            stat,
+            stat: s,
             min,
             max,
         } => {
-            let observed = seed_values(runs, metric).map(|v| stat.of(&v));
+            let observed = stat(metric, *s);
             let bounds = [
                 min.map(|b| format!(">= {}", format_f64(b))),
                 max.map(|b| format!("<= {}", format_f64(b))),
@@ -669,30 +557,32 @@ fn evaluate(check: &Check, cs: &CampaignScenario, runs: &[RunResult]) -> Outcome
             .flatten()
             .collect::<Vec<_>>()
             .join(" and ");
-            Outcome {
-                scenario,
-                label: format!("{metric} {} {bounds}", stat.label()),
-                pass: observed
-                    .is_some_and(|o| min.is_none_or(|b| o >= b) && max.is_none_or(|b| o <= b)),
-                observed,
-            }
+            let pass =
+                observed.is_some_and(|o| min.is_none_or(|b| o >= b) && max.is_none_or(|b| o <= b));
+            (format!("{metric} {} {bounds}", s.label()), observed, pass)
         }
+    };
+    Outcome {
+        scenario: cs.name.clone(),
+        label,
+        observed,
+        pass,
     }
 }
 
 /// Deterministic `summary.json` rendering (spec order, shortest
 /// round-trip floats, no wall clock).
 pub fn render_summary_json(s: &CampaignSummary) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"campaign\": \"{}\",\n", escape(&s.name)));
     let seeds: Vec<String> = s.seeds.iter().map(|x| x.to_string()).collect();
-    out.push_str(&format!("  \"seeds\": [{}],\n", seeds.join(", ")));
-    out.push_str(&format!(
-        "  \"grid_runs\": {},\n",
+    let mut out = format!(
+        concat!(
+            "{{\n  \"campaign\": \"{}\",\n  \"seeds\": [{}],\n",
+            "  \"grid_runs\": {},\n  \"scenarios\": [\n"
+        ),
+        escape(&s.name),
+        seeds.join(", "),
         s.seeds.len() * s.stats.len()
-    ));
-    out.push_str("  \"scenarios\": [\n");
+    );
     for (i, (name, rows)) in s.stats.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"metrics\": [\n",
@@ -716,8 +606,7 @@ pub fn render_summary_json(s: &CampaignSummary) -> String {
             if i + 1 < s.stats.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"expectations\": [\n");
+    out.push_str("  ],\n  \"expectations\": [\n");
     for (i, o) in s.outcomes.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"scenario\": \"{}\", \"check\": \"{}\", \"observed\": {}, \"pass\": {}}}{}\n",
@@ -728,9 +617,7 @@ pub fn render_summary_json(s: &CampaignSummary) -> String {
             if i + 1 < s.outcomes.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"pass\": {}\n", s.pass));
-    out.push_str("}\n");
+    out.push_str(&format!("  ],\n  \"pass\": {}\n}}\n", s.pass));
     out
 }
 
@@ -784,41 +671,6 @@ pub fn print_outcomes(s: &CampaignSummary) {
         );
     }
     println!("  gate: {}", if s.pass { "PASS" } else { "FAIL" });
-}
-
-/// The checked-in quick campaign spec (CI's `campaign-smoke`).
-pub fn quick_spec_path() -> PathBuf {
-    crate::results_dir()
-        .parent()
-        .map(|root| root.join("scenarios").join("campaign_quick.json"))
-        .unwrap_or_else(|| PathBuf::from("scenarios/campaign_quick.json"))
-}
-
-/// `repro campaign`: run the checked-in quick campaign, write the
-/// summary artifacts, print the gate report. Returns the gate verdict.
-pub fn all(threads: Option<usize>) -> bool {
-    let path = quick_spec_path();
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("campaign: cannot read {}: {e}", path.display());
-            return false;
-        }
-    };
-    let spec = match CampaignSpec::from_json_str(&src) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("campaign: {e}");
-            return false;
-        }
-    };
-    let summary = run_campaign(&spec, threads);
-    print_outcomes(&summary);
-    match write_outputs(&summary, &crate::results_dir()) {
-        Ok(p) => println!("  [saved {}]", p.display()),
-        Err(e) => eprintln!("  [could not save summary: {e}]"),
-    }
-    summary.pass
 }
 
 #[cfg(test)]
@@ -1057,6 +909,27 @@ mod tests {
             Err(CampaignError::Parse(msg)) => assert!(msg.contains("unknown stat"), "{msg}"),
             other => panic!("expected Parse, got {other:?}"),
         }
+    }
+
+    /// A row whose every read fails (a trace past the end of the SSD)
+    /// offers I/O that is never served: the exactly-once gate fails.
+    #[test]
+    fn failed_io_fails_the_exactly_once_gate() {
+        let mut spec = CampaignSpec::from_json_str(&minimal(
+            r#", "warmup_s": 0, "measure_s": 0.002, "ls": 1, "tc": 1,
+               "expectations": [{"check": "exactly_once"}]"#,
+        ))
+        .unwrap();
+        let text: String = (0..100u64)
+            .map(|i| format!("{},0,TC,R,{},1\n", i * 1_000, 1u64 << 30))
+            .collect();
+        let log = workload::TraceLog::from_text(&text).unwrap();
+        spec.scenarios[0].traffic.model = workload::ArrivalModel::Trace(std::sync::Arc::new(log));
+        let summary = run_campaign(&spec, Some(1));
+        assert_eq!(summary.outcomes.len(), 1);
+        assert_eq!(summary.outcomes[0].label, "exactly_once");
+        assert_eq!(summary.outcomes[0].observed, Some(100.0));
+        assert!(!summary.pass);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! | [`adversary`] | extension: adversarial tenant vs the hardened protocol plane |
 //! | [`cluster`] | extension: multi-target cluster — placement, manager, migration |
 //! | [`campaign`] | extension: seeds × traffic-model grids with expectation gates |
+//! | [`spec`]   | the one grid spec behind `sweep` and `sweep campaign` |
 //!
 //! The `repro` binary drives them; results print as aligned tables and
 //! are written as CSV under `results/`.
@@ -38,6 +39,7 @@ pub mod iosize;
 pub mod observe;
 pub mod openloop;
 pub mod scale;
+pub mod spec;
 pub mod sweep;
 pub mod table1;
 pub mod transport;

@@ -213,7 +213,7 @@ pub struct KeepAliveSpec {
 /// Probabilities are per-PDU and independent; all fields default to "no
 /// faults" except the recovery knobs, which default *on* (retry + re-drain)
 /// so that any nonzero fault probability is survivable out of the box.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultProfile {
     /// Per-PDU probability of silent loss.
     pub drop_p: f64,

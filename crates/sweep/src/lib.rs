@@ -85,544 +85,91 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
+pub use experiments::spec::Point;
 pub use simkit::json;
 
-use fabric::Gbps;
-use faults::{Adversary, Crash, Degrade, FaultProfile, KeepAliveSpec, LinkFlap, Stall};
-use json::{Error, Json, Obj};
-use nvmf::RetryPolicy;
+use experiments::spec::ExperimentSpec;
 use simkit::metrics::format_f64;
-use simkit::{SimDuration, SimTime};
-use workload::{MigrationSpec, Mix, PlacementSpec, RunResult, RuntimeKind, Scenario};
+use workload::{RunResult, RuntimeKind};
 
-/// A parsed sweep specification.
-#[derive(Clone, Debug)]
-pub struct SweepSpec {
-    /// Report name: output lands in `BENCH_<name>.json` / `.csv`.
-    pub name: String,
-    /// Runtimes to sweep.
-    pub runtimes: Vec<RuntimeKind>,
-    /// Fabric speeds to sweep.
-    pub speeds: Vec<Gbps>,
-    /// Read/write mixes to sweep.
-    pub mixes: Vec<Mix>,
-    /// LS:TC tenant ratios to sweep.
-    pub ratios: Vec<(usize, usize)>,
-    /// Seeds to sweep.
-    pub seeds: Vec<u64>,
-    /// Warmup simulated seconds per run.
-    pub warmup_s: f64,
-    /// Measured simulated seconds per run.
-    pub measure_s: f64,
-    /// Worker threads (`None` = available parallelism).
-    pub threads: Option<usize>,
-    /// Fault-injection profile applied to every expanded scenario
-    /// (`None` = perfect fabric, bit-identical to pre-faults sweeps).
-    pub faults: Option<FaultProfile>,
-    /// Cluster size: number of NVMe-oF targets per scenario (1 = the
-    /// classic single-target path).
-    pub targets: usize,
-    /// Tenant → target placement policy for cluster scenarios.
-    pub placement: PlacementSpec,
-    /// Live migrations applied to every expanded scenario.
-    pub migrations: Vec<MigrationSpec>,
-    /// Route cross-lane schedules through the kernel's mailbox
-    /// mesh in every expanded scenario (DESIGN.md §17). Results are
-    /// byte-identical to the direct path by construction.
-    pub parallel: bool,
-}
-
-/// One expanded point of the sweep (the cross-product coordinates).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Point {
-    /// Runtime under test.
-    pub runtime: RuntimeKind,
-    /// Fabric speed in Gbps.
-    pub speed_gbps: u32,
-    /// Mix read fraction.
-    pub read_fraction: f64,
-    /// LS tenants.
-    pub ls: usize,
-    /// TC tenants.
-    pub tc: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Point {
-    fn runtime_name(&self) -> &'static str {
-        match self.runtime {
-            RuntimeKind::Spdk => "spdk",
-            RuntimeKind::Opf => "opf",
-        }
-    }
-
-    fn mix_name(&self) -> String {
-        if self.read_fraction >= 1.0 {
-            "read".to_string()
-        } else if self.read_fraction <= 0.0 {
-            "write".to_string()
-        } else {
-            format!("mixed-{}", format_f64(self.read_fraction))
-        }
-    }
-}
-
-fn parse_runtime(v: &Json, at: String) -> Result<RuntimeKind, Error> {
-    match v.as_str() {
-        Some("spdk" | "SPDK") => Ok(RuntimeKind::Spdk),
-        Some("opf" | "OPF" | "nvme-opf") => Ok(RuntimeKind::Opf),
-        _ => Err(Error::invalid(
-            at,
-            format!("unknown runtime {v:?} (want \"spdk\" or \"opf\")"),
-        )),
-    }
-}
-
-fn parse_speed(v: &Json, at: String) -> Result<Gbps, Error> {
-    match v.as_u64() {
-        Some(10) => Ok(Gbps::G10),
-        Some(25) => Ok(Gbps::G25),
-        Some(100) => Ok(Gbps::G100),
-        _ => Err(Error::invalid(
-            at,
-            format!("unknown speed {v:?} (want 10, 25 or 100)"),
-        )),
-    }
-}
-
-fn parse_mix(v: &Json, at: String) -> Result<Mix, Error> {
-    match (v.as_f64(), v.as_str()) {
-        (Some(f), _) if (0.0..=1.0).contains(&f) => Ok(Mix { read_fraction: f }),
-        (Some(f), _) => Err(Error::invalid(
-            at,
-            format!("mix fraction {f} outside [0, 1]"),
-        )),
-        (_, Some("read")) => Ok(Mix::READ),
-        (_, Some("write")) => Ok(Mix::WRITE),
-        (_, Some("mixed")) => Ok(Mix::MIXED),
-        _ => Err(Error::invalid(
-            at,
-            format!("unknown mix {v:?} (want \"read\", \"write\", \"mixed\" or a fraction)"),
-        )),
-    }
-}
-
-fn parse_ratio(v: &Json, at: String) -> Result<(usize, usize), Error> {
-    let pair = v
-        .as_arr()
-        .map(|a| a.iter().map(Json::as_u64).collect::<Vec<_>>());
-    match pair.as_deref() {
-        Some([Some(ls), Some(tc)]) if ls.saturating_add(*tc) > 0 => {
-            Ok((*ls as usize, *tc as usize))
-        }
-        Some([Some(_), Some(_)]) => Err(Error::invalid(at, "ratio [0, 0] has no tenants")),
-        _ => Err(Error::invalid(
-            at,
-            format!("ratio {v:?} must be [ls, tc] (two non-negative integers)"),
-        )),
-    }
-}
-
-const SPEC_KEYS: &[&str] = &[
-    "name",
-    "runtimes",
-    "speeds",
-    "mixes",
-    "ratios",
-    "seeds",
-    "warmup_s",
-    "measure_s",
-    "threads",
-    "faults",
-    "targets",
-    "placement",
-    "migration",
-    "parallel",
-];
-
-const FAULT_KEYS: &[&str] = &[
-    "drop_p",
-    "dup_p",
-    "delay_p",
-    "delay_max_us",
-    "corrupt_p",
-    "reorder_p",
-    "reorder_hold_us",
-    "retry_timeout_us",
-    "retry_max",
-    "redrain_timeout_us",
-    "keepalive_us",
-    "kato_us",
-    "settle_s",
-    "flaps",
-    "degrade",
-    "stalls",
-    "crashes",
-    "adversary",
-];
-
-const ADVERSARY_KEYS: &[&str] = &[
-    "link",
-    "forge_ls_p",
-    "invalid_flags_p",
-    "drain_flood_p",
-    "replay_p",
-    "spoof_p",
-    "spoof_victim",
-    "harden",
-];
-
-/// A probability.
-const PROB: std::ops::RangeInclusive<f64> = 0.0..=1.0;
-
-/// The `"faults"` block. Durations in µs take any number (a non-positive
-/// or overflowing one reads as zero); window times take any number >= 0.
-fn parse_faults(f: &Obj) -> Result<FaultProfile, Error> {
-    let us = |key| {
-        Ok::<_, Error>(
-            f.num(key, ..)?
-                .map(|us| SimDuration::from_secs_f64(us / 1e6)),
-        )
-    };
-    // One `{"at_s": …, "for_s": …}` entry of a scheduled-window list.
-    let window = |e: &Obj| -> Result<(SimTime, SimDuration), Error> {
-        let at = e.need("at_s", e.num("at_s", 0.0..)?)?;
-        let dur = e.need("for_s", e.num("for_s", 0.0..)?)?;
-        Ok((
-            SimTime::from_nanos((at * 1e9) as u64),
-            SimDuration::from_secs_f64(dur),
-        ))
-    };
-    let d = FaultProfile::default();
-    let mut retry = match us("retry_timeout_us")? {
-        Some(timeout) => (timeout > SimDuration::ZERO).then_some(RetryPolicy {
-            timeout,
-            max_retries: d.retry.map_or(6, |r| r.max_retries),
-        }),
-        None => d.retry,
-    };
-    if let (Some(r), Some(n)) = (&mut retry, f.int("retry_max", 0..=u32::MAX)?) {
-        r.max_retries = n;
-    }
-    let keepalive = match us("keepalive_us")? {
-        Some(every) => Some(KeepAliveSpec {
-            every,
-            kato: us("kato_us")?.unwrap_or(every * 3),
-        }),
-        None => None,
-    };
-    let ad = Adversary::default();
-    let adversary = match f.obj("adversary", ADVERSARY_KEYS)? {
-        None => None,
-        Some(a) => Some(Adversary {
-            link: a.need("link", a.int("link", ..)?)?,
-            forge_ls_p: a.f64("forge_ls_p", PROB)?.unwrap_or(ad.forge_ls_p),
-            invalid_flags_p: a
-                .f64("invalid_flags_p", PROB)?
-                .unwrap_or(ad.invalid_flags_p),
-            drain_flood_p: a.f64("drain_flood_p", PROB)?.unwrap_or(ad.drain_flood_p),
-            replay_p: a.f64("replay_p", PROB)?.unwrap_or(ad.replay_p),
-            spoof_p: a.f64("spoof_p", PROB)?.unwrap_or(ad.spoof_p),
-            spoof_victim: a
-                .int("spoof_victim", 0..=u8::MAX)?
-                .unwrap_or(ad.spoof_victim),
-            harden: a.bool("harden")?.unwrap_or(ad.harden),
-        }),
-    };
-    Ok(FaultProfile {
-        drop_p: f.f64("drop_p", PROB)?.unwrap_or(d.drop_p),
-        dup_p: f.f64("dup_p", PROB)?.unwrap_or(d.dup_p),
-        delay_p: f.f64("delay_p", PROB)?.unwrap_or(d.delay_p),
-        delay_max: us("delay_max_us")?.unwrap_or(d.delay_max),
-        corrupt_p: f.f64("corrupt_p", PROB)?.unwrap_or(d.corrupt_p),
-        reorder_p: f.f64("reorder_p", PROB)?.unwrap_or(d.reorder_p),
-        reorder_hold: us("reorder_hold_us")?.unwrap_or(d.reorder_hold),
-        flaps: f
-            .items("flaps", |e, at| {
-                let e = e.obj(at, &["link", "at_s", "for_s"])?;
-                let (at, dur) = window(&e)?;
-                let link = e.need("link", e.int("link", ..)?)?;
-                Ok(LinkFlap { link, at, dur })
-            })?
-            .unwrap_or_default(),
-        degrades: f
-            .items("degrade", |e, at| {
-                let e = e.obj(at, &["factor", "at_s", "for_s"])?;
-                let (at, dur) = window(&e)?;
-                let factor = e.f64("factor", 1.0..)?.unwrap_or(2.0);
-                Ok(Degrade { at, dur, factor })
-            })?
-            .unwrap_or_default(),
-        stalls: f
-            .items("stalls", |e, at| {
-                let (at, dur) = window(&e.obj(at, &["at_s", "for_s"])?)?;
-                Ok(Stall { at, dur })
-            })?
-            .unwrap_or_default(),
-        crashes: f
-            .items("crashes", |e, at| {
-                let e = e.obj(at, &["tenant", "at_s", "for_s"])?;
-                let (at, dur) = window(&e)?;
-                let tenant = e.need("tenant", e.int("tenant", ..)?)?;
-                Ok(Crash { tenant, at, dur })
-            })?
-            .unwrap_or_default(),
-        retry,
-        redrain_timeout: match us("redrain_timeout_us")? {
-            Some(t) => (t > SimDuration::ZERO).then_some(t),
-            None => d.redrain_timeout,
-        },
-        keepalive,
-        adversary,
-        settle_s: f.f64("settle_s", 0.0..)?.unwrap_or(d.settle_s),
-    })
-}
-
-/// ```json
-/// "placement": {"policy": "pinned", "pins": [0, 1, 0]}
-/// ```
-/// Policies: `"round_robin"` (default), `"least_loaded"`, `"pinned"`
-/// (requires `pins`).
-fn parse_placement(p: &Obj) -> Result<PlacementSpec, Error> {
-    let policy = p.need("policy", p.str("policy")?)?;
-    let pins = p.items("pins", |v, at| {
-        v.as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| Error::invalid(at, format!("pin {v:?} is not an integer")))
-    })?;
-    match (policy, pins) {
-        ("round_robin" | "least_loaded", Some(_)) => Err(p.err(format!(
-            "\"pins\" only applies to policy \"pinned\" (got \"{policy}\")"
-        ))),
-        ("round_robin", None) => Ok(PlacementSpec::RoundRobin),
-        ("least_loaded", None) => Ok(PlacementSpec::LeastLoaded),
-        ("pinned", pins) => Ok(PlacementSpec::Pinned(p.need("pins", pins)?)),
-        (other, _) => Err(p.err(format!(
-            "unknown policy {other:?} (want \"round_robin\", \"least_loaded\" or \"pinned\")"
-        ))),
-    }
-}
-
-/// ```json
-/// "migration": {"moves": [{"tenant": 1, "at_s": 0.05, "to_target": 0}]}
-/// ```
-/// `at_s` is seconds into the measured window.
-fn parse_migrations(m: &Obj) -> Result<Vec<MigrationSpec>, Error> {
-    let moves = m.items("moves", |e, at| {
-        let e = e.obj(at, &["tenant", "at_s", "to_target"])?;
-        Ok(MigrationSpec {
-            tenant: e.need("tenant", e.int("tenant", ..)?)?,
-            at_s: e.need("at_s", e.f64("at_s", 0.0..)?)?,
-            to_target: e.need("to_target", e.int("to_target", ..)?)?,
-        })
-    })?;
-    m.need("moves", moves)
-}
-
-impl SweepSpec {
-    /// Parse a spec document. Only `name` is required; everything else
-    /// defaults to a small two-runtime smoke sweep at 100 Gbps.
-    pub fn from_json(src: &str) -> Result<SweepSpec, String> {
-        let spec = SweepSpec::read(&json::parse(src)?).map_err(|e| e.to_string())?;
-        // Duplicate seeds silently double-count a grid point: every
-        // derived statistic (means, fairness spreads, campaign gates)
-        // would be quietly biased toward the repeated run. Hard error.
-        for (i, &s) in spec.seeds.iter().enumerate() {
-            if spec.seeds[..i].contains(&s) {
-                return Err(format!(
-                    "duplicate seed {s} (each seed must appear once; \
-                     repeated seeds double-count runs in derived statistics)"
-                ));
-            }
-        }
-        // Fail a scenario the runner cannot build (cluster on the
-        // baseline, too many tenants per node, a migration out of range)
-        // up front with its typed error, never mid-sweep. Validity does
-        // not depend on the speed, mix or seed axes.
-        for &runtime in &spec.runtimes {
-            for &(ls, tc) in &spec.ratios {
-                spec.scenario(
-                    runtime,
-                    spec.speeds[0],
-                    spec.mixes[0],
-                    ls,
-                    tc,
-                    spec.seeds[0],
-                )
-                .validate()
-                .map_err(|e| format!("{} {ls}:{tc}: {e}", runtime.label()))?;
-            }
-        }
-        Ok(spec)
-    }
-
-    /// The spec's fields, each checked on its own.
-    fn read(doc: &Json) -> Result<SweepSpec, Error> {
-        let o = doc.obj("", SPEC_KEYS)?;
-        let name = o.need("name", o.str("name")?)?.to_string();
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-        {
-            return Err(o.err(format!(
-                "name {name:?} must be non-empty [A-Za-z0-9_-] (it names the output file)"
-            )));
-        }
-        let seed = |v: &Json, at: String| {
-            v.as_u64()
-                .ok_or_else(|| Error::invalid(at, format!("seed {v:?} is not an integer")))
-        };
-        Ok(SweepSpec {
-            name,
-            runtimes: o
-                .nonempty("runtimes", parse_runtime)?
-                .unwrap_or_else(|| vec![RuntimeKind::Spdk, RuntimeKind::Opf]),
-            speeds: o
-                .nonempty("speeds", parse_speed)?
-                .unwrap_or_else(|| vec![Gbps::G100]),
-            mixes: o
-                .nonempty("mixes", parse_mix)?
-                .unwrap_or_else(|| vec![Mix::READ]),
-            ratios: o
-                .nonempty("ratios", parse_ratio)?
-                .unwrap_or_else(|| vec![(1, 1)]),
-            seeds: o.nonempty("seeds", seed)?.unwrap_or_else(|| vec![42]),
-            warmup_s: o.f64("warmup_s", 0.0..)?.unwrap_or(0.05),
-            measure_s: o.f64("measure_s", json::POSITIVE)?.unwrap_or(0.15),
-            threads: o.int("threads", 1..)?,
-            faults: o
-                .obj("faults", FAULT_KEYS)?
-                .map(|f| parse_faults(&f))
-                .transpose()?,
-            targets: o.int("targets", 1..)?.unwrap_or(1),
-            placement: match o.obj("placement", &["policy", "pins"])? {
-                Some(p) => parse_placement(&p)?,
-                None => PlacementSpec::RoundRobin,
-            },
-            migrations: match o.obj("migration", &["moves"])? {
-                Some(m) => parse_migrations(&m)?,
-                None => Vec::new(),
-            },
-            parallel: o.bool("parallel")?.unwrap_or(false),
-        })
-    }
-
-    /// The scenario at one grid point.
-    fn scenario(
-        &self,
-        runtime: RuntimeKind,
-        speed: Gbps,
-        mix: Mix,
-        ls: usize,
-        tc: usize,
-        seed: u64,
-    ) -> Scenario {
-        let mut sc = Scenario::ratio(runtime, speed, mix, ls, tc);
-        sc.warmup_s = self.warmup_s;
-        sc.measure_s = self.measure_s;
-        sc.seed = seed;
-        sc.faults = self.faults.clone();
-        sc.targets = self.targets;
-        sc.placement = self.placement.clone();
-        sc.migrations = self.migrations.clone();
-        sc.parallel = self.parallel;
-        sc
-    }
-
-    /// Expand the cross product in its canonical order: runtime (outer)
-    /// × speed × mix × ratio × seed (inner). Report points keep this
-    /// index order regardless of which worker finishes first.
-    pub fn expand(&self) -> Vec<(Point, Scenario)> {
-        let mut out = Vec::new();
-        for &runtime in &self.runtimes {
-            for &speed in &self.speeds {
-                for &mix in &self.mixes {
-                    for &(ls, tc) in &self.ratios {
-                        for &seed in &self.seeds {
-                            let sc = self.scenario(runtime, speed, mix, ls, tc, seed);
-                            let point = Point {
-                                runtime,
-                                speed_gbps: match speed {
-                                    Gbps::G10 => 10,
-                                    Gbps::G25 => 25,
-                                    Gbps::G100 => 100,
-                                },
-                                read_fraction: mix.read_fraction,
-                                ls,
-                                tc,
-                                seed,
-                            };
-                            out.push((point, sc));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-}
+/// A sweep spec: the sweep front door ([`ExperimentSpec::from_json`]) of
+/// the one grid type.
+pub type SweepSpec = ExperimentSpec;
 
 /// Run every point of the spec (parallel fan-out, deterministic order).
 pub fn run_spec(spec: &SweepSpec) -> Vec<(Point, RunResult)> {
-    let expanded = spec.expand();
-    let scenarios: Vec<Scenario> = expanded.iter().map(|(_, sc)| sc.clone()).collect();
-    let results = experiments::sweep::run_all(&scenarios, spec.threads);
-    expanded.into_iter().map(|(p, _)| p).zip(results).collect()
+    spec.run(spec.threads)
 }
 
-fn result_json(r: &RunResult) -> String {
-    format!(
-        concat!(
-            "{{\"tc_iops\":{},\"tc_mb_s\":{},\"tc_avg_us\":{},\"tc_p9999_us\":{},",
-            "\"ls_iops\":{},\"ls_avg_us\":{},\"ls_p9999_us\":{},",
-            "\"notifications\":{},\"completed\":{},\"reactor_util\":{},\"events\":{}}}"
-        ),
-        format_f64(r.tc_iops),
-        format_f64(r.tc_mb_s),
-        format_f64(r.tc_avg_us),
-        format_f64(r.tc_p9999_us),
-        format_f64(r.ls_iops),
-        format_f64(r.ls_avg_us),
-        format_f64(r.ls_p9999_us),
-        r.notifications,
-        r.completed,
-        format_f64(r.reactor_util),
-        r.events,
-    )
+/// The report's columns: a point's coordinates, then its scalar results.
+const COLUMNS: &str = "runtime,speed_gbps,mix,read_fraction,ls,tc,seed,\
+    tc_iops,tc_mb_s,tc_avg_us,tc_p9999_us,ls_iops,ls_avg_us,ls_p9999_us,\
+    notifications,completed,reactor_util,events";
+
+/// How many of [`COLUMNS`] are coordinates.
+const COORDS: usize = 7;
+
+/// One point's values, in [`COLUMNS`] order.
+fn values(p: &Point, r: &RunResult) -> Vec<String> {
+    let runtime = match p.runtime {
+        RuntimeKind::Spdk => "spdk",
+        RuntimeKind::Opf => "opf",
+    };
+    let mix = match p.read_fraction {
+        f if f >= 1.0 => "read".to_string(),
+        f if f <= 0.0 => "write".to_string(),
+        f => format!("mixed-{}", format_f64(f)),
+    };
+    let f = format_f64;
+    vec![
+        runtime.to_string(),
+        p.speed_gbps.to_string(),
+        mix,
+        f(p.read_fraction),
+        p.ls.to_string(),
+        p.tc.to_string(),
+        p.seed.to_string(),
+        f(r.tc_iops),
+        f(r.tc_mb_s),
+        f(r.tc_avg_us),
+        f(r.tc_p9999_us),
+        f(r.ls_iops),
+        f(r.ls_avg_us),
+        f(r.ls_p9999_us),
+        r.notifications.to_string(),
+        r.completed.to_string(),
+        f(r.reactor_util),
+        r.events.to_string(),
+    ]
+}
+
+/// `"column":value` pairs, the two string-valued columns quoted.
+fn json_fields<'a>(cols: impl Iterator<Item = (&'a str, &'a String)>) -> String {
+    let field = |(k, v)| match k {
+        "runtime" | "mix" => format!("\"{k}\":\"{v}\""),
+        _ => format!("\"{k}\":{v}"),
+    };
+    cols.map(field).collect::<Vec<_>>().join(",")
 }
 
 /// Render the `BENCH_<name>.json` document.
 pub fn report_json(spec: &SweepSpec, points: &[(Point, RunResult)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"name\": \"{}\",\n  \"schema\": \"nvme-opf.sweep.v1\",\n",
-        json::escape(&spec.name)
-    ));
-    out.push_str(&format!(
-        "  \"warmup_s\": {},\n  \"measure_s\": {},\n",
+    let mut out = format!(
+        concat!(
+            "{{\n  \"name\": \"{}\",\n  \"schema\": \"nvme-opf.sweep.v1\",\n",
+            "  \"warmup_s\": {},\n  \"measure_s\": {},\n  \"points\": [\n"
+        ),
+        json::escape(&spec.name),
         format_f64(spec.warmup_s),
         format_f64(spec.measure_s)
-    ));
-    out.push_str("  \"points\": [\n");
+    );
     for (i, (p, r)) in points.iter().enumerate() {
+        let values = values(p, r);
+        let cols = || COLUMNS.split(',').zip(&values);
         out.push_str(&format!(
-            concat!(
-                "    {{\"runtime\":\"{}\",\"speed_gbps\":{},\"mix\":\"{}\",",
-                "\"read_fraction\":{},\"ls\":{},\"tc\":{},\"seed\":{},\n",
-                "     \"result\":{},\n",
-                "     \"snapshot\":{}}}{}\n"
-            ),
-            p.runtime_name(),
-            p.speed_gbps,
-            p.mix_name(),
-            format_f64(p.read_fraction),
-            p.ls,
-            p.tc,
-            p.seed,
-            result_json(r),
+            "    {{{},\n     \"result\":{{{}}},\n     \"snapshot\":{}}}{}\n",
+            json_fields(cols().take(COORDS)),
+            json_fields(cols().skip(COORDS)),
             r.metrics.to_json(),
             if i + 1 < points.len() { "," } else { "" },
         ));
@@ -634,34 +181,10 @@ pub fn report_json(spec: &SweepSpec, points: &[(Point, RunResult)]) -> String {
 /// Render the flat CSV companion (scalar columns only; the full metric
 /// snapshots live in the JSON report).
 pub fn report_csv(points: &[(Point, RunResult)]) -> String {
-    let mut out = String::from(
-        "runtime,speed_gbps,mix,read_fraction,ls,tc,seed,\
-         tc_iops,tc_mb_s,tc_avg_us,tc_p9999_us,\
-         ls_iops,ls_avg_us,ls_p9999_us,\
-         notifications,completed,reactor_util,events\n",
-    );
+    let mut out = format!("{COLUMNS}\n");
     for (p, r) in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            p.runtime_name(),
-            p.speed_gbps,
-            p.mix_name(),
-            format_f64(p.read_fraction),
-            p.ls,
-            p.tc,
-            p.seed,
-            format_f64(r.tc_iops),
-            format_f64(r.tc_mb_s),
-            format_f64(r.tc_avg_us),
-            format_f64(r.tc_p9999_us),
-            format_f64(r.ls_iops),
-            format_f64(r.ls_avg_us),
-            format_f64(r.ls_p9999_us),
-            r.notifications,
-            r.completed,
-            format_f64(r.reactor_util),
-            r.events,
-        ));
+        out.push_str(&values(p, r).join(","));
+        out.push('\n');
     }
     out
 }
@@ -669,6 +192,9 @@ pub fn report_csv(points: &[(Point, RunResult)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric::Gbps;
+    use simkit::SimDuration;
+    use workload::{MigrationSpec, PlacementSpec};
 
     const TINY: &str = r#"{
         "name": "tiny",

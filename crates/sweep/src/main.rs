@@ -85,11 +85,9 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => return fail(&format!("bad spec {}: {e}", spec_path.display())),
     };
-    if threads.is_some() {
-        // Command line overrides the spec. Thread count never changes the
-        // report bytes — only the wall-clock time to produce them.
-        spec.threads = threads;
-    }
+    // Command line overrides the spec. Thread count never changes the
+    // report bytes — only the wall-clock time to produce them.
+    spec.threads = threads.or(spec.threads);
 
     let points = spec.expand();
     eprintln!(

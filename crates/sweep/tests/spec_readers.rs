@@ -7,6 +7,7 @@ use analysis::fsm;
 use experiments::campaign::{CampaignError, CampaignSpec};
 use std::path::Path;
 use sweep::SweepSpec;
+use workload::RuntimeKind;
 
 const SWEEP: [(&str, &str); 6] = [
     (r#"{"name":"x","misspelt":1}"#, "spec"),
@@ -105,6 +106,68 @@ fn a_misspelt_key_names_its_block_at_every_level() {
             err.contains(&format!("{path}: unknown key `misspelt`")),
             "{err}"
         );
+    }
+}
+
+/// Both doors read the spec root through one reader: the name is a file
+/// name's part, the tenant, shard and thread counts start at 1, and the
+/// runtime takes every spelling.
+#[test]
+fn both_doors_share_the_root_rules() {
+    let poisson = r#"{"name": "p", "traffic": {"model": "poisson"}}"#;
+    let campaign =
+        |root: &str, row: &str| format!(r#"{{"seeds": [1], "scenarios": [{row}], {root}}}"#);
+    let want = "must be non-empty [A-Za-z0-9_-] (it names the output file)";
+    for name in [r#""x/../../../evil""#, r#""""#] {
+        let err = SweepSpec::from_json(&format!(r#"{{"name": {name}}}"#)).unwrap_err();
+        assert!(err.contains(want), "{err}");
+        match CampaignSpec::from_json_str(&campaign(&format!(r#""name": {name}"#), poisson)) {
+            Err(CampaignError::Parse(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+
+    let row =
+        |extra: &str| format!(r#"{{"name": "p", "traffic": {{"model": "poisson"}}, {extra}}}"#);
+    for (root, row, want) in [
+        (
+            r#""name": "t", "tc": 0"#,
+            poisson.to_string(),
+            r#"spec: "tc""#,
+        ),
+        (r#""name": "t""#, row(r#""tc": 0"#), r#"scenarios[0]: "tc""#),
+        (
+            r#""name": "t""#,
+            row(r#""shards": 0"#),
+            r#"scenarios[0]: "shards""#,
+        ),
+        (
+            r#""name": "t", "threads": 0"#,
+            poisson.to_string(),
+            r#"spec: "threads""#,
+        ),
+    ] {
+        let want = format!("{want} must be an integer >= 1");
+        assert_eq!(
+            CampaignSpec::from_json_str(&campaign(root, &row)),
+            Err(CampaignError::Parse(want))
+        );
+    }
+    let err = SweepSpec::from_json(r#"{"name": "x", "threads": 0}"#).unwrap_err();
+    assert_eq!(err, r#"spec: "threads" must be an integer >= 1"#);
+
+    for (spelling, runtime) in [
+        ("spdk", RuntimeKind::Spdk),
+        ("SPDK", RuntimeKind::Spdk),
+        ("opf", RuntimeKind::Opf),
+        ("OPF", RuntimeKind::Opf),
+        ("nvme-opf", RuntimeKind::Opf),
+    ] {
+        let sweep = format!(r#"{{"name": "x", "runtimes": ["{spelling}"]}}"#);
+        assert_eq!(SweepSpec::from_json(&sweep).unwrap().runtimes, [runtime]);
+        let root = format!(r#""name": "t", "runtime": "{spelling}""#);
+        let spec = CampaignSpec::from_json_str(&campaign(&root, poisson)).unwrap();
+        assert_eq!(spec.runtime, runtime);
     }
 }
 

@@ -15,7 +15,7 @@ use fabric::{Endpoint, FabricConfig, Gbps, Network};
 use nvme::{FlashProfile, NvmeDevice, Opcode, BLOCK_SIZE};
 use nvmf::initiator::TargetRx;
 use nvmf::qpair::IoCallback;
-use nvmf::{CpuCosts, PduRx, RetryPolicy, SpdkInitiator, SpdkTarget};
+use nvmf::{CpuCosts, IoOutcome, PduRx, RetryPolicy, SpdkInitiator, SpdkTarget};
 use opf::{OpfInitiator, OpfInitiatorConfig, OpfTarget, OpfTargetConfig, QueueMode, ReqClass};
 use simkit::{shared, Kernel, Metrics, MetricsSource, Pcg32, Shared, SimDuration, SimTime, Tracer};
 use std::borrow::Cow;
@@ -216,6 +216,9 @@ struct TenantIo {
     hist: Rc<RefCell<Histogram>>,
     win_start: SimTime,
     win_end: SimTime,
+    /// Served completions, in total and in the measure window.
+    done_total: u64,
+    done_win: u64,
 }
 
 impl TenantIo {
@@ -232,6 +235,30 @@ impl TenantIo {
 
     fn in_window(&self, now: SimTime) -> bool {
         now >= self.win_start && now < self.win_end
+    }
+
+    /// Account one completion at `now`, `latency` after it started. A
+    /// failed I/O (retries exhausted, a device error) was not served: it
+    /// counts in neither `done_*` nor a latency record. A served one in
+    /// the measure window records into `hist`, or into the tenant's own
+    /// class histogram when `hist` is `None`.
+    fn complete(
+        &mut self,
+        now: SimTime,
+        out: &IoOutcome,
+        latency: SimDuration,
+        hist: Option<&RefCell<Histogram>>,
+    ) {
+        if !out.status.is_ok() {
+            return;
+        }
+        self.done_total += 1;
+        if self.in_window(now) {
+            self.done_win += 1;
+            hist.unwrap_or(&self.hist)
+                .borrow_mut()
+                .record(latency.as_nanos());
+        }
     }
 }
 
@@ -262,12 +289,11 @@ fn issue(d: Rc<RefCell<Driver>>, k: &mut Kernel) {
     let d2 = d.clone();
     let cb: IoCallback = Box::new(move |k, out| {
         let win_end = {
-            let io = &d2.borrow().io;
-            if io.in_window(k.now()) {
-                io.hist.borrow_mut().record(out.latency.as_nanos());
-            }
+            let io = &mut d2.borrow_mut().io;
+            io.complete(k.now(), &out, out.latency, None);
             io.win_end
         };
+        // A failed I/O re-issues too, so the loop keeps its depth.
         if k.now() < win_end {
             issue(d2, k);
         }
@@ -290,9 +316,7 @@ struct OpenTenant {
     default_blocks: u16,
     base_mix: crate::Mix,
     offered_total: u64,
-    done_total: u64,
     offered_win: u64,
-    done_win: u64,
 }
 
 #[derive(Clone, Copy)]
@@ -357,21 +381,18 @@ fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
     };
     let t2 = t.clone();
     let arrived = req.arrived;
-    let cb: IoCallback = Box::new(move |k, _out| {
+    let cb: IoCallback = Box::new(move |k, out| {
         {
-            let mut s = t2.borrow_mut();
-            s.done_total += 1;
+            let mut guard = t2.borrow_mut();
+            let s = &mut *guard;
             let now = k.now();
-            if s.io.in_window(now) {
-                s.done_win += 1;
-                // End-to-end latency counts from arrival: app-side
-                // queueing is part of what an open-loop client sees.
-                let hist = match class {
-                    ReqClass::LatencySensitive => &s.ls_hist,
-                    ReqClass::ThroughputCritical => &s.io.hist,
-                };
-                hist.borrow_mut().record(now.since(arrived).as_nanos());
-            }
+            let hist = match class {
+                ReqClass::LatencySensitive => Some(&*s.ls_hist),
+                ReqClass::ThroughputCritical => None,
+            };
+            // End-to-end latency counts from arrival: app-side queueing
+            // is part of what an open-loop client sees.
+            s.io.complete(now, &out, now.since(arrived), hist);
         }
         let next = t2.borrow_mut().pending.pop_front();
         if let Some(r) = next {
@@ -1123,6 +1144,8 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
             hist,
             win_start: warm,
             win_end: end,
+            done_total: 0,
+            done_win: 0,
         };
         // With a traffic block the TC tenants go open-loop; LS tenants
         // keep their closed-loop QD-1 probe so the paper's isolation
@@ -1138,9 +1161,7 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
                 default_blocks: sc.io_blocks.max(1),
                 base_mix: sc.mix,
                 offered_total: 0,
-                done_total: 0,
                 offered_win: 0,
-                done_win: 0,
             }));
             // A trace's timestamps are absolute: its tenants start at
             // zero, not staggered.
@@ -1372,10 +1393,10 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
         for (t, _, _) in &open_tenants {
             let s = t.borrow();
             offered += s.offered_total;
-            done += s.done_total;
+            done += s.io.done_total;
             offered_win += s.offered_win;
-            done_win += s.done_win;
-            served.push(s.done_win as f64 / s.gen.weight().max(1e-12));
+            done_win += s.io.done_win;
+            served.push(s.io.done_win as f64 / s.gen.weight().max(1e-12));
         }
         summed.set("traffic.offered", offered as f64);
         summed.set("traffic.done", done as f64);
@@ -1570,6 +1591,34 @@ mod tests {
         let r = quick(RuntimeKind::Opf, Gbps::G100, Mix::WRITE, 1, 2);
         assert!(r.tc_iops > 10_000.0, "tc_iops {}", r.tc_iops);
         assert!(r.ls_iops > 0.0);
+    }
+
+    /// A trace of 100 one-block reads past the end of the 2^30-block
+    /// SSD: every read completes with an error status, so none of them
+    /// was served. They count as offered, never as done, and leave no
+    /// latency sample behind.
+    #[test]
+    fn failed_reads_are_not_served() {
+        let text: String = (0..100u64)
+            .map(|i| format!("{},0,TC,R,{},1\n", i * 1_000, 1u64 << 30))
+            .collect();
+        let log = std::sync::Arc::new(crate::TraceLog::from_text(&text).unwrap());
+        for runtime in [RuntimeKind::Opf, RuntimeKind::Spdk] {
+            let mut sc = Scenario::ratio(runtime, Gbps::G100, Mix::READ, 1, 1);
+            sc.warmup_s = 0.0;
+            sc.measure_s = 0.002;
+            sc.traffic = Some(crate::TrafficSpec {
+                model: ArrivalModel::Trace(log.clone()),
+                ..crate::TrafficSpec::default()
+            });
+            let r = run(&sc);
+            let m = |key: &str| r.metrics.get(key).unwrap();
+            assert_eq!(m("pair0.dev.errors"), 100.0, "{runtime:?}");
+            assert_eq!(m("traffic.offered"), 100.0, "{runtime:?}");
+            assert_eq!(m("traffic.done"), 0.0, "{runtime:?}");
+            assert_eq!(m("tc.iops"), 0.0, "{runtime:?}");
+            assert_eq!(r.tc_iops, 0.0, "{runtime:?}");
+        }
     }
 
     #[test]
