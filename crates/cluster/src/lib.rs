@@ -2,9 +2,8 @@
 //!
 //! Everything below this crate is one target's view of the world; this
 //! crate is the path from 256 tenants on one box to a cluster: M targets
-//! behind a switched [`fabric`] topology, per-tenant subsystem
-//! **placement** ([`PlacementPolicy`]: round-robin, least-loaded by
-//! per-target TC depth, explicit pins), a cluster-level **Priority
+//! behind a switched [`fabric`] topology (tenant slot *i* lives on
+//! target *i* mod *M*), a cluster-level **Priority
 //! Manager** ([`ClusterPriorityManager`]) that aggregates per-target
 //! drain/LS state and rebalances tenant drain weights, and **live tenant
 //! migration** ([`MigrationEngine`]): drain → freeze + move the 16-bit
@@ -25,10 +24,8 @@
 
 pub mod manager;
 pub mod migration;
-pub mod placement;
 pub mod topology;
 
 pub use manager::{ClusterPriorityManager, ManagerSnapshot, TenantLoad};
 pub use migration::{Migration, MigrationEngine, MigrationSpec, MigrationState};
-pub use placement::{LeastLoaded, Pinned, PlacementPolicy, PlacementSpec, RoundRobin};
 pub use topology::install_switched_topology;

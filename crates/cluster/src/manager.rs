@@ -251,15 +251,6 @@ impl ClusterPriorityManager {
     pub fn target_count(&self) -> usize {
         self.targets.len()
     }
-
-    /// Per-target total TC depth, in construction order — the load
-    /// vector placement policies consume.
-    pub fn depths(&self) -> Vec<usize> {
-        self.targets
-            .iter()
-            .map(|t| t.borrow().total_tc_depth())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -414,7 +405,6 @@ mod tests {
         assert_eq!(s.migrating_skipped, 0);
         assert_eq!(s.max_imbalance, 0);
         assert_eq!(m.target_count(), 0);
-        assert!(m.depths().is_empty());
     }
 
     #[test]

@@ -58,10 +58,6 @@ pub struct OpfInitiatorConfig {
     /// below the window rate. `None` disables the timer (the paper's
     /// design, which assumes saturating closed-loop streams).
     pub drain_timeout: Option<SimDuration>,
-    /// Per-CID bookkeeping cost when a coalesced completion marks many
-    /// requests complete at once (vs. a full response-processing cost
-    /// per request in the baseline).
-    pub coalesced_complete_each: SimDuration,
     /// Capacity of the CID queue (sized ≥ queue depth + window so a full
     /// pipeline can never overflow it — the §IV-A lock-up guard).
     pub cid_queue_capacity: usize,
@@ -82,7 +78,6 @@ impl Default for OpfInitiatorConfig {
         OpfInitiatorConfig {
             window: WindowPolicy::Static(32),
             drain_timeout: Some(SimDuration::from_micros(500)),
-            coalesced_complete_each: SimDuration::from_nanos(150),
             cid_queue_capacity: 512,
             retry: None,
             redrain_timeout: None,
@@ -125,12 +120,6 @@ pub struct OpfTargetConfig {
     /// Whether LS requests bypass the TC queues (ablation switch;
     /// always true in the paper's design).
     pub ls_bypass: bool,
-    /// Maximum TC commands in flight at the device. The PM meters
-    /// drained batches into the device so TC floods do not monopolise
-    /// the flash units ahead of bypassing LS requests (§III-A: the PMs
-    /// "control request completion times ... with respect to application
-    /// optimization objectives").
-    pub tc_inflight_cap: usize,
     /// Enforce that a command capsule's wire initiator byte matches the
     /// connection it arrived on (DESIGN.md §14). On mismatch the capsule
     /// is counted and dropped. Disabling this reproduces the unhardened
@@ -149,7 +138,6 @@ impl Default for OpfTargetConfig {
         OpfTargetConfig {
             queue_mode: QueueMode::PerInitiator,
             ls_bypass: true,
-            tc_inflight_cap: 64,
             enforce_identity: true,
             drain_rate: None,
         }
@@ -172,7 +160,6 @@ mod tests {
         let t = OpfTargetConfig::default();
         assert_eq!(t.queue_mode, QueueMode::PerInitiator);
         assert!(t.ls_bypass);
-        assert!(t.tc_inflight_cap >= 16);
         // Identity checking is always on; the drain limiter (which adds
         // metric keys) is strictly opt-in.
         assert!(t.enforce_identity);

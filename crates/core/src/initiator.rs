@@ -13,7 +13,7 @@ use nvmf::initiator::{PriorityPolicy, TargetRx, Violation};
 use nvmf::qpair::IoCallback;
 use nvmf::{CpuCosts, Pdu, Priority, SpdkInitiator};
 use queues::{CidQueue, CompleteResult};
-use simkit::{Kernel, Metrics, MetricsSource, Shared, SimTime, Tracer};
+use simkit::{Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime, Tracer};
 use std::collections::VecDeque;
 
 /// Priority Manager counters; the transport's are in
@@ -53,6 +53,11 @@ enum StaleDrain {
     /// The oldest outstanding drain is overdue: retransmit it.
     Resend(Sqe, Priority),
 }
+
+/// Per-CID bookkeeping cost when a coalesced completion marks many
+/// requests complete at once (vs. a full response-processing cost per
+/// request in the baseline).
+const COALESCED_COMPLETE_EACH: SimDuration = SimDuration::from_nanos(150);
 
 /// The NVMe-oPF initiator: the transport initiator
 /// ([`nvmf::SpdkInitiator`] — queue pair, retry, wire, completion) plus
@@ -627,8 +632,7 @@ impl PriorityPolicy for OpfInitiator {
                 i.io.trace(k.now(), "opf.coalesced_rx", cids.len() as u64);
                 // One response-processing cost plus per-CID bookkeeping —
                 // the initiator-side saving of coalescing.
-                let cost =
-                    i.io.costs().ini_on_resp + i.cfg.coalesced_complete_each * cids.len() as u64;
+                let cost = i.io.costs().ini_on_resp + COALESCED_COMPLETE_EACH * cids.len() as u64;
                 let finish = i.io.reserve_cpu(k.now(), cost);
                 // Dynamic window retune (§IV-D).
                 let now = k.now();

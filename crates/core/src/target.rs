@@ -195,6 +195,13 @@ struct DrainBucket {
 /// order.
 const OWNER_SHARD: u32 = 0;
 
+/// Maximum TC commands in flight at the device. The PM meters drained
+/// batches into the device so TC floods do not monopolise the flash
+/// units ahead of bypassing LS requests (§III-A: the PMs "control
+/// request completion times ... with respect to application
+/// optimization objectives").
+const TC_INFLIGHT_CAP: usize = 64;
+
 /// The NVMe-oPF target: the transport target ([`nvmf::SpdkTarget`] —
 /// connections, wire checks, R2T grants, duplicate suppression, sends)
 /// plus the Priority Manager: per-tenant TC queues, drained batches
@@ -752,7 +759,7 @@ impl OpfTarget {
         k.with_shard(OWNER_SHARD, |k| loop {
             let cmd = {
                 let mut t = this.borrow_mut();
-                if t.tc_inflight >= t.cfg.tc_inflight_cap {
+                if t.tc_inflight >= TC_INFLIGHT_CAP {
                     return;
                 }
                 match t.ready.pop_front() {
@@ -894,8 +901,7 @@ impl OpfTarget {
     }
 
     /// Sum of every tenant's TC staging-queue depth: the load signal the
-    /// cluster Priority Manager and the least-loaded placement policy
-    /// aggregate per target.
+    /// cluster Priority Manager aggregates per target.
     pub fn total_tc_depth(&self) -> usize {
         self.io.tenant_ids().map(|t| self.tc_queue_depth(t)).sum()
     }

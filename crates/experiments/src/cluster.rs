@@ -32,7 +32,7 @@ use crate::sweep::run_all;
 use crate::Durations;
 use fabric::Gbps;
 use workload::scenario::WindowSpec;
-use workload::{Mix, PlacementSpec, RunResult, RuntimeKind, Scenario, Table};
+use workload::{Mix, RunResult, RuntimeKind, Scenario, Table};
 
 /// Shard counts swept at every (tenants, targets) point. Shorter than
 /// `repro scale`'s list — the targets axis multiplies the grid.
@@ -71,7 +71,6 @@ pub fn scenario(tenants: usize, shards: usize, targets: usize, d: Durations) -> 
     sc.tc_per_node = tenants;
     sc.tc_qd = 32;
     sc.targets = targets;
-    sc.placement = PlacementSpec::RoundRobin;
     d.apply(&mut sc);
     sc.shards = shards;
     sc
@@ -229,7 +228,6 @@ pub fn adversary_scenarios(d: Durations, targets: usize) -> Vec<Scenario> {
         sc.faults = Some(profile(attack, true));
         d.apply(&mut sc);
         sc.targets = targets;
-        sc.placement = PlacementSpec::RoundRobin;
         sc.migrations = moves.clone();
         v.push(sc);
     }

@@ -3,8 +3,8 @@
 //! An [`ExperimentSpec`] writes the paper's evaluation grid (§V) once:
 //!
 //! - a **base** block holding every knob once: runtime, fabric speed,
-//!   LS and TC tenant counts, a fault profile, the cluster's targets,
-//!   placement and migrations, and the mailbox-mesh switch;
+//!   LS and TC tenant counts, a fault profile, the cluster's targets
+//!   and migrations, and the mailbox-mesh switch;
 //! - optional **axes** (`runtimes`, `speeds`, `mixes`, `ratios`): an axis
 //!   that is given replaces its base value;
 //! - optional named **rows** ([`CampaignScenario`]) that override the
@@ -35,9 +35,7 @@ use faults::{Adversary, Crash, Degrade, FaultProfile, KeepAliveSpec, LinkFlap, S
 use nvmf::RetryPolicy;
 use simkit::json::{self, Error, Json, Obj};
 use simkit::{SimDuration, SimTime};
-use workload::{
-    MigrationSpec, Mix, PlacementSpec, RunResult, RuntimeKind, Scenario, ScenarioError,
-};
+use workload::{MigrationSpec, Mix, RunResult, RuntimeKind, Scenario, ScenarioError};
 
 /// One experiment grid: base block, axes, rows, seeds and gates.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,8 +65,6 @@ pub struct ExperimentSpec {
     /// Cluster size: NVMe-oF targets per scenario (1 = the classic
     /// single-target path).
     pub targets: usize,
-    /// Tenant → target placement policy for cluster scenarios.
-    pub placement: PlacementSpec,
     /// Live migrations applied to every point.
     pub migrations: Vec<MigrationSpec>,
     /// Route cross-lane schedules through the kernel's mailbox mesh on
@@ -331,27 +327,18 @@ fn parse_faults(f: &Obj) -> Result<FaultProfile, Error> {
 }
 
 /// ```json
-/// "placement": {"policy": "pinned", "pins": [0, 1, 0]}
+/// "placement": {"policy": "round_robin"}
 /// ```
-/// Policies: `"round_robin"` (default), `"least_loaded"`, `"pinned"`
-/// (requires `pins`).
-fn parse_placement(p: &Obj) -> Result<PlacementSpec, Error> {
-    let policy = p.need("policy", p.str("policy")?)?;
-    let pins = p.items("pins", |v, at| {
-        v.as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| Error::invalid(at, format!("pin {v:?} is not an integer")))
-    })?;
-    match (policy, pins) {
-        ("round_robin" | "least_loaded", Some(_)) => Err(p.err(format!(
-            "\"pins\" only applies to policy \"pinned\" (got \"{policy}\")"
-        ))),
-        ("round_robin", None) => Ok(PlacementSpec::RoundRobin),
-        ("least_loaded", None) => Ok(PlacementSpec::LeastLoaded),
-        ("pinned", pins) => Ok(PlacementSpec::Pinned(p.need("pins", pins)?)),
-        (other, _) => Err(p.err(format!(
-            "unknown policy {other:?} (want \"round_robin\", \"least_loaded\" or \"pinned\")"
-        ))),
+/// Placement is not a knob: tenant slot *i* runs on target *i* mod
+/// `targets`. The block is read only in this spelling, the one that
+/// `opfbench/specs/cluster2_migrate.json` carries.
+fn check_placement(p: &Obj) -> Result<(), Error> {
+    match p.need("policy", p.str("policy")?)? {
+        "round_robin" if p.get("pins").is_none() => Ok(()),
+        "round_robin" => {
+            Err(p.err("\"pins\" is not supported (slot i runs on target i mod targets)"))
+        }
+        other => Err(p.err(format!("unknown policy {other:?} (want \"round_robin\")"))),
     }
 }
 
@@ -431,7 +418,6 @@ impl ExperimentSpec {
             tc: o.int("tc", 1..)?.unwrap_or(2),
             faults: None,
             targets: 1,
-            placement: PlacementSpec::RoundRobin,
             migrations: Vec::new(),
             parallel: false,
             runtimes: Vec::new(),
@@ -493,7 +479,7 @@ impl ExperimentSpec {
                 Error::invalid(at, format!("unknown speed {v:?} (want 10, 25 or 100)"))
             })
         };
-        Ok(ExperimentSpec {
+        let spec = ExperimentSpec {
             runtimes: o
                 .nonempty("runtimes", parse_runtime)?
                 .unwrap_or_else(|| vec![RuntimeKind::Spdk, RuntimeKind::Opf]),
@@ -511,17 +497,17 @@ impl ExperimentSpec {
                 .map(|f| parse_faults(&f))
                 .transpose()?,
             targets: o.int("targets", 1..)?.unwrap_or(1),
-            placement: match o.obj("placement", &["policy", "pins"])? {
-                Some(p) => parse_placement(&p)?,
-                None => PlacementSpec::RoundRobin,
-            },
             migrations: match o.obj("migration", &["moves"])? {
                 Some(m) => parse_migrations(&m)?,
                 None => Vec::new(),
             },
             parallel: o.bool("parallel")?.unwrap_or(false),
             ..base
-        })
+        };
+        if let Some(p) = o.obj("placement", &["policy", "pins"])? {
+            check_placement(&p)?;
+        }
+        Ok(spec)
     }
 
     /// Every point of the grid in its one order: runtime (outer) × speed
@@ -569,7 +555,6 @@ impl ExperimentSpec {
         sc.seed = seed;
         sc.faults = self.faults.clone();
         sc.targets = self.targets;
-        sc.placement = self.placement.clone();
         sc.migrations = self.migrations.clone();
         sc.parallel = self.parallel;
         if let Some(r) = r {

@@ -49,7 +49,7 @@ pub use metrics::{Metrics, MetricsSource};
 pub use resource::Resource;
 pub use rng::Pcg32;
 pub use time::{SimDuration, SimTime, Stopwatch};
-pub use trace::{CountingSink, RecordingSink, TraceEvent, TraceSink, Tracer};
+pub use trace::{RecordingSink, TraceEvent, Tracer};
 
 use std::cell::RefCell;
 use std::rc::Rc;

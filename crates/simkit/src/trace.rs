@@ -1,14 +1,12 @@
 //! Lightweight structured tracing for simulations.
 //!
-//! Components emit [`TraceEvent`]s to an optional [`TraceSink`]; the
-//! default sink discards them with zero allocation so tracing costs
-//! nothing when disabled. The experiment harness installs a counting sink
-//! for completion-notification accounting (Figure 6(c)) and tests install
-//! a recording sink to assert on protocol behaviour.
+//! Components emit [`TraceEvent`]s through a [`Tracer`]; a disabled
+//! tracer drops them with zero allocation, so tracing costs nothing when
+//! off. A recording tracer keeps every event in order, for protocol
+//! tests and the benchmark's trace twin.
 
 use crate::time::SimTime;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// A structured trace point emitted by simulation components.
@@ -24,50 +22,6 @@ pub struct TraceEvent {
     pub detail: u64,
 }
 
-/// Receives trace events.
-pub trait TraceSink {
-    /// Handle one event.
-    fn emit(&mut self, ev: TraceEvent);
-}
-
-/// Discards everything (the default).
-#[derive(Default, Clone, Copy, Debug)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn emit(&mut self, _ev: TraceEvent) {}
-}
-
-/// Counts events per `kind`.
-#[derive(Default, Clone, Debug)]
-pub struct CountingSink {
-    counts: BTreeMap<&'static str, u64>,
-}
-
-impl CountingSink {
-    /// New empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Count for a given kind (zero when never seen).
-    pub fn count(&self, kind: &'static str) -> u64 {
-        self.counts.get(kind).copied().unwrap_or(0)
-    }
-
-    /// All (kind, count) pairs in lexical order.
-    pub fn all(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counts.iter().map(|(k, v)| (*k, *v))
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn emit(&mut self, ev: TraceEvent) {
-        *self.counts.entry(ev.kind).or_insert(0) += 1;
-    }
-}
-
 /// Records every event; for protocol-behaviour tests.
 #[derive(Default, Clone, Debug)]
 pub struct RecordingSink {
@@ -75,17 +29,11 @@ pub struct RecordingSink {
     pub events: Vec<TraceEvent>,
 }
 
-impl TraceSink for RecordingSink {
-    fn emit(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-}
-
 /// A cloneable handle to a shared sink, suitable for wiring one sink into
 /// many components.
 #[derive(Clone)]
 pub struct Tracer {
-    sink: Option<Rc<RefCell<dyn TraceSink>>>,
+    sink: Option<Rc<RefCell<RecordingSink>>>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -108,22 +56,12 @@ impl Tracer {
         Tracer { sink: None }
     }
 
-    /// A tracer feeding the given shared sink.
-    pub fn to_sink(sink: Rc<RefCell<dyn TraceSink>>) -> Self {
-        Tracer { sink: Some(sink) }
-    }
-
-    /// Convenience: build a shared [`CountingSink`] and a tracer over it.
-    pub fn counting() -> (Rc<RefCell<CountingSink>>, Tracer) {
-        let sink = Rc::new(RefCell::new(CountingSink::new()));
-        let tracer = Tracer::to_sink(sink.clone());
-        (sink, tracer)
-    }
-
-    /// Convenience: build a shared [`RecordingSink`] and a tracer over it.
+    /// Build a shared [`RecordingSink`] and a tracer over it.
     pub fn recording() -> (Rc<RefCell<RecordingSink>>, Tracer) {
         let sink = Rc::new(RefCell::new(RecordingSink::default()));
-        let tracer = Tracer::to_sink(sink.clone());
+        let tracer = Tracer {
+            sink: Some(sink.clone()),
+        };
         (sink, tracer)
     }
 
@@ -131,19 +69,13 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, at: SimTime, kind: &'static str, who: u32, detail: u64) {
         if let Some(sink) = &self.sink {
-            sink.borrow_mut().emit(TraceEvent {
+            sink.borrow_mut().events.push(TraceEvent {
                 at,
                 kind,
                 who,
                 detail,
             });
         }
-    }
-
-    /// Whether a sink is attached.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
     }
 }
 
@@ -152,24 +84,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_sink_drops() {
+    fn disabled_tracer_drops() {
         let t = Tracer::disabled();
-        assert!(!t.is_enabled());
         t.emit(SimTime::ZERO, "x", 0, 0); // must not panic
-    }
-
-    #[test]
-    fn counting_sink_counts_by_kind() {
-        let (sink, t) = Tracer::counting();
-        for i in 0..5 {
-            t.emit(SimTime::from_nanos(i), "pdu.tx", 1, i);
-        }
-        t.emit(SimTime::ZERO, "pdu.rx", 2, 0);
-        assert_eq!(sink.borrow().count("pdu.tx"), 5);
-        assert_eq!(sink.borrow().count("pdu.rx"), 1);
-        assert_eq!(sink.borrow().count("absent"), 0);
-        let all: Vec<_> = sink.borrow().all().collect();
-        assert_eq!(all, vec![("pdu.rx", 1), ("pdu.tx", 5)]);
+        assert!(t.sink.is_none());
     }
 
     #[test]
@@ -187,10 +105,11 @@ mod tests {
 
     #[test]
     fn tracer_clones_share_the_sink() {
-        let (sink, t) = Tracer::counting();
+        let (sink, t) = Tracer::recording();
         let t2 = t.clone();
         t.emit(SimTime::ZERO, "k", 0, 0);
-        t2.emit(SimTime::ZERO, "k", 0, 0);
-        assert_eq!(sink.borrow().count("k"), 2);
+        t2.emit(SimTime::ZERO, "k", 0, 1);
+        let details: Vec<u64> = sink.borrow().events.iter().map(|e| e.detail).collect();
+        assert_eq!(details, vec![0, 1]);
     }
 }

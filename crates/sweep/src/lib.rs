@@ -62,13 +62,14 @@
 //! protocol-level attacks (see [`faults::Adversary`]); `harden` selects
 //! whether the targets keep their DESIGN.md §14 defenses on.
 //!
-//! Cluster scenarios (DESIGN.md §16) add three more knobs — `"targets"`
-//! (the cluster size), a `"placement"` block, and a `"migration"` block.
+//! Cluster scenarios (DESIGN.md §16) add two more knobs — `"targets"`
+//! (the cluster size) and a `"migration"` block. Tenant slot *i* runs on
+//! target *i* mod `targets`; a `"placement"` block is accepted only as
+//! `{"policy": "round_robin"}`, which says just that.
 //!
 //! ```json
 //! {
 //!   "targets": 2,
-//!   "placement": {"policy": "pinned", "pins": [0, 1, 0]},
 //!   "migration": {"moves": [{"tenant": 1, "at_s": 0.05, "to_target": 0}]}
 //! }
 //! ```
@@ -194,7 +195,7 @@ mod tests {
     use super::*;
     use fabric::Gbps;
     use simkit::SimDuration;
-    use workload::{MigrationSpec, PlacementSpec};
+    use workload::MigrationSpec;
 
     const TINY: &str = r#"{
         "name": "tiny",
@@ -397,12 +398,11 @@ mod tests {
     fn cluster_blocks_parse_and_propagate() {
         let spec = SweepSpec::from_json(
             r#"{"name":"cl","runtimes":["opf"],"targets":2,
-                "placement":{"policy":"pinned","pins":[0,1,0]},
+                "placement":{"policy":"round_robin"},
                 "migration":{"moves":[{"tenant":1,"at_s":0.05,"to_target":0}]}}"#,
         )
         .unwrap();
         assert_eq!(spec.targets, 2);
-        assert_eq!(spec.placement, PlacementSpec::Pinned(vec![0, 1, 0]));
         assert_eq!(
             spec.migrations,
             vec![MigrationSpec {
@@ -414,10 +414,9 @@ mod tests {
         let (_, sc) = &spec.expand()[0];
         assert_eq!(sc.targets, 2);
         assert!(sc.is_cluster());
-        // Defaults when absent: single target, round-robin, no moves.
+        // Defaults when absent: single target, no moves.
         let plain = SweepSpec::from_json(r#"{"name":"x"}"#).unwrap();
         assert_eq!(plain.targets, 1);
-        assert_eq!(plain.placement, PlacementSpec::RoundRobin);
         assert!(plain.migrations.is_empty());
         assert!(!plain.expand()[0].1.is_cluster());
     }
@@ -448,7 +447,12 @@ mod tests {
             (
                 r#"{"name":"x","runtimes":["opf"],"targets":2,
                     "placement":{"policy":"round_robin","pins":[0]}}"#,
-                "pins without pinned policy",
+                "pins",
+            ),
+            (
+                r#"{"name":"x","runtimes":["opf"],"targets":2,
+                    "placement":{"policy":"pinned","pins":[0,1,0]}}"#,
+                "pinned policy",
             ),
             (
                 r#"{"name":"x","runtimes":["opf"],"targets":2,

@@ -13,6 +13,7 @@
 //! under `--out`, and exits non-zero if any gate fails. Output is
 //! bit-identical across runs of the same spec.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -76,7 +77,7 @@ fn main() -> ExitCode {
         return if summary.pass {
             ExitCode::SUCCESS
         } else {
-            eprintln!("sweep: campaign expectation gate FAILED");
+            say("sweep: campaign expectation gate FAILED");
             ExitCode::FAILURE
         };
     }
@@ -90,7 +91,7 @@ fn main() -> ExitCode {
     spec.threads = threads.or(spec.threads);
 
     let points = spec.expand();
-    eprintln!(
+    say(&format!(
         "sweep \"{}\": {} points ({} runtimes x {} speeds x {} mixes x {} ratios x {} seeds)",
         spec.name,
         points.len(),
@@ -99,7 +100,7 @@ fn main() -> ExitCode {
         spec.mixes.len(),
         spec.ratios.len(),
         spec.seeds.len(),
-    );
+    ));
 
     let results = run_spec(&spec);
 
@@ -121,6 +122,12 @@ fn main() -> ExitCode {
 }
 
 fn fail(msg: &str) -> ExitCode {
-    eprintln!("sweep: {msg}\n{USAGE}");
+    say(&format!("sweep: {msg}\n{USAGE}"));
     ExitCode::FAILURE
+}
+
+/// One line to stderr. A closed stderr is no reason to panic: the exit
+/// code still tells the caller what happened.
+fn say(msg: &str) {
+    let _ = writeln!(io::stderr(), "{msg}");
 }

@@ -205,3 +205,32 @@ fn no_reader_keeps_its_own_key_check() {
     }
     assert!(hits.is_empty(), "per-reader key checks: {hits:?}");
 }
+
+/// Placement is arithmetic (tenant slot i on target i mod targets): the
+/// sweep door reads a `placement` block only in the one spelling that
+/// says so, and names the block when it refuses one.
+#[test]
+fn placement_reads_only_as_round_robin() {
+    for doc in [
+        r#"{"name":"x","placement":{"policy":"least_loaded"}}"#,
+        r#"{"name":"x","placement":{"policy":"pinned","pins":[0,1,0]}}"#,
+        r#"{"name":"x","placement":{"policy":"round_robin","pins":[0]}}"#,
+    ] {
+        let err = SweepSpec::from_json(doc).unwrap_err();
+        assert!(err.starts_with("placement: "), "{doc}: {err}");
+    }
+    let spec = SweepSpec::from_json(r#"{"name":"x","placement":{"policy":"round_robin"}}"#);
+    assert_eq!(spec, SweepSpec::from_json(r#"{"name":"x"}"#));
+}
+
+/// The benchmark's checked-in specs parse through their own doors, so a
+/// reader change that would break the benchmark fails here too.
+#[test]
+fn the_benchmark_specs_parse() {
+    let sweep = include_str!("../../../opfbench/specs/cluster2_migrate.json");
+    let spec = SweepSpec::from_json(sweep).unwrap();
+    assert_eq!((spec.targets, spec.migrations.len()), (2, 2));
+    let campaign = include_str!("../../../opfbench/specs/campaign_openloop_lossy.json");
+    let spec = CampaignSpec::from_json_str(campaign).unwrap();
+    assert!(!spec.scenarios.is_empty());
+}

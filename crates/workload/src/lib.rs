@@ -27,7 +27,7 @@ pub mod trace;
 pub mod traffic;
 pub mod volume;
 
-pub use cluster::{MigrationSpec, PlacementSpec};
+pub use cluster::MigrationSpec;
 pub use hist::Histogram;
 pub use mix::Mix;
 pub use pool::map;

@@ -1057,7 +1057,6 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
         ls_bypass: !sc.no_ls_bypass,
         enforce_identity: adversary.is_none_or(|a| a.harden),
         drain_rate: adversary.and_then(|a| a.harden.then(opf::DrainRateLimit::default)),
-        ..OpfTargetConfig::default()
     };
     env.tenant_cfg = OpfInitiatorConfig {
         window: sc.resolve_window(),
@@ -1093,8 +1092,6 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
     // (Figure 7 places every initiator on an individual node).
     let node_ep = (!sc.separate_nodes).then(|| env.net.add_endpoint(format!("ini-node{group}")));
     let per_node = sc.ls_per_node + sc.tc_per_node;
-    let mut place_policy = sc.placement.policy();
-    let mut placed = vec![0usize; targets_n];
     let mut tenants: Vec<Tenant> = Vec::with_capacity(per_node);
     let mut drivers = Vec::new();
     let mut open_tenants: Vec<(Rc<RefCell<OpenTenant>>, SimTime, u32)> = Vec::new();
@@ -1104,17 +1101,17 @@ fn run_group(sc: &Scenario, group: usize) -> GroupOut {
             None => env.net.add_endpoint(format!("ini{group}-{slot}")),
         };
         let (class, qd, hist) = if slot < sc.ls_per_node {
-            (ReqClass::LatencySensitive, sc.ls_qd, ls_hist.clone())
+            (ReqClass::LatencySensitive, 1, ls_hist.clone())
         } else {
             (ReqClass::ThroughputCritical, sc.tc_qd, tc_hist.clone())
         };
         let global_idx = (group * per_node + slot) as u64;
         // The tenant's whole event chain — issue loop, deliveries, its
         // reactor's queue work — runs on this lane: round-robin over the
-        // run's global tenant order (DESIGN.md §13).
+        // run's global tenant order (DESIGN.md §13). Its home target is
+        // round-robin over the group's targets (§16).
         let lane = (global_idx % shards as u64) as u32;
-        let home = place_policy.place(slot, targets_n, &placed);
-        placed[home] += 1;
+        let home = slot % targets_n;
         let (ini, rx) = connect_tenant(
             &env,
             &nodes[home],

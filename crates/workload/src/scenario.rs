@@ -3,7 +3,7 @@
 
 use crate::mix::Mix;
 use crate::traffic::ArrivalModel;
-use cluster::{MigrationSpec, PlacementSpec};
+use cluster::MigrationSpec;
 use fabric::Gbps;
 
 /// NVMe-oF transport binding.
@@ -89,10 +89,9 @@ pub struct Scenario {
     pub pattern: Pattern,
     /// Transport binding (paper: TCP).
     pub transport: Transport,
-    /// TC queue depth (paper: 128).
+    /// TC queue depth (paper: 128). Every LS tenant runs at queue
+    /// depth 1.
     pub tc_qd: usize,
-    /// LS queue depth (paper: 1).
-    pub ls_qd: usize,
     /// Window policy (NVMe-oPF only).
     pub window: WindowSpec,
     /// Warmup simulated seconds (excluded from measurement).
@@ -122,14 +121,10 @@ pub struct Scenario {
     /// Number of NVMe-oF targets per pair. 1 (the default) is the
     /// paper's topology, bit-identical to pre-cluster builds; >1 makes
     /// the run a cluster ([`Scenario::is_cluster`]): per-target
-    /// endpoints/SSDs behind a leaf/spine fabric, tenants spread by
-    /// `placement`, and the cluster priority manager ticking
-    /// (DESIGN.md §16). Cluster mode is NVMe-oPF only, one pair.
+    /// endpoints/SSDs behind a leaf/spine fabric, tenant slot *i* on
+    /// target *i* mod `targets`, and the cluster priority manager
+    /// ticking (DESIGN.md §16). Cluster mode is NVMe-oPF only, one pair.
     pub targets: usize,
-    /// How tenants map onto targets (and, through the same trait, onto
-    /// kernel lanes). Round-robin reproduces the historical assignment
-    /// exactly.
-    pub placement: PlacementSpec,
     /// Live migrations to run, each moving one tenant to another target
     /// mid-measurement. Non-empty makes the run a cluster and so arms
     /// the recovery plane (retry + re-drain), since the post-move
@@ -161,7 +156,7 @@ pub enum ScenarioError {
         /// Largest count the scenario's mode can address.
         max: usize,
     },
-    /// A cluster on the baseline runtime, which has no placement,
+    /// A cluster on the baseline runtime, which has no cluster
     /// manager or migration plane.
     ClusterNeedsOpf,
     /// A cluster with `pairs != 1`: the targets axis replaces the pairs
@@ -196,13 +191,11 @@ pub enum ScenarioError {
         /// indices).
         initiators: usize,
     },
-    /// A queue depth outside `[1, max]`: on NVMe-oPF `max` is
+    /// A TC queue depth outside `[1, max]`: on NVMe-oPF `max` is
     /// `opf::MAX_QUEUE_DEPTH`, since the target's queue keys cannot hold
     /// the CIDs a deeper queue pair allocates (it would drop them as out
     /// of range); on the baseline it is [`nvmf::QPair::MAX_DEPTH`].
     QueueDepthOutOfRange {
-        /// Which knob: `"tc_qd"` or `"ls_qd"`.
-        what: &'static str,
         /// Depth asked for.
         qd: usize,
         /// Deepest queue pair the runtime can build.
@@ -285,8 +278,8 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "fault {what} {index} out of range ({initiators} initiators)"
             ),
-            ScenarioError::QueueDepthOutOfRange { what, qd, max } => {
-                write!(f, "{what} = {qd} outside the queue-depth range [1, {max}]")
+            ScenarioError::QueueDepthOutOfRange { qd, max } => {
+                write!(f, "tc_qd = {qd} outside the queue-depth range [1, {max}]")
             }
             ScenarioError::ShardsOutOfRange { shards, max } => {
                 write!(f, "shards = {shards} out of range (at most {max})")
@@ -342,7 +335,6 @@ impl Scenario {
             pattern: Pattern::Sequential,
             transport: Transport::Tcp,
             tc_qd: 128,
-            ls_qd: 1,
             window: WindowSpec::Auto,
             warmup_s: 0.25,
             measure_s: 1.0,
@@ -353,7 +345,6 @@ impl Scenario {
             faults: None,
             shards: 1,
             targets: 1,
-            placement: PlacementSpec::RoundRobin,
             migrations: Vec::new(),
             parallel: false,
             traffic: None,
@@ -438,10 +429,11 @@ impl Scenario {
             RuntimeKind::Opf => opf::MAX_QUEUE_DEPTH,
             RuntimeKind::Spdk => nvmf::QPair::MAX_DEPTH,
         };
-        for (what, qd) in [("tc_qd", self.tc_qd), ("ls_qd", self.ls_qd)] {
-            if !(1..=max).contains(&qd) {
-                return Err(ScenarioError::QueueDepthOutOfRange { what, qd, max });
-            }
+        if !(1..=max).contains(&self.tc_qd) {
+            return Err(ScenarioError::QueueDepthOutOfRange {
+                qd: self.tc_qd,
+                max,
+            });
         }
         if let Some(ArrivalModel::Trace(log)) = self.traffic.as_ref().map(|t| &t.model) {
             let tenants = self.pairs.saturating_mul(self.tc_per_node);
@@ -604,7 +596,7 @@ mod tests {
             }),
             ..opf()
         };
-        let cases: [(Scenario, Result<(), ScenarioError>); 35] = [
+        let cases: [(Scenario, Result<(), ScenarioError>); 33] = [
             (traced(3), Ok(())),
             (
                 traced(4),
@@ -633,16 +625,7 @@ mod tests {
                     ..opf()
                 },
                 Err(QueueDepthOutOfRange {
-                    what: "tc_qd",
                     qd: 1025,
-                    max: 1024,
-                }),
-            ),
-            (
-                Scenario { ls_qd: 0, ..opf() },
-                Err(QueueDepthOutOfRange {
-                    what: "ls_qd",
-                    qd: 0,
                     max: 1024,
                 }),
             ),
@@ -660,23 +643,7 @@ mod tests {
                     runtime: RuntimeKind::Spdk,
                     ..opf()
                 },
-                Err(QueueDepthOutOfRange {
-                    what: "tc_qd",
-                    qd: 0,
-                    max: 65535,
-                }),
-            ),
-            (
-                Scenario {
-                    ls_qd: 65536,
-                    runtime: RuntimeKind::Spdk,
-                    ..opf()
-                },
-                Err(QueueDepthOutOfRange {
-                    what: "ls_qd",
-                    qd: 65536,
-                    max: 65535,
-                }),
+                Err(QueueDepthOutOfRange { qd: 0, max: 65535 }),
             ),
             (
                 Scenario {

@@ -24,7 +24,7 @@ use faults::{Adversary, FaultProfile};
 use nvmf::RetryPolicy;
 use proptest::prelude::*;
 use simkit::SimDuration;
-use workload::{Mix, PlacementSpec, RuntimeKind, Scenario};
+use workload::{Mix, RuntimeKind, Scenario};
 
 /// Full snapshot as comparable data (name-sorted inside `Metrics`).
 fn snapshot(r: &workload::RunResult) -> Vec<(String, f64)> {
@@ -37,7 +37,6 @@ fn cluster_scenario(ls: usize, tc: usize, targets: usize, seed: u64) -> Scenario
     sc.measure_s = 0.03;
     sc.seed = seed;
     sc.targets = targets;
-    sc.placement = PlacementSpec::RoundRobin;
     sc
 }
 

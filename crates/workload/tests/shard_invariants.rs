@@ -92,7 +92,7 @@ proptest! {
             let comp = m.get(&format!("ini{i}.completed")).unwrap_or(-1.0);
             prop_assert!(sub >= 0.0 && comp >= 0.0, "tenant {i} snapshot missing");
             prop_assert!(comp > 0.0, "tenant {i} never completed anything");
-            let qd = if i < ls { sc.ls_qd } else { sc.tc_qd } as f64;
+            let qd = if i < ls { 1 } else { sc.tc_qd } as f64;
             if faulty {
                 // Settle window drained the tail: exactly-once, exactly.
                 prop_assert_eq!(comp, sub, "tenant {} lost or duplicated commands", i);
