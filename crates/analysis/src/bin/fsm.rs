@@ -14,7 +14,7 @@
 //! scenario JSON. `--replay <file>` replays a scenario file instead of
 //! exploring, printing the violation it reproduces.
 
-use analysis::fsm::{check, replay, scenario, Config, Outcome, Violation};
+use analysis::fsm::{check, replay, scenario, Config, Hazard, Outcome};
 use std::process::ExitCode;
 
 fn run_matrix(emit_dir: Option<&str>) -> ExitCode {
@@ -45,7 +45,7 @@ fn run_matrix(emit_dir: Option<&str>) -> ExitCode {
 
     let unhardened = Config::forged_ls_witness(false);
     match check(&unhardened) {
-        Outcome::Violated(cx) if cx.violation == Violation::CidQueueOverflow => {
+        Outcome::Violated(cx) if cx.violation == Hazard::CidQueueOverflow => {
             println!(
                 "fsm: unhardened forged-LS witness: reproduces PR6 {} in {} actions (expected)",
                 cx.violation,

@@ -190,9 +190,9 @@ impl State {
     }
 }
 
-/// A violated model assertion.
+/// A violated model assertion: the hazard a counterexample reaches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Violation {
+pub enum Hazard {
     /// The CID queue exceeded `qd + window` — the real initiator panics
     /// here (`cid_queue.push(cid).expect(...)` in `core::initiator`).
     CidQueueOverflow,
@@ -202,12 +202,12 @@ pub enum Violation {
     Deadlock,
 }
 
-impl fmt::Display for Violation {
+impl fmt::Display for Hazard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Violation::CidQueueOverflow => "cid-queue-overflow",
-            Violation::DoubleCompletion => "double-completion",
-            Violation::Deadlock => "deadlock",
+            Hazard::CidQueueOverflow => "cid-queue-overflow",
+            Hazard::DoubleCompletion => "double-completion",
+            Hazard::Deadlock => "deadlock",
         })
     }
 }
@@ -216,7 +216,7 @@ impl fmt::Display for Violation {
 /// initial state.
 #[derive(Clone, Debug)]
 pub struct Counterexample {
-    pub violation: Violation,
+    pub violation: Hazard,
     pub schedule: Vec<Action>,
 }
 
@@ -303,7 +303,7 @@ fn enabled(cfg: &Config, s: &State) -> Vec<Action> {
 
 /// Apply `a` to `s`. Returns the successor state, or the violation the
 /// action exposes.
-fn step(cfg: &Config, s: &State, a: Action) -> Result<State, Violation> {
+fn step(cfg: &Config, s: &State, a: Action) -> Result<State, Hazard> {
     let mut n = s.clone();
     match a {
         Action::Issue => {
@@ -328,7 +328,7 @@ fn step(cfg: &Config, s: &State, a: Action) -> Result<State, Violation> {
             // `.expect("CID queue sized for QD + window")` — a full
             // queue here is a reachable panic, i.e. a violation.
             if n.cid_queue.len() == cfg.cid_cap() {
-                return Err(Violation::CidQueueOverflow);
+                return Err(Hazard::CidQueueOverflow);
             }
             n.cid_queue.push((cid, epoch, cmd));
             n.net.push(Msg::Cmd {
@@ -453,10 +453,10 @@ fn step(cfg: &Config, s: &State, a: Action) -> Result<State, Violation> {
     Ok(n)
 }
 
-fn bump(s: &mut State, cmd: usize) -> Result<(), Violation> {
+fn bump(s: &mut State, cmd: usize) -> Result<(), Hazard> {
     s.completed[cmd] += 1;
     if s.completed[cmd] > 1 {
-        return Err(Violation::DoubleCompletion);
+        return Err(Hazard::DoubleCompletion);
     }
     Ok(())
 }
@@ -477,7 +477,7 @@ pub fn check(cfg: &Config) -> Outcome {
                 continue;
             }
             return Outcome::Violated(Counterexample {
-                violation: Violation::Deadlock,
+                violation: Hazard::Deadlock,
                 schedule: trace,
             });
         }
@@ -518,7 +518,7 @@ pub enum ReplayError {
 /// Re-run a recorded schedule against `cfg`. Returns the violation the
 /// schedule triggers (`None` if it completes cleanly), or a
 /// [`ReplayError`] if the schedule has diverged from the model.
-pub fn replay(cfg: &Config, schedule: &[Action]) -> Result<Option<Violation>, ReplayError> {
+pub fn replay(cfg: &Config, schedule: &[Action]) -> Result<Option<Hazard>, ReplayError> {
     let mut s = State::init(cfg);
     for (index, &action) in schedule.iter().enumerate() {
         if !enabled(cfg, &s).contains(&action) {
@@ -543,11 +543,11 @@ mod tests {
         let cx = out
             .counterexample()
             .expect("pre-PR6 initiator must reach the CID-queue overflow");
-        assert_eq!(cx.violation, Violation::CidQueueOverflow);
+        assert_eq!(cx.violation, Hazard::CidQueueOverflow);
         // The witness replays to the same violation.
         assert_eq!(
             replay(&cfg, &cx.schedule),
-            Ok(Some(Violation::CidQueueOverflow))
+            Ok(Some(Hazard::CidQueueOverflow))
         );
         // And the schedule really exercises the forged-LS path.
         assert!(cx.schedule.iter().any(|a| matches!(a, Action::ForgeLs(_))));

@@ -7,7 +7,7 @@
 //! The format is emitted here and read back through the workspace's one
 //! JSON reader (the dependency-free `json` leaf crate).
 
-use super::{Action, Config, Counterexample, Violation};
+use super::{Action, Config, Counterexample, Hazard};
 use json::Json;
 
 /// Serialize a counterexample with the configuration that produced it.
@@ -108,9 +108,9 @@ fn read(doc: &Json) -> Result<(Config, Counterexample), json::Error> {
         hardened: flag("hardened")?,
     };
     let violation = match root.need("violation", root.str("violation")?)? {
-        "cid-queue-overflow" => Violation::CidQueueOverflow,
-        "double-completion" => Violation::DoubleCompletion,
-        "deadlock" => Violation::Deadlock,
+        "cid-queue-overflow" => Hazard::CidQueueOverflow,
+        "double-completion" => Hazard::DoubleCompletion,
+        "deadlock" => Hazard::Deadlock,
         other => return Err(root.err(format!("unknown violation `{other}`"))),
     };
     let schedule = root.items("schedule", |a, at| {

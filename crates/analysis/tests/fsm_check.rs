@@ -2,7 +2,7 @@
 //! gates on, plus the emit → parse → replay loop a developer follows
 //! when a counterexample lands in CI output.
 
-use analysis::fsm::{check, replay, scenario, Action, Config, Outcome, Violation};
+use analysis::fsm::{check, replay, scenario, Action, Config, Hazard, Outcome};
 
 #[test]
 fn hardened_matrix_is_clean_and_unhardened_reproduces_pr6() {
@@ -25,7 +25,7 @@ fn hardened_matrix_is_clean_and_unhardened_reproduces_pr6() {
     // the code it abstracts.
     let cfg = Config::forged_ls_witness(false);
     let cx = check(&cfg).counterexample().cloned().expect("must violate");
-    assert_eq!(cx.violation, Violation::CidQueueOverflow);
+    assert_eq!(cx.violation, Hazard::CidQueueOverflow);
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn emitted_scenario_replays_from_disk_roundtrip() {
     assert_eq!(parsed_cfg, cfg);
     assert_eq!(
         replay(&parsed_cfg, &parsed_cx.schedule),
-        Ok(Some(Violation::CidQueueOverflow))
+        Ok(Some(Hazard::CidQueueOverflow))
     );
 
     // The same schedule against the hardened config must NOT reproduce:

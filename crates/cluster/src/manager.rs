@@ -297,7 +297,6 @@ mod tests {
             Rc::new(|_, _, _| {}),
             CpuCosts::cl(),
             OpfInitiatorConfig::default(),
-            Tracer::disabled(),
         ));
         Migration {
             tenant,

@@ -16,8 +16,8 @@
 use fabric::{Endpoint, LinkProfile, Network};
 use simkit::{Shared, SimDuration};
 
-/// Default spine traversal cost added on top of the extra hop.
-pub const DEFAULT_SPINE_LATENCY_US: f64 = 2.0;
+/// Spine traversal cost added on top of the extra hop.
+pub const SPINE_LATENCY: SimDuration = SimDuration::from_micros(2);
 
 /// Install the leaf/spine profiles: for every tenant endpoint `i` with
 /// home target `home[i]`, every non-home target in `targets` gets a
@@ -68,13 +68,12 @@ mod tests {
         let t1 = net.add_endpoint("tgt1");
         let a = net.add_endpoint("ini-a");
         let b = net.add_endpoint("ini-b");
-        let spine = SimDuration::from_micros(2);
         let n = install_switched_topology(
             &net,
             &[a.clone(), b.clone()],
             &[0, 1],
             &[t0.clone(), t1.clone()],
-            spine,
+            SPINE_LATENCY,
         );
         // Each tenant has exactly one non-home target, two directions.
         assert_eq!(n, 4);
@@ -86,7 +85,7 @@ mod tests {
         // Cross links profiled in both directions.
         let p = net.link_profile(a_id, t1_id).expect("cross link");
         assert_eq!(p.hops, 2);
-        assert_eq!(p.extra_latency, spine);
+        assert_eq!(p.extra_latency, SPINE_LATENCY);
         assert!(net.link_profile(t1_id, a_id).is_some());
         assert!(net.link_profile(b_id, t0_id).is_some());
         assert!(net.link_profile(t0_id, b_id).is_some());

@@ -58,9 +58,6 @@ pub struct OpfInitiatorConfig {
     /// below the window rate. `None` disables the timer (the paper's
     /// design, which assumes saturating closed-loop streams).
     pub drain_timeout: Option<SimDuration>,
-    /// Capacity of the CID queue (sized ≥ queue depth + window so a full
-    /// pipeline can never overflow it — the §IV-A lock-up guard).
-    pub cid_queue_capacity: usize,
     /// Bounded retransmission for commands that expect a direct response
     /// (LS commands and draining TC flags). `None` disables recovery: a
     /// lost capsule hangs its CID forever, as the lossless-fabric design
@@ -78,7 +75,6 @@ impl Default for OpfInitiatorConfig {
         OpfInitiatorConfig {
             window: WindowPolicy::Static(32),
             drain_timeout: Some(SimDuration::from_micros(500)),
-            cid_queue_capacity: 512,
             retry: None,
             redrain_timeout: None,
         }
@@ -153,7 +149,6 @@ mod tests {
         let i = OpfInitiatorConfig::default();
         assert_eq!(i.window.initial(), 32);
         assert!(i.drain_timeout.is_some());
-        assert!(i.cid_queue_capacity >= 128 + 32);
         // Recovery is strictly opt-in: defaults stay lossless-fabric.
         assert!(i.retry.is_none());
         assert!(i.redrain_timeout.is_none());

@@ -4,16 +4,15 @@
 //! [`PriorityPolicy`] over the one transport initiator in `nvmf`.
 
 use crate::config::{OpfInitiatorConfig, ReqClass, WindowPolicy};
-use crate::error::{ProtocolError, ProtocolSide};
 use crate::window::DynamicWindow;
 use bytes::Bytes;
 use fabric::{Endpoint, Network};
 use nvme::{Cqe, Opcode, Sqe, Status};
-use nvmf::initiator::{PriorityPolicy, TargetRx, Violation};
+use nvmf::initiator::{PriorityPolicy, TargetRx};
 use nvmf::qpair::IoCallback;
-use nvmf::{CpuCosts, Pdu, Priority, SpdkInitiator};
+use nvmf::{CpuCosts, Pdu, Priority, ProtocolError, SpdkInitiator};
 use queues::{CidQueue, CompleteResult};
-use simkit::{Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime, Tracer};
+use simkit::{Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Priority Manager counters; the transport's are in
@@ -59,6 +58,11 @@ enum StaleDrain {
 /// request in the baseline).
 const COALESCED_COMPLETE_EACH: SimDuration = SimDuration::from_nanos(150);
 
+/// Capacity of the CID queue; `OpfInitiator::new` raises it to queue
+/// depth + window when that is larger, so a full pipeline can never
+/// overflow it (the §IV-A lock-up guard).
+const CID_QUEUE_CAPACITY: usize = 512;
+
 /// The NVMe-oPF initiator: the transport initiator
 /// ([`nvmf::SpdkInitiator`] — queue pair, retry, wire, completion) plus
 /// the Priority Manager: per-request class tags, automatic draining
@@ -95,8 +99,6 @@ pub struct OpfInitiator {
     cid_pool: Vec<Vec<u16>>,
     /// Counters.
     pub stats: OpfInitiatorStats,
-    /// Most recent protocol violation, kept for diagnostics.
-    last_protocol_error: Option<ProtocolError>,
 }
 
 impl OpfInitiator {
@@ -111,15 +113,14 @@ impl OpfInitiator {
         target_rx: TargetRx,
         costs: CpuCosts,
         cfg: OpfInitiatorConfig,
-        tracer: Tracer,
     ) -> Self {
         let window = cfg.window.initial().clamp(1, qd as u32);
         let dynamic = match cfg.window {
             WindowPolicy::Dynamic { initial } => Some(DynamicWindow::new(initial)),
             WindowPolicy::Static(_) => None,
         };
-        let cap = cfg.cid_queue_capacity.max(qd + window as usize);
-        let mut io = SpdkInitiator::new(id, qd, net, ep, target_ep, target_rx, costs, tracer);
+        let cap = CID_QUEUE_CAPACITY.max(qd + window as usize);
+        let mut io = SpdkInitiator::new(id, qd, net, ep, target_ep, target_rx, costs);
         if let Some(policy) = cfg.retry {
             io.set_retry(policy);
         }
@@ -139,21 +140,7 @@ impl OpfInitiator {
             drain_sent_at: VecDeque::new(),
             cid_pool: Vec::new(),
             stats: OpfInitiatorStats::default(),
-            last_protocol_error: None,
         }
-    }
-
-    /// Most recent protocol violation, if any.
-    pub fn last_protocol_error(&self) -> Option<&ProtocolError> {
-        self.last_protocol_error.as_ref()
-    }
-
-    /// Record a protocol violation: count it, keep it for diagnostics,
-    /// trace it — and let the caller drop the offending PDU.
-    fn note_protocol_error(&mut self, now: SimTime, err: ProtocolError) {
-        self.io.stats.protocol_errors += 1;
-        self.io.trace(now, "opf.protocol_error", 0);
-        self.last_protocol_error = Some(err);
     }
 
     /// Queue pair depth.
@@ -233,7 +220,6 @@ impl OpfInitiator {
                         i.window_generation += 1;
                         i.stats.drains_sent += 1;
                         i.drain_sent_at.push_back((now, cid));
-                        i.io.trace(now, "opf.drain_tx", u64::from(cid));
                     }
                     Priority::ThroughputCritical { draining }
                 }
@@ -307,7 +293,6 @@ impl OpfInitiator {
                         StaleDrain::Wait => Act::Rearm,
                         StaleDrain::Resend(sqe, priority) => {
                             i.stats.redrains += 1;
-                            i.io.trace(k.now(), "opf.redrain", u64::from(sqe.cid));
                             Act::Redrain(i.io.reserve_submit(k.now()), sqe, priority)
                         }
                     }
@@ -438,7 +423,6 @@ impl OpfInitiator {
             let i = &mut *i;
             i.io.retarget(target_ep, target_rx);
             i.stats.rehomes += 1;
-            i.io.trace(k.now(), "opf.rehome", 0);
             // TC CIDs first, in issue order — the CID queue is the
             // drain-order ground truth. It has no non-destructive
             // iteration, so drain into scratch and re-push identically.
@@ -495,25 +479,8 @@ impl OpfInitiator {
 }
 
 impl PriorityPolicy for OpfInitiator {
-    const RETRY_TRACE: &'static str = "opf.retry";
-
     fn transport(&mut self) -> &mut SpdkInitiator {
         &mut self.io
-    }
-
-    fn violation(&mut self, now: SimTime, v: Violation) {
-        let id = self.io.id;
-        let side = ProtocolSide::Initiator(id);
-        self.note_protocol_error(
-            now,
-            match v {
-                Violation::UnexpectedPdu(kind) => ProtocolError::UnexpectedPdu { side, kind },
-                Violation::UnknownCid(cid) => ProtocolError::UnknownCid { side, cid },
-                Violation::R2tWithoutPayload(cid) => {
-                    ProtocolError::R2tWithoutPayload { initiator: id, cid }
-                }
-            },
-        );
     }
 
     /// Complete `cid` (and, for a TC drain, everything queued behind it)
@@ -522,7 +489,6 @@ impl PriorityPolicy for OpfInitiator {
     fn retry_exhausted(this: &Shared<OpfInitiator>, k: &mut Kernel, cid: u16) {
         let cids = {
             let mut i = this.borrow_mut();
-            i.io.trace(k.now(), "opf.retry_exhausted", u64::from(cid));
             let tc =
                 i.io.outstanding(cid)
                     .map(|c| c.priority.is_tc())
@@ -563,14 +529,10 @@ impl PriorityPolicy for OpfInitiator {
             // would strand its CID-queue entry until the queue overflows.
             let priority = match i.io.outstanding(cqe.cid).map(|c| c.priority) {
                 Some(local) if local.is_tc() != priority.is_tc() => {
-                    let id = i.io.id;
-                    i.note_protocol_error(
-                        k.now(),
-                        ProtocolError::RespClassMismatch {
-                            initiator: id,
-                            cid: cqe.cid,
-                        },
-                    );
+                    i.io.note(ProtocolError::RespClassMismatch {
+                        initiator: i.io.id,
+                        cid: cqe.cid,
+                    });
                     local
                 }
                 _ => priority,
@@ -606,15 +568,11 @@ impl PriorityPolicy for OpfInitiator {
                     // response. Everything dequeued during the search is
                     // still completed (stranding them would leak qpair
                     // slots); the violation is recorded and the sim runs on.
-                    let id = i.io.id;
-                    i.note_protocol_error(
-                        k.now(),
-                        ProtocolError::CoalescedCidMissing {
-                            initiator: id,
-                            cid: cqe.cid,
-                            drained: cids.len(),
-                        },
-                    );
+                    i.io.note(ProtocolError::CoalescedCidMissing {
+                        initiator: i.io.id,
+                        cid: cqe.cid,
+                        drained: cids.len(),
+                    });
                 }
                 i.stats.coalesced_completions += cids.len() as u64;
                 if recovery {
@@ -629,7 +587,6 @@ impl PriorityPolicy for OpfInitiator {
                     i.stats.drain_latency_sum_ns += k.now().since(sent).as_nanos();
                     i.stats.drain_latency_count += 1;
                 }
-                i.io.trace(k.now(), "opf.coalesced_rx", cids.len() as u64);
                 // One response-processing cost plus per-CID bookkeeping —
                 // the initiator-side saving of coalescing.
                 let cost = i.io.costs().ini_on_resp + COALESCED_COMPLETE_EACH * cids.len() as u64;

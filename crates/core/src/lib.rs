@@ -37,7 +37,6 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod config;
-pub mod error;
 pub mod initiator;
 pub mod target;
 pub mod window;
@@ -45,7 +44,7 @@ pub mod window;
 pub use config::{
     DrainRateLimit, OpfInitiatorConfig, OpfTargetConfig, QueueMode, ReqClass, WindowPolicy,
 };
-pub use error::{ProtocolError, ProtocolSide};
 pub use initiator::{OpfInitiator, OpfInitiatorStats};
+pub use nvmf::{ProtocolError, ProtocolSide};
 pub use target::{ExtractedTenant, OpfTarget, OpfTargetStats, MAX_QUEUE_DEPTH};
 pub use window::{optimal_window, DynamicWindow};

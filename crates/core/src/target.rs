@@ -21,12 +21,11 @@
 //! count — like shard count — is unobservable in results.
 
 use crate::config::{OpfTargetConfig, QueueMode};
-use crate::error::{ProtocolError, ProtocolSide};
 use bytes::Bytes;
 use fabric::{Endpoint, Network};
 use nvme::{NvmeDevice, Opcode, Sqe, Status};
-use nvmf::target::{Dialect, TargetPolicy, Violation};
-use nvmf::{CpuCosts, Pdu, PduRx, Priority, SpdkTarget};
+use nvmf::target::{Dialect, TargetPolicy};
+use nvmf::{CpuCosts, Pdu, PduRx, Priority, ProtocolError, SpdkTarget};
 use queues::CidQueue;
 use simkit::{slot, Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime, Tracer};
 use std::collections::VecDeque;
@@ -233,8 +232,6 @@ pub struct OpfTarget {
     tc_inflight: usize,
     /// Counters.
     pub stats: OpfTargetStats,
-    /// Most recent protocol violation, kept for diagnostics.
-    last_protocol_error: Option<ProtocolError>,
 }
 
 /// Key used for the shared-queue ablation: all tenants map to one queue.
@@ -267,7 +264,6 @@ impl OpfTarget {
             group_pool: Vec::new(),
             tc_inflight: 0,
             stats: OpfTargetStats::default(),
-            last_protocol_error: None,
         }
     }
 
@@ -283,19 +279,6 @@ impl OpfTarget {
         self.io.set_recovery(on);
     }
 
-    /// Most recent protocol violation, if any.
-    pub fn last_protocol_error(&self) -> Option<&ProtocolError> {
-        self.last_protocol_error.as_ref()
-    }
-
-    /// Record a protocol violation: count it, keep it for diagnostics,
-    /// trace it — and let the caller drop the offending PDU.
-    fn note_protocol_error(&mut self, now: simkit::SimTime, err: ProtocolError) {
-        self.io.stats.protocol_errors += 1;
-        self.io.trace(now, "opf.protocol_error", self.io.id, 0);
-        self.last_protocol_error = Some(err);
-    }
-
     /// Register an initiator connection on the device-owner reactor
     /// (single-reactor targets).
     pub fn connect(&mut self, initiator: u8, ep: Shared<Endpoint>, rx: PduRx) {
@@ -308,7 +291,7 @@ impl OpfTarget {
     /// many reactors.
     pub fn connect_on(&mut self, initiator: u8, ep: Shared<Endpoint>, rx: PduRx, shard: u32) {
         if !self.register(initiator, ep, rx, shard) {
-            self.violation(SimTime::ZERO, Violation::UnknownInitiator(initiator));
+            self.io.note_unknown(SimTime::ZERO, initiator);
         }
     }
 
@@ -389,29 +372,6 @@ impl TargetPolicy for OpfTarget {
         &mut self.io
     }
 
-    fn violation(&mut self, now: SimTime, v: Violation) {
-        let target = self.io.id;
-        let side = ProtocolSide::Target(target);
-        self.note_protocol_error(
-            now,
-            match v {
-                Violation::UnexpectedPdu(kind) => ProtocolError::UnexpectedPdu { side, kind },
-                Violation::IdentityMismatch { claimed, expected } => {
-                    ProtocolError::IdentityMismatch {
-                        side,
-                        claimed,
-                        expected,
-                    }
-                }
-                Violation::CidOutOfRange(cid) => ProtocolError::CidOutOfRange { target, cid },
-                Violation::UnknownCid(cid) => ProtocolError::UnknownCid { side, cid },
-                Violation::UnknownInitiator(initiator) => {
-                    ProtocolError::UnknownInitiator { side, initiator }
-                }
-            },
-        );
-    }
-
     /// Algorithm 3 entry: settle the command's class. A TC write is
     /// taken at R2T grant so the drain ordering covers it (see
     /// `StagedCmd::needs_data`); LS and untagged writes classify once
@@ -425,7 +385,7 @@ impl TargetPolicy for OpfTarget {
             if priority.is_ls() && self.cfg.enforce_identity && self.record(from).ls_denied {
                 self.stats.ls_demoted += 1;
                 let target = self.io.id;
-                self.note_protocol_error(
+                self.io.note(
                     now,
                     ProtocolError::ForgedPriority {
                         target,
@@ -483,7 +443,7 @@ impl TargetPolicy for OpfTarget {
                     staged.data = Some(data);
                     staged.needs_data = false;
                 }
-                _ => SpdkTarget::stray_data(&mut *t, k.now(), cccid),
+                _ => t.io.stray_data(k.now(), cccid),
             }
         });
     }
@@ -554,7 +514,7 @@ impl TargetPolicy for OpfTarget {
                         t.io.forget(from, sqe.cid);
                         t.stats.tc_overflow_drops += 1;
                         let target = t.io.id;
-                        t.note_protocol_error(
+                        t.io.note(
                             k.now(),
                             ProtocolError::TcQueueOverflow {
                                 target,
@@ -700,9 +660,9 @@ impl OpfTarget {
                 }
             }
             if let Some(cid) = stale {
-                let side = ProtocolSide::Target(t.io.id);
+                let side = t.io.side();
                 t.io.stats.protocol_errors += stale_n - 1;
-                t.note_protocol_error(k.now(), ProtocolError::UnknownCid { side, cid });
+                t.io.note(k.now(), ProtocolError::UnknownCid { side, cid });
             }
 
             // Reactor cost: flushing is a queue walk + submits.
@@ -828,8 +788,7 @@ impl OpfTarget {
         k.with_shard(lane, |k| {
             k.schedule_at(finish, move |k| {
                 if let Some(bytes) = result.data {
-                    let mut t = this2.borrow_mut();
-                    SpdkTarget::send_data(&mut *t, k, from, sqe.cid, bytes);
+                    this2.borrow_mut().io.send_data(k, from, sqe.cid, bytes);
                 }
                 Self::release_responses(&this2, k, from);
                 // A device slot freed: feed the meter.
@@ -882,7 +841,7 @@ impl OpfTarget {
                 } else {
                     Priority::ThroughputCritical { draining: true }
                 };
-                SpdkTarget::send_resp(&mut *t, k, b.initiator, cqe, priority);
+                t.io.send_resp(k, b.initiator, cqe, priority);
             });
         }
     }
@@ -934,7 +893,7 @@ impl OpfTarget {
     pub fn extract_tenant(&mut self, now: SimTime, initiator: u8) -> Option<ExtractedTenant> {
         let per_tenant = matches!(self.cfg.queue_mode, QueueMode::PerInitiator);
         if !per_tenant || self.io.unregister(initiator).is_none() {
-            self.violation(now, Violation::UnknownInitiator(initiator));
+            self.io.note_unknown(now, initiator);
             return None;
         }
         let mut cmds = Vec::new();
@@ -981,7 +940,7 @@ impl OpfTarget {
     ) -> bool {
         let initiator = moved.initiator;
         if !self.register(initiator, ep, rx, shard) {
-            self.violation(now, Violation::UnknownInitiator(initiator));
+            self.io.note_unknown(now, initiator);
             return false;
         }
         let n = moved.cmds.len() as u64;
@@ -1010,7 +969,7 @@ impl OpfTarget {
             self.stats.tc_overflow_drops += overflow;
             let target = self.io.id;
             self.io.stats.protocol_errors += overflow - 1;
-            self.note_protocol_error(
+            self.io.note(
                 now,
                 ProtocolError::TcQueueOverflow {
                     target,

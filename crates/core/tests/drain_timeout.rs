@@ -48,10 +48,8 @@ fn pair(qd: usize, window: u32, drain_timeout: Option<SimDuration>) -> Pair {
         OpfInitiatorConfig {
             window: WindowPolicy::Static(window),
             drain_timeout,
-            cid_queue_capacity: qd + window as usize + 8,
             ..OpfInitiatorConfig::default()
         },
-        Tracer::disabled(),
     ));
     let i2 = ini.clone();
     let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));

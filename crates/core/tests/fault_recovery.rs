@@ -68,7 +68,6 @@ fn rig(qd: usize, window: u32, cfg_patch: impl FnOnce(&mut OpfInitiatorConfig), 
     let mut cfg = OpfInitiatorConfig {
         window: WindowPolicy::Static(window),
         drain_timeout: None,
-        cid_queue_capacity: qd + window as usize + 8,
         ..OpfInitiatorConfig::default()
     };
     cfg_patch(&mut cfg);
@@ -81,7 +80,6 @@ fn rig(qd: usize, window: u32, cfg_patch: impl FnOnce(&mut OpfInitiatorConfig), 
         target_rx,
         CpuCosts::cl(),
         cfg,
-        Tracer::disabled(),
     ));
     let i2 = ini.clone();
     let b3 = budget;

@@ -54,7 +54,7 @@ fn double_connect_is_counted_not_fatal() {
     let t = target.borrow();
     assert_eq!(t.io.stats.protocol_errors, 1);
     assert!(matches!(
-        t.last_protocol_error(),
+        t.io.last_protocol_error(),
         Some(ProtocolError::UnknownInitiator {
             side: ProtocolSide::Target(0),
             initiator: 0,
@@ -74,7 +74,7 @@ fn spoofed_initiator_byte_is_dropped_when_enforcing() {
     assert_eq!(t.io.stats.spoofs_dropped, 1);
     assert_eq!(t.io.stats.protocol_errors, 1);
     assert!(matches!(
-        t.last_protocol_error(),
+        t.io.last_protocol_error(),
         Some(ProtocolError::IdentityMismatch {
             side: ProtocolSide::Target(0),
             claimed: 1,
@@ -97,7 +97,7 @@ fn out_of_range_cid_is_dropped_before_it_keys_anything() {
     k.run_to_completion();
     let t = target.borrow();
     assert_eq!(
-        t.last_protocol_error(),
+        t.io.last_protocol_error(),
         Some(&ProtocolError::CidOutOfRange {
             target: 0,
             cid: 16432,
@@ -163,7 +163,7 @@ fn enforcement_off_send_to_unknown_initiator_is_counted() {
     let t = target.borrow();
     assert!(t.io.stats.protocol_errors >= 1);
     assert!(matches!(
-        t.last_protocol_error(),
+        t.io.last_protocol_error(),
         Some(ProtocolError::UnknownInitiator {
             side: ProtocolSide::Target(0),
             initiator: 7,
@@ -236,7 +236,7 @@ fn tc_queue_overflow_drops_and_counts() {
     assert_eq!(t.stats.tc_overflow_drops, 1);
     assert_eq!(t.io.stats.protocol_errors, 1);
     assert!(matches!(
-        t.last_protocol_error(),
+        t.io.last_protocol_error(),
         Some(ProtocolError::TcQueueOverflow {
             target: 0,
             initiator: 0,
@@ -270,7 +270,7 @@ fn spoof_collision_leaves_stale_queue_key_counted_on_flush() {
     assert_eq!(t.tc_queue_depth(1), 0);
     assert!(t.io.stats.protocol_errors >= 1);
     assert!(matches!(
-        t.last_protocol_error(),
+        t.io.last_protocol_error(),
         Some(ProtocolError::UnknownCid {
             side: ProtocolSide::Target(0),
             cid: 5,

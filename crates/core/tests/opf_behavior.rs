@@ -55,7 +55,6 @@ fn rig_with(
             target_rx.clone(),
             CpuCosts::cl(),
             icfg.clone(),
-            Tracer::disabled(),
         ));
         let i2 = ini.clone();
         let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));

@@ -54,7 +54,6 @@ fn rig(tenants: usize) -> Rig {
                 window: WindowPolicy::Static(4),
                 ..OpfInitiatorConfig::default()
             },
-            Tracer::disabled(),
         ));
         let i2 = ini.clone();
         let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
@@ -117,7 +116,7 @@ fn target_drops_unexpected_pdu() {
     );
     assert_eq!(r.target.borrow().io.stats.protocol_errors, 2);
     assert!(matches!(
-        r.target.borrow().last_protocol_error(),
+        r.target.borrow().io.last_protocol_error(),
         Some(ProtocolError::UnexpectedPdu {
             side: ProtocolSide::Target(0),
             ..
@@ -141,7 +140,7 @@ fn initiator_drops_unexpected_pdu() {
     let ini = r.inis[0].borrow();
     assert_eq!(ini.io.stats.protocol_errors, 1);
     assert!(matches!(
-        ini.last_protocol_error(),
+        ini.io.last_protocol_error(),
         Some(ProtocolError::UnexpectedPdu {
             side: ProtocolSide::Initiator(0),
             ..
@@ -170,7 +169,7 @@ fn initiator_drops_unknown_cid_completion() {
     let ini = r.inis[0].borrow();
     assert_eq!(ini.io.stats.protocol_errors, 1);
     assert!(matches!(
-        ini.last_protocol_error(),
+        ini.io.last_protocol_error(),
         Some(ProtocolError::UnknownCid {
             side: ProtocolSide::Initiator(0),
             cid: 42,
@@ -200,7 +199,7 @@ fn initiator_handles_missing_coalesced_cid() {
     let ini = r.inis[0].borrow();
     assert!(ini.io.stats.protocol_errors >= 1);
     assert!(matches!(
-        ini.last_protocol_error(),
+        ini.io.last_protocol_error(),
         Some(
             ProtocolError::CoalescedCidMissing { cid: 17, .. }
                 | ProtocolError::UnknownCid { cid: 17, .. }
@@ -225,7 +224,7 @@ fn r2t_without_payload_is_dropped() {
     let ini = r.inis[0].borrow();
     assert_eq!(ini.io.stats.protocol_errors, 1);
     assert!(matches!(
-        ini.last_protocol_error(),
+        ini.io.last_protocol_error(),
         Some(ProtocolError::R2tWithoutPayload {
             initiator: 0,
             cid: 0

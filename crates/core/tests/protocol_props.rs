@@ -104,10 +104,8 @@ fn run_scenario(p: &Params) -> Outcome {
             CpuCosts::cl(),
             OpfInitiatorConfig {
                 window: WindowPolicy::Static(p.window),
-                cid_queue_capacity: p.qd + p.window as usize + 8,
                 ..OpfInitiatorConfig::default()
             },
-            Tracer::disabled(),
         ));
         let i2 = ini.clone();
         let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));

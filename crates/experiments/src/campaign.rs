@@ -58,7 +58,7 @@
 use crate::spec::{Door, ExperimentSpec};
 use simkit::json::{self, escape, parse, ErrorKind, Obj};
 use simkit::metrics::format_f64;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use workload::{RunResult, TrafficSpec};
 
@@ -653,16 +653,18 @@ pub fn write_outputs(s: &CampaignSummary, out_dir: &Path) -> std::io::Result<Pat
     Ok(json_path)
 }
 
-/// Print the gate outcomes as an aligned report.
-pub fn print_outcomes(s: &CampaignSummary) {
-    println!(
-        "campaign {} — {} seeds × {} scenarios",
+/// The gate outcomes as an aligned report, one line each, without a
+/// trailing newline.
+pub fn render_outcomes(s: &CampaignSummary) -> String {
+    let mut out = format!(
+        "campaign {} — {} seeds × {} scenarios\n",
         s.name,
         s.seeds.len(),
         s.stats.len()
     );
     for o in &s.outcomes {
-        println!(
+        let _ = writeln!(
+            out,
             "  [{}] {:24} {:40} observed {}",
             if o.pass { "PASS" } else { "FAIL" },
             o.scenario,
@@ -670,7 +672,7 @@ pub fn print_outcomes(s: &CampaignSummary) {
             o.observed.map_or("-".to_string(), format_f64)
         );
     }
-    println!("  gate: {}", if s.pass { "PASS" } else { "FAIL" });
+    out + "  gate: " + if s.pass { "PASS" } else { "FAIL" }
 }
 
 #[cfg(test)]

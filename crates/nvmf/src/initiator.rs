@@ -3,8 +3,8 @@
 //! `C2HData`/R2T handling, expiry timers and CID completion.
 //!
 //! What differs between the baseline and NVMe-oPF is a
-//! [`PriorityPolicy`]: how a response capsule is routed to CIDs, what
-//! retry exhaustion fails, and how a protocol violation is recorded.
+//! [`PriorityPolicy`]: how a response capsule is routed to CIDs and
+//! what retry exhaustion fails.
 //! [`SpdkInitiator`] under its own pass-through policy *is* the
 //! baseline (closed queue-depth loop, one completion capsule processed
 //! per request); `opf::OpfInitiator` embeds one and adds the Priority
@@ -12,12 +12,13 @@
 //! projects to the transport, so dispatch is static.
 
 use crate::costs::CpuCosts;
-use crate::pdu::{Pdu, PduKind, Priority};
+use crate::error::{ProtocolError, ProtocolSide};
+use crate::pdu::{Pdu, Priority};
 use crate::qpair::{IoCallback, QPair, ReqCtx, RetryPolicy};
 use bytes::Bytes;
 use fabric::{Endpoint, Network};
 use nvme::{Cqe, Opcode, Sqe, Status};
-use simkit::{Kernel, Metrics, MetricsSource, Resource, Shared, SimDuration, SimTime, Tracer};
+use simkit::{Kernel, Metrics, MetricsSource, Resource, Shared, SimDuration, SimTime};
 use std::rc::Rc;
 
 /// Result of one I/O as seen by the submitting application.
@@ -83,32 +84,13 @@ struct RetrySlot {
 /// target handle; the initiator id rides along).
 pub type TargetRx = Rc<dyn Fn(&mut Kernel, u8, Pdu)>;
 
-/// A protocol violation detected by the transport. The offending PDU is
-/// dropped; the policy decides how the violation is recorded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Violation {
-    /// A PDU kind that never travels controller → host.
-    UnexpectedPdu(PduKind),
-    /// An R2T or completion naming no in-flight command.
-    UnknownCid(u16),
-    /// An R2T for an in-flight command with no payload to send, or
-    /// granting another length than its payload (corrupted in flight).
-    R2tWithoutPayload(u16),
-}
-
 /// The priority-policy hook over the transport: everything the baseline
 /// and NVMe-oPF initiators do differently once a command is on the
 /// queue pair. `Self` is the owner the kernel events hold; it projects
 /// to the transport it owns.
 pub trait PriorityPolicy: Sized + 'static {
-    /// Trace kind of a retransmission.
-    const RETRY_TRACE: &'static str;
-
     /// The transport this policy drives.
     fn transport(&mut self) -> &mut SpdkInitiator;
-
-    /// Count, trace and record a violation.
-    fn violation(&mut self, now: SimTime, v: Violation);
 
     /// `cid` spent its retry budget: complete it (and whatever depends
     /// on it) with a local error.
@@ -132,7 +114,6 @@ pub struct SpdkInitiator {
     target_ep: Shared<Endpoint>,
     target_rx: TargetRx,
     costs: CpuCosts,
-    tracer: Tracer,
     retry: Option<RetryPolicy>,
     /// Some recovery mechanism can re-send a command, so a completion
     /// naming a finished CID is an expected duplicate, not a violation.
@@ -140,11 +121,11 @@ pub struct SpdkInitiator {
     slots: Vec<RetrySlot>,
     /// Counters.
     pub stats: InitiatorStats,
+    last_protocol_error: Option<ProtocolError>,
 }
 
 impl SpdkInitiator {
     /// Create an initiator with a queue pair of depth `qd`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: u8,
         qd: usize,
@@ -153,7 +134,6 @@ impl SpdkInitiator {
         target_ep: Shared<Endpoint>,
         target_rx: TargetRx,
         costs: CpuCosts,
-        tracer: Tracer,
     ) -> Self {
         SpdkInitiator {
             id,
@@ -164,11 +144,11 @@ impl SpdkInitiator {
             target_ep,
             target_rx,
             costs,
-            tracer,
             retry: None,
             recovery: false,
             slots: Vec::new(),
             stats: InitiatorStats::default(),
+            last_protocol_error: None,
         }
     }
 
@@ -227,9 +207,21 @@ impl SpdkInitiator {
         self.qpair.get_mut(cid)
     }
 
-    /// Emit a trace point attributed to this initiator.
-    pub fn trace(&self, now: SimTime, kind: &'static str, detail: u64) {
-        self.tracer.emit(now, kind, u32::from(self.id), detail);
+    /// This initiator as the side that detects a violation.
+    fn side(&self) -> ProtocolSide {
+        ProtocolSide::Initiator(self.id)
+    }
+
+    /// Record a protocol violation: count it and keep it for
+    /// diagnostics; the caller drops the offending PDU.
+    pub fn note(&mut self, err: ProtocolError) {
+        self.stats.protocol_errors += 1;
+        self.last_protocol_error = Some(err);
+    }
+
+    /// Most recent protocol violation, if any.
+    pub fn last_protocol_error(&self) -> Option<&ProtocolError> {
+        self.last_protocol_error.as_ref()
     }
 
     /// Occupy the initiator core for `cost`; returns when the work ends.
@@ -324,7 +316,6 @@ impl SpdkInitiator {
             let mut i = this.borrow_mut();
             let (cid, epoch) = i.begin(k.now(), opcode, slba, blocks, payload, priority, cb)?;
             let at = i.reserve_submit(k.now());
-            i.trace(k.now(), "ini.submit", u64::from(cid));
             (cid, epoch, at)
         };
         let sqe = Self::build_sqe(opcode, cid, slba, blocks);
@@ -427,7 +418,6 @@ impl SpdkInitiator {
             } else {
                 i.slots[cid as usize].attempts += 1;
                 i.stats.retries += 1;
-                i.trace(k.now(), O::RETRY_TRACE, u64::from(cid));
                 Some((i.reserve_submit(k.now()), sqe, priority))
             }
         };
@@ -461,9 +451,12 @@ impl SpdkInitiator {
             Pdu::CapsuleResp { cqe, priority } => O::on_resp(this, k, cqe, priority),
             // Command capsules and H2C data never travel controller → host:
             // record the violation and drop the PDU rather than abort.
-            other => this
-                .borrow_mut()
-                .violation(k.now(), Violation::UnexpectedPdu(other.kind())),
+            other => {
+                let mut o = this.borrow_mut();
+                let i = o.transport();
+                let (side, kind) = (i.side(), other.kind());
+                i.note(ProtocolError::UnexpectedPdu { side, kind });
+            }
         }
     }
 
@@ -484,12 +477,17 @@ impl SpdkInitiator {
             }
             let Some(data) = data.filter(|d| d.len() == r2tl as usize) else {
                 // An R2T matching no in-flight write: record + drop.
-                let v = if known {
-                    Violation::R2tWithoutPayload(cccid)
+                i.note(if known {
+                    ProtocolError::R2tWithoutPayload {
+                        initiator: i.id,
+                        cid: cccid,
+                    }
                 } else {
-                    Violation::UnknownCid(cccid)
-                };
-                o.violation(k.now(), v);
+                    ProtocolError::UnknownCid {
+                        side: i.side(),
+                        cid: cccid,
+                    }
+                });
                 return;
             };
             let cost = i.costs.ini_on_r2t + i.costs.ini_send_data;
@@ -518,7 +516,8 @@ impl SpdkInitiator {
                 } else {
                     // Completion naming no in-flight command (duplicate
                     // or forged response): record + drop.
-                    o.violation(k.now(), Violation::UnknownCid(cid));
+                    let side = i.side();
+                    i.note(ProtocolError::UnknownCid { side, cid });
                 }
                 return;
             };
@@ -573,19 +572,8 @@ impl SpdkInitiator {
 
 /// The pass-through policy: one CID per response capsule.
 impl PriorityPolicy for SpdkInitiator {
-    const RETRY_TRACE: &'static str = "ini.retry";
-
     fn transport(&mut self) -> &mut SpdkInitiator {
         self
-    }
-
-    fn violation(&mut self, now: SimTime, v: Violation) {
-        self.stats.protocol_errors += 1;
-        let detail = match v {
-            Violation::UnexpectedPdu(_) => 0,
-            Violation::UnknownCid(cid) | Violation::R2tWithoutPayload(cid) => u64::from(cid),
-        };
-        self.trace(now, "ini.protocol_error", detail);
     }
 
     fn retry_exhausted(this: &Shared<Self>, k: &mut Kernel, cid: u16) {
@@ -596,7 +584,6 @@ impl PriorityPolicy for SpdkInitiator {
         let finish = {
             let mut i = this.borrow_mut();
             i.stats.resps_rx += 1;
-            i.trace(k.now(), "ini.resp_rx", u64::from(cqe.cid));
             let cost = i.costs.ini_on_resp;
             i.reserve_cpu(k.now(), cost)
         };
@@ -624,7 +611,7 @@ mod tests {
     use crate::target::SpdkTarget;
     use fabric::{FabricConfig, Gbps};
     use nvme::{FlashProfile, NvmeDevice, BLOCK_SIZE};
-    use simkit::shared;
+    use simkit::{shared, Tracer};
     use std::cell::RefCell;
 
     /// Wire one initiator and one target over a fabric; returns handles.
@@ -662,7 +649,6 @@ mod tests {
             tep,
             target_rx,
             CpuCosts::cl(),
-            Tracer::disabled(),
         ));
         let i2 = initiator.clone();
         let ini_rx: crate::PduRx = Rc::new(move |k, pdu| {
@@ -681,7 +667,7 @@ mod tests {
 
         let out = Rc::new(RefCell::new(None));
         let o = out.clone();
-        SpdkInitiator::submit(
+        let cid = SpdkInitiator::submit(
             &ini,
             &mut k,
             Opcode::Read,
@@ -703,11 +689,32 @@ mod tests {
             "{:?}",
             out.latency
         );
+        {
+            let i = ini.borrow();
+            assert_eq!(i.stats.completed, 1);
+            assert_eq!(i.stats.resps_rx, 1);
+            assert_eq!(i.stats.data_rx, 1);
+            assert_eq!(i.stats.bytes_read, BLOCK_SIZE as u64);
+            assert_eq!(i.stats.protocol_errors, 0);
+        }
+        // Without recovery, a second response for the finished command
+        // is a violation: counted, kept as a typed record, dropped.
+        let resp = Pdu::CapsuleResp {
+            cqe: nvme::Cqe::success(cid, 0),
+            priority: Priority::None,
+        };
+        SpdkInitiator::on_pdu(&ini, &mut k, resp);
+        k.run_to_completion();
         let i = ini.borrow();
-        assert_eq!(i.stats.completed, 1);
-        assert_eq!(i.stats.resps_rx, 1);
-        assert_eq!(i.stats.data_rx, 1);
-        assert_eq!(i.stats.bytes_read, BLOCK_SIZE as u64);
+        assert_eq!(i.stats.completed, 1, "the callback ran once");
+        assert_eq!(i.stats.protocol_errors, 1);
+        assert_eq!(
+            i.last_protocol_error(),
+            Some(&ProtocolError::UnknownCid {
+                side: ProtocolSide::Initiator(0),
+                cid
+            })
+        );
     }
 
     #[test]
@@ -878,7 +885,6 @@ mod tests {
             tep,
             target_rx,
             CpuCosts::cl(),
-            Tracer::disabled(),
         ));
         initiator.borrow_mut().set_retry(RetryPolicy {
             timeout: SimDuration::from_micros(200),

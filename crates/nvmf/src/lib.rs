@@ -13,6 +13,8 @@
 //! * [`costs`] — the reactor/initiator CPU cost model (per-PDU parse,
 //!   build, and send costs; Table I testbed scaling; the backpressured
 //!   small-send penalty).
+//! * [`error`] — [`ProtocolError`], the one typed record of a protocol
+//!   violation, which both transports count and keep.
 //! * [`admin`] — the fabrics control plane a keep-alive loop drives:
 //!   Connect/Identify/Keep-Alive over the fabric, controller expiry
 //!   after the keep-alive timeout, and reconnect.
@@ -37,6 +39,7 @@
 
 pub mod admin;
 pub mod costs;
+pub mod error;
 pub mod initiator;
 pub mod pdu;
 pub mod qpair;
@@ -44,6 +47,7 @@ pub mod target;
 
 pub use admin::{AdminClient, AdminService, KeepAliveStats};
 pub use costs::CpuCosts;
+pub use error::{ProtocolError, ProtocolSide};
 pub use initiator::{InitiatorStats, IoOutcome, PriorityPolicy, SpdkInitiator, TargetRx};
 pub use pdu::{Pdu, PduKind, Priority};
 pub use qpair::{QPair, RetryPolicy};

@@ -4,17 +4,18 @@
 //! per-request "C2HData then CapsuleResp" emission.
 //!
 //! What differs between the baseline and NVMe-oPF is a [`TargetPolicy`]:
-//! a [`Dialect`] of constants, how a violation is recorded, under which
-//! class a command is admitted, what runs once it is parsed, and where
-//! H2C data naming no pending write belongs. [`SpdkTarget`] under its
-//! own pass-through policy *is* the baseline — a single-reactor poll
-//! loop, strictly FIFO, one response capsule per request: the two
-//! properties the paper identifies as hostile to multi-tenancy.
+//! a [`Dialect`] of constants, under which class a command is admitted,
+//! what runs once it is parsed, and where H2C data naming no pending
+//! write belongs. [`SpdkTarget`] under its own pass-through policy *is*
+//! the baseline — a single-reactor poll loop, strictly FIFO, one
+//! response capsule per request: the two properties the paper
+//! identifies as hostile to multi-tenancy.
 //! `opf::OpfTarget` embeds one and adds the Priority Manager. The
 //! transport functions are generic over the owner, so dispatch is static.
 
 use crate::costs::CpuCosts;
-use crate::pdu::{Pdu, PduKind, Priority};
+use crate::error::{ProtocolError, ProtocolSide};
+use crate::pdu::{Pdu, Priority};
 use crate::PduRx;
 use bytes::Bytes;
 use fabric::{Endpoint, Network};
@@ -68,28 +69,6 @@ struct Conn {
     lane: u32,
 }
 
-/// A protocol violation detected by the transport. The offending PDU is
-/// dropped; the policy decides how the violation is recorded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Violation {
-    /// A PDU kind that never travels host → controller.
-    UnexpectedPdu(PduKind),
-    /// The wire initiator byte is not the connection's tenant.
-    IdentityMismatch {
-        /// Initiator ID claimed by the wire byte.
-        claimed: u8,
-        /// Initiator the connection belongs to.
-        expected: u8,
-    },
-    /// A command capsule whose CID exceeds [`Dialect::max_cid`].
-    CidOutOfRange(u16),
-    /// H2C data naming no write that waits for it.
-    UnknownCid(u16),
-    /// A second connect for a live tenant, or a send to an ID with no
-    /// connection (forged, with enforcement off, or migrated away).
-    UnknownInitiator(u8),
-}
-
 /// Everything the two targets do differently that is data rather than
 /// code (tabulated in DESIGN.md §3).
 pub struct Dialect {
@@ -132,9 +111,6 @@ pub trait TargetPolicy: Sized + 'static {
 
     /// The transport this policy drives.
     fn transport(&mut self) -> &mut SpdkTarget;
-
-    /// Count, trace and record a violation.
-    fn violation(&mut self, now: SimTime, v: Violation);
 
     /// A command capsule arrived from `from` (identity and CID already
     /// checked): settle the class it runs under — the wire bits, unless
@@ -193,6 +169,7 @@ pub struct SpdkTarget {
     tracer: Tracer,
     /// Counters.
     pub stats: TargetStats,
+    last_protocol_error: Option<ProtocolError>,
 }
 
 impl SpdkTarget {
@@ -220,6 +197,7 @@ impl SpdkTarget {
             inflight: Vec::new(),
             tracer,
             stats: TargetStats::default(),
+            last_protocol_error: None,
         }
     }
 
@@ -253,7 +231,7 @@ impl SpdkTarget {
     /// the baseline target itself is a single reactor.
     pub fn connect_on(&mut self, initiator: u8, ep: Shared<Endpoint>, rx: PduRx, shard: u32) {
         if !self.register(initiator, ep, rx, shard) {
-            self.violation(SimTime::ZERO, Violation::UnknownInitiator(initiator));
+            self.note_unknown(SimTime::ZERO, initiator);
         }
     }
 
@@ -321,6 +299,32 @@ impl SpdkTarget {
         self.tracer.emit(now, kind, who, detail);
     }
 
+    /// This target as the side that detects a violation.
+    pub fn side(&self) -> ProtocolSide {
+        ProtocolSide::Target(self.id)
+    }
+
+    /// Record a protocol violation: count it, keep it for diagnostics
+    /// and trace it; the caller drops the offending PDU.
+    pub fn note(&mut self, now: SimTime, err: ProtocolError) {
+        self.stats.protocol_errors += 1;
+        self.trace(now, "tgt.protocol_error", self.id, 0);
+        self.last_protocol_error = Some(err);
+    }
+
+    /// Record an initiator ID that names no connection: a second connect
+    /// for a live tenant, or a send to an ID with no connection (forged,
+    /// with enforcement off, or migrated away).
+    pub fn note_unknown(&mut self, now: SimTime, initiator: u8) {
+        let side = self.side();
+        self.note(now, ProtocolError::UnknownInitiator { side, initiator });
+    }
+
+    /// Most recent protocol violation, if any.
+    pub fn last_protocol_error(&self) -> Option<&ProtocolError> {
+        self.last_protocol_error.as_ref()
+    }
+
     /// Emit a trace point about tenant `from`'s command `cid`.
     fn trace_cmd(&self, now: SimTime, kind: &'static str, from: u8, cid: u16) {
         self.trace(now, kind, u32::from(from), u64::from(cid));
@@ -386,11 +390,12 @@ impl SpdkTarget {
                         // corrupted — count and drop it before it
                         // reaches a victim's queue.
                         t.stats.spoofs_dropped += 1;
-                        let v = Violation::IdentityMismatch {
+                        let err = ProtocolError::IdentityMismatch {
+                            side: t.side(),
                             claimed: initiator,
                             expected: from,
                         };
-                        o.violation(k.now(), v);
+                        t.note(k.now(), err);
                         return;
                     }
                     // Enforcement off (the unhardened baseline column):
@@ -401,9 +406,12 @@ impl SpdkTarget {
             Pdu::H2CData { cccid, data } => Self::on_h2c_data(this, k, from, cccid, data),
             // Responses, R2Ts and C2H data never travel host → controller:
             // record the violation and drop the PDU rather than abort.
-            other => this
-                .borrow_mut()
-                .violation(k.now(), Violation::UnexpectedPdu(other.kind())),
+            other => {
+                let mut o = this.borrow_mut();
+                let t = o.transport();
+                let (side, kind) = (t.side(), other.kind());
+                t.note(k.now(), ProtocolError::UnexpectedPdu { side, kind });
+            }
         }
     }
 
@@ -422,7 +430,9 @@ impl SpdkTarget {
                 // No honest queue pair allocates this CID: corrupted in
                 // flight or forged. Dropped before anything is keyed by
                 // it; the sender's retransmission recovers.
-                o.violation(k.now(), Violation::CidOutOfRange(sqe.cid));
+                let t = o.transport();
+                let (target, cid) = (t.id, sqe.cid);
+                t.note(k.now(), ProtocolError::CidOutOfRange { target, cid });
                 return;
             }
             let verdict = o.admit(k.now(), from, &sqe, priority);
@@ -447,12 +457,13 @@ impl SpdkTarget {
         k.schedule_at(finish, move |k| {
             if write {
                 let mut o = this2.borrow_mut();
-                o.transport().stats.r2ts_tx += 1;
+                let t = o.transport();
+                t.stats.r2ts_tx += 1;
                 let pdu = Pdu::R2T {
                     cccid: sqe.cid,
                     r2tl: sqe.data_len() as u32,
                 };
-                Self::send_to(&mut *o, k, from, pdu);
+                t.send_to(k, from, pdu);
                 if !early {
                     return;
                 }
@@ -493,12 +504,12 @@ impl SpdkTarget {
     /// echo of a retransmission (the first copy of the payload consumed
     /// the entry), otherwise a violation — counted and dropped, so one
     /// misbehaving tenant cannot abort the fabric.
-    pub fn stray_data<O: TargetPolicy>(o: &mut O, now: SimTime, cccid: u16) {
-        let t = o.transport();
-        if t.recovery {
-            t.stats.dup_cmds_dropped += 1;
+    pub fn stray_data(&mut self, now: SimTime, cccid: u16) {
+        if self.recovery {
+            self.stats.dup_cmds_dropped += 1;
         } else {
-            o.violation(now, Violation::UnknownCid(cccid));
+            let side = self.side();
+            self.note(now, ProtocolError::UnknownCid { side, cid: cccid });
         }
     }
 
@@ -566,10 +577,10 @@ impl SpdkTarget {
         k.with_shard(lane, |k| {
             k.schedule_at(finish, move |k| {
                 let mut o = this2.borrow_mut();
-                if let Some(bytes) = result.data {
-                    Self::send_data(&mut *o, k, from, sqe.cid, bytes);
-                }
                 let t = o.transport();
+                if let Some(bytes) = result.data {
+                    t.send_data(k, from, sqe.cid, bytes);
+                }
                 let who = if O::DIALECT.resp_by_target {
                     t.id
                 } else {
@@ -579,47 +590,41 @@ impl SpdkTarget {
                 if !O::DIALECT.forget_at_completion {
                     t.forget(from, sqe.cid);
                 }
-                Self::send_resp(&mut *o, k, from, result.cqe, priority);
+                t.send_resp(k, from, result.cqe, priority);
             })
         });
     }
 
     /// Send read data for `cid` to initiator `to` (counted).
-    pub fn send_data<O: TargetPolicy>(o: &mut O, k: &mut Kernel, to: u8, cid: u16, data: Bytes) {
-        o.transport().stats.data_tx += 1;
-        Self::send_to(o, k, to, Pdu::C2HData { cccid: cid, data });
+    pub fn send_data(&mut self, k: &mut Kernel, to: u8, cid: u16, data: Bytes) {
+        self.stats.data_tx += 1;
+        self.send_to(k, to, Pdu::C2HData { cccid: cid, data });
     }
 
     /// Send a response capsule to initiator `to` (counted: one
     /// completion notification).
-    pub fn send_resp<O: TargetPolicy>(
-        o: &mut O,
-        k: &mut Kernel,
-        to: u8,
-        cqe: Cqe,
-        priority: Priority,
-    ) {
-        o.transport().stats.resps_tx += 1;
-        Self::send_to(o, k, to, Pdu::CapsuleResp { cqe, priority });
+    pub fn send_resp(&mut self, k: &mut Kernel, to: u8, cqe: Cqe, priority: Priority) {
+        self.stats.resps_tx += 1;
+        self.send_to(k, to, Pdu::CapsuleResp { cqe, priority });
     }
 
     /// Transmit a PDU to initiator `to` over the fabric. The delivery
     /// event is scheduled on the recipient's kernel lane.
-    fn send_to<O: TargetPolicy>(o: &mut O, k: &mut Kernel, to: u8, pdu: Pdu) {
-        let t = o.transport();
-        let Some(conn) = t.conn(to) else {
+    fn send_to(&mut self, k: &mut Kernel, to: u8, pdu: Pdu) {
+        let Some(conn) = self.conn(to) else {
             // Normal paths only send to initiators registered via
             // `connect`, but trust-the-wire routing (enforcement off)
             // can be steered to an ID that never connected, and a
             // migrated-away tenant's late completions land here too.
             // Count and drop rather than aborting the fabric.
-            o.violation(k.now(), Violation::UnknownInitiator(to));
+            self.note_unknown(k.now(), to);
             return;
         };
         let rx = conn.rx.clone();
         let bytes = pdu.wire_len();
         k.with_shard(conn.lane, |k| {
-            t.net.send(k, &t.ep, &conn.ep, bytes, move |k| rx(k, pdu))
+            self.net
+                .send(k, &self.ep, &conn.ep, bytes, move |k| rx(k, pdu))
         });
     }
 
@@ -673,21 +678,6 @@ impl TargetPolicy for SpdkTarget {
         self
     }
 
-    fn violation(&mut self, now: SimTime, v: Violation) {
-        self.stats.protocol_errors += 1;
-        let (kind, who, detail) = match v {
-            Violation::IdentityMismatch { claimed, expected } => {
-                ("tgt.spoof_dropped", u32::from(expected), claimed.into())
-            }
-            Violation::UnexpectedPdu(_) => ("tgt.protocol_error", self.id, 0),
-            Violation::CidOutOfRange(cid) | Violation::UnknownCid(cid) => {
-                ("tgt.protocol_error", self.id, cid.into())
-            }
-            Violation::UnknownInitiator(id) => ("tgt.protocol_error", self.id, id.into()),
-        };
-        self.trace(now, kind, who, detail);
-    }
-
     fn admit(&mut self, _: SimTime, from: u8, sqe: &Sqe, priority: Priority) -> Option<Priority> {
         if !self.first_sighting(from, sqe.cid) {
             if sqe.opcode == Opcode::Write && self.pending_writes.contains_key(&(from, sqe.cid)) {
@@ -718,7 +708,7 @@ impl TargetPolicy for SpdkTarget {
     }
 
     fn on_data(this: &Shared<Self>, k: &mut Kernel, _from: u8, cccid: u16, _data: Bytes) {
-        Self::stray_data(&mut *this.borrow_mut(), k.now(), cccid);
+        this.borrow_mut().stray_data(k.now(), cccid);
     }
 }
 
@@ -833,6 +823,14 @@ mod tests {
         let t = target.borrow();
         assert_eq!(t.stats.spoofs_dropped, 1);
         assert_eq!(t.stats.protocol_errors, 1);
+        assert_eq!(
+            t.last_protocol_error(),
+            Some(&ProtocolError::IdentityMismatch {
+                side: ProtocolSide::Target(0),
+                claimed: 1,
+                expected: 0,
+            })
+        );
         assert_eq!(t.stats.cmds_rx, 0);
         assert_eq!(t.stats.completed, 0);
     }

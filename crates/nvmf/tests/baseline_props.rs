@@ -75,7 +75,6 @@ fn run_baseline(p: &Params) -> (Vec<usize>, u64, u64) {
             tep.clone(),
             target_rx.clone(),
             CpuCosts::cc(),
-            Tracer::disabled(),
         ));
         let i2 = ini.clone();
         let rx: PduRx = Rc::new(move |k, pdu| SpdkInitiator::on_pdu(&i2, k, pdu));

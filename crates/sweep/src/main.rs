@@ -17,7 +17,7 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use experiments::campaign::{run_campaign, write_outputs, CampaignSpec};
+use experiments::campaign::{render_outcomes, run_campaign, write_outputs, CampaignSpec};
 use sweep::{report_csv, report_json, run_spec, SweepSpec};
 
 const USAGE: &str = "usage: sweep [campaign] <spec.json> [--out DIR] [--threads N]";
@@ -44,7 +44,7 @@ fn main() -> ExitCode {
                 Some(t) => threads = Some(t),
             },
             "--help" | "-h" => {
-                println!("{USAGE}");
+                put(USAGE);
                 return ExitCode::SUCCESS;
             }
             _ if spec_path.is_none() && !arg.starts_with('-') => {
@@ -68,10 +68,10 @@ fn main() -> ExitCode {
             Err(e) => return fail(&format!("bad spec {}: {e}", spec_path.display())),
         };
         let summary = run_campaign(&spec, threads);
-        experiments::campaign::print_outcomes(&summary);
+        put(&render_outcomes(&summary));
         let out_dir = out_dir.unwrap_or_else(experiments::results_dir);
         match write_outputs(&summary, &out_dir) {
-            Ok(p) => println!("{}", p.display()),
+            Ok(p) => put(&p.display().to_string()),
             Err(e) => return fail(&format!("cannot write summary: {e}")),
         }
         return if summary.pass {
@@ -116,14 +116,20 @@ fn main() -> ExitCode {
     if let Err(e) = std::fs::write(&csv_path, report_csv(&results)) {
         return fail(&format!("cannot write {}: {e}", csv_path.display()));
     }
-    println!("{}", json_path.display());
-    println!("{}", csv_path.display());
+    put(&format!("{}\n{}", json_path.display(), csv_path.display()));
     ExitCode::SUCCESS
 }
 
 fn fail(msg: &str) -> ExitCode {
     say(&format!("sweep: {msg}\n{USAGE}"));
     ExitCode::FAILURE
+}
+
+/// Text to stdout, newline-terminated. A closed stdout (`sweep … |
+/// head -1`) is no reason to panic: the files are written and the exit
+/// code stands.
+fn put(msg: &str) {
+    let _ = writeln!(io::stdout(), "{msg}");
 }
 
 /// One line to stderr. A closed stderr is no reason to panic: the exit

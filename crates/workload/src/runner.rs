@@ -669,7 +669,6 @@ fn connect_tenant(
                 home.ep.clone(),
                 tx,
                 costs,
-                Tracer::disabled(),
             ));
             if let Some(policy) = env.tenant_cfg.retry {
                 i.borrow_mut().set_retry(policy);
@@ -692,7 +691,6 @@ fn connect_tenant(
                 tx,
                 costs,
                 env.tenant_cfg.clone(),
-                Tracer::disabled(),
             ));
             let i2 = i.clone();
             let rx = env.wrap_rx(
@@ -795,7 +793,7 @@ fn install_cluster_plane(
         &tenant_eps,
         &home,
         &tgt_eps,
-        SimDuration::from_micros(2),
+        cluster::topology::SPINE_LATENCY,
     );
 
     // The manager and the migration engine are typed on the NVMe-oPF

@@ -52,7 +52,6 @@ fn main() {
             window: WindowPolicy::Static(16),
             ..OpfInitiatorConfig::default()
         },
-        Tracer::disabled(),
     ));
     let i2 = initiator.clone();
     let rx: PduRx = Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu));
