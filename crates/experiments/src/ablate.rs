@@ -80,8 +80,8 @@ pub fn table(results: &[RunResult]) -> Table {
 
 /// Run the ablation grid and print the table.
 pub fn all(d: Durations, threads: Option<usize>) {
-    println!("== Ablations: 100 Gbps, read, LS:TC = 1:4 ==\n");
+    crate::put("== Ablations: 100 Gbps, read, LS:TC = 1:4 ==\n");
     let t = table(&run_all(&scenarios(d), threads));
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("ablations", &t);
 }

@@ -288,11 +288,11 @@ pub fn table(results: &[RunResult]) -> Table {
 
 /// Run the attack grid, assert its contracts, and save `adversary.csv`.
 pub fn all(d: Durations, threads: Option<usize>) {
-    println!(
-        "== Adversary: attack profile x enforcement, NVMe-oPF 1 LS : 5 TC read, 100 Gbps ==\n"
+    crate::put(
+        "== Adversary: attack profile x enforcement, NVMe-oPF 1 LS : 5 TC read, 100 Gbps ==\n",
     );
     let results = run_all(&scenarios(d), threads);
     let t = table(&results);
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("adversary", &t);
 }

@@ -9,7 +9,7 @@
 
 use experiments::{
     ablate, adversary, breakdown, chaos, cluster, fig6, fig7, fig8, fig9, iosize, observe,
-    openloop, scale, table1, transport, Durations,
+    openloop, say, scale, table1, transport, Durations,
 };
 
 /// Every artifact `main` knows, in usage order.
@@ -17,7 +17,7 @@ const ARTIFACTS: &str = "table1 fig6 fig6a fig6b fig6c fig7 fig8 fig9 ablate ios
     transport breakdown observe chaos scale adversary all";
 
 fn usage() -> ! {
-    eprintln!(
+    say(&format!(
         "usage: repro [--quick] [--threads N] [--shards N] [--targets N] [--parallel] <artifact>...\n\
          artifacts: {ARTIFACTS}\n\
          fig6 is fig6a, fig6b and fig6c\n\
@@ -26,7 +26,7 @@ fn usage() -> ! {
          `adversary` hardened across a live migration (adversary_targetsN.csv)\n\
          --parallel routes cross-shard schedules through the mailbox mesh\n\
          (DESIGN.md §17); artifacts stay byte-identical to their serial goldens"
-    );
+    ));
     std::process::exit(2);
 }
 
@@ -65,7 +65,7 @@ fn main() {
             other if other.starts_with('-') => usage(),
             // Checked here, so a typo fails before any artifact runs.
             other if !ARTIFACTS.split_whitespace().any(|a| a == other) => {
-                eprintln!("repro: unknown artifact {other:?}");
+                say(&format!("repro: unknown artifact {other:?}"));
                 usage();
             }
             other => artifacts.push(other.to_string()),
@@ -90,12 +90,12 @@ fn main() {
     );
     d.apply(&mut probe);
     if let Err(e) = probe.validate() {
-        eprintln!("repro: --shards {shards}: {e}");
+        say(&format!("repro: --shards {shards}: {e}"));
         std::process::exit(2);
     }
     if targets > 1 {
         if let Err(e) = cluster::validate(d, quick, targets) {
-            eprintln!("repro: --targets {targets}: {e}");
+            say(&format!("repro: --targets {targets}: {e}"));
             std::process::exit(2);
         }
     }
@@ -154,5 +154,5 @@ fn main() {
             other => unreachable!("artifact {other:?} passed the name check"),
         }
     }
-    eprintln!("[repro finished in {:.1}s]", start.elapsed_secs());
+    say(&format!("[repro finished in {:.1}s]", start.elapsed_secs()));
 }

@@ -133,7 +133,7 @@ fn drive(runtime: RuntimeKind, d: Durations) -> Phases {
 
 /// Run the breakdown for both runtimes and print the comparison.
 pub fn all(d: Durations, _threads: Option<usize>) {
-    println!("== Extension: target-side latency breakdown (1 LS : 4 TC, read, 100 Gbps) ==\n");
+    crate::put("== Extension: target-side latency breakdown (1 LS : 4 TC, read, 100 Gbps) ==\n");
     let results: Rc<RefCell<Vec<(RuntimeKind, Phases)>>> = Rc::new(RefCell::new(Vec::new()));
     for runtime in [RuntimeKind::Spdk, RuntimeKind::Opf] {
         let p = drive(runtime, d);
@@ -155,12 +155,12 @@ pub fn all(d: Durations, _threads: Option<usize>) {
             p.samples.to_string(),
         ]);
     }
-    println!("{}", workload::render_table(&t));
-    println!(
+    crate::put(&workload::render_table(&t));
+    crate::put(
         "NVMe-oPF trades staging time (TC requests wait in the per-tenant\n\
          PM queue for their drain) for a bounded device queue and a\n\
          per-batch response path; SPDK submits immediately but every\n\
-         request then queues at the device and pays its own response.\n"
+         request then queues at the device and pays its own response.\n",
     );
     crate::save_csv("breakdown", &t);
 }

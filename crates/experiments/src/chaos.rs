@@ -96,9 +96,9 @@ pub fn table(results: &[workload::RunResult]) -> Table {
 
 /// Run the loss × window grid and emit the degradation table.
 pub fn all(d: Durations, threads: Option<usize>) {
-    println!("== Chaos: loss rate x window size, NVMe-oPF 1 LS : 4 TC read, 100 Gbps ==\n");
+    crate::put("== Chaos: loss rate x window size, NVMe-oPF 1 LS : 4 TC read, 100 Gbps ==\n");
     let results = run_all(&scenarios(d), threads);
     let t = table(&results);
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("chaos", &t);
 }

@@ -193,10 +193,10 @@ pub fn scale_table(results: &[RunResult], quick: bool, max_targets: usize) -> Ta
 /// Run the cluster scale sweep, assert its contracts, and save
 /// `scale_cluster.csv`.
 pub fn scale_all(d: Durations, threads: Option<usize>, quick: bool, max_targets: usize) {
-    println!("== Scale: tenants × shards × targets on the cluster plane ==\n");
+    crate::put("== Scale: tenants × shards × targets on the cluster plane ==\n");
     let results = run_all(&scenarios(d, quick, max_targets), threads);
     let t = scale_table(&results, quick, max_targets);
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("scale_cluster", &t);
 }
 
@@ -334,12 +334,12 @@ pub fn adversary_table(results: &[RunResult], targets: usize) -> Table {
 /// Run the adversary-under-migration smoke and save
 /// `adversary_targets{N}.csv`.
 pub fn adversary_all(d: Durations, threads: Option<usize>, targets: usize) {
-    println!(
+    crate::put(&format!(
         "== Adversary x migration: hardened attack grid on a {targets}-target \
          cluster, NVMe-oPF 1 LS : 5 TC read, 100 Gbps ==\n"
-    );
+    ));
     let results = run_all(&adversary_scenarios(d, targets), threads);
     let t = adversary_table(&results, targets);
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv(&format!("adversary_targets{targets}"), &t);
 }

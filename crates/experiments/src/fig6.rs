@@ -28,7 +28,7 @@ fn scenario(
 
 /// Figure 6(a): window-size sweep with one TC and one LS tenant.
 pub fn fig6a(d: Durations, threads: Option<usize>) {
-    println!("== Fig 6(a): throughput/latency vs window size (1 LS + 1 TC, read) ==\n");
+    crate::put("== Fig 6(a): throughput/latency vs window size (1 LS + 1 TC, read) ==\n");
     let speeds = [Gbps::G25, Gbps::G100];
     let mut scenarios = Vec::new();
     for &speed in &speeds {
@@ -75,13 +75,13 @@ pub fn fig6a(d: Durations, threads: Option<usize>) {
             ]);
         }
     }
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("fig6a", &t);
 }
 
 /// Figure 6(b): window-size sweep × network speed, single TC tenant.
 pub fn fig6b(d: Durations, threads: Option<usize>) {
-    println!("== Fig 6(b): throughput vs window size across 10/25/100 Gbps (1 TC, read) ==\n");
+    crate::put("== Fig 6(b): throughput vs window size across 10/25/100 Gbps (1 TC, read) ==\n");
     let mut scenarios = Vec::new();
     for speed in Gbps::ALL {
         scenarios.push(scenario(
@@ -117,7 +117,7 @@ pub fn fig6b(d: Durations, threads: Option<usize>) {
         }
         t.row(row);
     }
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("fig6b", &t);
 }
 
@@ -188,10 +188,10 @@ pub fn fig6c_table(results: &[workload::RunResult]) -> Table {
 /// Figure 6(c): completion notifications generated during the measure
 /// window (read and write, SPDK QD 1/128 vs NVMe-oPF windows).
 pub fn fig6c(d: Durations, threads: Option<usize>) {
-    println!("== Fig 6(c): completion notification counts (1 TC initiator, 100 Gbps) ==\n");
+    crate::put("== Fig 6(c): completion notification counts (1 TC initiator, 100 Gbps) ==\n");
     let scenarios = fig6c_scenarios(d);
     let results = run_all(&scenarios, threads);
     let t = fig6c_table(&results);
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("fig6c", &t);
 }

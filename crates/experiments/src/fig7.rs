@@ -72,18 +72,18 @@ pub fn panel(mix: Mix, d: Durations, threads: Option<usize>) {
         "write" => ("c", "f"),
         _ => ("b", "e"),
     };
-    println!(
+    crate::put(&format!(
         "== Fig 7({}): aggregate TC throughput, {} workload (S=SPDK, PF=NVMe-oPF) ==\n",
         tag.0,
         mix.label()
-    );
-    println!("{}", workload::render_table(&tput));
-    println!(
+    ));
+    crate::put(&workload::render_table(&tput));
+    crate::put(&format!(
         "== Fig 7({}): LS 99.99% tail latency, {} workload ==\n",
         tag.1,
         mix.label()
-    );
-    println!("{}", workload::render_table(&tail));
+    ));
+    crate::put(&workload::render_table(&tail));
     crate::save_csv(&format!("fig7{}_throughput", tag.0), &tput);
     crate::save_csv(&format!("fig7{}_tail", tag.1), &tail);
 }

@@ -101,9 +101,9 @@ pub fn all(d: Durations, threads: Option<usize>) {
         ),
     ];
     for (mix, pattern, tag, desc) in panels {
-        println!("== Fig 8({tag}): {desc}, 100 Gbps ==\n");
+        crate::put(&format!("== Fig 8({tag}): {desc}, 100 Gbps ==\n"));
         let t = panel(mix, pattern, d, threads);
-        println!("{}", workload::render_table(&t));
+        crate::put(&workload::render_table(&t));
         crate::save_csv(&format!("fig8{tag}"), &t);
     }
 }

@@ -92,9 +92,9 @@ pub fn all(d: Durations, threads: Option<usize>) {
         ),
     ];
     for (kernel, pattern, tag, desc) in panels {
-        println!("== Fig 9({tag}): {desc}, 25 Gbps ==\n");
+        crate::put(&format!("== Fig 9({tag}): {desc}, 25 Gbps ==\n"));
         let t = panel(kernel, pattern, d, threads);
-        println!("{}", workload::render_table(&t));
+        crate::put(&workload::render_table(&t));
         crate::save_csv(&format!("fig9{tag}"), &t);
     }
 }

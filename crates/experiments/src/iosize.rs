@@ -16,7 +16,7 @@ use workload::{Mix, Pattern, RuntimeKind, Scenario, Table};
 
 /// Run the I/O-size × pattern sweep and print the table.
 pub fn all(d: Durations, threads: Option<usize>) {
-    println!("== Extension: I/O size and access pattern (1 TC, read, 100 Gbps) ==\n");
+    crate::put("== Extension: I/O size and access pattern (1 TC, read, 100 Gbps) ==\n");
     let sizes: [u16; 5] = [1, 4, 16, 32, 64]; // 4K .. 256K
     let mut scenarios = Vec::new();
     for pattern in [Pattern::Sequential, Pattern::Random] {
@@ -53,6 +53,6 @@ pub fn all(d: Durations, threads: Option<usize>) {
             ]);
         }
     }
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("iosize", &t);
 }

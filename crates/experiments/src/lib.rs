@@ -44,6 +44,7 @@ pub mod sweep;
 pub mod table1;
 pub mod transport;
 
+use std::io::Write;
 use std::path::PathBuf;
 
 /// Where CSV results land: `results/` under the workspace root when the
@@ -71,9 +72,22 @@ pub fn results_dir() -> PathBuf {
 pub fn save_csv(name: &str, table: &workload::Table) {
     let path = results_dir().join(format!("{name}.csv"));
     match std::fs::write(&path, workload::csv_table(table)) {
-        Ok(()) => println!("  [saved {}]", path.display()),
-        Err(e) => eprintln!("  [could not save {}: {e}]", path.display()),
+        Ok(()) => put(&format!("  [saved {}]", path.display())),
+        Err(e) => say(&format!("  [could not save {}: {e}]", path.display())),
     }
+}
+
+/// Text to stdout, newline-terminated. A reader that leaves early
+/// (`repro … | head -1`) closes stdout; that is no reason to panic: the
+/// files are written and the exit code stands.
+pub fn put(msg: &str) {
+    let _ = writeln!(std::io::stdout(), "{msg}");
+}
+
+/// Text to stderr, newline-terminated; a closed stderr is ignored as
+/// [`put`] ignores a closed stdout.
+pub fn say(msg: &str) {
+    let _ = writeln!(std::io::stderr(), "{msg}");
 }
 
 /// `ini{i}.completed` of each tenant slot in `slots`.

@@ -60,7 +60,7 @@ pub fn full_table(results: &[workload::RunResult]) -> Table {
 
 /// Run the observability comparison and emit summary + full CSV.
 pub fn all(d: Durations, threads: Option<usize>) {
-    println!("== Observability: unified metrics snapshot (1 LS : 4 TC, 100 Gbps, read) ==\n");
+    crate::put("== Observability: unified metrics snapshot (1 LS : 4 TC, 100 Gbps, read) ==\n");
     let results = run_all(&scenarios(d), threads);
     let (spdk, opf) = (&results[0].metrics, &results[1].metrics);
 
@@ -72,7 +72,7 @@ pub fn all(d: Durations, threads: Option<usize>) {
         };
         t.row([label.to_string(), fmt(spdk), fmt(opf)]);
     }
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
 
     crate::save_csv("observe", &full_table(&results));
 }

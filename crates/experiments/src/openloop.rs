@@ -40,7 +40,7 @@ fn scenario(runtime: RuntimeKind, rate_kiops: f64, measure_s: f64) -> Scenario {
 
 /// Run the open-loop sweep and print the table.
 pub fn all(d: Durations, threads: Option<usize>) {
-    println!("== Extension: open-loop latency vs offered load (4 tenants, read, 100 Gbps) ==\n");
+    crate::put("== Extension: open-loop latency vs offered load (4 tenants, read, 100 Gbps) ==\n");
     let measure_s = (d.measure_s * 0.4).max(0.04);
     let scenarios: Vec<Scenario> = [RuntimeKind::Spdk, RuntimeKind::Opf]
         .into_iter()
@@ -67,6 +67,6 @@ pub fn all(d: Durations, threads: Option<usize>) {
             format!("{:.1}x", s.tc_avg_us / o.tc_avg_us.max(1e-9)),
         ]);
     }
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("openloop", &t);
 }

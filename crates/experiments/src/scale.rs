@@ -147,9 +147,9 @@ pub fn table(results: &[RunResult], quick: bool) -> Table {
 
 /// Run the scale sweep, assert its contracts, and save `scale.csv`.
 pub fn all(d: Durations, threads: Option<usize>, quick: bool) {
-    println!("== Scale: tenants × shards on the multi-reactor target ==\n");
+    crate::put("== Scale: tenants × shards on the multi-reactor target ==\n");
     let results = run_all(&scenarios(d, quick), threads);
     let t = table(&results, quick);
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("scale", &t);
 }

@@ -58,9 +58,9 @@ pub fn build() -> Table {
 
 /// Print Table I.
 pub fn print() {
-    println!("== Table I: experiment configuration (simulated testbeds) ==\n");
+    crate::put("== Table I: experiment configuration (simulated testbeds) ==\n");
     let t = build();
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("table1", &t);
 }
 

@@ -20,7 +20,7 @@ use workload::{Mix, RuntimeKind, Scenario, Table, Transport};
 
 /// Run the transport comparison and print the table.
 pub fn all(d: Durations, threads: Option<usize>) {
-    println!("== Extension: TCP vs RDMA transport (1 LS : 4 TC, read, 10 & 100 Gbps) ==\n");
+    crate::put("== Extension: TCP vs RDMA transport (1 LS : 4 TC, read, 10 & 100 Gbps) ==\n");
     let mut scenarios = Vec::new();
     for speed in [Gbps::G10, Gbps::G100] {
         for transport in [Transport::Tcp, Transport::Rdma] {
@@ -62,6 +62,6 @@ pub fn all(d: Durations, threads: Option<usize>) {
             fmt_us(o.ls_p9999_us),
         ]);
     }
-    println!("{}", workload::render_table(&t));
+    crate::put(&workload::render_table(&t));
     crate::save_csv("transport", &t);
 }

@@ -13,11 +13,11 @@
 //! under `--out`, and exits non-zero if any gate fails. Output is
 //! bit-identical across runs of the same spec.
 
-use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use experiments::campaign::{render_outcomes, run_campaign, write_outputs, CampaignSpec};
+use experiments::{put, say};
 use sweep::{report_csv, report_json, run_spec, SweepSpec};
 
 const USAGE: &str = "usage: sweep [campaign] <spec.json> [--out DIR] [--threads N]";
@@ -123,17 +123,4 @@ fn main() -> ExitCode {
 fn fail(msg: &str) -> ExitCode {
     say(&format!("sweep: {msg}\n{USAGE}"));
     ExitCode::FAILURE
-}
-
-/// Text to stdout, newline-terminated. A closed stdout (`sweep … |
-/// head -1`) is no reason to panic: the files are written and the exit
-/// code stands.
-fn put(msg: &str) {
-    let _ = writeln!(io::stdout(), "{msg}");
-}
-
-/// One line to stderr. A closed stderr is no reason to panic: the exit
-/// code still tells the caller what happened.
-fn say(msg: &str) {
-    let _ = writeln!(io::stderr(), "{msg}");
 }
