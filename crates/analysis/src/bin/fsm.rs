@@ -15,6 +15,7 @@
 //! exploring, printing the violation it reproduces.
 
 use analysis::fsm::{check, replay, scenario, Config, Hazard, Outcome};
+use json::put;
 use std::process::ExitCode;
 
 fn run_matrix(emit_dir: Option<&str>) -> ExitCode {
@@ -29,15 +30,17 @@ fn run_matrix(emit_dir: Option<&str>) -> ExitCode {
     ] {
         match check(&cfg) {
             Outcome::Clean { states, terminals } => {
-                println!("fsm: {name}: clean ({states} states, {terminals} terminal)");
+                put(&format!(
+                    "fsm: {name}: clean ({states} states, {terminals} terminal)"
+                ));
             }
             Outcome::Violated(cx) => {
-                println!(
+                put(&format!(
                     "fsm: {name}: UNEXPECTED {} after {} actions",
                     cx.violation,
                     cx.schedule.len()
-                );
-                println!("{}", scenario::emit(&cfg, &cx));
+                ));
+                put(&scenario::emit(&cfg, &cx));
                 ok = false;
             }
         }
@@ -46,33 +49,36 @@ fn run_matrix(emit_dir: Option<&str>) -> ExitCode {
     let unhardened = Config::forged_ls_witness(false);
     match check(&unhardened) {
         Outcome::Violated(cx) if cx.violation == Hazard::CidQueueOverflow => {
-            println!(
+            put(&format!(
                 "fsm: unhardened forged-LS witness: reproduces PR6 {} in {} actions (expected)",
                 cx.violation,
                 cx.schedule.len()
-            );
+            ));
             if let Some(dir) = emit_dir {
                 let path = std::path::Path::new(dir).join("forged_ls_overflow.json");
                 if let Err(e) = std::fs::write(&path, scenario::emit(&unhardened, &cx)) {
-                    println!("fsm: cannot write {}: {e}", path.display());
+                    put(&format!("fsm: cannot write {}: {e}", path.display()));
                     ok = false;
                 } else {
-                    println!("fsm: counterexample written to {}", path.display());
+                    put(&format!(
+                        "fsm: counterexample written to {}",
+                        path.display()
+                    ));
                 }
             }
         }
         Outcome::Violated(cx) => {
-            println!(
+            put(&format!(
                 "fsm: unhardened forged-LS witness: wrong violation {} (expected cid-queue-overflow)",
                 cx.violation
-            );
+            ));
             ok = false;
         }
         Outcome::Clean { states, .. } => {
-            println!(
+            put(&format!(
                 "fsm: unhardened forged-LS witness: clean over {states} states — the model \
                  no longer reproduces the PR6 overflow; it has drifted from the code"
-            );
+            ));
             ok = false;
         }
     }
@@ -88,41 +94,41 @@ fn run_replay(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
-            println!("fsm: cannot read {path}: {e}");
+            put(&format!("fsm: cannot read {path}: {e}"));
             return ExitCode::FAILURE;
         }
     };
     let (cfg, cx) = match scenario::parse(&text) {
         Ok(v) => v,
         Err(e) => {
-            println!("fsm: {path}: {e}");
+            put(&format!("fsm: {path}: {e}"));
             return ExitCode::FAILURE;
         }
     };
     match replay(&cfg, &cx.schedule) {
         Ok(Some(v)) if v == cx.violation => {
-            println!(
+            put(&format!(
                 "fsm: {path}: reproduces {v} in {} actions",
                 cx.schedule.len()
-            );
+            ));
             ExitCode::SUCCESS
         }
         Ok(Some(v)) => {
-            println!(
+            put(&format!(
                 "fsm: {path}: reproduces {v}, but the file claims {}",
                 cx.violation
-            );
+            ));
             ExitCode::FAILURE
         }
         Ok(None) => {
-            println!(
+            put(&format!(
                 "fsm: {path}: schedule completed without violating — the recorded \
                  bug no longer reproduces against this model"
-            );
+            ));
             ExitCode::FAILURE
         }
         Err(e) => {
-            println!("fsm: {path}: schedule diverged: {e:?}");
+            put(&format!("fsm: {path}: schedule diverged: {e:?}"));
             ExitCode::FAILURE
         }
     }
@@ -134,19 +140,21 @@ fn main() -> ExitCode {
         Some("--replay") => match args.get(1) {
             Some(path) => run_replay(path),
             None => {
-                println!("fsm: --replay needs a scenario file");
+                put("fsm: --replay needs a scenario file");
                 ExitCode::FAILURE
             }
         },
         Some("--emit") => match args.get(1) {
             Some(dir) => run_matrix(Some(dir)),
             None => {
-                println!("fsm: --emit needs a directory");
+                put("fsm: --emit needs a directory");
                 ExitCode::FAILURE
             }
         },
         Some(other) => {
-            println!("fsm: unknown argument `{other}` (try --emit <dir> or --replay <file>)");
+            put(&format!(
+                "fsm: unknown argument `{other}` (try --emit <dir> or --replay <file>)"
+            ));
             ExitCode::FAILURE
         }
         None => run_matrix(None),

@@ -44,7 +44,6 @@ pub mod sweep;
 pub mod table1;
 pub mod transport;
 
-use std::io::Write;
 use std::path::PathBuf;
 
 /// Where CSV results land: `results/` under the workspace root when the
@@ -77,18 +76,7 @@ pub fn save_csv(name: &str, table: &workload::Table) {
     }
 }
 
-/// Text to stdout, newline-terminated. A reader that leaves early
-/// (`repro … | head -1`) closes stdout; that is no reason to panic: the
-/// files are written and the exit code stands.
-pub fn put(msg: &str) {
-    let _ = writeln!(std::io::stdout(), "{msg}");
-}
-
-/// Text to stderr, newline-terminated; a closed stderr is ignored as
-/// [`put`] ignores a closed stdout.
-pub fn say(msg: &str) {
-    let _ = writeln!(std::io::stderr(), "{msg}");
-}
+pub use simkit::json::{put, say};
 
 /// `ini{i}.completed` of each tenant slot in `slots`.
 pub(crate) fn completed(

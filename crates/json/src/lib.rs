@@ -13,6 +13,9 @@
 //! `Ok(None)` for an absent key and an error naming the block path
 //! (`scenarios[0].traffic.phases[1]`) and the key for a value of the
 //! wrong type or out of range, so a bad value never reads as the default.
+//!
+//! It also holds the workspace's one text printer, [`put`] and [`say`]:
+//! every binary that reads a spec or a scenario file prints through it.
 
 // no-panic (DESIGN.md §10): bad input is a counted or typed error, never a crash.
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -20,7 +23,21 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use std::fmt;
+use std::io::Write;
 use std::ops::{Bound, RangeBounds};
+
+/// Text to stdout, newline-terminated. A reader that leaves early
+/// (`repro … | head -1`) closes stdout; that is no reason to panic: the
+/// files are written and the exit code stands.
+pub fn put(msg: &str) {
+    let _ = writeln!(std::io::stdout(), "{msg}");
+}
+
+/// Text to stderr, newline-terminated; a closed stderr is ignored as
+/// [`put`] ignores a closed stdout.
+pub fn say(msg: &str) {
+    let _ = writeln!(std::io::stderr(), "{msg}");
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -16,7 +16,11 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+// function-size (DESIGN.md §10): no function over the root clippy.toml's
+// `too-many-lines-threshold`; a long one splits into stages.
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
+mod group;
 pub mod hist;
 pub mod mix;
 pub mod pool;

@@ -6,21 +6,19 @@
 //! each, one kernel per group, in parallel, and merges them in group
 //! order; [`build_pair`] is the target and tenant stages on their own.
 
+use crate::group::{Group, GroupOut};
 use crate::hist::Histogram;
 use crate::pool::map;
-use crate::scenario::{Pattern, RuntimeKind, Scenario, Speed, Transport};
-use crate::traffic::{Arrival, ArrivalModel, TenantTraffic};
+use crate::scenario::{RuntimeKind, Scenario, Speed, Transport};
 use bytes::Bytes;
 use fabric::{Endpoint, FabricConfig, Gbps, Network};
 use nvme::{FlashProfile, NvmeDevice, Opcode, BLOCK_SIZE};
-use nvmf::initiator::TargetRx;
 use nvmf::qpair::IoCallback;
-use nvmf::{CpuCosts, IoOutcome, PduRx, RetryPolicy, SpdkInitiator, SpdkTarget};
+use nvmf::{CpuCosts, InitiatorStats, PduRx, PriorityPolicy, RetryPolicy, TargetRx};
+use nvmf::{SpdkInitiator, SpdkTarget, TargetPolicy};
 use opf::{OpfInitiator, OpfInitiatorConfig, OpfTarget, OpfTargetConfig, QueueMode, ReqClass};
-use simkit::{shared, Kernel, Metrics, MetricsSource, Pcg32, Shared, SimDuration, SimTime, Tracer};
+use simkit::{shared, Kernel, Metrics, MetricsSource, Shared, SimDuration, SimTime, Tracer};
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Aggregated results of one scenario run.
@@ -138,8 +136,13 @@ impl TenantHandle {
             .is_some_and(|i| OpfInitiator::flush(i, k, cb).is_some())
     }
 
-    fn metrics(&self, now: SimTime) -> Metrics {
+    pub(crate) fn metrics(&self, now: SimTime) -> Metrics {
         either!(&self.0, AnyInitiator, i => i.borrow().metrics(now))
+    }
+
+    /// The transport's counters: one set under both runtimes.
+    pub(crate) fn stats(&self) -> InitiatorStats {
+        either!(&self.0, AnyInitiator, i => i.borrow_mut().transport().stats.clone())
     }
 
     /// Drop the callbacks of commands still in flight at the horizon.
@@ -147,7 +150,7 @@ impl TenantHandle {
         either!(&self.0, AnyInitiator, i => i.borrow_mut().abort_pending())
     }
 
-    fn as_opf(&self) -> Option<&Shared<OpfInitiator>> {
+    pub(crate) fn as_opf(&self) -> Option<&Shared<OpfInitiator>> {
         match &self.0 {
             AnyInitiator::Opf(i) => Some(i),
             AnyInitiator::Spdk(_) => None,
@@ -156,271 +159,97 @@ impl TenantHandle {
 }
 
 #[derive(Clone)]
-enum AnyTarget {
+pub(crate) enum AnyTarget {
     Spdk(Shared<SpdkTarget>),
     Opf(Shared<OpfTarget>),
 }
 
 impl AnyTarget {
-    /// Read the transport target both runtimes are built on.
-    fn io<R>(&self, f: impl FnOnce(&SpdkTarget) -> R) -> R {
-        match self {
-            AnyTarget::Spdk(t) => f(&t.borrow()),
-            AnyTarget::Opf(t) => f(&t.borrow().io),
+    /// The one place the two runtimes differ in how a stack is built:
+    /// target `id` of `runtime` on endpoint `ep` and SSD `dev`, and (in
+    /// [`Self::new_initiator`]) the initiator that speaks to it, each
+    /// with the configuration its runtime reads.
+    fn new(
+        env: &Env,
+        runtime: RuntimeKind,
+        id: u32,
+        ep: Shared<Endpoint>,
+        dev: Shared<NvmeDevice>,
+        tracer: Tracer,
+    ) -> AnyTarget {
+        let (net, costs) = (env.net.clone(), env.costs.clone());
+        match runtime {
+            RuntimeKind::Spdk => {
+                let mut t = SpdkTarget::new(id, net, ep, dev, costs, tracer);
+                // Under an adversary the baseline's identity enforcement
+                // follows its `harden` flag (and turns its hardening
+                // counters on).
+                let adversary = env
+                    .plane
+                    .as_ref()
+                    .and_then(|p| p.borrow().profile().adversary);
+                if let Some(adv) = adversary {
+                    t.set_hardening(adv.harden);
+                }
+                AnyTarget::Spdk(shared(t))
+            }
+            RuntimeKind::Opf => {
+                let t = OpfTarget::new(id, net, ep, dev, costs, env.target_cfg.clone(), tracer);
+                AnyTarget::Opf(shared(t))
+            }
         }
     }
 
-    fn resps_tx(&self) -> u64 {
+    /// Tenant `id`'s initiator, from endpoint `ep` to this target (at
+    /// `tep`, reached over `tx`).
+    fn new_initiator(
+        &self,
+        env: &Env,
+        id: u8,
+        qd: usize,
+        ep: Shared<Endpoint>,
+        tep: Shared<Endpoint>,
+        tx: TargetRx,
+    ) -> AnyInitiator {
+        let (net, costs) = (env.net.clone(), env.costs.clone());
+        match self {
+            AnyTarget::Spdk(_) => {
+                let mut i = SpdkInitiator::new(id, qd, net, ep, tep, tx, costs);
+                if let Some(policy) = env.tenant_cfg.retry {
+                    i.set_retry(policy);
+                }
+                AnyInitiator::Spdk(shared(i))
+            }
+            AnyTarget::Opf(_) => {
+                let i = OpfInitiator::new(id, qd, net, ep, tep, tx, costs, env.tenant_cfg.clone());
+                AnyInitiator::Opf(shared(i))
+            }
+        }
+    }
+
+    /// Work on the transport target both runtimes are built on.
+    fn io<R>(&self, f: impl FnOnce(&mut SpdkTarget) -> R) -> R {
+        either!(self, AnyTarget, t => f(t.borrow_mut().transport()))
+    }
+
+    pub(crate) fn resps_tx(&self) -> u64 {
         self.io(|t| t.stats.resps_tx)
     }
 
-    fn reactor_utilization(&self, now: SimTime) -> f64 {
+    pub(crate) fn reactor_utilization(&self, now: SimTime) -> f64 {
         self.io(|t| t.reactor_utilization(now))
     }
 
-    fn metrics(&self, now: SimTime) -> Metrics {
+    pub(crate) fn metrics(&self, now: SimTime) -> Metrics {
         either!(self, AnyTarget, t => t.borrow().metrics(now))
     }
 
-    /// Drop every connection (and the initiator handle it captures).
-    fn disconnect_all(&self) {
-        match self {
-            AnyTarget::Spdk(t) => t.borrow_mut().disconnect_all(),
-            AnyTarget::Opf(t) => t.borrow_mut().io.disconnect_all(),
-        }
-    }
-
-    fn as_opf(&self) -> Option<&Shared<OpfTarget>> {
+    pub(crate) fn as_opf(&self) -> Option<&Shared<OpfTarget>> {
         match self {
             AnyTarget::Opf(t) => Some(t),
             AnyTarget::Spdk(_) => None,
         }
     }
-}
-
-/// What the closed- and open-loop generators share: the tenant's
-/// initiator, its LBA region and addressing stream, and the
-/// measure-window latency record.
-struct TenantIo {
-    ini: TenantHandle,
-    pattern: Pattern,
-    rng: Pcg32,
-    /// Requests addressed so far (the sequential cursor).
-    n: u64,
-    lba_base: u64,
-    lba_span: u64,
-    /// Prebuilt max-size write payload.
-    payload: Bytes,
-    /// The tenant's class histogram; its sample count is the class's
-    /// in-window completion count.
-    hist: Rc<RefCell<Histogram>>,
-    win_start: SimTime,
-    win_end: SimTime,
-    /// Served completions, in total and in the measure window.
-    done_total: u64,
-    done_win: u64,
-}
-
-impl TenantIo {
-    /// Starting LBA of the next request of `blocks` blocks.
-    fn next_slba(&mut self, blocks: u16) -> u64 {
-        let slots = (self.lba_span / u64::from(blocks)).max(1);
-        let slot = match self.pattern {
-            Pattern::Sequential => self.n % slots,
-            Pattern::Random => self.rng.gen_range(0, slots),
-        };
-        self.n += 1;
-        self.lba_base + slot * u64::from(blocks)
-    }
-
-    fn in_window(&self, now: SimTime) -> bool {
-        now >= self.win_start && now < self.win_end
-    }
-
-    /// Account one completion at `now`, `latency` after it started. A
-    /// failed I/O (retries exhausted, a device error) was not served: it
-    /// counts in neither `done_*` nor a latency record. A served one in
-    /// the measure window records into `hist`, or into the tenant's own
-    /// class histogram when `hist` is `None`.
-    fn complete(
-        &mut self,
-        now: SimTime,
-        out: &IoOutcome,
-        latency: SimDuration,
-        hist: Option<&RefCell<Histogram>>,
-    ) {
-        if !out.status.is_ok() {
-            return;
-        }
-        self.done_total += 1;
-        if self.in_window(now) {
-            self.done_win += 1;
-            hist.unwrap_or(&self.hist)
-                .borrow_mut()
-                .record(latency.as_nanos());
-        }
-    }
-}
-
-struct Driver {
-    io: TenantIo,
-    class: ReqClass,
-    mix: crate::Mix,
-    io_blocks: u16,
-}
-
-/// Issue the driver's next request; each completion re-issues (closed
-/// loop at the initiator's queue depth).
-fn issue(d: Rc<RefCell<Driver>>, k: &mut Kernel) {
-    let (class, opcode, slba, blocks, payload) = {
-        let mut dr = d.borrow_mut();
-        let opcode = if dr.mix.is_read(dr.io.n) {
-            Opcode::Read
-        } else {
-            Opcode::Write
-        };
-        let blocks = dr.io_blocks;
-        let slba = dr.io.next_slba(blocks);
-        // The payload is sized for the largest open-loop request.
-        let len = BLOCK_SIZE * blocks as usize;
-        let payload = (opcode == Opcode::Write).then(|| dr.io.payload.slice(..len));
-        (dr.class, opcode, slba, blocks, payload)
-    };
-    let d2 = d.clone();
-    let cb: IoCallback = Box::new(move |k, out| {
-        let win_end = {
-            let io = &mut d2.borrow_mut().io;
-            io.complete(k.now(), &out, out.latency, None);
-            io.win_end
-        };
-        // A failed I/O re-issues too, so the loop keeps its depth.
-        if k.now() < win_end {
-            issue(d2, k);
-        }
-    });
-    let io = &d.borrow().io;
-    let ok = io.ini.submit(k, class, opcode, slba, blocks, payload, cb);
-    debug_assert!(ok, "closed loop must respect queue depth");
-}
-
-/// One open-loop TC tenant (PR 10 traffic models): arrivals come from a
-/// [`TenantTraffic`] generator or trace on the tenant's own kernel lane;
-/// a request that finds the qpair full waits in the app-side `pending`
-/// queue and its latency counts from *arrival* (queueing included).
-struct OpenTenant {
-    io: TenantIo,
-    gen: TenantTraffic,
-    pending: VecDeque<OpenReq>,
-    /// Where a trace's LS events record (`io.hist` is the TC one).
-    ls_hist: Rc<RefCell<Histogram>>,
-    default_blocks: u16,
-    base_mix: crate::Mix,
-    offered_total: u64,
-    offered_win: u64,
-}
-
-#[derive(Clone, Copy)]
-struct OpenReq {
-    arrival: Arrival,
-    arrived: SimTime,
-}
-
-/// One arrival: draw the request shape, submit or queue it, and
-/// schedule the next arrival (the chain stops once the next one would
-/// land past the measure window, or a trace has none left).
-fn open_arrival(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
-    let now = k.now();
-    let (req, gap, win_end) = {
-        let mut s = t.borrow_mut();
-        let (default_blocks, base_mix) = (s.default_blocks, s.base_mix);
-        let Some(arrival) = s.gen.draw(now.as_nanos(), default_blocks, base_mix) else {
-            return;
-        };
-        s.offered_total += 1;
-        if s.io.in_window(now) {
-            s.offered_win += 1;
-        }
-        let gap = s.gen.next_gap_ns(now.as_nanos());
-        (
-            OpenReq {
-                arrival,
-                arrived: now,
-            },
-            gap,
-            s.io.win_end,
-        )
-    };
-    if t.borrow().io.ini.has_capacity() {
-        open_submit(&t, k, req);
-    } else {
-        t.borrow_mut().pending.push_back(req);
-    }
-    if now + SimDuration::from_nanos(gap) < win_end {
-        let t2 = t.clone();
-        k.schedule_in(SimDuration::from_nanos(gap), move |k| open_arrival(t2, k));
-    }
-}
-
-/// Submit one open-loop request at its own LBA (a trace's) or the
-/// tenant's next one; its completion pops the next queued arrival (if
-/// any) straight into the freed slot.
-fn open_submit(t: &Rc<RefCell<OpenTenant>>, k: &mut Kernel, req: OpenReq) {
-    let Arrival {
-        class,
-        write,
-        blocks,
-        lba,
-    } = req.arrival;
-    let (opcode, slba, blocks, payload) = {
-        let io = &mut t.borrow_mut().io;
-        let opcode = if write { Opcode::Write } else { Opcode::Read };
-        let blocks = blocks.max(1);
-        let slba = lba.unwrap_or_else(|| io.next_slba(blocks));
-        let payload = write.then(|| io.payload.slice(0..BLOCK_SIZE * blocks as usize));
-        (opcode, slba, blocks, payload)
-    };
-    let t2 = t.clone();
-    let arrived = req.arrived;
-    let cb: IoCallback = Box::new(move |k, out| {
-        {
-            let mut guard = t2.borrow_mut();
-            let s = &mut *guard;
-            let now = k.now();
-            let hist = match class {
-                ReqClass::LatencySensitive => Some(&*s.ls_hist),
-                ReqClass::ThroughputCritical => None,
-            };
-            // End-to-end latency counts from arrival: app-side queueing
-            // is part of what an open-loop client sees.
-            s.io.complete(now, &out, now.since(arrived), hist);
-        }
-        let next = t2.borrow_mut().pending.pop_front();
-        if let Some(r) = next {
-            open_submit(&t2, k, r);
-        }
-    });
-    let io = &t.borrow().io;
-    let ok = io.ini.submit(k, class, opcode, slba, blocks, payload, cb);
-    debug_assert!(ok, "open-loop submit must respect capacity");
-}
-
-/// Periodic 1 ms queue re-fill: an NVMe-oPF drain-timer flush occupies a
-/// queue slot whose completion does not pop the app queue, so without
-/// this sweep a tenant could idle with work pending. The chain dies at
-/// the kernel horizon.
-fn open_drain(t: Rc<RefCell<OpenTenant>>, k: &mut Kernel) {
-    loop {
-        if !t.borrow().io.ini.has_capacity() {
-            break;
-        }
-        let next = t.borrow_mut().pending.pop_front();
-        match next {
-            Some(req) => open_submit(&t, k, req),
-            None => break,
-        }
-    }
-    let t2 = t.clone();
-    k.schedule_in(SimDuration::from_micros(1000), move |k| open_drain(t2, k));
 }
 
 /// One target and the tenants connected to it, for callers (the h5bench
@@ -467,12 +296,12 @@ impl Pair {
 /// closure, initiators their target's, and in-flight callbacks whatever
 /// drives their initiator. Dropping the connections and the pending
 /// callbacks cuts both `Rc` cycles.
-fn teardown<'a>(
+pub(crate) fn teardown<'a>(
     nodes: impl IntoIterator<Item = &'a TargetNode>,
     tenants: impl IntoIterator<Item = &'a TenantHandle>,
 ) {
     for n in nodes {
-        n.target.disconnect_all();
+        n.target.io(SpdkTarget::disconnect_all);
     }
     for t in tenants {
         t.abort_pending();
@@ -484,12 +313,12 @@ fn teardown<'a>(
 /// callers that drive their own I/O build pairs through
 /// [`Env::fault_free`], [`Env::pair`] and [`Env::connect`].
 pub struct Env {
-    net: Network,
-    costs: CpuCosts,
+    pub(crate) net: Network,
+    pub(crate) costs: CpuCosts,
     flash: FlashProfile,
     /// Fault plane. With `None` no interposing closure is installed and
     /// the event sequence is bit-identical to a build without faults.
-    plane: Option<Shared<faults::FaultPlane>>,
+    pub(crate) plane: Option<Shared<faults::FaultPlane>>,
     /// Targets tolerate retransmissions (duplicate-command suppression,
     /// R2T re-grants).
     recovery: bool,
@@ -525,6 +354,64 @@ impl Env {
     pub fn fault_free(speed: Gbps, window: opf::WindowPolicy) -> Env {
         let mut env = Env::new(speed, Transport::Tcp);
         env.tenant_cfg.window = window;
+        env
+    }
+
+    /// Stage 1 of pair group `group` of `sc`, on the group's kernel `k`:
+    /// its fault plane, recovery, and the target and tenant configs.
+    pub(crate) fn for_group(sc: &Scenario, group: usize, k: &mut Kernel) -> Env {
+        let is_cluster = sc.is_cluster();
+        let profile = sc.faults.as_ref();
+        let adversary = profile.and_then(|p| p.adversary);
+        let mut env = Env::new(sc.speed, sc.transport);
+        // Each group's plane forks its RNG off the group kernel's under a
+        // tag of its own; group 0's is the historical `0xFA17`, so every
+        // one-group run keeps its stream. With `faults: None` the fork
+        // never happens.
+        env.plane = profile.map(|p| {
+            let rng = k.rng().fork(0xFA17 + ((group as u64) << 16));
+            shared(faults::FaultPlane::new(p.clone(), rng))
+        });
+        if let Some(p) = &env.plane {
+            if !p.borrow().profile().degrades.is_empty() {
+                env.net.set_bandwidth_model(faults::bandwidth_model(p));
+            }
+        }
+        // Recovery (duplicate suppression on targets, retry + re-drain on
+        // initiators) follows the fault profile — except in a cluster,
+        // where it is always armed: a post-move re-drive rides the
+        // re-issue path, and migration-free rows stay comparable. The
+        // profile may still override the timer values.
+        env.recovery = is_cluster || env.plane.is_some();
+        let mut retry = profile.and_then(|p| p.retry);
+        let mut redrain_timeout = profile.and_then(|p| p.redrain_timeout);
+        if is_cluster {
+            retry = retry.or(Some(RetryPolicy {
+                timeout: SimDuration::from_micros(300),
+                max_retries: 6,
+            }));
+            redrain_timeout = redrain_timeout.or(Some(SimDuration::from_micros(500)));
+        }
+        // With an adversary, §14 hardening follows its `harden` flag:
+        // enforcement plus the drain rate limit, or the wire-trusting
+        // baseline. Without one the defaults add no state and no metric
+        // keys.
+        env.target_cfg = OpfTargetConfig {
+            queue_mode: if sc.shared_queue {
+                QueueMode::Shared
+            } else {
+                QueueMode::PerInitiator
+            },
+            ls_bypass: !sc.no_ls_bypass,
+            enforce_identity: adversary.is_none_or(|a| a.harden),
+            drain_rate: adversary.and_then(|a| a.harden.then(opf::DrainRateLimit::default)),
+        };
+        env.tenant_cfg = OpfInitiatorConfig {
+            window: sc.resolve_window(),
+            retry,
+            redrain_timeout,
+            ..OpfInitiatorConfig::default()
+        };
         env
     }
 
@@ -568,7 +455,7 @@ impl Env {
     /// Interpose the fault plane on the initiator→target direction of
     /// fabric link `link` (flaps, crashes and the adversary address a
     /// tenant's path by this index).
-    fn wrap_tx(&self, link: usize, rx: TargetRx) -> TargetRx {
+    pub(crate) fn wrap_tx(&self, link: usize, rx: TargetRx) -> TargetRx {
         match &self.plane {
             Some(p) => faults::wrap_target_rx(p, link, rx),
             None => rx,
@@ -586,14 +473,14 @@ impl Env {
 
 /// Stage 2 — *targets*: one target with its fabric endpoint, its SSD
 /// and the path initiators deliver PDUs to it on.
-struct TargetNode {
-    target: AnyTarget,
-    rx: TargetRx,
-    ep: Shared<Endpoint>,
-    device: Shared<NvmeDevice>,
+pub(crate) struct TargetNode {
+    pub(crate) target: AnyTarget,
+    pub(crate) rx: TargetRx,
+    pub(crate) ep: Shared<Endpoint>,
+    pub(crate) device: Shared<NvmeDevice>,
 }
 
-fn build_target(
+pub(crate) fn build_target(
     env: &Env,
     runtime: RuntimeKind,
     id: u32,
@@ -604,38 +491,12 @@ fn build_target(
     let ep = env.net.add_endpoint(format!("tgt{id}"));
     let device = shared(NvmeDevice::new(env.flash.clone(), 1 << 30, device_seed));
     device.borrow_mut().set_store_data(!timing_only);
-    let (net, costs) = (env.net.clone(), env.costs.clone());
-    let (target, rx): (AnyTarget, TargetRx) = match runtime {
-        RuntimeKind::Spdk => {
-            let t = shared(SpdkTarget::new(
-                id,
-                net,
-                ep.clone(),
-                device.clone(),
-                costs,
-                tracer,
-            ));
-            t.borrow_mut().set_recovery(env.recovery);
-            let t2 = t.clone();
-            let rx: TargetRx = Rc::new(move |k, from, pdu| SpdkTarget::on_pdu(&t2, k, from, pdu));
-            (AnyTarget::Spdk(t), rx)
-        }
-        RuntimeKind::Opf => {
-            let t = shared(OpfTarget::new(
-                id,
-                net,
-                ep.clone(),
-                device.clone(),
-                costs,
-                env.target_cfg.clone(),
-                tracer,
-            ));
-            t.borrow_mut().set_recovery(env.recovery);
-            let t2 = t.clone();
-            let rx: TargetRx = Rc::new(move |k, from, pdu| OpfTarget::on_pdu(&t2, k, from, pdu));
-            (AnyTarget::Opf(t), rx)
-        }
-    };
+    let target = AnyTarget::new(env, runtime, id, ep.clone(), device.clone(), tracer);
+    target.io(|t| t.set_recovery(env.recovery));
+    let rx = either!(&target, AnyTarget, t => {
+        let t = t.clone();
+        Rc::new(move |k: &mut Kernel, from, pdu| SpdkTarget::on_pdu(&t, k, from, pdu)) as TargetRx
+    });
     TargetNode {
         target,
         rx,
@@ -645,10 +506,10 @@ fn build_target(
 }
 
 /// Stage 3 — *tenants*: the one place a tenant meets a target. Builds
-/// the initiator the home target's own variant calls for, interposes
+/// the initiator the home target's own runtime calls for, interposes
 /// the fault plane on fabric link `link`, and connects on reactor
 /// `lane`. Also returns the tenant's inbound path, for migrations.
-fn connect_tenant(
+pub(crate) fn connect_tenant(
     env: &Env,
     home: &TargetNode,
     iep: &Shared<Endpoint>,
@@ -658,49 +519,17 @@ fn connect_tenant(
     link: usize,
 ) -> (TenantHandle, PduRx) {
     let tx = env.wrap_tx(link, home.rx.clone());
-    let (net, costs) = (env.net.clone(), env.costs.clone());
-    match &home.target {
-        AnyTarget::Spdk(t) => {
-            let i = shared(SpdkInitiator::new(
-                id,
-                qd,
-                net,
-                iep.clone(),
-                home.ep.clone(),
-                tx,
-                costs,
-            ));
-            if let Some(policy) = env.tenant_cfg.retry {
-                i.borrow_mut().set_retry(policy);
-            }
-            let i2 = i.clone();
-            let rx = env.wrap_rx(
-                link,
-                Rc::new(move |k, pdu| SpdkInitiator::on_pdu(&i2, k, pdu)),
-            );
-            t.borrow_mut().connect_on(id, iep.clone(), rx.clone(), lane);
-            (TenantHandle(AnyInitiator::Spdk(i)), rx)
-        }
-        AnyTarget::Opf(t) => {
-            let i = shared(OpfInitiator::new(
-                id,
-                qd,
-                net,
-                iep.clone(),
-                home.ep.clone(),
-                tx,
-                costs,
-                env.tenant_cfg.clone(),
-            ));
-            let i2 = i.clone();
-            let rx = env.wrap_rx(
-                link,
-                Rc::new(move |k, pdu| OpfInitiator::on_pdu(&i2, k, pdu)),
-            );
-            t.borrow_mut().connect_on(id, iep.clone(), rx.clone(), lane);
-            (TenantHandle(AnyInitiator::Opf(i)), rx)
-        }
-    }
+    let (ep, tep) = (iep.clone(), home.ep.clone());
+    let ini = home.target.new_initiator(env, id, qd, ep, tep, tx);
+    let rx = either!(&ini, AnyInitiator, i => {
+        let i = i.clone();
+        Rc::new(move |k: &mut Kernel, pdu| SpdkInitiator::on_pdu(&i, k, pdu)) as PduRx
+    });
+    let rx = env.wrap_rx(link, rx);
+    either!(&home.target, AnyTarget, t => {
+        t.borrow_mut().connect_on(id, iep.clone(), rx.clone(), lane);
+    });
+    (TenantHandle(ini), rx)
 }
 
 /// Build one pair: a target (of `runtime` kind) exposing one simulated
@@ -753,127 +582,16 @@ pub fn build_pair_traced(
     pair
 }
 
-/// A built tenant, kept for the cluster-extras and collect stages.
-struct Tenant {
-    /// Global index: metric prefix, fault-plane link, start stagger.
-    idx: u64,
-    /// Kernel lane (target reactor) the tenant's event chain runs on.
-    lane: u32,
-    /// Index of its home target within its group.
-    home: usize,
-    ep: Shared<Endpoint>,
-    rx: PduRx,
-    ini: TenantHandle,
-}
-
-/// Stage 4 — *cluster extras* (DESIGN.md §16), installed only when
-/// [`Scenario::is_cluster`]: the leaf/spine topology, the cluster
-/// priority manager's rebalance ticks, and the live migrations.
-struct ClusterPlane {
-    links_profiled: usize,
-    mgr: Shared<cluster::ClusterPriorityManager>,
-    engine: cluster::MigrationEngine,
-}
-
-fn install_cluster_plane(
-    k: &mut Kernel,
-    env: &Env,
-    sc: &Scenario,
-    nodes: &[TargetNode],
-    tenants: &[Tenant],
-    warm: SimTime,
-    end: SimTime,
-) -> ClusterPlane {
-    // Non-home paths cross the spine.
-    let tenant_eps: Vec<_> = tenants.iter().map(|t| t.ep.clone()).collect();
-    let home: Vec<usize> = tenants.iter().map(|t| t.home).collect();
-    let tgt_eps: Vec<_> = nodes.iter().map(|n| n.ep.clone()).collect();
-    let links_profiled = cluster::install_switched_topology(
-        &env.net,
-        &tenant_eps,
-        &home,
-        &tgt_eps,
-        cluster::topology::SPINE_LATENCY,
-    );
-
-    // The manager and the migration engine are typed on the NVMe-oPF
-    // target; `Scenario::validate` admits no other cluster.
-    let tgts: Vec<Shared<OpfTarget>> = nodes
-        .iter()
-        .filter_map(|n| n.target.as_opf().cloned())
-        .collect();
-    let mgr = shared(cluster::ClusterPriorityManager::new(tgts.clone()));
-    fn tick_loop(
-        mgr: Shared<cluster::ClusterPriorityManager>,
-        end: SimTime,
-        k: &mut Kernel,
-        at: SimTime,
-    ) {
-        if at > end {
-            return;
-        }
-        k.schedule_at_on(0, at, move |k| {
-            mgr.borrow_mut().tick();
-            let next = k.now() + SimDuration::from_micros(500);
-            tick_loop(mgr, end, k, next);
-        });
-    }
-    tick_loop(mgr.clone(), end, k, warm);
-
-    let mut engine = cluster::MigrationEngine::new();
-    let mut cur = home;
-    for spec in &sc.migrations {
-        let (ti, to) = (spec.tenant, spec.to_target);
-        let from = cur[ti];
-        if to == from {
-            continue;
-        }
-        let tenant = &tenants[ti];
-        let Some(initiator) = tenant.ini.as_opf() else {
-            continue;
-        };
-        let m = cluster::Migration {
-            tenant: ti as u8,
-            lane: tenant.lane,
-            at: warm + SimDuration::from_secs_f64(spec.at_s.max(0.0)),
-            initiator: initiator.clone(),
-            source: tgts[from].clone(),
-            dest: tgts[to].clone(),
-            dest_ep: nodes[to].ep.clone(),
-            ini_ep: tenant.ep.clone(),
-            // The tenant keeps its fault-plane link across the move, so
-            // an attack or loss burst spans it.
-            to_dest_rx: env.wrap_tx(ti, nodes[to].rx.clone()),
-            from_dest_rx: tenant.rx.clone(),
-            dest_shard: tenant.lane,
-            state: cluster::MigrationState::Scheduled,
-            history: Vec::new(),
-            cmds_moved: 0,
-            redriven: 0,
-        };
-        engine.schedule(k, m, SimDuration::from_micros(100));
-        cur[ti] = to;
-    }
-    // The manager consults the engine's records on every tick so tenants
-    // mid-migration are neither rebalanced nor decayed while their
-    // queues are frozen or in flight between targets.
-    mgr.borrow_mut().watch(engine.records());
-    ClusterPlane {
-        links_profiled,
-        mgr,
-        engine,
-    }
-}
-
 /// Run one scenario to completion and collect its metrics: [`run_all`]
 /// on this scenario alone, its pairs over every core.
 ///
 /// A run is `pairs` independent *groups*, one per initiator-node /
 /// target-node pair: the pair's `targets` targets, its initiator node or
 /// nodes, and its tenants. Groups share nothing (the switch is
-/// non-blocking), so each one is built, simulated and read on its own
-/// kernel and fabric (DESIGN.md §16), at its own last event: what a
-/// pair reports does not depend on its siblings. Everything derived
+/// non-blocking), so each one is built (`Group::build`), simulated
+/// (`Group::drive`) and read (`Group::read`) on its own kernel and
+/// fabric (DESIGN.md §16), at its own last event: what a pair reports
+/// does not depend on its siblings. Everything derived
 /// from a global position keeps its global value: a tenant's lane, LBA
 /// base, metric prefix, start stagger, fault-plane link and traffic
 /// index, a target's id and device seed. The groups merge in group
@@ -920,7 +638,12 @@ pub fn run_all(scenarios: &[Scenario], threads: Option<usize>) -> Vec<RunResult>
         .iter()
         .flat_map(|sc| (0..sc.pairs).map(move |g| (&**sc, g)))
         .collect();
-    let mut groups = map(&tasks, threads, |&(sc, g)| run_group(sc, g)).into_iter();
+    let mut groups = map(&tasks, threads, |&(sc, g)| {
+        let mut group = Group::build(sc, g);
+        group.drive();
+        group.read()
+    })
+    .into_iter();
     scenarios
         .iter()
         .map(|sc| merge(sc, groups.by_ref().take(sc.pairs).collect()))
@@ -950,478 +673,6 @@ fn with_churn(sc: &Scenario) -> Cow<'_, Scenario> {
     Cow::Owned(s)
 }
 
-/// What a group's kernel counted.
-struct KernelCounts {
-    events: u64,
-    cross_shard: u64,
-    routed: u64,
-    min_slack: Option<u64>,
-    horizon_dropped: u64,
-}
-
-/// A group's share of stage 6, read at its own last event: plain data,
-/// so it can leave its worker.
-struct GroupOut {
-    /// The group's last event time, when it was read.
-    now: SimTime,
-    ls_hist: Histogram,
-    tc_hist: Histogram,
-    notifications: u64,
-    /// Reactor utilisation of each target, in node order.
-    utils: Vec<f64>,
-    cross_reactor_submits: u64,
-    kernel: KernelCounts,
-    /// Keys only this group has: its components under their run-wide
-    /// prefixes, and group 0's cluster-plane and keep-alive counters.
-    own: Metrics,
-    /// Run-wide counters the groups add up: fault-plane injections,
-    /// horizon drops, recovery aggregates and open-loop totals.
-    summed: Metrics,
-    /// Open-loop arrivals and completions inside the measure window.
-    offered_win: u64,
-    done_win: u64,
-    /// Each open-loop tenant's popularity-normalised served count, in
-    /// slot order.
-    served: Vec<f64>,
-}
-
-/// Group `group`, start to end: its environment, targets and tenants
-/// (and, in group 0, the keep-alive client and the cluster plane), its
-/// kernel driven to the horizon, then its share of stage 6 read at its
-/// last event. The stack is torn down and dropped here.
-fn run_group(sc: &Scenario, group: usize) -> GroupOut {
-    let is_cluster = sc.is_cluster();
-    let profile = sc.faults.as_ref();
-    let adversary = profile.and_then(|p| p.adversary);
-
-    // --- Stage 1: environment -------------------------------------------
-    // Shards are labels on the group's one event queue (see
-    // `simkit::Kernel`): `shards` never changes results.
-    let shards = sc.shards.max(1);
-    let mut k = Kernel::with_shards(sc.seed, shards);
-    k.set_parallel(sc.parallel);
-    let mut env = Env::new(sc.speed, sc.transport);
-    // Each group's plane forks its RNG off the group kernel's under a
-    // tag of its own; group 0's is the historical `0xFA17`, so every
-    // one-group run keeps its stream. With `faults: None` the fork never
-    // happens.
-    env.plane = profile.map(|p| {
-        let rng = k.rng().fork(0xFA17 + ((group as u64) << 16));
-        shared(faults::FaultPlane::new(p.clone(), rng))
-    });
-    if let Some(p) = &env.plane {
-        if !p.borrow().profile().degrades.is_empty() {
-            env.net.set_bandwidth_model(faults::bandwidth_model(p));
-        }
-    }
-
-    let warm = SimTime::from_nanos((sc.warmup_s * 1e9) as u64);
-    let end = SimTime::from_nanos(((sc.warmup_s + sc.measure_s) * 1e9) as u64);
-
-    let ls_hist = Rc::new(RefCell::new(Histogram::new()));
-    let tc_hist = Rc::new(RefCell::new(Histogram::new()));
-    // Payload and per-tenant LBA spans are sized for the largest block
-    // count an open-loop request can draw (`io_blocks` without traffic).
-    let span_blocks = match &sc.traffic {
-        Some(t) => t.max_blocks(sc.io_blocks.max(1)),
-        None => sc.io_blocks.max(1),
-    };
-    let payload = Bytes::from(vec![0u8; BLOCK_SIZE * span_blocks as usize]);
-
-    // Recovery (duplicate suppression on targets, retry + re-drain on
-    // initiators) follows the fault profile — except in a cluster, where
-    // it is always armed: a post-move re-drive rides the re-issue path,
-    // and migration-free rows stay comparable. The profile may still
-    // override the timer values.
-    env.recovery = is_cluster || env.plane.is_some();
-    let mut retry = profile.and_then(|p| p.retry);
-    let mut redrain_timeout = profile.and_then(|p| p.redrain_timeout);
-    if is_cluster {
-        retry = retry.or(Some(RetryPolicy {
-            timeout: SimDuration::from_micros(300),
-            max_retries: 6,
-        }));
-        redrain_timeout = redrain_timeout.or(Some(SimDuration::from_micros(500)));
-    }
-    // With an adversary, §14 hardening follows its `harden` flag:
-    // enforcement plus the drain rate limit, or the wire-trusting
-    // baseline. Without one the defaults add no state and no metric keys.
-    env.target_cfg = OpfTargetConfig {
-        queue_mode: if sc.shared_queue {
-            QueueMode::Shared
-        } else {
-            QueueMode::PerInitiator
-        },
-        ls_bypass: !sc.no_ls_bypass,
-        enforce_identity: adversary.is_none_or(|a| a.harden),
-        drain_rate: adversary.and_then(|a| a.harden.then(opf::DrainRateLimit::default)),
-    };
-    env.tenant_cfg = OpfInitiatorConfig {
-        window: sc.resolve_window(),
-        retry,
-        redrain_timeout,
-        ..OpfInitiatorConfig::default()
-    };
-
-    // --- Stage 2: the group's targets ------------------------------------
-    let targets_n = sc.targets.max(1);
-    let first = group * targets_n;
-    let nodes: Vec<TargetNode> = (first..first + targets_n)
-        .map(|idx| {
-            let node = build_target(
-                &env,
-                sc.runtime,
-                idx as u32,
-                sc.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9),
-                true,
-                Tracer::disabled(),
-            );
-            // The baseline's identity enforcement follows the same
-            // `harden` flag (and turns its hardening counters on).
-            if let (Some(adv), AnyTarget::Spdk(t)) = (adversary, &node.target) {
-                t.borrow_mut().set_hardening(adv.harden);
-            }
-            node
-        })
-        .collect();
-
-    // --- Stage 3: the group's tenants ------------------------------------
-    // Initiators either share a node NIC or each get their own node
-    // (Figure 7 places every initiator on an individual node).
-    let node_ep = (!sc.separate_nodes).then(|| env.net.add_endpoint(format!("ini-node{group}")));
-    let per_node = sc.ls_per_node + sc.tc_per_node;
-    let mut tenants: Vec<Tenant> = Vec::with_capacity(per_node);
-    let mut drivers = Vec::new();
-    let mut open_tenants: Vec<(Rc<RefCell<OpenTenant>>, SimTime, u32)> = Vec::new();
-    for slot in 0..per_node {
-        let iep = match &node_ep {
-            Some(ep) => ep.clone(),
-            None => env.net.add_endpoint(format!("ini{group}-{slot}")),
-        };
-        let (class, qd, hist) = if slot < sc.ls_per_node {
-            (ReqClass::LatencySensitive, 1, ls_hist.clone())
-        } else {
-            (ReqClass::ThroughputCritical, sc.tc_qd, tc_hist.clone())
-        };
-        let global_idx = (group * per_node + slot) as u64;
-        // The tenant's whole event chain — issue loop, deliveries, its
-        // reactor's queue work — runs on this lane: round-robin over the
-        // run's global tenant order (DESIGN.md §13). Its home target is
-        // round-robin over the group's targets (§16).
-        let lane = (global_idx % shards as u64) as u32;
-        let home = slot % targets_n;
-        let (ini, rx) = connect_tenant(
-            &env,
-            &nodes[home],
-            &iep,
-            slot as u8,
-            qd,
-            lane,
-            global_idx as usize,
-        );
-        // Under an adversary, register each TC connection's class so
-        // forged LS flags are demoted — on every target of the group, so
-        // the demotion survives a migration.
-        if adversary.is_some() && class == ReqClass::ThroughputCritical {
-            for t in nodes.iter().filter_map(|n| n.target.as_opf()) {
-                t.borrow_mut().deny_ls(slot as u8);
-            }
-        }
-
-        let io = TenantIo {
-            ini: ini.clone(),
-            pattern: sc.pattern,
-            rng: Pcg32::new(sc.seed ^ (global_idx + 1).wrapping_mul(0x1357_9BDF)),
-            n: 0,
-            lba_base: global_idx * 8192 * u64::from(span_blocks),
-            lba_span: 8192 * u64::from(span_blocks),
-            payload: payload.clone(),
-            hist,
-            win_start: warm,
-            win_end: end,
-            done_total: 0,
-            done_win: 0,
-        };
-        // With a traffic block the TC tenants go open-loop; LS tenants
-        // keep their closed-loop QD-1 probe so the paper's isolation
-        // metric stays comparable.
-        if let (Some(tspec), ReqClass::ThroughputCritical) = (&sc.traffic, class) {
-            let tc_total = (sc.pairs * sc.tc_per_node).max(1);
-            let tc_idx = group * sc.tc_per_node + (slot - sc.ls_per_node);
-            let t = Rc::new(RefCell::new(OpenTenant {
-                io,
-                gen: TenantTraffic::new(tspec, sc.seed, tc_idx, tc_total),
-                pending: VecDeque::new(),
-                ls_hist: ls_hist.clone(),
-                default_blocks: sc.io_blocks.max(1),
-                base_mix: sc.mix,
-                offered_total: 0,
-                offered_win: 0,
-            }));
-            // A trace's timestamps are absolute: its tenants start at
-            // zero, not staggered.
-            let start = match tspec.model {
-                ArrivalModel::Trace(_) => SimTime::ZERO,
-                _ => SimTime::from_micros(global_idx),
-            };
-            open_tenants.push((t, start, lane));
-        } else {
-            let driver = Rc::new(RefCell::new(Driver {
-                io,
-                class,
-                mix: sc.mix,
-                io_blocks: sc.io_blocks.max(1),
-            }));
-            drivers.push((driver, qd, global_idx, lane));
-        }
-        tenants.push(Tenant {
-            idx: global_idx,
-            lane,
-            home,
-            ep: iep,
-            rx,
-            ini,
-        });
-    }
-
-    // Optional admin keep-alive/reconnect loop on the run's first
-    // initiator link (fault-plane link 0, in group 0): heartbeats skip
-    // while it is flapped, the server expires the controller after
-    // KATO, the next one reconnects.
-    let admin = match (
-        profile.and_then(|p| p.keepalive),
-        &env.plane,
-        tenants.first(),
-    ) {
-        (Some(ka), Some(p), Some(t0)) if group == 0 => {
-            let tep0 = nodes[t0.home].ep.clone();
-            let service = shared(nvmf::AdminService::new(ka.kato, env.net.clone(), tep0));
-            let client = shared(nvmf::AdminClient::new(
-                t0.ep.clone(),
-                service,
-                env.costs.ini_submit,
-            ));
-            nvmf::AdminClient::bring_up(&client, &mut k);
-            let probe = faults::link_up_probe(p, 0);
-            nvmf::AdminClient::start_keepalive_with_reconnect(&client, &mut k, ka.every, probe);
-            Some(client)
-        }
-        _ => None,
-    };
-
-    // --- Stage 4: cluster extras (a cluster is one group) -----------------
-    let cluster =
-        is_cluster.then(|| install_cluster_plane(&mut k, &env, sc, &nodes, &tenants, warm, end));
-
-    // --- Stage 5: drive -------------------------------------------------
-    // Closed loops start staggered by a microsecond per initiator (no
-    // artificial lockstep), each pinned to its tenant's lane: everything
-    // the loop schedules afterwards inherits it.
-    for (driver, qd, idx, lane) in drivers {
-        k.schedule_at_on(lane, SimTime::from_micros(idx), move |k| {
-            for _ in 0..qd {
-                issue(driver.clone(), k);
-            }
-        });
-    }
-
-    // Open-loop tenants likewise: the lane-pinned start event kicks off
-    // the arrival chain and the 1 ms drainer.
-    for (t, start, lane) in &open_tenants {
-        let t = t.clone();
-        k.schedule_at_on(*lane, *start, move |k| {
-            let now_ns = k.now().as_nanos();
-            let gap = t.borrow_mut().gen.next_gap_ns(now_ns);
-            let t2 = t.clone();
-            k.schedule_in(SimDuration::from_nanos(gap), move |k| open_arrival(t2, k));
-            open_drain(t, k);
-        });
-    }
-
-    // Snapshot notification counters at the start of the measure window
-    // so `notifications` is a within-window delta (Figure 6(c) counts a
-    // fixed-duration run).
-    let notif_at_warm = Rc::new(Cell::new(0u64));
-    let marker = notif_at_warm.clone();
-    let targets: Vec<AnyTarget> = nodes.iter().map(|n| n.target.clone()).collect();
-    k.schedule_at(warm, move |_| {
-        marker.set(targets.iter().map(AnyTarget::resps_tx).sum());
-    });
-
-    // A settle window past `end` (where issue and recording stop) lets
-    // retry/re-drain timers recover the in-flight tail. Fault profiles
-    // bring their own; open-loop and cluster runs always get ≥ 50 ms so
-    // queued arrivals and post-move re-drives land and `offered ==
-    // goodput` is checkable.
-    let mut settle_s = profile.map_or(0.0, |p| p.settle_s);
-    if is_cluster || sc.traffic.is_some() {
-        settle_s = settle_s.max(0.05);
-    }
-    k.set_horizon(end + SimDuration::from_secs_f64(settle_s));
-    k.run_to_completion();
-
-    // --- Stage 6: read the group at its own last event -------------------
-    // The kernel and the events past its horizon go first, so the
-    // snapshot reuses their memory instead of adding to the peak.
-    let now = k.now();
-    let kernel = KernelCounts {
-        events: k.events_executed(),
-        cross_shard: k.cross_shard_scheduled(),
-        routed: k.mesh_routed(),
-        min_slack: k.mesh_min_slack_nanos(),
-        horizon_dropped: k.horizon_dropped(),
-    };
-    drop(k);
-    let notifications =
-        nodes.iter().map(|n| n.target.resps_tx()).sum::<u64>() - notif_at_warm.get();
-
-    // Component prefixes: classic runs name a group's parts under
-    // `pair{g}.`, cluster runs (one group) name targets directly.
-    // Both key unions are pinned by goldens, so this table is the
-    // contract. Targets are numbered run-wide.
-    let prefix = |i: usize, classic: &str, cluster: &str| {
-        if is_cluster {
-            cluster.replace("{}", &i.to_string())
-        } else {
-            format!("pair{i}.{classic}.")
-        }
-    };
-    let mut own = Metrics::at(now);
-    for (t, n) in (first..).zip(&nodes) {
-        own.merge(&prefix(t, "tgt", "tgt{}."), &n.target.metrics(now));
-        own.merge(&prefix(t, "dev", "dev{}."), &n.device.borrow().metrics(now));
-        own.merge(
-            &prefix(t, "tgt_ep", "tgt{}_ep."),
-            &n.ep.borrow().metrics(now),
-        );
-    }
-    if let Some(ep) = &node_ep {
-        let p = prefix(group, "ini_node_ep", "ini_node_ep.");
-        own.merge(&p, &ep.borrow().metrics(now));
-    }
-    for t in &tenants {
-        if sc.separate_nodes {
-            own.merge(&format!("ini{}.ep.", t.idx), &t.ep.borrow().metrics(now));
-        }
-        own.merge(&format!("ini{}.", t.idx), &t.ini.metrics(now));
-    }
-    if let Some(c) = &cluster {
-        own.set("cluster.targets", nodes.len() as f64);
-        own.set("cluster.links_profiled", c.links_profiled as f64);
-        let snap = c.mgr.borrow().snapshot();
-        own.set("cluster.mgr_ticks", snap.ticks as f64);
-        own.set("cluster.weight_updates", snap.weight_updates as f64);
-        own.set("cluster.max_imbalance", snap.max_imbalance as f64);
-        // Gated on nonzero so runs that never exercise the decay or
-        // the migration skip keep byte-identical snapshots.
-        if snap.weight_decays > 0 {
-            own.set("cluster.weight_decays", snap.weight_decays as f64);
-        }
-        if snap.migrating_skipped > 0 {
-            own.set("cluster.migrating_skipped", snap.migrating_skipped as f64);
-        }
-        // Unconditional, so a no-op migration spec snapshots exactly
-        // like a migration-free run of the same scenario.
-        let tot = c.engine.totals();
-        own.set("cluster.migrations_done", tot.done as f64);
-        own.set("cluster.migrations_failed", tot.failed as f64);
-        own.set("cluster.cmds_moved", tot.cmds_moved as f64);
-        own.set("cluster.redriven", tot.redriven as f64);
-    }
-    if let Some(c) = &admin {
-        let s = c.borrow().ka_stats;
-        own.set("admin.heartbeats", s.heartbeats as f64);
-        own.set("admin.heartbeat_misses", s.heartbeat_misses as f64);
-        own.set("admin.reconnects", s.reconnects as f64);
-    }
-
-    // Fault-plane injection counters, only present when a profile is
-    // installed, so fault-free runs keep their exact pre-faults key
-    // set.
-    let mut summed = Metrics::at(now);
-    if let Some(p) = &env.plane {
-        summed.merge("faults.", &p.borrow().metrics(now));
-        // Events refused past the horizon; only fault timers can
-        // realistically outlive it, so the key is gated with them.
-        summed.set("kernel.horizon_dropped", kernel.horizon_dropped as f64);
-    }
-    // Recovery aggregates: under `faults.` with a plane in a classic
-    // run; always under `recovery.` in a cluster, whose core
-    // invariant is exactly-once (`offered == goodput`).
-    let aggregates = if is_cluster {
-        Some("recovery.")
-    } else {
-        env.plane.as_ref().map(|_| "faults.")
-    };
-    if let Some(prefix) = aggregates {
-        let (mut retries, mut exhausted, mut redrains, mut dups) = (0u64, 0u64, 0u64, 0u64);
-        let (mut offered, mut goodput) = (0u64, 0u64);
-        for t in &tenants {
-            // One transport under both runtimes, one set of counters.
-            let s = match &t.ini.0 {
-                AnyInitiator::Spdk(i) => i.borrow().stats.clone(),
-                AnyInitiator::Opf(i) => i.borrow().io.stats.clone(),
-            };
-            retries += s.retries;
-            exhausted += s.retry_exhausted;
-            dups += s.dup_resps_suppressed;
-            offered += s.submitted;
-            goodput += s.completed;
-            // Only NVMe-oPF has drains to re-send.
-            if let Some(i) = t.ini.as_opf() {
-                redrains += i.borrow().stats.redrains;
-            }
-        }
-        summed.set(format!("{prefix}retries"), retries as f64);
-        summed.set(format!("{prefix}retry_exhausted"), exhausted as f64);
-        summed.set(format!("{prefix}redrains"), redrains as f64);
-        summed.set(format!("{prefix}dup_resps_suppressed"), dups as f64);
-        summed.set(format!("{prefix}offered"), offered as f64);
-        summed.set(format!("{prefix}goodput"), goodput as f64);
-    }
-    // Open-loop traffic figures, only present with a `traffic` block
-    // so legacy runs keep their exact metric key union.
-    let (mut offered_win, mut done_win) = (0u64, 0u64);
-    let mut served = Vec::with_capacity(open_tenants.len());
-    if sc.traffic.is_some() {
-        let (mut offered, mut done) = (0u64, 0u64);
-        for (t, _, _) in &open_tenants {
-            let s = t.borrow();
-            offered += s.offered_total;
-            done += s.io.done_total;
-            offered_win += s.offered_win;
-            done_win += s.io.done_win;
-            served.push(s.io.done_win as f64 / s.gen.weight().max(1e-12));
-        }
-        summed.set("traffic.offered", offered as f64);
-        summed.set("traffic.done", done as f64);
-    }
-
-    let out = GroupOut {
-        now,
-        ls_hist: ls_hist.take(),
-        tc_hist: tc_hist.take(),
-        notifications,
-        utils: nodes
-            .iter()
-            .map(|n| n.target.reactor_utilization(end))
-            .collect(),
-        cross_reactor_submits: nodes
-            .iter()
-            .filter_map(|n| n.target.as_opf())
-            .map(|t| t.borrow().cross_reactor_submits())
-            .sum(),
-        kernel,
-        own,
-        summed,
-        offered_win,
-        done_win,
-        served,
-    };
-    teardown(&nodes, tenants.iter().map(|t| &t.ini));
-    out
-}
-
 /// Stage 6, run-wide: merge the groups' outputs, in group order, into
 /// one result stamped at the latest group's last event. Histograms merge exactly (integer counts
 /// and sums), counters add, the reactor utilisation is the mean over
@@ -1447,21 +698,13 @@ fn merge(sc: &Scenario, groups: Vec<GroupOut>) -> RunResult {
     // Unified snapshot: workload-level figures plus every component's
     // MetricsSource counters under a stable prefix.
     let mut metrics = Metrics::at(now);
-    for (class, hist) in [("tc", &tc_hist), ("ls", &ls_hist)] {
-        metrics.set(format!("{class}.iops"), hist.count() as f64 / sc.measure_s);
-        metrics.set(
-            format!("{class}.p50_us"),
-            hist.percentile(0.50) as f64 / 1e3,
-        );
-        metrics.set(
-            format!("{class}.p99_us"),
-            hist.percentile(0.99) as f64 / 1e3,
-        );
-        metrics.set(
-            format!("{class}.p9999_us"),
-            hist.percentile(0.9999) as f64 / 1e3,
-        );
-        metrics.set(format!("{class}.avg_us"), hist.mean() / 1e3);
+    for (class, h) in [("tc", &tc_hist), ("ls", &ls_hist)] {
+        let us = |q| h.percentile(q) as f64 / 1e3;
+        metrics.set(format!("{class}.iops"), h.count() as f64 / sc.measure_s);
+        metrics.set(format!("{class}.p50_us"), us(0.50));
+        metrics.set(format!("{class}.p99_us"), us(0.99));
+        metrics.set(format!("{class}.p9999_us"), us(0.9999));
+        metrics.set(format!("{class}.avg_us"), h.mean() / 1e3);
     }
     metrics.set("notifications", notifications as f64);
     metrics.set("completed", (tc_done + ls_done) as f64);
@@ -1477,10 +720,7 @@ fn merge(sc: &Scenario, groups: Vec<GroupOut>) -> RunResult {
             n => done_win as f64 / n as f64,
         };
         metrics.set("traffic.completion_ratio", ratio);
-        let served: Vec<f64> = groups
-            .iter()
-            .flat_map(|g| g.served.iter().copied())
-            .collect();
+        let served: Vec<f64> = groups.iter().flat_map(|g| g.served.clone()).collect();
         let max = served.iter().copied().fold(f64::MIN, f64::max);
         let min = served.iter().copied().fold(f64::MAX, f64::min);
         let mean = served.iter().sum::<f64>() / served.len().max(1) as f64;
@@ -1523,6 +763,7 @@ mod tests {
     use super::*;
     use crate::mix::Mix;
     use crate::scenario::WindowSpec;
+    use crate::traffic::ArrivalModel;
 
     fn quick(runtime: RuntimeKind, speed: Gbps, mix: Mix, ls: usize, tc: usize) -> RunResult {
         let mut sc = Scenario::ratio(runtime, speed, mix, ls, tc);
